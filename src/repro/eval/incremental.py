@@ -88,10 +88,7 @@ def replay_deltas(
     With ``eager_refresh=True`` (default) each batch's lazy idf/norm
     recompute is forced immediately after the apply and timed separately,
     so the report splits "queueing the mutation" from "paying the refresh"
-    — the two costs a serving process actually schedules.  Only the
-    serving (matrix) backend is refreshed eagerly: forcing the dict-loop
-    mirror would time a full O(corpus) Python re-fit that a matrix-backed
-    serving process never pays (the mirror still refreshes lazily if read).
+    — the two costs a serving process actually schedules.
     """
     if index.folksonomy is None:
         raise ConfigurationError(
@@ -103,13 +100,7 @@ def replay_deltas(
         staleness = index.apply_delta(delta)
         applied = time.perf_counter()
         if eager_refresh:
-            # A sharded engine has no single matrix_space: its refresh IS
-            # the serving-side coordinated recompute, so time that instead.
-            matrix_space = getattr(index.engine, "matrix_space", None)
-            if matrix_space is not None:
-                matrix_space.refresh()
-            else:
-                index.engine.refresh()
+            index.engine.refresh()
         finished = time.perf_counter()
         report.steps.append(
             DeltaReplayStep(

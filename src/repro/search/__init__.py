@@ -6,14 +6,14 @@ deliberately a classical VSM stack — the paper's point is that once concept
 distillation has been done offline, online query processing is just cheap
 dot products (Table VI).
 
-* :mod:`repro.search.vsm` — tf-idf weighting (Eq. 1-3) and cosine (Eq. 4);
-  the dict-loop reference implementation.
-* :mod:`repro.search.inverted_index` — the postings-list index behind the
-  reference dot products.
-* :mod:`repro.search.matrix_space` — the compiled CSR backend: batched
-  top-k scoring with one sparse matmul, plus ``.npz``/JSON persistence.
+* :mod:`repro.search.matrix_space` — the scoring backend: tf-idf weighting
+  (Eq. 1-3) and cosine (Eq. 4) over CSR arrays, batched top-k scoring with
+  one sparse matmul, fold-in mutations, ``.npz``/JSON persistence.
 * :mod:`repro.search.engine` — the user-facing query interface combining a
-  concept model, the backends and the ranking.
+  concept model, the matrix space and the ranking.
+* :mod:`repro.search.vsm` / :mod:`repro.search.inverted_index` — the
+  fit-once dict-loop reference of the same model; a test and benchmark
+  oracle, not a serving path.
 * :mod:`repro.search.incremental` — staleness accounting for incrementally
   updated engines (epochs, refresh policy, fold-in drift reports).
 * :mod:`repro.search.sharding` — the sharded serving architecture: router,

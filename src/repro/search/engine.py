@@ -1,21 +1,12 @@
 """The user-facing search engine: tag queries in, ranked resources out.
 
 :class:`SearchEngine` glues together a :class:`~repro.core.concepts.ConceptModel`
-(how tags map to concepts) and the fitted concept space (how resources are
+(how tags map to concepts) and a
+:class:`~repro.search.matrix_space.MatrixConceptSpace` (how resources are
 weighted).  It implements the *online* component of the paper's Figure 1:
 transform the query's tags into concepts, compute cosine similarities,
-return a ranked list.
-
-Two interchangeable scoring backends are supported:
-
-* the reference dict-loop :class:`~repro.search.vsm.ConceptVectorSpace`
-  (kept for auditability and as the parity oracle), and
-* the compiled :class:`~repro.search.matrix_space.MatrixConceptSpace`,
-  which scores whole query batches with one sparse matmul and is used by
-  default whenever it is available.
-
-Engines built from a folksonomy carry both; engines loaded from disk carry
-only the compiled matrix backend.
+return a ranked list.  Built, loaded and single-shard engines all score
+through that one CSR backend.
 
 Concurrency
 -----------
@@ -43,7 +34,7 @@ from repro.core.concepts import Concept, ConceptModel
 from repro.search.concurrency import FreshReadMixin, ReadWriteLock
 from repro.search.incremental import RefreshPolicy, StalenessReport
 from repro.search.matrix_space import MatrixConceptSpace, validate_top_k
-from repro.search.vsm import ConceptVectorSpace, RankedResult
+from repro.search.vsm import RankedResult
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError, NotFittedError
 
@@ -120,14 +111,10 @@ class SearchEngine(FreshReadMixin):
     ----------
     concept_model:
         Maps tags (of resources and of queries) to concept ids.
-    vector_space:
-        The reference dict-loop tf-idf space; ``None`` for engines loaded
-        from disk (which only need the compiled backend).
+    matrix_space:
+        The CSR tf-idf space every query is scored against.
     name:
         Identifier used in experiment reports (e.g. ``"cubelsi"``).
-    matrix_space:
-        The compiled CSR backend; ``None`` disables batched scoring and
-        falls back to the dict loops.
     refresh_policy:
         When accumulated incremental mutations make a full offline refit
         advisable (see :mod:`repro.search.incremental`).
@@ -137,9 +124,8 @@ class SearchEngine(FreshReadMixin):
     """
 
     concept_model: ConceptModel
-    vector_space: Optional[ConceptVectorSpace]
+    matrix_space: MatrixConceptSpace
     name: str = "cubelsi"
-    matrix_space: Optional[MatrixConceptSpace] = field(default=None)
     refresh_policy: RefreshPolicy = field(default_factory=RefreshPolicy)
     epoch: int = 0
     _baseline_resources: Optional[int] = field(default=None, repr=False)
@@ -158,15 +144,12 @@ class SearchEngine(FreshReadMixin):
         concept_model: ConceptModel,
         smooth_idf: bool = False,
         name: str = "cubelsi",
-        matrix_backend: bool = True,
         refresh_policy: Optional[RefreshPolicy] = None,
     ) -> "SearchEngine":
         """Build the engine by indexing every resource of ``folksonomy``.
 
         Each resource's bag of tags is translated to a bag of concepts with
-        ``concept_model`` and indexed with tf-idf weights.  With
-        ``matrix_backend=True`` (default) the fitted space is additionally
-        compiled into CSR arrays for batched scoring.
+        ``concept_model`` and indexed with tf-idf weights.
         """
         resource_bags: Dict[str, Dict[int, float]] = {}
         for resource in folksonomy.resources:
@@ -174,15 +157,10 @@ class SearchEngine(FreshReadMixin):
             resource_bags[resource] = concept_model.concept_bag(
                 tag_bag, allocate=True
             )
-        vector_space = ConceptVectorSpace(smooth_idf=smooth_idf).fit(resource_bags)
-        matrix_space = (
-            MatrixConceptSpace.compile(vector_space) if matrix_backend else None
-        )
         return cls(
             concept_model=concept_model,
-            vector_space=vector_space,
+            matrix_space=MatrixConceptSpace.from_bags(resource_bags, smooth_idf),
             name=name,
-            matrix_space=matrix_space,
             refresh_policy=refresh_policy or RefreshPolicy(),
             _baseline_resources=folksonomy.num_resources,
         )
@@ -202,9 +180,7 @@ class SearchEngine(FreshReadMixin):
 
     def _needs_refresh(self) -> bool:
         """Whether pending mutations await the lazy statistics refresh."""
-        if self.matrix_space is not None and self.matrix_space.is_stale:
-            return True
-        return self.vector_space is not None and self.vector_space.is_stale
+        return self.matrix_space.is_stale
 
     def search(
         self, query_tags: Sequence[str], top_k: Optional[int] = None
@@ -223,9 +199,7 @@ class SearchEngine(FreshReadMixin):
             concept_bag = self.query_concepts(query_tags)
             if not concept_bag:
                 return []
-            if self.matrix_space is not None:
-                return self.matrix_space.rank(concept_bag, top_k=top_k)
-            return self._require_vector_space().rank(concept_bag, top_k=top_k)
+            return self.matrix_space.rank(concept_bag, top_k=top_k)
 
     def rank_batch(
         self,
@@ -234,10 +208,9 @@ class SearchEngine(FreshReadMixin):
     ) -> List[List[RankedResult]]:
         """Rank a whole batch of tag queries in one pass.
 
-        With the matrix backend the batch is scored by a single sparse
-        matmul; otherwise each query goes through the dict-loop reference
-        path.  The i-th result list always corresponds to the i-th query,
-        with empty/unmatchable queries producing empty lists.  An empty
+        The batch is scored by a single sparse matmul.  The i-th result
+        list always corresponds to the i-th query, with empty/unmatchable
+        queries producing empty lists.  An empty
         batch yields an empty list, and an invalid ``top_k`` is rejected
         up front even when no query is scorable — callers get well-typed
         results without relying on downstream backend guards.
@@ -255,22 +228,17 @@ class SearchEngine(FreshReadMixin):
     ) -> List[List[RankedResult]]:
         """The :meth:`rank_batch` body; caller holds the read lock."""
         concept_bags = [self.query_concepts(tags) for tags in queries]
-        if self.matrix_space is not None:
-            scorable = [
-                (position, bag) for position, bag in enumerate(concept_bags) if bag
-            ]
-            results: List[List[RankedResult]] = [[] for _ in concept_bags]
-            if scorable:
-                ranked = self.matrix_space.rank_batch(
-                    [bag for _, bag in scorable], top_k=top_k
-                )
-                for (position, _), result in zip(scorable, ranked):
-                    results[position] = result
-            return results
-        space = self._require_vector_space()
-        return [
-            space.rank(bag, top_k=top_k) if bag else [] for bag in concept_bags
+        scorable = [
+            (position, bag) for position, bag in enumerate(concept_bags) if bag
         ]
+        results: List[List[RankedResult]] = [[] for _ in concept_bags]
+        if scorable:
+            ranked = self.matrix_space.rank_batch(
+                [bag for _, bag in scorable], top_k=top_k
+            )
+            for (position, _), result in zip(scorable, ranked):
+                results[position] = result
+        return results
 
     def ranked_resources(
         self, query_tags: Sequence[str], top_k: Optional[int] = None
@@ -279,19 +247,12 @@ class SearchEngine(FreshReadMixin):
         return [result.resource for result in self.search(query_tags, top_k=top_k)]
 
     def score(self, query_tags: Sequence[str], resource: str) -> float:
-        """Cosine similarity between a query and a single resource.
-
-        Routes through the matrix backend when available (its post-mutation
-        refresh is one vectorized pass, where the dict mirror's is a full
-        Python re-fit); the mirror serves :meth:`explain` and parity tests.
-        """
+        """Cosine similarity between a query and a single resource."""
         with self._read_fresh():
             concept_bag = self.query_concepts(query_tags)
             if not concept_bag:
                 return 0.0
-            if self.matrix_space is not None:
-                return self.matrix_space.cosine(concept_bag, resource)
-            return self._require_vector_space().cosine(concept_bag, resource)
+            return self.matrix_space.cosine(concept_bag, resource)
 
     def explain(self, query_tags: Sequence[str], resource: str) -> Dict[str, object]:
         """A debugging breakdown of how a resource scored for a query.
@@ -301,17 +262,12 @@ class SearchEngine(FreshReadMixin):
         non-reentrant lock), so the breakdown reflects a single index
         state even while mutations race.
         """
-        space = self._require_vector_space()
+        space = self.matrix_space
         with self._read_fresh():
             concept_bag = self.query_concepts(query_tags)
-            query_vector = space.query_vector(concept_bag)
-            resource_vector = space.resource_vector(resource)
-            if not concept_bag:
-                cosine = 0.0
-            elif self.matrix_space is not None:
-                cosine = self.matrix_space.cosine(concept_bag, resource)
-            else:
-                cosine = space.cosine(concept_bag, resource)
+            query_vector = space.query_weights(concept_bag)
+            resource_vector = space.document_weights(resource)
+            cosine = space.cosine(concept_bag, resource)
         overlap = {
             concept: (query_vector.get(concept, 0.0), resource_vector.get(concept, 0.0))
             for concept in set(query_vector) | set(resource_vector)
@@ -328,9 +284,7 @@ class SearchEngine(FreshReadMixin):
     # ------------------------------------------------------------------ #
     def has_resource(self, resource: str) -> bool:
         """Whether ``resource`` is currently indexed (pending ops included)."""
-        if self.matrix_space is not None:
-            return self.matrix_space.has_document(resource)
-        return self._require_vector_space().has_resource(resource)
+        return self.matrix_space.has_document(resource)
 
     @property
     def num_indexed_resources(self) -> int:
@@ -339,9 +293,7 @@ class SearchEngine(FreshReadMixin):
         Deliberately does *not* trigger the lazy refresh — staleness
         accounting after a mutation must stay O(1).
         """
-        if self.matrix_space is not None:
-            return self.matrix_space.pending_num_documents
-        return self._require_vector_space().pending_num_resources
+        return self.matrix_space.pending_num_documents
 
     def apply_mutations(
         self,
@@ -352,21 +304,21 @@ class SearchEngine(FreshReadMixin):
         """Apply one batch of resource mutations; bumps the epoch once.
 
         All tag bags are mapped through the *frozen* concept model
-        (LSI-style fold-in) and pushed into every backend; idf and norms
+        (LSI-style fold-in) and pushed into the matrix space; idf and norms
         recompute lazily on the next read.  Everything is validated before
-        anything is applied, so a rejected batch leaves the backends in
-        sync, and additions land before removals so a batch that swaps
-        most of the corpus never looks momentarily empty.
+        anything is applied, so a rejected batch has no side effects, and
+        additions land before removals so a batch that swaps most of the
+        corpus never looks momentarily empty.
         """
-        if self.matrix_space is not None and not self.matrix_space.is_mutable:
+        if not self.matrix_space.is_mutable:
             # Checked before anything (including dynamic-concept allocation)
             # happens, so a rejected batch has zero side effects.
             raise ConfigurationError(
-                "this engine's matrix backend carries no raw concept counts "
+                "this engine's matrix space carries no raw concept counts "
                 "(pre-v2 artefact) and cannot be mutated; rebuild the engine "
                 "or re-save the index with the current format"
             )
-        if self.matrix_space is not None and self.matrix_space.has_external_stats:
+        if self.matrix_space.has_external_stats:
             raise ConfigurationError(
                 "this engine serves one shard of a sharded index and cannot "
                 "mutate it locally (idf/num_resources are corpus-wide); "
@@ -377,20 +329,12 @@ class SearchEngine(FreshReadMixin):
             if batch is None:
                 return self.staleness()
             added_bags, updated_bags, removed = batch
-            if self.matrix_space is not None:
-                if added_bags:
-                    self.matrix_space.add_documents(added_bags)
-                for resource, bag in updated_bags.items():
-                    self.matrix_space.update_document(resource, bag)
-                if removed:
-                    self.matrix_space.remove_documents(removed)
-            if self.vector_space is not None:
-                if added_bags:
-                    self.vector_space.add_resources(added_bags)
-                for resource, bag in updated_bags.items():
-                    self.vector_space.update_resource(resource, bag)
-                if removed:
-                    self.vector_space.remove_resources(removed)
+            if added_bags:
+                self.matrix_space.add_documents(added_bags)
+            for resource, bag in updated_bags.items():
+                self.matrix_space.update_document(resource, bag)
+            if removed:
+                self.matrix_space.remove_documents(removed)
             self.epoch += 1
             self._resources_added += len(added_bags)
             self._resources_updated += len(updated_bags)
@@ -409,29 +353,25 @@ class SearchEngine(FreshReadMixin):
         return self.apply_mutations(added=tag_bags)
 
     def remove_resources(self, resources: Iterable[str]) -> StalenessReport:
-        """Drop resources from every backend (lazily refreshed)."""
+        """Drop resources from the index (lazily refreshed)."""
         return self.apply_mutations(removed=resources)
 
     def update_resource(
         self, resource: str, tag_bag: Mapping[str, float]
     ) -> StalenessReport:
-        """Replace one resource's tag bag in every backend."""
+        """Replace one resource's tag bag."""
         return self.apply_mutations(updated={resource: tag_bag})
 
     def refresh(self) -> bool:
-        """Eagerly fold pending mutations into the backends; True if any.
+        """Eagerly fold pending mutations into the arrays; True if any.
 
         Runs under the exclusive side of the engine's read/write lock, so
-        no concurrent query can observe the backends mid-swap.
+        no concurrent query can observe the arrays mid-swap.
         """
         if not self._needs_refresh():
             return False
         with self._rw.write():
-            refreshed = False
-            if self.matrix_space is not None:
-                refreshed = self.matrix_space.refresh() or refreshed
-            if self.vector_space is not None:
-                refreshed = self.vector_space.refresh() or refreshed
+            refreshed = self.matrix_space.refresh()
             self._pending_batches = 0
             return refreshed
 
@@ -473,22 +413,17 @@ class SearchEngine(FreshReadMixin):
     def save(
         self, directory: Union[str, Path], mmap_ready: bool = False
     ) -> Path:
-        """Persist the engine (compiled backend + concept model) to a dir.
+        """Persist the engine (matrix space + concept model) to a dir.
 
-        Only the matrix backend is serialised — the dict-loop space is a
-        fit-time artefact.  Dynamic (``own-concept``) concepts travel with
-        the engine: their columns live in the persisted count arrays, so
-        dropping the tag → id map would let a restored serving process
-        reallocate a live column id to a different tag.
+        Dynamic (``own-concept``) concepts travel with the engine: their
+        columns live in the persisted count arrays, so dropping the
+        tag → id map would let a restored serving process reallocate a live
+        column id to a different tag.
 
         ``mmap_ready=True`` writes the backend arrays in the raw ``.npy``
         layout that loads can memory-map (see
         :meth:`MatrixConceptSpace.save`).
         """
-        if self.matrix_space is None:
-            raise ConfigurationError(
-                "cannot save an engine without a compiled matrix backend"
-            )
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         with self._read_fresh():
@@ -508,54 +443,29 @@ class SearchEngine(FreshReadMixin):
                 "removed": self._resources_removed,
                 "updated": self._resources_updated,
             },
-            "refresh_policy": {
-                "max_delta_fraction": self.refresh_policy.max_delta_fraction,
-                "max_delta_ops": self.refresh_policy.max_delta_ops,
-                "max_pending_batches": self.refresh_policy.max_pending_batches,
-            },
+            "refresh_policy": self.refresh_policy.as_dict(),
         }
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "SearchEngine":
-        """Load an engine saved by :meth:`save` (matrix backend only)."""
+        """Load an engine saved by :meth:`save`."""
         path = Path(directory)
         engine_path = path / ENGINE_FILENAME
         if not engine_path.exists():
             raise NotFittedError(f"no saved engine under {path}")
         payload = json.loads(engine_path.read_text(encoding="utf-8"))
-        policy_payload = payload.get("refresh_policy") or {}
         mutations = payload.get("mutations") or {}
         return cls(
             concept_model=concept_model_from_json(payload["concept_model"]),
-            vector_space=None,
-            name=payload["name"],
             matrix_space=MatrixConceptSpace.load(path),
-            refresh_policy=RefreshPolicy(
-                max_delta_fraction=float(
-                    policy_payload.get("max_delta_fraction", 0.1)
-                ),
-                max_delta_ops=policy_payload.get("max_delta_ops"),
-                max_pending_batches=int(
-                    policy_payload.get("max_pending_batches", 1)
-                ),
-            ),
+            name=payload["name"],
+            refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
             epoch=int(payload.get("epoch", 0)),
             _baseline_resources=payload.get("baseline_resources"),
             _resources_added=int(mutations.get("added", 0)),
             _resources_removed=int(mutations.get("removed", 0)),
             _resources_updated=int(mutations.get("updated", 0)),
         )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _require_vector_space(self) -> ConceptVectorSpace:
-        if self.vector_space is None:
-            raise ConfigurationError(
-                "this engine was loaded from disk and carries no dict-loop "
-                "vector space; use the matrix backend APIs"
-            )
-        return self.vector_space
 
 
 def concept_model_to_json(model: ConceptModel) -> Dict[str, object]:

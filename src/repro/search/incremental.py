@@ -20,8 +20,8 @@ This module quantifies that drift:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.errors import ConfigurationError
 
@@ -88,6 +88,16 @@ class RefreshPolicy:
     def fold_in_due(self, pending_batches: int) -> bool:
         """Whether the cheap lazy statistics refresh is warranted."""
         return pending_batches >= self.max_pending_batches
+
+    def as_dict(self) -> Dict[str, object]:
+        """The persisted form (engine and shard-manifest saves)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: Optional[Mapping[str, object]]) -> "RefreshPolicy":
+        """Inverse of :meth:`as_dict`; absent keys take the field defaults,
+        so saves that predate a field (or the whole block) still load."""
+        return cls(**(payload or {}))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
-"""A compiled, vectorized view of the concept vector space.
+"""The concept vector space the online component serves from.
 
-:class:`MatrixConceptSpace` freezes a fitted
-:class:`~repro.search.vsm.ConceptVectorSpace` into CSR arrays — ``indptr`` /
-``indices`` / ``data`` over a fixed concept vocabulary plus precomputed
-document norms — so that scoring becomes sparse matrix algebra instead of
-per-posting Python loops.  A whole batch of queries is ranked with one
-sparse-sparse matmul followed by :func:`numpy.argpartition` top-k selection,
-which is what makes the paper's "online querying is just cheap dot products"
-claim (Table VI) hold at scale.
+:class:`MatrixConceptSpace` holds the paper's Section III model — Eq. 2 term
+frequencies, Eq. 1 idf weights, Eq. 4 cosine ranking — as CSR arrays
+(``indptr`` / ``indices`` / ``data`` over a fixed concept vocabulary plus
+precomputed document norms), so that scoring is sparse matrix algebra
+instead of per-posting Python loops.  A whole batch of queries is ranked
+with one sparse-sparse matmul followed by :func:`numpy.argpartition` top-k
+selection, which is what makes the paper's "online querying is just cheap
+dot products" claim (Table VI) hold at scale.
 
-The compiled space is also the unit of persistence: :meth:`save` writes the
+It is built from raw ``resource -> {term -> count}`` bags
+(:meth:`MatrixConceptSpace.from_bags`); the initial build and the refresh
+after a mutation derive idf, weights and norms through the same
+:meth:`MatrixConceptSpace.apply_statistics` pass.
+
+The space is also the unit of persistence: :meth:`save` writes the
 arrays (a compressed ``.npz`` archive, or raw per-array ``.npy`` files when
 ``mmap_ready=True`` so :meth:`load` can memory-map them) and the
 vocabulary/metadata to JSON, so that offline indexing and online serving —
@@ -17,9 +22,9 @@ including the process-per-shard pool's one-worker-per-shard loads — can
 run in separate processes.
 
 Scores, rankings and tie-breaking (descending score, then ascending resource
-id) are bit-for-bit compatible with the reference dict-loop implementation in
-:mod:`repro.search.vsm`; ``tests/test_matrix_space.py`` holds the parity
-suite.
+id) agree to 1e-9 with the fit-once dict-loop reference in
+:mod:`repro.search.vsm`, which tests and benchmarks use as the oracle;
+``tests/test_matrix_space.py`` holds the parity suite.
 """
 
 from __future__ import annotations
@@ -177,8 +182,8 @@ def select_top_k(
 class MatrixConceptSpace:
     """CSR-compiled tf-idf concept space with batched top-k ranking.
 
-    Instances are produced by :meth:`compile` (from a fitted dict-loop
-    space) or :meth:`load` (from a directory written by :meth:`save`); the
+    Instances are produced by :meth:`from_bags` (from raw count bags) or
+    :meth:`load` (from a directory written by :meth:`save`); the
     constructor takes the already-validated internal arrays.
     """
 
@@ -216,7 +221,7 @@ class MatrixConceptSpace:
         # Raw concept counts (same layout as the weight matrix).  They are
         # what makes the space *mutable*: tf-idf weights can always be
         # re-derived after documents fold in or out, including entries whose
-        # weight was zero (idf 0) at compile time and resurrects later.
+        # weight was zero (idf 0) at build time and resurrects later.
         self._counts = counts
         if counts is not None and counts.shape != matrix.shape:
             raise ConfigurationError(
@@ -246,49 +251,46 @@ class MatrixConceptSpace:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def compile(cls, space: ConceptVectorSpace) -> "MatrixConceptSpace":
-        """Freeze a fitted dict-loop space into CSR arrays.
+    def from_bags(
+        cls,
+        resource_bags: Mapping[str, Mapping[Hashable, float]],
+        smooth_idf: bool = False,
+    ) -> "MatrixConceptSpace":
+        """Build the space from ``resource -> {term -> occurrence count}``.
 
         Documents are laid out in ascending resource-id order so that row
-        position doubles as the ranking tie-break.
+        position doubles as the ranking tie-break; non-positive counts are
+        dropped.  idf, weights and norms come from
+        :meth:`_derive_local_statistics` — the pass a post-mutation
+        :meth:`refresh` runs — so a build and a refresh over the same corpus
+        produce the same arrays.
         """
-        terms = space.terms()
-        term_index = {term: column for column, term in enumerate(terms)}
-        doc_ids = sorted(space.documents())
-        raw_bags = space.resource_bags()
-
-        indptr = np.zeros(len(doc_ids) + 1, dtype=np.int64)
-        columns: List[int] = []
-        values: List[float] = []
-        norms = np.zeros(len(doc_ids), dtype=np.float64)
-        for row, doc_id in enumerate(doc_ids):
-            vector = space.resource_vector(doc_id)
-            entries = sorted(
-                (term_index[term], weight) for term, weight in vector.items()
-            )
-            indptr[row + 1] = indptr[row] + len(entries)
-            columns.extend(column for column, _ in entries)
-            values.extend(weight for _, weight in entries)
-            norms[row] = math.sqrt(sum(weight * weight for _, weight in entries))
-
-        matrix = sp.csr_matrix(
-            (
-                np.asarray(values, dtype=np.float64),
-                np.asarray(columns, dtype=np.int64),
-                indptr,
-            ),
-            shape=(len(doc_ids), len(terms)),
-        )
-        return cls(
+        if not resource_bags:
+            raise ConfigurationError("cannot build a concept space on zero resources")
+        doc_ids = sorted(resource_bags)
+        term_index: Dict[Hashable, int] = {}
+        for doc_id in doc_ids:
+            for term, count in resource_bags[doc_id].items():
+                if count > 0 and term not in term_index:
+                    term_index[term] = len(term_index)
+        counts = _counts_matrix(doc_ids, term_index, resource_bags)
+        space = cls(
             doc_ids=doc_ids,
-            terms=terms,
-            matrix=matrix,
-            doc_norms=norms,
-            idf=np.array([space.idf(term) for term in terms], dtype=np.float64),
-            smooth_idf=space.smooth_idf,
-            num_resources=space.num_resources,
-            counts=_counts_matrix(doc_ids, term_index, raw_bags),
+            terms=tuple(term_index),
+            matrix=sp.csr_matrix(counts.shape, dtype=np.float64),
+            doc_norms=np.zeros(len(doc_ids)),
+            idf=np.zeros(len(term_index)),
+            smooth_idf=smooth_idf,
+            num_resources=len(doc_ids),
+            counts=counts,
         )
+        space._derive_local_statistics()
+        return space
+
+    @classmethod
+    def compile(cls, space: ConceptVectorSpace) -> "MatrixConceptSpace":
+        """:meth:`from_bags` over a fitted dict-loop reference space's bags."""
+        return cls.from_bags(space.resource_bags(), space.smooth_idf)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -338,8 +340,36 @@ class MatrixConceptSpace:
         row = self._doc_index.get(doc_id)
         return float(self._doc_norms[row]) if row is not None else 0.0
 
+    def document_weights(self, doc_id: str) -> Dict[Hashable, float]:
+        """A document's stored ``term -> weight`` row (empty if unknown)."""
+        self.refresh()
+        row = self._doc_index.get(doc_id)
+        if row is None:
+            return {}
+        start, end = self._matrix.indptr[row], self._matrix.indptr[row + 1]
+        return {
+            self._terms[column]: weight
+            for column, weight in zip(
+                self._matrix.indices[start:end].tolist(),
+                self._matrix.data[start:end].tolist(),
+            )
+        }
+
+    def query_weights(
+        self, query_bag: Mapping[Hashable, float]
+    ) -> Dict[Hashable, float]:
+        """A query bag's ``term -> weight`` vector over the vocabulary.
+
+        Out-of-vocabulary terms are left out: they can match no document
+        (under idf smoothing they still count towards the query norm that
+        :meth:`cosine` divides by).
+        """
+        self.refresh()
+        weights, _ = self._weight_query(query_bag)
+        return {self._terms[column]: weight for column, weight in weights.items()}
+
     # ------------------------------------------------------------------ #
-    # Incremental updates (fold-in without recompiling from a dict space)
+    # Incremental updates (fold-in without rebuilding from the bags)
     # ------------------------------------------------------------------ #
     @property
     def is_mutable(self) -> bool:
@@ -375,8 +405,7 @@ class MatrixConceptSpace:
         if self._counts is None:
             raise ConfigurationError(
                 "this space carries no raw concept counts and cannot be "
-                "mutated; recompile it from a ConceptVectorSpace or load a "
-                "format >= 2 save"
+                "mutated; rebuild it with from_bags or load a format >= 2 save"
             )
 
     def has_document(self, doc_id: str) -> bool:
@@ -447,7 +476,7 @@ class MatrixConceptSpace:
         (the ranking tie-break), prunes vocabulary columns whose document
         frequency dropped to zero, and re-derives idf, tf-idf weights and
         document norms in one vectorized pass over the counts — exactly the
-        arrays a from-scratch compile over the mutated corpus would produce.
+        arrays a from-scratch build over the mutated corpus would produce.
 
         Spaces with :attr:`has_external_stats` (shards of a sharded index)
         refuse a local refresh while stale: their idf and ``num_resources``
@@ -474,8 +503,12 @@ class MatrixConceptSpace:
     def _refresh_locked(self) -> bool:
         if not self.is_stale:  # another thread refreshed while we waited
             return False
-        assert self._counts is not None
         self.fold_pending_counts()
+        self._derive_local_statistics()
+        return True
+
+    def _derive_local_statistics(self) -> None:
+        """idf, weights and norms from this space's own count rows."""
         document_frequency = self.column_document_frequency()
         alive = document_frequency > 0
         if not bool(alive.all()):
@@ -488,7 +521,6 @@ class MatrixConceptSpace:
             ),
             num_docs,
         )
-        return True
 
     # ------------------------------------------------------------------ #
     # Coordinator protocol (sharded refresh)
@@ -603,7 +635,7 @@ class MatrixConceptSpace:
 
         ``idf``/``num_resources`` are local figures for a standalone space
         and corpus-wide figures for a shard; either way the weights become
-        exactly what a from-scratch compile with those statistics produces.
+        exactly what a from-scratch build with those statistics produces.
         """
         assert self._counts is not None
         idf = np.asarray(idf, dtype=np.float64)

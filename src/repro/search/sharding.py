@@ -301,11 +301,6 @@ class ShardedSearchEngine(FreshReadMixin):
         monolithic one would.  ``cache_entries`` sizes the query result
         cache (``0``/``None`` disables it).
         """
-        if engine.matrix_space is None:
-            raise ConfigurationError(
-                "sharding requires the compiled matrix backend; build the "
-                "engine with matrix_backend=True"
-            )
         if router is None:
             if num_shards is None:
                 raise ConfigurationError(
@@ -795,13 +790,7 @@ class ShardedSearchEngine(FreshReadMixin):
                     "removed": self._resources_removed,
                     "updated": self._resources_updated,
                 },
-                "refresh_policy": {
-                    "max_delta_fraction": self.refresh_policy.max_delta_fraction,
-                    "max_delta_ops": self.refresh_policy.max_delta_ops,
-                    "max_pending_batches": (
-                        self.refresh_policy.max_pending_batches
-                    ),
-                },
+                "refresh_policy": self.refresh_policy.as_dict(),
                 "cache_entries": (
                     self.cache.max_entries if self.cache is not None else 0
                 ),
@@ -853,22 +842,13 @@ class ShardedSearchEngine(FreshReadMixin):
             MatrixConceptSpace.load(path / entry["directory"])
             for entry in shard_entries
         ]
-        policy_payload = payload.get("refresh_policy") or {}
         cache_entries = int(payload.get("cache_entries") or 0)
         return cls(
             concept_model=concept_model_from_json(payload["concept_model"]),
             shards=shards,
             router=router,
             name=payload["name"],
-            refresh_policy=RefreshPolicy(
-                max_delta_fraction=float(
-                    policy_payload.get("max_delta_fraction", 0.1)
-                ),
-                max_delta_ops=policy_payload.get("max_delta_ops"),
-                max_pending_batches=int(
-                    policy_payload.get("max_pending_batches", 1)
-                ),
-            ),
+            refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
             epoch=int(payload.get("epoch", 0)),
             cache=QueryCache(cache_entries) if cache_entries else None,
             baseline_resources=payload.get("baseline_resources"),
@@ -906,23 +886,13 @@ class ShardedSearchEngine(FreshReadMixin):
             raise ConfigurationError(
                 f"shard_id {shard_id} outside [0, {len(shard_entries)})"
             )
-        policy_payload = payload.get("refresh_policy") or {}
         return SearchEngine(
             concept_model=concept_model_from_json(payload["concept_model"]),
-            vector_space=None,
-            name=f"{payload['name']}-shard{shard_id}",
             matrix_space=MatrixConceptSpace.load(
                 path / shard_entries[shard_id]["directory"], mmap=mmap
             ),
-            refresh_policy=RefreshPolicy(
-                max_delta_fraction=float(
-                    policy_payload.get("max_delta_fraction", 0.1)
-                ),
-                max_delta_ops=policy_payload.get("max_delta_ops"),
-                max_pending_batches=int(
-                    policy_payload.get("max_pending_batches", 1)
-                ),
-            ),
+            name=f"{payload['name']}-shard{shard_id}",
+            refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
             epoch=int(payload.get("epoch", 0)),
         )
 

@@ -12,6 +12,10 @@ Implements Section III of the paper:
 The model is generic over the "term" type: the CubeLSI pipeline feeds it
 concept ids, while the BOW baseline feeds it raw tags; both go through the
 exact same code path, which keeps the comparison fair.
+
+This is the fit-once, from-scratch *reference*: serving goes through
+:class:`~repro.search.matrix_space.MatrixConceptSpace`, and tests and
+benchmarks check it against a space fitted here on the same (final) bags.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ class ConceptVectorSpace:
         self._idf: Dict[Hashable, float] = {}
         self._num_resources = 0
         self._bags: Dict[str, Dict[Hashable, float]] = {}
-        self._stale = False
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -66,11 +69,6 @@ class ConceptVectorSpace:
             resource: {term: float(c) for term, c in bag.items() if c > 0}
             for resource, bag in resource_bags.items()
         }
-        self._rebuild()
-        return self
-
-    def _rebuild(self) -> None:
-        """(Re)derive idf and the inverted index from the stored raw bags."""
         self._num_resources = len(self._bags)
 
         document_frequency: Dict[Hashable, int] = {}
@@ -86,92 +84,18 @@ class ConceptVectorSpace:
         for resource, bag in self._bags.items():
             index.add_document(resource, self._weight_vector(bag))
         self._index = index
-        self._stale = False
-
-    # ------------------------------------------------------------------ #
-    # Incremental updates (reference mirror of the matrix backend)
-    # ------------------------------------------------------------------ #
-    def add_resources(
-        self, resource_bags: Mapping[str, Mapping[Hashable, float]]
-    ) -> None:
-        """Index new resources; idf and weights refresh lazily on next read.
-
-        The dict-loop space is the auditability mirror, so its refresh is a
-        deliberate full re-derivation from the stored raw bags — bit-for-bit
-        what a fresh :meth:`fit` over the mutated corpus would produce.
-        """
-        self._require_fitted_state()
-        for resource in resource_bags:
-            if resource in self._bags:
-                raise ConfigurationError(
-                    f"resource {resource!r} is already indexed; use update_resource"
-                )
-        for resource, bag in resource_bags.items():
-            self._bags[resource] = {
-                term: float(c) for term, c in bag.items() if c > 0
-            }
-        self._stale = True
-
-    def remove_resources(self, resources: List[str]) -> None:
-        """Drop resources from the index (lazily refreshed)."""
-        self._require_fitted_state()
-        resources = list(resources)
-        for resource in resources:
-            if resource not in self._bags:
-                raise ConfigurationError(f"resource {resource!r} is not indexed")
-        if len(set(resources)) >= len(self._bags):
-            raise ConfigurationError(
-                "cannot remove every resource; refit the space instead"
-            )
-        for resource in resources:
-            self._bags.pop(resource, None)
-        self._stale = True
-
-    def update_resource(
-        self, resource: str, bag: Mapping[Hashable, float]
-    ) -> None:
-        """Replace one resource's bag (lazily refreshed)."""
-        self._require_fitted_state()
-        if resource not in self._bags:
-            raise ConfigurationError(f"resource {resource!r} is not indexed")
-        self._bags[resource] = {term: float(c) for term, c in bag.items() if c > 0}
-        self._stale = True
+        return self
 
     def resource_bags(self) -> Dict[str, Dict[Hashable, float]]:
         """The raw ``resource -> {term -> count}`` bags backing the space."""
         return {resource: dict(bag) for resource, bag in self._bags.items()}
 
-    def has_resource(self, resource: str) -> bool:
-        """Whether ``resource`` is indexed (mutations included, no refresh)."""
-        return resource in self._bags
-
-    @property
-    def pending_num_resources(self) -> int:
-        """Resource count including pending mutations, *without* refreshing."""
-        return len(self._bags)
-
-    @property
-    def is_stale(self) -> bool:
-        """Whether mutations are pending a lazy refresh."""
-        return self._stale
-
-    def refresh(self) -> bool:
-        """Apply pending mutations now; returns True if a rebuild ran."""
-        if not self._stale:
-            return False
-        self._rebuild()
-        return True
-
     @property
     def num_resources(self) -> int:
-        if self._stale:
-            self._rebuild()
         return self._num_resources
 
     @property
     def vocabulary_size(self) -> int:
-        if self._stale:
-            self._rebuild()
         return len(self._idf)
 
     @property
@@ -180,8 +104,6 @@ class ConceptVectorSpace:
 
     def terms(self) -> Tuple[Hashable, ...]:
         """The corpus vocabulary in a stable (fit-time) order."""
-        if self._stale:
-            self._rebuild()
         return tuple(self._idf)
 
     def documents(self) -> List[str]:
@@ -192,8 +114,6 @@ class ConceptVectorSpace:
 
     def idf(self, term: Hashable) -> float:
         """The idf of ``term`` (0 for unseen terms)."""
-        if self._stale:
-            self._rebuild()
         return self._idf.get(term, 0.0)
 
     def resource_vector(self, resource: str) -> Dict[Hashable, float]:
@@ -270,11 +190,6 @@ class ConceptVectorSpace:
                 weights[term] = weight
         return weights
 
-    def _require_fitted_state(self) -> None:
+    def _require_fitted(self) -> None:
         if self._index is None:
             raise NotFittedError("ConceptVectorSpace.fit() has not been called")
-
-    def _require_fitted(self) -> None:
-        self._require_fitted_state()
-        if self._stale:
-            self._rebuild()

@@ -1,0 +1,78 @@
+"""The test suite's parity oracle: a from-scratch dict-loop tf-idf space.
+
+Serving scores through :class:`~repro.search.matrix_space.MatrixConceptSpace`
+only; the reference every parity test compares it with is a
+:class:`~repro.search.vsm.ConceptVectorSpace` fitted here, directly on the
+*final* corpus (after any mutations) — never something the engine under
+test was fed deltas through.  ``perf/cubeperf/oracle.py`` is the same idea
+for the benchmark.
+"""
+
+from __future__ import annotations
+
+from typing import List, Mapping, Optional, Sequence
+
+from repro.eval.sharding import rankings_match
+from repro.search.vsm import ConceptVectorSpace, RankedResult
+
+PARITY_TOL = 1e-9
+
+
+class DictLoopOracle:
+    """Reference rankings for tag queries over ``resource -> tag bag``.
+
+    Tags are mapped through ``concept_model`` without allocating dynamic
+    concepts, so fit the oracle *after* the engine under test has folded in
+    its mutations when the corpus carries tags the model has never seen.
+    """
+
+    def __init__(
+        self,
+        concept_model,
+        tag_bags: Mapping[str, Mapping[str, float]],
+        smooth_idf: bool = False,
+    ) -> None:
+        self._model = concept_model
+        self.space = ConceptVectorSpace(smooth_idf=smooth_idf).fit(
+            {
+                resource: concept_model.concept_bag(bag)
+                for resource, bag in tag_bags.items()
+            }
+        )
+
+    @classmethod
+    def of_folksonomy(
+        cls, concept_model, folksonomy, smooth_idf: bool = False
+    ) -> "DictLoopOracle":
+        return cls(
+            concept_model,
+            {r: folksonomy.tag_bag(r) for r in folksonomy.resources},
+            smooth_idf=smooth_idf,
+        )
+
+    def rank(
+        self, tags: Sequence[str], top_k: Optional[int] = None
+    ) -> List[RankedResult]:
+        bag = self._model.concept_bag_from_tags(tags)
+        return self.space.rank(bag, top_k=top_k) if bag else []
+
+    def rank_batch(
+        self, queries: Sequence[Sequence[str]], top_k: Optional[int] = None
+    ) -> List[List[RankedResult]]:
+        return [self.rank(tags, top_k=top_k) for tags in queries]
+
+
+def assert_matches_oracle(
+    engine,
+    oracle: DictLoopOracle,
+    queries: Sequence[Sequence[str]],
+    top_k: Optional[int] = 10,
+) -> None:
+    """``engine.rank_batch`` agrees with the oracle at 1e-9 (tie-aware)."""
+    got = engine.rank_batch(queries, top_k=top_k)
+    want = oracle.rank_batch(queries, top_k=top_k)
+    assert len(got) == len(want)
+    for tags, answer, reference in zip(queries, got, want):
+        assert rankings_match(
+            answer, reference, tol=PARITY_TOL, truncated=top_k is not None
+        ), (tags, answer[:3], reference[:3])

@@ -2,9 +2,9 @@
 
 The acceptance bar for every mutation API is *parity with a rebuild*: after
 ``add_resources`` / ``remove_resources`` / ``update_resource`` the engine's
-rankings and scores must match a from-scratch ``SearchEngine.build`` over
-the mutated folksonomy (same frozen concept model) to 1e-9, on both the CSR
-matrix backend and the dict-loop mirror — including after a
+rankings and scores must match, to 1e-9, both a from-scratch
+``SearchEngine.build`` and the dict-loop oracle fitted on the mutated
+folksonomy (same frozen concept model) — including after a
 save → load → apply_delta round trip.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle import DictLoopOracle, assert_matches_oracle
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.core.snapshots import IndexSnapshotStore
@@ -164,18 +165,13 @@ class TestEngineMutationParity:
     def concept_model(self, small_cleaned):
         return identity_concept_model(small_cleaned.tags)
 
-    @pytest.mark.parametrize("matrix_backend", [True, False])
     @pytest.mark.parametrize("smooth_idf", [False, True])
     def test_mutations_match_full_rebuild(
-        self, small_cleaned, concept_model, matrix_backend, smooth_idf
+        self, small_cleaned, concept_model, smooth_idf
     ):
         rng = np.random.default_rng(3)
         engine = SearchEngine.build(
-            small_cleaned,
-            concept_model,
-            smooth_idf=smooth_idf,
-            name="inc",
-            matrix_backend=matrix_backend,
+            small_cleaned, concept_model, smooth_idf=smooth_idf, name="inc"
         )
         delta = build_mixed_delta(small_cleaned, rng)
         mutated = small_cleaned.apply_delta(delta)
@@ -200,46 +196,21 @@ class TestEngineMutationParity:
         assert report.resources_removed == len(removed)
 
         rebuilt = SearchEngine.build(
-            mutated,
-            concept_model,
-            smooth_idf=smooth_idf,
-            name="rebuild",
-            matrix_backend=matrix_backend,
+            mutated, concept_model, smooth_idf=smooth_idf, name="rebuild"
+        )
+        oracle = DictLoopOracle.of_folksonomy(
+            concept_model, mutated, smooth_idf=smooth_idf
         )
         queries = sample_queries(mutated, rng)
         assert_engine_parity(engine, rebuilt, queries)
-        # single-query and score paths agree as well
+        assert_matches_oracle(engine, oracle, queries)
+        assert_matches_oracle(engine, oracle, queries[:5], top_k=None)
+        # the single-resource score path agrees as well
         for query in queries[:5]:
-            results = rebuilt.search(query, top_k=5)
-            for result in results:
+            for result in oracle.rank(query, top_k=5):
                 assert engine.score(query, result.resource) == pytest.approx(
                     result.score, abs=1e-9
                 )
-
-    def test_both_backends_stay_in_sync(self, small_cleaned, concept_model):
-        rng = np.random.default_rng(4)
-        engine = SearchEngine.build(small_cleaned, concept_model, name="dual")
-        delta = build_mixed_delta(small_cleaned, rng)
-        mutated = small_cleaned.apply_delta(delta)
-        for resource in delta.touched_resources:
-            if not mutated.has_resource(resource):
-                engine.remove_resources([resource])
-            elif not small_cleaned.has_resource(resource):
-                engine.add_resources({resource: mutated.tag_bag(resource)})
-            else:
-                engine.update_resource(resource, mutated.tag_bag(resource))
-        assert engine.vector_space is not None and engine.matrix_space is not None
-        for query in sample_queries(mutated, rng)[:10]:
-            bag = engine.query_concepts(query)
-            if not bag:
-                continue
-            matrix_results = engine.matrix_space.rank(bag, top_k=10)
-            dict_results = engine.vector_space.rank(bag, top_k=10)
-            assert [r.resource for r in matrix_results] == [
-                r.resource for r in dict_results
-            ]
-            for got, want in zip(matrix_results, dict_results):
-                assert got.score == pytest.approx(want.score, abs=1e-9)
 
     def test_mutation_validation(self, small_cleaned, concept_model):
         engine = SearchEngine.build(small_cleaned, concept_model, name="v")
@@ -252,7 +223,7 @@ class TestEngineMutationParity:
             engine.update_resource("missing-resource", {"a": 1})
         with pytest.raises(ConfigurationError):
             engine.remove_resources(list(small_cleaned.resources))
-        # failed calls must not bump the epoch or desync the backends
+        # failed calls must not bump the epoch or touch the index
         assert engine.epoch == 0
         assert engine.num_indexed_resources == small_cleaned.num_resources
 
@@ -277,10 +248,8 @@ class TestEngineMutationParity:
         engine = SearchEngine.build(small_cleaned, concept_model, name="lazy")
         engine.add_resources({"lazy-r": {small_cleaned.tags[0]: 1}})
         assert engine.matrix_space.is_stale
-        assert engine.vector_space.is_stale
         assert engine.refresh()
         assert not engine.matrix_space.is_stale
-        assert not engine.vector_space.is_stale
         assert not engine.refresh()
 
     def test_immutable_backend_rejects_batch_without_side_effects(

@@ -1,10 +1,10 @@
-"""Parity and persistence tests for the compiled matrix concept space.
+"""Parity and persistence tests for the matrix concept space.
 
-The dict-loop :class:`ConceptVectorSpace` is the reference implementation;
-the CSR-compiled :class:`MatrixConceptSpace` must reproduce its scores and
-its exact ordering (descending score, ties by ascending resource id) within
-1e-9.  Persistence must round-trip through ``.npz`` + JSON, including into a
-fresh Python process.
+The fit-once dict-loop :class:`ConceptVectorSpace` is the reference; the CSR
+:class:`MatrixConceptSpace` built from the same bags must reproduce its
+scores and its ordering (descending score, ties by ascending resource id)
+within 1e-9.  Persistence must round-trip through ``.npz`` + JSON, including
+into a fresh Python process.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import DictLoopOracle
 from repro.baselines.freq import FreqRanker
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
+from repro.eval.sharding import rankings_match
 from repro.search.engine import SearchEngine
 from repro.search.matrix_space import MatrixConceptSpace, select_top_k
 from repro.search.vsm import ConceptVectorSpace
@@ -136,13 +138,123 @@ class TestRandomParity:
         assert compiled.cosine(query, "missing-resource") == 0.0
 
 
+class TestFromBags:
+    """``from_bags`` — the one constructor — against ``ConceptVectorSpace.fit``."""
+
+    @staticmethod
+    def tag_bags(folksonomy):
+        return {r: dict(folksonomy.tag_bag(r)) for r in folksonomy.resources}
+
+    @pytest.mark.parametrize("smooth_idf", [False, True])
+    @pytest.mark.parametrize("corpus", ["toy_folksonomy", "small_cleaned"])
+    def test_statistics_and_rankings_match_reference(
+        self, request, corpus, smooth_idf
+    ):
+        bags = self.tag_bags(request.getfixturevalue(corpus))
+        reference = ConceptVectorSpace(smooth_idf=smooth_idf).fit(bags)
+        space = MatrixConceptSpace.from_bags(bags, smooth_idf)
+
+        assert space.doc_ids == tuple(sorted(bags))
+        assert set(space.terms) == set(reference.terms())
+        assert space.num_resources == reference.num_resources
+        for term in reference.terms():
+            assert space.idf(term) == pytest.approx(reference.idf(term), abs=1e-9)
+        for resource in bags:
+            want = reference.resource_vector(resource)
+            got = space.document_weights(resource)
+            assert got.keys() == want.keys()
+            for term, weight in want.items():
+                assert got[term] == pytest.approx(weight, abs=1e-9)
+
+        rng = np.random.default_rng(5)
+        vocabulary = list(reference.terms())
+        queries = [
+            {vocabulary[t]: 1.0 for t in rng.choice(len(vocabulary), size=size)}
+            for size in (1, 2, 3)
+            for _ in range(6)
+        ]
+        for query in queries:
+            assert space.query_weights(query) == pytest.approx(
+                reference.query_vector(query), abs=1e-9
+            )
+            for top_k in (None, 5):
+                assert rankings_match(
+                    space.rank(query, top_k=top_k),
+                    reference.rank(query, top_k=top_k),
+                    tol=1e-9,
+                    truncated=top_k is not None,
+                )
+
+    def test_idf_zero_term_and_all_zero_document(self):
+        # Deliberately not in id order; "common" is in every document, so
+        # under plain idf its weight is structurally absent and r1 — which
+        # carries nothing else — has norm 0.
+        bags = {
+            "r2": {"common": 1, "rare": 1},
+            "r1": {"common": 2},
+            "r3": {"common": 1, "other": 2},
+        }
+        space = MatrixConceptSpace.from_bags(bags)
+        assert space.doc_ids == ("r1", "r2", "r3")
+        assert space.idf("common") == 0.0
+        assert space.nnz == 2
+        assert all("common" not in space.document_weights(r) for r in bags)
+        assert space.document_norm("r1") == 0.0
+        for top_k in (None, 2):
+            batch = space.rank_batch(
+                [{"common": 1}, {"common": 1, "rare": 1}, {"rare": 1, "other": 1}],
+                top_k=top_k,
+            )
+            assert batch[0] == []
+            assert [r.resource for r in batch[1]] == ["r2"]
+            assert {r.resource for r in batch[2]} == {"r2", "r3"}
+            assert all(np.isfinite(r.score) for results in batch for r in results)
+        assert space.cosine({"common": 1, "rare": 1}, "r1") == 0.0
+
+        smoothed = MatrixConceptSpace.from_bags(bags, smooth_idf=True)
+        assert smoothed.document_norm("r1") > 0.0
+        assert [r.resource for r in smoothed.rank({"common": 1})][0] == "r1"
+
+    def test_input_checks(self):
+        with pytest.raises(ConfigurationError):
+            MatrixConceptSpace.from_bags({})
+        space = MatrixConceptSpace.from_bags(
+            {"r1": {"a": 0, "b": -1, "c": 2}, "r2": {"d": 1}}
+        )
+        assert space.terms == ("c", "d")
+
+    def test_build_equals_refresh_after_mutation(self):
+        rng = np.random.default_rng(17)
+        vocabulary = [f"t{i}" for i in range(12)]
+        before = random_bags(rng, num_resources=20, vocabulary=vocabulary)
+        after = dict(before)
+        del after["r0003"]
+        after["r0007"] = {"t1": 2, "brand-new": 1}
+        after["r9999"] = {"t2": 1, "t5": 3}
+
+        mutated = MatrixConceptSpace.from_bags(before, smooth_idf=True)
+        mutated.remove_documents(["r0003"])
+        mutated.update_document("r0007", after["r0007"])
+        mutated.add_documents({"r9999": after["r9999"]})
+        assert mutated.refresh()
+        scratch = MatrixConceptSpace.from_bags(after, smooth_idf=True)
+
+        assert mutated.doc_ids == scratch.doc_ids
+        assert set(mutated.terms) == set(scratch.terms)
+        for resource in after:
+            assert mutated.document_weights(resource) == pytest.approx(
+                scratch.document_weights(resource), abs=1e-12
+            )
+            assert mutated.document_norm(resource) == pytest.approx(
+                scratch.document_norm(resource), abs=1e-12
+            )
+
+
 class TestEngineParity:
-    def test_matrix_engine_matches_dict_engine_on_folksonomy(self, small_cleaned):
+    def test_engine_matches_dict_loop_oracle_on_folksonomy(self, small_cleaned):
         model = identity_concept_model(small_cleaned.tags)
         matrix_engine = SearchEngine.build(small_cleaned, model, name="m")
-        dict_engine = SearchEngine.build(
-            small_cleaned, model, name="d", matrix_backend=False
-        )
+        oracle = DictLoopOracle.of_folksonomy(model, small_cleaned)
         rng = np.random.default_rng(11)
         tags = list(small_cleaned.tags)
         queries = [
@@ -154,7 +266,7 @@ class TestEngineParity:
         queries.append(["no-such-tag"])
         batched = matrix_engine.rank_batch(queries, top_k=20)
         for tags_query, results in zip(queries, batched):
-            assert_parity(dict_engine.search(tags_query, top_k=20), results)
+            assert_parity(oracle.rank(tags_query, top_k=20), results)
 
     def test_freq_batch_matches_loop(self, small_cleaned):
         ranker = FreqRanker().fit(small_cleaned)
@@ -208,21 +320,19 @@ class TestPersistence:
         engine.save(tmp_path)
         loaded = SearchEngine.load(tmp_path)
         assert loaded.name == "bow"
-        assert loaded.vector_space is None
         assert loaded.concept_model.num_concepts == model.num_concepts
         query = [small_cleaned.tags[0], small_cleaned.tags[1]]
         assert_parity(engine.search(query, top_k=10), loaded.search(query, top_k=10))
-        assert loaded.score(query, engine.search(query)[0].resource) > 0.0
-        with pytest.raises(ConfigurationError):
-            loaded.explain(query, "r1")
-
-    def test_engine_without_matrix_backend_cannot_save(self, small_cleaned, tmp_path):
-        model = identity_concept_model(small_cleaned.tags)
-        engine = SearchEngine.build(
-            small_cleaned, model, name="d", matrix_backend=False
-        )
-        with pytest.raises(ConfigurationError):
-            engine.save(tmp_path)
+        best = engine.search(query)[0].resource
+        assert loaded.score(query, best) > 0.0
+        built, restored = engine.explain(query, best), loaded.explain(query, best)
+        assert restored["cosine"] == pytest.approx(built["cosine"], abs=1e-9)
+        assert restored["cosine"] == pytest.approx(engine.score(query, best), abs=1e-9)
+        assert restored["query_concepts"] == built["query_concepts"]
+        weights = restored["per_concept_weights"]
+        assert weights and weights.keys() == built["per_concept_weights"].keys()
+        for concept, pair in built["per_concept_weights"].items():
+            assert weights[concept] == pytest.approx(pair, abs=1e-9)
 
     def test_offline_index_round_trip_in_fresh_process(self, small_cleaned, tmp_path):
         pipeline = CubeLSIPipeline(

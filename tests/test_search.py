@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import DictLoopOracle
 from repro.core.concepts import Concept, ConceptModel, identity_concept_model
 from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex
@@ -200,15 +201,12 @@ class TestSearchEngine:
         for tags, results in zip(queries, batched):
             assert results == engine.search(tags, top_k=3)
 
-    def test_dict_backend_engine_matches_matrix_engine(self):
+    def test_engine_matches_dict_loop_oracle(self):
         folksonomy, engine = self.build_engine()
-        reference = SearchEngine.build(
-            folksonomy, engine.concept_model, name="ref", matrix_backend=False
-        )
-        assert reference.matrix_space is None
+        oracle = DictLoopOracle.of_folksonomy(engine.concept_model, folksonomy)
         for tags in (["audio"], ["travel"], ["music", "vacation"]):
             matrix_results = engine.search(tags)
-            dict_results = reference.search(tags)
+            dict_results = oracle.rank(tags)
             assert [r.resource for r in matrix_results] == [
                 r.resource for r in dict_results
             ]

@@ -26,7 +26,7 @@ from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.core.snapshots import IndexSnapshotStore
 from repro.eval.sharding import rankings_match, sharding_sweep
 from repro.search.cache import QueryCache
-from repro.search.engine import SearchEngine
+from repro.search.engine import ENGINE_FILENAME, SearchEngine
 from repro.search.incremental import RefreshPolicy, aggregate_reports
 from repro.search.matrix_space import (
     MatrixConceptSpace,
@@ -39,7 +39,7 @@ from repro.search.sharding import (
     ShardedSearchEngine,
     merge_topk,
 )
-from repro.search.vsm import ConceptVectorSpace, RankedResult
+from repro.search.vsm import RankedResult
 from repro.tagging.delta import FolksonomyDeltaBuilder
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError, NotFittedError
@@ -249,15 +249,6 @@ class TestStaticParity:
         )
         sharded.close()
 
-    def test_from_engine_requires_matrix_backend(
-        self, small_cleaned, concept_model
-    ):
-        dict_engine = SearchEngine.build(
-            small_cleaned, concept_model, name="d", matrix_backend=False
-        )
-        with pytest.raises(ConfigurationError):
-            ShardedSearchEngine.from_engine(dict_engine, 2)
-
     def test_router_shard_count_mismatch_rejected(self, mono_engine):
         with pytest.raises(ConfigurationError):
             ShardedSearchEngine.from_engine(
@@ -444,19 +435,10 @@ class TestQueryCache:
 
 
 class TestRankBatchHardening:
-    def test_empty_batch_returns_well_typed_empty(
-        self, small_cleaned, mono_engine
-    ):
+    def test_empty_batch_returns_well_typed_empty(self, mono_engine):
         sharded = ShardedSearchEngine.from_engine(mono_engine, 2)
         assert mono_engine.rank_batch([]) == []
         assert sharded.rank_batch([]) == []
-        dict_engine = SearchEngine.build(
-            small_cleaned,
-            identity_concept_model(small_cleaned.tags),
-            name="d",
-            matrix_backend=False,
-        )
-        assert dict_engine.rank_batch([]) == []
         sharded.close()
 
     def test_all_unknown_tags_yield_empty_lists(self, mono_engine):
@@ -594,6 +576,55 @@ class TestShardedPersistence:
         with pytest.raises(ConfigurationError):
             ShardedSearchEngine.load_shard(tmp_path, 7)
         sharded.close()
+
+    def test_refresh_policy_round_trips_and_old_saves_get_defaults(
+        self, small_cleaned, tmp_path
+    ):
+        policy = RefreshPolicy(
+            max_delta_fraction=0.25, max_delta_ops=7, max_pending_batches=3
+        )
+        assert policy.as_dict() == {
+            "max_delta_fraction": 0.25,
+            "max_delta_ops": 7,
+            "max_pending_batches": 3,
+        }
+        assert RefreshPolicy.from_dict(policy.as_dict()) == policy
+        assert RefreshPolicy.from_dict(None) == RefreshPolicy()
+        assert RefreshPolicy.from_dict({"max_delta_ops": 5}) == RefreshPolicy(
+            max_delta_ops=5
+        )
+
+        engine = SearchEngine.build(
+            small_cleaned,
+            identity_concept_model(small_cleaned.tags),
+            name="pol",
+            refresh_policy=policy,
+        )
+        mono_dir, sharded_dir = tmp_path / "mono", tmp_path / "sharded"
+        engine.save(mono_dir)
+        sharded = ShardedSearchEngine.from_engine(engine, 2)
+        sharded.save(sharded_dir)
+        sharded.close()
+
+        def loaded_policies():
+            whole = ShardedSearchEngine.load(sharded_dir)
+            whole.close()
+            return (
+                SearchEngine.load(mono_dir).refresh_policy,
+                whole.refresh_policy,
+                ShardedSearchEngine.load_shard(sharded_dir, 0).refresh_policy,
+            )
+
+        assert loaded_policies() == (policy, policy, policy)
+        # A save from before the block existed loads with the defaults.
+        for path in (
+            mono_dir / ENGINE_FILENAME,
+            sharded_dir / SHARD_MANIFEST_FILENAME,
+        ):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            del payload["refresh_policy"]
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        assert loaded_policies() == (RefreshPolicy(),) * 3
 
     def test_resave_with_fewer_shards_prunes_stale_dirs(
         self, small_cleaned, mono_engine, tmp_path
@@ -761,9 +792,7 @@ class TestShardingSweepHarness:
 
 class TestSlicedSpaces:
     def test_slice_rows_validation(self):
-        space = MatrixConceptSpace.compile(
-            ConceptVectorSpace().fit({"r1": {"a": 1}, "r2": {"b": 2}})
-        )
+        space = MatrixConceptSpace.from_bags({"r1": {"a": 1}, "r2": {"b": 2}})
         with pytest.raises(ConfigurationError):
             space.slice_rows(["r1", "r1"])
         with pytest.raises(ConfigurationError):

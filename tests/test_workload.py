@@ -19,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracle import DictLoopOracle, assert_matches_oracle
 from repro.core.concepts import identity_concept_model
 from repro.eval.sharding import rankings_match
 from repro.eval.workload import workload_sweep
@@ -35,9 +36,7 @@ from repro.search.cache import QueryCache
 from repro.search.concurrency import ReadWriteLock
 from repro.search.engine import SearchEngine
 from repro.search.incremental import EpochObservationLog
-from repro.search.matrix_space import MatrixConceptSpace
 from repro.search.sharding import ShardedSearchEngine
-from repro.search.vsm import ConceptVectorSpace
 from repro.utils.errors import ConfigurationError
 
 SHARD_COUNTS = (1, 2, 4)
@@ -67,21 +66,6 @@ def build_sharded(folksonomy, num_shards):
         identity_concept_model(folksonomy.tags),
         num_shards=num_shards,
         name="wl",
-    )
-
-
-def rebuild_from_bags(concept_model, bags, smooth_idf=False):
-    """A from-scratch engine over raw tag bags (the parity oracle)."""
-    resource_bags = {
-        resource: concept_model.concept_bag(bag, allocate=True)
-        for resource, bag in bags.items()
-    }
-    space = ConceptVectorSpace(smooth_idf=smooth_idf).fit(resource_bags)
-    return SearchEngine(
-        concept_model=concept_model,
-        vector_space=space,
-        matrix_space=MatrixConceptSpace.compile(space),
-        name="rebuild",
     )
 
 
@@ -422,17 +406,12 @@ class TestMutationRefreshInterleavings:
         )
         report = WorkloadRunner(engine, trace).run_serial()
         assert report.errors == []
-        rebuilt = rebuild_from_bags(
+        oracle = DictLoopOracle(
             engine.concept_model, self.final_bags(small_cleaned, trace)
         )
-        assert engine.num_indexed_resources == rebuilt.num_indexed_resources
+        assert engine.num_indexed_resources == oracle.space.num_resources
         queries = [list(query) for query in trace.eval_queries]
-        got = engine.rank_batch(queries, top_k=10)
-        want = rebuilt.rank_batch(queries, top_k=10)
-        for got_results, want_results in zip(got, want):
-            assert rankings_match(
-                got_results, want_results, tol=1e-9, truncated=True
-            ), (got_results[:3], want_results[:3])
+        assert_matches_oracle(engine, oracle, queries, top_k=10)
         if num_shards is not None:
             engine.close()
 
