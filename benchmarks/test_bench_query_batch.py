@@ -9,13 +9,13 @@ of the paper's online workload), then ranks the same query set twice:
 * a single :meth:`SearchEngine.rank_batch` call against the CSR backend
   (one sparse matmul + argpartition top-k).
 
-Asserts the rankings are identical and the batched path is at least 10x
-faster, and records the measured throughput next to the paper tables.
+Asserts the rankings are identical and records the measured speedup next
+to the paper tables; whether it regressed is ``compare_baseline.py``'s call
+against ``baseline.json``, not a wall-clock assert inside tier-1.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import List
 
@@ -34,10 +34,6 @@ NUM_USERS = 300
 NUM_CONCEPTS = 50
 NUM_QUERIES = 256
 TOP_K = 20
-#: Locally the batched path must be >= 10x faster (typically ~20x); shared
-#: CI runners are noisy-neighbor VMs, so there the bar only guards against
-#: outright regressions rather than failing the gate on scheduler jitter.
-MIN_SPEEDUP = 3.0 if os.environ.get("CI") else 10.0
 
 
 def build_corpus(seed: int = 123):
@@ -108,8 +104,4 @@ def test_batched_matrix_scoring_is_10x_faster_with_identical_rankings():
         f"matrix rank_batch (single call)  : {format_duration(batch_seconds)} "
         f"({NUM_QUERIES / batch_seconds:,.0f} q/s)\n"
         f"speedup: {speedup:.1f}x (identical rankings and scores)"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched path only {speedup:.1f}x faster than the dict loop "
-        f"(required >= {MIN_SPEEDUP}x)"
     )

@@ -37,7 +37,6 @@ from repro.load import (
     run_chaos,
 )
 from repro.search.engine import SearchEngine
-from repro.search.sharding import ShardedSearchEngine
 from repro.serve.frontend import FrontendConfig
 from test_bench_workload import build_corpus
 
@@ -69,8 +68,9 @@ def test_flash_crowd_p99_bounded_vs_steady_state():
     folksonomy, model = build_corpus()
 
     def build_engine():
-        return ShardedSearchEngine.build(
-            folksonomy, model, num_shards=NUM_SHARDS, name="bench"
+        return SearchEngine.from_engine(
+            SearchEngine.build(folksonomy, model, name="bench"),
+            num_shards=NUM_SHARDS,
         )
 
     def replay(crowd_fraction: float):
@@ -148,7 +148,7 @@ def test_flash_crowd_p99_bounded_vs_steady_state():
 def test_chaos_recovery_within_budget(tmp_path):
     folksonomy, model = build_corpus()
     golden = SearchEngine.build(folksonomy, model, name="bench")
-    sharded = ShardedSearchEngine.from_engine(
+    sharded = SearchEngine.from_engine(
         golden, num_shards=NUM_SHARDS, cache_entries=None
     )
     save_dir = tmp_path / "index"

@@ -2,7 +2,7 @@
 
 Two claims back the sharded architecture, and this file gates both:
 
-* **Fan-out scales.** A 4-shard :class:`ShardedSearchEngine` ranks a
+* **Fan-out scales.** A 4-shard :class:`SearchEngine` ranks a
   ``rank_batch`` workload by fanning the batch out to per-shard BLAS/scipy
   matmuls on a thread pool (the matmuls release the GIL) and heap-merging
   the per-shard top-k.  On a multi-core runner the 4-shard engine must be
@@ -32,7 +32,6 @@ from repro.core.concepts import Concept, ConceptModel
 from repro.eval.reporting import format_table
 from repro.eval.sharding import rankings_match, sharding_sweep
 from repro.search.engine import SearchEngine
-from repro.search.sharding import ShardedSearchEngine
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.timing import format_duration
 
@@ -136,10 +135,10 @@ def test_four_shard_fanout_throughput_with_exact_parity():
 def test_exact_hit_query_cache_is_50x_faster_than_rescoring():
     folksonomy, model, queries = build_corpus(seed=101)
     engine = SearchEngine.build(folksonomy, model, name="mono")
-    cached = ShardedSearchEngine.from_engine(
+    cached = SearchEngine.from_engine(
         engine, num_shards=2, cache_entries=4096
     )
-    uncached = ShardedSearchEngine.from_engine(
+    uncached = SearchEngine.from_engine(
         engine, num_shards=2, cache_entries=None
     )
     try:

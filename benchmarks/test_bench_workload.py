@@ -28,7 +28,7 @@ from repro.core.concepts import Concept, ConceptModel
 from repro.eval.reporting import format_table
 from repro.eval.workload import workload_sweep
 from repro.load import QUERY, WorkloadConfig, WorkloadGenerator
-from repro.search.sharding import ShardedSearchEngine
+from repro.search.engine import SearchEngine
 from repro.tagging.folksonomy import Folksonomy
 
 NUM_RESOURCES = 1500
@@ -91,8 +91,9 @@ def test_concurrent_replay_not_slower_than_serial():
     ).generate(folksonomy)
 
     def build_engine():
-        return ShardedSearchEngine.build(
-            folksonomy, model, num_shards=NUM_SHARDS, name="bench"
+        return SearchEngine.from_engine(
+            SearchEngine.build(folksonomy, model, name="bench"),
+            num_shards=NUM_SHARDS,
         )
 
     rows, reports = workload_sweep(

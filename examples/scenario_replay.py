@@ -40,7 +40,6 @@ from repro.eval.reporting import format_table
 from repro.eval.workload import scenario_sweep
 from repro.load import SCENARIO_NAMES, build_scenario
 from repro.search.engine import SearchEngine
-from repro.search.sharding import ShardedSearchEngine
 from repro.utils.errors import ConvergenceWarning
 
 warnings.filterwarnings("ignore", category=ConvergenceWarning)
@@ -81,11 +80,11 @@ def main() -> None:
     print()
 
     def build_engine():
-        return ShardedSearchEngine.build(
-            folksonomy,
-            identity_concept_model(folksonomy.tags),
+        return SearchEngine.from_engine(
+            SearchEngine.build(
+                folksonomy, identity_concept_model(folksonomy.tags), name="scenario"
+            ),
             num_shards=NUM_SHARDS,
-            name="scenario",
         )
 
     # ------------------------------------------------------------------ #
@@ -97,7 +96,7 @@ def main() -> None:
         engine = SearchEngine.build(
             folksonomy, identity_concept_model(folksonomy.tags), name="scenario"
         )
-        sharded = ShardedSearchEngine.from_engine(
+        sharded = SearchEngine.from_engine(
             engine, num_shards=NUM_SHARDS, cache_entries=None
         )
         try:

@@ -36,7 +36,7 @@ from repro.datasets.vocabulary import build_default_vocabulary
 from repro.eval.reporting import format_table
 from repro.eval.serve import frontend_sweep
 from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
-from repro.search.sharding import ShardedSearchEngine
+from repro.search.engine import SearchEngine
 from repro.serve import BatchingFrontend, FrontendConfig, Overloaded
 from repro.utils.errors import ConvergenceWarning
 
@@ -68,11 +68,11 @@ def main() -> None:
     print()
 
     def build_engine():
-        return ShardedSearchEngine.build(
-            folksonomy,
-            identity_concept_model(folksonomy.tags),
+        return SearchEngine.from_engine(
+            SearchEngine.build(
+                folksonomy, identity_concept_model(folksonomy.tags), name="serve"
+            ),
             num_shards=NUM_SHARDS,
-            name="serve",
         )
 
     trace = WorkloadGenerator(

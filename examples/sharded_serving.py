@@ -33,7 +33,7 @@ from repro.core.snapshots import IndexSnapshotStore
 from repro.datasets.profiles import LASTFM_PROFILE, generate_profile_dataset
 from repro.eval.reporting import format_table
 from repro.eval.sharding import sharding_sweep
-from repro.search.sharding import ShardedSearchEngine
+from repro.search.engine import SearchEngine
 from repro.tagging.cleaning import CleaningConfig, clean_folksonomy
 from repro.tagging.delta import FolksonomyDeltaBuilder
 from repro.utils.errors import ConvergenceWarning
@@ -76,7 +76,7 @@ def main() -> None:
     print(format_table(rows))
     print()
 
-    with ShardedSearchEngine.from_engine(index.engine, NUM_SHARDS) as sharded:
+    with SearchEngine.from_engine(index.engine, NUM_SHARDS) as sharded:
         index.engine = sharded  # the serving stack is now the sharded engine
         print(f"{sharded!r}, shard sizes {sharded.shard_sizes()}")
 
@@ -119,7 +119,7 @@ def main() -> None:
                 print(f"  {result.rank}. {result.resource}  score={result.score:.3f}")
             serving.engine.close()
 
-            shard_worker = ShardedSearchEngine.load_shard(checkpoint, 0)
+            shard_worker = SearchEngine.load_shard(checkpoint, 0)
             print(
                 f"single-shard worker serves "
                 f"{shard_worker.num_indexed_resources} of "

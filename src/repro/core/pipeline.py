@@ -31,7 +31,6 @@ from repro.utils.timing import Stopwatch
 if TYPE_CHECKING:  # runtime import would close the core -> search -> core cycle
     from repro.search.engine import SearchEngine
     from repro.search.incremental import StalenessReport
-    from repro.search.sharding import ShardedSearchEngine
     from repro.tagging.delta import FolksonomyDelta
 
 
@@ -50,14 +49,11 @@ class OfflineIndex:
 
     Indexes restored with :meth:`load` carry only what online serving
     needs — the concept model and the compiled search engine; the training
-    folksonomy and the raw decomposition result are ``None``.  The engine
-    may be a monolithic :class:`~repro.search.engine.SearchEngine` or a
-    :class:`~repro.search.sharding.ShardedSearchEngine`; both answer the
-    same query/mutation/persistence API.
+    folksonomy and the raw decomposition result are ``None``.
     """
 
     concept_model: ConceptModel
-    engine: Union["SearchEngine", "ShardedSearchEngine"]
+    engine: "SearchEngine"
     timings: Dict[str, float]
     folksonomy: Optional[Folksonomy] = None
     cubelsi_result: Optional[CubeLSIResult] = None
@@ -133,14 +129,11 @@ class OfflineIndex:
         the engine so that a serving process restoring the snapshot can keep
         hot-applying deltas (at the cost of a larger artefact).
 
-        A sharded engine is written in the sharded layout (per-shard
-        ``.npz`` dirs + ``shard_manifest.json``); ``num_shards`` partitions
-        a monolithic engine on the fly into that layout, so the offline
-        indexer can emit artefacts an N-process deployment loads one shard
-        each from (:meth:`load` restores either layout transparently).
-        ``mmap_ready=True`` writes the compiled arrays as raw ``.npy``
-        files instead of a compressed ``.npz``, the layout
-        :class:`~repro.search.shardpool.ShardProcessPool` workers
+        ``num_shards`` re-partitions a one-shard engine on the fly, so the
+        offline indexer can emit artefacts an N-process deployment loads
+        one shard each from.  ``mmap_ready=True`` writes the compiled
+        arrays as raw ``.npy`` files instead of a compressed ``.npz``, the
+        layout :class:`~repro.search.shardpool.ShardProcessPool` workers
         memory-map so one host's worker fleet shares a single page-cache
         copy of the index.
 
@@ -150,41 +143,24 @@ class OfflineIndex:
         recording them here made a reloaded index disagree with its own
         metadata.
         """
-        from repro.search.sharding import ShardedSearchEngine
+        from repro.search.engine import SearchEngine
 
         if include_folksonomy and self.folksonomy is None:
             raise ConfigurationError(
                 "include_folksonomy=True but this index carries no folksonomy"
             )
         engine = self.engine
-        if isinstance(engine, ShardedSearchEngine):
-            if num_shards is not None and num_shards != engine.num_shards:
-                raise ConfigurationError(
-                    f"this index's engine already has {engine.num_shards} "
-                    f"shards; cannot re-save it with num_shards={num_shards}"
-                )
-        elif num_shards is not None:
-            engine = ShardedSearchEngine.from_engine(
-                engine, num_shards=num_shards
-            )
+        if num_shards is not None and num_shards != engine.num_shards:
+            engine = SearchEngine.from_engine(engine, num_shards=num_shards)
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         engine.save(path, mmap_ready=mmap_ready)
-        self._drop_other_layout(
-            path, sharded=isinstance(engine, ShardedSearchEngine)
-        )
         metadata = {
             "timings": {name: float(value) for name, value in self.timings.items()},
             "dataset_name": self.folksonomy.name if self.folksonomy else None,
             "num_concepts": self.concept_model.num_persisted_concepts,
             "epoch": self.engine.epoch,
             "includes_folksonomy": bool(include_folksonomy and self.folksonomy),
-            "sharded": isinstance(engine, ShardedSearchEngine),
-            "num_shards": (
-                engine.num_shards
-                if isinstance(engine, ShardedSearchEngine)
-                else None
-            ),
         }
         assignments_path = path / INDEX_ASSIGNMENTS_FILENAME
         if include_folksonomy:
@@ -199,64 +175,22 @@ class OfflineIndex:
         )
         return path
 
-    @staticmethod
-    def _drop_other_layout(path: Path, sharded: bool) -> None:
-        """Remove the other layout's artefacts when overwriting a save dir.
-
-        A sharded save over a previous monolithic one (or vice versa) must
-        not leave the outgoing layout's files behind — :meth:`load` keys on
-        the shard manifest, so a stale manifest (or stale engine arrays)
-        would pair the metadata with an outdated engine.
-        """
-        import shutil
-
-        from repro.search.engine import ENGINE_FILENAME
-        from repro.search.matrix_space import (
-            ARRAYS_FILENAME,
-            METADATA_FILENAME,
-        )
-        from repro.search.sharding import SHARD_MANIFEST_FILENAME
-
-        if sharded:
-            for name in (ENGINE_FILENAME, ARRAYS_FILENAME, METADATA_FILENAME):
-                stale = path / name
-                if stale.exists():
-                    stale.unlink()
-        else:
-            manifest = path / SHARD_MANIFEST_FILENAME
-            if manifest.exists():
-                manifest.unlink()
-            for stale_dir in path.glob("shard-[0-9]*"):
-                if stale_dir.is_dir():
-                    shutil.rmtree(stale_dir)
-
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "OfflineIndex":
         """Restore a serving-ready index from :meth:`save` output.
 
-        Detects the layout on disk: a ``shard_manifest.json`` restores a
-        :class:`~repro.search.sharding.ShardedSearchEngine`, otherwise the
-        monolithic engine is loaded.  Validates that the engine's persisted
-        concept model matches the metadata's recorded ``num_concepts``
-        (guards against artefact drift between the two files).
+        Validates that the engine's persisted concept model matches the
+        metadata's recorded ``num_concepts`` (guards against artefact
+        drift between the two files).
         """
         path = Path(directory)
         metadata_path = path / INDEX_METADATA_FILENAME
         if not metadata_path.exists():
             raise NotFittedError(f"no saved offline index under {path}")
         from repro.search.engine import SearchEngine
-        from repro.search.sharding import (
-            SHARD_MANIFEST_FILENAME,
-            ShardedSearchEngine,
-        )
 
         metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
-        if (path / SHARD_MANIFEST_FILENAME).exists():
-            engine: Union[
-                "SearchEngine", "ShardedSearchEngine"
-            ] = ShardedSearchEngine.load(path)
-        else:
-            engine = SearchEngine.load(path)
+        engine = SearchEngine.load(path)
         recorded = metadata.get("num_concepts")
         persisted = engine.concept_model.num_persisted_concepts
         if recorded is not None and int(recorded) != persisted:

@@ -83,16 +83,13 @@ class IndexSnapshotStore:
         refitting if the outgoing generation's snapshot must survive a
         same-epoch overwrite.
 
-        Indexes whose engine is a
-        :class:`~repro.search.sharding.ShardedSearchEngine` checkpoint in
-        the sharded layout (per-shard ``.npz`` dirs + manifest), and
-        ``num_shards`` shards a monolithic engine's checkpoint on the fly —
-        either way :meth:`load` (via ``OfflineIndex.load``) restores the
-        right engine, and an N-process deployment can point
-        ``ShardedSearchEngine.load_shard`` — or a
-        :class:`~repro.search.shardpool.ShardProcessPool` — at the
-        snapshot directory (``mmap_ready=True`` writes the raw ``.npy``
-        array layout pool workers memory-map).
+        ``num_shards`` re-partitions a one-shard engine's checkpoint on the
+        fly; every checkpoint is the one engine layout (per-shard array
+        dirs + manifest), so an N-process deployment can point
+        ``SearchEngine.load_shard`` — or a
+        :class:`~repro.search.shardpool.ShardProcessPool` — at any snapshot
+        directory (``mmap_ready=True`` writes the raw ``.npy`` array layout
+        pool workers memory-map).
         """
         if index.folksonomy is None:
             raise ConfigurationError(

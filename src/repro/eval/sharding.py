@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.search.sharding import ShardedSearchEngine
+from repro.search.engine import SearchEngine
 from repro.search.vsm import RankedResult
 from repro.utils.errors import ConfigurationError
 
@@ -69,7 +69,7 @@ def sharding_sweep(
     """Time and parity-check sharded engines against a monolithic one.
 
     For each shard count, partitions ``engine`` (via
-    :meth:`ShardedSearchEngine.from_engine`), times ``rank_batch`` over
+    :meth:`SearchEngine.from_engine`), times ``rank_batch`` over
     ``queries`` (best of ``repeats``) and verifies every ranking with
     :func:`rankings_match`.  The first returned row is the monolithic
     baseline (``Shards == 0``); sharded rows carry the speedup relative to
@@ -99,7 +99,7 @@ def sharding_sweep(
         }
     ]
     for num_shards in shard_counts:
-        sharded = ShardedSearchEngine.from_engine(
+        sharded = SearchEngine.from_engine(
             engine, num_shards=num_shards, cache_entries=cache_entries
         )
         try:

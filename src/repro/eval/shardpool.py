@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.eval.sharding import rankings_match
-from repro.search.sharding import ShardedSearchEngine
+from repro.search.engine import SearchEngine
 from repro.search.shardpool import ShardPoolConfig, ShardProcessPool
 from repro.utils.errors import ConfigurationError
 
@@ -72,7 +72,7 @@ def pool_sweep(
     with tempfile.TemporaryDirectory() as default_dir:
         base_dir = Path(directory) if directory is not None else Path(default_dir)
         for num_shards in shard_counts:
-            sharded = ShardedSearchEngine.from_engine(
+            sharded = SearchEngine.from_engine(
                 engine, num_shards=num_shards, cache_entries=None
             )
             save_dir = base_dir / f"pool-{num_shards}"

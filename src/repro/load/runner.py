@@ -1,8 +1,8 @@
 """Trace replay: serial golden runs and concurrent stress runs.
 
 :class:`WorkloadRunner` replays a :class:`~repro.load.workload.WorkloadTrace`
-against a serving engine (monolithic :class:`~repro.search.engine.SearchEngine`
-or :class:`~repro.search.sharding.ShardedSearchEngine` — anything with the
+against a serving engine (a :class:`~repro.search.engine.SearchEngine` at
+any shard count — anything with the
 ``snapshot_rank_batch`` / ``apply_mutations`` / ``refresh`` surface):
 
 * **serially** — one thread, trace order; the replay every other run is

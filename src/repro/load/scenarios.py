@@ -42,7 +42,6 @@ from repro.load.runner import (
 )
 from repro.load.workload import (
     QUERY,
-    Operation,
     WorkloadConfig,
     WorkloadGenerator,
     WorkloadTrace,

@@ -9,23 +9,23 @@ dot products (Table VI).
 * :mod:`repro.search.matrix_space` — the scoring backend: tf-idf weighting
   (Eq. 1-3) and cosine (Eq. 4) over CSR arrays, batched top-k scoring with
   one sparse matmul, fold-in mutations, ``.npz``/JSON persistence.
-* :mod:`repro.search.engine` — the user-facing query interface combining a
-  concept model, the matrix space and the ranking.
+* :mod:`repro.search.engine` — the user-facing query interface: a concept
+  model over N >= 1 shards of the matrix space, mutation routing, the
+  coordinated refresh, thread fan-out and the on-disk engine layout.
 * :mod:`repro.search.vsm` / :mod:`repro.search.inverted_index` — the
   fit-once dict-loop reference of the same model; a test and benchmark
   oracle, not a serving path.
 * :mod:`repro.search.incremental` — staleness accounting for incrementally
   updated engines (epochs, refresh policy, fold-in drift reports).
-* :mod:`repro.search.sharding` — the sharded serving architecture: router,
-  per-shard concept-space slices, parallel fan-out with heap-merged top-k,
-  and the sharded on-disk layout.
+* :mod:`repro.search.sharding` — what the engine shards with: the stable
+  resource router, the heap top-k merge and the save-manifest reader.
 * :mod:`repro.search.shardpool` — the process-per-shard serving pool:
   one worker process per shard (memory-mapped arrays, pipe IPC, typed
   failure handling), true parallel fan-out that escapes the GIL.
 * :mod:`repro.search.cache` — the LRU query result cache layered in front
   of scoring.
 * :mod:`repro.search.concurrency` — the reader/writer lock behind the
-  engines' query-vs-mutation discipline.
+  engine's query-vs-mutation discipline.
 * :mod:`repro.search.lifecycle` — engine lifecycle management: the
   swappable :class:`~repro.search.lifecycle.EngineHandle`, the replayable
   :class:`~repro.search.lifecycle.DeltaJournal`, and the

@@ -1,6 +1,6 @@
-"""Reader/writer synchronisation for the online serving engines.
+"""Reader/writer synchronisation for the online serving engine.
 
-The serving engines follow a read/write discipline: queries are *reads*
+The serving engine follows a read/write discipline: queries are *reads*
 (many may score concurrently — the underlying BLAS/scipy matmuls release
 the GIL), while mutations and the statistics refresh they trigger are
 *writes* (they swap CSR arrays, vocabularies and norms in place and must
@@ -9,7 +9,7 @@ behind that discipline: any number of readers xor one writer.
 
 The lock is write-preferring — once a writer is waiting, new readers queue
 behind it — so a sustained query stream cannot starve a mutation batch.
-It is deliberately *not* reentrant: the engines never nest a guarded
+It is deliberately *not* reentrant: the engine never nests a guarded
 operation inside another guarded operation, and keeping the lock dumb
 makes the no-deadlock argument auditable.
 """
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-from repro.search.matrix_space import validate_top_k
+from typing import Iterator
 
 
 class ReadWriteLock:
@@ -101,51 +99,3 @@ class ReadWriteLock:
             f"writer={self._writer_active}, "
             f"writers_waiting={self._writers_waiting})"
         )
-
-
-class FreshReadMixin:
-    """The engines' shared read-side discipline, in one place.
-
-    Host classes provide ``_rw`` (a :class:`ReadWriteLock`),
-    ``_needs_refresh()``, a write-side ``refresh()``, an ``epoch`` counter
-    and ``_rank_batch_in_lock(queries, top_k)``; the mixin derives the
-    retry loop and the epoch-consistent snapshot read from them, so the
-    monolithic and sharded engines cannot drift apart on the subtle part.
-    """
-
-    @contextmanager
-    def _read_fresh(self) -> Iterator[None]:
-        """Shared (reader) access to a guaranteed-fresh index.
-
-        If mutations are pending, the refresh is driven through the write
-        path first; the loop re-checks after acquiring read access because
-        another writer may have mutated in between.  Within the ``with``
-        body no mutation or refresh can run, so the epoch and every
-        backend array are one consistent snapshot.
-        """
-        while True:
-            with self._rw.read():
-                if not self._needs_refresh():
-                    yield
-                    return
-            self.refresh()
-
-    def snapshot_rank_batch(
-        self,
-        queries: Sequence[Sequence[str]],
-        top_k: Optional[int] = None,
-    ) -> Tuple[int, List[list]]:
-        """Epoch-consistent batched ranking: ``(epoch, results)``.
-
-        The epoch is read inside the same reader-held region that scores
-        the batch, so the returned results are guaranteed to reflect
-        exactly that index state — no mutation can land in between.  This
-        is the read the workload replay subsystem uses to audit epoch
-        monotonicity under concurrent traffic.
-        """
-        validate_top_k(top_k)
-        queries = [list(tags) for tags in queries]
-        with self._read_fresh():
-            if not queries:
-                return self.epoch, []
-            return self.epoch, self._rank_batch_in_lock(queries, top_k)

@@ -1,118 +1,129 @@
 """The user-facing search engine: tag queries in, ranked resources out.
 
 :class:`SearchEngine` glues together a :class:`~repro.core.concepts.ConceptModel`
-(how tags map to concepts) and a
+(how tags map to concepts) and N >= 1 row shards of one
 :class:`~repro.search.matrix_space.MatrixConceptSpace` (how resources are
 weighted).  It implements the *online* component of the paper's Figure 1:
 transform the query's tags into concepts, compute cosine similarities,
-return a ranked list.  Built, loaded and single-shard engines all score
-through that one CSR backend.
+return a ranked list.
+
+:meth:`SearchEngine.build` indexes a folksonomy into one shard;
+:meth:`SearchEngine.from_engine` re-partitions that along a
+:class:`~repro.search.sharding.ShardRouter`.  With more than one shard a
+query (or a whole ``rank_batch`` batch) fans out on a thread pool and the
+per-shard top-k lists are heap-merged by
+:func:`~repro.search.sharding.merge_topk`; with one shard its ranking is
+returned as is.  The threads share one interpreter and scipy's sparse
+matmul holds the GIL, so in-process fan-out buys capacity, not speed —
+:class:`~repro.search.shardpool.ShardProcessPool` is the parallel reader,
+this class the mutation coordinator and the parity reference.
+
+Mutations route each delta to the owning shard; the refresh is then
+coordinated — document frequencies are summed over the shards, one idf
+vector is derived and applied everywhere — so folded-in rankings match a
+from-scratch rebuild to 1e-9 at every shard count.  An optional
+:class:`~repro.search.cache.QueryCache` sits in front of scoring, keyed on
+the canonical tag multiset + epoch and cleared on every mutation batch.
 
 Concurrency
 -----------
-The engine follows a read/write discipline enforced by a
-:class:`~repro.search.concurrency.ReadWriteLock`: queries
-(:meth:`SearchEngine.search` / :meth:`SearchEngine.rank_batch` /
-:meth:`SearchEngine.score`) hold the lock in shared mode over a *fresh*
-(non-stale) index, while mutations and the statistics refresh they trigger
+Queries (:meth:`SearchEngine.search` / :meth:`SearchEngine.rank_batch` /
+:meth:`SearchEngine.score`) hold a
+:class:`~repro.search.concurrency.ReadWriteLock` in shared mode over a
+*fresh* (non-stale) index, while mutations and the refresh they trigger
 (:meth:`SearchEngine.apply_mutations` / :meth:`SearchEngine.refresh`) hold
 it exclusively.  A query arriving while mutations are pending first drives
-the refresh through the write path, then re-acquires read access — so
-concurrent readers never observe half-swapped CSR arrays, and
-:meth:`SearchEngine.snapshot_rank_batch` can hand back results together
-with the exact epoch they were computed against.
+the refresh through the write path, then re-acquires read access — so a
+reader never observes a shard mid-refresh, and
+:meth:`SearchEngine.snapshot_rank_batch` hands back results together with
+the exact epoch they were computed against.
+
+Persistence
+-----------
+One layout at every shard count: a ``shard-NNNN/`` directory per shard (the
+space's arrays + JSON pair) plus ``shard_manifest.json`` carrying the
+router, the concept model and the serving metadata.  :meth:`SearchEngine.load`
+restores the whole engine; :meth:`SearchEngine.load_shard` one shard of it
+as a read-only view for an N-process deployment.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import shutil
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.concepts import Concept, ConceptModel
-from repro.search.concurrency import FreshReadMixin, ReadWriteLock
-from repro.search.incremental import RefreshPolicy, StalenessReport
-from repro.search.matrix_space import MatrixConceptSpace, validate_top_k
+from repro.search.cache import DEFAULT_MAX_ENTRIES, QueryCache
+from repro.search.concurrency import ReadWriteLock
+from repro.search.incremental import (
+    RefreshPolicy,
+    StalenessReport,
+    aggregate_reports,
+)
+from repro.search.matrix_space import (
+    MatrixConceptSpace,
+    idf_from_document_frequency,
+    validate_top_k,
+)
+from repro.search.sharding import (
+    SHARD_MANIFEST_FILENAME,
+    SHARD_MANIFEST_VERSION,
+    ShardRouter,
+    merge_topk,
+    read_shard_manifest,
+)
 from repro.search.vsm import RankedResult
 from repro.tagging.folksonomy import Folksonomy
-from repro.utils.errors import ConfigurationError, NotFittedError
+from repro.utils.errors import ConfigurationError
 
-#: JSON file holding the concept model and engine metadata in a save dir.
-ENGINE_FILENAME = "engine.json"
-
-
-def prepare_mutation_batch(
-    engine,
-    added: Optional[Mapping[str, Mapping[str, float]]],
-    updated: Optional[Mapping[str, Mapping[str, float]]],
-    removed: Optional[Iterable[str]],
-):
-    """Shared validation + frozen-model fold-in for one mutation batch.
-
-    ``engine`` duck-types the monolithic and sharded engines
-    (``has_resource`` / ``num_indexed_resources`` / ``concept_model``), so
-    both apply byte-for-byte the same batch semantics: buckets are
-    normalized (dicts copied, removals deduplicated), overlapping buckets
-    and unknown/already-indexed resources are rejected, a batch that would
-    empty the corpus is rejected, and only then is every tag bag mapped
-    through the *frozen* concept model with dynamic-concept allocation.
-    Returns ``(added_bags, updated_bags, removed)`` ready to push into the
-    backends, or ``None`` for an empty (no-op) batch.  Backend-specific
-    mutability checks stay with the caller and must run *before* this so a
-    rejected batch has zero side effects.
-    """
-    added = dict(added or {})
-    updated = dict(updated or {})
-    removed = list(dict.fromkeys(removed or []))
-
-    overlapping = (set(added) & set(updated)) | (
-        (set(added) | set(updated)) & set(removed)
-    )
-    if overlapping:
-        raise ConfigurationError(
-            f"resources appear in multiple mutation buckets: "
-            f"{sorted(overlapping)[:3]}"
-        )
-    for resource in added:
-        if engine.has_resource(resource):
-            raise ConfigurationError(
-                f"resource {resource!r} is already indexed; update it instead"
-            )
-    for resource in list(updated) + removed:
-        if not engine.has_resource(resource):
-            raise ConfigurationError(f"resource {resource!r} is not indexed")
-    if (
-        removed
-        and engine.num_indexed_resources + len(added) - len(removed) < 1
-    ):
-        raise ConfigurationError(
-            "cannot remove every resource; rebuild the engine instead"
-        )
-    if not added and not updated and not removed:
-        return None
-
-    added_bags = {
-        resource: engine.concept_model.concept_bag(bag, allocate=True)
-        for resource, bag in added.items()
-    }
-    updated_bags = {
-        resource: engine.concept_model.concept_bag(bag, allocate=True)
-        for resource, bag in updated.items()
-    }
-    return added_bags, updated_bags, removed
+_MUTATION_KINDS = ("added", "removed", "updated")
 
 
-@dataclass
-class SearchEngine(FreshReadMixin):
-    """Online query processing over a concept-space index.
+def _mutation_counts(payload: Optional[Mapping[str, int]]) -> Dict[str, int]:
+    """``{added, removed, updated}`` counters from a (partial) payload."""
+    payload = payload or {}
+    return {kind: int(payload.get(kind, 0)) for kind in _MUTATION_KINDS}
+
+
+class SearchEngine:
+    """Online query processing over N >= 1 shards of a concept-space index.
+
+    Shards carry corpus-wide statistics; the engine is their coordinator —
+    the only writer that refreshes them (see the coordinator protocol on
+    :class:`~repro.search.matrix_space.MatrixConceptSpace`).  An engine
+    holding fewer shards than its router places onto (what
+    :meth:`load_shard` returns) is a read-only partial view: it ranks its
+    own rows with the corpus-wide statistics and refuses mutation.
+
+    Instances come from :meth:`build`, :meth:`from_engine`, :meth:`load`
+    and :meth:`load_shard`.  A multi-shard engine owns a lazily created
+    :class:`ThreadPoolExecutor`; call :meth:`close` — or use the engine as
+    a context manager — to release the threads in long-lived processes.
 
     Attributes
     ----------
     concept_model:
         Maps tags (of resources and of queries) to concept ids.
-    matrix_space:
-        The CSR tf-idf space every query is scored against.
+    shards:
+        The CSR tf-idf spaces queries are scored against, in router order.
+    router:
+        Places every resource on exactly one shard.
     name:
         Identifier used in experiment reports (e.g. ``"cubelsi"``).
     refresh_policy:
@@ -121,22 +132,70 @@ class SearchEngine(FreshReadMixin):
     epoch:
         Monotone mutation counter; bumped once per successful mutation
         batch and persisted across save/load.
+    cache:
+        The query result cache, or ``None``.
     """
 
-    concept_model: ConceptModel
-    matrix_space: MatrixConceptSpace
-    name: str = "cubelsi"
-    refresh_policy: RefreshPolicy = field(default_factory=RefreshPolicy)
-    epoch: int = 0
-    _baseline_resources: Optional[int] = field(default=None, repr=False)
-    _resources_added: int = field(default=0, repr=False)
-    _resources_removed: int = field(default=0, repr=False)
-    _resources_updated: int = field(default=0, repr=False)
-    _pending_batches: int = field(default=0, repr=False)
-    _rw: ReadWriteLock = field(
-        default_factory=ReadWriteLock, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        concept_model: ConceptModel,
+        shards: Sequence[MatrixConceptSpace],
+        router: ShardRouter,
+        name: str = "cubelsi",
+        refresh_policy: Optional[RefreshPolicy] = None,
+        epoch: int = 0,
+        cache: Optional[QueryCache] = None,
+        baseline_resources: Optional[int] = None,
+        mutation_counts: Optional[Mapping[str, int]] = None,
+        shard_baselines: Optional[Sequence[int]] = None,
+        shard_mutation_counts: Optional[Sequence[Mapping[str, int]]] = None,
+    ) -> None:
+        self.shards: Tuple[MatrixConceptSpace, ...] = tuple(shards)
+        if len(self.shards) not in (1, router.num_shards):
+            raise ConfigurationError(
+                f"router places onto {router.num_shards} shards but "
+                f"{len(self.shards)} shard spaces were given"
+            )
+        if len(self.shards) > 1:
+            for index, shard in enumerate(self.shards):
+                for doc_id in shard.doc_ids:
+                    if router.shard_of(doc_id) != index:
+                        raise ConfigurationError(
+                            f"document {doc_id!r} sits on shard {index} but the "
+                            f"router places it on shard {router.shard_of(doc_id)}"
+                        )
+        self.concept_model = concept_model
+        self.router = router
+        self.name = name
+        self.refresh_policy = refresh_policy or RefreshPolicy()
+        self.epoch = int(epoch)
+        self.cache = cache
+        sizes = self.shard_sizes()
+        self._baseline_resources = (
+            sum(sizes) if baseline_resources is None else int(baseline_resources)
+        )
+        self._mutations = _mutation_counts(mutation_counts)
+        self._shard_baselines = [int(count) for count in shard_baselines or sizes]
+        self._shard_mutations = [
+            _mutation_counts(counts)
+            for counts in shard_mutation_counts or [None] * len(self.shards)
+        ]
+        if not (
+            len(self._shard_baselines)
+            == len(self._shard_mutations)
+            == len(self.shards)
+        ):
+            raise ConfigurationError(
+                "per-shard baselines/counters do not match the shard count"
+            )
+        self._pending_batches = 0
+        self._rw = ReadWriteLock()
+        self._pool_lock = threading.Lock()
+        self._executor: Optional[ThreadPoolExecutor] = None
 
+    # ------------------------------------------------------------------ #
+    # Construction
+    # ------------------------------------------------------------------ #
     @classmethod
     def build(
         cls,
@@ -146,7 +205,7 @@ class SearchEngine(FreshReadMixin):
         name: str = "cubelsi",
         refresh_policy: Optional[RefreshPolicy] = None,
     ) -> "SearchEngine":
-        """Build the engine by indexing every resource of ``folksonomy``.
+        """Build a one-shard engine by indexing every resource of ``folksonomy``.
 
         Each resource's bag of tags is translated to a bag of concepts with
         ``concept_model`` and indexed with tf-idf weights.
@@ -159,15 +218,128 @@ class SearchEngine(FreshReadMixin):
             )
         return cls(
             concept_model=concept_model,
-            matrix_space=MatrixConceptSpace.from_bags(resource_bags, smooth_idf),
+            shards=[MatrixConceptSpace.from_bags(resource_bags, smooth_idf)],
+            router=ShardRouter(1),
             name=name,
-            refresh_policy=refresh_policy or RefreshPolicy(),
-            _baseline_resources=folksonomy.num_resources,
+            refresh_policy=refresh_policy,
         )
+
+    @classmethod
+    def from_engine(
+        cls,
+        engine: "SearchEngine",
+        num_shards: Optional[int] = None,
+        router: Optional[ShardRouter] = None,
+        cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
+    ) -> "SearchEngine":
+        """Re-partition a one-shard engine along a router's placement.
+
+        The engine's space is sliced row-wise; epoch, staleness counters
+        and refresh policy carry over, so the new engine reports the same
+        drift the source does.  ``cache_entries`` sizes the query result
+        cache (``0``/``None`` disables it).
+        """
+        if router is None:
+            if num_shards is None:
+                raise ConfigurationError(
+                    "from_engine needs num_shards or an explicit router"
+                )
+            router = ShardRouter(num_shards)
+        elif num_shards is not None and router.num_shards != num_shards:
+            raise ConfigurationError(
+                f"router places onto {router.num_shards} shards but "
+                f"num_shards={num_shards} was requested"
+            )
+        with engine._read_fresh():
+            shards = engine.matrix_space.partition(
+                router.num_shards, router.shard_of
+            )
+            return cls(
+                concept_model=engine.concept_model,
+                shards=shards,
+                router=router,
+                name=engine.name,
+                refresh_policy=engine.refresh_policy,
+                epoch=engine.epoch,
+                cache=QueryCache(cache_entries) if cache_entries else None,
+                baseline_resources=engine._baseline_resources,
+                mutation_counts=engine._mutations,
+            )
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+    @property
+    def num_shards(self) -> int:
+        return len(self.shards)
+
+    @property
+    def matrix_space(self) -> MatrixConceptSpace:
+        """The one space of a one-shard engine."""
+        if len(self.shards) != 1:
+            raise ConfigurationError(
+                f"this engine holds {len(self.shards)} shards; matrix_space "
+                "is only defined for a one-shard engine"
+            )
+        return self.shards[0]
+
+    def shard_sizes(self) -> List[int]:
+        """Documents per shard, pending mutations included."""
+        return [shard.pending_num_documents for shard in self.shards]
+
+    def close(self) -> None:
+        """Shut down the fan-out thread pool (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    def __enter__(self) -> "SearchEngine":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def _pool(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            # Double-checked under a dedicated lock: two serving threads
+            # racing the first query must not each build (and one leak) a
+            # ThreadPoolExecutor.  A plain mutex (not the engine's
+            # read/write lock) because _pool() is reached while holding
+            # read access and the ReadWriteLock is not reentrant.
+            with self._pool_lock:
+                if self._executor is None:
+                    self._executor = ThreadPoolExecutor(
+                        max_workers=len(self.shards),
+                        thread_name_prefix=f"{self.name}-shard",
+                    )
+        return self._executor
+
+    def _shard_of(self, resource: str) -> int:
+        """Index into :attr:`shards` of the space that owns ``resource``."""
+        if len(self.shards) == 1:
+            return 0
+        return self.router.shard_of(resource)
 
     # ------------------------------------------------------------------ #
     # Querying
     # ------------------------------------------------------------------ #
+    @contextmanager
+    def _read_fresh(self) -> Iterator[None]:
+        """Shared (reader) access to a guaranteed-fresh index.
+
+        If mutations are pending, the refresh is driven through the write
+        path first; the loop re-checks after acquiring read access because
+        another writer may have mutated in between.  Within the ``with``
+        body no mutation or refresh can run, so the epoch and every
+        shard's arrays are one consistent snapshot.
+        """
+        while True:
+            with self._rw.read():
+                if not self._needs_refresh():
+                    yield
+                    return
+            self.refresh()
+
     def query_concepts(self, query_tags: Sequence[str]) -> Dict[int, float]:
         """The query's bag of concepts (step "Given Query" of Figure 1).
 
@@ -178,10 +350,6 @@ class SearchEngine(FreshReadMixin):
             return {}
         return self.concept_model.concept_bag_from_tags(query_tags)
 
-    def _needs_refresh(self) -> bool:
-        """Whether pending mutations await the lazy statistics refresh."""
-        return self.matrix_space.is_stale
-
     def search(
         self, query_tags: Sequence[str], top_k: Optional[int] = None
     ) -> List[RankedResult]:
@@ -191,29 +359,22 @@ class SearchEngine(FreshReadMixin):
         omitted (their cosine similarity is zero).  Empty queries and queries
         of entirely unknown tags return an empty list.
         """
-        validate_top_k(top_k)
-        with self._read_fresh():
-            # The tag -> concept mapping happens inside the lock: a racing
-            # mutation batch may allocate dynamic concepts, and the bag
-            # must describe the same index state it is scored against.
-            concept_bag = self.query_concepts(query_tags)
-            if not concept_bag:
-                return []
-            return self.matrix_space.rank(concept_bag, top_k=top_k)
+        return self.rank_batch([query_tags], top_k=top_k)[0]
 
     def rank_batch(
         self,
         queries: Sequence[Sequence[str]],
         top_k: Optional[int] = None,
     ) -> List[List[RankedResult]]:
-        """Rank a whole batch of tag queries in one pass.
+        """Rank a whole batch of tag queries in one pass over every shard.
 
-        The batch is scored by a single sparse matmul.  The i-th result
-        list always corresponds to the i-th query, with empty/unmatchable
-        queries producing empty lists.  An empty
+        Cache hits (canonical tag multiset + ``top_k`` + epoch) are served
+        without touching the shards; misses — deduplicated within the
+        batch — are scored with one sparse matmul per shard and fill the
+        cache.  The i-th result list always corresponds to the i-th query,
+        with empty/unmatchable queries producing empty lists.  An empty
         batch yields an empty list, and an invalid ``top_k`` is rejected
-        up front even when no query is scorable — callers get well-typed
-        results without relying on downstream backend guards.
+        up front even when no query is scorable.
         """
         validate_top_k(top_k)
         if not queries:
@@ -221,24 +382,94 @@ class SearchEngine(FreshReadMixin):
         with self._read_fresh():
             return self._rank_batch_in_lock(queries, top_k)
 
+    def snapshot_rank_batch(
+        self,
+        queries: Sequence[Sequence[str]],
+        top_k: Optional[int] = None,
+    ) -> Tuple[int, List[List[RankedResult]]]:
+        """Epoch-consistent batched ranking: ``(epoch, results)``.
+
+        The epoch is read inside the same reader-held region that scores
+        the batch, so the returned results are guaranteed to reflect
+        exactly that index state — no mutation can land in between.  This
+        is the read the workload replay subsystem uses to audit epoch
+        monotonicity under concurrent traffic.
+        """
+        validate_top_k(top_k)
+        queries = [list(tags) for tags in queries]
+        with self._read_fresh():
+            if not queries:
+                return self.epoch, []
+            return self.epoch, self._rank_batch_in_lock(queries, top_k)
+
     def _rank_batch_in_lock(
         self,
         queries: Sequence[Sequence[str]],
         top_k: Optional[int],
     ) -> List[List[RankedResult]]:
-        """The :meth:`rank_batch` body; caller holds the read lock."""
-        concept_bags = [self.query_concepts(tags) for tags in queries]
-        scorable = [
-            (position, bag) for position, bag in enumerate(concept_bags) if bag
-        ]
-        results: List[List[RankedResult]] = [[] for _ in concept_bags]
-        if scorable:
-            ranked = self.matrix_space.rank_batch(
-                [bag for _, bag in scorable], top_k=top_k
+        """The :meth:`rank_batch` body; caller holds the read lock.
+
+        The tag -> concept mapping happens inside the lock: a racing
+        mutation batch may allocate dynamic concepts, and a bag must
+        describe the same index state it is scored against.
+        """
+        bags = [self.query_concepts(tags) for tags in queries]
+        results: List[List[RankedResult]] = [[] for _ in queries]
+
+        if self.cache is None:
+            scorable = [
+                (position, bag) for position, bag in enumerate(bags) if bag
+            ]
+            if scorable:
+                ranked = self._rank_bags([bag for _, bag in scorable], top_k)
+                for (position, _), result in zip(scorable, ranked):
+                    results[position] = result
+            return results
+
+        miss_positions: Dict[Hashable, List[int]] = {}
+        miss_bags: Dict[Hashable, Mapping[int, float]] = {}
+        for position, (tags, bag) in enumerate(zip(queries, bags)):
+            if not bag:
+                continue
+            key = QueryCache.canonical_key(tags, top_k, self.epoch)
+            if key in miss_positions:  # duplicate within this batch
+                miss_positions[key].append(position)
+                continue
+            hit = self.cache.get(key)
+            if hit is not None:
+                results[position] = hit
+                continue
+            miss_positions[key] = [position]
+            miss_bags[key] = bag
+        if miss_positions:
+            ranked = self._rank_bags(
+                [miss_bags[key] for key in miss_positions], top_k
             )
-            for (position, _), result in zip(scorable, ranked):
-                results[position] = result
+            for key, result in zip(miss_positions, ranked):
+                self.cache.put(key, result)
+                for position in miss_positions[key]:
+                    results[position] = list(result)
         return results
+
+    def _rank_bags(
+        self,
+        bags: Sequence[Mapping[int, float]],
+        top_k: Optional[int],
+    ) -> List[List[RankedResult]]:
+        """Score concept bags on every shard; caller holds the read lock."""
+        if len(self.shards) == 1:
+            return self.shards[0].rank_batch(bags, top_k)
+        futures = [
+            self._pool().submit(shard.rank_batch, bags, top_k)
+            for shard in self.shards
+        ]
+        per_shard = [future.result() for future in futures]
+        return [
+            merge_topk(
+                [shard_lists[position] for shard_lists in per_shard], top_k
+            )
+            for position in range(len(bags))
+        ]
 
     def ranked_resources(
         self, query_tags: Sequence[str], top_k: Optional[int] = None
@@ -252,22 +483,25 @@ class SearchEngine(FreshReadMixin):
             concept_bag = self.query_concepts(query_tags)
             if not concept_bag:
                 return 0.0
-            return self.matrix_space.cosine(concept_bag, resource)
+            shard = self.shards[self._shard_of(resource)]
+            return shard.cosine(concept_bag, resource)
 
     def explain(self, query_tags: Sequence[str], resource: str) -> Dict[str, object]:
         """A debugging breakdown of how a resource scored for a query.
 
-        Vectors and the cosine are read inside one reader-held region
-        (the cosine is computed inline — :meth:`score` would re-enter the
-        non-reentrant lock), so the breakdown reflects a single index
-        state even while mutations race.
+        The document's weights come from the shard that owns it; the
+        query's from any shard (idf is corpus-wide).  Vectors and the
+        cosine are read inside one reader-held region (the cosine is
+        computed inline — :meth:`score` would re-enter the non-reentrant
+        lock), so the breakdown reflects a single index state even while
+        mutations race.
         """
-        space = self.matrix_space
         with self._read_fresh():
+            shard = self.shards[self._shard_of(resource)]
             concept_bag = self.query_concepts(query_tags)
-            query_vector = space.query_weights(concept_bag)
-            resource_vector = space.document_weights(resource)
-            cosine = space.cosine(concept_bag, resource)
+            query_vector = shard.query_weights(concept_bag)
+            resource_vector = shard.document_weights(resource)
+            cosine = shard.cosine(concept_bag, resource)
         overlap = {
             concept: (query_vector.get(concept, 0.0), resource_vector.get(concept, 0.0))
             for concept in set(query_vector) | set(resource_vector)
@@ -280,11 +514,17 @@ class SearchEngine(FreshReadMixin):
         }
 
     # ------------------------------------------------------------------ #
-    # Incremental updates (fold-in through the frozen concept model)
+    # Incremental updates (fold-in through the frozen concept model,
+    # deltas routed to the owning shard)
     # ------------------------------------------------------------------ #
+    @property
+    def is_mutable(self) -> bool:
+        """Whether every shard carries the raw counts mutation needs."""
+        return all(shard.is_mutable for shard in self.shards)
+
     def has_resource(self, resource: str) -> bool:
         """Whether ``resource`` is currently indexed (pending ops included)."""
-        return self.matrix_space.has_document(resource)
+        return self.shards[self._shard_of(resource)].has_document(resource)
 
     @property
     def num_indexed_resources(self) -> int:
@@ -293,7 +533,72 @@ class SearchEngine(FreshReadMixin):
         Deliberately does *not* trigger the lazy refresh — staleness
         accounting after a mutation must stay O(1).
         """
-        return self.matrix_space.pending_num_documents
+        return sum(self.shard_sizes())
+
+    def _require_every_shard(self, action: str) -> None:
+        if len(self.shards) < self.router.num_shards:
+            raise ConfigurationError(
+                f"this engine is a read-only view of {len(self.shards)} of "
+                f"the index's {self.router.num_shards} shards (idf and "
+                f"num_resources are corpus-wide) and cannot {action}; use "
+                "an engine that holds every shard"
+            )
+
+    def _prepare_mutation_batch(
+        self,
+        added: Optional[Mapping[str, Mapping[str, float]]],
+        updated: Optional[Mapping[str, Mapping[str, float]]],
+        removed: Optional[Iterable[str]],
+    ):
+        """Validation + frozen-model fold-in for one mutation batch.
+
+        Buckets are normalized (dicts copied, removals deduplicated),
+        overlapping buckets and unknown/already-indexed resources are
+        rejected, a batch that would empty the corpus is rejected, and only
+        then is every tag bag mapped through the *frozen* concept model
+        with dynamic-concept allocation.  Returns ``(added_bags,
+        updated_bags, removed)`` ready to push into the shards, or ``None``
+        for an empty (no-op) batch.
+        """
+        added = dict(added or {})
+        updated = dict(updated or {})
+        removed = list(dict.fromkeys(removed or []))
+
+        overlapping = (set(added) & set(updated)) | (
+            (set(added) | set(updated)) & set(removed)
+        )
+        if overlapping:
+            raise ConfigurationError(
+                f"resources appear in multiple mutation buckets: "
+                f"{sorted(overlapping)[:3]}"
+            )
+        for resource in added:
+            if self.has_resource(resource):
+                raise ConfigurationError(
+                    f"resource {resource!r} is already indexed; update it instead"
+                )
+        for resource in list(updated) + removed:
+            if not self.has_resource(resource):
+                raise ConfigurationError(f"resource {resource!r} is not indexed")
+        if (
+            removed
+            and self.num_indexed_resources + len(added) - len(removed) < 1
+        ):
+            raise ConfigurationError(
+                "cannot remove every resource; rebuild the engine instead"
+            )
+        if not added and not updated and not removed:
+            return None
+
+        added_bags = {
+            resource: self.concept_model.concept_bag(bag, allocate=True)
+            for resource, bag in added.items()
+        }
+        updated_bags = {
+            resource: self.concept_model.concept_bag(bag, allocate=True)
+            for resource, bag in updated.items()
+        }
+        return added_bags, updated_bags, removed
 
     def apply_mutations(
         self,
@@ -304,42 +609,56 @@ class SearchEngine(FreshReadMixin):
         """Apply one batch of resource mutations; bumps the epoch once.
 
         All tag bags are mapped through the *frozen* concept model
-        (LSI-style fold-in) and pushed into the matrix space; idf and norms
-        recompute lazily on the next read.  Everything is validated before
-        anything is applied, so a rejected batch has no side effects, and
-        additions land before removals so a batch that swaps most of the
-        corpus never looks momentarily empty.
+        (LSI-style fold-in) and pushed into the shard the router owns them
+        to; idf and norms recompute lazily on the next read and the query
+        cache is invalidated.  Everything is validated before anything is
+        applied (mutability first, before dynamic-concept allocation), so a
+        rejected batch has no side effects, and additions land before
+        removals so a batch that swaps most of the corpus never looks
+        momentarily empty.  A shard may legally drain empty as long as the
+        corpus keeps at least one resource.
         """
-        if not self.matrix_space.is_mutable:
-            # Checked before anything (including dynamic-concept allocation)
-            # happens, so a rejected batch has zero side effects.
+        self._require_every_shard("mutate")
+        if not self.is_mutable:
             raise ConfigurationError(
                 "this engine's matrix space carries no raw concept counts "
                 "(pre-v2 artefact) and cannot be mutated; rebuild the engine "
                 "or re-save the index with the current format"
             )
-        if self.matrix_space.has_external_stats:
-            raise ConfigurationError(
-                "this engine serves one shard of a sharded index and cannot "
-                "mutate it locally (idf/num_resources are corpus-wide); "
-                "route mutations through the owning ShardedSearchEngine"
-            )
         with self._rw.write():
-            batch = prepare_mutation_batch(self, added, updated, removed)
+            batch = self._prepare_mutation_batch(added, updated, removed)
             if batch is None:
                 return self.staleness()
             added_bags, updated_bags, removed = batch
-            if added_bags:
-                self.matrix_space.add_documents(added_bags)
+            routed: List[Dict[str, object]] = [
+                {"added": {}, "updated": {}, "removed": []} for _ in self.shards
+            ]
+            for resource, bag in added_bags.items():
+                routed[self._shard_of(resource)]["added"][resource] = bag
             for resource, bag in updated_bags.items():
-                self.matrix_space.update_document(resource, bag)
-            if removed:
-                self.matrix_space.remove_documents(removed)
+                routed[self._shard_of(resource)]["updated"][resource] = bag
+            for resource in removed:
+                routed[self._shard_of(resource)]["removed"].append(resource)
+
+            for shard, delta, counts in zip(
+                self.shards, routed, self._shard_mutations
+            ):
+                if delta["added"]:
+                    shard.add_documents(delta["added"])
+                for resource, bag in delta["updated"].items():
+                    shard.update_document(resource, bag)
+                if delta["removed"]:
+                    shard.remove_documents(delta["removed"], allow_empty=True)
+                for kind in _MUTATION_KINDS:
+                    counts[kind] += len(delta[kind])
+
             self.epoch += 1
-            self._resources_added += len(added_bags)
-            self._resources_updated += len(updated_bags)
-            self._resources_removed += len(removed)
+            self._mutations["added"] += len(added_bags)
+            self._mutations["updated"] += len(updated_bags)
+            self._mutations["removed"] += len(removed)
             self._pending_batches += 1
+            if self.cache is not None:
+                self.cache.clear()
             return self.staleness()
 
     def add_resources(
@@ -362,114 +681,256 @@ class SearchEngine(FreshReadMixin):
         """Replace one resource's tag bag."""
         return self.apply_mutations(updated={resource: tag_bag})
 
-    def refresh(self) -> bool:
-        """Eagerly fold pending mutations into the arrays; True if any.
+    def _needs_refresh(self) -> bool:
+        """Whether pending mutations await the lazy statistics refresh."""
+        return any(shard.is_stale for shard in self.shards)
 
-        Runs under the exclusive side of the engine's read/write lock, so
-        no concurrent query can observe the arrays mid-swap.
+    def refresh(self) -> bool:
+        """Coordinated refresh across every shard; True if work was done.
+
+        Each shard folds its pending count mutations over a vocabulary
+        extension shared by all shards (columns stay aligned), then
+        document frequencies are summed, globally dead terms are pruned
+        everywhere, and one corpus-wide idf vector is derived and applied
+        to every shard — exactly the statistics a from-scratch build over
+        the whole corpus computes.  Runs under the exclusive side of the
+        engine's read/write lock, so no concurrent query can observe a
+        shard mid-refresh; readers arriving while mutations are pending
+        drive this refresh themselves before scoring.
         """
         if not self._needs_refresh():
             return False
         with self._rw.write():
-            refreshed = self.matrix_space.refresh()
-            self._pending_batches = 0
-            return refreshed
+            return self._refresh_in_write_lock()
 
-    def staleness(self) -> StalenessReport:
-        """How far the engine has drifted since its last full (re)fit."""
-        current = self.num_indexed_resources
-        baseline = (
-            self._baseline_resources
-            if self._baseline_resources is not None
-            else current
+    def _refresh_in_write_lock(self) -> bool:
+        if not self._needs_refresh():  # another writer refreshed meanwhile
+            return False
+        self._require_every_shard("refresh")
+        extra: Dict[Hashable, None] = {}
+        for shard in self.shards:
+            for term in shard.pending_new_terms():
+                extra.setdefault(term)
+        vocabulary: Optional[Tuple[Hashable, ...]] = None
+        for shard in self.shards:
+            folded = shard.fold_pending_counts(tuple(extra))
+            if vocabulary is None:
+                vocabulary = folded
+            elif folded != vocabulary:
+                raise ConfigurationError(
+                    "shard vocabularies drifted out of alignment; the index "
+                    "is corrupt — rebuild it from the offline pipeline"
+                )
+        document_frequency = self.shards[0].column_document_frequency()
+        for shard in self.shards[1:]:
+            document_frequency = (
+                document_frequency + shard.column_document_frequency()
+            )
+        alive = document_frequency > 0
+        if not bool(alive.all()):
+            for shard in self.shards:
+                shard.drop_columns(alive)
+            document_frequency = document_frequency[alive]
+        num_documents = self.num_indexed_resources
+        idf = idf_from_document_frequency(
+            document_frequency, num_documents, self.shards[0].smooth_idf
         )
-        delta_ops = (
-            self._resources_added
-            + self._resources_removed
-            + self._resources_updated
-        )
+        for shard in self.shards:
+            shard.apply_statistics(idf, num_documents)
+        self._pending_batches = 0
+        return True
+
+    def _staleness_report(
+        self, counts: Mapping[str, int], baseline: int, current: int
+    ) -> StalenessReport:
         return StalenessReport(
             epoch=self.epoch,
-            resources_added=self._resources_added,
-            resources_removed=self._resources_removed,
-            resources_updated=self._resources_updated,
+            resources_added=counts["added"],
+            resources_removed=counts["removed"],
+            resources_updated=counts["updated"],
             baseline_resources=baseline,
             current_resources=current,
-            refit_due=self.refresh_policy.refit_due(delta_ops, baseline),
+            refit_due=self.refresh_policy.refit_due(
+                sum(counts.values()), baseline
+            ),
+            # Refresh is an engine-wide cycle, so every shard shares the
+            # engine-level pending-batch verdict.
             fold_in_due=self.refresh_policy.fold_in_due(self._pending_batches),
         )
+
+    def staleness(self) -> StalenessReport:
+        """How far the engine has drifted since its last full (re)fit (O(1))."""
+        return self._staleness_report(
+            self._mutations, self._baseline_resources, self.num_indexed_resources
+        )
+
+    def shard_staleness(self) -> List[StalenessReport]:
+        """Per-shard drift since this engine was partitioned.
+
+        Each report applies the engine's refresh policy to one shard's own
+        counters and baseline; :func:`aggregate_reports` rolls them back up
+        to the corpus level (tested to agree with :meth:`staleness` for an
+        engine partitioned from an un-drifted fit).
+        """
+        return [
+            self._staleness_report(counts, baseline, current)
+            for counts, baseline, current in zip(
+                self._shard_mutations, self._shard_baselines, self.shard_sizes()
+            )
+        ]
+
+    def aggregated_shard_staleness(self) -> StalenessReport:
+        """The per-shard reports rolled up with the engine's policy."""
+        return aggregate_reports(self.shard_staleness(), self.refresh_policy)
 
     def health(self) -> Dict[str, object]:
         """Operational snapshot: identity, epoch and both drift verdicts."""
         return {
             "name": self.name,
             "epoch": self.epoch,
+            "num_shards": len(self.shards),
             "staleness": self.staleness().as_dict(),
         }
 
     # ------------------------------------------------------------------ #
-    # Persistence
+    # Persistence (one array dir per shard + one manifest)
     # ------------------------------------------------------------------ #
     def save(
         self, directory: Union[str, Path], mmap_ready: bool = False
     ) -> Path:
-        """Persist the engine (matrix space + concept model) to a dir.
+        """Persist the engine: per-shard dirs + a manifest.
 
-        Dynamic (``own-concept``) concepts travel with the engine: their
-        columns live in the persisted count arrays, so dropping the
-        tag → id map would let a restored serving process reallocate a live
-        column id to a different tag.
+        Each shard saves its arrays + JSON pair under ``shard-NNNN/``;
+        ``shard_manifest.json`` records the router, the concept model and
+        the serving metadata.  Dynamic (``own-concept``) concepts travel
+        with the manifest: their columns live in the persisted count
+        arrays, so dropping the tag -> id map would let a restored serving
+        process reallocate a live column id to a different tag.
 
-        ``mmap_ready=True`` writes the backend arrays in the raw ``.npy``
-        layout that loads can memory-map (see
-        :meth:`MatrixConceptSpace.save`).
+        ``mmap_ready=True`` writes each shard in the raw ``.npy`` layout
+        (see :meth:`MatrixConceptSpace.save`) so ``load_shard``'s
+        ``mmap=True`` — and hence the process pool's near-instant worker
+        start — is available; the default keeps the compact ``.npz``.
         """
+        self._require_every_shard("save")
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         with self._read_fresh():
-            self.matrix_space.save(path, mmap_ready=mmap_ready)
-            payload = self._save_payload()
-        (path / ENGINE_FILENAME).write_text(json.dumps(payload), encoding="utf-8")
+            shard_entries = []
+            for index, shard in enumerate(self.shards):
+                shard_dir = f"shard-{index:04d}"
+                shard.save(path / shard_dir, mmap_ready=mmap_ready)
+                shard_entries.append(
+                    {
+                        "directory": shard_dir,
+                        "num_documents": shard.pending_num_documents,
+                        "baseline_resources": self._shard_baselines[index],
+                        "mutations": dict(self._shard_mutations[index]),
+                    }
+                )
+            payload = {
+                "format_version": SHARD_MANIFEST_VERSION,
+                "name": self.name,
+                "router": self.router.to_json(),
+                "shards": shard_entries,
+                "concept_model": concept_model_to_json(self.concept_model),
+                "epoch": self.epoch,
+                "baseline_resources": self._baseline_resources,
+                "mutations": dict(self._mutations),
+                "refresh_policy": self.refresh_policy.as_dict(),
+                "cache_entries": (
+                    self.cache.max_entries if self.cache is not None else 0
+                ),
+            }
+        (path / SHARD_MANIFEST_FILENAME).write_text(
+            json.dumps(payload), encoding="utf-8"
+        )
+        # Overwriting a directory previously saved with more shards must
+        # not leave the extra shard-NNNN dirs behind: anything enumerating
+        # shard dirs instead of the manifest would see dead arrays.
+        for stale_dir in path.glob("shard-[0-9]*"):
+            if not stale_dir.is_dir():
+                continue
+            try:
+                index = int(stale_dir.name.split("-", 1)[1])
+            except ValueError:
+                continue
+            if index >= len(self.shards):
+                shutil.rmtree(stale_dir)
         return path
-
-    def _save_payload(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "concept_model": concept_model_to_json(self.concept_model),
-            "epoch": self.epoch,
-            "baseline_resources": self._baseline_resources,
-            "mutations": {
-                "added": self._resources_added,
-                "removed": self._resources_removed,
-                "updated": self._resources_updated,
-            },
-            "refresh_policy": self.refresh_policy.as_dict(),
-        }
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "SearchEngine":
-        """Load an engine saved by :meth:`save`."""
+        """Restore a whole engine saved by :meth:`save`."""
         path = Path(directory)
-        engine_path = path / ENGINE_FILENAME
-        if not engine_path.exists():
-            raise NotFittedError(f"no saved engine under {path}")
-        payload = json.loads(engine_path.read_text(encoding="utf-8"))
-        mutations = payload.get("mutations") or {}
+        payload = read_shard_manifest(path)
+        shard_entries = payload["shards"]
+        cache_entries = int(payload.get("cache_entries") or 0)
         return cls(
             concept_model=concept_model_from_json(payload["concept_model"]),
-            matrix_space=MatrixConceptSpace.load(path),
+            shards=[
+                MatrixConceptSpace.load(path / entry["directory"])
+                for entry in shard_entries
+            ],
+            router=ShardRouter.from_json(payload["router"]),
             name=payload["name"],
             refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
             epoch=int(payload.get("epoch", 0)),
-            _baseline_resources=payload.get("baseline_resources"),
-            _resources_added=int(mutations.get("added", 0)),
-            _resources_removed=int(mutations.get("removed", 0)),
-            _resources_updated=int(mutations.get("updated", 0)),
+            cache=QueryCache(cache_entries) if cache_entries else None,
+            baseline_resources=payload.get("baseline_resources"),
+            mutation_counts=payload.get("mutations"),
+            shard_baselines=[
+                entry["baseline_resources"] for entry in shard_entries
+            ],
+            shard_mutation_counts=[
+                entry.get("mutations") for entry in shard_entries
+            ],
+        )
+
+    @classmethod
+    def load_shard(
+        cls, directory: Union[str, Path], shard_id: int, mmap: bool = False
+    ) -> "SearchEngine":
+        """Load one shard of a saved engine as a read-only partial view.
+
+        The returned engine ranks only the shard's resources, but with the
+        corpus-wide statistics persisted in the shard's arrays — its scores
+        equal the full engine's scores for those resources, so an N-process
+        deployment (e.g. :class:`~repro.search.shardpool.ShardProcessPool`,
+        one worker process per shard) can serve one shard per process
+        behind any top-k merging frontend.  ``mmap=True`` memory-maps the
+        shard's arrays instead of reading them into RAM — requires a save
+        made with ``mmap_ready=True``.  Unless the save has a single shard,
+        mutations are rejected (statistics are corpus-wide); route them
+        through an engine that holds every shard.
+        """
+        path = Path(directory)
+        payload = read_shard_manifest(path)
+        shard_entries = payload["shards"]
+        if not 0 <= shard_id < len(shard_entries):
+            raise ConfigurationError(
+                f"shard_id {shard_id} outside [0, {len(shard_entries)})"
+            )
+        entry = shard_entries[shard_id]
+        return cls(
+            concept_model=concept_model_from_json(payload["concept_model"]),
+            shards=[MatrixConceptSpace.load(path / entry["directory"], mmap=mmap)],
+            router=ShardRouter.from_json(payload["router"]),
+            name=f"{payload['name']}-shard{shard_id}",
+            refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
+            epoch=int(payload.get("epoch", 0)),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SearchEngine(name={self.name!r}, "
+            f"num_shards={len(self.shards)}, "
+            f"resources={self.num_indexed_resources}, epoch={self.epoch})"
         )
 
 
 def concept_model_to_json(model: ConceptModel) -> Dict[str, object]:
-    """JSON payload for a concept model (engine and shard-manifest saves)."""
+    """JSON payload for a concept model (the manifest's ``concept_model``)."""
     return {
         "unknown_policy": model.unknown_policy,
         "concepts": [

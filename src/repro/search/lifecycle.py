@@ -53,7 +53,7 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -321,8 +321,7 @@ class EngineHandle:
     The handle duck-types the epoch-consistent engine surface
     (``snapshot_rank_batch`` / ``rank_batch`` / ``search`` / ``refresh`` /
     ``apply_mutations`` / ``epoch`` / ``staleness`` ...), so it drops in
-    wherever a :class:`~repro.search.engine.SearchEngine`, a
-    :class:`~repro.search.sharding.ShardedSearchEngine` or a
+    wherever a :class:`~repro.search.engine.SearchEngine` or a
     :class:`~repro.search.shardpool.ShardProcessPool` was used — the
     :class:`~repro.serve.frontend.BatchingFrontend` and the workload
     replay runner work against it unchanged.

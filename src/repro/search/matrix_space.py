@@ -130,9 +130,9 @@ def idf_from_document_frequency(
 ) -> np.ndarray:
     """Vectorized Eq. 1 idf over a document-frequency vector.
 
-    Shared by the space-local refresh and the sharded coordinator, which
-    feeds *global* (cross-shard) document frequencies through the exact
-    same formula so every shard weighs terms identically.
+    Shared by the space-local refresh and the engine's coordinated one,
+    which feeds *global* (cross-shard) document frequencies through the
+    exact same formula so every shard weighs terms identically.
     """
     if smooth_idf:
         return np.log((num_documents + 1.0) / (document_frequency + 1.0)) + 1.0
@@ -495,7 +495,7 @@ class MatrixConceptSpace:
         if self._external_stats:
             raise ConfigurationError(
                 "this space is a shard carrying coordinated corpus-wide "
-                "statistics; refresh it through the owning ShardedSearchEngine"
+                "statistics; refresh it through the owning SearchEngine"
             )
         with self._refresh_lock:
             return self._refresh_locked()
@@ -527,7 +527,7 @@ class MatrixConceptSpace:
     #
     # A sharded index holds N of these spaces, each over a disjoint row
     # subset but a *shared, column-aligned* vocabulary and shared global
-    # statistics.  After mutations, the owning ShardedSearchEngine drives
+    # statistics.  After mutations, the owning SearchEngine drives
     # the refresh across all shards:
     #
     #   1. union every shard's ``pending_new_terms()``,

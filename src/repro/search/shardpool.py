@@ -1,15 +1,15 @@
 """Process-per-shard serving pool: parallel fan-out that escapes the GIL.
 
-The thread-pool fan-out in :class:`~repro.search.sharding.ShardedSearchEngine`
+The thread-pool fan-out in :class:`~repro.search.engine.SearchEngine`
 shares one CPython interpreter, and scipy's sparse matmul holds the GIL for
 most of a ``rank_batch`` — measured as the 0.43x four-shard "speedup" in
 ``benchmarks/BENCH_results.json``, sharding made serving *slower* than the
 monolith.  This module moves each shard into its own worker process:
 
 * :func:`_shard_worker_main` — the worker entry point.  Each worker loads
-  exactly one shard from the standard sharded save layout
+  exactly one shard from the engine save layout
   (``shard_manifest.json`` + ``shard-NNNN/`` directories) via
-  :meth:`ShardedSearchEngine.load_shard`, memory-mapping the CSR arrays
+  :meth:`SearchEngine.load_shard`, memory-mapping the CSR arrays
   when the save is ``mmap_ready`` (zero-copy open, near-instant start),
   then answers ranking requests over a pipe.
 * :class:`ShardProcessPool` — the coordinator.  It fans
@@ -28,7 +28,7 @@ brings a shard back online without touching the rest of the pool.
 The pool is **read-only**: every response carries the shard's epoch, the
 coordinator asserts all shards agree with the manifest epoch, and
 mutations are rejected — route writes through a
-:class:`~repro.search.sharding.ShardedSearchEngine` coordinator, re-save,
+:class:`~repro.search.engine.SearchEngine` holding every shard, re-save,
 and restart the pool.  The read surface (``snapshot_rank_batch`` +
 ``epoch`` + ``refresh`` + ``num_indexed_resources``) matches the in-process
 engines, so :class:`~repro.serve.frontend.BatchingFrontend` and the
@@ -70,7 +70,8 @@ from repro.search.matrix_space import (
     saved_storage,
     validate_top_k,
 )
-from repro.search.sharding import ShardedSearchEngine, merge_topk
+from repro.search.engine import SearchEngine
+from repro.search.sharding import merge_topk, read_shard_manifest
 from repro.search.vsm import RankedResult
 from repro.utils.errors import ConfigurationError, ReproError
 
@@ -212,7 +213,7 @@ def _shard_worker_main(directory, shard_id, mmap, conn) -> None:
     """
     try:
         started = time.perf_counter()
-        engine = ShardedSearchEngine.load_shard(directory, shard_id, mmap=mmap)
+        engine = SearchEngine.load_shard(directory, shard_id, mmap=mmap)
         load_seconds = time.perf_counter() - started
         conn.send(
             (
@@ -282,9 +283,9 @@ class _WorkerHandle:
 
 
 class ShardProcessPool:
-    """Serve a saved sharded index with one OS process per shard.
+    """Serve a saved index with one OS process per shard.
 
-    Opens the directory written by :meth:`ShardedSearchEngine.save`,
+    Opens the directory written by :meth:`SearchEngine.save`,
     spawns ``num_shards`` workers (each loading exactly one shard, via
     mmap when the save layout allows), and exposes the same epoch-tagged
     read surface as the in-process engines::
@@ -315,7 +316,7 @@ class ShardProcessPool:
     ) -> None:
         self._directory = Path(directory)
         self._config = config or ShardPoolConfig()
-        manifest = ShardedSearchEngine._read_manifest(self._directory)
+        manifest = read_shard_manifest(self._directory)
         self.name = str(manifest["name"])
         self._shard_dirs = [
             self._directory / entry["directory"]

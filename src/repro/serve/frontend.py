@@ -22,9 +22,8 @@ client submits one tag query and waits for its own answer.
   shed/error counters) ready for Prometheus-style scraping.
 
 The front-end works against anything exposing the epoch-consistent read
-surface (``snapshot_rank_batch`` + ``epoch``): the monolithic
-:class:`~repro.search.engine.SearchEngine`, the sharded
-:class:`~repro.search.sharding.ShardedSearchEngine`, the multiprocess
+surface (``snapshot_rank_batch`` + ``epoch``): a
+:class:`~repro.search.engine.SearchEngine` at any shard count, the multiprocess
 :class:`~repro.search.shardpool.ShardProcessPool`, or a test stub.
 Engines that report operational health (the process pool's
 :meth:`~repro.search.shardpool.ShardProcessPool.health`) have that

@@ -105,6 +105,26 @@ class TestBrokenRepositories:
         problems = check_docs(root)
         assert problems == ["docs/book.md: dead link -> missing.md"]
 
+    def test_stale_module_name_is_flagged(self, tmp_path):
+        root = self._repo(
+            tmp_path,
+            readme=(
+                "`repro.search.engine`, `repro.search.engine.SearchEngine`, "
+                "`repro.search.merge_topk` and `repro.search` exist; "
+                "`repro.search.topk` and `repro.gone.module` do not.\n"
+            ),
+        )
+        package = root / "src" / "repro" / "search"
+        package.mkdir(parents=True)
+        (package / "engine.py").write_text("", encoding="utf-8")
+        (package / "__init__.py").write_text(
+            "from repro.search.sharding import merge_topk\n", encoding="utf-8"
+        )
+        assert check_docs(root) == [
+            "README.md: no such module -> repro.search.topk",
+            "README.md: no such module -> repro.gone.module",
+        ]
+
     def test_doc_linked_only_from_another_doc_still_fails(self, tmp_path):
         root = self._repo(
             tmp_path,

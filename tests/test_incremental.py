@@ -272,12 +272,12 @@ class TestEngineMutationParity:
         )
         SearchEngine.build(small_cleaned, model, name="v1").save(tmp_path)
         # Strip the count arrays and stamp the save as format v1.
-        arrays_path = tmp_path / ARRAYS_FILENAME
+        arrays_path = tmp_path / "shard-0000" / ARRAYS_FILENAME
         arrays = dict(np.load(arrays_path))
         for key in [k for k in arrays if k.startswith("counts_")]:
             del arrays[key]
         np.savez_compressed(arrays_path, **arrays)
-        metadata_path = tmp_path / METADATA_FILENAME
+        metadata_path = tmp_path / "shard-0000" / METADATA_FILENAME
         metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
         metadata["format_version"] = 1
         metadata.pop("mutable", None)

@@ -51,7 +51,7 @@ from repro.search.lifecycle import (
     replay_entries,
     synthesize_assignments,
 )
-from repro.search.sharding import ShardedSearchEngine
+from repro.search.engine import SearchEngine
 from repro.search.shardpool import ShardProcessPool
 from repro.search.vsm import RankedResult
 from repro.serve.frontend import BatchingFrontend, FrontendConfig
@@ -80,11 +80,11 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards):
-    return ShardedSearchEngine.build(
-        folksonomy,
-        identity_concept_model(folksonomy.tags),
+    return SearchEngine.from_engine(
+        SearchEngine.build(
+            folksonomy, identity_concept_model(folksonomy.tags), name="wl"
+        ),
         num_shards=num_shards,
-        name="wl",
     )
 
 

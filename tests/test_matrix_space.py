@@ -314,10 +314,16 @@ class TestPersistence:
         with pytest.raises(NotFittedError):
             OfflineIndex.load(tmp_path / "nowhere")
 
-    def test_engine_round_trip(self, small_cleaned, tmp_path):
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_engine_round_trip(self, small_cleaned, tmp_path, num_shards):
         model = identity_concept_model(small_cleaned.tags)
         engine = SearchEngine.build(small_cleaned, model, name="bow")
-        engine.save(tmp_path)
+        saved = (
+            engine
+            if num_shards == 1
+            else SearchEngine.from_engine(engine, num_shards)
+        )
+        saved.save(tmp_path)
         loaded = SearchEngine.load(tmp_path)
         assert loaded.name == "bow"
         assert loaded.concept_model.num_concepts == model.num_concepts
@@ -325,14 +331,26 @@ class TestPersistence:
         assert_parity(engine.search(query, top_k=10), loaded.search(query, top_k=10))
         best = engine.search(query)[0].resource
         assert loaded.score(query, best) > 0.0
-        built, restored = engine.explain(query, best), loaded.explain(query, best)
-        assert restored["cosine"] == pytest.approx(built["cosine"], abs=1e-9)
-        assert restored["cosine"] == pytest.approx(engine.score(query, best), abs=1e-9)
-        assert restored["query_concepts"] == built["query_concepts"]
-        weights = restored["per_concept_weights"]
-        assert weights and weights.keys() == built["per_concept_weights"].keys()
-        for concept, pair in built["per_concept_weights"].items():
-            assert weights[concept] == pytest.approx(pair, abs=1e-9)
+        # explain at any shard count, restored or not, and on the one-shard
+        # view that holds the resource, equals the built N = 1 breakdown
+        view = SearchEngine.load_shard(tmp_path, loaded.router.shard_of(best))
+        built = engine.explain(query, best)
+        for restored in (
+            saved.explain(query, best),
+            loaded.explain(query, best),
+            view.explain(query, best),
+        ):
+            assert restored["cosine"] == pytest.approx(built["cosine"], abs=1e-9)
+            assert restored["cosine"] == pytest.approx(
+                engine.score(query, best), abs=1e-9
+            )
+            assert restored["query_concepts"] == built["query_concepts"]
+            weights = restored["per_concept_weights"]
+            assert weights and weights.keys() == built["per_concept_weights"].keys()
+            for concept, pair in built["per_concept_weights"].items():
+                assert weights[concept] == pytest.approx(pair, abs=1e-9)
+        for opened in (saved, loaded):
+            opened.close()
 
     def test_offline_index_round_trip_in_fresh_process(self, small_cleaned, tmp_path):
         pipeline = CubeLSIPipeline(

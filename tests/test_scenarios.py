@@ -55,7 +55,6 @@ from repro.load import (
 from repro.load.scenarios import FAULT_KILL, FAULT_RESTART, FAULT_STALL
 from repro.search.engine import SearchEngine
 from repro.search.lifecycle import EngineHandle, RefitCoordinator
-from repro.search.sharding import ShardedSearchEngine
 from repro.search.shardpool import ShardPoolConfig, ShardProcessPool
 from repro.serve.admission import AdmissionController, Overloaded
 from repro.serve.frontend import FrontendConfig
@@ -91,11 +90,11 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards=2):
-    return ShardedSearchEngine.build(
-        folksonomy,
-        identity_concept_model(folksonomy.tags),
+    return SearchEngine.from_engine(
+        SearchEngine.build(
+            folksonomy, identity_concept_model(folksonomy.tags), name="scen"
+        ),
         num_shards=num_shards,
-        name="scen",
     )
 
 
@@ -104,7 +103,7 @@ def scenario_save_dir(tmp_path_factory, small_cleaned):
     """A 4-shard mmap-ready save the chaos runs replay against."""
     directory = tmp_path_factory.mktemp("scenario-index") / "index"
     engine = build_mono(small_cleaned)
-    sharded = ShardedSearchEngine.from_engine(
+    sharded = SearchEngine.from_engine(
         engine, num_shards=NUM_SHARDS, cache_entries=None
     )
     try:

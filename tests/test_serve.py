@@ -23,7 +23,6 @@ from repro.core.concepts import identity_concept_model
 from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
 from repro.eval.serve import frontend_sweep
 from repro.search.engine import SearchEngine
-from repro.search.sharding import ShardedSearchEngine
 from repro.search.vsm import RankedResult
 from repro.serve import (
     AdmissionController,
@@ -81,11 +80,11 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards=4):
-    return ShardedSearchEngine.build(
-        folksonomy,
-        identity_concept_model(folksonomy.tags),
+    return SearchEngine.from_engine(
+        SearchEngine.build(
+            folksonomy, identity_concept_model(folksonomy.tags), name="serve"
+        ),
         num_shards=num_shards,
-        name="serve",
     )
 
 

@@ -1,13 +1,13 @@
-"""Parity suite for the sharded serving architecture.
+"""Parity suite for the engine at every shard count.
 
-The acceptance bar: a :class:`ShardedSearchEngine` with N ∈ {1, 2, 4}
-shards must reproduce the monolithic :class:`SearchEngine` rankings and
-scores to 1e-9 — on the toy and generated corpora, through add/remove/
-update sequences (coordinated global-statistics refresh), through cache
-hits, and through a sharded save → load round trip.  On top of the parity
-bar, this file covers the router, the heap merge's boundary-tie handling,
-the query cache, the hardened ``rank_batch`` edge cases and per-shard
-staleness reporting.
+The acceptance bar: a :class:`SearchEngine` with N ∈ {1, 2, 4} shards —
+N = 1 being ``SearchEngine.build`` itself — must reproduce the dict-loop
+oracle's rankings and scores to 1e-9 — on the toy and generated corpora,
+through add/remove/update sequences (coordinated global-statistics
+refresh), through cache hits, and through a save → load round trip.  On
+top of the parity bar, this file covers the router, the heap merge's
+boundary-tie handling, the query cache, the hardened ``rank_batch`` edge
+cases and per-shard staleness reporting.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import DictLoopOracle, assert_matches_oracle
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.core.snapshots import IndexSnapshotStore
 from repro.eval.sharding import rankings_match, sharding_sweep
 from repro.search.cache import QueryCache
-from repro.search.engine import ENGINE_FILENAME, SearchEngine
+from repro.search.engine import SearchEngine
 from repro.search.incremental import RefreshPolicy, aggregate_reports
 from repro.search.matrix_space import (
     MatrixConceptSpace,
@@ -38,6 +39,7 @@ from repro.search.sharding import (
     ShardRouter,
     ShardedSearchEngine,
     merge_topk,
+    read_shard_manifest,
 )
 from repro.search.vsm import RankedResult
 from repro.tagging.delta import FolksonomyDeltaBuilder
@@ -60,8 +62,27 @@ def sample_queries(folksonomy, rng, count=24):
     return queries
 
 
+def at_shards(engine, num_shards):
+    """``engine`` at N shards; the built engine itself is the N = 1 case."""
+    if num_shards == 1:
+        return engine
+    return SearchEngine.from_engine(engine, num_shards)
+
+
+def tag_bags_of(folksonomy):
+    return {r: dict(folksonomy.tag_bag(r)) for r in folksonomy.resources}
+
+
+def apply_batch(bags, added=None, updated=None, removed=()):
+    """Replay one ``apply_mutations`` batch on plain ``resource -> bag`` dicts."""
+    bags.update(added or {})
+    bags.update(updated or {})
+    for resource in removed:
+        del bags[resource]
+
+
 def assert_sharded_parity(sharded, engine, queries, top_k=10, tol=1e-9):
-    """Sharded rankings/scores equal the monolithic ones on every query."""
+    """Two engines' rankings/scores agree on every query."""
     got = sharded.rank_batch(queries, top_k=top_k)
     want = engine.rank_batch(queries, top_k=top_k)
     for got_results, want_results in zip(got, want):
@@ -78,6 +99,15 @@ def concept_model(small_cleaned):
 @pytest.fixture(scope="module")
 def mono_engine(small_cleaned, concept_model):
     return SearchEngine.build(small_cleaned, concept_model, name="mono")
+
+
+@pytest.fixture(scope="module")
+def oracle(small_cleaned, concept_model):
+    return DictLoopOracle.of_folksonomy(concept_model, small_cleaned)
+
+
+def test_sharded_name_is_the_engine_class():
+    assert ShardedSearchEngine is SearchEngine
 
 
 class TestShardRouter:
@@ -166,7 +196,7 @@ class TestBoundaryTieWidening:
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("top_k", [1, 2, 3, 4, 6])
-    def test_sharded_merge_equals_monolith_on_exact_rank_k_ties(
+    def test_exact_rank_k_ties_keep_the_lowest_resource_ids(
         self, num_shards, top_k
     ):
         # Six resources with *identical* tag bags -> identical scores; any
@@ -179,11 +209,17 @@ class TestBoundaryTieWidening:
         records.append(("u", "alpha", "distinct"))
         folksonomy = Folksonomy(records, name="ties")
         model = identity_concept_model(folksonomy.tags)
-        engine = SearchEngine.build(folksonomy, model, name="ties")
-        sharded = ShardedSearchEngine.from_engine(engine, num_shards)
-        want = engine.search(["alpha"], top_k=top_k)
-        got = sharded.search(["alpha"], top_k=top_k)
-        assert [r.resource for r in got] == [r.resource for r in want]
+        sharded = at_shards(
+            SearchEngine.build(folksonomy, model, name="ties"), num_shards
+        )
+        # "alpha" is in every resource (idf 0, matches nothing); "beta" is not.
+        want = DictLoopOracle.of_folksonomy(model, folksonomy).rank(
+            ["beta"], top_k=top_k
+        )
+        got = sharded.search(["beta"], top_k=top_k)
+        expected = [f"twin-{index}" for index in range(6)]
+        assert [r.resource for r in got] == expected[:top_k]
+        assert [r.resource for r in want] == expected[:top_k]
         for got_result, want_result in zip(got, want):
             assert got_result.score == pytest.approx(
                 want_result.score, abs=1e-9
@@ -195,33 +231,35 @@ class TestBoundaryTieWidening:
 class TestStaticParity:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_generated_corpus_parity(
-        self, small_cleaned, mono_engine, num_shards
+        self, small_cleaned, mono_engine, oracle, num_shards
     ):
         rng = np.random.default_rng(17)
-        sharded = ShardedSearchEngine.from_engine(mono_engine, num_shards)
+        sharded = at_shards(mono_engine, num_shards)
         queries = sample_queries(small_cleaned, rng)
         for top_k in (None, 1, 5, 1000):
-            assert_sharded_parity(sharded, mono_engine, queries, top_k=top_k)
+            assert_matches_oracle(sharded, oracle, queries, top_k=top_k)
         for query in queries[:6]:
-            results = mono_engine.search(query, top_k=5)
+            results = sharded.search(query, top_k=5)
             assert sharded.ranked_resources(query, top_k=5) == [
                 r.resource for r in results
             ]
-            for result in results:
+            for result in oracle.rank(query, top_k=5):
                 assert sharded.score(query, result.resource) == pytest.approx(
                     result.score, abs=1e-9
                 )
-        assert sharded.num_indexed_resources == mono_engine.num_indexed_resources
+        assert sharded.num_indexed_resources == small_cleaned.num_resources
         assert sum(sharded.shard_sizes()) == sharded.num_indexed_resources
         sharded.close()
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_toy_corpus_parity(self, toy_folksonomy, num_shards):
         model = identity_concept_model(toy_folksonomy.tags)
-        engine = SearchEngine.build(toy_folksonomy, model, name="toy")
-        sharded = ShardedSearchEngine.from_engine(engine, num_shards)
+        sharded = at_shards(
+            SearchEngine.build(toy_folksonomy, model, name="toy"), num_shards
+        )
+        reference = DictLoopOracle.of_folksonomy(model, toy_folksonomy)
         for tag in toy_folksonomy.tags:
-            assert_sharded_parity(sharded, engine, [[tag]], top_k=None)
+            assert_matches_oracle(sharded, reference, [[tag]], top_k=None)
         sharded.close()
 
     @pytest.mark.parametrize("smooth_idf", [False, True])
@@ -231,11 +269,15 @@ class TestStaticParity:
         engine = SearchEngine.build(
             small_cleaned, concept_model, smooth_idf=smooth_idf, name="s"
         )
-        sharded = ShardedSearchEngine.from_engine(engine, 3)
+        reference = DictLoopOracle.of_folksonomy(
+            concept_model, small_cleaned, smooth_idf=smooth_idf
+        )
         tags = list(small_cleaned.tags)
         queries = [[tags[0], tags[1]], [tags[2], "tag-unseen-anywhere"]]
-        assert_sharded_parity(sharded, engine, queries, top_k=10)
-        sharded.close()
+        for num_shards in (1, 3):
+            sharded = at_shards(engine, num_shards)
+            assert_matches_oracle(sharded, reference, queries, top_k=10)
+            sharded.close()
 
     def test_pipeline_fitted_engine_parity(self, small_cleaned):
         pipeline = CubeLSIPipeline(
@@ -243,34 +285,55 @@ class TestStaticParity:
         )
         index = pipeline.fit(small_cleaned)
         rng = np.random.default_rng(29)
-        sharded = ShardedSearchEngine.from_engine(index.engine, 4)
-        assert_sharded_parity(
-            sharded, index.engine, sample_queries(small_cleaned, rng)
+        reference = DictLoopOracle.of_folksonomy(
+            index.concept_model, small_cleaned
         )
-        sharded.close()
+        queries = sample_queries(small_cleaned, rng)
+        for num_shards in SHARD_COUNTS:
+            sharded = at_shards(index.engine, num_shards)
+            assert_matches_oracle(sharded, reference, queries)
+            sharded.close()
+
+    def test_one_shard_engine_never_routes_merges_or_spawns_threads(
+        self, small_cleaned, concept_model, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the one-shard path must not route or merge")
+
+        monkeypatch.setattr(ShardRouter, "shard_of", forbidden)
+        monkeypatch.setattr("repro.search.engine.merge_topk", forbidden)
+        engine = SearchEngine.build(small_cleaned, concept_model, name="n1")
+        assert engine.matrix_space is engine.shards[0]
+        tag = small_cleaned.tags[0]
+        best = engine.search([tag], top_k=3)[0]
+        assert engine.score([tag], best.resource) == pytest.approx(best.score)
+        engine.add_resources({"fresh-n1": {tag: 1.0}})
+        assert engine.has_resource("fresh-n1")
+        assert engine.rank_batch([[tag], []], top_k=3)[0]
+        assert engine._executor is None
 
     def test_router_shard_count_mismatch_rejected(self, mono_engine):
         with pytest.raises(ConfigurationError):
-            ShardedSearchEngine.from_engine(
+            SearchEngine.from_engine(
                 mono_engine, num_shards=2, router=ShardRouter(3)
             )
         with pytest.raises(ConfigurationError):
-            ShardedSearchEngine.from_engine(mono_engine)
+            SearchEngine.from_engine(mono_engine)
 
 
 class TestMutationParity:
-    def build_pair(self, folksonomy, num_shards, seed=0):
+    def build_pair(self, folksonomy, num_shards):
+        """A fresh engine at N shards plus the tag bags it was built from."""
         model = identity_concept_model(folksonomy.tags)
         engine = SearchEngine.build(folksonomy, model, name="mut")
-        sharded = ShardedSearchEngine.from_engine(engine, num_shards)
-        return engine, sharded
+        return at_shards(engine, num_shards), tag_bags_of(folksonomy)
 
-    @pytest.mark.parametrize("num_shards", [2, 4])
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_mutation_sequences_stay_in_parity(
         self, small_cleaned, num_shards
     ):
         rng = np.random.default_rng(5)
-        engine, sharded = self.build_pair(small_cleaned, num_shards)
+        sharded, bags = self.build_pair(small_cleaned, num_shards)
         tags = list(small_cleaned.tags)
         queries = sample_queries(small_cleaned, rng)
 
@@ -289,18 +352,25 @@ class TestMutationParity:
                 removed=[small_cleaned.resources[2]],
             ),
         ]
-        for batch in batches:
-            want_report = engine.apply_mutations(**batch)
-            got_report = sharded.apply_mutations(**batch)
-            assert got_report.epoch == want_report.epoch
-            assert got_report.delta_ops == want_report.delta_ops
-            assert_sharded_parity(sharded, engine, queries)
-            assert_sharded_parity(sharded, engine, queries, top_k=None)
-        assert sharded.num_indexed_resources == engine.num_indexed_resources
+        delta_ops = 0
+        for epoch, batch in enumerate(batches, start=1):
+            report = sharded.apply_mutations(**batch)
+            apply_batch(bags, **batch)
+            delta_ops += sum(len(bucket) for bucket in batch.values())
+            assert report.epoch == epoch
+            assert report.delta_ops == delta_ops
+            if epoch % 2:  # eager refresh and the lazy read-driven one alike
+                assert sharded.refresh()
+                assert not sharded.refresh()
+            # fitted after the fold-in: "tag-never-seen" has its concept now
+            reference = DictLoopOracle(sharded.concept_model, bags)
+            assert_matches_oracle(sharded, reference, queries)
+            assert_matches_oracle(sharded, reference, queries, top_k=None)
+        assert sharded.num_indexed_resources == len(bags)
         sharded.close()
 
     def test_draining_one_shard_empty_keeps_serving(self, small_cleaned):
-        engine, sharded = self.build_pair(small_cleaned, 2)
+        sharded, bags = self.build_pair(small_cleaned, 2)
         rng = np.random.default_rng(7)
         victims = [
             resource
@@ -308,22 +378,27 @@ class TestMutationParity:
             if sharded.router.shard_of(resource) == 0
         ]
         assert victims  # the corpus is large enough to populate both shards
-        engine.remove_resources(victims)
         sharded.remove_resources(victims)
+        apply_batch(bags, removed=victims)
         assert 0 in sharded.shard_sizes()
         queries = sample_queries(small_cleaned, rng)
-        assert_sharded_parity(sharded, engine, queries)
+        assert_matches_oracle(
+            sharded, DictLoopOracle(sharded.concept_model, bags), queries
+        )
         # the drained shard accepts new residents again
         revived = {victims[0]: {small_cleaned.tags[0]: 2.0}}
-        engine.add_resources(revived)
         sharded.add_resources(revived)
-        assert_sharded_parity(sharded, engine, queries)
+        apply_batch(bags, added=revived)
+        assert_matches_oracle(
+            sharded, DictLoopOracle(sharded.concept_model, bags), queries
+        )
         sharded.close()
 
-    def test_validation_mirrors_monolith_without_side_effects(
-        self, small_cleaned
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_rejected_batches_have_no_side_effects(
+        self, small_cleaned, num_shards
     ):
-        _, sharded = self.build_pair(small_cleaned, 2)
+        sharded, _ = self.build_pair(small_cleaned, num_shards)
         existing = small_cleaned.resources[0]
         with pytest.raises(ConfigurationError):
             sharded.add_resources({existing: {"a": 1}})
@@ -339,10 +414,11 @@ class TestMutationParity:
             )
         assert sharded.epoch == 0
         assert sharded.num_indexed_resources == small_cleaned.num_resources
+        assert not sharded.refresh()  # nothing was left pending
         sharded.close()
 
     def test_shard_local_refresh_is_rejected_while_stale(self, small_cleaned):
-        _, sharded = self.build_pair(small_cleaned, 2)
+        sharded, _ = self.build_pair(small_cleaned, 2)
         sharded.add_resources({"fresh": {small_cleaned.tags[0]: 1.0}})
         stale = [shard for shard in sharded.shards if shard.is_stale]
         assert stale
@@ -391,7 +467,7 @@ class TestQueryCache:
         self, small_cleaned, mono_engine
     ):
         rng = np.random.default_rng(11)
-        sharded = ShardedSearchEngine.from_engine(mono_engine, 2)
+        sharded = SearchEngine.from_engine(mono_engine, 2)
         queries = sample_queries(small_cleaned, rng)
         cold = sharded.rank_batch(queries, top_k=10)
         warm = sharded.rank_batch(queries, top_k=10)
@@ -406,7 +482,7 @@ class TestQueryCache:
     def test_duplicate_queries_in_one_batch_scored_once(
         self, small_cleaned, mono_engine
     ):
-        sharded = ShardedSearchEngine.from_engine(mono_engine, 2)
+        sharded = SearchEngine.from_engine(mono_engine, 2)
         tag = small_cleaned.tags[0]
         batch = [[tag], [tag], [tag]]
         results = sharded.rank_batch(batch, top_k=5)
@@ -419,7 +495,7 @@ class TestQueryCache:
     def test_mutation_invalidates_cache(self, small_cleaned):
         model = identity_concept_model(small_cleaned.tags)
         engine = SearchEngine.build(small_cleaned, model, name="inv")
-        sharded = ShardedSearchEngine.from_engine(engine, 2)
+        sharded = SearchEngine.from_engine(engine, 2)
         query = [small_cleaned.tags[0]]
         before = sharded.search(query, top_k=5)
         assert sharded.search(query, top_k=5)  # warm the cache
@@ -436,13 +512,13 @@ class TestQueryCache:
 
 class TestRankBatchHardening:
     def test_empty_batch_returns_well_typed_empty(self, mono_engine):
-        sharded = ShardedSearchEngine.from_engine(mono_engine, 2)
+        sharded = SearchEngine.from_engine(mono_engine, 2)
         assert mono_engine.rank_batch([]) == []
         assert sharded.rank_batch([]) == []
         sharded.close()
 
     def test_all_unknown_tags_yield_empty_lists(self, mono_engine):
-        sharded = ShardedSearchEngine.from_engine(mono_engine, 2)
+        sharded = SearchEngine.from_engine(mono_engine, 2)
         batch = [["zzz-unknown"], [], ["another-unknown", "more-unknown"]]
         assert mono_engine.rank_batch(batch, top_k=5) == [[], [], []]
         assert sharded.rank_batch(batch, top_k=5) == [[], [], []]
@@ -453,7 +529,7 @@ class TestRankBatchHardening:
     def test_invalid_top_k_rejected_even_without_scorable_queries(
         self, mono_engine
     ):
-        sharded = ShardedSearchEngine.from_engine(mono_engine, 2)
+        sharded = SearchEngine.from_engine(mono_engine, 2)
         for engine in (mono_engine, sharded):
             with pytest.raises(ConfigurationError):
                 engine.rank_batch([["zzz-unknown"]], top_k=0)
@@ -470,7 +546,7 @@ class TestShardStaleness:
     ):
         model = identity_concept_model(small_cleaned.tags)
         engine = SearchEngine.build(small_cleaned, model, name="agg")
-        sharded = ShardedSearchEngine.from_engine(engine, 3)
+        sharded = SearchEngine.from_engine(engine, 3)
         tags = list(small_cleaned.tags)
         sharded.add_resources(
             {f"agg-{i}": {tags[i]: 1.0} for i in range(4)}
@@ -499,7 +575,7 @@ class TestShardStaleness:
             name="hot",
             refresh_policy=RefreshPolicy(max_delta_fraction=0.5),
         )
-        sharded = ShardedSearchEngine.from_engine(engine, 4)
+        sharded = SearchEngine.from_engine(engine, 4)
         # churn only resources living on one shard
         hot = [
             resource
@@ -523,45 +599,59 @@ class TestShardStaleness:
 class TestShardedPersistence:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_save_load_round_trip_parity(
-        self, small_cleaned, mono_engine, tmp_path, num_shards
+        self, small_cleaned, mono_engine, oracle, tmp_path, num_shards
     ):
         rng = np.random.default_rng(13)
-        sharded = ShardedSearchEngine.from_engine(mono_engine, num_shards)
+        sharded = at_shards(mono_engine, num_shards)
         sharded.save(tmp_path)
-        loaded = ShardedSearchEngine.load(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            *(f"shard-{index:04d}" for index in range(num_shards)),
+            SHARD_MANIFEST_FILENAME,
+        ]
+        loaded = SearchEngine.load(tmp_path)
         assert loaded.num_shards == num_shards
         assert loaded.name == mono_engine.name
-        assert loaded.cache is not None
+        # from_engine's default cache travels; a built engine carries none
+        assert (loaded.cache is None) == (sharded.cache is None)
         for shard in loaded.shards:
-            assert shard.has_external_stats
+            assert shard.has_external_stats == (num_shards > 1)
         queries = sample_queries(small_cleaned, rng)
-        assert_sharded_parity(loaded, mono_engine, queries)
+        assert_matches_oracle(loaded, oracle, queries)
         sharded.close()
         loaded.close()
 
-    def test_save_load_then_mutate_stays_in_parity(self, small_cleaned, tmp_path):
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_save_load_then_mutate_stays_in_parity(
+        self, small_cleaned, tmp_path, num_shards
+    ):
         model = identity_concept_model(small_cleaned.tags)
-        engine = SearchEngine.build(small_cleaned, model, name="slm")
-        sharded = ShardedSearchEngine.from_engine(engine, 2)
+        sharded = at_shards(
+            SearchEngine.build(small_cleaned, model, name="slm"), num_shards
+        )
         sharded.save(tmp_path)
-        loaded = ShardedSearchEngine.load(tmp_path)
+        loaded = SearchEngine.load(tmp_path)
         batch = dict(
             added={"post-load": {small_cleaned.tags[0]: 2.0}},
             removed=[small_cleaned.resources[0]],
         )
-        engine.apply_mutations(**batch)
+        bags = tag_bags_of(small_cleaned)
+        apply_batch(bags, **batch)
         loaded.apply_mutations(**batch)
         rng = np.random.default_rng(19)
-        assert_sharded_parity(loaded, engine, sample_queries(small_cleaned, rng))
+        assert_matches_oracle(
+            loaded,
+            DictLoopOracle(loaded.concept_model, bags),
+            sample_queries(small_cleaned, rng),
+        )
         sharded.close()
         loaded.close()
 
     def test_load_one_shard_serves_with_global_statistics(
         self, small_cleaned, mono_engine, tmp_path
     ):
-        sharded = ShardedSearchEngine.from_engine(mono_engine, 3)
+        sharded = SearchEngine.from_engine(mono_engine, 3)
         sharded.save(tmp_path)
-        shard_engine = ShardedSearchEngine.load_shard(tmp_path, 1)
+        shard_engine = SearchEngine.load_shard(tmp_path, 1)
         shard_docs = set(sharded.shards[1].doc_ids)
         assert shard_docs
         query = [small_cleaned.tags[0], small_cleaned.tags[1]]
@@ -570,11 +660,16 @@ class TestShardedPersistence:
             assert mono_engine.score(query, result.resource) == pytest.approx(
                 result.score, abs=1e-9
             )
-        # one-shard processes are read-only: statistics are corpus-wide
+        # a partial view is read-only: statistics are corpus-wide
+        assert (shard_engine.num_shards, shard_engine.router.num_shards) == (1, 3)
         with pytest.raises(ConfigurationError):
             shard_engine.add_resources({"nope": {small_cleaned.tags[0]: 1.0}})
         with pytest.raises(ConfigurationError):
-            ShardedSearchEngine.load_shard(tmp_path, 7)
+            shard_engine.save(tmp_path / "partial")
+        assert shard_engine.epoch == sharded.epoch
+        assert not shard_engine.refresh()
+        with pytest.raises(ConfigurationError):
+            SearchEngine.load_shard(tmp_path, 7)
         sharded.close()
 
     def test_refresh_policy_round_trips_and_old_saves_get_defaults(
@@ -602,23 +697,23 @@ class TestShardedPersistence:
         )
         mono_dir, sharded_dir = tmp_path / "mono", tmp_path / "sharded"
         engine.save(mono_dir)
-        sharded = ShardedSearchEngine.from_engine(engine, 2)
+        sharded = SearchEngine.from_engine(engine, 2)
         sharded.save(sharded_dir)
         sharded.close()
 
         def loaded_policies():
-            whole = ShardedSearchEngine.load(sharded_dir)
+            whole = SearchEngine.load(sharded_dir)
             whole.close()
             return (
                 SearchEngine.load(mono_dir).refresh_policy,
                 whole.refresh_policy,
-                ShardedSearchEngine.load_shard(sharded_dir, 0).refresh_policy,
+                SearchEngine.load_shard(sharded_dir, 0).refresh_policy,
             )
 
         assert loaded_policies() == (policy, policy, policy)
         # A save from before the block existed loads with the defaults.
         for path in (
-            mono_dir / ENGINE_FILENAME,
+            mono_dir / SHARD_MANIFEST_FILENAME,
             sharded_dir / SHARD_MANIFEST_FILENAME,
         ):
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -629,15 +724,15 @@ class TestShardedPersistence:
     def test_resave_with_fewer_shards_prunes_stale_dirs(
         self, small_cleaned, mono_engine, tmp_path
     ):
-        wide = ShardedSearchEngine.from_engine(mono_engine, 4)
+        wide = SearchEngine.from_engine(mono_engine, 4)
         wide.save(tmp_path)
-        narrow = ShardedSearchEngine.from_engine(mono_engine, 2)
+        narrow = SearchEngine.from_engine(mono_engine, 2)
         narrow.save(tmp_path)
         assert sorted(p.name for p in tmp_path.glob("shard-*")) == [
             "shard-0000",
             "shard-0001",
         ]
-        loaded = ShardedSearchEngine.load(tmp_path)
+        loaded = SearchEngine.load(tmp_path)
         assert loaded.num_shards == 2
         rng = np.random.default_rng(43)
         assert_sharded_parity(
@@ -649,17 +744,25 @@ class TestShardedPersistence:
 
     def test_load_missing_manifest_raises(self, tmp_path):
         with pytest.raises(NotFittedError):
-            ShardedSearchEngine.load(tmp_path / "nowhere")
+            SearchEngine.load(tmp_path / "nowhere")
         with pytest.raises(NotFittedError):
-            ShardedSearchEngine.load_shard(tmp_path / "nowhere", 0)
+            SearchEngine.load_shard(tmp_path / "nowhere", 0)
+        # a directory holding only the retired single-file layout
+        (tmp_path / "engine.json").write_text("{}", encoding="utf-8")
+        for load in (SearchEngine.load, read_shard_manifest):
+            with pytest.raises(ConfigurationError, match="re-save"):
+                load(tmp_path)
+        with pytest.raises(ConfigurationError, match="re-save"):
+            SearchEngine.load_shard(tmp_path, 0)
 
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_round_trip_in_fresh_process(
-        self, small_cleaned, mono_engine, tmp_path
+        self, small_cleaned, mono_engine, oracle, tmp_path, num_shards
     ):
-        sharded = ShardedSearchEngine.from_engine(mono_engine, 2)
+        sharded = at_shards(mono_engine, num_shards)
         sharded.save(tmp_path)
         query_tag = small_cleaned.tags[0]
-        expected = mono_engine.search([query_tag], top_k=5)
+        expected = oracle.rank([query_tag], top_k=5)
         script = (
             "import json, sys\n"
             "from repro.search.sharding import ShardedSearchEngine\n"
@@ -700,7 +803,6 @@ class TestOfflineIndexSharding:
         fitted_index.save(tmp_path, include_folksonomy=True, num_shards=2)
         assert (tmp_path / SHARD_MANIFEST_FILENAME).exists()
         loaded = OfflineIndex.load(tmp_path)
-        assert isinstance(loaded.engine, ShardedSearchEngine)
         assert loaded.engine.num_shards == 2
         queries = sample_queries(fitted_index.folksonomy, rng)
         assert_sharded_parity(loaded.engine, fitted_index.engine, queries)
@@ -725,13 +827,12 @@ class TestOfflineIndexSharding:
         self, fitted_index, tmp_path
     ):
         fitted_index.save(tmp_path, num_shards=2)
-        fitted_index.save(tmp_path)  # back to monolithic
-        assert not (tmp_path / SHARD_MANIFEST_FILENAME).exists()
+        fitted_index.save(tmp_path)  # back to one shard
+        assert [p.name for p in tmp_path.glob("shard-*")] == ["shard-0000"]
         loaded = OfflineIndex.load(tmp_path)
-        assert isinstance(loaded.engine, SearchEngine)
+        assert loaded.engine.num_shards == 1
         fitted_index.save(tmp_path, num_shards=3)  # and sharded again
         loaded = OfflineIndex.load(tmp_path)
-        assert isinstance(loaded.engine, ShardedSearchEngine)
         assert loaded.engine.num_shards == 3
         loaded.engine.close()
 
@@ -740,7 +841,7 @@ class TestOfflineIndexSharding:
     ):
         sharded_index = OfflineIndex(
             concept_model=fitted_index.concept_model,
-            engine=ShardedSearchEngine.from_engine(fitted_index.engine, 2),
+            engine=SearchEngine.from_engine(fitted_index.engine, 2),
             timings=dict(fitted_index.timings),
             folksonomy=fitted_index.folksonomy,
         )
@@ -761,7 +862,7 @@ class TestOfflineIndexSharding:
         first = store.save(index, num_shards=2)
         assert (first / SHARD_MANIFEST_FILENAME).exists()
         serving = store.load()
-        assert isinstance(serving.engine, ShardedSearchEngine)
+        assert serving.engine.num_shards == 2
         queries = sample_queries(small_cleaned, rng)
         assert_sharded_parity(serving.engine, index.engine, queries)
         # the restored snapshot accepts deltas and re-checkpoints sharded

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.concepts import identity_concept_model
+from repro.core.pipeline import OfflineIndex
 from repro.eval.shardpool import pool_sweep
 from repro.eval.sharding import rankings_match
 from repro.load.invariants import check_replay_parity
@@ -37,7 +38,6 @@ from repro.search.matrix_space import (
     MatrixConceptSpace,
     saved_storage,
 )
-from repro.search.sharding import ShardedSearchEngine
 from repro.search.shardpool import (
     ShardFailure,
     ShardPoolConfig,
@@ -96,7 +96,7 @@ def golden(mono_engine, queries):
 def save_dir(tmp_path_factory, mono_engine):
     """A 4-shard mmap-ready save the pool tests share (read-only)."""
     directory = tmp_path_factory.mktemp("pool-index") / "index"
-    sharded = ShardedSearchEngine.from_engine(
+    sharded = SearchEngine.from_engine(
         mono_engine, num_shards=NUM_SHARDS, cache_entries=None
     )
     try:
@@ -176,7 +176,7 @@ class TestMmapStorageLayout:
     def test_sharded_save_plumbs_mmap_ready_through(
         self, mono_engine, tmp_path
     ):
-        sharded = ShardedSearchEngine.from_engine(
+        sharded = SearchEngine.from_engine(
             mono_engine, num_shards=2, cache_entries=None
         )
         try:
@@ -187,7 +187,7 @@ class TestMmapStorageLayout:
             assert saved_storage(tmp_path / f"shard-{shard_id:04d}") == (
                 STORAGE_NPY
             )
-        shard = ShardedSearchEngine.load_shard(tmp_path, 0, mmap=True)
+        shard = SearchEngine.load_shard(tmp_path, 0, mmap=True)
         assert shard.num_indexed_resources > 0
 
 
@@ -208,17 +208,18 @@ class TestPoolParity:
             assert not pool.uses_mmap
             assert_pool_parity(pool, queries, golden)
 
+    @pytest.mark.parametrize("num_shards", [None, 2])
     def test_npz_layout_pool_auto_detects_eager_load(
-        self, mono_engine, queries, golden, tmp_path
+        self, mono_engine, queries, golden, tmp_path, num_shards
     ):
-        sharded = ShardedSearchEngine.from_engine(
-            mono_engine, num_shards=2, cache_entries=None
+        # Any saved index opens under the pool — including a plain
+        # ``OfflineIndex.save(dir)`` of the built one-shard engine.  Both
+        # are the compressed layout, not mmap-able.
+        OfflineIndex(mono_engine.concept_model, mono_engine, timings={}).save(
+            tmp_path, num_shards=num_shards
         )
-        try:
-            sharded.save(tmp_path)  # compressed layout, not mmap-able
-        finally:
-            sharded.close()
         with ShardProcessPool(tmp_path) as pool:
+            assert pool.num_shards == (num_shards or 1)
             assert not pool.uses_mmap
             assert_pool_parity(pool, queries, golden)
 

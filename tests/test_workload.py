@@ -36,7 +36,6 @@ from repro.search.cache import QueryCache
 from repro.search.concurrency import ReadWriteLock
 from repro.search.engine import SearchEngine
 from repro.search.incremental import EpochObservationLog
-from repro.search.sharding import ShardedSearchEngine
 from repro.utils.errors import ConfigurationError
 
 SHARD_COUNTS = (1, 2, 4)
@@ -61,11 +60,11 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards):
-    return ShardedSearchEngine.build(
-        folksonomy,
-        identity_concept_model(folksonomy.tags),
+    return SearchEngine.from_engine(
+        SearchEngine.build(
+            folksonomy, identity_concept_model(folksonomy.tags), name="wl"
+        ),
         num_shards=num_shards,
-        name="wl",
     )
 
 

@@ -1,9 +1,9 @@
-"""Documentation presence and link checker (CI gate).
+"""Documentation presence, link and module-name checker (CI gate).
 
-Two failure modes make docs rot silently: a book that exists but
-nothing points at (unreachable, so effectively deleted), and a link
-whose target moved (dead, so the reader bounces).  This checker makes
-both loud:
+Three failure modes make docs rot silently: a book that exists but
+nothing points at (unreachable, so effectively deleted), a link whose
+target moved (dead, so the reader bounces), and a module name that
+outlived its module.  This checker makes all three loud:
 
 * **presence** — every ``docs/*.md`` file must be referenced by a
   relative link from ``README.md`` itself, so the README remains the
@@ -12,7 +12,11 @@ both loud:
   ``README.md`` and ``docs/*.md`` must resolve to an existing file or
   directory.  External ``http(s)``/``mailto`` links and pure
   ``#fragment`` anchors are out of scope (CI must not flake on the
-  network).
+  network);
+* **module names** — every backticked ``repro.<pkg>.<name>`` in
+  ``README.md`` and ``docs/*.md`` must be a module or subpackage under
+  ``src/repro/<pkg>/``, or a name that package's ``__init__.py``
+  mentions (read as text: the checker imports nothing).
 
 Run it from the repo root (CI does)::
 
@@ -34,6 +38,8 @@ from typing import List, Set
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Schemes that point outside the repo and are deliberately not checked.
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+#: A backticked dotted name at least ``repro.<pkg>.<name>`` deep.
+_MODULE_RE = re.compile(r"`repro\.(\w+)\.(\w+)[\w.]*`")
 
 
 def extract_links(markdown: str) -> List[str]:
@@ -56,6 +62,27 @@ def resolve_link(source: Path, target: str) -> Path:
     return (source.parent / path).resolve()
 
 
+def missing_modules(markdown: str, root: Path) -> List[str]:
+    """Backticked ``repro.<pkg>.<name>`` prefixes nothing under ``src/`` backs."""
+    missing = []
+    for package, name in _MODULE_RE.findall(markdown):
+        package_dir = root / "src" / "repro" / package
+        init = package_dir / "__init__.py"
+        if (
+            (package_dir / f"{name}.py").is_file()
+            or (package_dir / name).is_dir()
+            or (
+                init.is_file()
+                and re.search(rf"\b{name}\b", init.read_text(encoding="utf-8"))
+            )
+        ):
+            continue
+        dotted = f"repro.{package}.{name}"
+        if dotted not in missing:
+            missing.append(dotted)
+    return missing
+
+
 def check_docs(root: Path) -> List[str]:
     """Check the doc set under ``root``; return problems (empty == clean)."""
     root = root.resolve()
@@ -68,11 +95,15 @@ def check_docs(root: Path) -> List[str]:
     doc_files = sorted(docs_dir.glob("*.md")) if docs_dir.is_dir() else []
     sources = [readme, *doc_files]
 
-    # Liveness: every relative link in every source must resolve.
+    # Liveness: every module name and relative link in every source must
+    # resolve.
     readme_targets: Set[Path] = set()
     for source in sources:
         rel_source = source.relative_to(root)
-        for target in extract_links(source.read_text(encoding="utf-8")):
+        markdown = source.read_text(encoding="utf-8")
+        for dotted in missing_modules(markdown, root):
+            problems.append(f"{rel_source}: no such module -> {dotted}")
+        for target in extract_links(markdown):
             if not is_relative_link(target):
                 continue
             resolved = resolve_link(source, target)
@@ -108,7 +139,10 @@ def main(argv: List[str]) -> int:
     if problems:
         print(f"FAIL: {len(problems)} documentation problem(s)")
         return 1
-    print("OK: docs present, linked from README, no dead intra-repo links")
+    print(
+        "OK: docs present, linked from README, no dead intra-repo links, "
+        "no stale module names"
+    )
     return 0
 
 
