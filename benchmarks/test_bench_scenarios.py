@@ -171,7 +171,6 @@ def test_chaos_recovery_within_budget(tmp_path):
         outcome,
         golden_rankings,
         max_recovery_seconds=RECOVERY_BUDGET_SECONDS * 4,
-        max_wall_seconds=120.0,
     )
     assert verdict.ok, verdict.summary()
 

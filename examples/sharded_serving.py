@@ -12,7 +12,7 @@ shows the production-shaped serving stack built on top of it:
    engine as we go,
 3. serve repeated queries from the LRU result cache (exact hits skip
    scoring entirely) and watch mutations route to their owning shard,
-   invalidate the cache and keep per-shard staleness books,
+   invalidate the cache and advance the engine staleness report,
 4. checkpoint the sharded layout (per-shard ``.npz`` + manifest) and
    restore it — whole, or one shard per process.
 
@@ -98,10 +98,7 @@ def main() -> None:
         )
         index.apply_delta(delta)
         print(f"cache after mutations (invalidated): {len(sharded.cache)} entries")
-        print("per-shard staleness:")
-        for shard_id, report in enumerate(sharded.shard_staleness()):
-            print(f"  shard {shard_id}: {report.summary()}")
-        print(f"aggregate: {sharded.staleness().summary()}")
+        print(f"staleness: {sharded.staleness().summary()}")
         print()
 
         # ------------------------------------------------------------- #

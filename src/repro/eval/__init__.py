@@ -17,8 +17,6 @@
   enforced.
 * :mod:`repro.eval.serve` — batch-window sweep of the micro-batching
   serving front-end, parity with direct ``rank_batch`` enforced.
-* :mod:`repro.eval.lifecycle` — refit-cadence sweep: background refit
-  frequency vs ranking drift vs refit/swap cost, scratch parity enforced.
 """
 
 from repro.eval.ndcg import (
@@ -41,7 +39,6 @@ from repro.eval.incremental import (
     DeltaReplayStep,
     replay_deltas,
 )
-from repro.eval.lifecycle import lifecycle_sweep
 from repro.eval.serve import frontend_sweep
 from repro.eval.sharding import rankings_match, sharding_sweep
 from repro.eval.shardpool import pool_sweep
@@ -69,5 +66,4 @@ __all__ = [
     "pool_sweep",
     "workload_sweep",
     "frontend_sweep",
-    "lifecycle_sweep",
 ]

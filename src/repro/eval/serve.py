@@ -12,7 +12,7 @@ quantiles, the batch sizes the window actually formed, and how many
 submissions were coalesced away.
 
 Every response is verified against a direct ``rank_batch`` of the full
-workload (the tie-aware :func:`repro.eval.sharding.rankings_match`
+workload (the tie-aware :func:`repro.search.vsm.mismatched_probes`
 comparator, same 1e-9 bar as the sharded parity suites); a window that
 returned a diverging ranking raises instead of reporting — a throughput
 table is worthless if the batching path changed the answers.
@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.sharding import rankings_match
+from repro.search.vsm import PARITY_TOL, mismatched_probes
 from repro.serve.frontend import BatchingFrontend, FrontendConfig
 from repro.serve.metrics import MetricsRegistry
 from repro.utils.errors import ConfigurationError
@@ -44,7 +44,6 @@ def frontend_sweep(
     windows: Sequence[Tuple[int, float]] = DEFAULT_WINDOWS,
     num_clients: int = 4,
     top_k: Optional[int] = 10,
-    tol: float = 1e-9,
 ) -> Tuple[List[Dict[str, object]], List[MetricsRegistry]]:
     """Run the client workload once per window; return rows + registries.
 
@@ -113,18 +112,13 @@ def frontend_sweep(
                 "failed:\n" + "\n".join(failures)
             )
 
-        truncated = top_k is not None
-        for position, (got_results, want_results) in enumerate(
-            zip(got, want)
-        ):
-            if got_results is None or not rankings_match(
-                got_results, want_results, tol=tol, truncated=truncated
-            ):
-                raise ConfigurationError(
-                    f"window ({max_batch_size}, {max_wait_ms}ms) diverged "
-                    f"from the direct rank_batch on query {position} "
-                    f"({queries[position]!r}) beyond {tol:g}"
-                )
+        diverged = mismatched_probes(got, want, truncated=top_k is not None)
+        if diverged:
+            raise ConfigurationError(
+                f"window ({max_batch_size}, {max_wait_ms}ms) diverged "
+                f"from the direct rank_batch on query {diverged[0]} "
+                f"({queries[diverged[0]]!r}) beyond {PARITY_TOL:g}"
+            )
 
         total = registry.latency("stage.total")
         sizes = registry.size_distribution("batch_distinct_queries")

@@ -8,54 +8,75 @@ on sharded engines of increasing shard counts, verifies every sharded
 ranking against the monolithic one, and returns report rows for
 :func:`repro.eval.reporting.format_table`.
 
-:func:`rankings_match` is the tie-aware comparator shared with the
-benchmark gate: scores must agree position by position within ``tol``, and
-resources must agree except *within* a group of scores tied at ``tol``,
-where summation-order noise between scoring backends may legally permute
-the deterministic tie-break (and a top-k cut may change the boundary
-group's membership).
+:func:`rankings_match`, the tie-aware comparator shared with the benchmark
+gate, lives next to ``RankedResult`` in :mod:`repro.search.vsm` and stays
+importable from here.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from repro.search.engine import SearchEngine
-from repro.search.vsm import RankedResult
+from repro.search.vsm import mismatched_probes, rankings_match
 from repro.utils.errors import ConfigurationError
 
+__all__ = ["rankings_match", "sharding_sweep"]
 
-def rankings_match(
-    got: Sequence[RankedResult],
-    want: Sequence[RankedResult],
-    tol: float = 1e-9,
-    truncated: bool = False,
-) -> bool:
-    """Whether two ranked lists agree to ``tol`` (tie groups may permute)."""
-    if len(got) != len(want):
-        return False
-    position = 0
-    while position < len(want):
-        group_end = position
-        while (
-            group_end + 1 < len(want)
-            and abs(want[group_end + 1].score - want[position].score) <= tol
-        ):
-            group_end += 1
-        for got_result, want_result in zip(
-            got[position : group_end + 1], want[position : group_end + 1]
-        ):
-            if abs(got_result.score - want_result.score) > tol:
-                return False
-        boundary = truncated and group_end + 1 == len(want)
-        if not boundary:
-            got_members = {r.resource for r in got[position : group_end + 1]}
-            want_members = {r.resource for r in want[position : group_end + 1]}
-            if got_members != want_members:
-                return False
-        position = group_end + 1
-    return True
+
+def _fanout_sweep(
+    sweep: str,
+    engine,
+    queries: Sequence[Sequence[str]],
+    shard_counts: Sequence[int],
+    top_k: Optional[int],
+    repeats: int,
+    contender: Callable[[int], ContextManager[Tuple[str, Callable[[], list]]]],
+) -> List[Dict[str, object]]:
+    """Time ``engine`` and one contender per shard count; enforce parity.
+
+    ``contender(num_shards)`` is a context manager yielding ``(label,
+    rank)``: the row's engine label and a zero-argument callable ranking
+    ``queries``.  Both sides are timed best-of-``repeats``; a contender
+    whose rankings diverge from the baseline's raises.
+    """
+    if not queries:
+        raise ConfigurationError(f"{sweep} needs a non-empty workload")
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+
+    def best_of(rank: Callable[[], list]) -> Tuple[float, list]:
+        seconds = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            results = rank()
+            seconds = min(seconds, time.perf_counter() - started)
+        return seconds, results
+
+    def row(num_shards: int, label: str, seconds: float) -> Dict[str, object]:
+        return {
+            "Shards": num_shards,
+            "Engine": label,
+            "Seconds": round(seconds, 6),
+            "Queries/s": round(len(queries) / seconds, 1),
+            "Speedup": round(baseline_seconds / seconds, 2),
+        }
+
+    baseline_seconds, want = best_of(
+        lambda: engine.rank_batch(queries, top_k=top_k)
+    )
+    rows = [row(0, "monolithic", baseline_seconds)]
+    for num_shards in shard_counts:
+        with contender(num_shards) as (label, rank):
+            seconds, got = best_of(rank)
+        if mismatched_probes(got, want, truncated=top_k is not None):
+            raise ConfigurationError(
+                f"{label} rankings diverged from the monolithic engine"
+            )
+        rows.append(row(num_shards, label, seconds))
+    return rows
 
 
 def sharding_sweep(
@@ -71,62 +92,23 @@ def sharding_sweep(
     For each shard count, partitions ``engine`` (via
     :meth:`SearchEngine.from_engine`), times ``rank_batch`` over
     ``queries`` (best of ``repeats``) and verifies every ranking with
-    :func:`rankings_match`.  The first returned row is the monolithic
-    baseline (``Shards == 0``); sharded rows carry the speedup relative to
-    it.  ``cache_entries`` sizes the sharded engines' query cache (default
-    disabled, so the sweep times actual scoring).  Raises on any parity
-    violation — a fast wrong answer is not a result.
+    :func:`~repro.search.vsm.mismatched_probes`.  The first returned row
+    is the monolithic baseline (``Shards == 0``); sharded rows carry the
+    speedup relative to it.  ``cache_entries`` sizes the sharded engines'
+    query cache (default disabled, so the sweep times actual scoring).
+    Raises on any parity violation — a fast wrong answer is not a result.
     """
-    if not queries:
-        raise ConfigurationError("sharding_sweep needs a non-empty workload")
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
 
-    baseline_seconds = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        want = engine.rank_batch(queries, top_k=top_k)
-        baseline_seconds = min(
-            baseline_seconds, time.perf_counter() - started
-        )
-    rows: List[Dict[str, object]] = [
-        {
-            "Shards": 0,
-            "Engine": "monolithic",
-            "Seconds": round(baseline_seconds, 6),
-            "Queries/s": round(len(queries) / baseline_seconds, 1),
-            "Speedup": 1.0,
-        }
-    ]
-    for num_shards in shard_counts:
-        sharded = SearchEngine.from_engine(
+    @contextmanager
+    def contender(num_shards: int):
+        with SearchEngine.from_engine(
             engine, num_shards=num_shards, cache_entries=cache_entries
-        )
-        try:
-            seconds = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                got = sharded.rank_batch(queries, top_k=top_k)
-                seconds = min(seconds, time.perf_counter() - started)
-            for got_results, want_results in zip(got, want):
-                if not rankings_match(
-                    got_results,
-                    want_results,
-                    truncated=top_k is not None,
-                ):
-                    raise ConfigurationError(
-                        f"{num_shards}-shard rankings diverged from the "
-                        "monolithic engine"
-                    )
-        finally:
-            sharded.close()
-        rows.append(
-            {
-                "Shards": num_shards,
-                "Engine": f"{num_shards}-shard fan-out",
-                "Seconds": round(seconds, 6),
-                "Queries/s": round(len(queries) / seconds, 1),
-                "Speedup": round(baseline_seconds / seconds, 2),
-            }
-        )
-    return rows
+        ) as sharded:
+            yield (
+                f"{num_shards}-shard fan-out",
+                lambda: sharded.rank_batch(queries, top_k=top_k),
+            )
+
+    return _fanout_sweep(
+        "sharding_sweep", engine, queries, shard_counts, top_k, repeats, contender
+    )

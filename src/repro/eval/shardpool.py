@@ -9,7 +9,7 @@ multi-core machines instead of the thread pool's serialized 0.43x.
 increasing shard counts (saving each sharded layout to disk first, since
 workers load from the manifest), verifies every pooled ranking against
 the monolithic one with the shared tie-aware comparator
-(:func:`~repro.eval.sharding.rankings_match`), asserts every fan-out was
+(:func:`~repro.search.vsm.mismatched_probes`), asserts every fan-out was
 complete (no degraded reads), and records per-worker cold-start load
 time so mmap-vs-eager open cost shows up in the same report.
 """
@@ -17,11 +17,11 @@ time so mmap-vs-eager open cost shows up in the same report.
 from __future__ import annotations
 
 import tempfile
-import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.eval.sharding import rankings_match
+from repro.eval.sharding import _fanout_sweep
 from repro.search.engine import SearchEngine
 from repro.search.shardpool import ShardPoolConfig, ShardProcessPool
 from repro.utils.errors import ConfigurationError
@@ -49,67 +49,34 @@ def pool_sweep(
     violation or degraded fan-out — a fast wrong (or partial) answer is
     not a result.
     """
-    if not queries:
-        raise ConfigurationError("pool_sweep needs a non-empty workload")
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-
-    baseline_seconds = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        want = engine.rank_batch(queries, top_k=top_k)
-        baseline_seconds = min(baseline_seconds, time.perf_counter() - started)
-    rows: List[Dict[str, object]] = [
-        {
-            "Shards": 0,
-            "Engine": "monolithic",
-            "Seconds": round(baseline_seconds, 6),
-            "Queries/s": round(len(queries) / baseline_seconds, 1),
-            "Speedup": 1.0,
-            "Cold-start s": 0.0,
-        }
-    ]
+    cold_starts = [0.0]  # the baseline row's
     with tempfile.TemporaryDirectory() as default_dir:
         base_dir = Path(directory) if directory is not None else Path(default_dir)
-        for num_shards in shard_counts:
-            sharded = SearchEngine.from_engine(
-                engine, num_shards=num_shards, cache_entries=None
-            )
+
+        @contextmanager
+        def contender(num_shards: int):
             save_dir = base_dir / f"pool-{num_shards}"
-            try:
+            with SearchEngine.from_engine(
+                engine, num_shards=num_shards, cache_entries=None
+            ) as sharded:
                 sharded.save(save_dir, mmap_ready=mmap)
-            finally:
-                sharded.close()
             with ShardProcessPool(save_dir, config) as pool:
-                seconds = float("inf")
-                for _ in range(repeats):
-                    started = time.perf_counter()
+
+                def rank() -> list:
                     outcome = pool.rank_batch_detailed(queries, top_k=top_k)
-                    seconds = min(seconds, time.perf_counter() - started)
                     if not outcome.complete:
                         raise ConfigurationError(
                             f"{num_shards}-shard pool fan-out degraded: "
                             f"{outcome.failures}"
                         )
-                for got_results, want_results in zip(outcome.results, want):
-                    if not rankings_match(
-                        got_results,
-                        want_results,
-                        truncated=top_k is not None,
-                    ):
-                        raise ConfigurationError(
-                            f"{num_shards}-shard pool rankings diverged "
-                            "from the monolithic engine"
-                        )
-                cold_start = max(pool.worker_load_seconds())
-            rows.append(
-                {
-                    "Shards": num_shards,
-                    "Engine": f"{num_shards}-process pool",
-                    "Seconds": round(seconds, 6),
-                    "Queries/s": round(len(queries) / seconds, 1),
-                    "Speedup": round(baseline_seconds / seconds, 2),
-                    "Cold-start s": round(cold_start, 6),
-                }
-            )
+                    return outcome.results
+
+                yield f"{num_shards}-process pool", rank
+                cold_starts.append(max(pool.worker_load_seconds()))
+
+        rows = _fanout_sweep(
+            "pool_sweep", engine, queries, shard_counts, top_k, repeats, contender
+        )
+    for row, cold_start in zip(rows, cold_starts):
+        row["Cold-start s"] = round(cold_start, 6)
     return rows

@@ -21,15 +21,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.load.invariants import (
-    PARITY_TOL,
     ScenarioVerdict,
     check_replay_parity,
     check_scenario,
 )
-from repro.load.runner import WorkloadReport, WorkloadRunner, quiesced_rankings
+from repro.load.runner import WorkloadReport, quiesced_rankings, run_golden
 from repro.load.scenarios import (
     SCENARIO_CHAOS,
-    SCENARIO_DIURNAL,
     SCENARIO_FLASH_CROWD,
     SCENARIO_MULTI_TENANT,
     SCENARIO_NAMES,
@@ -57,7 +55,6 @@ def workload_sweep(
     build_engine: Callable[[], object],
     trace: WorkloadTrace,
     worker_counts: Sequence[int] = (1, 2, 4),
-    tol: float = PARITY_TOL,
     frontend_config=None,
 ) -> Tuple[List[Dict[str, object]], List[WorkloadReport]]:
     """Replay ``trace`` at each worker count; return table rows + reports.
@@ -65,7 +62,7 @@ def workload_sweep(
     ``build_engine`` must produce a freshly built, identically configured
     engine per call (each replay mutates its own instance).  The serial
     golden runs once and every concurrent run is parity-checked against
-    it — errors, state divergence, probe-ranking drift beyond ``tol`` or
+    it — errors, state divergence, probe-ranking drift beyond 1e-9 or
     an epoch regression all raise :class:`ConfigurationError`.  Returned
     reports are ordered like the rows: golden first, then one per worker
     count.  ``frontend_config`` (a :class:`repro.serve.FrontendConfig`)
@@ -80,48 +77,31 @@ def workload_sweep(
             f"worker counts must be >= 1, got {tuple(worker_counts)}"
         )
 
-    golden_engine = build_engine()
-    try:
-        golden = WorkloadRunner(golden_engine, trace).run_serial()
-        if golden.errors:
+    golden = run_golden(build_engine, trace)
+    rows = [_report_row(golden.report)]
+    reports = [golden.report]
+    for num_workers in worker_counts:
+        verdict = check_replay_parity(
+            build_engine,
+            trace,
+            num_workers=num_workers,
+            golden=golden,
+            frontend_config=frontend_config,
+        )
+        if not verdict.ok:
             raise ConfigurationError(
-                f"serial golden replay raised {len(golden.errors)} error(s); "
-                f"first: {golden.errors[0].splitlines()[-1]}"
+                f"{num_workers}-worker replay violated invariants:\n"
+                + "\n".join(verdict.violations)
             )
-        rows = [_report_row(golden)]
-        reports = [golden]
-        golden_rankings = quiesced_rankings(golden_engine, trace)
-        for num_workers in worker_counts:
-            verdict = check_replay_parity(
-                build_engine,
-                trace,
-                num_workers=num_workers,
-                tol=tol,
-                serial_report=golden,
-                serial_rankings=golden_rankings,
-                frontend_config=frontend_config,
-            )
-            if not verdict.ok:
-                raise ConfigurationError(
-                    f"{num_workers}-worker replay violated invariants:\n"
-                    + "\n".join(verdict.violations)
-                )
-            rows.append(_report_row(verdict.concurrent))
-            reports.append(verdict.concurrent)
-        return rows, reports
-    finally:
-        closer = getattr(golden_engine, "close", None)
-        if callable(closer):
-            closer()
+        rows.append(_report_row(verdict.concurrent))
+        reports.append(verdict.concurrent)
+    return rows, reports
 
 
 def _scenario_row(
     name: str, report: WorkloadReport, verdict: ScenarioVerdict
 ) -> Dict[str, object]:
     queries = report.latencies[QUERY]
-    submitted = int(verdict.details.get("submitted", 0))
-    shed = int(verdict.details.get("shed", 0))
-    shed_rate = shed / max(submitted + shed, 1) if submitted or shed else 0.0
     return {
         "Scenario": name,
         "Workers": report.num_workers,
@@ -129,7 +109,7 @@ def _scenario_row(
         "Ops/s": round(report.ops_per_second, 1),
         "Query p50": f"{queries.quantile(0.5) * 1e3:.2f}ms",
         "Query p99": f"{queries.quantile(0.99) * 1e3:.2f}ms",
-        "Shed rate": f"{shed_rate:.1%}",
+        "Shed rate": f"{verdict.details.get('shed_rate', 0.0):.1%}",
         "Degraded": int(verdict.details.get("degraded_errors", 0)),
         "Errors": len(report.errors),
     }
@@ -141,7 +121,6 @@ def scenario_sweep(
     scenario_names: Sequence[str] = SCENARIO_NAMES,
     seed: int = 0,
     num_workers: int = 4,
-    tol: float = PARITY_TOL,
     frontend_config=None,
     save_dir: Optional[str] = None,
     **scenario_kwargs,
@@ -156,8 +135,8 @@ def scenario_sweep(
     :class:`ConfigurationError` instead of reporting.  The flash-crowd
     and multi-tenant legs replay through the micro-batching front-end
     (``frontend_config`` or a default) because their invariants read the
-    dedup/admission books; diurnal replays *paced* so the arrival curve
-    is honoured; chaos needs ``save_dir`` (a published sharded save) and
+    dedup/admission books; diurnal replays paced because its trace is
+    stamped; chaos needs ``save_dir`` (a published sharded save) and
     is skipped with a raise if it is requested without one.  Rows are
     :func:`repro.eval.reporting.format_table`-ready: per-scenario wall
     time, throughput, query quantiles, shed rate and degraded-read
@@ -187,17 +166,12 @@ def scenario_sweep(
                     golden_engine, scenario.trace
                 )
             finally:
-                closer = getattr(golden_engine, "close", None)
-                if callable(closer):
-                    closer()
+                golden_engine.close()
             outcome = run_chaos(
                 save_dir, scenario, num_workers=num_workers
             )
             verdict = check_scenario(
-                scenario,
-                chaos=outcome,
-                golden_rankings=golden_rankings,
-                tol=tol,
+                scenario, chaos=outcome, golden_rankings=golden_rankings
             )
             report = outcome.report
         else:
@@ -214,14 +188,12 @@ def scenario_sweep(
                 build_engine,
                 scenario.trace,
                 num_workers=num_workers,
-                tol=tol,
                 frontend_config=config if use_frontend else None,
-                pace=name == SCENARIO_DIURNAL,
                 allowed_error_kinds=("Overloaded",)
                 if use_frontend
                 else (),
             )
-            verdict = check_scenario(scenario, parity=parity, tol=tol)
+            verdict = check_scenario(scenario, parity=parity)
             report = parity.concurrent
         if not verdict.ok:
             raise ConfigurationError(

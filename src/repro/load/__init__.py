@@ -13,17 +13,19 @@ keeping every run reproducible from one seed:
   serially (the golden reference) or across N worker threads with
   mutations admitted in trace order, recording per-op-kind latency
   histograms (with per-tenant sub-books), throughput and an
-  epoch-observation audit;
+  epoch-observation audit; :func:`run_golden` and
+  :func:`scratch_rankings` produce the two parity references (the serial
+  replay's quiesced probes, a from-scratch rebuild's);
 * :mod:`repro.load.scenarios` — named, seeded production-shaped profiles
   (:data:`SCENARIO_NAMES`): flash crowds, diurnal arrival curves,
   multi-tenant skew, rebuild storms and a chaos profile whose
   :class:`FaultPlan` kills/stalls shard-pool workers at trace-scheduled
   points (:func:`run_chaos`);
 * :mod:`repro.load.invariants` — :func:`check_replay_parity` (the parity
-  bar: zero errors, state convergence, 1e-9 probe parity, monotone
-  epochs) plus per-scenario invariants via :func:`check_scenario`
-  (dedup amortization, pacing fidelity, tenant partitioning, typed
-  degraded modes and bounded chaos recovery).
+  bar as four small checks: errors typed, state converged, epochs
+  monotone, probes match at 1e-9) plus per-scenario invariants via
+  :func:`check_scenario` (dedup amortization, pacing fidelity, tenant
+  partitioning, typed degraded modes and bounded chaos recovery).
 """
 
 from repro.load.workload import (
@@ -36,11 +38,14 @@ from repro.load.workload import (
     WorkloadTrace,
 )
 from repro.load.runner import (
+    GoldenReplay,
     LatencyHistogram,
     WorkloadReport,
     WorkloadRunner,
     merge_workload_reports,
     quiesced_rankings,
+    run_golden,
+    scratch_rankings,
 )
 from repro.load.scenarios import (
     DEFAULT_TENANTS,
@@ -87,6 +92,9 @@ __all__ = [
     "WorkloadRunner",
     "merge_workload_reports",
     "quiesced_rankings",
+    "GoldenReplay",
+    "run_golden",
+    "scratch_rankings",
     "DEFAULT_TENANTS",
     "FAULT_KILL",
     "FAULT_KINDS",

@@ -1,30 +1,36 @@
 """Replay invariants: what must hold after any replay of one trace.
 
 The contract the serving layer's read/write discipline buys, stated as
-checkable properties over a serial golden replay and a concurrent stress
+four small checks over a serial golden replay and a concurrent stress
 replay of the *same* trace on *equally built* engines:
 
-1. **zero errors** — no operation of either replay may raise;
-2. **state convergence** — final epoch and resource count agree (the
+1. **errors typed** — no operation of the golden may raise, and the
+   concurrent side only with an explicitly allowed exception kind;
+2. **state converged** — final epoch and resource count agree (the
    mutation gate makes the concurrent final state well-defined);
-3. **ranking parity** — after both engines quiesce, the trace's fixed
-   evaluation probes rank identically to 1e-9 (tie groups may permute,
-   exactly the tolerance of the sharded parity suites);
-4. **epoch monotonicity** — no replay worker ever observed the index
-   epoch run backwards through its epoch-consistent snapshot reads.
+3. **epochs monotone** — no replay worker ever observed the index epoch
+   run backwards through its epoch-consistent snapshot reads;
+4. **probes match** — after both engines quiesce, the trace's fixed
+   evaluation probes rank identically to 1e-9 (tie groups may permute)
+   through the one comparator loop,
+   :func:`~repro.search.vsm.mismatched_probes`.
 
-:func:`check_replay_parity` builds both engines from one factory, runs
-both replays, verifies all four properties and returns a
-:class:`ReplayParityReport` with the verdict and both workload reports.
+:func:`check_replay_parity` is a replay step (build both engines, run
+both replays) followed by those four checks; :func:`check_chaos` and the
+scenario checkers reuse the same checks on their own evidence.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.load.runner import WorkloadReport, WorkloadRunner, quiesced_rankings
+from repro.load.runner import (
+    GoldenReplay,
+    ReplayPair,
+    WorkloadReport,
+    replay_pair,
+)
 from repro.load.scenarios import (
     SCENARIO_CHAOS,
     SCENARIO_DIURNAL,
@@ -35,22 +41,110 @@ from repro.load.scenarios import (
     ScenarioTrace,
 )
 from repro.load.workload import QUERY, WorkloadTrace
+from repro.search.vsm import PARITY_TOL, mismatched_probes
 from repro.utils.errors import ConfigurationError
 
-#: The ranking parity tolerance shared with the sharded parity suites.
-PARITY_TOL = 1e-9
+#: Flash crowd: the share of admitted queries that must be absorbed by
+#: in-flight coalescing or a cache hit, and the most that may be shed.
+MIN_AMORTIZATION = 0.2
+MAX_SHED_RATE = 0.5
+#: Rebuild storm: the least mutation share that still counts as a storm.
+MIN_MUTATION_FRACTION = 0.4
+#: Chaos: a whole faulted run that takes longer than this hung somewhere.
+MAX_CHAOS_WALL_SECONDS = 120.0
 
 
+# ---------------------------------------------------------------------- #
+# The four checks
+# ---------------------------------------------------------------------- #
+def _error_violations(
+    label: str, report: WorkloadReport, allowed: Sequence[str]
+) -> List[str]:
+    """Errors typed: every failure's exception kind must be allowed."""
+    bad = [failure for failure in report.failures if failure[0] not in allowed]
+    if not bad:
+        return []
+    kinds = sorted({kind for kind, _message in bad})
+    return [
+        f"{label} replay raised {len(bad)} error(s) of kinds {kinds} outside "
+        f"the allowed {list(allowed)}; first: {bad[0][1].splitlines()[-1]}"
+    ]
+
+
+def _swap_violations(replay: ReplayPair) -> List[str]:
+    """A requested hot swap must land: no exception, >= 1 generation."""
+    if replay.swap_error is not None:
+        return [f"swap-during-replay raised: {replay.swap_error!r}"]
+    if replay.swapped and replay.generations_advanced < 1:
+        return [
+            "swap-during-replay completed without advancing the engine "
+            "generation"
+        ]
+    return []
+
+
+def _state_violations(replay: ReplayPair) -> List[str]:
+    """State converged: equal resources, epochs equal up to landed swaps.
+
+    Each hot swap stamps the incoming engine ``old epoch + 1``, so the
+    concurrent side legitimately runs ahead of the golden by exactly
+    ``generations_advanced``.
+    """
+    serial, swaps = replay.golden.report, replay.generations_advanced
+    violations = [
+        f"{what} epoch diverged: serial {want} + {swaps} swap(s) expects "
+        f"{want + swaps} but concurrent reached {got}"
+        for what, want, got in (
+            ("final", serial.final_epoch, replay.final_epoch),
+            ("quiesced", replay.golden.rankings[0], replay.rankings[0]),
+        )
+        if got != want + swaps
+    ]
+    if replay.concurrent.final_resources != serial.final_resources:
+        violations.append(
+            f"final resource count diverged: serial {serial.final_resources} "
+            f"vs concurrent {replay.concurrent.final_resources}"
+        )
+    return violations
+
+
+def _epoch_violations(report: WorkloadReport) -> List[str]:
+    """Epochs monotone: no reader saw the index epoch run backwards."""
+    regressions = report.epoch_log.regressions()
+    if not regressions:
+        return []
+    reader, seen, then = regressions[0]
+    return [
+        f"epoch ran backwards for {reader}: observed {seen} then {then} "
+        f"({len(regressions)} regression(s) total)"
+    ]
+
+
+def _probe_violations(
+    mismatched: List[int], trace: WorkloadTrace, reference: str
+) -> List[str]:
+    """Probes match: ``mismatched_probes`` against ``reference`` is empty."""
+    if not mismatched:
+        return []
+    first = mismatched[0]
+    return [
+        f"{len(mismatched)} of {len(trace.eval_queries)} evaluation probes "
+        f"diverged from {reference} beyond {PARITY_TOL:g} (first: probe "
+        f"{first}, query {trace.eval_queries[first]!r})"
+    ]
+
+
+# ---------------------------------------------------------------------- #
+# The parity bar: the replay step judged by the four checks
+# ---------------------------------------------------------------------- #
 @dataclass
 class ReplayParityReport:
     """Verdict of one serial-vs-concurrent replay comparison.
 
-    In swap-during-replay mode ``generations_advanced`` counts the hot
-    swaps that landed mid-replay and ``scratch_mismatched_probes`` lists
-    probes where the post-swap engine diverged from a scratch rebuild of
-    the final corpus under the post-swap concept model (the swap-mode
-    parity oracle — the serial golden ranks under the *old* model and
-    cannot be compared across a refit).
+    ``mismatched_probes`` lists the probes that diverged from the
+    reference — the serial golden's rankings, or in swap-during-replay
+    mode (``generations_advanced`` counts the hot swaps that landed
+    mid-replay) :func:`scratch_rankings` under the post-swap model.
     """
 
     serial: WorkloadReport
@@ -58,7 +152,6 @@ class ReplayParityReport:
     violations: List[str]
     mismatched_probes: List[int]
     generations_advanced: int = 0
-    scratch_mismatched_probes: List[int] = field(default_factory=list)
     #: The front-end's ``stats()`` snapshot taken right after the
     #: concurrent replay drained (None when no front-end was involved) —
     #: the evidence scenario checkers read coalescing/cache/shed numbers
@@ -90,27 +183,19 @@ def check_replay_parity(
     build_engine: Callable[[], object],
     trace: WorkloadTrace,
     num_workers: int = 4,
-    tol: float = PARITY_TOL,
-    serial_report: Optional[WorkloadReport] = None,
-    serial_engine: Optional[object] = None,
-    serial_rankings: Optional[Tuple[int, List[list]]] = None,
+    golden: Optional[GoldenReplay] = None,
     frontend_config: Optional[object] = None,
     concurrent_build_engine: Optional[Callable[[], object]] = None,
     swap_during_replay: Optional[Callable[[], object]] = None,
-    pace: bool = False,
     allowed_error_kinds: Sequence[str] = (),
 ) -> ReplayParityReport:
     """Replay ``trace`` serially and concurrently; verify the invariants.
 
     ``build_engine`` must return a *freshly built, identically configured*
-    engine on every call — each replay mutates its own instance.  Engines
-    exposing ``close`` (the sharded fan-out pool) are closed before
-    returning.  Callers that already hold a serial golden run (e.g. a
-    sweep comparing several worker counts against one golden) can pass
-    ``serial_report`` plus either ``serial_rankings`` (the
-    :func:`~repro.load.runner.quiesced_rankings` pair, so the probes are
-    not re-ranked per call) or ``serial_engine`` to derive them; a
-    caller-provided serial engine is *not* closed here.
+    engine on every call — each replay mutates its own instance, and both
+    are closed before returning.  A caller that already holds the serial
+    run (a sweep comparing several worker counts against one golden)
+    passes it as ``golden`` (see :func:`run_golden`).
 
     ``concurrent_build_engine`` swaps in a different factory for the
     *concurrent* side only — the pool-backed replay mode: the serial
@@ -125,269 +210,67 @@ def check_replay_parity(
     With ``frontend_config`` (a :class:`repro.serve.FrontendConfig`), the
     *concurrent* replay routes every query through a
     :class:`~repro.serve.frontend.BatchingFrontend` wrapped around the
-    concurrent engine — worker submissions coalesce into micro-batched
-    engine reads — while the serial golden stays direct, so the exact
-    same invariants (zero errors, state convergence, post-quiesce probe
-    parity, epoch monotonicity) are re-proven *through the batching
-    path*.  The front-end is drained and closed before the quiesced
-    probes are ranked.
+    concurrent engine while the serial golden stays direct, so the same
+    four checks are re-proven *through the batching path*.  The front-end
+    is drained and closed before the quiesced probes are ranked.
 
     ``swap_during_replay`` turns on **swap mode**: the callable (e.g. a
     bound :meth:`~repro.search.lifecycle.RefitCoordinator.refit`) runs on
     a side thread *while* the concurrent replay hammers the engine —
     which must then be a folksonomy-tracking
     :class:`~repro.search.lifecycle.EngineHandle` (pass it via
-    ``concurrent_build_engine``).  The invariants adapt to the hot swap:
-    zero errors, resource convergence and per-reader epoch monotonicity
-    hold unchanged; the final-epoch check becomes ``serial + generations
-    advanced`` (each swap stamps its engine ``old epoch + 1``); and probe
-    parity is judged against a **scratch rebuild** of the handle's final
-    folksonomy under the *post-swap* concept model instead of the serial
-    golden (the refit replaced the model, so the golden's rankings are
-    incomparable — but fold-in through the new model must still equal a
-    scratch build at ``tol``, the PR 2 invariant carried across the
-    swap).  A swap callable that raises, or that completes without
-    advancing the handle's generation, is itself a violation.
-
-    ``pace`` makes the *concurrent* replay honour per-operation
-    ``arrival_offset`` stamps (the diurnal scenario); the serial golden
-    stays unpaced — pacing shapes arrivals, not answers.
+    ``concurrent_build_engine``).  The four checks are the same; swap
+    mode only changes two of their inputs: the expected epoch becomes
+    ``serial + generations advanced``, and the probes' reference becomes
+    :func:`scratch_rankings` (the refit replaced the model the golden
+    ranked under).  A swap callable that raises, or that completes
+    without advancing the handle's generation, is itself a violation.
 
     ``allowed_error_kinds`` names exception classes (by ``__name__``)
     that the **concurrent** replay may raise without violating the
-    zero-error bar — scenarios that deliberately shed load pass
+    errors-typed check — scenarios that deliberately shed load pass
     ``("Overloaded",)`` so a typed rejection is not confused with a
-    wrong answer.  The serial golden must still be error-free, every
-    error must carry a recorded kind, and all the remaining invariants
-    (state convergence, probe parity, epoch monotonicity) apply
-    unchanged.
-    """
-    # Deferred: repro.eval.workload wraps this checker, so importing the
-    # comparator at module scope would make repro.load and repro.eval
-    # mutually dependent at import time.
-    from repro.eval.sharding import rankings_match
+    wrong answer.  The serial golden must still be error-free.
 
+    Arrival pacing needs no flag: the concurrent runner honours the
+    trace's ``arrival_offset`` stamps (the diurnal scenario); the golden
+    stays unpaced — pacing shapes arrivals, not answers.
+    """
     if num_workers < 1:
         raise ConfigurationError(
             f"num_workers must be >= 1, got {num_workers}"
         )
-    own_serial = serial_report is None
-    if own_serial:
-        serial_engine = build_engine()
-        serial_report = WorkloadRunner(serial_engine, trace).run_serial()
-    elif serial_rankings is None and serial_engine is None:
-        raise ConfigurationError(
-            "serial_report without serial_rankings or serial_engine: the "
-            "quiesced golden rankings cannot be recovered"
-        )
-    if serial_rankings is None:
-        serial_rankings = quiesced_rankings(serial_engine, trace)
-
-    concurrent_engine = (concurrent_build_engine or build_engine)()
-    try:
-        swap_outcome: dict = {}
-        swap_thread: Optional[threading.Thread] = None
-        generation_before = getattr(concurrent_engine, "generation", 0) or 0
-        if swap_during_replay is not None:
-
-            def _run_swap() -> None:
-                try:
-                    swap_outcome["value"] = swap_during_replay()
-                except BaseException as error:  # noqa: BLE001 - reported
-                    swap_outcome["error"] = error
-
-            swap_thread = threading.Thread(
-                target=_run_swap, name="swap-during-replay", daemon=True
-            )
-            swap_thread.start()
-
-        frontend_stats: Optional[Dict[str, object]] = None
-        if frontend_config is not None:
-            # Deferred for the same reason as rankings_match above:
-            # repro.serve reuses repro.load's LatencyHistogram.
-            from repro.serve.frontend import BatchingFrontend
-
-            with BatchingFrontend(
-                concurrent_engine, frontend_config, name="replay"
-            ) as frontend:
-                concurrent_report = WorkloadRunner(
-                    concurrent_engine, trace
-                ).run_concurrent(num_workers, frontend=frontend, pace=pace)
-                if swap_thread is not None:
-                    # Joined with the front-end still open: the refit may
-                    # need a last micro-batch window to drain, and its
-                    # swap must land on a *serving* front-end to prove
-                    # zero-pause.
-                    swap_thread.join()
-                frontend_stats = frontend.stats()
-        else:
-            concurrent_report = WorkloadRunner(
-                concurrent_engine, trace
-            ).run_concurrent(num_workers, pace=pace)
-            if swap_thread is not None:
-                swap_thread.join()
-
-        violations: List[str] = []
-        mismatched: List[int] = []
-        scratch_mismatched: List[int] = []
-        generations_advanced = 0
-        if swap_during_replay is not None:
-            if "error" in swap_outcome:
-                violations.append(
-                    f"swap-during-replay raised: {swap_outcome['error']!r}"
-                )
-            generations_advanced = (
-                (getattr(concurrent_engine, "generation", 0) or 0)
-                - generation_before
-            )
-            if generations_advanced < 1 and "error" not in swap_outcome:
-                violations.append(
-                    "swap-during-replay completed without advancing the "
-                    "engine generation"
-                )
-        for label, report in (
-            ("serial", serial_report),
-            ("concurrent", concurrent_report),
-        ):
-            if not report.errors:
-                continue
-            # Only the concurrent side may claim an allowance, and only
-            # for errors whose recorded kind is explicitly allowed — an
-            # error without a kind entry is untyped and always counts.
-            allowed = set(allowed_error_kinds) if label == "concurrent" else ()
-            kinds = list(report.error_kinds)
-            if len(kinds) < len(report.errors):
-                kinds += ["<unrecorded>"] * (len(report.errors) - len(kinds))
-            disallowed = [
-                index
-                for index, kind in enumerate(kinds)
-                if kind not in allowed
-            ]
-            if disallowed:
-                first = disallowed[0]
-                violations.append(
-                    f"{label} replay raised {len(disallowed)} disallowed "
-                    f"error(s) of {len(report.errors)}; first "
-                    f"({kinds[first]}): "
-                    f"{report.errors[first].splitlines()[-1]}"
-                )
-        # Each hot swap stamps the incoming engine ``old epoch + 1``, so in
-        # swap mode the concurrent side legitimately runs ahead of the
-        # serial golden by exactly the number of swaps that landed.  The
-        # report's final epoch was captured when the replay drained — a
-        # swap may land *after* that (it is only joined later), so read
-        # the live epoch post-join.
-        concurrent_final_epoch = (
-            concurrent_engine.epoch
-            if swap_during_replay is not None
-            else concurrent_report.final_epoch
-        )
-        expected_epoch = serial_report.final_epoch + generations_advanced
-        if concurrent_final_epoch != expected_epoch:
-            violations.append(
-                f"final epoch diverged: serial {serial_report.final_epoch} "
-                f"+ {generations_advanced} swap(s) expects {expected_epoch} "
-                f"but concurrent finished at {concurrent_final_epoch}"
-            )
-        if concurrent_report.final_resources != serial_report.final_resources:
-            violations.append(
-                "final resource count diverged: serial "
-                f"{serial_report.final_resources} vs concurrent "
-                f"{concurrent_report.final_resources}"
-            )
-        regressions = concurrent_report.epoch_log.regressions()
-        if regressions:
-            reader, seen, then = regressions[0]
-            violations.append(
-                f"epoch ran backwards for {reader}: observed {seen} then "
-                f"{then} ({len(regressions)} regression(s) total)"
-            )
-
-        truncated = trace.config.top_k is not None
-        got_epoch, got = quiesced_rankings(concurrent_engine, trace)
-        if swap_during_replay is None:
-            want_epoch, want = serial_rankings
-            if want_epoch != got_epoch:
-                violations.append(
-                    f"quiesced epochs diverged: serial {want_epoch} vs "
-                    f"concurrent {got_epoch}"
-                )
-            for probe, (got_results, want_results) in enumerate(
-                zip(got, want)
-            ):
-                if not rankings_match(
-                    got_results, want_results, tol=tol, truncated=truncated
-                ):
-                    mismatched.append(probe)
-            if mismatched:
-                violations.append(
-                    f"{len(mismatched)} of {len(want)} evaluation probes "
-                    f"diverged beyond {tol:g} (first: probe {mismatched[0]}, "
-                    f"query {trace.eval_queries[mismatched[0]]!r})"
-                )
-        else:
-            # Swap mode: the serial golden ranks under the pre-refit
-            # concept model and is incomparable.  The oracle instead is a
-            # scratch rebuild of the final corpus under the *post-swap*
-            # model (deep-copied through its JSON codec so the scratch
-            # build cannot share — or allocate into — the live model):
-            # journal-replayed fold-in must equal it at ``tol``.
-            from repro.search.engine import (
-                SearchEngine,
-                concept_model_from_json,
-                concept_model_to_json,
-            )
-
-            final_folksonomy = getattr(concurrent_engine, "folksonomy", None)
-            final_model = getattr(concurrent_engine, "concept_model", None)
-            if final_folksonomy is None or final_model is None:
-                violations.append(
-                    "swap mode needs a folksonomy-tracking EngineHandle on "
-                    "the concurrent side; got "
-                    f"{type(concurrent_engine).__name__} without one"
-                )
-            else:
-                scratch = SearchEngine.build(
-                    final_folksonomy,
-                    concept_model_from_json(concept_model_to_json(final_model)),
-                )
-                scratch.refresh()
-                _, want_scratch = scratch.snapshot_rank_batch(
-                    [list(query) for query in trace.eval_queries],
-                    top_k=trace.config.top_k,
-                )
-                for probe, (got_results, want_results) in enumerate(
-                    zip(got, want_scratch)
-                ):
-                    if not rankings_match(
-                        got_results, want_results, tol=tol, truncated=truncated
-                    ):
-                        scratch_mismatched.append(probe)
-                if scratch_mismatched:
-                    violations.append(
-                        f"{len(scratch_mismatched)} of {len(want_scratch)} "
-                        "probes diverged from the scratch rebuild beyond "
-                        f"{tol:g} after the swap (first: probe "
-                        f"{scratch_mismatched[0]}, query "
-                        f"{trace.eval_queries[scratch_mismatched[0]]!r})"
-                    )
-        return ReplayParityReport(
-            serial=serial_report,
-            concurrent=concurrent_report,
-            violations=violations,
-            mismatched_probes=mismatched,
-            generations_advanced=generations_advanced,
-            scratch_mismatched_probes=scratch_mismatched,
-            frontend_stats=frontend_stats,
-        )
-    finally:
-        closer = getattr(concurrent_engine, "close", None)
-        if callable(closer):
-            closer()
-        if own_serial:
-            closer = getattr(serial_engine, "close", None)
-            if callable(closer):
-                closer()
+    replay = replay_pair(
+        build_engine,
+        trace,
+        num_workers,
+        golden,
+        frontend_config,
+        concurrent_build_engine,
+        swap_during_replay,
+    )
+    mismatched = mismatched_probes(
+        replay.rankings[1],
+        replay.reference,
+        truncated=trace.config.top_k is not None,
+    )
+    reference = "the post-swap scratch rebuild" if replay.swapped else "the golden"
+    violations = (
+        _swap_violations(replay)
+        + _error_violations("serial", replay.golden.report, ())
+        + _error_violations("concurrent", replay.concurrent, allowed_error_kinds)
+        + _state_violations(replay)
+        + _epoch_violations(replay.concurrent)
+        + _probe_violations(mismatched, trace, reference)
+    )
+    return ReplayParityReport(
+        serial=replay.golden.report,
+        concurrent=replay.concurrent,
+        violations=violations,
+        mismatched_probes=mismatched,
+        generations_advanced=replay.generations_advanced,
+        frontend_stats=replay.frontend_stats,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -421,43 +304,20 @@ class ScenarioVerdict:
         return "\n".join(lines)
 
 
-def _typed_error_violations(
-    report: WorkloadReport, allowed: Sequence[str], violations: List[str]
-) -> None:
-    """Every error must be recorded with an allowed exception kind."""
-    kinds = list(report.error_kinds)
-    if len(kinds) != len(report.errors):
-        violations.append(
-            f"{len(report.errors)} error(s) but only {len(kinds)} recorded "
-            "kind(s) — untyped failures slipped through"
-        )
-        return
-    bad = sorted({kind for kind in kinds if kind not in set(allowed)})
-    if bad:
-        violations.append(
-            f"untyped/disallowed error kinds {bad}; allowed: {list(allowed)}"
-        )
-
-
-def check_flash_crowd(
-    parity: ReplayParityReport,
-    min_amortization: float = 0.2,
-    max_shed_rate: float = 0.5,
-) -> ScenarioVerdict:
+def check_flash_crowd(parity: ReplayParityReport) -> ScenarioVerdict:
     """Flash crowd: dedup/cache amortization, bounded shed, right answers.
 
     The crowd's repeats must be *absorbed* — at least
-    ``min_amortization`` of admitted queries resolved by in-flight
+    :data:`MIN_AMORTIZATION` of admitted queries resolved by in-flight
     coalescing or a cache hit rather than a fresh engine scoring — while
     any load shedding stays typed (``Overloaded`` only), under
-    ``max_shed_rate``, and never corrupts an answer (the parity bar's
+    :data:`MAX_SHED_RATE`, and never corrupts an answer (the parity bar's
     probe check stands in for "zero wrong answers").
     """
-    violations = list(parity.violations)
-    details: Dict[str, object] = {}
-    _typed_error_violations(
-        parity.concurrent, ("Overloaded",), violations
+    violations = parity.violations + _error_violations(
+        "concurrent", parity.concurrent, ("Overloaded",)
     )
+    details: Dict[str, object] = {}
     stats = parity.frontend_stats
     if stats is None:
         violations.append(
@@ -481,16 +341,16 @@ def check_flash_crowd(
             shed=shed,
             shed_rate=round(shed_rate, 4),
         )
-        if amortization < min_amortization:
+        if amortization < MIN_AMORTIZATION:
             violations.append(
                 f"crowd repeats were not amortized: {amortization:.1%} of "
                 f"{submitted} admitted queries coalesced or hit the cache "
-                f"(floor {min_amortization:.0%})"
+                f"(floor {MIN_AMORTIZATION:.0%})"
             )
-        if shed_rate > max_shed_rate:
+        if shed_rate > MAX_SHED_RATE:
             violations.append(
                 f"shed rate {shed_rate:.1%} exceeds the "
-                f"{max_shed_rate:.0%} bound"
+                f"{MAX_SHED_RATE:.0%} bound"
             )
     return ScenarioVerdict(SCENARIO_FLASH_CROWD, violations, details)
 
@@ -539,25 +399,20 @@ def check_multi_tenant(
     """
     violations = list(parity.violations)
     details: Dict[str, object] = {}
-    queries = parity.concurrent.latencies.get(QUERY)
-    children = queries.children() if queries is not None else {}
-    expected = {
+    children = parity.concurrent.tenant_latencies(QUERY)
+    tenant_queries = [
         op.tenant
         for op in scenario.trace.operations
         if op.kind == QUERY and op.tenant
-    }
-    tenant_query_ops = sum(
-        1
-        for op in scenario.trace.operations
-        if op.kind == QUERY and op.tenant
-    )
+    ]
+    expected, tenant_query_ops = set(tenant_queries), len(tenant_queries)
     missing = sorted(expected - set(children))
     if missing:
         violations.append(
             f"tenants {missing} sent queries but have no latency book"
         )
     labeled = sum(child.count for child in children.values())
-    aggregate = queries.count if queries is not None else 0
+    aggregate = parity.concurrent.latencies[QUERY].count
     details.update(
         tenants=sorted(expected),
         labeled_samples=labeled,
@@ -593,9 +448,7 @@ def check_multi_tenant(
 
 
 def check_rebuild_storm(
-    parity: ReplayParityReport,
-    scenario: ScenarioTrace,
-    min_mutation_fraction: float = 0.4,
+    parity: ReplayParityReport, scenario: ScenarioTrace
 ) -> ScenarioVerdict:
     """Rebuild storm: genuinely write-heavy, still converging exactly.
 
@@ -615,10 +468,10 @@ def check_rebuild_storm(
         "final_epoch": parity.concurrent.final_epoch,
         "generations_advanced": parity.generations_advanced,
     }
-    if fraction < min_mutation_fraction:
+    if fraction < MIN_MUTATION_FRACTION:
         violations.append(
             f"storm too gentle: {fraction:.1%} mutations "
-            f"(floor {min_mutation_fraction:.0%})"
+            f"(floor {MIN_MUTATION_FRACTION:.0%})"
         )
     expected_epoch = (
         parity.serial.final_epoch + parity.generations_advanced
@@ -634,55 +487,40 @@ def check_rebuild_storm(
 def check_chaos(
     outcome: ChaosOutcome,
     golden_rankings: Tuple[int, List[list]],
-    tol: float = PARITY_TOL,
     max_recovery_seconds: float = 10.0,
-    max_wall_seconds: float = 120.0,
 ) -> ScenarioVerdict:
     """Chaos: typed degradation only, bounded time, exact reconvergence.
 
     Every error the faulted replay surfaced must be a typed degraded
     response (``ShardPoolDegraded`` under strict reads, ``Overloaded``
     under admission pressure) — never an untyped failure, and never a
-    hang: the whole run and the post-restore recovery are wall-bounded.
-    After the plan's restores, the quiesced pool must rank the trace's
-    evaluation probes identically (``tol``) to the golden engine — the
-    revived pool serves exactly what an unfaulted one would.
+    hang: the whole run (:data:`MAX_CHAOS_WALL_SECONDS`) and the
+    post-restore recovery are wall-bounded.  After the plan's restores,
+    the quiesced pool must rank the trace's evaluation probes identically
+    (1e-9) to the golden engine — the revived pool serves exactly what an
+    unfaulted one would.
     """
-    from repro.eval.sharding import rankings_match  # deferred, as above
-
-    violations: List[str] = []
     report = outcome.report
-    _typed_error_violations(
-        report, ("ShardPoolDegraded", "Overloaded"), violations
+    trace = outcome.scenario.trace
+    mismatched = mismatched_probes(
+        outcome.post_rankings[1],
+        golden_rankings[1],
+        truncated=trace.config.top_k is not None,
+    )
+    violations = (
+        _error_violations("chaos", report, ("ShardPoolDegraded", "Overloaded"))
+        + _epoch_violations(report)
+        + _probe_violations(mismatched, trace, "the golden after revival")
     )
     if outcome.recovery_seconds > max_recovery_seconds:
         violations.append(
             f"post-restore recovery took {outcome.recovery_seconds:.2f}s "
             f"(bound {max_recovery_seconds:g}s)"
         )
-    if outcome.wall_seconds > max_wall_seconds:
+    if outcome.wall_seconds > MAX_CHAOS_WALL_SECONDS:
         violations.append(
             f"chaos run took {outcome.wall_seconds:.1f}s "
-            f"(bound {max_wall_seconds:g}s) — something hung"
-        )
-    regressions = report.epoch_log.regressions()
-    if regressions:
-        reader, seen, then = regressions[0]
-        violations.append(
-            f"epoch ran backwards for {reader}: observed {seen} then {then}"
-        )
-    truncated = outcome.scenario.trace.config.top_k is not None
-    _, want = golden_rankings
-    _, got = outcome.post_rankings
-    mismatched = [
-        probe
-        for probe, (ours, theirs) in enumerate(zip(got, want))
-        if not rankings_match(ours, theirs, tol=tol, truncated=truncated)
-    ]
-    if mismatched:
-        violations.append(
-            f"{len(mismatched)} of {len(want)} post-revival probes diverged "
-            f"from the golden beyond {tol:g} (first: probe {mismatched[0]})"
+            f"(bound {MAX_CHAOS_WALL_SECONDS:g}s) — something hung"
         )
     workers = outcome.health.get("workers", [])
     unhealthy = [
@@ -712,8 +550,6 @@ def check_scenario(
     parity: Optional[ReplayParityReport] = None,
     chaos: Optional[ChaosOutcome] = None,
     golden_rankings: Optional[Tuple[int, List[list]]] = None,
-    tol: float = PARITY_TOL,
-    **thresholds,
 ) -> ScenarioVerdict:
     """Dispatch one scenario's outcome to its invariant checker.
 
@@ -721,8 +557,7 @@ def check_scenario(
     :func:`check_replay_parity`; chaos passes the
     :class:`~repro.load.scenarios.ChaosOutcome` from
     :func:`~repro.load.scenarios.run_chaos` plus the golden engine's
-    quiesced probe rankings.  ``thresholds`` forward to the specific
-    checker (amortization floors, shed/recovery bounds, …).
+    quiesced probe rankings.
     """
     name = scenario.scenario
     if name == SCENARIO_CHAOS:
@@ -731,17 +566,17 @@ def check_scenario(
                 "chaos verdicts need chaos= (a ChaosOutcome) and "
                 "golden_rankings="
             )
-        return check_chaos(chaos, golden_rankings, tol=tol, **thresholds)
+        return check_chaos(chaos, golden_rankings)
     if parity is None:
         raise ConfigurationError(
             f"scenario {name!r} needs parity= (a ReplayParityReport)"
         )
     if name == SCENARIO_FLASH_CROWD:
-        return check_flash_crowd(parity, **thresholds)
+        return check_flash_crowd(parity)
     if name == SCENARIO_DIURNAL:
-        return check_diurnal(parity, scenario, **thresholds)
+        return check_diurnal(parity, scenario)
     if name == SCENARIO_MULTI_TENANT:
-        return check_multi_tenant(parity, scenario, **thresholds)
+        return check_multi_tenant(parity, scenario)
     if name == SCENARIO_REBUILD_STORM:
-        return check_rebuild_storm(parity, scenario, **thresholds)
+        return check_rebuild_storm(parity, scenario)
     raise ConfigurationError(f"unknown scenario {name!r}")

@@ -28,10 +28,16 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import ExitStack
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.load.workload import MUTATE, QUERY, REFRESH, Operation, WorkloadTrace
+from repro.search.engine import (
+    SearchEngine,
+    concept_model_from_json,
+    concept_model_to_json,
+)
 from repro.search.incremental import EpochObservationLog
 from repro.utils.errors import ConfigurationError
 from repro.utils.timing import format_duration
@@ -204,17 +210,26 @@ class WorkloadReport:
     wall_seconds: float
     op_counts: Dict[str, int]
     latencies: Dict[str, LatencyHistogram]
-    errors: List[str]
+    #: One ``(exception class name, message)`` entry per failed operation
+    #: — the typed-failure ledger scenario invariants assert over (e.g. a
+    #: chaos replay may only ever see ShardPoolDegraded/Overloaded kinds
+    #: here, never a bare RuntimeError).
+    failures: List[Tuple[str, str]]
     epoch_log: EpochObservationLog
     final_epoch: int
     final_resources: int
     cache_stats: Optional[Dict[str, object]] = None
     quiesce_seconds: float = 0.0
-    #: Exception class names parallel to ``errors`` — the typed-failure
-    #: ledger scenario invariants assert over (e.g. a chaos replay may
-    #: only ever see ShardPoolDegraded/Overloaded here, never a bare
-    #: RuntimeError or a missing entry).
-    error_kinds: List[str] = field(default_factory=list)
+
+    @property
+    def errors(self) -> List[str]:
+        """The failure messages, in recording order."""
+        return [message for _kind, message in self.failures]
+
+    @property
+    def error_kinds(self) -> List[str]:
+        """The failures' exception class names, parallel to :attr:`errors`."""
+        return [kind for kind, _message in self.failures]
 
     @property
     def total_operations(self) -> int:
@@ -274,8 +289,7 @@ def merge_workload_reports(
         raise ConfigurationError("cannot merge zero workload reports")
     latencies: Dict[str, LatencyHistogram] = {}
     op_counts: Dict[str, int] = {}
-    errors: List[str] = []
-    error_kinds: List[str] = []
+    failures: List[Tuple[str, str]] = []
     epoch_log = EpochObservationLog()
     wall = 0.0
     for report in reports:
@@ -284,8 +298,7 @@ def merge_workload_reports(
             op_counts[kind] = op_counts.get(kind, 0) + count
         for kind, histogram in report.latencies.items():
             latencies.setdefault(kind, LatencyHistogram()).merge(histogram)
-        errors.extend(report.errors)
-        error_kinds.extend(report.error_kinds)
+        failures.extend(report.failures)
         for reader, epoch in report.epoch_log.observations():
             epoch_log.record(reader, epoch)
     last = reports[-1]
@@ -295,13 +308,12 @@ def merge_workload_reports(
         wall_seconds=wall,
         op_counts=op_counts,
         latencies=latencies,
-        errors=errors,
+        failures=failures,
         epoch_log=epoch_log,
         final_epoch=last.final_epoch,
         final_resources=last.final_resources,
         cache_stats=last.cache_stats,
         quiesce_seconds=last.quiesce_seconds,
-        error_kinds=error_kinds,
     )
 
 
@@ -358,22 +370,15 @@ class WorkloadRunner:
         are byte-identical.
         """
         epoch_log = EpochObservationLog()
-        errors: List[str] = []
-        error_kinds: List[str] = []
+        failures: List[Tuple[str, str]] = []
         latencies = self._empty_latencies()
         started = time.perf_counter()
         for op in self.trace.operations:
-            self._execute(
-                op, "serial", latencies, epoch_log, errors, error_kinds
-            )
+            self._execute(op, "serial", latencies, epoch_log, failures)
         wall = time.perf_counter() - started
-        return self._finish(
-            "serial", 0, wall, latencies, epoch_log, errors, error_kinds
-        )
+        return self._finish("serial", 0, wall, latencies, epoch_log, failures)
 
-    def run_concurrent(
-        self, num_workers: int, frontend=None, pace: bool = False
-    ) -> WorkloadReport:
+    def run_concurrent(self, num_workers: int, frontend=None) -> WorkloadReport:
         """Replay the trace across ``num_workers`` threads.
 
         Workers pull operations from a shared cursor; queries execute
@@ -393,21 +398,19 @@ class WorkloadRunner:
         surface.  The caller owns the front-end's lifecycle (it is not
         closed here).
 
-        With ``pace`` the workers honour each operation's
-        ``arrival_offset`` (the diurnal load-curve scenarios stamp one):
-        an operation is dispatched no earlier than ``offset`` seconds
-        after the replay started, so the trace's arrival *shape* — not
-        just its contents — reaches the engine.  Unstamped operations
-        (``arrival_offset < 0``) dispatch immediately.
+        Workers honour each operation's ``arrival_offset`` stamp (the
+        diurnal load-curve scenario stamps one): a stamped operation is
+        dispatched no earlier than ``offset`` seconds after the replay
+        started, so the trace's arrival *shape* — not just its contents —
+        reaches the engine.  Unstamped operations (``arrival_offset < 0``)
+        dispatch immediately.
         """
         if num_workers < 1:
             raise ConfigurationError(
                 f"num_workers must be >= 1, got {num_workers}"
             )
         epoch_log = EpochObservationLog()
-        errors: List[str] = []
-        error_kinds: List[str] = []
-        errors_lock = threading.Lock()
+        failures: List[Tuple[str, str]] = []
         cursor = _SharedCursor(self.trace.operations)
         gate = _MutationGate()
         worker_latencies = [self._empty_latencies() for _ in range(num_workers)]
@@ -419,7 +422,7 @@ class WorkloadRunner:
                 op = cursor.next_op()
                 if op is None:
                     return
-                if pace and op.arrival_offset >= 0.0:
+                if op.arrival_offset >= 0.0:
                     # Arrival pacing models *when* traffic shows up, so
                     # the sleep stays outside the timed region below.
                     delay = started + op.arrival_offset - time.perf_counter()
@@ -430,9 +433,7 @@ class WorkloadRunner:
                     f"worker-{worker_id}",
                     latencies,
                     epoch_log,
-                    errors,
-                    error_kinds,
-                    errors_lock=errors_lock,
+                    failures,
                     gate=gate,
                     frontend=frontend,
                 )
@@ -454,13 +455,7 @@ class WorkloadRunner:
             for kind, histogram in latencies.items():
                 merged[kind].merge(histogram)
         return self._finish(
-            "concurrent",
-            num_workers,
-            wall,
-            merged,
-            epoch_log,
-            errors,
-            error_kinds,
+            "concurrent", num_workers, wall, merged, epoch_log, failures
         )
 
     # ------------------------------------------------------------------ #
@@ -476,9 +471,7 @@ class WorkloadRunner:
         reader: str,
         latencies: Dict[str, LatencyHistogram],
         epoch_log: EpochObservationLog,
-        errors: List[str],
-        error_kinds: List[str],
-        errors_lock: Optional[threading.Lock] = None,
+        failures: List[Tuple[str, str]],
         gate: Optional[_MutationGate] = None,
         frontend=None,
     ) -> None:
@@ -490,17 +483,11 @@ class WorkloadRunner:
         try:
             if op.kind == QUERY:
                 if frontend is not None:
-                    if op.tenant:
-                        future = frontend.submit(
-                            list(op.query_tags),
-                            top_k=op.top_k,
-                            tenant=op.tenant,
-                        )
-                    else:
-                        future = frontend.submit(
-                            list(op.query_tags), top_k=op.top_k
-                        )
-                    response = future.result()
+                    response = frontend.submit(
+                        list(op.query_tags),
+                        top_k=op.top_k,
+                        tenant=op.tenant or None,
+                    ).result()
                     epoch_log.record(reader, response.epoch)
                 else:
                     epoch, _results = self.engine.snapshot_rank_batch(
@@ -516,14 +503,14 @@ class WorkloadRunner:
             else:
                 raise ConfigurationError(f"unknown operation kind {op.kind!r}")
         except Exception as exc:  # noqa: BLE001 - replay must survive + report
-            message = f"op {op.index} ({op.kind}): {traceback.format_exc()}"
-            if errors_lock is None:
-                errors.append(message)
-                error_kinds.append(type(exc).__name__)
-            else:
-                with errors_lock:
-                    errors.append(message)
-                    error_kinds.append(type(exc).__name__)
+            # One entry, one list.append: atomic under the GIL, so racing
+            # workers need no lock to keep kind and message together.
+            failures.append(
+                (
+                    type(exc).__name__,
+                    f"op {op.index} ({op.kind}): {traceback.format_exc()}",
+                )
+            )
         finally:
             if op.kind == MUTATE and gate is not None:
                 gate.complete()
@@ -538,8 +525,7 @@ class WorkloadRunner:
         wall: float,
         latencies: Dict[str, LatencyHistogram],
         epoch_log: EpochObservationLog,
-        errors: List[str],
-        error_kinds: List[str],
+        failures: List[Tuple[str, str]],
     ) -> WorkloadReport:
         quiesce_started = time.perf_counter()
         self.engine.refresh()
@@ -551,13 +537,12 @@ class WorkloadRunner:
             wall_seconds=wall,
             op_counts=self.trace.op_counts(),
             latencies=latencies,
-            errors=errors,
+            failures=failures,
             epoch_log=epoch_log,
             final_epoch=self.engine.epoch,
             final_resources=self.engine.num_indexed_resources,
             cache_stats=cache.stats() if cache is not None else None,
             quiesce_seconds=quiesce,
-            error_kinds=error_kinds,
         )
 
 
@@ -575,3 +560,154 @@ def quiesced_rankings(
         [list(query) for query in trace.eval_queries],
         top_k=trace.config.top_k,
     )
+
+
+class GoldenReplay(NamedTuple):
+    """A serial golden run: its report and its engine's quiesced probes."""
+
+    report: WorkloadReport
+    #: The :func:`~repro.load.runner.quiesced_rankings` pair.
+    rankings: Tuple[int, List[list]]
+
+
+def run_golden(
+    build_engine: Callable[[], object], trace: WorkloadTrace
+) -> GoldenReplay:
+    """Replay ``trace`` serially on a fresh engine (closed on return).
+
+    The reference every concurrent replay is judged against; a sweep
+    runs it once and hands it to each :func:`check_replay_parity` call
+    as ``golden=``.
+    """
+    engine = build_engine()
+    try:
+        report = WorkloadRunner(engine, trace).run_serial()
+        return GoldenReplay(report, quiesced_rankings(engine, trace))
+    finally:
+        engine.close()
+
+
+def scratch_rankings(engine, trace: WorkloadTrace) -> List[list]:
+    """Probe rankings of a from-scratch build of ``engine``'s final corpus.
+
+    The oracle for fold-in and journal replay, and the only one that
+    survives a refit: ``engine`` (a folksonomy-tracking
+    :class:`~repro.search.lifecycle.EngineHandle`) has its final
+    folksonomy rebuilt under its final concept model — deep-copied
+    through the JSON codec so the scratch build cannot share, or
+    allocate into, the live model — then quiesced and ranked on the
+    trace's evaluation probes.
+    """
+    folksonomy = getattr(engine, "folksonomy", None)
+    model = getattr(engine, "concept_model", None)
+    if folksonomy is None or model is None:
+        raise ConfigurationError(
+            "a scratch rebuild needs a folksonomy-tracking EngineHandle; "
+            f"got {type(engine).__name__} without one"
+        )
+    scratch = SearchEngine.build(
+        folksonomy, concept_model_from_json(concept_model_to_json(model))
+    )
+    return quiesced_rankings(scratch, trace)[1]
+
+
+@dataclass
+class ReplayPair:
+    """One golden + concurrent replay of a trace, engines already closed.
+
+    The evidence :func:`repro.load.invariants.check_replay_parity` judges.
+    """
+
+    golden: GoldenReplay
+    concurrent: WorkloadReport
+    #: The concurrent engine's epoch once any swap had joined (the
+    #: report's final epoch is captured when the replay drains, which a
+    #: late swap can outlive) and its quiesced probe rankings.
+    final_epoch: int
+    rankings: Tuple[int, List[list]]
+    #: What the probes must equal: the golden's rankings, or after a
+    #: requested swap (``swapped``) :func:`scratch_rankings`.
+    reference: List[list]
+    swapped: bool
+    swap_error: Optional[Exception]
+    generations_advanced: int
+    frontend_stats: Optional[Dict[str, object]]
+
+
+def replay_pair(
+    build_engine,
+    trace,
+    num_workers,
+    golden,
+    frontend_config,
+    concurrent_build_engine,
+    swap_during_replay,
+) -> ReplayPair:
+    """Run (or adopt) the golden, then the concurrent side; close engines.
+
+    The replay step of :func:`repro.load.invariants.check_replay_parity`,
+    which documents the arguments.
+    """
+    if golden is None:
+        golden = run_golden(build_engine, trace)
+    engine = (concurrent_build_engine or build_engine)()
+    try:
+        generation_before = getattr(engine, "generation", 0)
+        swap_errors: List[Exception] = []
+
+        def run_swap() -> None:
+            try:
+                swap_during_replay()
+            except Exception as error:  # noqa: BLE001 - reported, not raised
+                swap_errors.append(error)
+
+        # A plain thread, not an executor: a process-mode refit forks from
+        # it, and a child forked off an executor worker dies at exit.
+        swap_thread = None
+        if swap_during_replay is not None:
+            swap_thread = threading.Thread(
+                target=run_swap, name="swap-during-replay", daemon=True
+            )
+            swap_thread.start()
+        with ExitStack() as stack:
+            frontend = None
+            if frontend_config is not None:
+                # Deferred: repro.serve imports repro.load.runner (for its
+                # LatencyHistogram) at module scope.
+                from repro.serve.frontend import BatchingFrontend
+
+                frontend = stack.enter_context(
+                    BatchingFrontend(engine, frontend_config, name="replay")
+                )
+            concurrent = WorkloadRunner(engine, trace).run_concurrent(
+                num_workers, frontend=frontend
+            )
+            if swap_thread is not None:
+                # Joined with the front-end still open: the refit may need
+                # a last micro-batch window to drain, and its swap must
+                # land on a *serving* front-end to prove zero-pause.
+                swap_thread.join()
+            frontend_stats = frontend.stats() if frontend is not None else None
+
+        if swap_thread is None:
+            reference = golden.rankings[1]
+        else:
+            # The golden ranks under the pre-refit concept model and is
+            # incomparable; fold-in through the new model must instead
+            # equal a scratch build of the final corpus under it.
+            reference = scratch_rankings(engine, trace)
+        return ReplayPair(
+            golden=golden,
+            concurrent=concurrent,
+            final_epoch=engine.epoch,
+            rankings=quiesced_rankings(engine, trace),
+            reference=reference,
+            swapped=swap_thread is not None,
+            swap_error=swap_errors[0] if swap_errors else None,
+            generations_advanced=(
+                getattr(engine, "generation", 0) - generation_before
+            ),
+            frontend_stats=frontend_stats,
+        )
+    finally:
+        engine.close()

@@ -9,8 +9,8 @@ shape (the pairing the operations runbook documents):
   collapse onto a handful of crowd keys, the access pattern that makes
   or breaks in-flight dedup and the result cache;
 * ``diurnal`` — the same mix, but arrivals follow a sinusoidal load
-  curve via per-operation ``arrival_offset`` stamps, replayed with the
-  runner's ``pace=True``;
+  curve via per-operation ``arrival_offset`` stamps, which the
+  concurrent runner honours;
 * ``multi_tenant`` — queries split across named tenants with skewed
   traffic shares and *per-tenant* Zipf heads, feeding per-tenant
   admission quotas and latency books;
@@ -46,6 +46,7 @@ from repro.load.workload import (
     WorkloadGenerator,
     WorkloadTrace,
 )
+from repro.search.shardpool import ShardPoolConfig, ShardProcessPool
 from repro.utils.errors import ConfigurationError
 
 #: The named scenario profiles :func:`build_scenario` understands.
@@ -538,10 +539,6 @@ def run_chaos(
     compares them against a golden engine at 1e-9 via
     :func:`~repro.load.invariants.check_chaos`.
     """
-    # Deferred: repro.load must stay importable without dragging the
-    # multiprocessing pool machinery in at import time.
-    from repro.search.shardpool import ShardPoolConfig, ShardProcessPool
-
     if scenario.scenario != SCENARIO_CHAOS:
         raise ConfigurationError(
             f"run_chaos needs a chaos scenario, got {scenario.scenario!r}"

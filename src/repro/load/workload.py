@@ -54,8 +54,8 @@ class Operation:
     (empty = untenanted), which the replay runner threads through
     per-tenant admission and latency books; ``arrival_offset`` is the
     operation's scheduled dispatch time in seconds from replay start
-    (negative = dispatch immediately), honoured when the runner replays
-    with ``pace=True``.
+    (negative = dispatch immediately), honoured by every concurrent
+    replay.
     """
 
     index: int

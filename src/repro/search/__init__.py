@@ -45,7 +45,6 @@ from repro.search.incremental import (
     EpochObservationLog,
     RefreshPolicy,
     StalenessReport,
-    aggregate_reports,
 )
 from repro.search.engine import SearchEngine
 from repro.search.cache import QueryCache
@@ -85,7 +84,6 @@ __all__ = [
     "EpochObservationLog",
     "RefreshPolicy",
     "StalenessReport",
-    "aggregate_reports",
     "SearchEngine",
     "QueryCache",
     "ShardRouter",

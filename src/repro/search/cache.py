@@ -10,14 +10,10 @@ entry can never be served after a mutation; the owning engine additionally
 calls :meth:`clear` on every mutation batch so dead entries do not linger
 until LRU pressure evicts them.
 
-The cache is bounded two ways: by entry count (``max_entries``) and,
-optionally, by an approximate byte budget (``max_bytes``) sized from the
-result lists themselves — an entry caching a 10-result page and one
-caching a 10k-result unbounded scan are charged what they actually hold,
-so a handful of huge results cannot silently pin the memory of a thousand
-small ones.  Both budgets evict from the LRU end.
+The cache is bounded by entry count (``max_entries``), evicting from the
+LRU end.
 
-Hot swaps add a third invalidation axis: a new *generation* is a new
+Hot swaps add a second invalidation axis: a new *generation* is a new
 concept model, whose scores share nothing with the old one's.
 :meth:`invalidate_generation` drops everything when the serving
 generation changes (epoch keys alone would be unsafe in the other
@@ -44,54 +40,19 @@ from repro.utils.errors import ConfigurationError
 #: Default number of cached result lists.
 DEFAULT_MAX_ENTRIES = 1024
 
-#: Approximate bytes charged per cached result beyond its resource-id text:
-#: the NamedTuple object, its float score and the tuple slot pointing at it.
-RESULT_OVERHEAD_BYTES = 120
-
-#: Approximate fixed bytes charged per entry: the key tuple and the
-#: OrderedDict slot.  Both overhead constants are deliberately coarse — the
-#: budget is a memory-discipline knob, not an accountant.
-ENTRY_OVERHEAD_BYTES = 256
-
-
-def approximate_entry_bytes(results: Sequence[RankedResult]) -> int:
-    """The bytes one cached result list is charged against ``max_bytes``.
-
-    Tolerates non-:class:`~repro.search.vsm.RankedResult` payloads (model
-    checkers stuff opaque sentinels into the cache) by charging them the
-    flat per-result overhead only.
-    """
-    total = ENTRY_OVERHEAD_BYTES
-    for result in results:
-        resource = getattr(result, "resource", "")
-        total += RESULT_OVERHEAD_BYTES + (
-            len(resource) if isinstance(resource, str) else 0
-        )
-    return total
-
 
 class QueryCache:
     """A bounded LRU map from canonical query keys to ranked result lists."""
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
             raise ConfigurationError(
                 f"max_entries must be >= 1, got {max_entries}"
             )
-        if max_bytes is not None and max_bytes < 1:
-            raise ConfigurationError(
-                f"max_bytes must be >= 1 when given, got {max_bytes}"
-            )
         self._max_entries = int(max_entries)
-        self._max_bytes = None if max_bytes is None else int(max_bytes)
-        self._entries: "OrderedDict[Hashable, Tuple[Tuple[RankedResult, ...], int]]" = (
+        self._entries: "OrderedDict[Hashable, Tuple[RankedResult, ...]]" = (
             OrderedDict()
         )
-        self._current_bytes = 0
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -127,38 +88,22 @@ class QueryCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return list(entry[0])
+            return list(entry)
 
     def put(self, key: Hashable, results: Sequence[RankedResult]) -> None:
-        """Store ``results`` under ``key``, evicting LRU entries while either
-        the entry count or the byte budget is exceeded.
-
-        An entry larger than the whole byte budget is evicted immediately
-        after insertion (the loop drains the cache down to it, then drops
-        it too) — the budget is honoured rather than the one oversized
-        result list pinning everything.
-        """
-        nbytes = approximate_entry_bytes(results)
+        """Store ``results`` under ``key``, evicting LRU entries while the
+        entry count is exceeded."""
         with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._current_bytes -= previous[1]
-            self._entries[key] = (tuple(results), nbytes)
-            self._current_bytes += nbytes
-            while len(self._entries) > self._max_entries or (
-                self._max_bytes is not None
-                and self._current_bytes > self._max_bytes
-                and self._entries
-            ):
-                _, (_, dropped_bytes) = self._entries.popitem(last=False)
-                self._current_bytes -= dropped_bytes
+            self._entries.pop(key, None)
+            self._entries[key] = tuple(results)
+            while len(self._entries) > self._max_entries:
+                self._entries.popitem(last=False)
                 self._evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (called by the owning engine on mutation)."""
         with self._lock:
             self._entries.clear()
-            self._current_bytes = 0
 
     def invalidate_generation(self, generation: int) -> bool:
         """Flush the cache when the serving generation changes.
@@ -175,7 +120,6 @@ class QueryCache:
             self._generation = generation
             self._generation_invalidations += 1
             self._entries.clear()
-            self._current_bytes = 0
             return True
 
     # ------------------------------------------------------------------ #
@@ -188,16 +132,6 @@ class QueryCache:
     @property
     def max_entries(self) -> int:
         return self._max_entries
-
-    @property
-    def max_bytes(self) -> Optional[int]:
-        return self._max_bytes
-
-    @property
-    def current_bytes(self) -> int:
-        """Approximate bytes held right now (see the overhead constants)."""
-        with self._lock:
-            return self._current_bytes
 
     @property
     def generation(self) -> Optional[int]:
@@ -240,8 +174,6 @@ class QueryCache:
             return {
                 "entries": len(self._entries),
                 "max_entries": self._max_entries,
-                "current_bytes": self._current_bytes,
-                "max_bytes": self._max_bytes,
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,

@@ -71,11 +71,7 @@ from typing import (
 from repro.core.concepts import Concept, ConceptModel
 from repro.search.cache import DEFAULT_MAX_ENTRIES, QueryCache
 from repro.search.concurrency import ReadWriteLock
-from repro.search.incremental import (
-    RefreshPolicy,
-    StalenessReport,
-    aggregate_reports,
-)
+from repro.search.incremental import RefreshPolicy, StalenessReport
 from repro.search.matrix_space import (
     MatrixConceptSpace,
     idf_from_document_frequency,
@@ -147,8 +143,6 @@ class SearchEngine:
         cache: Optional[QueryCache] = None,
         baseline_resources: Optional[int] = None,
         mutation_counts: Optional[Mapping[str, int]] = None,
-        shard_baselines: Optional[Sequence[int]] = None,
-        shard_mutation_counts: Optional[Sequence[Mapping[str, int]]] = None,
     ) -> None:
         self.shards: Tuple[MatrixConceptSpace, ...] = tuple(shards)
         if len(self.shards) not in (1, router.num_shards):
@@ -170,24 +164,12 @@ class SearchEngine:
         self.refresh_policy = refresh_policy or RefreshPolicy()
         self.epoch = int(epoch)
         self.cache = cache
-        sizes = self.shard_sizes()
         self._baseline_resources = (
-            sum(sizes) if baseline_resources is None else int(baseline_resources)
+            sum(self.shard_sizes())
+            if baseline_resources is None
+            else int(baseline_resources)
         )
         self._mutations = _mutation_counts(mutation_counts)
-        self._shard_baselines = [int(count) for count in shard_baselines or sizes]
-        self._shard_mutations = [
-            _mutation_counts(counts)
-            for counts in shard_mutation_counts or [None] * len(self.shards)
-        ]
-        if not (
-            len(self._shard_baselines)
-            == len(self._shard_mutations)
-            == len(self.shards)
-        ):
-            raise ConfigurationError(
-                "per-shard baselines/counters do not match the shard count"
-            )
         self._pending_batches = 0
         self._rw = ReadWriteLock()
         self._pool_lock = threading.Lock()
@@ -640,17 +622,13 @@ class SearchEngine:
             for resource in removed:
                 routed[self._shard_of(resource)]["removed"].append(resource)
 
-            for shard, delta, counts in zip(
-                self.shards, routed, self._shard_mutations
-            ):
+            for shard, delta in zip(self.shards, routed):
                 if delta["added"]:
                     shard.add_documents(delta["added"])
                 for resource, bag in delta["updated"].items():
                     shard.update_document(resource, bag)
                 if delta["removed"]:
                     shard.remove_documents(delta["removed"], allow_empty=True)
-                for kind in _MUTATION_KINDS:
-                    counts[kind] += len(delta[kind])
 
             self.epoch += 1
             self._mutations["added"] += len(added_bags)
@@ -740,48 +718,21 @@ class SearchEngine:
         self._pending_batches = 0
         return True
 
-    def _staleness_report(
-        self, counts: Mapping[str, int], baseline: int, current: int
-    ) -> StalenessReport:
+    def staleness(self) -> StalenessReport:
+        """How far the engine has drifted since its last full (re)fit (O(1))."""
+        counts, baseline = self._mutations, self._baseline_resources
         return StalenessReport(
             epoch=self.epoch,
             resources_added=counts["added"],
             resources_removed=counts["removed"],
             resources_updated=counts["updated"],
             baseline_resources=baseline,
-            current_resources=current,
+            current_resources=self.num_indexed_resources,
             refit_due=self.refresh_policy.refit_due(
                 sum(counts.values()), baseline
             ),
-            # Refresh is an engine-wide cycle, so every shard shares the
-            # engine-level pending-batch verdict.
             fold_in_due=self.refresh_policy.fold_in_due(self._pending_batches),
         )
-
-    def staleness(self) -> StalenessReport:
-        """How far the engine has drifted since its last full (re)fit (O(1))."""
-        return self._staleness_report(
-            self._mutations, self._baseline_resources, self.num_indexed_resources
-        )
-
-    def shard_staleness(self) -> List[StalenessReport]:
-        """Per-shard drift since this engine was partitioned.
-
-        Each report applies the engine's refresh policy to one shard's own
-        counters and baseline; :func:`aggregate_reports` rolls them back up
-        to the corpus level (tested to agree with :meth:`staleness` for an
-        engine partitioned from an un-drifted fit).
-        """
-        return [
-            self._staleness_report(counts, baseline, current)
-            for counts, baseline, current in zip(
-                self._shard_mutations, self._shard_baselines, self.shard_sizes()
-            )
-        ]
-
-    def aggregated_shard_staleness(self) -> StalenessReport:
-        """The per-shard reports rolled up with the engine's policy."""
-        return aggregate_reports(self.shard_staleness(), self.refresh_policy)
 
     def health(self) -> Dict[str, object]:
         """Operational snapshot: identity, epoch and both drift verdicts."""
@@ -824,8 +775,6 @@ class SearchEngine:
                     {
                         "directory": shard_dir,
                         "num_documents": shard.pending_num_documents,
-                        "baseline_resources": self._shard_baselines[index],
-                        "mutations": dict(self._shard_mutations[index]),
                     }
                 )
             payload = {
@@ -879,12 +828,6 @@ class SearchEngine:
             cache=QueryCache(cache_entries) if cache_entries else None,
             baseline_resources=payload.get("baseline_resources"),
             mutation_counts=payload.get("mutations"),
-            shard_baselines=[
-                entry["baseline_resources"] for entry in shard_entries
-            ],
-            shard_mutation_counts=[
-                entry.get("mutations") for entry in shard_entries
-            ],
         )
 
     @classmethod

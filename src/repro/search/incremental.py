@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.utils.errors import ConfigurationError
 
@@ -222,34 +222,3 @@ class EpochObservationLog:
                 violations.append((reader, previous, epoch))
             last_seen[reader] = epoch
         return violations
-
-
-def aggregate_reports(
-    reports: Sequence[StalenessReport], policy: RefreshPolicy
-) -> StalenessReport:
-    """Roll per-shard staleness reports up into one corpus-level report.
-
-    Counters, baselines and current sizes sum across shards; the epoch is
-    the newest one seen (shards of one engine share a single mutation
-    counter, so this is normally every report's epoch); ``refit_due`` is
-    ``policy``'s verdict on the *aggregate* drift — a corpus-level policy
-    deliberately ignores that one small shard may have churned heavily.
-    """
-    if not reports:
-        raise ConfigurationError("cannot aggregate zero staleness reports")
-    added = sum(report.resources_added for report in reports)
-    removed = sum(report.resources_removed for report in reports)
-    updated = sum(report.resources_updated for report in reports)
-    baseline = sum(report.baseline_resources for report in reports)
-    return StalenessReport(
-        epoch=max(report.epoch for report in reports),
-        resources_added=added,
-        resources_removed=removed,
-        resources_updated=updated,
-        baseline_resources=baseline,
-        current_resources=sum(report.current_resources for report in reports),
-        refit_due=policy.refit_due(added + removed + updated, baseline),
-        # Shards of one engine share a single refresh cycle, so any shard
-        # with stale lazy statistics makes the whole engine fold-in-due.
-        fold_in_due=any(report.fold_in_due for report in reports),
-    )

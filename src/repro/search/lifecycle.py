@@ -81,6 +81,10 @@ JOURNAL_USER_PREFIX = "jrnl"
 #: set of assignments and are rejected by folksonomy tracking.
 _INTEGRAL_TOL = 1e-9
 
+#: How long a retired (or closing) generation waits for its pinned readers
+#: before its engine is leaked to them instead of closed under them.
+DRAIN_TIMEOUT_SECONDS = 30.0
+
 
 # ---------------------------------------------------------------------- #
 # Journal
@@ -514,7 +518,7 @@ class EngineHandle:
         self,
         new_engine,
         prepare: Optional[Callable[[object], Optional[Folksonomy]]] = None,
-        drain_timeout: Optional[float] = 30.0,
+        drain_timeout: Optional[float] = DRAIN_TIMEOUT_SECONDS,
     ) -> SwapReport:
         """Atomically install ``new_engine`` as the next generation.
 
@@ -574,6 +578,20 @@ class EngineHandle:
             drain_seconds=drain_seconds,
             drained=drained,
         )
+
+    def close(self) -> None:
+        """Close the current generation's engine once its readers drain.
+
+        Idempotent (the engines' own ``close`` is).  Taken under the write
+        lock so it cannot interleave with a swap; a drain that times out
+        leaks the engine to the stuck readers, as :meth:`swap` does.
+        """
+        with self._write_lock:
+            current = self._current
+            if current.drain(DRAIN_TIMEOUT_SECONDS):
+                closer = getattr(current.engine, "close", None)
+                if callable(closer):
+                    closer()
 
     def __repr__(self) -> str:
         current = self._current
@@ -716,7 +734,7 @@ class RefitCoordinator:
         use_process: bool = True,
         start_method: Optional[str] = None,
         keep_generations: int = 2,
-        drain_timeout: Optional[float] = 30.0,
+        drain_timeout: Optional[float] = DRAIN_TIMEOUT_SECONDS,
         refit_timeout: Optional[float] = None,
         engine_factory: Optional[Callable[[object, Path], object]] = None,
         publish_kwargs: Optional[Mapping[str, object]] = None,

@@ -21,7 +21,16 @@ benchmarks check it against a space fitted here on the same (final) bags.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.search.inverted_index import InvertedIndex
 from repro.utils.errors import ConfigurationError, NotFittedError
@@ -38,6 +47,71 @@ class RankedResult(NamedTuple):
     resource: str
     score: float
     rank: int
+
+
+#: The one ranking parity tolerance (engine vs oracle, shard vs monolith,
+#: concurrent vs serial replay).
+PARITY_TOL = 1e-9
+
+
+def rankings_match(
+    got: Sequence[RankedResult],
+    want: Sequence[RankedResult],
+    tol: float = PARITY_TOL,
+    truncated: bool = False,
+) -> bool:
+    """Whether two ranked lists agree to ``tol`` (tie groups may permute).
+
+    Scores must agree position by position within ``tol``, and resources
+    must agree except *within* a group of scores tied at ``tol``, where
+    summation-order noise between scoring backends may legally permute
+    the deterministic tie-break (and, under a top-k cut — ``truncated``
+    — may change the boundary group's membership).
+    """
+    if len(got) != len(want):
+        return False
+    position = 0
+    while position < len(want):
+        group_end = position
+        while (
+            group_end + 1 < len(want)
+            and abs(want[group_end + 1].score - want[position].score) <= tol
+        ):
+            group_end += 1
+        for got_result, want_result in zip(
+            got[position : group_end + 1], want[position : group_end + 1]
+        ):
+            if abs(got_result.score - want_result.score) > tol:
+                return False
+        boundary = truncated and group_end + 1 == len(want)
+        if not boundary:
+            got_members = {r.resource for r in got[position : group_end + 1]}
+            want_members = {r.resource for r in want[position : group_end + 1]}
+            if got_members != want_members:
+                return False
+        position = group_end + 1
+    return True
+
+
+def mismatched_probes(
+    got: Sequence[Sequence[RankedResult]],
+    want: Sequence[Sequence[RankedResult]],
+    truncated: bool,
+) -> List[int]:
+    """Indices of the probes whose rankings fail :func:`rankings_match`.
+
+    The one comparator loop every parity check goes through: ``got`` and
+    ``want`` are the two sides' answers to the same probe queries, in
+    order, compared at :data:`PARITY_TOL`.  A probe only one side
+    answered counts as mismatched.
+    """
+    answered = min(len(got), len(want))
+    return [
+        probe
+        for probe in range(max(len(got), len(want)))
+        if probe >= answered
+        or not rankings_match(got[probe], want[probe], truncated=truncated)
+    ]
 
 
 class ConceptVectorSpace:

@@ -125,6 +125,25 @@ class TestBrokenRepositories:
             "README.md: no such module -> repro.gone.module",
         ]
 
+    def test_stale_option_name_is_flagged(self, tmp_path):
+        root = self._repo(
+            tmp_path,
+            readme=(
+                "Replay with `num_workers=4`, a `frontend_config=` and "
+                "`top_k=10` under `PYTHONPATH=src`; `pace=True` is gone.\n"
+            ),
+        )
+        package = root / "src" / "repro" / "load"
+        package.mkdir(parents=True)
+        (package / "runner.py").write_text(
+            "def run_concurrent(self, num_workers, *, frontend_config=None):\n"
+            "    pass\n"
+            "class Config:\n"
+            "    top_k: int = 10\n",
+            encoding="utf-8",
+        )
+        assert check_docs(root) == ["README.md: no such option -> pace="]
+
     def test_doc_linked_only_from_another_doc_still_fails(self, tmp_path):
         root = self._repo(
             tmp_path,

@@ -10,9 +10,8 @@ of the final corpus under the post-swap concept model.  Around that bar
 this file covers the :class:`DeltaJournal` (including a hypothesis
 replay-parity property), folksonomy materialization of journaled bags,
 the handle's pin/swap/drain discipline, the snapshot store's generation
-layer, the byte-budgeted generation-aware :class:`QueryCache`, the
-refit-due/fold-in-due policy split, coordinator failure modes, pool
-blue/green swaps and the refit-cadence sweep.
+layer, the generation-aware :class:`QueryCache`, the refit-due/fold-in-due
+policy split, coordinator failure modes and pool blue/green swaps.
 """
 
 from __future__ import annotations
@@ -29,20 +28,16 @@ from hypothesis import strategies as st
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.core.snapshots import IndexSnapshotStore
-from repro.eval.lifecycle import lifecycle_sweep
 from repro.eval.sharding import rankings_match
-from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
-from repro.load.workload import MUTATE
-from repro.search.cache import (
-    QueryCache,
-    approximate_entry_bytes,
+from repro.load import (
+    WorkloadConfig,
+    WorkloadGenerator,
+    check_replay_parity,
+    quiesced_rankings,
+    scratch_rankings,
 )
-from repro.search.engine import (
-    SearchEngine,
-    concept_model_from_json,
-    concept_model_to_json,
-)
-from repro.search.incremental import RefreshPolicy, aggregate_reports
+from repro.search.cache import QueryCache
+from repro.search.incremental import RefreshPolicy
 from repro.search.lifecycle import (
     DeltaJournal,
     EngineHandle,
@@ -53,7 +48,7 @@ from repro.search.lifecycle import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.shardpool import ShardProcessPool
-from repro.search.vsm import RankedResult
+from repro.search.vsm import RankedResult, mismatched_probes
 from repro.serve.frontend import BatchingFrontend, FrontendConfig
 from repro.utils.errors import ConfigurationError, NotFittedError
 
@@ -500,55 +495,13 @@ class TestSnapshotStoreGenerations:
 
 
 # ---------------------------------------------------------------------- #
-# QueryCache: byte budget + generation invalidation
+# QueryCache: generation invalidation
 # ---------------------------------------------------------------------- #
-def _results(resource, count=1, size=1):
-    return [
-        RankedResult(
-            resource=f"{resource}-{i}" * size, score=1.0 - i * 0.01, rank=i + 1
-        )
-        for i in range(count)
-    ]
+def _results(resource):
+    return [RankedResult(resource=f"{resource}-0", score=1.0, rank=1)]
 
 
-class TestQueryCacheBudget:
-    def test_max_bytes_validated(self):
-        with pytest.raises(ConfigurationError):
-            QueryCache(max_bytes=0)
-
-    def test_byte_accounting(self):
-        cache = QueryCache(max_entries=8, max_bytes=100_000)
-        results = _results("a", count=3)
-        cache.put(("k1",), results)
-        assert cache.current_bytes == approximate_entry_bytes(results)
-        # Replacing a key releases the old entry's bytes first.
-        smaller = _results("a", count=1)
-        cache.put(("k1",), smaller)
-        assert cache.current_bytes == approximate_entry_bytes(smaller)
-        cache.clear()
-        assert cache.current_bytes == 0
-
-    def test_evicts_from_lru_end_when_over_budget(self):
-        one_entry = approximate_entry_bytes(_results("x", count=2))
-        cache = QueryCache(max_entries=100, max_bytes=2 * one_entry)
-        cache.put(("a",), _results("x", count=2))
-        cache.put(("b",), _results("x", count=2))
-        assert len(cache) == 2
-        cache.put(("c",), _results("x", count=2))
-        assert len(cache) == 2
-        assert cache.get(("a",)) is None
-        assert cache.get(("b",)) is not None
-        assert cache.get(("c",)) is not None
-        assert cache.evictions == 1
-        assert cache.current_bytes <= cache.max_bytes
-
-    def test_oversized_entry_is_dropped_not_pinned(self):
-        cache = QueryCache(max_entries=100, max_bytes=600)
-        cache.put(("big",), _results("r", count=50))
-        assert len(cache) == 0
-        assert cache.current_bytes == 0
-        assert cache.get(("big",)) is None
-
+class TestQueryCacheGeneration:
     def test_generation_invalidation_is_idempotent(self):
         cache = QueryCache(max_entries=8)
         cache.put(("a",), _results("x"))
@@ -561,8 +514,6 @@ class TestQueryCacheBudget:
         stats = cache.stats()
         assert stats["generation"] == 2
         assert stats["generation_invalidations"] == 2
-        assert stats["current_bytes"] == 0
-        assert stats["max_bytes"] is None
 
 
 # ---------------------------------------------------------------------- #
@@ -606,20 +557,9 @@ class TestRefreshPolicySplit:
         tag = sorted(toy_folksonomy.tags)[0]
         engine.apply_mutations(added={"doc-s": {tag: 1.0}})
         assert engine.staleness().fold_in_due
-        assert all(r.fold_in_due for r in engine.shard_staleness())
         engine.refresh()
         assert not engine.staleness().fold_in_due
         assert engine.health()["num_shards"] == 2
-
-    def test_aggregate_any_semantics(self, toy_folksonomy):
-        quiet = build_mono(toy_folksonomy).staleness()
-        stale_engine = build_mono(toy_folksonomy)
-        tag = sorted(toy_folksonomy.tags)[0]
-        stale_engine.apply_mutations(added={"doc-a": {tag: 1.0}})
-        merged = aggregate_reports(
-            [quiet, stale_engine.staleness()], RefreshPolicy()
-        )
-        assert merged.fold_in_due
 
     def test_policy_round_trips_through_save(self, toy_folksonomy, tmp_path):
         engine = SearchEngine.build(
@@ -698,17 +638,10 @@ class TestRefitCoordinator:
 
         # Post-swap parity: fold-in + replay through the new model equals
         # a scratch rebuild of the final corpus under that model.
-        handle.refresh()
-        probes = probe_queries(small_cleaned)
-        _, got = handle.snapshot_rank_batch(probes, top_k=10)
-        scratch = SearchEngine.build(
-            handle.folksonomy,
-            concept_model_from_json(concept_model_to_json(handle.concept_model)),
-        )
-        scratch.refresh()
-        _, want = scratch.snapshot_rank_batch(probes, top_k=10)
-        for ours, theirs in zip(got, want):
-            assert rankings_match(ours, theirs, tol=1e-9, truncated=True)
+        trace = make_trace(small_cleaned)
+        _, got = quiesced_rankings(handle, trace)
+        want = scratch_rankings(handle, trace)
+        assert mismatched_probes(got, want, truncated=True) == []
 
         # A second cycle advances again and GC keeps the last two.
         second = coordinator.refit()
@@ -748,17 +681,10 @@ class TestRefitCoordinator:
         assert handle.has_resource("doc-late")
         assert handle.folksonomy.has_resource("doc-late")
 
-        handle.refresh()
-        probes = probe_queries(small_cleaned, singles=3)
-        _, got = handle.snapshot_rank_batch(probes, top_k=10)
-        scratch = SearchEngine.build(
-            handle.folksonomy,
-            concept_model_from_json(concept_model_to_json(handle.concept_model)),
-        )
-        scratch.refresh()
-        _, want = scratch.snapshot_rank_batch(probes, top_k=10)
-        for ours, theirs in zip(got, want):
-            assert rankings_match(ours, theirs, tol=1e-9, truncated=True)
+        trace = make_trace(small_cleaned)
+        _, got = quiesced_rankings(handle, trace)
+        want = scratch_rankings(handle, trace)
+        assert mismatched_probes(got, want, truncated=True) == []
 
     def test_metrics_exported_in_prometheus_text(self, small_cleaned, tmp_path):
         handle = self._fitted_handle(small_cleaned)
@@ -840,7 +766,7 @@ class TestSwapDuringReplayAcceptance:
         assert report.ok, report.summary()
         assert report.concurrent.errors == []
         assert report.generations_advanced >= 1
-        assert report.scratch_mismatched_probes == []
+        assert report.mismatched_probes == []
 
         coordinator = coordinator_box["coordinator"]
         text = coordinator.metrics.export_text()
@@ -924,48 +850,4 @@ class TestPoolBlueGreen:
             for ours, theirs in zip(got, want):
                 assert rankings_match(ours, theirs, tol=1e-9, truncated=True)
         finally:
-            handle.engine.close()
-
-
-# ---------------------------------------------------------------------- #
-# Refit-cadence sweep
-# ---------------------------------------------------------------------- #
-class TestLifecycleSweep:
-    def test_sweep_rows_and_parity(self, small_cleaned):
-        trace = make_trace(small_cleaned, num_operations=60, seed=3)
-        mutation_count = sum(
-            1 for op in trace.operations if op.kind == MUTATE
-        )
-        assert mutation_count >= 4
-        rows, details = lifecycle_sweep(
-            small_cleaned, PIPELINE_KWARGS, trace, cadences=(0, 4)
-        )
-        assert [row["Cadence"] for row in rows] == ["never", 4]
-        assert rows[0]["Refits"] == 0
-        assert rows[1]["Refits"] == mutation_count // 4
-        assert details[1]["generation"] == mutation_count // 4
-        assert details[0]["mean_drift"] == 0.0
-        assert 0.0 <= details[1]["mean_drift"] <= 1.0
-        # Each run's final epoch: one per mutation plus one per swap.
-        assert details[0]["final_epoch"] == mutation_count
-        assert details[1]["final_epoch"] == mutation_count + rows[1]["Refits"]
-
-    def test_sweep_validates_inputs(self, small_cleaned):
-        trace = make_trace(small_cleaned, num_operations=30, seed=3)
-        with pytest.raises(ConfigurationError):
-            lifecycle_sweep(small_cleaned, PIPELINE_KWARGS, trace, cadences=())
-        with pytest.raises(ConfigurationError):
-            lifecycle_sweep(
-                small_cleaned, PIPELINE_KWARGS, trace, cadences=(2, 0)
-            )
-        query_only = make_trace(
-            small_cleaned,
-            num_operations=20,
-            seed=3,
-            query_fraction=1.0,
-            refresh_fraction=0.0,
-        )
-        with pytest.raises(ConfigurationError):
-            lifecycle_sweep(
-                small_cleaned, PIPELINE_KWARGS, query_only, cadences=(0,)
-            )
+            handle.close()

@@ -28,7 +28,7 @@ from repro.core.snapshots import IndexSnapshotStore
 from repro.eval.sharding import rankings_match, sharding_sweep
 from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
-from repro.search.incremental import RefreshPolicy, aggregate_reports
+from repro.search.incremental import RefreshPolicy
 from repro.search.matrix_space import (
     MatrixConceptSpace,
     boundary_tie_candidates,
@@ -41,7 +41,7 @@ from repro.search.sharding import (
     merge_topk,
     read_shard_manifest,
 )
-from repro.search.vsm import RankedResult
+from repro.search.vsm import RankedResult, mismatched_probes
 from repro.tagging.delta import FolksonomyDeltaBuilder
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError, NotFittedError
@@ -226,6 +226,41 @@ class TestBoundaryTieWidening:
             )
             assert got_result.rank == want_result.rank
         sharded.close()
+
+
+class TestMismatchedProbes:
+    """The one comparator loop every parity check goes through."""
+
+    @staticmethod
+    def ranking(*pairs):
+        return [
+            RankedResult(resource, score, rank)
+            for rank, (resource, score) in enumerate(pairs, start=1)
+        ]
+
+    def test_interior_tie_group_may_permute(self):
+        want = self.ranking(("a", 0.9), ("b", 0.5), ("c", 0.5), ("d", 0.1))
+        got = self.ranking(("a", 0.9), ("c", 0.5), ("b", 0.5), ("d", 0.1))
+        assert mismatched_probes([got], [want], truncated=False) == []
+        assert mismatched_probes([got], [want], truncated=True) == []
+
+    def test_boundary_tie_group_membership_only_under_a_cut(self):
+        want = self.ranking(("a", 0.9), ("b", 0.5), ("c", 0.5))
+        got = self.ranking(("a", 0.9), ("b", 0.5), ("z", 0.5))
+        assert mismatched_probes([got], [want], truncated=True) == []
+        assert mismatched_probes([got], [want], truncated=False) == [0]
+
+    def test_length_and_score_mismatches_are_flagged(self):
+        want = self.ranking(("a", 0.9), ("b", 0.5))
+        same = self.ranking(("a", 0.9), ("b", 0.5))
+        shorter = self.ranking(("a", 0.9))
+        drifted = self.ranking(("a", 0.9 + 2e-9), ("b", 0.5))
+        within = self.ranking(("a", 0.9 + 5e-10), ("b", 0.5))
+        got = [same, shorter, drifted, within]
+        assert mismatched_probes(got, [want] * 4, truncated=True) == [1, 2]
+        # a probe only one side answered is a mismatch, not a silent zip cut
+        assert mismatched_probes([same], [want, want], truncated=True) == [1]
+        assert mismatched_probes([], [], truncated=True) == []
 
 
 class TestStaticParity:
@@ -540,62 +575,6 @@ class TestRankBatchHardening:
         sharded.close()
 
 
-class TestShardStaleness:
-    def test_per_shard_reports_aggregate_to_engine_report(
-        self, small_cleaned
-    ):
-        model = identity_concept_model(small_cleaned.tags)
-        engine = SearchEngine.build(small_cleaned, model, name="agg")
-        sharded = SearchEngine.from_engine(engine, 3)
-        tags = list(small_cleaned.tags)
-        sharded.add_resources(
-            {f"agg-{i}": {tags[i]: 1.0} for i in range(4)}
-        )
-        sharded.remove_resources([small_cleaned.resources[0]])
-        reports = sharded.shard_staleness()
-        assert len(reports) == 3
-        assert sum(r.resources_added for r in reports) == 4
-        assert sum(r.resources_removed for r in reports) == 1
-        rolled = sharded.aggregated_shard_staleness()
-        overall = sharded.staleness()
-        assert rolled.delta_ops == overall.delta_ops
-        assert rolled.baseline_resources == overall.baseline_resources
-        assert rolled.current_resources == overall.current_resources
-        assert rolled.refit_due == overall.refit_due
-        assert rolled.epoch == overall.epoch
-        sharded.close()
-
-    def test_hot_shard_flags_refit_before_the_corpus_does(
-        self, small_cleaned
-    ):
-        model = identity_concept_model(small_cleaned.tags)
-        engine = SearchEngine.build(
-            small_cleaned,
-            model,
-            name="hot",
-            refresh_policy=RefreshPolicy(max_delta_fraction=0.5),
-        )
-        sharded = SearchEngine.from_engine(engine, 4)
-        # churn only resources living on one shard
-        hot = [
-            resource
-            for resource in small_cleaned.resources
-            if sharded.router.shard_of(resource) == 1
-        ]
-        for resource in hot:
-            sharded.update_resource(
-                resource, {small_cleaned.tags[0]: 2.0}
-            )
-        reports = sharded.shard_staleness()
-        assert reports[1].refit_due  # 100% of shard 1 churned
-        assert not sharded.staleness().refit_due  # corpus-level drift small
-        sharded.close()
-
-    def test_aggregate_reports_validation(self):
-        with pytest.raises(ConfigurationError):
-            aggregate_reports([], RefreshPolicy())
-
-
 class TestShardedPersistence:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_save_load_round_trip_parity(
@@ -643,6 +622,28 @@ class TestShardedPersistence:
             DictLoopOracle(loaded.concept_model, bags),
             sample_queries(small_cleaned, rng),
         )
+        sharded.close()
+        loaded.close()
+
+    def test_manifest_with_per_shard_drift_keys_still_loads(
+        self, small_cleaned, mono_engine, oracle, tmp_path
+    ):
+        """Saves made before the per-shard drift books were dropped carry
+        ``baseline_resources`` / ``mutations`` on every shard entry; the
+        keys are ignored and engine-level staleness is unaffected."""
+        sharded = SearchEngine.from_engine(mono_engine, 2)
+        sharded.add_resources({"drift-0": {small_cleaned.tags[0]: 1.0}})
+        sharded.save(tmp_path)
+        manifest_path = tmp_path / SHARD_MANIFEST_FILENAME
+        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for entry in payload["shards"]:
+            assert set(entry) == {"directory", "num_documents"}
+            entry["baseline_resources"] = entry["num_documents"]
+            entry["mutations"] = {"added": 1, "removed": 0, "updated": 0}
+        manifest_path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = SearchEngine.load(tmp_path)
+        assert loaded.staleness() == sharded.staleness()
+        assert SearchEngine.load_shard(tmp_path, 1).epoch == sharded.epoch
         sharded.close()
         loaded.close()
 
@@ -786,6 +787,27 @@ class TestShardedPersistence:
         for (_, score), result in zip(fresh, expected):
             assert score == pytest.approx(result.score, abs=1e-9)
         sharded.close()
+
+
+#: Every ``repro.<pkg>`` package plus the two modules the comparator's
+#: un-deferred import made order-sensitive candidates.
+FIRST_IMPORTS = sorted(
+    f"repro.{init.parent.name}" for init in (SRC_DIR / "repro").glob("*/__init__.py")
+) + ["repro.load.invariants", "repro.eval.sharding"]
+
+
+@pytest.mark.parametrize("module", FIRST_IMPORTS)
+def test_importable_as_the_first_import_of_a_fresh_interpreter(module):
+    """No package may rely on another having been imported before it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    outcome = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert outcome.returncode == 0, outcome.stderr
 
 
 class TestOfflineIndexSharding:

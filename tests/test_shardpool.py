@@ -31,6 +31,7 @@ from repro.eval.sharding import rankings_match
 from repro.load.invariants import check_replay_parity
 from repro.load.workload import WorkloadConfig, WorkloadGenerator
 from repro.search.engine import SearchEngine
+from repro.search.lifecycle import EngineHandle
 from repro.search.matrix_space import (
     ARRAYS_FILENAME,
     STORAGE_NPY,
@@ -423,7 +424,6 @@ class TestReplayParityThroughPool:
             lambda: mono_engine,
             trace,
             num_workers=NUM_WORKERS,
-            serial_report=None,
             concurrent_build_engine=lambda: ShardProcessPool(
                 save_dir, ShardPoolConfig(request_timeout=REQUEST_TIMEOUT)
             ),
@@ -432,6 +432,48 @@ class TestReplayParityThroughPool:
         assert report.concurrent.errors == []
         assert report.concurrent.epoch_log.regressions() == []
         assert report.mismatched_probes == []
+
+    def test_handle_wrapped_pool_is_closed_by_the_harness(
+        self, small_cleaned, mono_engine, tmp_path
+    ):
+        """The harness teardown is ``engine.close()``: a handle around a
+        pool must pass it through, or the workers outlive the check."""
+        with SearchEngine.from_engine(
+            mono_engine, num_shards=2, cache_entries=None
+        ) as sharded:
+            sharded.save(tmp_path, mmap_ready=True)
+        trace = WorkloadGenerator(
+            WorkloadConfig(
+                num_operations=40,
+                query_fraction=1.0,
+                refresh_fraction=0.0,
+                seed=71,
+            )
+        ).generate(small_cleaned)
+        pools = []  # held here so a worker can only die by being closed
+
+        def build_concurrent():
+            pools.append(
+                ShardProcessPool(
+                    tmp_path, ShardPoolConfig(request_timeout=REQUEST_TIMEOUT)
+                )
+            )
+            return EngineHandle(pools[-1])
+
+        try:
+            report = check_replay_parity(
+                lambda: mono_engine,
+                trace,
+                num_workers=2,
+                concurrent_build_engine=build_concurrent,
+            )
+            assert report.ok, report.summary()
+            (pool,) = pools
+            assert len(pool._workers) == 2
+            assert not any(w.process.is_alive() for w in pool._workers)
+        finally:
+            for pool in pools:
+                pool.close()
 
     def test_pool_backed_replay_through_batching_frontend(
         self, small_cleaned, mono_engine, save_dir

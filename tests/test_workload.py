@@ -27,9 +27,11 @@ from repro.load import (
     MUTATE,
     QUERY,
     LatencyHistogram,
+    Operation,
     WorkloadConfig,
     WorkloadGenerator,
     WorkloadRunner,
+    WorkloadTrace,
     check_replay_parity,
 )
 from repro.search.cache import QueryCache
@@ -263,6 +265,138 @@ class TestConcurrentReplayAcceptance:
                 trace,
                 worker_counts=(0,),
             )
+
+
+class _Tampered:
+    """A concurrent-side engine that delegates to a real one; each subclass
+    breaks exactly one of the four replay invariants."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self._fired = False
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
+class _DropsAMutation(_Tampered):
+    def apply_mutations(self, **batch):
+        if self._fired:
+            return self._engine.apply_mutations(**batch)
+        self._fired = True
+        return self._engine.staleness()
+
+
+class _StaleEpochOnce(_Tampered):
+    _reported = 0
+
+    def snapshot_rank_batch(self, queries, top_k=None):
+        epoch, results = self._engine.snapshot_rank_batch(queries, top_k=top_k)
+        if 1 <= epoch == self._reported and not self._fired:
+            self._fired = True  # the reader already saw ``epoch``: regress
+            return epoch - 1, results
+        self._reported = epoch
+        return epoch, results
+
+
+class _PerturbsOneProbe(_Tampered):
+    def snapshot_rank_batch(self, queries, top_k=None):
+        epoch, results = self._engine.snapshot_rank_batch(queries, top_k=top_k)
+        if len(queries) > 1:  # the quiesced probe batch, not a replayed query
+            position = next(i for i, ranked in enumerate(results) if ranked)
+            top = results[position][0]
+            results[position][0] = top._replace(score=top.score + 1e-6)
+        return epoch, results
+
+
+class _RaisesUntypedOnce(_Tampered):
+    def snapshot_rank_batch(self, queries, top_k=None):
+        if len(queries) == 1 and not self._fired:
+            self._fired = True
+            raise RuntimeError("boom")
+        return self._engine.snapshot_rank_batch(queries, top_k=top_k)
+
+
+#: Violation text -> the check that emitted it.
+CHECK_OF_VIOLATION = {
+    "error(s) of kinds": "errors typed",
+    "epoch diverged": "state converged",
+    "resource count diverged": "state converged",
+    "ran backwards": "epochs monotone",
+    "probes diverged": "probes match",
+}
+
+
+def violated_checks(report):
+    return {
+        next(
+            check
+            for text, check in CHECK_OF_VIOLATION.items()
+            if text in violation
+        )
+        for violation in report.violations
+    }
+
+
+class TestEachCheckBitesAlone:
+    """Break one property on the concurrent side; only its check fires."""
+
+    def replay(self, folksonomy, trace, tampered):
+        return check_replay_parity(
+            lambda: build_mono(folksonomy),
+            trace,
+            num_workers=1,  # one reader: "stale once" is a sure regression
+            concurrent_build_engine=lambda: tampered(build_mono(folksonomy)),
+        )
+
+    def test_untampered_wrapper_is_green(self, small_cleaned):
+        report = self.replay(small_cleaned, make_trace(small_cleaned), _Tampered)
+        assert report.ok, report.summary()
+
+    def test_state_converged(self, small_cleaned):
+        # One mutation that rewrites a resource to the bag it already has:
+        # it bumps the epoch and changes no ranking, so dropping it breaks
+        # convergence without disturbing the probes.
+        base = make_trace(
+            small_cleaned, query_fraction=1.0, refresh_fraction=0.0
+        )
+        resource = small_cleaned.resources[0]
+        rewrite = Operation(
+            index=len(base.operations),
+            kind=MUTATE,
+            updated={resource: dict(small_cleaned.tag_bag(resource))},
+            mutation_seq=0,
+        )
+        trace = WorkloadTrace(
+            operations=base.operations + (rewrite,),
+            eval_queries=base.eval_queries,
+            config=base.config,
+        )
+        report = self.replay(small_cleaned, trace, _DropsAMutation)
+        assert violated_checks(report) == {"state converged"}
+        assert report.mismatched_probes == []
+
+    def test_epochs_monotone(self, small_cleaned):
+        trace = make_trace(small_cleaned)
+        assert trace.num_mutations >= 1
+        report = self.replay(small_cleaned, trace, _StaleEpochOnce)
+        assert violated_checks(report) == {"epochs monotone"}
+        assert len(report.violations) == 1
+
+    def test_probes_match(self, small_cleaned):
+        report = self.replay(
+            small_cleaned, make_trace(small_cleaned), _PerturbsOneProbe
+        )
+        assert violated_checks(report) == {"probes match"}
+        assert len(report.mismatched_probes) == 1
+
+    def test_errors_typed(self, small_cleaned):
+        report = self.replay(
+            small_cleaned, make_trace(small_cleaned), _RaisesUntypedOnce
+        )
+        assert violated_checks(report) == {"errors typed"}
+        assert report.concurrent.error_kinds == ["RuntimeError"]
+        assert report.mismatched_probes == []
 
 
 class TestQueryMutationRace:

@@ -1,9 +1,10 @@
-"""Documentation presence, link and module-name checker (CI gate).
+"""Documentation presence, link, module-name and option-name checker (CI gate).
 
-Three failure modes make docs rot silently: a book that exists but
+Four failure modes make docs rot silently: a book that exists but
 nothing points at (unreachable, so effectively deleted), a link whose
-target moved (dead, so the reader bounces), and a module name that
-outlived its module.  This checker makes all three loud:
+target moved (dead, so the reader bounces), a module name that outlived
+its module, and an option that outlived its parameter.  This checker
+makes all four loud:
 
 * **presence** — every ``docs/*.md`` file must be referenced by a
   relative link from ``README.md`` itself, so the README remains the
@@ -16,7 +17,11 @@ outlived its module.  This checker makes all three loud:
 * **module names** — every backticked ``repro.<pkg>.<name>`` in
   ``README.md`` and ``docs/*.md`` must be a module or subpackage under
   ``src/repro/<pkg>/``, or a name that package's ``__init__.py``
-  mentions (read as text: the checker imports nothing).
+  mentions (read as text: the checker imports nothing);
+* **option names** — every backticked ``<identifier>=…`` (lower-case, so
+  environment variables are out of scope) in ``README.md`` and
+  ``docs/*.md`` must name a parameter or annotated class field of some
+  function or class under ``src/`` (an ``ast`` scan, again no import).
 
 Run it from the repo root (CI does)::
 
@@ -29,6 +34,7 @@ means problems, each printed one per line as ``<file>: <problem>``.
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
 from pathlib import Path
@@ -40,6 +46,9 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 #: A backticked dotted name at least ``repro.<pkg>.<name>`` deep.
 _MODULE_RE = re.compile(r"`repro\.(\w+)\.(\w+)[\w.]*`")
+#: A backticked ``name=`` / ``name=value`` option token (``PYTHONPATH=src``
+#: and other upper-case environment variables do not match).
+_OPTION_RE = re.compile(r"`([a-z_][a-z0-9_]*)=[^`]*`")
 
 
 def extract_links(markdown: str) -> List[str]:
@@ -83,6 +92,32 @@ def missing_modules(markdown: str, root: Path) -> List[str]:
     return missing
 
 
+def declared_options(root: Path) -> Set[str]:
+    """Every parameter and annotated class field declared under ``src/``."""
+    names: Set[str] = set()
+    for path in (root / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spec = node.args
+                for arg in (
+                    *spec.posonlyargs,
+                    *spec.args,
+                    *spec.kwonlyargs,
+                    spec.vararg,
+                    spec.kwarg,
+                ):
+                    if arg is not None:
+                        names.add(arg.arg)
+            elif isinstance(node, ast.ClassDef):
+                names.update(
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                )
+    return names
+
+
 def check_docs(root: Path) -> List[str]:
     """Check the doc set under ``root``; return problems (empty == clean)."""
     root = root.resolve()
@@ -95,14 +130,18 @@ def check_docs(root: Path) -> List[str]:
     doc_files = sorted(docs_dir.glob("*.md")) if docs_dir.is_dir() else []
     sources = [readme, *doc_files]
 
-    # Liveness: every module name and relative link in every source must
-    # resolve.
+    # Liveness: every module name, option name and relative link in every
+    # source must resolve.
+    options = declared_options(root)
     readme_targets: Set[Path] = set()
     for source in sources:
         rel_source = source.relative_to(root)
         markdown = source.read_text(encoding="utf-8")
         for dotted in missing_modules(markdown, root):
             problems.append(f"{rel_source}: no such module -> {dotted}")
+        for option in dict.fromkeys(_OPTION_RE.findall(markdown)):
+            if option not in options:
+                problems.append(f"{rel_source}: no such option -> {option}=")
         for target in extract_links(markdown):
             if not is_relative_link(target):
                 continue
@@ -141,7 +180,7 @@ def main(argv: List[str]) -> int:
         return 1
     print(
         "OK: docs present, linked from README, no dead intra-repo links, "
-        "no stale module names"
+        "no stale module or option names"
     )
     return 0
 
