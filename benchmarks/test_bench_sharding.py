@@ -1,16 +1,14 @@
-"""Sharded fan-out throughput and query-cache latency: the serving gates.
+"""In-process sharding cost and query-cache latency: the serving gates.
 
-Two claims back the sharded architecture, and this file gates both:
+Two claims back the sharded architecture, and this file checks both:
 
-* **Fan-out scales.** A 4-shard :class:`SearchEngine` ranks a
-  ``rank_batch`` workload by fanning the batch out to per-shard BLAS/scipy
-  matmuls on a thread pool (the matmuls release the GIL) and heap-merging
-  the per-shard top-k.  On a multi-core runner the 4-shard engine must be
-  >= 2x the monolithic throughput; on fewer cores there is no parallelism
-  to claim, so the gate relaxes to "no pathological slowdown" while the
-  sweep still runs end to end.  Either way every sharded ranking is
-  verified against the monolithic engine to 1e-9 — a fast wrong answer is
-  not a result.
+* **Sharding is exact and not pathological.** A 4-shard
+  :class:`SearchEngine` ranks a ``rank_batch`` workload shard by shard on
+  the calling thread and heap-merges the per-shard top-k (the parallel
+  reader is the process pool, ``test_bench_shardpool.py``).  Its
+  throughput relative to the monolith is *recorded* and held to a sanity
+  floor on every machine; every sharded ranking is verified against the
+  monolithic engine to 1e-9 — a fast wrong answer is not a result.
 * **Exact hits are nearly free.** A warm :class:`QueryCache` must answer
   an exact-hit ``search`` at least 50x faster than re-scoring the query
   from scratch (the cache lookup is one dict probe against a canonical tag
@@ -38,23 +36,13 @@ from repro.utils.timing import format_duration
 NUM_RESOURCES = 4000
 NUM_TAGS = 720
 NUM_USERS = 300
-#: Many concepts make per-shard scoring dgemm-dominated — the GIL-releasing
-#: work that actually spreads across the fan-out threads.
+#: Many concepts make per-shard scoring dgemm-dominated.
 NUM_CONCEPTS = 240
 NUM_QUERIES = 192
 TOP_K = 20
 SHARD_COUNTS = (1, 2, 4)
-#: The parallel-speedup claim only exists on parallel hardware; below this
-#: many cores the 4-shard gate degrades to a no-pathological-slowdown bar.
-MIN_CORES_FOR_SPEEDUP_GATE = 4
-#: On a local >= 4-core machine the 4-shard fan-out must be >= 2x the
-#: monolith.  Shared CI runners get the measurement + sanity floor only:
-#: they are noisy-neighbor VMs whose pip-wheel OpenBLAS already spreads the
-#: *monolithic* dgemm over every core, which makes relative fan-out speedup
-#: an environment artefact there rather than a code property.
-MIN_FANOUT_SPEEDUP = 2.0
-#: Floor for non-gated environments: fan-out overhead (thread handoff +
-#: heap merge) must never make sharding pathologically slower.
+#: Per-shard call overhead plus the heap merge must never make sharding
+#: pathologically slower than the monolith.
 MIN_FANOUT_SANITY_RATIO = 0.2
 #: An exact cache hit must beat re-scoring by this factor (any core count).
 MIN_CACHE_SPEEDUP = 10.0 if os.environ.get("CI") else 50.0
@@ -102,34 +90,21 @@ def test_four_shard_fanout_throughput_with_exact_parity():
     cores = os.cpu_count() or 1
     four_shard = next(row for row in rows if row["Shards"] == 4)
     speedup = float(four_shard["Speedup"])
-    gated = cores >= MIN_CORES_FOR_SPEEDUP_GATE and not os.environ.get("CI")
-    if gated:
-        verdict = f"gated >= {MIN_FANOUT_SPEEDUP:.1f}x"
-    elif cores < MIN_CORES_FOR_SPEEDUP_GATE:
-        verdict = "reported only: fewer than 4 cores, no parallelism to claim"
-    else:
-        verdict = "reported only: shared CI runner"
     record_metric("four_shard_fanout_speedup", speedup)
     record_report(
-        "== sharding: parallel fan-out rank_batch vs monolithic engine ==\n"
+        "== sharding: 4-shard rank_batch vs monolithic engine ==\n"
         + format_table(rows)
         + f"\ncorpus: {NUM_RESOURCES} resources, {folksonomy.num_tags} tags, "
         f"{NUM_CONCEPTS} concepts; {NUM_QUERIES} queries @ top-{TOP_K}; "
         f"{cores} cores\n"
-        f"4-shard speedup: {speedup:.2f}x ({verdict}; parity with the "
-        "monolithic rankings verified to 1e-9 inside the sweep)"
+        f"4-shard speedup: {speedup:.2f}x (recorded, not asserted; parity "
+        "with the monolithic rankings verified to 1e-9 inside the sweep)"
     )
-    if gated:
-        assert speedup >= MIN_FANOUT_SPEEDUP, (
-            f"4-shard fan-out only {speedup:.2f}x the monolithic engine on "
-            f"{cores} cores (required >= {MIN_FANOUT_SPEEDUP}x)"
-        )
-    else:
-        assert speedup >= MIN_FANOUT_SANITY_RATIO, (
-            f"4-shard fan-out collapsed to {speedup:.2f}x on {cores} core(s) "
-            f"— merge/thread overhead is pathological "
-            f"(required >= {MIN_FANOUT_SANITY_RATIO}x)"
-        )
+    assert speedup >= MIN_FANOUT_SANITY_RATIO, (
+        f"4-shard engine collapsed to {speedup:.2f}x on {cores} core(s) — "
+        f"per-shard/merge overhead is pathological "
+        f"(required >= {MIN_FANOUT_SANITY_RATIO}x)"
+    )
 
 
 def test_exact_hit_query_cache_is_50x_faster_than_rescoring():

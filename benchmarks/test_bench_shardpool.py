@@ -1,9 +1,9 @@
 """Process-pool fan-out throughput and cold-start cost.
 
-``test_bench_sharding.py`` records the thread-pool fan-out's 0.43x
-"speedup" — scipy's sparse matmul holds the GIL, so four shard threads
-serialize and sharding made serving *slower* than the monolith.  The
-process pool is the fix, and this file measures it:
+``test_bench_sharding.py`` records what in-process sharding costs —
+scipy's sparse matmul holds the GIL, so an N-shard engine scores its
+shards one after another and is *slower* than the monolith.  The process
+pool is the parallel reader, and this file measures it:
 
 * **Fan-out vs the one-shard engine.** A 4-shard
   :class:`ShardProcessPool` (one worker interpreter per shard, no shared
@@ -29,7 +29,7 @@ from conftest import record_metric, record_report
 from repro.eval.reporting import format_table
 from repro.eval.shardpool import pool_sweep
 from repro.search.engine import SearchEngine
-from repro.search.shardpool import ShardPoolConfig, ShardProcessPool
+from repro.search.shardpool import ShardProcessPool
 from test_bench_sharding import (
     NUM_CONCEPTS,
     NUM_QUERIES,
@@ -78,19 +78,15 @@ def test_pool_cold_start_mmap_vs_eager(tmp_path):
     sharded = SearchEngine.from_engine(
         engine, num_shards=4, cache_entries=None
     )
-    save_dir = tmp_path / "index"
-    try:
-        sharded.save(save_dir, mmap_ready=True)
-    finally:
-        sharded.close()
 
     cold_starts = {}
     for label, mmap in (("mmap", True), ("eager", False)):
+        # The pool maps exactly when the save is the raw ``.npy`` layout.
+        save_dir = sharded.save(tmp_path / label, mmap_ready=mmap)
         best = float("inf")
         for _ in range(3):
-            with ShardProcessPool(
-                save_dir, ShardPoolConfig(mmap=mmap)
-            ) as pool:
+            with ShardProcessPool(save_dir) as pool:
+                assert pool.uses_mmap == mmap
                 # Worst worker's array-open time: process spawn cost is
                 # identical between the layouts, the load is what differs.
                 best = min(best, max(pool.worker_load_seconds()))
@@ -100,7 +96,7 @@ def test_pool_cold_start_mmap_vs_eager(tmp_path):
     record_report(
         "== shardpool: worker cold-start, mmap vs eager load ==\n"
         f"mmap  (npy, zero-copy open) : {cold_starts['mmap'] * 1e3:.2f} ms\n"
-        f"eager (arrays read into RAM): {cold_starts['eager'] * 1e3:.2f} ms\n"
+        f"eager (npz, read into RAM)  : {cold_starts['eager'] * 1e3:.2f} ms\n"
         "(worst worker per pool, best of 3 pools; recorded, not anchored — "
         "absolute seconds are machine properties)"
     )

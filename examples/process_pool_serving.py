@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Process-per-shard serving: escape the GIL without changing a score.
 
-The sharded engine's *thread* fan-out keeps rankings exact but buys no
-parallelism while scipy's sparse matmul holds the GIL.  This example
+The in-process N-shard engine keeps rankings exact but scores its shards
+one after another (scipy's sparse matmul holds the GIL).  This example
 runs the deployment that does: one worker *process* per shard behind a
 coordinating :class:`ShardProcessPool`.
 

@@ -7,7 +7,7 @@ shows the production-shaped serving stack built on top of it:
 
 1. fit the offline pipeline once (monolithic, as always),
 2. partition the compiled concept space into 4 shards behind a stable-hash
-   router; fan a query batch out to all shards in parallel and heap-merge
+   router; score a query batch on every shard and heap-merge
    the per-shard top-k — rankings are verified against the monolithic
    engine as we go,
 3. serve repeated queries from the LRU result cache (exact hits skip

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro.tensor.dense import unfold
+from repro.tensor.sparse import SparseTensor
 from repro.tensor.tucker import TuckerDecomposition
 from repro.utils.errors import DimensionError
 from repro.utils.validation import check_shape_2d, check_square
@@ -175,8 +176,6 @@ def raw_slice_distances(tensor) -> np.ndarray:
     (it works directly on the raw sparse slices) because that is the point
     the paper's Table V makes.
     """
-    from repro.tensor.sparse import SparseTensor  # local import to avoid cycle
-
     if isinstance(tensor, SparseTensor):
         if tensor.ndim != 3:
             raise DimensionError("raw slice distances require an order-3 tensor")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.base import Ranker
-from repro.datasets.queries import QueryWorkload
+from repro.datasets.queries import QueryWorkload, RelevanceJudgments
+from repro.eval.ndcg import ndcg_at
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError
 
@@ -184,8 +185,6 @@ class RankingExperiment:
 
     def _pooled_judgments(self, evaluation: RankingEvaluation):
         """Per-query judgments restricted to the pooled returned resources."""
-        from repro.datasets.queries import RelevanceJudgments
-
         pooled: Dict[str, RelevanceJudgments] = {}
         for query in self._workload:
             pool = set()
@@ -199,8 +198,6 @@ class RankingExperiment:
         return pooled
 
     def _mean_ndcg(self, rankings, judgments, cutoff: int) -> float:
-        from repro.eval.ndcg import ndcg_at
-
         scores = []
         for query in self._workload:
             judgment = judgments[query.query_id]

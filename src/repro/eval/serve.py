@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.search.vsm import PARITY_TOL, mismatched_probes
 from repro.serve.frontend import BatchingFrontend, FrontendConfig
-from repro.serve.metrics import MetricsRegistry
 from repro.utils.errors import ConfigurationError
+from repro.utils.metrics import MetricsRegistry
 
 #: Default window grid: no batching (the baseline), a narrow window, and
 #: a wide window.
@@ -69,9 +69,8 @@ def frontend_sweep(
     rows: List[Dict[str, object]] = []
     registries: List[MetricsRegistry] = []
     for max_batch_size, max_wait_ms in windows:
-        cache = getattr(engine, "cache", None)
-        if cache is not None:
-            cache.clear()
+        if engine.cache is not None:
+            engine.cache.clear()
         config = FrontendConfig(
             max_batch_size=max_batch_size,
             max_wait_ms=max_wait_ms,

@@ -1,9 +1,10 @@
 """Evaluation harness for the sharded serving architecture.
 
-The sharded engine's contract is *parity at parallel speed*: fan-out plus
-heap-merge must reproduce the monolithic rankings exactly while spreading
-the matmul work over cores.  :func:`sharding_sweep` checks both halves in
-one pass — it times a ``rank_batch`` workload on the monolithic engine and
+The sharded engine's contract is *parity*: per-shard scoring plus
+heap-merge must reproduce the monolithic rankings exactly (the parallel
+reader is the process pool, :mod:`repro.eval.shardpool`).
+:func:`sharding_sweep` checks parity and records the cost in one pass —
+it times a ``rank_batch`` workload on the monolithic engine and
 on sharded engines of increasing shard counts, verifies every sharded
 ranking against the monolithic one, and returns report rows for
 :func:`repro.eval.reporting.format_table`.

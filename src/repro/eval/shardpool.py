@@ -3,7 +3,7 @@
 The pool's contract mirrors the sharded engine's — *parity at parallel
 speed* — but across process boundaries: each worker interpreter scores
 one shard with no shared GIL, so the fan-out speedup is real on
-multi-core machines instead of the thread pool's serialized 0.43x.
+multi-core machines, where the in-process N-shard engine only loops.
 :func:`pool_sweep` checks both halves in one pass: it times a
 ``rank_batch`` workload on the monolithic engine and on process pools of
 increasing shard counts (saving each sharded layout to disk first, since

@@ -35,6 +35,7 @@ from repro.load.scenarios import (
     run_chaos,
 )
 from repro.load.workload import QUERY, WorkloadTrace
+from repro.serve.frontend import FrontendConfig
 from repro.utils.errors import ConfigurationError
 
 
@@ -160,13 +161,10 @@ def scenario_sweep(
                     "the chaos scenario replays over a ShardProcessPool; "
                     "pass save_dir= (a published sharded save directory)"
                 )
-            golden_engine = build_engine()
-            try:
+            with build_engine() as golden_engine:
                 golden_rankings = quiesced_rankings(
                     golden_engine, scenario.trace
                 )
-            finally:
-                golden_engine.close()
             outcome = run_chaos(
                 save_dir, scenario, num_workers=num_workers
             )
@@ -181,8 +179,6 @@ def scenario_sweep(
             )
             config = frontend_config
             if use_frontend and config is None:
-                from repro.serve.frontend import FrontendConfig
-
                 config = FrontendConfig()
             parity = check_replay_parity(
                 build_engine,

@@ -39,7 +39,6 @@ from repro.load.workload import (
 )
 from repro.load.runner import (
     GoldenReplay,
-    LatencyHistogram,
     WorkloadReport,
     WorkloadRunner,
     merge_workload_reports,
@@ -78,6 +77,7 @@ from repro.load.invariants import (
     check_replay_parity,
     check_scenario,
 )
+from repro.utils.metrics import LatencyHistogram
 
 __all__ = [
     "MUTATE",

@@ -1,9 +1,7 @@
 """Trace replay: serial golden runs and concurrent stress runs.
 
 :class:`WorkloadRunner` replays a :class:`~repro.load.workload.WorkloadTrace`
-against a serving engine (a :class:`~repro.search.engine.SearchEngine` at
-any shard count — anything with the
-``snapshot_rank_batch`` / ``apply_mutations`` / ``refresh`` surface):
+against a serving engine (any :class:`~repro.search.vsm.RankEngine`):
 
 * **serially** — one thread, trace order; the replay every other run is
   judged against;
@@ -39,166 +37,11 @@ from repro.search.engine import (
     concept_model_to_json,
 )
 from repro.search.incremental import EpochObservationLog
+from repro.search.vsm import RankEngine
+from repro.serve.frontend import BatchingFrontend
 from repro.utils.errors import ConfigurationError
+from repro.utils.metrics import LatencyHistogram
 from repro.utils.timing import format_duration
-
-#: Lower edge of the first latency bucket (1 microsecond).
-_BUCKET_FLOOR = 1e-6
-#: Geometric bucket growth factor; 40 buckets span 1us .. ~18min.
-_BUCKET_FACTOR = 2.0
-_NUM_BUCKETS = 40
-
-
-class LatencyHistogram:
-    """Log-spaced latency histogram with exact count/sum/min/max.
-
-    Buckets grow geometrically from one microsecond, so one histogram
-    covers cache-hit lookups and multi-second refreshes alike; quantile
-    estimates are conservative upper bucket edges (see :meth:`quantile`).
-    Instances are cheap and *not* thread-safe by design: each replay
-    worker records into its own set and the runner :meth:`merge`\\ s them
-    afterwards, which keeps the measurement itself off the hot path's
-    lock profile.
-
-    A histogram can carry labelled **sub-histograms** (per-tenant or
-    per-scenario latency books): :meth:`record` with a ``label`` counts
-    the sample once in the aggregate and once in that label's child,
-    and :meth:`merge` folds children recursively.  The aggregate is
-    always the top-level counts alone — children are a *breakdown* of
-    it, never an addition to it, so summing a report's aggregate with
-    its children would double-count and the accessors keep them apart.
-    """
-
-    def __init__(self) -> None:
-        self._counts = [0] * (_NUM_BUCKETS + 1)
-        self.count = 0
-        self.total_seconds = 0.0
-        self.min_seconds = float("inf")
-        self.max_seconds = 0.0
-        self._children: Dict[str, "LatencyHistogram"] = {}
-
-    def record(self, seconds: float, label: Optional[str] = None) -> None:
-        if seconds < 0.0:
-            raise ConfigurationError(
-                f"latency must be non-negative, got {seconds}"
-            )
-        self._observe(seconds)
-        if label is not None:
-            self._ensure_child(label)._observe(seconds)
-
-    def _observe(self, seconds: float) -> None:
-        """Count one sample into this histogram's own buckets only."""
-        bucket = 0
-        edge = _BUCKET_FLOOR
-        while bucket < _NUM_BUCKETS and seconds >= edge:
-            bucket += 1
-            edge *= _BUCKET_FACTOR
-        self._counts[bucket] += 1
-        self.count += 1
-        self.total_seconds += seconds
-        self.min_seconds = min(self.min_seconds, seconds)
-        self.max_seconds = max(self.max_seconds, seconds)
-
-    def _ensure_child(self, label: str) -> "LatencyHistogram":
-        child = self._children.get(label)
-        if child is None:
-            child = self._children[label] = LatencyHistogram()
-        return child
-
-    def _fold(self, other: "LatencyHistogram") -> None:
-        """Fold ``other``'s own buckets (not its children) into ours."""
-        for bucket, count in enumerate(other._counts):
-            self._counts[bucket] += count
-        self.count += other.count
-        self.total_seconds += other.total_seconds
-        self.min_seconds = min(self.min_seconds, other.min_seconds)
-        self.max_seconds = max(self.max_seconds, other.max_seconds)
-
-    def merge(
-        self, other: "LatencyHistogram", label: Optional[str] = None
-    ) -> None:
-        """Fold ``other``'s samples into this histogram.
-
-        ``other``'s aggregate goes into our aggregate exactly once; its
-        children merge into our same-named children, so per-label counts
-        stay a partition of the aggregate across any merge tree (the
-        per-worker → per-run merge in the replay runner).  With
-        ``label``, ``other``'s aggregate is *additionally* recorded
-        under that child — the per-scenario book when whole reports are
-        folded into a cross-scenario one.
-        """
-        self._fold(other)
-        if label is not None:
-            self._ensure_child(label)._fold(other)
-        for name, child in other._children.items():
-            self._ensure_child(name)._fold(child)
-
-    def child(self, label: str) -> Optional["LatencyHistogram"]:
-        """The sub-histogram recorded under ``label`` (None if unseen)."""
-        return self._children.get(label)
-
-    def children(self) -> Dict[str, "LatencyHistogram"]:
-        """All labelled sub-histograms (a shallow copy of the mapping)."""
-        return dict(self._children)
-
-    @property
-    def labeled_count(self) -> int:
-        """Samples carrying any label — never more than :attr:`count`."""
-        return sum(child.count for child in self._children.values())
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.count if self.count else 0.0
-
-    def bucket_upper_bounds(self) -> List[float]:
-        """Exclusive upper edge of every bucket; the last is ``+inf``.
-
-        Public so exporters (the serving metrics registry's
-        Prometheus-style text format) can render the histogram without
-        reaching into the private counts.
-        """
-        return [
-            _BUCKET_FLOOR * (_BUCKET_FACTOR**bucket)
-            for bucket in range(_NUM_BUCKETS)
-        ] + [float("inf")]
-
-    def bucket_counts(self) -> List[int]:
-        """Per-bucket sample counts, aligned with :meth:`bucket_upper_bounds`."""
-        return list(self._counts)
-
-    def quantile(self, q: float) -> float:
-        """Upper edge of the bucket containing the ``q``-quantile sample.
-
-        A deliberately *conservative* estimate: with factor-2 buckets the
-        true quantile may be up to one bucket factor (2x) below the
-        returned edge, never above it — the safe direction for latency
-        reporting and gating.  Clamped to the observed ``max_seconds`` so
-        the estimate never exceeds a latency that actually happened.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for bucket, count in enumerate(self._counts):
-            seen += count
-            if seen >= target and count:
-                upper = _BUCKET_FLOOR * (_BUCKET_FACTOR**bucket)
-                return min(upper, self.max_seconds)
-        return self.max_seconds
-
-    def summary(self) -> str:
-        """One line: count, mean, p50/p99, min/max."""
-        if self.count == 0:
-            return "no samples"
-        return (
-            f"n={self.count} mean={format_duration(self.mean_seconds)} "
-            f"p50={format_duration(self.quantile(0.5))} "
-            f"p99={format_duration(self.quantile(0.99))} "
-            f"min={format_duration(self.min_seconds)} "
-            f"max={format_duration(self.max_seconds)}"
-        )
 
 
 @dataclass
@@ -355,7 +198,7 @@ class _SharedCursor:
 class WorkloadRunner:
     """Replays one trace against one engine, serially or concurrently."""
 
-    def __init__(self, engine, trace: WorkloadTrace) -> None:
+    def __init__(self, engine: RankEngine, trace: WorkloadTrace) -> None:
         self.engine = engine
         self.trace = trace
 
@@ -387,8 +230,8 @@ class WorkloadRunner:
         serial replay while reads and writes genuinely race in between.
 
         With ``frontend`` (a :class:`repro.serve.BatchingFrontend` built
-        around this runner's engine, duck-typed to avoid a load <-> serve
-        import cycle), queries are *submitted* instead of executed: each
+        around this runner's engine), queries are *submitted* instead of
+        executed: each
         worker blocks on its own future while the front-end coalesces the
         racing submissions into micro-batched engine reads.  The observed
         epoch then comes from the resolved
@@ -530,7 +373,7 @@ class WorkloadRunner:
         quiesce_started = time.perf_counter()
         self.engine.refresh()
         quiesce = time.perf_counter() - quiesce_started
-        cache = getattr(self.engine, "cache", None)
+        cache = self.engine.cache
         return WorkloadReport(
             mode=mode,
             num_workers=num_workers,
@@ -547,7 +390,7 @@ class WorkloadRunner:
 
 
 def quiesced_rankings(
-    engine, trace: WorkloadTrace
+    engine: RankEngine, trace: WorkloadTrace
 ) -> Tuple[int, List[List]]:
     """The engine's post-quiesce answers to the trace's evaluation probes.
 
@@ -571,7 +414,7 @@ class GoldenReplay(NamedTuple):
 
 
 def run_golden(
-    build_engine: Callable[[], object], trace: WorkloadTrace
+    build_engine: Callable[[], RankEngine], trace: WorkloadTrace
 ) -> GoldenReplay:
     """Replay ``trace`` serially on a fresh engine (closed on return).
 
@@ -579,15 +422,12 @@ def run_golden(
     runs it once and hands it to each :func:`check_replay_parity` call
     as ``golden=``.
     """
-    engine = build_engine()
-    try:
+    with build_engine() as engine:
         report = WorkloadRunner(engine, trace).run_serial()
         return GoldenReplay(report, quiesced_rankings(engine, trace))
-    finally:
-        engine.close()
 
 
-def scratch_rankings(engine, trace: WorkloadTrace) -> List[list]:
+def scratch_rankings(engine: RankEngine, trace: WorkloadTrace) -> List[list]:
     """Probe rankings of a from-scratch build of ``engine``'s final corpus.
 
     The oracle for fold-in and journal replay, and the only one that
@@ -598,8 +438,7 @@ def scratch_rankings(engine, trace: WorkloadTrace) -> List[list]:
     allocate into, the live model — then quiesced and ranked on the
     trace's evaluation probes.
     """
-    folksonomy = getattr(engine, "folksonomy", None)
-    model = getattr(engine, "concept_model", None)
+    folksonomy, model = engine.folksonomy, engine.concept_model
     if folksonomy is None or model is None:
         raise ConfigurationError(
             "a scratch rebuild needs a folksonomy-tracking EngineHandle; "
@@ -650,9 +489,8 @@ def replay_pair(
     """
     if golden is None:
         golden = run_golden(build_engine, trace)
-    engine = (concurrent_build_engine or build_engine)()
-    try:
-        generation_before = getattr(engine, "generation", 0)
+    with (concurrent_build_engine or build_engine)() as engine:
+        generation_before = engine.generation
         swap_errors: List[Exception] = []
 
         def run_swap() -> None:
@@ -672,10 +510,6 @@ def replay_pair(
         with ExitStack() as stack:
             frontend = None
             if frontend_config is not None:
-                # Deferred: repro.serve imports repro.load.runner (for its
-                # LatencyHistogram) at module scope.
-                from repro.serve.frontend import BatchingFrontend
-
                 frontend = stack.enter_context(
                     BatchingFrontend(engine, frontend_config, name="replay")
                 )
@@ -704,10 +538,6 @@ def replay_pair(
             reference=reference,
             swapped=swap_thread is not None,
             swap_error=swap_errors[0] if swap_errors else None,
-            generations_advanced=(
-                getattr(engine, "generation", 0) - generation_before
-            ),
+            generations_advanced=engine.generation - generation_before,
             frontend_stats=frontend_stats,
         )
-    finally:
-        engine.close()

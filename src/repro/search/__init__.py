@@ -11,10 +11,11 @@ dot products (Table VI).
   one sparse matmul, fold-in mutations, ``.npz``/JSON persistence.
 * :mod:`repro.search.engine` — the user-facing query interface: a concept
   model over N >= 1 shards of the matrix space, mutation routing, the
-  coordinated refresh, thread fan-out and the on-disk engine layout.
+  coordinated refresh and the on-disk engine layout.
 * :mod:`repro.search.vsm` / :mod:`repro.search.inverted_index` — the
-  fit-once dict-loop reference of the same model; a test and benchmark
-  oracle, not a serving path.
+  :class:`~repro.search.vsm.RankEngine` protocol every engine implements,
+  plus the fit-once dict-loop reference of the same model (a test and
+  benchmark oracle, not a serving path).
 * :mod:`repro.search.incremental` — staleness accounting for incrementally
   updated engines (epochs, refresh policy, fold-in drift reports).
 * :mod:`repro.search.sharding` — what the engine shards with: the stable
@@ -33,7 +34,7 @@ dot products (Table VI).
   Tucker refits with double-buffered hot swaps.
 """
 
-from repro.search.vsm import ConceptVectorSpace, RankedResult
+from repro.search.vsm import ConceptVectorSpace, RankedResult, RankEngine
 from repro.search.inverted_index import InvertedIndex
 from repro.search.concurrency import ReadWriteLock
 from repro.search.matrix_space import (
@@ -76,6 +77,7 @@ from repro.search.lifecycle import (
 __all__ = [
     "ConceptVectorSpace",
     "RankedResult",
+    "RankEngine",
     "InvertedIndex",
     "ReadWriteLock",
     "MatrixConceptSpace",

@@ -12,13 +12,29 @@ behind it — so a sustained query stream cannot starve a mutation batch.
 It is deliberately *not* reentrant: the engine never nests a guarded
 operation inside another guarded operation, and keeping the lock dumb
 makes the no-deadlock argument auditable.
+
+:func:`process_context` is the one place the serving stack decides how
+its worker processes (pool shards, background refits) are started.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 from contextlib import contextmanager
 from typing import Iterator
+
+
+def process_context():
+    """The multiprocessing context every serving worker is started from.
+
+    ``fork`` where the OS offers it (fastest start; workers re-open their
+    inputs from disk either way), the platform default otherwise.
+    """
+    available = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in available else available[0]
+    )
 
 
 class ReadWriteLock:

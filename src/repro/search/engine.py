@@ -10,11 +10,11 @@ return a ranked list.
 :meth:`SearchEngine.build` indexes a folksonomy into one shard;
 :meth:`SearchEngine.from_engine` re-partitions that along a
 :class:`~repro.search.sharding.ShardRouter`.  With more than one shard a
-query (or a whole ``rank_batch`` batch) fans out on a thread pool and the
-per-shard top-k lists are heap-merged by
+query (or a whole ``rank_batch`` batch) is scored shard by shard on the
+calling thread and the per-shard top-k lists are heap-merged by
 :func:`~repro.search.sharding.merge_topk`; with one shard its ranking is
-returned as is.  The threads share one interpreter and scipy's sparse
-matmul holds the GIL, so in-process fan-out buys capacity, not speed —
+returned as is.  scipy's sparse matmul holds the GIL, so in-process
+sharding buys capacity, not speed —
 :class:`~repro.search.shardpool.ShardProcessPool` is the parallel reader,
 this class the mutation coordinator and the parity reference.
 
@@ -51,8 +51,6 @@ from __future__ import annotations
 
 import json
 import shutil
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
@@ -84,7 +82,7 @@ from repro.search.sharding import (
     merge_topk,
     read_shard_manifest,
 )
-from repro.search.vsm import RankedResult
+from repro.search.vsm import RankedResult, RankEngine
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError
 
@@ -97,7 +95,7 @@ def _mutation_counts(payload: Optional[Mapping[str, int]]) -> Dict[str, int]:
     return {kind: int(payload.get(kind, 0)) for kind in _MUTATION_KINDS}
 
 
-class SearchEngine:
+class SearchEngine(RankEngine):
     """Online query processing over N >= 1 shards of a concept-space index.
 
     Shards carry corpus-wide statistics; the engine is their coordinator —
@@ -108,9 +106,8 @@ class SearchEngine:
     own rows with the corpus-wide statistics and refuses mutation.
 
     Instances come from :meth:`build`, :meth:`from_engine`, :meth:`load`
-    and :meth:`load_shard`.  A multi-shard engine owns a lazily created
-    :class:`ThreadPoolExecutor`; call :meth:`close` — or use the engine as
-    a context manager — to release the threads in long-lived processes.
+    and :meth:`load_shard`; the engine owns no threads or processes, so
+    :meth:`close` is the inherited no-op.
 
     Attributes
     ----------
@@ -131,6 +128,9 @@ class SearchEngine:
     cache:
         The query result cache, or ``None``.
     """
+
+    #: Assigned per instance; declared here to satisfy the abstract property.
+    epoch: int = 0
 
     def __init__(
         self,
@@ -172,8 +172,6 @@ class SearchEngine:
         self._mutations = _mutation_counts(mutation_counts)
         self._pending_batches = 0
         self._rw = ReadWriteLock()
-        self._pool_lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -268,33 +266,6 @@ class SearchEngine:
     def shard_sizes(self) -> List[int]:
         """Documents per shard, pending mutations included."""
         return [shard.pending_num_documents for shard in self.shards]
-
-    def close(self) -> None:
-        """Shut down the fan-out thread pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "SearchEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            # Double-checked under a dedicated lock: two serving threads
-            # racing the first query must not each build (and one leak) a
-            # ThreadPoolExecutor.  A plain mutex (not the engine's
-            # read/write lock) because _pool() is reached while holding
-            # read access and the ReadWriteLock is not reentrant.
-            with self._pool_lock:
-                if self._executor is None:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=len(self.shards),
-                        thread_name_prefix=f"{self.name}-shard",
-                    )
-        return self._executor
 
     def _shard_of(self, resource: str) -> int:
         """Index into :attr:`shards` of the space that owns ``resource``."""
@@ -441,11 +412,7 @@ class SearchEngine:
         """Score concept bags on every shard; caller holds the read lock."""
         if len(self.shards) == 1:
             return self.shards[0].rank_batch(bags, top_k)
-        futures = [
-            self._pool().submit(shard.rank_batch, bags, top_k)
-            for shard in self.shards
-        ]
-        per_shard = [future.result() for future in futures]
+        per_shard = [shard.rank_batch(bags, top_k) for shard in self.shards]
         return [
             merge_topk(
                 [shard_lists[position] for shard_lists in per_shard], top_k

@@ -47,7 +47,6 @@ silently.
 
 from __future__ import annotations
 
-import multiprocessing
 import shutil
 import threading
 import time
@@ -67,10 +66,13 @@ from typing import (
     Tuple,
 )
 
+from repro.search.concurrency import process_context
+from repro.search.vsm import RankEngine
 from repro.tagging.delta import FolksonomyDelta
 from repro.tagging.entities import TagAssignment
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError, NotFittedError
+from repro.utils.metrics import MetricsRegistry
 
 #: User-id prefix of assignments synthesized from journal tag bags.  A bag
 #: ``{tag: n}`` becomes assignments by n distinct ``jrnl-*`` users, so the
@@ -84,6 +86,10 @@ _INTEGRAL_TOL = 1e-9
 #: How long a retired (or closing) generation waits for its pinned readers
 #: before its engine is leaked to them instead of closed under them.
 DRAIN_TIMEOUT_SECONDS = 30.0
+
+#: Published generations the snapshot store keeps after a refit (the one
+#: being served plus one to roll back to).
+KEEP_GENERATIONS = 2
 
 
 # ---------------------------------------------------------------------- #
@@ -263,13 +269,16 @@ def fold_mutations_into_folksonomy(
     return folksonomy.apply_delta(delta)
 
 
-def fold_entry_into_folksonomy(
-    folksonomy: Folksonomy, entry: JournalEntry
+def _replay_and_fold(
+    engine, folksonomy: Folksonomy, entries: Sequence[JournalEntry]
 ) -> Folksonomy:
-    """:func:`fold_mutations_into_folksonomy` for one journal entry."""
-    return fold_mutations_into_folksonomy(
-        folksonomy, added=entry.added, updated=entry.updated, removed=entry.removed
-    )
+    """Replay ``entries`` onto ``engine``; return ``folksonomy`` with them folded in."""
+    replay_entries(engine, entries)
+    for entry in entries:
+        folksonomy = fold_mutations_into_folksonomy(
+            folksonomy, entry.added, entry.updated, entry.removed
+        )
+    return folksonomy
 
 
 # ---------------------------------------------------------------------- #
@@ -287,15 +296,13 @@ class _Generation:
         self.readers = 0
         self.retired = False
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
+    def drain(self, timeout: float) -> bool:
         """Block until every pinned reader released; False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         with self.cond:
             while self.readers:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     return False
                 self.cond.wait(remaining)
         return True
@@ -316,19 +323,14 @@ class SwapReport:
     swap_seconds: float
     drain_seconds: float
     drained: bool
-    replayed_entries: int = 0
 
 
-class EngineHandle:
+class EngineHandle(RankEngine):
     """A swappable reference to the current serving engine.
 
-    The handle duck-types the epoch-consistent engine surface
-    (``snapshot_rank_batch`` / ``rank_batch`` / ``search`` / ``refresh`` /
-    ``apply_mutations`` / ``epoch`` / ``staleness`` ...), so it drops in
-    wherever a :class:`~repro.search.engine.SearchEngine` or a
-    :class:`~repro.search.shardpool.ShardProcessPool` was used — the
-    :class:`~repro.serve.frontend.BatchingFrontend` and the workload
-    replay runner work against it unchanged.
+    Itself a :class:`~repro.search.vsm.RankEngine` around any other, so it
+    drops in wherever a :class:`~repro.search.engine.SearchEngine` or a
+    :class:`~repro.search.shardpool.ShardProcessPool` was used.
 
     Every read pins exactly **one** generation for its whole duration, so
     a single engine call — and therefore a whole front-end micro-batch,
@@ -349,18 +351,16 @@ class EngineHandle:
 
     def __init__(
         self,
-        engine,
+        engine: RankEngine,
         folksonomy: Optional[Folksonomy] = None,
         journal: Optional[DeltaJournal] = None,
         generation: int = 0,
     ) -> None:
-        for attribute in ("snapshot_rank_batch", "epoch"):
-            if not hasattr(engine, attribute):
-                raise ConfigurationError(
-                    "EngineHandle needs an engine exposing "
-                    f"snapshot_rank_batch and epoch; {type(engine).__name__} "
-                    f"lacks {attribute!r}"
-                )
+        if not isinstance(engine, RankEngine):
+            raise ConfigurationError(
+                "EngineHandle needs a RankEngine; "
+                f"{type(engine).__name__} is not one"
+            )
         self._current = _Generation(engine, generation)
         self._write_lock = threading.Lock()
         self.journal = journal if journal is not None else DeltaJournal()
@@ -390,7 +390,11 @@ class EngineHandle:
 
     @property
     def concept_model(self):
-        return getattr(self._current.engine, "concept_model", None)
+        return self._current.engine.concept_model
+
+    @property
+    def is_mutable(self) -> bool:
+        return self._current.engine.is_mutable
 
     @contextmanager
     def pin(self) -> Iterator[_Generation]:
@@ -421,14 +425,6 @@ class EngineHandle:
         with self.pin() as generation:
             return generation.engine.snapshot_rank_batch(queries, top_k=top_k)
 
-    def rank_batch(self, queries, top_k=None):
-        with self.pin() as generation:
-            return generation.engine.rank_batch(queries, top_k=top_k)
-
-    def search(self, query_tags, top_k=None):
-        with self.pin() as generation:
-            return generation.engine.search(query_tags, top_k=top_k)
-
     def refresh(self) -> bool:
         """Drive the pinned generation's lazy statistics refresh."""
         with self.pin() as generation:
@@ -450,21 +446,20 @@ class EngineHandle:
         """One operational snapshot: generation, epoch, drift, journal depth.
 
         Folded into :meth:`~repro.serve.frontend.BatchingFrontend.stats`
-        under ``engine_health``; the nested engine health (the process
-        pool's worker states) rides along when the engine reports one.
+        under ``engine_health``; the pinned engine's own health (the
+        process pool's worker states) rides along under ``engine``, with
+        its drift verdicts (when it reports any) lifted to ``staleness``.
         """
         with self.pin() as generation:
+            nested = generation.engine.health()
             payload: Dict[str, object] = {
                 "generation": generation.number,
                 "epoch": generation.engine.epoch,
                 "journal_entries": len(self.journal),
+                "engine": nested,
             }
-            stale = getattr(generation.engine, "staleness", None)
-            if callable(stale):
-                payload["staleness"] = stale().as_dict()
-            nested = getattr(generation.engine, "health", None)
-            if callable(nested):
-                payload["engine"] = nested()
+            if "staleness" in nested:
+                payload["staleness"] = nested["staleness"]
             return payload
 
     # ------------------------------------------------------------------ #
@@ -514,11 +509,17 @@ class EngineHandle:
         with self._write_lock:
             self._swap_listeners.append(listener)
 
+    def remove_swap_listener(self, listener: Callable[[int], None]) -> None:
+        """Unregister ``listener``; unknown listeners are ignored."""
+        with self._write_lock:
+            if listener in self._swap_listeners:
+                self._swap_listeners.remove(listener)
+
     def swap(
         self,
         new_engine,
         prepare: Optional[Callable[[object], Optional[Folksonomy]]] = None,
-        drain_timeout: Optional[float] = DRAIN_TIMEOUT_SECONDS,
+        drain_timeout: float = DRAIN_TIMEOUT_SECONDS,
     ) -> SwapReport:
         """Atomically install ``new_engine`` as the next generation.
 
@@ -533,7 +534,7 @@ class EngineHandle:
         must already carry a strictly greater epoch.  After the pointer
         install the old generation is retired: new readers can no longer
         pin it, its in-flight readers finish undisturbed, and once the
-        count drains the old engine's ``close`` (if any) is called.  A
+        count drains the old engine's ``close`` is called.  A
         drain that outlasts ``drain_timeout`` leaks the old engine to the
         stuck readers instead of closing it under them.
         """
@@ -568,9 +569,7 @@ class EngineHandle:
         drained = old.drain(drain_timeout)
         drain_seconds = time.perf_counter() - drain_started
         if drained:
-            closer = getattr(old.engine, "close", None)
-            if callable(closer):
-                closer()
+            old.engine.close()
         return SwapReport(
             generation=fresh.number,
             epoch=new_engine.epoch,
@@ -589,9 +588,7 @@ class EngineHandle:
         with self._write_lock:
             current = self._current
             if current.drain(DRAIN_TIMEOUT_SECONDS):
-                closer = getattr(current.engine, "close", None)
-                if callable(closer):
-                    closer()
+                current.engine.close()
 
     def __repr__(self) -> str:
         current = self._current
@@ -630,6 +627,19 @@ class RefitResult:
         )
 
 
+def _fit_snapshot(snapshot_dir, pipeline_kwargs: Mapping[str, object]):
+    """The full Tucker-ALS fit on a snapshot's folksonomy."""
+    # Deferred (here and below): core.pipeline and search import each other.
+    from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
+
+    base = OfflineIndex.load(snapshot_dir)
+    if base.folksonomy is None:
+        raise ConfigurationError(
+            f"snapshot {snapshot_dir} carries no folksonomy to refit on"
+        )
+    return CubeLSIPipeline(**pipeline_kwargs).fit(base.folksonomy)
+
+
 def _refit_worker_main(snapshot_dir: str, out_dir: str, pipeline_kwargs: dict) -> None:
     """Background-process entry point: load snapshot, fit, save.
 
@@ -637,18 +647,11 @@ def _refit_worker_main(snapshot_dir: str, out_dir: str, pipeline_kwargs: dict) -
     errors are written next to the output so the parent can surface the
     real traceback instead of a bare exit code.
     """
-    # Deferred so a forked child re-resolves nothing at import time.
-    from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
-
     out = Path(out_dir)
     try:
-        base = OfflineIndex.load(snapshot_dir)
-        if base.folksonomy is None:
-            raise ConfigurationError(
-                f"snapshot {snapshot_dir} carries no folksonomy to refit on"
-            )
-        fitted = CubeLSIPipeline(**pipeline_kwargs).fit(base.folksonomy)
-        fitted.save(out, include_folksonomy=True)
+        _fit_snapshot(snapshot_dir, pipeline_kwargs).save(
+            out, include_folksonomy=True
+        )
     except BaseException:
         out.mkdir(parents=True, exist_ok=True)
         (out / "refit_error.txt").write_text(
@@ -722,7 +725,7 @@ class RefitCoordinator:
     Swap latency, drain, fit and whole-cycle wall times are recorded into
     ``metrics`` (``lifecycle.*`` latency histograms plus counters and
     generation/journal gauges), Prometheus-exportable via
-    :meth:`~repro.serve.metrics.MetricsRegistry.export_text`.
+    :meth:`~repro.utils.metrics.MetricsRegistry.export_text`.
     """
 
     def __init__(
@@ -730,12 +733,8 @@ class RefitCoordinator:
         handle: EngineHandle,
         store,
         pipeline_kwargs: Optional[Mapping[str, object]] = None,
-        metrics=None,
+        metrics: Optional[MetricsRegistry] = None,
         use_process: bool = True,
-        start_method: Optional[str] = None,
-        keep_generations: int = 2,
-        drain_timeout: Optional[float] = DRAIN_TIMEOUT_SECONDS,
-        refit_timeout: Optional[float] = None,
         engine_factory: Optional[Callable[[object, Path], object]] = None,
         publish_kwargs: Optional[Mapping[str, object]] = None,
     ) -> None:
@@ -745,31 +744,11 @@ class RefitCoordinator:
                 "(EngineHandle(engine, folksonomy=...)); there is nothing "
                 "to refit otherwise"
             )
-        if keep_generations < 1:
-            raise ConfigurationError(
-                f"keep_generations must be >= 1, got {keep_generations}"
-            )
-        if start_method is not None:
-            available = multiprocessing.get_all_start_methods()
-            if start_method not in available:
-                raise ConfigurationError(
-                    f"start_method {start_method!r} not available here "
-                    f"(choose from {available})"
-                )
-        if metrics is None:
-            # Deferred: repro.serve imports repro.search at module scope.
-            from repro.serve.metrics import MetricsRegistry
-
-            metrics = MetricsRegistry()
         self.handle = handle
         self.store = store
         self.pipeline_kwargs = dict(pipeline_kwargs or {})
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self.use_process = bool(use_process)
-        self.start_method = start_method
-        self.keep_generations = int(keep_generations)
-        self.drain_timeout = drain_timeout
-        self.refit_timeout = refit_timeout
         self.engine_factory = engine_factory
         # Extra store.publish options (num_shards / mmap_ready) so a pool
         # factory can demand the sharded memory-mappable layout.
@@ -809,11 +788,9 @@ class RefitCoordinator:
             for entry in self.handle.journal.entries_since(mark)
             if entry.seq <= catch
         ]
-        replay_entries(fresh_index.engine, catchup)
-        folksonomy = fresh_index.folksonomy
-        for entry in catchup:
-            folksonomy = fold_entry_into_folksonomy(folksonomy, entry)
-        fresh_index.folksonomy = folksonomy
+        folksonomy = fresh_index.folksonomy = _replay_and_fold(
+            fresh_index.engine, fresh_index.folksonomy, catchup
+        )
 
         # Publish the caught-up index as the next generation.  The epoch is
         # pre-stamped to the swap target so a read-only engine built *from*
@@ -838,22 +815,18 @@ class RefitCoordinator:
         def prepare(new_engine) -> Optional[Folksonomy]:
             nonlocal tail_count, folksonomy
             tail = self.handle.journal.entries_since(catch)
-            if tail and not hasattr(new_engine, "apply_mutations"):
+            if tail and not new_engine.is_mutable:
                 raise ConfigurationError(
                     f"{len(tail)} journal entries arrived after publish but "
                     f"the factory-built {type(new_engine).__name__} is "
                     "read-only; quiesce writers before refitting"
                 )
-            replay_entries(new_engine, tail)
-            for entry in tail:
-                folksonomy = fold_entry_into_folksonomy(folksonomy, entry)
+            folksonomy = _replay_and_fold(new_engine, folksonomy, tail)
             tail_count = len(tail)
             self.handle.journal.truncate_through(catch)
             return folksonomy
 
-        swap = self.handle.swap(
-            serving_engine, prepare=prepare, drain_timeout=self.drain_timeout
-        )
+        swap = self.handle.swap(serving_engine, prepare=prepare)
         if swap.generation != generation:
             raise ConfigurationError(
                 f"generation raced during refit: published {generation} but "
@@ -861,7 +834,7 @@ class RefitCoordinator:
                 "swapper on a handle"
             )
         self.store.set_current(generation)
-        self.store.gc_generations(keep_last=self.keep_generations)
+        self.store.gc_generations(keep_last=KEEP_GENERATIONS)
 
         wall = time.perf_counter() - cycle_started
         self.metrics.observe_latency("lifecycle.refit", wall)
@@ -901,7 +874,7 @@ class RefitCoordinator:
         with self.handle._write_lock:
             engine = self.handle.engine
             mark = self.handle.journal.mark()
-            if getattr(engine, "concept_model", None) is None:
+            if engine.concept_model is None:
                 # A factory-built read-only engine (a process pool) cannot
                 # be re-serialized, but it also cannot accept mutations —
                 # so the store's current published generation still equals
@@ -926,38 +899,22 @@ class RefitCoordinator:
 
     def _fit(self, snapshot_dir: Path):
         """The full Tucker-ALS refit on the trailing snapshot."""
-        from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
+        from repro.core.pipeline import OfflineIndex
 
         if not self.use_process:
-            base = OfflineIndex.load(snapshot_dir)
-            if base.folksonomy is None:
-                raise ConfigurationError(
-                    f"snapshot {snapshot_dir} carries no folksonomy to refit on"
-                )
-            return CubeLSIPipeline(**self.pipeline_kwargs).fit(base.folksonomy)
+            return _fit_snapshot(snapshot_dir, self.pipeline_kwargs)
 
         staging = Path(self.store.root) / ".refit-staging"
         if staging.exists():
             shutil.rmtree(staging)
-        method = self.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else available[0]
-        context = multiprocessing.get_context(method)
-        worker = context.Process(
+        worker = process_context().Process(
             target=_refit_worker_main,
             args=(str(snapshot_dir), str(staging), dict(self.pipeline_kwargs)),
             name="refit-worker",
             daemon=True,
         )
         worker.start()
-        worker.join(self.refit_timeout)
-        if worker.is_alive():
-            worker.terminate()
-            worker.join()
-            raise ConfigurationError(
-                f"background refit exceeded {self.refit_timeout}s and was killed"
-            )
+        worker.join()
         if worker.exitcode != 0:
             detail = ""
             error_file = staging / "refit_error.txt"

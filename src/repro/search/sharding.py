@@ -8,7 +8,7 @@ concept space; this module is what it shards *with*:
   that ever routes for the same corpus.
 * :func:`merge_topk` — heap-merges per-shard top-k lists under the
   engine-wide deterministic tie-break (descending score, ascending
-  resource id); shared by the in-process thread fan-out and the
+  resource id); shared by the in-process N-shard engine and the
   process-per-shard pool (:mod:`repro.search.shardpool`).
 * :func:`read_shard_manifest` — the one reader of ``shard_manifest.json``,
   the file that ties a save directory's ``shard-NNNN/`` array dirs to the

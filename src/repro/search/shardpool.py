@@ -1,10 +1,10 @@
 """Process-per-shard serving pool: parallel fan-out that escapes the GIL.
 
-The thread-pool fan-out in :class:`~repro.search.engine.SearchEngine`
-shares one CPython interpreter, and scipy's sparse matmul holds the GIL for
-most of a ``rank_batch`` — measured as the 0.43x four-shard "speedup" in
-``benchmarks/BENCH_results.json``, sharding made serving *slower* than the
-monolith.  This module moves each shard into its own worker process:
+An N-shard :class:`~repro.search.engine.SearchEngine` scores its shards
+one after another in one CPython interpreter (scipy's sparse matmul holds
+the GIL for most of a ``rank_batch``), so in-process sharding is slower
+than the monolith.  This module moves each shard into its own worker
+process:
 
 * :func:`_shard_worker_main` — the worker entry point.  Each worker loads
   exactly one shard from the engine save layout
@@ -29,10 +29,10 @@ The pool is **read-only**: every response carries the shard's epoch, the
 coordinator asserts all shards agree with the manifest epoch, and
 mutations are rejected — route writes through a
 :class:`~repro.search.engine.SearchEngine` holding every shard, re-save,
-and restart the pool.  The read surface (``snapshot_rank_batch`` +
-``epoch`` + ``refresh`` + ``num_indexed_resources``) matches the in-process
-engines, so :class:`~repro.serve.frontend.BatchingFrontend` and the
-workload replay subsystem sit in front of a pool unchanged.
+and restart the pool.  The pool is a
+:class:`~repro.search.vsm.RankEngine`, so
+:class:`~repro.serve.frontend.BatchingFrontend` and the workload replay
+subsystem sit in front of it unchanged.
 
 Wire protocol (pickled tuples; first element is the frame kind):
 
@@ -57,7 +57,6 @@ the current request.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import threading
 import time
 from dataclasses import dataclass
@@ -70,9 +69,10 @@ from repro.search.matrix_space import (
     saved_storage,
     validate_top_k,
 )
+from repro.search.concurrency import process_context
 from repro.search.engine import SearchEngine
 from repro.search.sharding import merge_topk, read_shard_manifest
-from repro.search.vsm import RankedResult
+from repro.search.vsm import RankedResult, RankEngine
 from repro.utils.errors import ConfigurationError, ReproError
 
 __all__ = [
@@ -159,13 +159,7 @@ class PoolResult:
 class ShardPoolConfig:
     """Tuning knobs for :class:`ShardProcessPool`.
 
-    ``mmap=None`` auto-detects: memory-map when the save is in the
-    ``mmap_ready`` (``.npy``) layout, load eagerly otherwise; ``True``
-    demands mapping (raising on a compressed save), ``False`` forces an
-    eager load.  ``start_method=None`` prefers ``fork`` where the OS
-    offers it (fastest start; the worker re-opens the arrays from disk
-    either way) and falls back to the platform default.  All timeouts
-    are in seconds: ``request_timeout`` bounds one fan-out,
+    All timeouts are in seconds: ``request_timeout`` bounds one fan-out,
     ``startup_timeout`` bounds one worker's load-and-ready handshake,
     and ``heartbeat_timeout`` bounds the ping that probes a previously
     stalled worker before a read.  With ``strict_reads`` a degraded
@@ -173,8 +167,6 @@ class ShardPoolConfig:
     surviving shards' merge.
     """
 
-    mmap: Optional[bool] = None
-    start_method: Optional[str] = None
     request_timeout: float = 30.0
     startup_timeout: float = 60.0
     heartbeat_timeout: float = 1.0
@@ -185,13 +177,6 @@ class ShardPoolConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value!r}")
-        if self.start_method is not None:
-            available = multiprocessing.get_all_start_methods()
-            if self.start_method not in available:
-                raise ConfigurationError(
-                    f"start_method {self.start_method!r} not available here "
-                    f"(have {available})"
-                )
 
 
 def _try_send(conn, frame) -> None:
@@ -282,20 +267,21 @@ class _WorkerHandle:
         self.restarts = -1  # first spawn brings this to 0
 
 
-class ShardProcessPool:
+class ShardProcessPool(RankEngine):
     """Serve a saved index with one OS process per shard.
 
     Opens the directory written by :meth:`SearchEngine.save`,
-    spawns ``num_shards`` workers (each loading exactly one shard, via
-    mmap when the save layout allows), and exposes the same epoch-tagged
-    read surface as the in-process engines::
+    spawns ``num_shards`` workers (each loading exactly one shard,
+    memory-mapped exactly when the save is in the ``mmap_ready`` ``.npy``
+    layout), and exposes the same epoch-tagged read surface as the
+    in-process engines::
 
         with ShardProcessPool(save_dir) as pool:
             epoch, results = pool.snapshot_rank_batch(queries, top_k=10)
 
     Because the heavy scoring happens in separate interpreters, the
-    shards genuinely run in parallel — unlike the thread-pool fan-out,
-    which the GIL serializes.  :meth:`rank_batch_detailed` returns the
+    shards genuinely run in parallel — unlike the in-process N-shard
+    engine's loop.  :meth:`rank_batch_detailed` returns the
     typed :class:`PoolResult` (merged rankings plus per-shard failures);
     :meth:`snapshot_rank_batch` flattens that to ``(epoch, results)``
     for drop-in use behind :class:`~repro.serve.frontend.BatchingFrontend`
@@ -325,8 +311,8 @@ class ShardProcessPool:
         if not self._shard_dirs:
             raise ShardPoolError("manifest lists no shards")
         self._epoch = int(manifest.get("epoch", 0))
-        self._mmap = self._resolve_mmap()
-        self._ctx = self._resolve_context()
+        self._mmap = saved_storage(self._shard_dirs[0]) == STORAGE_NPY
+        self._ctx = process_context()
         self._lock = threading.Lock()
         self._req_ids = itertools.count(1)
         self._degraded_reads = 0
@@ -345,18 +331,6 @@ class ShardProcessPool:
     # ------------------------------------------------------------------ #
     # Startup / lifecycle
     # ------------------------------------------------------------------ #
-    def _resolve_mmap(self) -> bool:
-        if self._config.mmap is not None:
-            return bool(self._config.mmap)
-        return saved_storage(self._shard_dirs[0]) == STORAGE_NPY
-
-    def _resolve_context(self):
-        method = self._config.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else available[0]
-        return multiprocessing.get_context(method)
-
     def _spawn(self, worker: _WorkerHandle) -> None:
         """(Re)start one worker and wait for its ready handshake."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -446,22 +420,9 @@ class ShardProcessPool:
         for worker in self._workers:
             if worker.process is not None:
                 worker.process.join(timeout=2.0)
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=2.0)
-            if worker.conn is not None:
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-                worker.conn = None
-            worker.state = WORKER_DEAD
-
-    def __enter__(self) -> "ShardProcessPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+            self._mark_dead(worker)  # closes the pipe, terminates a straggler
+            if worker.process is not None:
+                worker.process.join(timeout=2.0)
 
     def __del__(self) -> None:
         try:
@@ -490,10 +451,6 @@ class ShardProcessPool:
     def uses_mmap(self) -> bool:
         """Whether workers memory-map their arrays (vs eager load)."""
         return self._mmap
-
-    def refresh(self) -> bool:
-        """The pool is read-only; there is never anything to refresh."""
-        return False
 
     def health(self) -> Dict[str, object]:
         """Pool-level and per-worker status for dashboards and tests."""
@@ -582,20 +539,6 @@ class ShardProcessPool:
         outcome = self.rank_batch_detailed(queries, top_k)
         return outcome.epoch, outcome.results
 
-    def rank_batch(
-        self,
-        queries: Sequence[Sequence[str]],
-        top_k: Optional[int] = None,
-    ) -> List[List[RankedResult]]:
-        """Just the merged rankings of :meth:`snapshot_rank_batch`."""
-        return self.snapshot_rank_batch(queries, top_k)[1]
-
-    def search(
-        self, query_tags: Sequence[str], top_k: Optional[int] = None
-    ) -> List[RankedResult]:
-        """Rank all resources against one tag query (fan-out + merge)."""
-        return self.rank_batch([list(query_tags)], top_k=top_k)[0]
-
     def rank_batch_detailed(
         self,
         queries: Sequence[Sequence[str]],
@@ -619,10 +562,10 @@ class ShardProcessPool:
             return PoolResult(self._epoch, [], {}, ())
         with self._lock:
             outcome = self._fan_out(queries, top_k)
-        if outcome.failures:
-            self._degraded_reads += 1
-            if self._config.strict_reads:
-                raise ShardPoolDegraded(outcome.failures)
+            if outcome.failures:
+                self._degraded_reads += 1
+        if outcome.failures and self._config.strict_reads:
+            raise ShardPoolDegraded(outcome.failures)
         return outcome
 
     def _fan_out(self, queries, top_k) -> PoolResult:
@@ -630,43 +573,29 @@ class ShardProcessPool:
         req_id = next(self._req_ids)
         failures: List[ShardFailure] = []
         pending: Dict[object, _WorkerHandle] = {}
+
+        def fail(worker: _WorkerHandle, kind: str, detail: str) -> None:
+            failures.append(ShardFailure(worker.shard_id, kind, detail))
+
         for worker in self._workers:
             if worker.state == WORKER_DEAD or worker.conn is None:
-                failures.append(
-                    ShardFailure(
-                        worker.shard_id,
-                        "dead" if worker.epoch is not None else "unavailable",
-                        "worker process is down; call restart_worker()",
-                    )
+                fail(
+                    worker,
+                    "dead" if worker.epoch is not None else "unavailable",
+                    "worker process is down; call restart_worker()",
                 )
                 continue
             if worker.state == WORKER_STALLED and not self._revive(worker):
                 if worker.state == WORKER_DEAD:
-                    failures.append(
-                        ShardFailure(
-                            worker.shard_id,
-                            "dead",
-                            "worker died while stalled",
-                        )
-                    )
+                    fail(worker, "dead", "worker died while stalled")
                 else:
-                    failures.append(
-                        ShardFailure(
-                            worker.shard_id,
-                            "stalled",
-                            "worker missed the heartbeat; skipped",
-                        )
-                    )
+                    fail(worker, "stalled", "worker missed the heartbeat; skipped")
                 continue
             try:
                 worker.conn.send(("rank", req_id, queries, top_k))
             except (BrokenPipeError, OSError):
                 self._mark_dead(worker)
-                failures.append(
-                    ShardFailure(
-                        worker.shard_id, "dead", "pipe closed on send"
-                    )
-                )
+                fail(worker, "dead", "pipe closed on send")
                 continue
             pending[worker.conn] = worker
 
@@ -686,34 +615,24 @@ class ShardProcessPool:
                     frame = conn.recv()
                 except (EOFError, OSError):
                     self._mark_dead(worker)
-                    failures.append(
-                        ShardFailure(
-                            worker.shard_id,
-                            "dead",
-                            "pipe closed mid-request (worker killed?)",
-                        )
-                    )
+                    fail(worker, "dead", "pipe closed mid-request (worker killed?)")
                     del pending[conn]
                     continue
                 kind = frame[0]
                 if kind == "fatal":
                     self._mark_dead(worker)
-                    failures.append(
-                        ShardFailure(worker.shard_id, "dead", str(frame[1]))
-                    )
+                    fail(worker, "dead", str(frame[1]))
                     del pending[conn]
                 elif kind == "ok":
                     if frame[1] != req_id:
                         continue  # stale reply from before a timeout
                     _, _, epoch, results = frame
                     if epoch != self._epoch:
-                        failures.append(
-                            ShardFailure(
-                                worker.shard_id,
-                                "error",
-                                f"worker epoch {epoch} contradicts pool "
-                                f"epoch {self._epoch}",
-                            )
+                        fail(
+                            worker,
+                            "error",
+                            f"worker epoch {epoch} contradicts pool "
+                            f"epoch {self._epoch}",
                         )
                     else:
                         shard_results[worker.shard_id] = results
@@ -722,29 +641,21 @@ class ShardProcessPool:
                 elif kind == "error":
                     if frame[1] is not None and frame[1] != req_id:
                         continue
-                    failures.append(
-                        ShardFailure(worker.shard_id, "error", str(frame[2]))
-                    )
+                    fail(worker, "error", str(frame[2]))
                     del pending[conn]
                 # pong or other stale frames: drop, keep waiting
 
         for conn, worker in list(pending.items()):
             if worker.process is not None and not worker.process.is_alive():
                 self._mark_dead(worker)
-                failures.append(
-                    ShardFailure(
-                        worker.shard_id, "dead", "worker process exited"
-                    )
-                )
+                fail(worker, "dead", "worker process exited")
             else:
                 worker.state = WORKER_STALLED
-                failures.append(
-                    ShardFailure(
-                        worker.shard_id,
-                        "timeout",
-                        f"no reply within {self._config.request_timeout}s; "
-                        "marked stalled",
-                    )
+                fail(
+                    worker,
+                    "timeout",
+                    f"no reply within {self._config.request_timeout}s; "
+                    "marked stalled",
                 )
 
         ordered = sorted(shard_results)

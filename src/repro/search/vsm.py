@@ -21,7 +21,9 @@ benchmarks check it against a space fitted here on the same (final) bags.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from typing import (
+    Callable,
     Dict,
     Hashable,
     List,
@@ -112,6 +114,82 @@ def mismatched_probes(
         if probe >= answered
         or not rankings_match(got[probe], want[probe], truncated=truncated)
     ]
+
+
+class RankEngine(ABC):
+    """What every serving engine is: an epoch-tagged batched ranker.
+
+    *Required*: :meth:`snapshot_rank_batch`, :attr:`epoch`,
+    :attr:`num_indexed_resources`.  *Derived* from those, once:
+    :meth:`rank_batch`, :meth:`search` and the context manager (which
+    calls :meth:`close`).  Everything else is a *null default* describing
+    a read-only, cache-less, generation-0 engine that owns nothing to
+    release: an engine overrides exactly the capabilities it has, and
+    callers read these attributes directly instead of probing for them.
+    """
+
+    cache = None  #: the engine-owned query result cache
+    generation = 0  #: bumped by each hot swap of a lifecycle handle
+    concept_model = None  #: set by engines that can be re-serialized
+    folksonomy = None  #: the corpus as of every mutation, when tracked
+    is_mutable = False  #: whether :meth:`apply_mutations` is supported
+
+    @property
+    @abstractmethod
+    def epoch(self) -> int:
+        """The monotone mutation counter reads are audited against."""
+
+    @property
+    @abstractmethod
+    def num_indexed_resources(self) -> int:
+        """Resources currently indexed."""
+
+    @abstractmethod
+    def snapshot_rank_batch(
+        self, queries: Sequence[Sequence[str]], top_k: Optional[int] = None
+    ) -> Tuple[int, List[List[RankedResult]]]:
+        """Rank a batch against one index state: ``(epoch, results)``."""
+
+    def rank_batch(
+        self, queries: Sequence[Sequence[str]], top_k: Optional[int] = None
+    ) -> List[List[RankedResult]]:
+        """Just the rankings of :meth:`snapshot_rank_batch`."""
+        return self.snapshot_rank_batch(queries, top_k=top_k)[1]
+
+    def search(
+        self, query_tags: Sequence[str], top_k: Optional[int] = None
+    ) -> List[RankedResult]:
+        """Rank all resources against one tag query."""
+        return self.rank_batch([list(query_tags)], top_k=top_k)[0]
+
+    def refresh(self) -> bool:
+        """Fold pending mutations in; a read-only engine never has any."""
+        return False
+
+    def apply_mutations(self, added=None, updated=None, removed=None):
+        raise ConfigurationError(
+            f"{type(self).__name__} is read-only and cannot apply mutations; "
+            "route writes through an engine that holds every shard"
+        )
+
+    def health(self) -> Dict[str, object]:
+        """Operational snapshot; always carries ``epoch``."""
+        return {"epoch": self.epoch}
+
+    def add_swap_listener(self, listener: Callable[[int], None]) -> None:
+        """Only a lifecycle handle ever swaps; nothing to subscribe to."""
+
+    def remove_swap_listener(self, listener: Callable[[int], None]) -> None:
+        """Inverse of :meth:`add_swap_listener`."""
+
+    def close(self) -> None:
+        """Release whatever the engine owns (idempotent); default nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 class ConceptVectorSpace:

@@ -12,9 +12,10 @@ is the layer in between:
 * :mod:`repro.serve.admission` — :class:`AdmissionController` bounds the
   in-flight queue and sheds overflow with typed :class:`Overloaded`
   errors instead of unbounded queueing;
-* :mod:`repro.serve.metrics` — :class:`MetricsRegistry` records per-stage
-  latency histograms, batch-size distributions, queue depth and
-  shed/error counters, and exports them in the Prometheus text format.
+* :mod:`repro.utils.metrics` — :class:`MetricsRegistry` (re-exported
+  here) records per-stage latency histograms, batch-size distributions,
+  queue depth and shed/error counters, and exports them in the Prometheus
+  text format.
 """
 
 from repro.serve.admission import AdmissionController, Overloaded
@@ -24,7 +25,7 @@ from repro.serve.frontend import (
     FrontendConfig,
     QueryResponse,
 )
-from repro.serve.metrics import MetricsRegistry, SizeDistribution
+from repro.utils.metrics import MetricsRegistry, SizeDistribution
 
 __all__ = [
     "AdmissionController",

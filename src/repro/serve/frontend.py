@@ -17,18 +17,14 @@ client submits one tag query and waits for its own answer.
 * an :class:`~repro.serve.admission.AdmissionController` bounds the
   in-flight queue and sheds the overflow with typed
   :class:`~repro.serve.admission.Overloaded` errors;
-* every stage records into a :class:`~repro.serve.metrics.MetricsRegistry`
+* every stage records into a :class:`~repro.utils.metrics.MetricsRegistry`
   (queue wait, engine call, end-to-end latency, batch-size distribution,
   shed/error counters) ready for Prometheus-style scraping.
 
-The front-end works against anything exposing the epoch-consistent read
-surface (``snapshot_rank_batch`` + ``epoch``): a
-:class:`~repro.search.engine.SearchEngine` at any shard count, the multiprocess
-:class:`~repro.search.shardpool.ShardProcessPool`, or a test stub.
-Engines that report operational health (the process pool's
-:meth:`~repro.search.shardpool.ShardProcessPool.health`) have that
-snapshot folded into :meth:`BatchingFrontend.stats` under
-``engine_health``, so one scrape covers the whole serving column.
+The front-end works against any :class:`~repro.search.vsm.RankEngine`;
+the engine's :meth:`~repro.search.vsm.RankEngine.health` is folded into
+:meth:`BatchingFrontend.stats` under ``engine_health``, so one scrape
+covers the whole serving column.
 
 Result caching
 --------------
@@ -54,10 +50,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.search.cache import DEFAULT_MAX_ENTRIES, QueryCache
 from repro.search.matrix_space import validate_top_k
-from repro.search.vsm import RankedResult
+from repro.search.vsm import RankedResult, RankEngine
 from repro.serve.admission import AdmissionController
-from repro.serve.metrics import MetricsRegistry
 from repro.utils.errors import ConfigurationError, ReproError
+from repro.utils.metrics import MetricsRegistry
 
 
 class FrontendClosed(ReproError):
@@ -160,18 +156,16 @@ class BatchingFrontend:
 
     def __init__(
         self,
-        engine,
+        engine: RankEngine,
         config: Optional[FrontendConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         name: str = "frontend",
     ) -> None:
-        for attribute in ("snapshot_rank_batch", "epoch"):
-            if not hasattr(engine, attribute):
-                raise ConfigurationError(
-                    "BatchingFrontend needs an engine exposing "
-                    f"snapshot_rank_batch and epoch; {type(engine).__name__} "
-                    f"lacks {attribute!r}"
-                )
+        if not isinstance(engine, RankEngine):
+            raise ConfigurationError(
+                "BatchingFrontend needs a RankEngine; "
+                f"{type(engine).__name__} is not one"
+            )
         self.engine = engine
         self.config = config or FrontendConfig()
         self.metrics = metrics or MetricsRegistry()
@@ -180,12 +174,11 @@ class BatchingFrontend:
             self.config.max_pending,
             tenant_max_pending=self.config.tenant_max_pending,
         )
-        engine_cache = getattr(engine, "cache", None)
-        if engine_cache is not None:
+        if engine.cache is not None:
             # The engine probes/fills its own cache inside the read lock
             # (with per-batch dedup); a second probe here would count
             # every lookup twice.
-            self.cache: Optional[QueryCache] = engine_cache
+            self.cache: Optional[QueryCache] = engine.cache
             self._cache_is_engines = True
         elif self.config.cache_entries:
             self.cache = QueryCache(self.config.cache_entries)
@@ -193,12 +186,10 @@ class BatchingFrontend:
         else:
             self.cache = None
             self._cache_is_engines = False
-        register = getattr(engine, "add_swap_listener", None)
-        if callable(register):
-            # Lifecycle-managed engines (an EngineHandle) announce hot
-            # generation swaps; the front-end flushes its cache — a new
-            # generation is a new concept model — and counts the event.
-            register(self._on_generation_swap)
+        # Lifecycle-managed engines (an EngineHandle) announce hot
+        # generation swaps; the front-end flushes its cache — a new
+        # generation is a new concept model — and counts the event.
+        engine.add_swap_listener(self._on_generation_swap)
         self._cond = Condition()
         self._pending: List[_Request] = []
         self._closed = False
@@ -260,13 +251,12 @@ class BatchingFrontend:
     def stats(self) -> Dict[str, object]:
         """One dict: metrics snapshot, admission state, cache stats.
 
-        When the engine reports operational health (the process pool's
-        ``health()``, or an :class:`~repro.search.lifecycle.EngineHandle`'s
+        The engine's ``health()`` (the process pool's worker states, an
+        :class:`~repro.search.lifecycle.EngineHandle`'s
         generation/epoch/staleness snapshot — which separates the
-        ``fold_in_due`` and ``refit_due`` verdicts), that snapshot is
-        included under ``engine_health`` — worker states, drift alarms and
-        generation swaps surface through the same endpoint as the
-        front-end's own metrics.
+        ``fold_in_due`` and ``refit_due`` verdicts) is included under
+        ``engine_health``, so drift alarms and generation swaps surface
+        through the same endpoint as the front-end's own metrics.
         """
         payload = self.metrics.snapshot()
         payload["admission"] = {
@@ -281,12 +271,8 @@ class BatchingFrontend:
             payload["cache_owner"] = (
                 "engine" if self._cache_is_engines else "frontend"
             )
-        generation = getattr(self.engine, "generation", None)
-        if generation is not None:
-            payload["engine_generation"] = generation
-        health = getattr(self.engine, "health", None)
-        if callable(health):
-            payload["engine_health"] = health()
+        payload["engine_generation"] = self.engine.generation
+        payload["engine_health"] = self.engine.health()
         return payload
 
     def _on_generation_swap(self, generation: int) -> None:
@@ -302,6 +288,7 @@ class BatchingFrontend:
             self._closed = True
             self._cond.notify_all()
         self._thread.join()
+        self.engine.remove_swap_listener(self._on_generation_swap)
 
     def __enter__(self) -> "BatchingFrontend":
         return self

@@ -27,7 +27,7 @@ from repro.tensor.dense import (
 )
 from repro.tensor.sparse import SparseTensor
 from repro.tensor.hosvd import hosvd, truncated_svd
-from repro.tensor.tucker import TuckerDecomposition, tucker_als, reconstruct
+from repro.tensor.tucker import TuckerDecomposition, tucker_als
 
 __all__ = [
     "fold",
@@ -40,5 +40,4 @@ __all__ = [
     "truncated_svd",
     "TuckerDecomposition",
     "tucker_als",
-    "reconstruct",
 ]

@@ -173,11 +173,11 @@ def hosvd(
         factors.append(u)
         singular_values.append(s)
 
-    core = _project_to_core(tensor, factors)
+    core = project_to_core(tensor, factors)
     return HosvdResult(core=core, factors=factors, singular_values=singular_values)
 
 
-def _project_to_core(tensor: TensorLike, factors: Sequence[np.ndarray]) -> np.ndarray:
+def project_to_core(tensor: TensorLike, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Compute ``S = F ×_1 Y1^T ×_2 Y2^T ... ×_m Ym^T`` (Eq. 16)."""
     if isinstance(tensor, SparseTensor):
         # The first projection turns the sparse tensor into a small dense one.

@@ -25,7 +25,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.tensor import dense as dense_ops
-from repro.tensor.hosvd import hosvd, resolve_ranks, truncated_svd
+from repro.tensor.hosvd import (
+    hosvd,
+    project_to_core,
+    resolve_ranks,
+    truncated_svd,
+)
 from repro.tensor.sparse import SparseTensor
 from repro.utils.errors import ConfigurationError, DimensionError
 from repro.utils.errors import ConvergenceWarning
@@ -104,11 +109,6 @@ class TuckerDecomposition:
     def dense_size(self) -> int:
         """Number of values a dense reconstruction ``F_hat`` would need."""
         return int(np.prod([int(s) for s in self.input_shape]))
-
-
-def reconstruct(decomposition: TuckerDecomposition) -> np.ndarray:
-    """Module-level convenience wrapper for ``decomposition.reconstruct()``."""
-    return decomposition.reconstruct()
 
 
 def _project_except(
@@ -226,7 +226,7 @@ def tucker_als(
             factors[mode] = u
             singular_values[mode] = s
 
-        core = _compute_core(tensor, factors)
+        core = project_to_core(tensor, factors)
         fit = dense_ops.frobenius_norm(core) / norm_f
         fit_history.append(fit)
         last_delta = abs(fit - previous_fit)
@@ -243,7 +243,6 @@ def tucker_als(
             stacklevel=2,
         )
 
-    core = _compute_core(tensor, factors)
     return TuckerDecomposition(
         core=core,
         factors=factors,
@@ -253,14 +252,3 @@ def tucker_als(
         input_shape=shape,
     )
 
-
-def _compute_core(tensor: TensorLike, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Core tensor ``S = F ×_1 Y1^T ... ×_m Ym^T`` (Eq. 16)."""
-    result: Union[np.ndarray, SparseTensor] = tensor
-    for mode, factor in enumerate(factors):
-        matrix = factor.T
-        if isinstance(result, SparseTensor):
-            result = result.mode_product(matrix, mode)
-        else:
-            result = dense_ops.mode_product(np.asarray(result), matrix, mode)
-    return np.asarray(result, dtype=float)

@@ -1,21 +1,19 @@
-"""Serving telemetry: one registry for everything the front-end measures.
+"""Telemetry primitives: one registry, one latency histogram, one size book.
 
-The batching front-end's whole value proposition — "coalescing concurrent
-queries into one matmul is faster" — is a *measured* claim, so the
-subsystem carries its own instrumentation instead of relying on ad-hoc
-prints:
+A leaf module — it imports nothing above :mod:`repro.utils` — shared by
+the serving front-end, the refit coordinator and the workload replay
+runner:
 
-* **per-stage latency histograms** — the log-spaced
-  :class:`~repro.load.runner.LatencyHistogram` the workload replay runner
-  already uses (one histogram covers microsecond cache hits and
-  multi-second refreshes), guarded here by the registry lock because the
-  front-end records from submitter threads *and* the batcher thread;
-* **counters** — monotone totals (requests submitted, completed, shed,
-  coalesced, errors, cache hits/misses);
-* **gauges** — last-written values (queue depth, in-flight batch size);
-* **size distributions** — exact per-value counts for small integer
+* :class:`LatencyHistogram` — log-spaced latency buckets (one histogram
+  covers microsecond cache hits and multi-second refreshes), mergeable
+  across replay workers without locks, with labelled sub-histograms;
+* :class:`SizeDistribution` — exact per-value counts for small integer
   observations (batch sizes), so "what batch sizes did the window
-  actually form?" has a precise answer, not a bucketed estimate.
+  actually form?" has a precise answer, not a bucketed estimate;
+* :class:`MetricsRegistry` — thread-safe **counters** (monotone totals),
+  **gauges** (last-written values), per-stage latency histograms and size
+  distributions behind one lock, because the front-end records from
+  submitter threads *and* the batcher thread.
 
 :meth:`MetricsRegistry.export_text` renders everything in the
 Prometheus text exposition format (``# TYPE`` comments, cumulative
@@ -28,8 +26,166 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from repro.load.runner import LatencyHistogram
 from repro.utils.errors import ConfigurationError
+from repro.utils.timing import format_duration
+
+#: Lower edge of the first latency bucket (1 microsecond).
+_BUCKET_FLOOR = 1e-6
+#: Geometric bucket growth factor; 40 buckets span 1us .. ~18min.
+_BUCKET_FACTOR = 2.0
+_NUM_BUCKETS = 40
+
+
+class LatencyHistogram:
+    """Log-spaced latency histogram with exact count/sum/min/max.
+
+    Buckets grow geometrically from one microsecond, so one histogram
+    covers cache-hit lookups and multi-second refreshes alike; quantile
+    estimates are conservative upper bucket edges (see :meth:`quantile`).
+    Instances are cheap and *not* thread-safe by design: each replay
+    worker records into its own set and the runner :meth:`merge`\\ s them
+    afterwards, which keeps the measurement itself off the hot path's
+    lock profile.
+
+    A histogram can carry labelled **sub-histograms** (per-tenant or
+    per-scenario latency books): :meth:`record` with a ``label`` counts
+    the sample once in the aggregate and once in that label's child,
+    and :meth:`merge` folds children recursively.  The aggregate is
+    always the top-level counts alone — children are a *breakdown* of
+    it, never an addition to it, so summing a report's aggregate with
+    its children would double-count and the accessors keep them apart.
+    """
+
+    def __init__(self) -> None:
+        self._counts = [0] * (_NUM_BUCKETS + 1)
+        self.count = 0
+        self.total_seconds = 0.0
+        self.min_seconds = float("inf")
+        self.max_seconds = 0.0
+        self._children: Dict[str, "LatencyHistogram"] = {}
+
+    def record(self, seconds: float, label: Optional[str] = None) -> None:
+        if seconds < 0.0:
+            raise ConfigurationError(
+                f"latency must be non-negative, got {seconds}"
+            )
+        self._observe(seconds)
+        if label is not None:
+            self._ensure_child(label)._observe(seconds)
+
+    def _observe(self, seconds: float) -> None:
+        """Count one sample into this histogram's own buckets only."""
+        bucket = 0
+        edge = _BUCKET_FLOOR
+        while bucket < _NUM_BUCKETS and seconds >= edge:
+            bucket += 1
+            edge *= _BUCKET_FACTOR
+        self._counts[bucket] += 1
+        self.count += 1
+        self.total_seconds += seconds
+        self.min_seconds = min(self.min_seconds, seconds)
+        self.max_seconds = max(self.max_seconds, seconds)
+
+    def _ensure_child(self, label: str) -> "LatencyHistogram":
+        child = self._children.get(label)
+        if child is None:
+            child = self._children[label] = LatencyHistogram()
+        return child
+
+    def _fold(self, other: "LatencyHistogram") -> None:
+        """Fold ``other``'s own buckets (not its children) into ours."""
+        for bucket, count in enumerate(other._counts):
+            self._counts[bucket] += count
+        self.count += other.count
+        self.total_seconds += other.total_seconds
+        self.min_seconds = min(self.min_seconds, other.min_seconds)
+        self.max_seconds = max(self.max_seconds, other.max_seconds)
+
+    def merge(
+        self, other: "LatencyHistogram", label: Optional[str] = None
+    ) -> None:
+        """Fold ``other``'s samples into this histogram.
+
+        ``other``'s aggregate goes into our aggregate exactly once; its
+        children merge into our same-named children, so per-label counts
+        stay a partition of the aggregate across any merge tree (the
+        per-worker → per-run merge in the replay runner).  With
+        ``label``, ``other``'s aggregate is *additionally* recorded
+        under that child — the per-scenario book when whole reports are
+        folded into a cross-scenario one.
+        """
+        self._fold(other)
+        if label is not None:
+            self._ensure_child(label)._fold(other)
+        for name, child in other._children.items():
+            self._ensure_child(name)._fold(child)
+
+    def child(self, label: str) -> Optional["LatencyHistogram"]:
+        """The sub-histogram recorded under ``label`` (None if unseen)."""
+        return self._children.get(label)
+
+    def children(self) -> Dict[str, "LatencyHistogram"]:
+        """All labelled sub-histograms (a shallow copy of the mapping)."""
+        return dict(self._children)
+
+    @property
+    def labeled_count(self) -> int:
+        """Samples carrying any label — never more than :attr:`count`."""
+        return sum(child.count for child in self._children.values())
+
+    @property
+    def mean_seconds(self) -> float:
+        return self.total_seconds / self.count if self.count else 0.0
+
+    def bucket_upper_bounds(self) -> List[float]:
+        """Exclusive upper edge of every bucket; the last is ``+inf``.
+
+        Public so exporters (the serving metrics registry's
+        Prometheus-style text format) can render the histogram without
+        reaching into the private counts.
+        """
+        return [
+            _BUCKET_FLOOR * (_BUCKET_FACTOR**bucket)
+            for bucket in range(_NUM_BUCKETS)
+        ] + [float("inf")]
+
+    def bucket_counts(self) -> List[int]:
+        """Per-bucket sample counts, aligned with :meth:`bucket_upper_bounds`."""
+        return list(self._counts)
+
+    def quantile(self, q: float) -> float:
+        """Upper edge of the bucket containing the ``q``-quantile sample.
+
+        A deliberately *conservative* estimate: with factor-2 buckets the
+        true quantile may be up to one bucket factor (2x) below the
+        returned edge, never above it — the safe direction for latency
+        reporting and gating.  Clamped to the observed ``max_seconds`` so
+        the estimate never exceeds a latency that actually happened.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
+        if self.count == 0:
+            return 0.0
+        target = q * self.count
+        seen = 0
+        for bucket, count in enumerate(self._counts):
+            seen += count
+            if seen >= target and count:
+                upper = _BUCKET_FLOOR * (_BUCKET_FACTOR**bucket)
+                return min(upper, self.max_seconds)
+        return self.max_seconds
+
+    def summary(self) -> str:
+        """One line: count, mean, p50/p99, min/max."""
+        if self.count == 0:
+            return "no samples"
+        return (
+            f"n={self.count} mean={format_duration(self.mean_seconds)} "
+            f"p50={format_duration(self.quantile(0.5))} "
+            f"p99={format_duration(self.quantile(0.99))} "
+            f"min={format_duration(self.min_seconds)} "
+            f"max={format_duration(self.max_seconds)}"
+        )
 
 
 class SizeDistribution:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from repro.search.lifecycle import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.shardpool import ShardProcessPool
-from repro.search.vsm import RankedResult, mismatched_probes
+from repro.search.vsm import RankedResult, RankEngine, mismatched_probes
 from repro.serve.frontend import BatchingFrontend, FrontendConfig
 from repro.utils.errors import ConfigurationError, NotFittedError
 
@@ -127,10 +128,13 @@ def random_batches(folksonomy, seed, num_batches=6):
 # ---------------------------------------------------------------------- #
 # Stub engines for handle-protocol tests
 # ---------------------------------------------------------------------- #
-class _StubEngine:
+class _StubEngine(RankEngine):
+    epoch = 0
+    num_indexed_resources = 0
+    closed = False
+
     def __init__(self, epoch=0):
         self.epoch = epoch
-        self.closed = False
 
     def snapshot_rank_batch(self, queries, top_k=None):
         return self.epoch, [[] for _ in queries]
@@ -139,22 +143,15 @@ class _StubEngine:
         self.closed = True
 
 
-class _FrozenEpochStub:
+class _FrozenEpochStub(_StubEngine):
     """An engine whose epoch is read-only (the process pool's shape)."""
 
     def __init__(self, epoch):
         self._epoch = epoch
-        self.closed = False
 
     @property
     def epoch(self):
         return self._epoch
-
-    def snapshot_rank_batch(self, queries, top_k=None):
-        return self._epoch, [[] for _ in queries]
-
-    def close(self):
-        self.closed = True
 
 
 # ---------------------------------------------------------------------- #
@@ -293,12 +290,59 @@ class TestJournalReplayProperty:
 
 
 # ---------------------------------------------------------------------- #
+# The RankEngine protocol
+# ---------------------------------------------------------------------- #
+class TestRankEngineConformance:
+    @pytest.fixture(
+        params=[
+            (kind, wrapped)
+            for kind in ("mono", "sharded4", "pool2", "stub")
+            for wrapped in (False, True)
+        ],
+        ids=lambda param: f"{'handle-' if param[1] else ''}{param[0]}",
+    )
+    def engine(self, request, small_cleaned, tmp_path):
+        kind, wrapped = request.param
+        if kind == "mono":
+            built = build_mono(small_cleaned)
+        elif kind == "sharded4":
+            built = build_sharded(small_cleaned, 4)
+        elif kind == "pool2":
+            build_sharded(small_cleaned, 2).save(tmp_path, mmap_ready=True)
+            built = ShardProcessPool(tmp_path)
+        else:
+            built = _StubEngine()
+        built = EngineHandle(built) if wrapped else built
+        yield built
+        built.close()
+
+    def test_every_engine_is_one_surface(self, engine, small_cleaned):
+        assert isinstance(engine, RankEngine)
+        query = [sorted(small_cleaned.tags)[0]]
+        epoch, (snapshot,) = engine.snapshot_rank_batch([query], 5)
+        assert engine.search(query, 5) == snapshot
+        assert engine.rank_batch([query], 5) == [snapshot]
+        assert epoch == engine.epoch == engine.health()["epoch"]
+        closes = []
+        close = engine.close
+        engine.close = lambda: (closes.append(1), close())
+        with engine as entered:
+            assert entered is engine
+        assert closes == [1]
+
+
+# ---------------------------------------------------------------------- #
 # EngineHandle
 # ---------------------------------------------------------------------- #
 class TestEngineHandle:
     def test_rejects_engines_without_the_read_surface(self):
-        with pytest.raises(ConfigurationError):
-            EngineHandle(object())
+        duck = types.SimpleNamespace(
+            epoch=0, snapshot_rank_batch=lambda queries, top_k=None: (0, [])
+        )
+        for not_an_engine in (object(), duck):
+            for consumer in (EngineHandle, BatchingFrontend):
+                with pytest.raises(ConfigurationError, match="RankEngine"):
+                    consumer(not_an_engine)
 
     def test_reads_delegate_to_the_current_engine(self, toy_folksonomy):
         engine = build_mono(toy_folksonomy)
@@ -351,6 +395,18 @@ class TestEngineHandle:
         assert seen == [1]
         assert old.closed
         assert not new.closed
+
+    def test_closed_frontends_unsubscribe_from_swaps(self):
+        handle = EngineHandle(_StubEngine())
+        closed = []
+        for _ in range(3):
+            with BatchingFrontend(handle) as frontend:
+                closed.append(frontend)
+        handle.swap(_StubEngine())
+        assert handle._swap_listeners == []
+        assert [
+            frontend.metrics.counter("generation_swaps") for frontend in closed
+        ] == [0, 0, 0]
 
     def test_read_only_epoch_must_be_strictly_greater(self):
         handle = EngineHandle(_StubEngine(epoch=5))
@@ -601,16 +657,6 @@ class TestRefitCoordinator:
         handle = EngineHandle(build_mono(toy_folksonomy))
         with pytest.raises(ConfigurationError):
             RefitCoordinator(handle, IndexSnapshotStore(tmp_path))
-
-    def test_validates_knobs(self, toy_folksonomy, tmp_path):
-        handle = EngineHandle(
-            build_mono(toy_folksonomy), folksonomy=toy_folksonomy
-        )
-        store = IndexSnapshotStore(tmp_path)
-        with pytest.raises(ConfigurationError):
-            RefitCoordinator(handle, store, keep_generations=0)
-        with pytest.raises(ConfigurationError):
-            RefitCoordinator(handle, store, start_method="no-such-method")
 
     def test_in_thread_refit_cycle(self, small_cleaned, tmp_path):
         handle = self._fitted_handle(small_cleaned)

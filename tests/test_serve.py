@@ -23,7 +23,7 @@ from repro.core.concepts import identity_concept_model
 from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
 from repro.eval.serve import frontend_sweep
 from repro.search.engine import SearchEngine
-from repro.search.vsm import RankedResult
+from repro.search.vsm import RankedResult, RankEngine
 from repro.serve import (
     AdmissionController,
     BatchingFrontend,
@@ -39,15 +39,17 @@ from repro.utils.errors import ConfigurationError
 NUM_WORKERS = max(1, int(os.environ.get("WORKLOAD_WORKERS", "4")))
 
 
-class RecordingEngine:
-    """The epoch-consistent read surface, with a call log and a delay.
+class RecordingEngine(RankEngine):
+    """The required engine surface, with a call log and a delay.
 
     Results are a deterministic function of the query's sorted tags, so
     tests can assert fan-out correctness without building an index.
     """
 
+    epoch = 0
+    num_indexed_resources = 0
+
     def __init__(self, delay: float = 0.0) -> None:
-        self.epoch = 0
         self.delay = delay
         self.calls = []
         self._lock = threading.Lock()
@@ -64,10 +66,11 @@ class RecordingEngine:
         return self.epoch, results
 
 
-class FailingEngine:
+class FailingEngine(RankEngine):
     """Raises on every read (error-propagation tests)."""
 
     epoch = 0
+    num_indexed_resources = 0
 
     def snapshot_rank_batch(self, queries, top_k=None):
         raise RuntimeError("backend down")

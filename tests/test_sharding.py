@@ -12,10 +12,13 @@ cases and per-shard staleness reporting.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -330,8 +333,15 @@ class TestStaticParity:
             sharded.close()
 
     def test_one_shard_engine_never_routes_merges_or_spawns_threads(
-        self, small_cleaned, concept_model, monkeypatch
+        self, small_cleaned, concept_model, mono_engine, monkeypatch
     ):
+        tag = small_cleaned.tags[0]
+        for num_shards in SHARD_COUNTS:  # no shard count starts a thread
+            engine = at_shards(mono_engine, num_shards)
+            threads_before = threading.active_count()
+            assert engine.rank_batch([[tag], []], top_k=3)[0]
+            assert threading.active_count() == threads_before
+
         def forbidden(*args, **kwargs):
             raise AssertionError("the one-shard path must not route or merge")
 
@@ -339,13 +349,11 @@ class TestStaticParity:
         monkeypatch.setattr("repro.search.engine.merge_topk", forbidden)
         engine = SearchEngine.build(small_cleaned, concept_model, name="n1")
         assert engine.matrix_space is engine.shards[0]
-        tag = small_cleaned.tags[0]
         best = engine.search([tag], top_k=3)[0]
         assert engine.score([tag], best.resource) == pytest.approx(best.score)
         engine.add_resources({"fresh-n1": {tag: 1.0}})
         assert engine.has_resource("fresh-n1")
         assert engine.rank_batch([[tag], []], top_k=3)[0]
-        assert engine._executor is None
 
     def test_router_shard_count_mismatch_rejected(self, mono_engine):
         with pytest.raises(ConfigurationError):
@@ -808,6 +816,34 @@ def test_importable_as_the_first_import_of_a_fresh_interpreter(module):
         env=env,
     )
     assert outcome.returncode == 0, outcome.stderr
+
+
+def test_serving_layers_import_each_other_at_module_scope_only():
+    """utils <- tagging/core <- search <- serve <- load <- eval, no detours.
+
+    A function-scope ``from repro.`` import hides a layering inversion;
+    the only ones allowed are the ``core.pipeline`` <-> ``search`` pair's
+    lifecycle half and the pinned ``ShardedSearchEngine`` alias.
+    """
+    allowed = {
+        ("search/lifecycle.py", "repro.core.pipeline"): 3,
+        ("search/sharding.py", "repro.search.engine"): 1,
+    }
+    deferred = set()  # a set: nested functions are walked more than once
+    for layer in ("search", "serve", "load", "eval"):
+        for path in sorted((SRC_DIR / "repro" / layer).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for scope in ast.walk(tree):
+                if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                deferred.update(
+                    (f"{layer}/{path.name}", node.module, node.lineno)
+                    for node in ast.walk(scope)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("repro.")
+                )
+    found = Counter((file, module) for file, module, _line in deferred)
+    assert found == allowed
 
 
 class TestOfflineIndexSharding:

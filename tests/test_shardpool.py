@@ -18,6 +18,7 @@ It also covers the mmap storage layout underneath
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -29,7 +30,15 @@ from repro.core.pipeline import OfflineIndex
 from repro.eval.shardpool import pool_sweep
 from repro.eval.sharding import rankings_match
 from repro.load.invariants import check_replay_parity
-from repro.load.workload import WorkloadConfig, WorkloadGenerator
+from repro.load.runner import WorkloadRunner
+from repro.load.workload import (
+    MUTATE,
+    QUERY,
+    Operation,
+    WorkloadConfig,
+    WorkloadGenerator,
+    WorkloadTrace,
+)
 from repro.search.engine import SearchEngine
 from repro.search.lifecycle import EngineHandle
 from repro.search.matrix_space import (
@@ -201,14 +210,6 @@ class TestPoolParity:
         assert pool.uses_mmap
         assert_pool_parity(pool, queries, golden)
 
-    def test_eager_pool_matches_monolithic_rankings(
-        self, save_dir, queries, golden
-    ):
-        config = ShardPoolConfig(mmap=False, request_timeout=REQUEST_TIMEOUT)
-        with ShardProcessPool(save_dir, config) as pool:
-            assert not pool.uses_mmap
-            assert_pool_parity(pool, queries, golden)
-
     @pytest.mark.parametrize("num_shards", [None, 2])
     def test_npz_layout_pool_auto_detects_eager_load(
         self, mono_engine, queries, golden, tmp_path, num_shards
@@ -231,7 +232,7 @@ class TestPoolParity:
         assert pool.num_indexed_resources == mono_engine.num_indexed_resources
         assert pool.num_shards == NUM_SHARDS
         assert pool.refresh() is False  # read-only: never anything to do
-        assert not hasattr(pool, "cache")  # the frontend owns caching
+        assert pool.cache is None  # the frontend owns caching
         epoch, results = pool.snapshot_rank_batch([], top_k=TOP_K)
         assert (epoch, results) == (pool.epoch, [])
 
@@ -310,6 +311,31 @@ class TestWorkerFailures:
             assert health["workers"][2]["restarts"] == 1
             assert health["degraded_reads"] == 2
 
+    def test_racing_degraded_reads_are_all_counted(self, save_dir, queries):
+        readers, reads_each = 8, 40
+        with ShardProcessPool(save_dir) as pool:
+            pool._workers[0].process.kill()
+            pool._workers[0].process.join()
+
+            def read_repeatedly():
+                for _ in range(reads_each):
+                    pool.snapshot_rank_batch(queries[:1], top_k=TOP_K)
+
+            threads = [
+                threading.Thread(target=read_repeatedly) for _ in range(readers)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert pool.health()["degraded_reads"] == readers * reads_each
+
     def test_stalled_worker_times_out_then_revives_via_heartbeat(
         self, save_dir, queries
     ):
@@ -356,8 +382,6 @@ class TestWorkerFailures:
             ShardPoolConfig(request_timeout=0.0)
         with pytest.raises(ConfigurationError):
             ShardPoolConfig(heartbeat_timeout=-1.0)
-        with pytest.raises(ConfigurationError):
-            ShardPoolConfig(start_method="no-such-method")
         with pytest.raises(ConfigurationError):
             ShardFailure(0, "mystery", "not a known kind")
         with ShardProcessPool(save_dir) as pool:
@@ -432,6 +456,27 @@ class TestReplayParityThroughPool:
         assert report.concurrent.errors == []
         assert report.concurrent.epoch_log.regressions() == []
         assert report.mismatched_probes == []
+
+    def test_mutation_replayed_over_the_pool_is_a_typed_read_only_error(
+        self, mono_engine, tmp_path
+    ):
+        with SearchEngine.from_engine(
+            mono_engine, num_shards=2, cache_entries=None
+        ) as sharded:
+            sharded.save(tmp_path, mmap_ready=True)
+        tag = mono_engine.concept_model.concepts[0].tags[0]
+        trace = WorkloadTrace(
+            operations=(
+                Operation(0, QUERY, query_tags=(tag,), top_k=TOP_K),
+                Operation(1, MUTATE, added={"new": {tag: 1.0}}, mutation_seq=0),
+            ),
+            eval_queries=(),
+            config=WorkloadConfig(),
+        )
+        with ShardProcessPool(tmp_path) as pool:
+            report = WorkloadRunner(pool, trace).run_serial()
+        assert report.error_kinds == ["ConfigurationError"]
+        assert "read-only" in report.errors[0]
 
     def test_handle_wrapped_pool_is_closed_by_the_harness(
         self, small_cleaned, mono_engine, tmp_path

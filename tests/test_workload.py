@@ -38,6 +38,7 @@ from repro.search.cache import QueryCache
 from repro.search.concurrency import ReadWriteLock
 from repro.search.engine import SearchEngine
 from repro.search.incremental import EpochObservationLog
+from repro.search.vsm import RankEngine
 from repro.utils.errors import ConfigurationError
 
 SHARD_COUNTS = (1, 2, 4)
@@ -267,7 +268,7 @@ class TestConcurrentReplayAcceptance:
             )
 
 
-class _Tampered:
+class _Tampered(RankEngine):
     """A concurrent-side engine that delegates to a real one; each subclass
     breaks exactly one of the four replay invariants."""
 
@@ -275,8 +276,19 @@ class _Tampered:
         self._engine = engine
         self._fired = False
 
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
+    epoch = property(lambda self: self._engine.epoch)
+    num_indexed_resources = property(
+        lambda self: self._engine.num_indexed_resources
+    )
+
+    def snapshot_rank_batch(self, queries, top_k=None):
+        return self._engine.snapshot_rank_batch(queries, top_k=top_k)
+
+    def apply_mutations(self, **batch):
+        return self._engine.apply_mutations(**batch)
+
+    def refresh(self):
+        return self._engine.refresh()
 
 
 class _DropsAMutation(_Tampered):
