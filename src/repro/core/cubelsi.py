@@ -52,7 +52,9 @@ class CubeLSIResult:
         Tag labels in the row/column order of ``distances`` (``None`` when
         CubeLSI was fed a raw tensor without labels).
     timings:
-        Seconds spent in the decomposition and in the distance computation.
+        Seconds spent in ``to_tensor``, ``tucker_als`` (the whole
+        decomposition; ``tucker_init`` and ``tucker_sweeps`` are its HOSVD
+        and ALS-iteration shares) and ``tag_distances``.
     """
 
     distances: np.ndarray
@@ -212,12 +214,14 @@ class CubeLSI:
     # ------------------------------------------------------------------ #
     def fit(self, data: Union[Folksonomy, SparseTensor, np.ndarray]) -> CubeLSIResult:
         """Run Algorithm 1 on a folksonomy or a raw order-3 tensor."""
-        if isinstance(data, Folksonomy):
-            tensor: Union[SparseTensor, np.ndarray] = data.to_tensor()
-            tags: Optional[Tuple[str, ...]] = data.tags
-        else:
-            tensor = data
-            tags = None
+        watch = Stopwatch()
+        with watch.section("to_tensor"):
+            if isinstance(data, Folksonomy):
+                tensor: Union[SparseTensor, np.ndarray] = data.to_tensor()
+                tags: Optional[Tuple[str, ...]] = data.tags
+            else:
+                tensor = data
+                tags = None
         shape = tuple(tensor.shape)
         if len(shape) != 3:
             raise DimensionError(
@@ -225,7 +229,6 @@ class CubeLSI:
             )
 
         ranks = self._resolve_ranks(shape)
-        watch = Stopwatch()
         with watch.section("tucker_als"):
             decomposition = tucker_als(
                 tensor,
@@ -234,6 +237,8 @@ class CubeLSI:
                 tol=self._tol,
                 seed=self._seed,
             )
+        watch.add("tucker_init", decomposition.stage_seconds["init"])
+        watch.add("tucker_sweeps", decomposition.stage_seconds["sweeps"])
         with watch.section("tag_distances"):
             distances = tag_distance_matrix(
                 decomposition, use_theorem2=self._use_theorem2

@@ -8,8 +8,8 @@ implemented from scratch on top of numpy / scipy.sparse:
 * :mod:`repro.tensor.dense` — mode-n unfolding/folding and n-mode products
   for dense ``numpy`` arrays.
 * :mod:`repro.tensor.sparse` — a COO sparse tensor with sparse unfoldings,
-  slices and Frobenius norms; this is the on-ram representation of the raw
-  tag-assignment tensor ``F``.
+  slices, Frobenius norms and the non-zeros-only TTM chain ALS runs on; this
+  is the on-ram representation of the raw tag-assignment tensor ``F``.
 * :mod:`repro.tensor.hosvd` — truncated higher-order SVD, used both on its
   own and as the initialiser for ALS.
 * :mod:`repro.tensor.tucker` — the alternating least squares (HOOI) Tucker

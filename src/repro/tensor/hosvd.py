@@ -28,12 +28,15 @@ def truncated_svd(
     rank: int,
     seed: SeedLike = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leading ``rank`` singular triplets of ``matrix``.
+    """Leading ``rank`` singular triplets ``(U, s, Vt)`` of ``matrix``, largest first.
 
-    Returns ``(U, s, Vt)`` with singular values sorted in decreasing order.
-    Dense matrices (or requests for nearly full rank) fall back to LAPACK's
-    exact SVD; large sparse matrices use ARPACK via
-    :func:`scipy.sparse.linalg.svds`.
+    The smaller side's singular vectors are eigenvectors of its Gram matrix
+    (LAPACK ``eigh`` for dense input or nearly full rank, ARPACK on the Gram
+    operator for large sparse input); the other side is ``matrix`` applied to
+    them, re-orthonormalised by a thin QR, so a rank-deficient matrix still
+    yields orthonormal vectors and nothing is divided by a zero singular
+    value.  The dense route densifies a sparse ``matrix`` whole: drop its
+    empty columns first, as :func:`hosvd_factors` does.
     """
     if rank <= 0:
         raise ConfigurationError(f"rank must be positive, got {rank}")
@@ -47,16 +50,27 @@ def truncated_svd(
         or max_rank <= 32
     )
     if use_dense:
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-        u_full, s_full, vt_full = np.linalg.svd(dense, full_matrices=False)
-        return u_full[:, :rank], s_full[:rank], vt_full[:rank, :]
-
-    rng = make_rng(seed)
-    v0 = rng.standard_normal(min(n_rows, n_cols))
-    u, s, vt = spla.svds(matrix.astype(float), k=rank, v0=v0)
-    # svds returns singular values in ascending order.
-    order = np.argsort(s)[::-1]
-    return u[:, order], s[order], vt[order, :]
+        if sp.issparse(matrix):
+            matrix = matrix.toarray()
+        matrix = np.asarray(matrix, dtype=float)
+    # ``small`` has the short side as rows, so ``small @ big`` is max_rank².
+    small, big = (matrix.T, matrix) if n_rows > n_cols else (matrix, matrix.T)
+    if use_dense:
+        eigenvalues, vectors = np.linalg.eigh(small @ big)
+    else:
+        gram = spla.LinearOperator(
+            (max_rank, max_rank), matvec=lambda x: small @ (big @ x), dtype=float
+        )
+        v0 = make_rng(seed).standard_normal(max_rank)
+        eigenvalues, vectors = spla.eigsh(gram, k=rank, v0=v0)
+    order = np.argsort(eigenvalues)[::-1][:rank]
+    s = np.sqrt(np.clip(eigenvalues[order], 0.0, None))
+    vectors = vectors[:, order]
+    other, triangle = np.linalg.qr(big @ vectors)
+    other *= np.where(np.diag(triangle) < 0.0, -1.0, 1.0)
+    if n_rows > n_cols:
+        return other, s, vectors.T
+    return vectors, s, other.T
 
 
 @dataclass
@@ -83,16 +97,6 @@ class HosvdResult:
     @property
     def ranks(self) -> Tuple[int, ...]:
         return self.core.shape
-
-
-def _unfold_any(tensor: TensorLike, mode: int) -> Union[np.ndarray, sp.csr_matrix]:
-    if isinstance(tensor, SparseTensor):
-        return tensor.unfold(mode)
-    return dense_ops.unfold(np.asarray(tensor, dtype=float), mode)
-
-
-def _shape_of(tensor: TensorLike) -> Tuple[int, ...]:
-    return tuple(tensor.shape)
 
 
 def resolve_ranks(
@@ -160,32 +164,49 @@ def hosvd(
         Seed for the ARPACK starting vector (only used on large sparse
         unfoldings).
     """
-    shape = _shape_of(tensor)
+    shape = tuple(tensor.shape)
     if len(shape) < 2:
         raise DimensionError("hosvd requires a tensor of order >= 2")
     target = resolve_ranks(shape, ranks=ranks, reduction_ratios=reduction_ratios)
+    factors, singular_values = hosvd_factors(tensor, target, seed=seed)
+    core = project_to_core(tensor, factors)
+    return HosvdResult(core=core, factors=factors, singular_values=singular_values)
 
+
+def hosvd_factors(
+    tensor: TensorLike, ranks: Sequence[int], seed: SeedLike = None
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Leading left singular vectors and values of every mode-n unfolding.
+
+    The HOSVD without its core: all the ALS initialisation needs.  A sparse
+    unfolding first loses its all-zero columns — ``U`` and ``s`` are
+    unchanged, and whatever :func:`truncated_svd` does next is bounded by
+    the non-zeros (at most ``nnz`` of the ``ΠI_other`` columns are occupied).
+    ``min(rows, cols)`` columns are kept so no singular vector goes missing.
+    """
     factors: List[np.ndarray] = []
     singular_values: List[np.ndarray] = []
-    for mode, rank in enumerate(target):
-        unfolded = _unfold_any(tensor, mode)
+    for mode, rank in enumerate(ranks):
+        if isinstance(tensor, SparseTensor):
+            unfolded = tensor.unfold(mode)
+            occupied, compact = np.unique(unfolded.indices, return_inverse=True)
+            unfolded = sp.csr_matrix(
+                (unfolded.data, compact, unfolded.indptr),
+                shape=(unfolded.shape[0], max(occupied.shape[0], min(unfolded.shape))),
+            )
+        else:
+            unfolded = dense_ops.unfold(np.asarray(tensor, dtype=float), mode)
         u, s, _ = truncated_svd(unfolded, rank, seed=seed)
         factors.append(u)
         singular_values.append(s)
-
-    core = project_to_core(tensor, factors)
-    return HosvdResult(core=core, factors=factors, singular_values=singular_values)
+    return factors, singular_values
 
 
 def project_to_core(tensor: TensorLike, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Compute ``S = F ×_1 Y1^T ×_2 Y2^T ... ×_m Ym^T`` (Eq. 16)."""
     if isinstance(tensor, SparseTensor):
-        # The first projection turns the sparse tensor into a small dense one.
-        projected = tensor.mode_product(factors[0].T, 0)
-    else:
-        projected = dense_ops.mode_product(
-            np.asarray(tensor, dtype=float), factors[0].T, 0
-        )
-    for mode in range(1, len(factors)):
-        projected = dense_ops.mode_product(projected, factors[mode].T, mode)
-    return projected
+        unfolded = factors[0].T @ tensor.ttm_chain(factors, 0)
+        return dense_ops.fold(unfolded, 0, [f.shape[1] for f in factors])
+    return dense_ops.multi_mode_product(
+        np.asarray(tensor, dtype=float), [(m, f.T) for m, f in enumerate(factors)]
+    )

@@ -6,20 +6,39 @@ it densely.  :class:`SparseTensor` stores coordinates and values and provides
 the handful of operations CubeLSI needs:
 
 * mode-n unfolding to a ``scipy.sparse`` CSR matrix (feeds truncated SVD),
-* n-mode products with small dense matrices (feeds the ALS projections),
+* the TTM chain ``F ×_{m != n} Y(m)^T`` every ALS mode update and the final
+  core projection need (:meth:`SparseTensor.ttm_chain`),
+* a single n-mode product with a small dense matrix,
 * mode slices as sparse matrices (feeds the CubeSim baseline),
 * Frobenius norms and dense conversion for tests and toy examples.
+
+``ttm_chain`` is all the arithmetic Tucker-ALS runs on the sparse tensor.  Per
+skipped mode a plan (built once, cached on the immutable tensor) groups the
+non-zeros into *fibers* that share every index except the mode contracted
+first; one CSR product contracts that mode, a row-wise Kronecker product over
+the fibers applies the remaining factors, and a second CSR product scatters
+the fibers onto the rows of the skipped mode: ``O(nnz · ΠJ_other)`` work and
+memory, nothing of size ``ΠI``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.tensor import dense as dense_ops
 from repro.utils.errors import DimensionError
+
+
+class _FiberPlan(NamedTuple):
+    """How :meth:`SparseTensor.ttm_chain` walks the non-zeros for one mode."""
+
+    first: int  # the mode contracted first
+    contract: sp.csr_matrix  # (n_fibers, I_first): the values, one row per fiber
+    coords: np.ndarray  # (ndim, n_fibers): each fiber's index along the other modes
+    scatter: sp.csr_matrix  # (I_skip, n_fibers): 0/1, fiber -> row of the skipped mode
 
 
 class SparseTensor:
@@ -74,6 +93,7 @@ class SparseTensor:
         self._coords = coords
         self._values = values
         self._shape = shape
+        self._fiber_plans: Dict[int, _FiberPlan] = {}
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -231,8 +251,9 @@ class SparseTensor:
         The product of a sparse tensor with a small dense factor matrix is
         generally dense, so the result is returned as a dense array of shape
         ``self.shape`` with mode ``mode`` replaced by ``matrix.shape[0]``.
-        This is exactly the projection step ALS performs, where the other
-        modes have already been (or will be) reduced to small ranks.
+        The other modes keep their full extent, so the result holds
+        ``matrix.shape[0] · ΠI_other`` doubles: fine for small tensors, not
+        for a folksonomy — Tucker-ALS projects through :meth:`ttm_chain`.
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -247,6 +268,67 @@ class SparseTensor:
         new_shape = list(self._shape)
         new_shape[mode] = matrix.shape[0]
         return dense_ops.fold(product, mode, new_shape)
+
+    def ttm_chain(self, factors: Sequence[np.ndarray], skip_mode: int) -> np.ndarray:
+        """Mode-``skip_mode`` unfolding of ``self ×_{m != skip_mode} factors[m]^T``.
+
+        ``factors[m]`` has shape ``(I_m, J_m)`` (``factors[skip_mode]`` is
+        ignored).  The result is the dense ``(I_skip, ΠJ_other)`` matrix in
+        the :func:`repro.tensor.dense.unfold` column convention, computed
+        from the non-zeros alone in ``O(nnz · ΠJ_other)`` time and memory.
+        """
+        order = self.ndim
+        if order < 2 or len(factors) != order or not 0 <= skip_mode < order:
+            raise DimensionError(
+                f"ttm_chain needs order >= 2, {self.ndim} factors and a mode below "
+                f"{self.ndim}: got {len(factors)} factors, mode {skip_mode}"
+            )
+        plan = self._fiber_plans.get(skip_mode)
+        if plan is None:
+            plan = self._fiber_plans[skip_mode] = self._build_fiber_plan(skip_mode)
+        block = None
+        for mode in (m for m in range(self.ndim) if m != skip_mode):
+            factor = np.asarray(factors[mode], dtype=float)
+            if factor.ndim != 2 or factor.shape[0] != self._shape[mode]:
+                raise DimensionError(
+                    f"factor of shape {factor.shape} cannot project mode {mode} "
+                    f"of size {self._shape[mode]}"
+                )
+            if mode == plan.first:
+                rows = plan.contract @ factor
+            else:
+                rows = factor[plan.coords[mode]]
+            if block is None:
+                block = rows
+            else:  # row-wise Kronecker product, earlier modes vary slowest
+                block = np.einsum("fi,fj->fij", block, rows).reshape(
+                    rows.shape[0], block.shape[1] * rows.shape[1]
+                )
+        return plan.scatter @ block
+
+    def _build_fiber_plan(self, skip_mode: int) -> _FiberPlan:
+        """Group the non-zeros into fibers along the mode that leaves fewest."""
+        best = None
+        for first in (m for m in range(self.ndim) if m != skip_mode):
+            masked = self._coords.copy()
+            masked[first] = 0  # non-zeros differing only along ``first`` share a key
+            keys, fiber_of = np.unique(
+                np.ravel_multi_index(tuple(masked), self._shape), return_inverse=True
+            )
+            if best is None or keys.shape[0] < best[1].shape[0]:
+                best = (first, keys, fiber_of)
+        first, keys, fiber_of = best
+        n_fibers = keys.shape[0]
+        coords = np.array(np.unravel_index(keys, self._shape), dtype=np.int64)
+        contract = sp.csr_matrix(
+            (self._values, (fiber_of, self._coords[first])),
+            shape=(n_fibers, self._shape[first]),
+        )
+        scatter = sp.csr_matrix(
+            (np.ones(n_fibers), (coords[skip_mode], np.arange(n_fibers))),
+            shape=(self._shape[skip_mode], n_fibers),
+        )
+        return _FiberPlan(first, contract, coords, scatter)
 
     def scale(self, factor: float) -> "SparseTensor":
         """Return a new tensor with all values multiplied by ``factor``."""

@@ -11,22 +11,27 @@ Given the sparse tag-assignment tensor ``F`` and target core dimensions
   ``Sigma = (Lambda_2[:J2])^2`` without ever materialising the purified
   tensor ``F_hat``.
 
-The implementation never builds a dense ``|U| x |T| x |R|`` array: each mode
-update first shrinks the other modes with the current (small) factors and
-only then unfolds and runs a truncated SVD.
+Sparse input is only ever touched through its non-zeros: each mode update
+asks :meth:`SparseTensor.ttm_chain` for the unfolding of ``F`` projected onto
+the other modes' current factors (``O(nnz · ΠJ_other)``, nothing of size
+``ΠI``), takes its leading left singular vectors through the Gram matrix of
+the smaller side (:func:`repro.tensor.hosvd.truncated_svd`), and reads the
+sweep's fit off the last-updated mode's singular values, which *are* the
+core's norm.  The core itself is projected once, after the last sweep.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.tensor import dense as dense_ops
 from repro.tensor.hosvd import (
-    hosvd,
+    hosvd_factors,
     project_to_core,
     resolve_ranks,
     truncated_svd,
@@ -61,6 +66,10 @@ class TuckerDecomposition:
         ``max_iter`` sweeps were exhausted.
     input_shape:
         Shape of the decomposed tensor (``I_1, ..., I_m``).
+    stage_seconds:
+        Wall-clock seconds :func:`tucker_als` spent in ``init`` (HOSVD or
+        random factors), ``sweeps`` (the ALS iterations) and ``core`` (the
+        final Eq. 16 projection).
     """
 
     core: np.ndarray
@@ -69,6 +78,7 @@ class TuckerDecomposition:
     fit_history: List[float] = field(default_factory=list)
     converged: bool = True
     input_shape: Tuple[int, ...] = ()
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ranks(self) -> Tuple[int, ...]:
@@ -112,33 +122,12 @@ class TuckerDecomposition:
 
 
 def _project_except(
-    tensor: TensorLike, factors: Sequence[np.ndarray], skip_mode: int
+    tensor: np.ndarray, factors: Sequence[np.ndarray], skip_mode: int
 ) -> np.ndarray:
-    """Compute ``F ×_{m != skip_mode} Y(m)^T`` as a dense tensor.
-
-    The first applied projection handles the sparse input; every subsequent
-    product operates on an already-small dense intermediate.
-    """
-    order = len(factors)
-    modes = [m for m in range(order) if m != skip_mode]
-    result: Union[np.ndarray, SparseTensor] = tensor
-    first = True
-    for mode in modes:
-        matrix = factors[mode].T
-        if first and isinstance(result, SparseTensor):
-            result = result.mode_product(matrix, mode)
-        else:
-            result = dense_ops.mode_product(np.asarray(result), matrix, mode)
-        first = False
-    if isinstance(result, SparseTensor):  # order-1 edge case: nothing projected
-        result = result.to_dense()
-    return np.asarray(result, dtype=float)
-
-
-def _input_norm(tensor: TensorLike) -> float:
-    if isinstance(tensor, SparseTensor):
-        return tensor.frobenius_norm()
-    return dense_ops.frobenius_norm(np.asarray(tensor, dtype=float))
+    """Compute ``F ×_{m != skip_mode} Y(m)^T`` for a dense ``F``."""
+    return dense_ops.multi_mode_product(
+        tensor, [(m, f.T) for m, f in enumerate(factors) if m != skip_mode]
+    )
 
 
 def tucker_als(
@@ -180,7 +169,18 @@ def tucker_als(
 
     rng = make_rng(seed)
     order = len(shape)
-    norm_f = _input_norm(tensor)
+    if isinstance(tensor, SparseTensor):
+        norm_f = tensor.frobenius_norm()
+        projected_unfolding = tensor.ttm_chain
+    else:
+        tensor = np.asarray(tensor, dtype=float)
+        norm_f = dense_ops.frobenius_norm(tensor)
+
+        def projected_unfolding(factors, skip_mode):
+            return dense_ops.unfold(
+                _project_except(tensor, factors, skip_mode), skip_mode
+            )
+
     if norm_f == 0.0:
         # A zero tensor decomposes trivially; return zero core and arbitrary
         # orthonormal factors.
@@ -193,10 +193,12 @@ def tucker_als(
             fit_history=[1.0],
             converged=True,
             input_shape=shape,
+            stage_seconds=dict.fromkeys(("init", "sweeps", "core"), 0.0),
         )
 
+    started = time.perf_counter()
     if init == "hosvd":
-        factors = list(hosvd(tensor, ranks=target, seed=rng).factors)
+        factors, _ = hosvd_factors(tensor, target, seed=rng)
     elif init == "random":
         factors = []
         for mode in range(order):
@@ -212,10 +214,10 @@ def tucker_als(
     last_delta = np.inf
     converged = False
 
+    sweeps_started = time.perf_counter()
     for _ in range(max_iter):
         for mode in range(order):
-            projected = _project_except(tensor, factors, skip_mode=mode)
-            unfolded = dense_ops.unfold(projected, mode)
+            unfolded = projected_unfolding(factors, mode)
             u, s, _ = truncated_svd(unfolded, target[mode], seed=rng)
             # Pad in the degenerate case where the unfolding had lower rank
             # than requested.
@@ -226,14 +228,19 @@ def tucker_als(
             factors[mode] = u
             singular_values[mode] = s
 
-        core = project_to_core(tensor, factors)
-        fit = dense_ops.frobenius_norm(core) / norm_f
+        # The last mode's singular values are those of the core's unfolding,
+        # so their norm is the core's norm: no projection needed per sweep.
+        fit = float(np.linalg.norm(singular_values[-1])) / norm_f
         fit_history.append(fit)
         last_delta = abs(fit - previous_fit)
         if last_delta < tol:
             converged = True
             break
         previous_fit = fit
+
+    core_started = time.perf_counter()
+    core = project_to_core(tensor, factors)
+    finished = time.perf_counter()
 
     if not converged:
         warnings.warn(
@@ -250,5 +257,10 @@ def tucker_als(
         fit_history=fit_history,
         converged=converged,
         input_shape=shape,
+        stage_seconds={
+            "init": sweeps_started - started,
+            "sweeps": core_started - sweeps_started,
+            "core": finished - core_started,
+        },
     )
 
