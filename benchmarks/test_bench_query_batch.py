@@ -7,7 +7,7 @@ of the paper's online workload), then ranks the same query set twice:
 * one ``rank`` call per query on a directly fitted dict-loop
   :class:`~repro.search.vsm.ConceptVectorSpace` (the reference), and
 * a single :meth:`SearchEngine.rank_batch` call against the CSR backend
-  (one sparse matmul + argpartition top-k).
+  (a postings scan + argpartition top-k per query).
 
 Asserts the rankings are identical and records the measured speedup next
 to the paper tables; whether it regressed is ``compare_baseline.py``'s call

@@ -10,11 +10,10 @@ Two claims back the sharded architecture, and this file checks both:
   floor on every machine; every sharded ranking is verified against the
   monolithic engine to 1e-9 — a fast wrong answer is not a result.
 * **Exact hits are nearly free.** A warm :class:`QueryCache` must answer
-  an exact-hit ``search`` at least 50x faster than re-scoring the query
+  an exact-hit ``search`` at least 10x faster than re-scoring the query
   from scratch (the cache lookup is one dict probe against a canonical tag
-  multiset, versus a fan-out matmul + merge).  The gate times per-request
-  ``search`` calls — the unit a cache actually serves — not the amortized
-  whole-batch matmul.
+  multiset, versus a postings scan per shard + merge).  The gate times
+  per-request ``search`` calls — the unit a cache actually serves.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.utils.timing import format_duration
 NUM_RESOURCES = 4000
 NUM_TAGS = 720
 NUM_USERS = 300
-#: Many concepts make per-shard scoring dgemm-dominated.
 NUM_CONCEPTS = 240
 NUM_QUERIES = 192
 TOP_K = 20
@@ -44,8 +42,9 @@ SHARD_COUNTS = (1, 2, 4)
 #: Per-shard call overhead plus the heap merge must never make sharding
 #: pathologically slower than the monolith.
 MIN_FANOUT_SANITY_RATIO = 0.2
-#: An exact cache hit must beat re-scoring by this factor (any core count).
-MIN_CACHE_SPEEDUP = 10.0 if os.environ.get("CI") else 50.0
+#: An exact cache hit (~8 us) must beat re-scoring (~125 us since the
+#: postings kernel; ~600 us before it) by this factor on any core count.
+MIN_CACHE_SPEEDUP = 10.0
 
 
 def build_corpus(seed: int = 97):
@@ -107,7 +106,7 @@ def test_four_shard_fanout_throughput_with_exact_parity():
     )
 
 
-def test_exact_hit_query_cache_is_50x_faster_than_rescoring():
+def test_exact_hit_query_cache_is_10x_faster_than_rescoring():
     folksonomy, model, queries = build_corpus(seed=101)
     engine = SearchEngine.build(folksonomy, model, name="mono")
     cached = SearchEngine.from_engine(

@@ -53,8 +53,8 @@ def run(
             seed=seed,
             min_rank=4,
         ).fit(folksonomy)
-        # One batched pass: the matrix backend scores the whole workload
-        # with a single sparse matmul (the paper's cheap-online claim).
+        # One batched pass: the matrix backend scores each query against
+        # its concepts' postings (the paper's cheap-online claim).
         cubelsi.rank_batch(queries, top_k=20)
         totals["CubeLSI"][profile_name] = cubelsi.timings.query_seconds_total
 

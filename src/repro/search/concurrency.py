@@ -1,10 +1,10 @@
 """Reader/writer synchronisation for the online serving engine.
 
 The serving engine follows a read/write discipline: queries are *reads*
-(many may score concurrently — the underlying BLAS/scipy matmuls release
-the GIL), while mutations and the statistics refresh they trigger are
-*writes* (they swap CSR arrays, vocabularies and norms in place and must
-never be observed half-done).  :class:`ReadWriteLock` is the primitive
+(many may score concurrently, each with its own scratch buffers), while
+mutations and the statistics refresh they trigger are *writes* (they swap
+CSR arrays, vocabularies and norms in place and must never be observed
+half-done).  :class:`ReadWriteLock` is the primitive
 behind that discipline: any number of readers xor one writer.
 
 The lock is write-preferring — once a writer is waiting, new readers queue

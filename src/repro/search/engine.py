@@ -13,8 +13,8 @@ return a ranked list.
 query (or a whole ``rank_batch`` batch) is scored shard by shard on the
 calling thread and the per-shard top-k lists are heap-merged by
 :func:`~repro.search.sharding.merge_topk`; with one shard its ranking is
-returned as is.  scipy's sparse matmul holds the GIL, so in-process
-sharding buys capacity, not speed —
+returned as is.  The postings kernel is short numpy calls under one GIL,
+so in-process sharding buys capacity, not speed —
 :class:`~repro.search.shardpool.ShardProcessPool` is the parallel reader,
 this class the mutation coordinator and the parity reference.
 
@@ -287,10 +287,13 @@ class SearchEngine(RankEngine):
         shard's arrays are one consistent snapshot.
         """
         while True:
-            with self._rw.read():
+            self._rw.acquire_read()
+            try:
                 if not self._needs_refresh():
                     yield
                     return
+            finally:
+                self._rw.release_read()
             self.refresh()
 
     def query_concepts(self, query_tags: Sequence[str]) -> Dict[int, float]:
@@ -323,7 +326,7 @@ class SearchEngine(RankEngine):
 
         Cache hits (canonical tag multiset + ``top_k`` + epoch) are served
         without touching the shards; misses — deduplicated within the
-        batch — are scored with one sparse matmul per shard and fill the
+        batch — are scored against each shard's postings and fill the
         cache.  The i-th result list always corresponds to the i-th query,
         with empty/unmatchable queries producing empty lists.  An empty
         batch yields an empty list, and an invalid ``top_k`` is rejected
@@ -367,18 +370,11 @@ class SearchEngine(RankEngine):
         describe the same index state it is scored against.
         """
         bags = [self.query_concepts(tags) for tags in queries]
-        results: List[List[RankedResult]] = [[] for _ in queries]
-
         if self.cache is None:
-            scorable = [
-                (position, bag) for position, bag in enumerate(bags) if bag
-            ]
-            if scorable:
-                ranked = self._rank_bags([bag for _, bag in scorable], top_k)
-                for (position, _), result in zip(scorable, ranked):
-                    results[position] = result
-            return results
+            # An empty bag ranks to an empty list in the space itself.
+            return self._rank_bags(bags, top_k)
 
+        results: List[List[RankedResult]] = [[] for _ in queries]
         miss_positions: Dict[Hashable, List[int]] = {}
         miss_bags: Dict[Hashable, Mapping[int, float]] = {}
         for position, (tags, bag) in enumerate(zip(queries, bags)):

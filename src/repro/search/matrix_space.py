@@ -3,11 +3,11 @@
 :class:`MatrixConceptSpace` holds the paper's Section III model — Eq. 2 term
 frequencies, Eq. 1 idf weights, Eq. 4 cosine ranking — as CSR arrays
 (``indptr`` / ``indices`` / ``data`` over a fixed concept vocabulary plus
-precomputed document norms), so that scoring is sparse matrix algebra
-instead of per-posting Python loops.  A whole batch of queries is ranked
-with one sparse-sparse matmul followed by :func:`numpy.argpartition` top-k
-selection, which is what makes the paper's "online querying is just cheap
-dot products" claim (Table VI) hold at scale.
+precomputed document norms).  Queries are scored against a term-major
+(postings) view of the same weights: a query touches only the resources
+that share a concept with it, a few vectorized slices per query followed by
+:func:`numpy.argpartition` top-k selection, which is what makes the paper's
+"online querying is just cheap dot products" claim (Table VI) hold at scale.
 
 It is built from raw ``resource -> {term -> count}`` bags
 (:meth:`MatrixConceptSpace.from_bags`); the initial build and the refresh
@@ -90,11 +90,6 @@ def saved_storage(directory: Union[str, Path]) -> str:
 #: the raw concept-count arrays that make loaded spaces mutable (fold-in).
 FORMAT_VERSION = 2
 
-#: Largest ``queries x documents`` cell count (~64 MB of float64 scores) for
-#: which batched ranking densifies the score matrix to rank all rows with a
-#: single argpartition/lexsort; bigger workloads stay row-by-row sparse.
-DENSE_BATCH_CELLS = 8_000_000
-
 
 def validate_top_k(top_k: Optional[int]) -> None:
     """Reject a non-positive ``top_k`` before any scoring work happens."""
@@ -121,8 +116,7 @@ def boundary_tie_candidates(scores: np.ndarray, top_k: Optional[int]) -> np.ndar
     if top_k is None or top_k >= scores.size:
         return np.arange(scores.size)
     head = np.argpartition(-scores, top_k - 1)[:top_k]
-    boundary = scores[head].min()
-    return np.flatnonzero(scores >= boundary)
+    return (scores >= scores[head].min()).nonzero()[0]
 
 
 def idf_from_document_frequency(
@@ -158,7 +152,7 @@ def select_top_k(
     """
     if scores.size == 0:
         return np.empty(0, dtype=np.intp)
-    if bool((scores > 0.0).all()):
+    if scores.min() > 0.0:
         # Fast path: structurally, sparse dot products of non-negative
         # weight matrices are strictly positive wherever they are stored,
         # so the positivity filter is usually a no-op.
@@ -166,7 +160,7 @@ def select_top_k(
         kept_scores = scores
         kept_positions = positions
     else:
-        keep = np.flatnonzero(scores > 0.0)
+        keep = (scores > 0.0).nonzero()[0]
         if keep.size == 0:
             return keep
         kept_scores = scores[keep]
@@ -208,7 +202,9 @@ class MatrixConceptSpace:
             term: column for column, term in enumerate(self._terms)
         }
         self._matrix = matrix
-        self._dense_matrix: Optional[np.ndarray] = None
+        # Term-major view of ``_matrix`` that queries are scored against;
+        # derived on the first read after the weights change.
+        self._postings: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._doc_norms = np.asarray(doc_norms, dtype=np.float64)
         self._idf = np.asarray(idf, dtype=np.float64)
         self._smooth_idf = bool(smooth_idf)
@@ -658,7 +654,7 @@ class MatrixConceptSpace:
         )
         weights.eliminate_zeros()
         self._matrix = weights
-        self._dense_matrix = None
+        self._postings = None
         self._doc_norms = np.sqrt(
             np.asarray(weights.power(2).sum(axis=1)).ravel()
         )
@@ -744,7 +740,13 @@ class MatrixConceptSpace:
         query_bags: Sequence[Mapping[Hashable, float]],
         top_k: Optional[int] = None,
     ) -> List[List[RankedResult]]:
-        """Rank every query of a batch with one sparse matmul.
+        """Rank every query of a batch against the term-major postings.
+
+        A query scores only the documents that store one of its terms: with
+        one term the term's postings *are* the candidates; with several the
+        postings accumulate, in bag order (the dict-loop reference's
+        summation order), into a scratch vector.  Scratch is allocated per
+        call — concurrent readers share the space, never the buffers.
 
         Queries whose bags are empty or carry no corpus term simply yield an
         empty result list — a zero query norm never raises or produces NaN.
@@ -753,44 +755,63 @@ class MatrixConceptSpace:
         if not query_bags:
             return []
         self.refresh()
+        postings = self._postings
+        if postings is None:
+            # One (row ids, weights) pair of views per term.  Row ids ascend
+            # within a term; as intp they index without a per-slice cast.
+            # Racing readers derive equal copies, and the list lands in one
+            # assignment.
+            columns = self._matrix.tocsc()
+            rows = columns.indices.astype(np.intp)
+            bounds = columns.indptr.tolist()
+            postings = self._postings = [
+                (rows[start:end], columns.data[start:end])
+                for start, end in zip(bounds, bounds[1:])
+            ]
+        doc_norms, resource_of = self._doc_norms, self._doc_ids.__getitem__
+        num_rows = doc_norms.size
+        dots: Optional[np.ndarray] = None
+        touched: Optional[np.ndarray] = None
 
-        rows: List[int] = []
-        columns: List[int] = []
-        values: List[float] = []
-        query_norms = np.zeros(len(query_bags), dtype=np.float64)
-        for row, bag in enumerate(query_bags):
-            weights, out_of_vocab_sq = self._weight_query(bag)
-            norm_sq = out_of_vocab_sq
-            for column, weight in weights.items():
-                rows.append(row)
-                columns.append(column)
-                values.append(weight)
+        results: List[List[RankedResult]] = []
+        for bag in query_bags:
+            weights, norm_sq = self._weight_query(bag)
+            if not weights:
+                results.append([])
+                continue
+            if len(weights) == 1:
+                ((column, weight),) = weights.items()
                 norm_sq += weight * weight
-            query_norms[row] = math.sqrt(norm_sq)
-
-        query_matrix = sp.csr_matrix(
-            (values, (rows, columns)),
-            shape=(len(query_bags), len(self._terms)),
-            dtype=np.float64,
-        )
-        num_queries = len(query_bags)
-        num_docs = len(self._doc_ids)
-        num_terms = len(self._terms)
-        if (
-            top_k is not None
-            and 0 < num_docs
-            and num_queries * num_docs <= DENSE_BATCH_CELLS
-            and num_docs * num_terms <= DENSE_BATCH_CELLS
-            and num_queries * num_terms <= DENSE_BATCH_CELLS
-        ):
-            # Small enough to densify: one BLAS matmul + one batched
-            # argpartition/lexsort ranks every row without per-row numpy
-            # call overhead.
-            scores = query_matrix.toarray() @ self._dense_weights().T
-            return self._rank_rows_dense(scores, query_norms, top_k)
-        return self._rank_rows_sparse(
-            query_matrix @ self._matrix.T, query_norms, top_k
-        )
+                candidates, stored = postings[column]
+                scores = stored * weight
+            else:
+                if dots is None or touched is None:
+                    dots = np.zeros(num_rows, dtype=np.float64)
+                    touched = np.zeros(num_rows, dtype=bool)
+                for column, weight in weights.items():
+                    norm_sq += weight * weight
+                    posted, stored = postings[column]
+                    dots[posted] += stored * weight
+                    touched[posted] = True
+                candidates = touched.nonzero()[0]
+                scores = dots[candidates]
+                dots[candidates] = 0.0
+                touched[candidates] = False
+            scores /= math.sqrt(norm_sq) * doc_norms[candidates]
+            selected = select_top_k(candidates, scores, top_k)
+            results.append(
+                list(
+                    map(
+                        RankedResult._make,
+                        zip(
+                            map(resource_of, candidates[selected].tolist()),
+                            scores[selected].tolist(),
+                            range(1, selected.size + 1),
+                        ),
+                    )
+                )
+            )
+        return results
 
     def cosine(self, query_bag: Mapping[Hashable, float], resource: str) -> float:
         """Cosine similarity between one query bag and one resource."""
@@ -815,129 +836,6 @@ class MatrixConceptSpace:
             if weight is not None:
                 dot += weight * float(value)
         return dot / (query_norm * doc_norm)
-
-    # ------------------------------------------------------------------ #
-    # Batched scoring backends
-    # ------------------------------------------------------------------ #
-    def _rank_rows_sparse(
-        self,
-        products: sp.csr_matrix,
-        query_norms: np.ndarray,
-        top_k: Optional[int],
-    ) -> List[List[RankedResult]]:
-        """Per-row selection on the sparse product (unbounded batch sizes)."""
-        indptr, indices, dots = products.indptr, products.indices, products.data
-        if dots.size:
-            # One vectorized cosine normalisation over every stored dot
-            # product; rows of zero-norm queries are structurally empty, so
-            # the repeat never pairs a zero norm with a stored entry.
-            row_lengths = np.diff(indptr)
-            denominator = np.repeat(query_norms, row_lengths) * self._doc_norms[indices]
-            all_scores = dots / denominator
-
-        doc_ids = self._doc_ids
-        results: List[List[RankedResult]] = []
-        for row in range(products.shape[0]):
-            start, end = indptr[row], indptr[row + 1]
-            if start == end:
-                results.append([])
-                continue
-            candidates = indices[start:end]
-            scores = all_scores[start:end]
-            selected = select_top_k(candidates, scores, top_k)
-            results.append(
-                [
-                    RankedResult(doc_ids[column], score, position)
-                    for position, (column, score) in enumerate(
-                        zip(
-                            candidates[selected].tolist(),
-                            scores[selected].tolist(),
-                        ),
-                        start=1,
-                    )
-                ]
-            )
-        return results
-
-    def _dense_weights(self) -> np.ndarray:
-        """A lazily-cached dense copy of the weight matrix (small spaces only)."""
-        if self._dense_matrix is None:
-            self._dense_matrix = self._matrix.toarray()
-        return self._dense_matrix
-
-    def _rank_rows_dense(
-        self,
-        scores: np.ndarray,
-        query_norms: np.ndarray,
-        top_k: int,
-    ) -> List[List[RankedResult]]:
-        """Whole-batch top-k on a dense ``queries x documents`` score matrix.
-
-        Ranks every row with a single ``argpartition``/``lexsort`` pair,
-        removing the per-row numpy call overhead that dominates the sparse
-        path on medium batches.  Used only when the involved cell counts
-        are bounded (:data:`DENSE_BATCH_CELLS`).
-        """
-        # Zero norms only ever co-occur with structurally-zero rows/columns,
-        # so substituting 1.0 cannot change a stored score.
-        scores /= np.where(query_norms > 0.0, query_norms, 1.0)[:, None]
-        scores /= np.where(self._doc_norms > 0.0, self._doc_norms, 1.0)[None, :]
-        num_queries, num_docs = scores.shape
-        bounded_k = min(top_k, num_docs)
-
-        if bounded_k < num_docs:
-            head = np.argpartition(-scores, bounded_k - 1, axis=1)[:, :bounded_k]
-        else:
-            head = np.tile(np.arange(num_docs), (num_queries, 1))
-        head_scores = np.take_along_axis(scores, head, axis=1)
-
-        # Order all rows at once by (row, -score, doc position).
-        flat_rows = np.repeat(np.arange(num_queries), bounded_k)
-        order = np.lexsort((head.ravel(), -head_scores.ravel(), flat_rows))
-        sorted_columns = head.ravel()[order].reshape(num_queries, bounded_k)
-        sorted_scores = head_scores.ravel()[order].reshape(num_queries, bounded_k)
-
-        # Rows whose k-th score ties with unselected documents need the
-        # exact lowest-doc-id members of the tie group; redo those few rows.
-        if bounded_k < num_docs:
-            boundary = sorted_scores[:, -1]
-            tie_rows = set(
-                np.flatnonzero(
-                    (boundary > 0.0)
-                    & ((scores >= boundary[:, None]).sum(axis=1) > bounded_k)
-                ).tolist()
-            )
-        else:
-            tie_rows = set()
-
-        positive_counts = (sorted_scores > 0.0).sum(axis=1).tolist()
-        columns_list = sorted_columns.tolist()
-        scores_list = sorted_scores.tolist()
-        doc_ids = self._doc_ids
-        all_positions = np.arange(num_docs)
-        results: List[List[RankedResult]] = []
-        for row in range(num_queries):
-            if row in tie_rows:
-                row_scores = scores[row]
-                selected = select_top_k(all_positions, row_scores, top_k)
-                results.append(
-                    [
-                        RankedResult(doc_ids[column], float(row_scores[column]), position)
-                        for position, column in enumerate(selected.tolist(), start=1)
-                    ]
-                )
-                continue
-            count = positive_counts[row]
-            results.append(
-                [
-                    RankedResult(doc_ids[column], score, position)
-                    for position, (column, score) in enumerate(
-                        zip(columns_list[row][:count], scores_list[row][:count]),
-                        start=1,
-                    )
-                ]
-            )
-        return results
 
     # ------------------------------------------------------------------ #
     # Persistence

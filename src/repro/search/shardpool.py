@@ -1,9 +1,9 @@
 """Process-per-shard serving pool: parallel fan-out that escapes the GIL.
 
 An N-shard :class:`~repro.search.engine.SearchEngine` scores its shards
-one after another in one CPython interpreter (scipy's sparse matmul holds
-the GIL for most of a ``rank_batch``), so in-process sharding is slower
-than the monolith.  This module moves each shard into its own worker
+one after another in one CPython interpreter (the postings kernel is
+short numpy calls under one GIL), so in-process sharding is slower than
+the monolith.  This module moves each shard into its own worker
 process:
 
 * :func:`_shard_worker_main` — the worker entry point.  Each worker loads

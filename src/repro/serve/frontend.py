@@ -1,9 +1,10 @@
-"""Micro-batching front-end: concurrent single queries, batched matmuls.
+"""Micro-batching front-end: concurrent single queries, batched engine calls.
 
-The batched scoring path (``rank_batch``: one sparse/BLAS matmul for a
-whole query set) is ~20x faster per query than the one-at-a-time path,
-but production traffic arrives as concurrent *single* queries — each
-client submits one tag query and waits for its own answer.
+The batched scoring path (``rank_batch``) pays the per-call costs — the
+read lock, the cache pass, a pool engine's IPC round trip — once for a
+whole query set and scores duplicate queries once, but production traffic
+arrives as concurrent *single* queries — each client submits one tag query
+and waits for its own answer.
 :class:`BatchingFrontend` closes that gap:
 
 * :meth:`BatchingFrontend.submit` is the client surface — it enqueues one
@@ -65,7 +66,7 @@ class FrontendConfig:
     """Tuning knobs of the micro-batch window and the admission bound.
 
     ``max_batch_size`` counts *distinct* queries per engine call (a
-    hundred waiters on one hot query are one matmul row, so they never
+    hundred waiters on one hot query are scored once, so they never
     delay the flush); ``max_wait_ms`` bounds how long the oldest request
     may sit waiting for company, trading per-query latency for batch
     amortization (``0`` flushes greedily: whatever has accumulated by the

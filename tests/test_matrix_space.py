@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.eval.sharding import rankings_match
 from repro.search.engine import SearchEngine
 from repro.search.matrix_space import MatrixConceptSpace, select_top_k
-from repro.search.vsm import ConceptVectorSpace
+from repro.search.sharding import ShardRouter
+from repro.search.vsm import ConceptVectorSpace, mismatched_probes
 from repro.utils.errors import ConfigurationError, NotFittedError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -248,6 +250,128 @@ class TestFromBags:
             assert mutated.document_norm(resource) == pytest.approx(
                 scratch.document_norm(resource), abs=1e-12
             )
+
+
+def assert_scores_like_scratch_build(space, bags, queries):
+    """``space`` ranks like a from-scratch build over ``bags`` (or its rows of one).
+
+    The caller has ranked on ``space`` *before* changing it, so a kernel
+    still reading the postings of the old weights fails here.
+    """
+    scratch = MatrixConceptSpace.from_bags(bags, space.smooth_idf)
+    if space.doc_ids != scratch.doc_ids:  # a shard: its rows, corpus-wide idf
+        scratch = scratch.slice_rows(space.doc_ids)
+    for top_k in (None, 5):
+        assert not mismatched_probes(
+            space.rank_batch(queries, top_k=top_k),
+            scratch.rank_batch(queries, top_k=top_k),
+            truncated=top_k is not None,
+        )
+
+
+class TestPostingsFreshness:
+    """The term-major postings follow every change of the weight matrix."""
+
+    VOCABULARY = [f"t{i}" for i in range(12)]
+    QUERIES = [{"t1": 1}, {"t2": 2, "t5": 1}, {"t0": 1, "t3": 1, "rare": 1}, {"rare": 1}]
+
+    def corpus(self):
+        bags = random_bags(
+            np.random.default_rng(29), num_resources=40, vocabulary=self.VOCABULARY
+        )
+        bags["r0001"]["rare"] = 2  # the only carrier: removing it prunes a column
+        return bags
+
+    def test_local_mutations_refresh_and_vocabulary_prune(self):
+        bags = self.corpus()
+        space = MatrixConceptSpace.from_bags(bags, smooth_idf=True)
+        assert_scores_like_scratch_build(space, bags, self.QUERIES)
+
+        bags["r9000"] = {"t1": 1, "brand-new": 2}
+        space.add_documents({"r9000": bags["r9000"]})
+        assert_scores_like_scratch_build(space, bags, self.QUERIES)
+        bags["r0004"] = {"t5": 3}
+        space.update_document("r0004", bags["r0004"])
+        assert_scores_like_scratch_build(space, bags, self.QUERIES)
+        del bags["r0001"]
+        space.remove_documents(["r0001"])
+        assert space.refresh() and "rare" not in space.terms
+        assert_scores_like_scratch_build(space, bags, self.QUERIES)
+
+    def test_partition_shards_and_coordinated_refresh(self, small_cleaned):
+        model = identity_concept_model(small_cleaned.tags)
+        engine = SearchEngine.from_engine(
+            SearchEngine.build(small_cleaned, model), num_shards=2
+        )
+        bags = {
+            r: model.concept_bag(small_cleaned.tag_bag(r))
+            for r in small_cleaned.resources
+        }
+        tags = list(small_cleaned.tags)
+        queries = [model.concept_bag_from_tags(tags[i : i + 2]) for i in range(8)]
+        for shard in engine.shards:
+            assert_scores_like_scratch_build(shard, bags, queries)
+
+        victim, updated = small_cleaned.resources[:2]
+        engine.apply_mutations(
+            added={"r-new": {tags[0]: 2.0, tags[3]: 1.0}},
+            updated={updated: {tags[1]: 1.0}},
+            removed=[victim],
+        )
+        del bags[victim]
+        bags["r-new"] = model.concept_bag({tags[0]: 2.0, tags[3]: 1.0})
+        bags[updated] = model.concept_bag({tags[1]: 1.0})
+        assert engine.refresh()  # fold_pending_counts -> apply_statistics
+        for shard in engine.shards:
+            assert_scores_like_scratch_build(shard, bags, queries)
+
+
+class TestConcurrentReaders:
+    """Readers share a space (the engine's read lock admits many at once)."""
+
+    def test_threads_get_the_serial_answers(self):
+        rng = np.random.default_rng(31)
+        vocabulary = [f"t{i}" for i in range(8)]
+        model = identity_concept_model(vocabulary)
+        bags = random_bags(rng, num_resources=1500, vocabulary=vocabulary)
+        space = MatrixConceptSpace.from_bags(
+            {doc_id: model.concept_bag(bag) for doc_id, bag in bags.items()},
+            smooth_idf=True,
+        )
+        router = ShardRouter(2)
+        sharded = SearchEngine(model, space.partition(2, router.shard_of), router)
+        # One- and multi-concept queries alternate: the second kind scores
+        # through scratch buffers, which must not be shared between calls.
+        queries = [
+            [vocabulary[i] for i in rng.choice(8, size=1 + position % 3, replace=False)]
+            for position in range(200)
+        ]
+        concept_bags = [model.concept_bag_from_tags(tags) for tags in queries]
+        serial_space = [space.rank(bag, top_k=10) for bag in concept_bags]
+        serial_engine = [sharded.search(tags, top_k=10) for tags in queries]
+
+        wrong = []
+
+        def reader(offset):
+            for step in range(len(queries)):
+                probe = (offset * 25 + step) % len(queries)
+                if space.rank(concept_bags[probe], top_k=10) != serial_space[probe]:
+                    wrong.append(("space", probe))
+                if sharded.search(queries[probe], top_k=10) != serial_engine[probe]:
+                    wrong.append(("engine", probe))
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-kernel, not between calls
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestEngineParity:

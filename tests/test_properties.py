@@ -1,7 +1,13 @@
 """Property-based invariants for the serving primitives (hypothesis).
 
-Two families of properties, both aimed where the system is most likely to
+Three families of properties, all aimed where the system is most likely to
 be wrong (exact ties, eviction boundaries, permuted inputs):
+
+* **postings kernel** — for *any* small corpus (duplicate documents and
+  exact score ties by construction) and any query bags (empty, all-unknown,
+  out-of-vocabulary mass), ``MatrixConceptSpace.rank_batch`` must reproduce
+  the dict-loop oracle's rankings at every ``top_k``, as a built space, as
+  a ``slice_rows`` shard and as a memory-mapped load.
 
 * **top-k merge** — for *any* corpus of scores (tie-rich by construction),
   any shard split and any ``top_k``, the sharded pipeline
@@ -18,6 +24,7 @@ be wrong (exact ties, eviction boundaries, permuted inputs):
 
 from __future__ import annotations
 
+import tempfile
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
@@ -25,10 +32,83 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import DictLoopOracle
+from repro.core.concepts import identity_concept_model
 from repro.search.cache import QueryCache
-from repro.search.matrix_space import select_top_k
+from repro.search.matrix_space import MatrixConceptSpace, select_top_k
 from repro.search.sharding import merge_topk
-from repro.search.vsm import RankedResult
+from repro.search.vsm import RankedResult, mismatched_probes
+
+# --------------------------------------------------------------------- #
+# postings kernel == dict-loop oracle
+# --------------------------------------------------------------------- #
+
+#: A deliberately tiny vocabulary and count range, so duplicate documents
+#: and exact score ties (including at the rank-k cut) are the common case.
+KERNEL_TAGS = ("a", "b", "c", "d", "e")
+#: Concept id no document can carry: pure out-of-vocabulary query mass.
+UNSEEN_CONCEPT = len(KERNEL_TAGS)
+
+
+@st.composite
+def corpus_and_bags(draw):
+    """Tag-bag documents, concept-bag queries, a shard mask, idf mode, k."""
+    documents = draw(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(KERNEL_TAGS), st.integers(1, 2), min_size=1, max_size=3
+            ),
+            min_size=2,
+            max_size=10,
+        )
+    )
+    queries = draw(
+        st.lists(
+            st.dictionaries(
+                st.integers(0, UNSEEN_CONCEPT), st.integers(0, 3), max_size=4
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    on_shard = draw(
+        st.lists(st.booleans(), min_size=len(documents), max_size=len(documents))
+    )
+    smooth_idf = draw(st.booleans())
+    top_k = draw(st.integers(1, len(documents)))
+    return documents, queries, on_shard, smooth_idf, top_k
+
+
+@given(corpus_and_bags())
+def test_postings_kernel_matches_dict_loop_oracle(data):
+    documents, queries, on_shard, smooth_idf, k = data
+    tag_bags = {f"r{i:02d}": bag for i, bag in enumerate(documents)}
+    reference = DictLoopOracle(
+        identity_concept_model(KERNEL_TAGS), tag_bags, smooth_idf
+    ).space
+    queries = queries + [{}, {UNSEEN_CONCEPT: 2}]
+    members = {doc for doc, kept in zip(sorted(tag_bags), on_shard) if kept}
+
+    want = [reference.rank(bag, top_k=None) for bag in queries]
+    on_members = [
+        [result for result in ranking if result.resource in members]
+        for ranking in want
+    ]
+    built = MatrixConceptSpace.compile(reference)
+    with tempfile.TemporaryDirectory() as directory:
+        built.save(directory, mmap_ready=True)
+        spaces = (
+            (built, want),
+            (MatrixConceptSpace.load(directory, mmap=True), want),
+            (built.slice_rows(sorted(members)), on_members),
+        )
+        for top_k in (1, k, len(documents) + 3, None):
+            for space, rankings in spaces:
+                got = space.rank_batch(queries, top_k=top_k)
+                cut = [ranking[:top_k] for ranking in rankings]
+                assert mismatched_probes(got, cut, top_k is not None) == []
+
+
 
 # --------------------------------------------------------------------- #
 # merge_topk == monolithic select_top_k
