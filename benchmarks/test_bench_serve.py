@@ -1,15 +1,23 @@
-"""Micro-batching front-end throughput: the coalescing gate.
+"""Micro-batching front-end throughput: what the window costs and buys.
 
-The front-end's claim: concurrent single-query clients served through the
-micro-batch window must beat the same queries submitted *serially,
-un-batched* (one ``rank_batch([query])`` engine call per query) — the
-window turns N concurrent arrivals into one matmul over N rows, so the
-per-call dispatch/locking/top-k overhead is paid once per batch instead
-of once per query.
+Concurrent single-query clients served through the micro-batch window are
+compared with the same queries submitted *serially, un-batched* (one
+``rank_batch([query])`` engine call per query).  Since the postings kernel
+(PR 22) a batch is the per-query routine in a loop, so the window no longer
+amortises any arithmetic: what coalescing buys is identical in-flight
+queries scored once, one epoch-consistent read (one lock acquisition) per
+batch, and — in front of a process pool — one IPC round trip per batch
+instead of one per query.  None of that shows on this workload (distinct
+queries, an in-process engine), so the ratio recorded here is the price of
+the window and the thread hand-offs.  On a 2-core box it has two modes:
+~0.65x in a fresh interpreter and ~0.4x after earlier benchmarks of the
+same session have spawned threads and processes (the serial side is the
+same in both; the nine-thread side is not), so inside
+``pytest benchmarks/`` it lands on either.  ``baseline.json`` anchors the
+low mode (median of the five low-mode runs out of twelve full sessions).
 
-Three configurations run the same distinct-query workload on a
-dgemm-dominated monolithic engine (result caches disabled — this gate
-measures batching, not caching):
+Three configurations run the same distinct-query workload on a monolithic
+engine (result caches disabled — this measures batching, not caching):
 
 * **serial un-batched** — one thread, one engine call per query (the
   baseline a deployment without a front-end gets);
@@ -20,14 +28,13 @@ measures batching, not caching):
   :func:`repro.eval.serve.frontend_sweep`, which also re-verifies every
   response against the direct ``rank_batch`` answers to 1e-9.
 
-On a multi-core non-CI machine the coalesced/serial ratio is gated at
->= 1.0 (with 5% scheduler-noise slack); elsewhere the gate relaxes to a
-no-pathological-collapse floor while parity stays enforced either way.
+The test enforces the parity; the coalesced/serial ratio is recorded, and
+``benchmarks/compare_baseline.py`` — the same way on every machine — judges
+it against the committed anchor.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import List
@@ -43,8 +50,6 @@ from repro.tagging.folksonomy import Folksonomy
 NUM_RESOURCES = 1500
 NUM_TAGS = 600
 NUM_USERS = 250
-#: Many concepts keep per-query scoring matmul-dominated, so batching a
-#: window of queries into one call has real fixed overhead to amortize.
 NUM_CONCEPTS = 200
 NUM_QUERIES = 480
 NUM_CLIENTS = 8
@@ -53,18 +58,10 @@ TOP_K = 20
 #: ~NUM_CLIENTS distinct queries); the window is only a straggler backstop.
 MAX_BATCH_SIZE = 8
 MAX_WAIT_MS = 2.0
-#: Below this many cores the concurrency half of the claim has no
-#: hardware to run on; the gate degrades to the sanity floor.
-MIN_CORES_FOR_GATE = 4
-#: The acceptance bar: coalesced concurrent submission must not be slower
-#: than serial un-batched submission, with 5% conceded to scheduler noise.
-MIN_COALESCED_RATIO = 0.95
-#: Everywhere else, front-end overhead must never collapse throughput.
-MIN_SANITY_RATIO = 0.2
 
 
 def build_engine():
-    """A dgemm-dominated monolithic engine (no result cache)."""
+    """A monolithic engine (no result cache)."""
     rng = np.random.default_rng(211)
     records = []
     for resource in range(NUM_RESOURCES):
@@ -152,14 +149,6 @@ def test_coalesced_concurrent_not_slower_than_serial_unbatched():
     sizes = registries[0].size_distribution("batch_distinct_queries")
 
     ratio = coalesced_qps / serial_qps
-    cores = os.cpu_count() or 1
-    gated = cores >= MIN_CORES_FOR_GATE and not os.environ.get("CI")
-    if gated:
-        verdict = f"gated >= {MIN_COALESCED_RATIO:.2f}x serial un-batched"
-    elif cores < MIN_CORES_FOR_GATE:
-        verdict = "reported only: fewer than 4 cores"
-    else:
-        verdict = "reported only: shared CI runner"
 
     record_metric("coalesced_vs_serial_ratio", ratio)
     record_metric("coalesced_queries_per_s", coalesced_qps)
@@ -170,7 +159,7 @@ def test_coalesced_concurrent_not_slower_than_serial_unbatched():
                 "== serving front-end: coalesced concurrent vs un-batched ==",
                 f"corpus: {NUM_RESOURCES} resources, {NUM_TAGS} tags, "
                 f"{NUM_CONCEPTS} concepts; {len(queries)} distinct queries, "
-                f"{NUM_CLIENTS} clients, top_k={TOP_K}; {cores} cores",
+                f"{NUM_CLIENTS} clients, top_k={TOP_K}",
                 f"serial un-batched      : {serial_qps:,.0f} q/s "
                 f"({serial_seconds * 1e3:.0f}ms)",
                 f"concurrent un-batched  : {unbatched_qps:,.0f} q/s "
@@ -178,20 +167,9 @@ def test_coalesced_concurrent_not_slower_than_serial_unbatched():
                 f"coalesced (window {MAX_BATCH_SIZE}/{MAX_WAIT_MS}ms): "
                 f"{coalesced_qps:,.0f} q/s, mean batch {sizes.mean:.1f}, "
                 f"max {sizes.max}",
-                f"coalesced/serial ratio : {ratio:.2f}x ({verdict}; every "
-                "response 1e-9-verified against direct rank_batch)",
+                f"coalesced/serial ratio : {ratio:.2f}x (recorded, judged by "
+                "compare_baseline.py; every response 1e-9-verified against "
+                "direct rank_batch)",
             ]
         )
     )
-
-    if gated:
-        assert ratio >= MIN_COALESCED_RATIO, (
-            f"coalesced concurrent submission ran at {ratio:.2f}x serial "
-            f"un-batched on {cores} cores "
-            f"(required >= {MIN_COALESCED_RATIO}x)"
-        )
-    else:
-        assert ratio >= MIN_SANITY_RATIO, (
-            f"front-end collapsed throughput to {ratio:.2f}x serial on "
-            f"{cores} core(s) (required >= {MIN_SANITY_RATIO}x)"
-        )

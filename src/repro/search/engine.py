@@ -72,7 +72,7 @@ from repro.search.concurrency import ReadWriteLock
 from repro.search.incremental import RefreshPolicy, StalenessReport
 from repro.search.matrix_space import (
     MatrixConceptSpace,
-    idf_from_document_frequency,
+    refresh_spaces,
     validate_top_k,
 )
 from repro.search.sharding import (
@@ -99,8 +99,8 @@ class SearchEngine(RankEngine):
     """Online query processing over N >= 1 shards of a concept-space index.
 
     Shards carry corpus-wide statistics; the engine is their coordinator —
-    the only writer that refreshes them (see the coordinator protocol on
-    :class:`~repro.search.matrix_space.MatrixConceptSpace`).  An engine
+    the only writer that refreshes them (see
+    :func:`~repro.search.matrix_space.refresh_spaces`).  An engine
     holding fewer shards than its router places onto (what
     :meth:`load_shard` returns) is a read-only partial view: it ranks its
     own rows with the corpus-wide statistics and refuses mutation.
@@ -114,7 +114,7 @@ class SearchEngine(RankEngine):
     concept_model:
         Maps tags (of resources and of queries) to concept ids.
     shards:
-        The CSR tf-idf spaces queries are scored against, in router order.
+        The tf-idf spaces queries are scored against, in router order.
     router:
         Places every resource on exactly one shard.
     name:
@@ -464,8 +464,8 @@ class SearchEngine(RankEngine):
     # ------------------------------------------------------------------ #
     @property
     def is_mutable(self) -> bool:
-        """Whether every shard carries the raw counts mutation needs."""
-        return all(shard.is_mutable for shard in self.shards)
+        """Whether this engine holds every shard (a partial view is read-only)."""
+        return len(self.shards) == self.router.num_shards
 
     def has_resource(self, resource: str) -> bool:
         """Whether ``resource`` is currently indexed (pending ops included)."""
@@ -557,19 +557,13 @@ class SearchEngine(RankEngine):
         (LSI-style fold-in) and pushed into the shard the router owns them
         to; idf and norms recompute lazily on the next read and the query
         cache is invalidated.  Everything is validated before anything is
-        applied (mutability first, before dynamic-concept allocation), so a
-        rejected batch has no side effects, and additions land before
-        removals so a batch that swaps most of the corpus never looks
-        momentarily empty.  A shard may legally drain empty as long as the
-        corpus keeps at least one resource.
+        applied (a read-only partial view refuses before dynamic-concept
+        allocation), so a rejected batch has no side effects, and additions
+        land before removals so a batch that swaps most of the corpus never
+        looks momentarily empty.  A shard may legally drain empty as long as
+        the corpus keeps at least one resource.
         """
         self._require_every_shard("mutate")
-        if not self.is_mutable:
-            raise ConfigurationError(
-                "this engine's matrix space carries no raw concept counts "
-                "(pre-v2 artefact) and cannot be mutated; rebuild the engine "
-                "or re-save the index with the current format"
-            )
         with self._rw.write():
             batch = self._prepare_mutation_batch(added, updated, removed)
             if batch is None:
@@ -629,15 +623,14 @@ class SearchEngine(RankEngine):
     def refresh(self) -> bool:
         """Coordinated refresh across every shard; True if work was done.
 
-        Each shard folds its pending count mutations over a vocabulary
-        extension shared by all shards (columns stay aligned), then
-        document frequencies are summed, globally dead terms are pruned
-        everywhere, and one corpus-wide idf vector is derived and applied
-        to every shard — exactly the statistics a from-scratch build over
-        the whole corpus computes.  Runs under the exclusive side of the
-        engine's read/write lock, so no concurrent query can observe a
-        shard mid-refresh; readers arriving while mutations are pending
-        drive this refresh themselves before scoring.
+        :func:`~repro.search.matrix_space.refresh_spaces` over the shards:
+        pending count mutations fold over a vocabulary extension shared by
+        all shards, document frequencies are summed, and one corpus-wide
+        idf vector is applied everywhere — exactly the statistics a
+        from-scratch build over the whole corpus computes.  Runs under the
+        exclusive side of the engine's read/write lock, so no concurrent
+        query can observe a shard mid-refresh; readers arriving while
+        mutations are pending drive this refresh themselves before scoring.
         """
         if not self._needs_refresh():
             return False
@@ -648,36 +641,7 @@ class SearchEngine(RankEngine):
         if not self._needs_refresh():  # another writer refreshed meanwhile
             return False
         self._require_every_shard("refresh")
-        extra: Dict[Hashable, None] = {}
-        for shard in self.shards:
-            for term in shard.pending_new_terms():
-                extra.setdefault(term)
-        vocabulary: Optional[Tuple[Hashable, ...]] = None
-        for shard in self.shards:
-            folded = shard.fold_pending_counts(tuple(extra))
-            if vocabulary is None:
-                vocabulary = folded
-            elif folded != vocabulary:
-                raise ConfigurationError(
-                    "shard vocabularies drifted out of alignment; the index "
-                    "is corrupt — rebuild it from the offline pipeline"
-                )
-        document_frequency = self.shards[0].column_document_frequency()
-        for shard in self.shards[1:]:
-            document_frequency = (
-                document_frequency + shard.column_document_frequency()
-            )
-        alive = document_frequency > 0
-        if not bool(alive.all()):
-            for shard in self.shards:
-                shard.drop_columns(alive)
-            document_frequency = document_frequency[alive]
-        num_documents = self.num_indexed_resources
-        idf = idf_from_document_frequency(
-            document_frequency, num_documents, self.shards[0].smooth_idf
-        )
-        for shard in self.shards:
-            shard.apply_statistics(idf, num_documents)
+        refresh_spaces(self.shards)
         self._pending_batches = 0
         return True
 

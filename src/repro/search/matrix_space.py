@@ -1,25 +1,26 @@
 """The concept vector space the online component serves from.
 
 :class:`MatrixConceptSpace` holds the paper's Section III model — Eq. 2 term
-frequencies, Eq. 1 idf weights, Eq. 4 cosine ranking — as CSR arrays
-(``indptr`` / ``indices`` / ``data`` over a fixed concept vocabulary plus
-precomputed document norms).  Queries are scored against a term-major
-(postings) view of the same weights: a query touches only the resources
-that share a concept with it, a few vectorized slices per query followed by
-:func:`numpy.argpartition` top-k selection, which is what makes the paper's
-"online querying is just cheap dot products" claim (Table VI) hold at scale.
+frequencies, Eq. 1 idf weights, Eq. 4 cosine ranking — as two sparse
+matrices over a fixed concept vocabulary.  *Rows for writing*: a
+document-major CSR of raw concept counts, the only thing mutations edit.
+*Columns for reading*: term-major postings of the tf-idf weights plus
+precomputed document norms, the only thing queries are scored against — a
+query touches only the resources that share a concept with it, a few
+vectorized slices per query followed by :func:`numpy.argpartition` top-k
+selection, which is what makes the paper's "online querying is just cheap
+dot products" claim (Table VI) hold at scale.
 
-It is built from raw ``resource -> {term -> count}`` bags
-(:meth:`MatrixConceptSpace.from_bags`); the initial build and the refresh
-after a mutation derive idf, weights and norms through the same
-:meth:`MatrixConceptSpace.apply_statistics` pass.
+The postings always come from the counts through :func:`refresh_spaces`: a
+build, a standalone refresh after mutations and an engine's coordinated
+refresh of N shards are that one routine over one or N spaces.
 
-The space is also the unit of persistence: :meth:`save` writes the
-arrays (a compressed ``.npz`` archive, or raw per-array ``.npy`` files when
-``mmap_ready=True`` so :meth:`load` can memory-map them) and the
-vocabulary/metadata to JSON, so that offline indexing and online serving —
-including the process-per-shard pool's one-worker-per-shard loads — can
-run in separate processes.
+The space is also the unit of persistence: :meth:`save` writes both
+matrices (a compressed ``.npz`` archive, or raw per-array ``.npy`` files
+when ``mmap_ready=True`` so :meth:`load` can memory-map them and rank
+straight off the mapped postings) and the vocabulary/metadata to JSON, so
+that offline indexing and online serving — including the process-per-shard
+pool's one-worker-per-shard loads — can run in separate processes.
 
 Scores, rankings and tie-breaking (descending score, then ascending resource
 id) agree to 1e-9 with the fit-once dict-loop reference in
@@ -50,22 +51,27 @@ METADATA_FILENAME = "matrix_space.json"
 #: load); ``npy`` is one raw ``.npy`` file per array, which
 #: :meth:`MatrixConceptSpace.load` can memory-map (``mmap=True``) so a
 #: serving process opens a multi-GB shard in milliseconds and only pages
-#: in the rows it actually scores.
+#: in the postings it actually scores.
 STORAGE_NPZ = "npz"
 STORAGE_NPY = "npy"
 
-#: Names of the arrays persisted by :meth:`MatrixConceptSpace.save`
-#: (``counts_*`` only when the space is mutable).
+#: Names of the arrays persisted by :meth:`MatrixConceptSpace.save`: the
+#: count CSR, the postings (a CSC of the weights), norms and idf.
 _ARRAY_NAMES = (
-    "indptr",
-    "indices",
-    "data",
-    "doc_norms",
-    "idf",
     "counts_indptr",
     "counts_indices",
     "counts_data",
+    "post_indptr",
+    "post_rows",
+    "post_weights",
+    "doc_norms",
+    "idf",
 )
+
+#: Bumped whenever the on-disk layout changes incompatibly.  Version 3
+#: stores the term-major postings queries are scored against in place of
+#: the document-major weights of versions 1-2, which are refused on load.
+FORMAT_VERSION = 3
 
 
 def _npy_path(directory: Path, name: str) -> Path:
@@ -73,22 +79,20 @@ def _npy_path(directory: Path, name: str) -> Path:
     return directory / f"matrix_space.{name}.npy"
 
 
+def _read_metadata(directory: Union[str, Path]) -> Dict[str, object]:
+    metadata_path = Path(directory) / METADATA_FILENAME
+    if not metadata_path.exists():
+        raise NotFittedError(f"no saved matrix space under {directory}")
+    return json.loads(metadata_path.read_text(encoding="utf-8"))
+
+
 def saved_storage(directory: Union[str, Path]) -> str:
     """The array-storage layout of a save directory (``npz`` or ``npy``).
 
     Lets a coordinator decide *before* spawning workers whether a shard
-    layout supports memory-mapping (pre-``npy`` saves do not).
+    layout supports memory-mapping.
     """
-    path = Path(directory)
-    metadata_path = path / METADATA_FILENAME
-    if not metadata_path.exists():
-        raise NotFittedError(f"no saved matrix space under {path}")
-    metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
-    return str(metadata.get("storage", STORAGE_NPZ))
-
-#: Bumped whenever the on-disk layout changes incompatibly.  Version 2 added
-#: the raw concept-count arrays that make loaded spaces mutable (fold-in).
-FORMAT_VERSION = 2
+    return str(_read_metadata(directory).get("storage", STORAGE_NPZ))
 
 
 def validate_top_k(top_k: Optional[int]) -> None:
@@ -117,20 +121,6 @@ def boundary_tie_candidates(scores: np.ndarray, top_k: Optional[int]) -> np.ndar
         return np.arange(scores.size)
     head = np.argpartition(-scores, top_k - 1)[:top_k]
     return (scores >= scores[head].min()).nonzero()[0]
-
-
-def idf_from_document_frequency(
-    document_frequency: np.ndarray, num_documents: int, smooth_idf: bool
-) -> np.ndarray:
-    """Vectorized Eq. 1 idf over a document-frequency vector.
-
-    Shared by the space-local refresh and the engine's coordinated one,
-    which feeds *global* (cross-shard) document frequencies through the
-    exact same formula so every shard weighs terms identically.
-    """
-    if smooth_idf:
-        return np.log((num_documents + 1.0) / (document_frequency + 1.0)) + 1.0
-    return np.log(num_documents / document_frequency.astype(np.float64))
 
 
 def select_top_k(
@@ -174,23 +164,29 @@ def select_top_k(
 
 
 class MatrixConceptSpace:
-    """CSR-compiled tf-idf concept space with batched top-k ranking.
+    """tf-idf concept space: count rows to edit, weight postings to rank.
 
-    Instances are produced by :meth:`from_bags` (from raw count bags) or
-    :meth:`load` (from a directory written by :meth:`save`); the
-    constructor takes the already-validated internal arrays.
+    Instances are produced by :meth:`from_bags` (from raw count bags),
+    :meth:`slice_rows` / :meth:`partition` (row shards) or :meth:`load`
+    (from a directory written by :meth:`save`).  The constructor takes the
+    count rows; :meth:`apply_statistics` (or :meth:`load`) installs what is
+    derived from them before the space is handed out.
     """
+
+    #: The weights as a CSC matrix: per-term bounds (a list, the kernel
+    #: indexes it with Python ints), ascending row ids (``intp``) and their
+    #: non-zero tf-idf weights.
+    _postings: Tuple[List[int], np.ndarray, np.ndarray]
+    _doc_norms: np.ndarray
+    _idf: np.ndarray
+    _num_resources: int  #: corpus-wide document count behind the idf
 
     def __init__(
         self,
         doc_ids: Sequence[str],
         terms: Sequence[Hashable],
-        matrix: sp.csr_matrix,
-        doc_norms: np.ndarray,
-        idf: np.ndarray,
+        counts: sp.csr_matrix,
         smooth_idf: bool,
-        num_resources: int,
-        counts: Optional[sp.csr_matrix] = None,
         external_stats: bool = False,
     ) -> None:
         self._doc_ids: Tuple[str, ...] = tuple(doc_ids)
@@ -201,47 +197,26 @@ class MatrixConceptSpace:
         self._term_index: Dict[Hashable, int] = {
             term: column for column, term in enumerate(self._terms)
         }
-        self._matrix = matrix
-        # Term-major view of ``_matrix`` that queries are scored against;
-        # derived on the first read after the weights change.
-        self._postings: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-        self._doc_norms = np.asarray(doc_norms, dtype=np.float64)
-        self._idf = np.asarray(idf, dtype=np.float64)
-        self._smooth_idf = bool(smooth_idf)
-        self._num_resources = int(num_resources)
-        if matrix.shape != (len(self._doc_ids), len(self._terms)):
+        if counts.shape != (len(self._doc_ids), len(self._terms)):
             raise ConfigurationError(
-                f"matrix shape {matrix.shape} does not match "
+                f"counts shape {counts.shape} does not match "
                 f"{len(self._doc_ids)} documents x {len(self._terms)} terms"
             )
-        # Raw concept counts (same layout as the weight matrix).  They are
-        # what makes the space *mutable*: tf-idf weights can always be
-        # re-derived after documents fold in or out, including entries whose
-        # weight was zero (idf 0) at build time and resurrects later.
+        # Raw concept counts, one row per document.  Weights are always
+        # re-derived from them after documents fold in or out, including
+        # entries whose weight was zero (idf 0) at build time and
+        # resurrects later.
         self._counts = counts
-        if counts is not None and counts.shape != matrix.shape:
-            raise ConfigurationError(
-                f"counts shape {counts.shape} does not match weight matrix "
-                f"shape {matrix.shape}"
-            )
+        self._smooth_idf = bool(smooth_idf)
         self._pending_upsert: Dict[str, Dict[Hashable, float]] = {}
         self._pending_remove: set = set()
-        self._weights_stale = False
+        self._weights_stale = True
         # Shards of a sharded index carry *global* statistics (idf over the
         # whole corpus, corpus-wide num_resources) that only their
         # coordinator may recompute; a shard-local refresh would silently
         # reweigh the shard against its own rows.
         self._external_stats = bool(external_stats)
         self._refresh_lock = threading.Lock()
-        self._set_unknown_idf()
-
-    def _set_unknown_idf(self) -> None:
-        # idf of a term never seen in the corpus (affects the query norm
-        # under smoothing, exactly as in the dict-loop weighting).
-        if self._smooth_idf:
-            self._unknown_idf = math.log(float(self._num_resources + 1)) + 1.0
-        else:
-            self._unknown_idf = 0.0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -256,10 +231,9 @@ class MatrixConceptSpace:
 
         Documents are laid out in ascending resource-id order so that row
         position doubles as the ranking tie-break; non-positive counts are
-        dropped.  idf, weights and norms come from
-        :meth:`_derive_local_statistics` — the pass a post-mutation
-        :meth:`refresh` runs — so a build and a refresh over the same corpus
-        produce the same arrays.
+        dropped.  idf, weights and norms come from :func:`refresh_spaces` —
+        the pass a post-mutation :meth:`refresh` runs — so a build and a
+        refresh over the same corpus produce the same arrays.
         """
         if not resource_bags:
             raise ConfigurationError("cannot build a concept space on zero resources")
@@ -269,18 +243,13 @@ class MatrixConceptSpace:
             for term, count in resource_bags[doc_id].items():
                 if count > 0 and term not in term_index:
                     term_index[term] = len(term_index)
-        counts = _counts_matrix(doc_ids, term_index, resource_bags)
         space = cls(
             doc_ids=doc_ids,
             terms=tuple(term_index),
-            matrix=sp.csr_matrix(counts.shape, dtype=np.float64),
-            doc_norms=np.zeros(len(doc_ids)),
-            idf=np.zeros(len(term_index)),
+            counts=_counts_matrix(doc_ids, term_index, resource_bags),
             smooth_idf=smooth_idf,
-            num_resources=len(doc_ids),
-            counts=counts,
         )
-        space._derive_local_statistics()
+        refresh_spaces([space])
         return space
 
     @classmethod
@@ -324,7 +293,7 @@ class MatrixConceptSpace:
     def nnz(self) -> int:
         """Stored weights — the memory figure Table VII cares about."""
         self.refresh()
-        return int(self._matrix.nnz)
+        return int(self._postings[2].size)
 
     def idf(self, term: Hashable) -> float:
         self.refresh()
@@ -337,18 +306,23 @@ class MatrixConceptSpace:
         return float(self._doc_norms[row]) if row is not None else 0.0
 
     def document_weights(self, doc_id: str) -> Dict[Hashable, float]:
-        """A document's stored ``term -> weight`` row (empty if unknown)."""
+        """A document's non-zero ``term -> weight`` row (empty if unknown).
+
+        Read off the count row: tf (Eq. 2) times the current idf, the same
+        product :meth:`apply_statistics` stores in the postings.
+        """
         self.refresh()
         row = self._doc_index.get(doc_id)
         if row is None:
             return {}
-        start, end = self._matrix.indptr[row], self._matrix.indptr[row + 1]
+        counts = self._counts
+        start, end = counts.indptr[row], counts.indptr[row + 1]
+        columns, stored = counts.indices[start:end], counts.data[start:end]
+        weights = stored / stored.sum() * self._idf[columns]
         return {
             self._terms[column]: weight
-            for column, weight in zip(
-                self._matrix.indices[start:end].tolist(),
-                self._matrix.data[start:end].tolist(),
-            )
+            for column, weight in zip(columns.tolist(), weights.tolist())
+            if weight != 0.0
         }
 
     def query_weights(
@@ -368,11 +342,6 @@ class MatrixConceptSpace:
     # Incremental updates (fold-in without rebuilding from the bags)
     # ------------------------------------------------------------------ #
     @property
-    def is_mutable(self) -> bool:
-        """Whether the space carries the raw counts that allow mutation."""
-        return self._counts is not None
-
-    @property
     def is_stale(self) -> bool:
         """Whether mutations are pending the lazy idf/norm recompute."""
         return bool(
@@ -385,24 +354,12 @@ class MatrixConceptSpace:
         return self._external_stats
 
     @property
-    def pending_mutations(self) -> int:
-        """Number of documents awaiting the next refresh."""
-        return len(self._pending_upsert) + len(self._pending_remove)
-
-    @property
     def pending_num_documents(self) -> int:
         """Document count once pending mutations land, *without* refreshing."""
         appended = sum(
             1 for doc_id in self._pending_upsert if doc_id not in self._doc_index
         )
         return len(self._doc_ids) - len(self._pending_remove) + appended
-
-    def _require_mutable(self) -> None:
-        if self._counts is None:
-            raise ConfigurationError(
-                "this space carries no raw concept counts and cannot be "
-                "mutated; rebuild it with from_bags or load a format >= 2 save"
-            )
 
     def has_document(self, doc_id: str) -> bool:
         """Whether ``doc_id`` is indexed (pending mutations included)."""
@@ -415,11 +372,10 @@ class MatrixConceptSpace:
     ) -> None:
         """Append new documents; idf, weights and norms refresh lazily.
 
-        The rows are buffered and folded into the CSR arrays on the next
+        The rows are buffered and folded into the count rows on the next
         read (query, introspection or save), so a burst of additions pays
         for one vectorized recompute instead of one per call.
         """
-        self._require_mutable()
         for doc_id in bags:
             if self.has_document(doc_id):
                 raise ConfigurationError(
@@ -440,7 +396,6 @@ class MatrixConceptSpace:
         coordinator needs that, because emptying one shard is legal as long
         as the *corpus* (which the coordinator guards) stays non-empty.
         """
-        self._require_mutable()
         doc_ids = list(doc_ids)
         for doc_id in doc_ids:
             if not self.has_document(doc_id):
@@ -458,7 +413,6 @@ class MatrixConceptSpace:
         self, doc_id: str, bag: Mapping[Hashable, float]
     ) -> None:
         """Replace one document's raw counts (lazily applied)."""
-        self._require_mutable()
         if not self.has_document(doc_id):
             raise ConfigurationError(f"document {doc_id!r} is not indexed")
         self._pending_upsert[doc_id] = {
@@ -466,19 +420,15 @@ class MatrixConceptSpace:
         }
 
     def refresh(self) -> bool:
-        """Fold pending mutations into the CSR arrays; True if work was done.
+        """Fold pending mutations into both matrices; True if work was done.
 
-        Appends/drops count rows, re-sorts documents into ascending-id order
-        (the ranking tie-break), prunes vocabulary columns whose document
-        frequency dropped to zero, and re-derives idf, tf-idf weights and
-        document norms in one vectorized pass over the counts — exactly the
+        :func:`refresh_spaces` over this one space, leaving exactly the
         arrays a from-scratch build over the mutated corpus would produce.
 
         Spaces with :attr:`has_external_stats` (shards of a sharded index)
         refuse a local refresh while stale: their idf and ``num_resources``
         are corpus-wide figures that only the owning coordinator can
-        recompute (via the ``fold_pending_counts`` → ``apply_statistics``
-        protocol below).
+        recompute (the same routine over every shard).
 
         Mutations and the refresh they trigger are *writer-side* operations:
         concurrent refreshes are serialised by a lock, but concurrent query
@@ -494,129 +444,70 @@ class MatrixConceptSpace:
                 "statistics; refresh it through the owning SearchEngine"
             )
         with self._refresh_lock:
-            return self._refresh_locked()
-
-    def _refresh_locked(self) -> bool:
-        if not self.is_stale:  # another thread refreshed while we waited
-            return False
-        self.fold_pending_counts()
-        self._derive_local_statistics()
-        return True
-
-    def _derive_local_statistics(self) -> None:
-        """idf, weights and norms from this space's own count rows."""
-        document_frequency = self.column_document_frequency()
-        alive = document_frequency > 0
-        if not bool(alive.all()):
-            self.drop_columns(alive)
-            document_frequency = document_frequency[alive]
-        num_docs = len(self._doc_ids)
-        self.apply_statistics(
-            idf_from_document_frequency(
-                document_frequency, num_docs, self._smooth_idf
-            ),
-            num_docs,
-        )
+            if not self.is_stale:  # another thread refreshed while we waited
+                return False
+            refresh_spaces([self])
+            return True
 
     # ------------------------------------------------------------------ #
-    # Coordinator protocol (sharded refresh)
-    #
-    # A sharded index holds N of these spaces, each over a disjoint row
-    # subset but a *shared, column-aligned* vocabulary and shared global
-    # statistics.  After mutations, the owning SearchEngine drives
-    # the refresh across all shards:
-    #
-    #   1. union every shard's ``pending_new_terms()``,
-    #   2. ``fold_pending_counts(union)`` on each shard (vocabularies stay
-    #      aligned because all get the same extension),
-    #   3. sum ``column_document_frequency()`` across shards,
-    #   4. ``drop_columns`` of globally dead terms on each shard,
-    #   5. ``apply_statistics(global_idf, global_num_docs)`` on each shard.
-    #
-    # These steps are writer-side and unlocked — the local refresh calls
-    # them under its own lock, the coordinator under the engine's.
+    # The steps of :func:`refresh_spaces` (writer-side, unlocked)
     # ------------------------------------------------------------------ #
-    def pending_new_terms(self) -> List[Hashable]:
-        """Terms of pending bags missing from the vocabulary (stable order)."""
-        seen: Dict[Hashable, None] = {}
-        for bag in self._pending_upsert.values():
-            for term in bag:
-                if term not in self._term_index and term not in seen:
-                    seen[term] = None
-        return list(seen)
-
     def fold_pending_counts(
-        self, extra_terms: Sequence[Hashable] = ()
+        self, new_terms: Sequence[Hashable]
     ) -> Tuple[Hashable, ...]:
         """Fold pending mutations into the count rows; weights stay stale.
 
-        Extends the vocabulary with ``extra_terms`` (plus any new terms of
-        this space's own pending bags), appends/drops count rows and
+        Extends the vocabulary with ``new_terms`` (the union over every
+        aligned space's pending bags), appends/drops count rows and
         re-sorts documents into ascending-id order.  Returns the resulting
-        vocabulary so a coordinator can assert cross-shard alignment.
-        tf-idf weights, norms and idf are *not* recomputed — callers must
-        follow up with :meth:`apply_statistics` (the local refresh does).
+        vocabulary so the caller can assert cross-shard alignment.
         """
-        self._require_mutable()
-        assert self._counts is not None
         terms: List[Hashable] = list(self._terms)
         term_index: Dict[Hashable, int] = dict(self._term_index)
-        for term in list(extra_terms) + self.pending_new_terms():
+        for term in new_terms:
             if term not in term_index:
                 term_index[term] = len(terms)
                 terms.append(term)
 
-        if not self._pending_upsert and not self._pending_remove:
-            if len(terms) != len(self._terms):
-                counts = self._counts.copy()
-                counts.resize((counts.shape[0], len(terms)))
-                self._counts = counts
-                self._terms = tuple(terms)
-                self._term_index = term_index
-                self._weights_stale = True
+        if self._pending_upsert or self._pending_remove:
+            dropped = self._pending_remove | set(self._pending_upsert)
+            keep_ids = [d for d in self._doc_ids if d not in dropped]
+            keep_rows = np.array(
+                [self._doc_index[d] for d in keep_ids], dtype=np.intp
+            )
+            old = self._counts[keep_rows] if keep_ids else sp.csr_matrix(
+                (0, len(self._terms)), dtype=np.float64
+            )
+            old.resize((old.shape[0], len(terms)))
+
+            new_ids = sorted(self._pending_upsert)
+            fresh = _counts_matrix(new_ids, term_index, self._pending_upsert)
+            combined_ids = keep_ids + new_ids
+            combined = sp.vstack([old, fresh], format="csr")
+
+            order = sorted(range(len(combined_ids)), key=combined_ids.__getitem__)
+            counts = combined[np.asarray(order, dtype=np.intp)].tocsr()
+            counts.eliminate_zeros()
+
+            self._doc_ids = tuple(combined_ids[i] for i in order)
+            self._doc_index = {
+                doc_id: row for row, doc_id in enumerate(self._doc_ids)
+            }
+            self._pending_upsert = {}
+            self._pending_remove = set()
+        elif len(terms) != len(self._terms):
+            counts = self._counts.copy()
+            counts.resize((counts.shape[0], len(terms)))
+        else:
             return self._terms
-
-        dropped = self._pending_remove | set(self._pending_upsert)
-        keep_ids = [d for d in self._doc_ids if d not in dropped]
-        keep_rows = np.array(
-            [self._doc_index[d] for d in keep_ids], dtype=np.intp
-        )
-        old = self._counts[keep_rows] if keep_ids else sp.csr_matrix(
-            (0, len(self._terms)), dtype=np.float64
-        )
-        old.resize((old.shape[0], len(terms)))
-
-        new_ids = sorted(self._pending_upsert)
-        fresh = _counts_matrix(new_ids, term_index, self._pending_upsert)
-        combined_ids = keep_ids + new_ids
-        combined = sp.vstack([old, fresh], format="csr")
-
-        order = sorted(range(len(combined_ids)), key=combined_ids.__getitem__)
-        counts = combined[np.asarray(order, dtype=np.intp)].tocsr()
-        counts.eliminate_zeros()
-
-        self._doc_ids = tuple(combined_ids[i] for i in order)
-        self._doc_index = {
-            doc_id: row for row, doc_id in enumerate(self._doc_ids)
-        }
         self._terms = tuple(terms)
         self._term_index = term_index
         self._counts = counts
-        self._pending_upsert = {}
-        self._pending_remove = set()
         self._weights_stale = True
         return self._terms
 
-    def column_document_frequency(self) -> np.ndarray:
-        """Documents-per-term over the folded count rows (no refresh)."""
-        assert self._counts is not None
-        return np.diff(self._counts.tocsc().indptr)
-
     def drop_columns(self, alive: np.ndarray) -> None:
         """Restrict counts and vocabulary to the ``alive`` column mask."""
-        assert self._counts is not None
-        if bool(alive.all()):
-            return
         self._counts = self._counts[:, np.flatnonzero(alive)].tocsr()
         self._terms = tuple(
             term for term, keep in zip(self._terms, alive) if keep
@@ -627,40 +518,37 @@ class MatrixConceptSpace:
         self._weights_stale = True
 
     def apply_statistics(self, idf: np.ndarray, num_resources: int) -> None:
-        """Re-derive weights and norms from the counts and a given idf.
+        """Derive the postings and norms from the counts and a given idf.
 
         ``idf``/``num_resources`` are local figures for a standalone space
         and corpus-wide figures for a shard; either way the weights become
         exactly what a from-scratch build with those statistics produces.
+        One column-major pass: each entry is ``count / row sum * idf``
+        (Eq. 2 x Eq. 1), exact zeros (idf 0) are not stored, and a row's
+        squared weights accumulate into its norm in ascending-column order.
         """
-        assert self._counts is not None
         idf = np.asarray(idf, dtype=np.float64)
         if idf.shape != (len(self._terms),):
             raise ConfigurationError(
                 f"idf vector of length {idf.shape} does not match the "
                 f"{len(self._terms)}-term vocabulary"
             )
-        counts = self._counts
-        row_sums = np.asarray(counts.sum(axis=1)).ravel()
-        safe_sums = np.where(row_sums > 0.0, row_sums, 1.0)
-        tf_data = counts.data / np.repeat(safe_sums, np.diff(counts.indptr))
-        weights = sp.csr_matrix(
-            (
-                tf_data * idf[counts.indices],
-                counts.indices.copy(),
-                counts.indptr.copy(),
-            ),
-            shape=counts.shape,
-        )
-        weights.eliminate_zeros()
-        self._matrix = weights
-        self._postings = None
+        row_sums = np.asarray(self._counts.sum(axis=1)).ravel()
+        columns = self._counts.tocsc()
+        rows = columns.indices.astype(np.intp)
+        term_of = np.repeat(np.arange(idf.size), np.diff(columns.indptr))
+        weights = columns.data / row_sums[rows] * idf[term_of]
+        stored = weights != 0.0
+        if not bool(stored.all()):
+            rows, weights, term_of = rows[stored], weights[stored], term_of[stored]
+        # ``term_of`` ascends, so a term's postings start where it first shows.
+        bounds = np.searchsorted(term_of, np.arange(idf.size + 1)).tolist()
+        self._postings = (bounds, rows, weights)
         self._doc_norms = np.sqrt(
-            np.asarray(weights.power(2).sum(axis=1)).ravel()
+            np.bincount(rows, weights=weights * weights, minlength=row_sums.size)
         )
         self._idf = idf
         self._num_resources = int(num_resources)
-        self._set_unknown_idf()
         self._weights_stale = False
 
     # ------------------------------------------------------------------ #
@@ -685,17 +573,15 @@ class MatrixConceptSpace:
                 f"slice_rows got unknown documents: {missing[:3]}"
             )
         rows = np.array([self._doc_index[d] for d in ordered], dtype=np.intp)
-        return MatrixConceptSpace(
+        shard = MatrixConceptSpace(
             doc_ids=ordered,
             terms=self._terms,
-            matrix=self._matrix[rows].tocsr(),
-            doc_norms=self._doc_norms[rows],
-            idf=self._idf.copy(),
+            counts=self._counts[rows].tocsr(),
             smooth_idf=self._smooth_idf,
-            num_resources=self._num_resources,
-            counts=self._counts[rows].tocsr() if self._counts is not None else None,
             external_stats=True,
         )
+        shard.apply_statistics(self._idf.copy(), self._num_resources)
+        return shard
 
     def partition(
         self, num_shards: int, assign
@@ -755,19 +641,7 @@ class MatrixConceptSpace:
         if not query_bags:
             return []
         self.refresh()
-        postings = self._postings
-        if postings is None:
-            # One (row ids, weights) pair of views per term.  Row ids ascend
-            # within a term; as intp they index without a per-slice cast.
-            # Racing readers derive equal copies, and the list lands in one
-            # assignment.
-            columns = self._matrix.tocsc()
-            rows = columns.indices.astype(np.intp)
-            bounds = columns.indptr.tolist()
-            postings = self._postings = [
-                (rows[start:end], columns.data[start:end])
-                for start, end in zip(bounds, bounds[1:])
-            ]
+        bounds, post_rows, post_weights = self._postings
         doc_norms, resource_of = self._doc_norms, self._doc_ids.__getitem__
         num_rows = doc_norms.size
         dots: Optional[np.ndarray] = None
@@ -782,16 +656,18 @@ class MatrixConceptSpace:
             if len(weights) == 1:
                 ((column, weight),) = weights.items()
                 norm_sq += weight * weight
-                candidates, stored = postings[column]
-                scores = stored * weight
+                start, end = bounds[column], bounds[column + 1]
+                candidates = post_rows[start:end]
+                scores = post_weights[start:end] * weight
             else:
                 if dots is None or touched is None:
                     dots = np.zeros(num_rows, dtype=np.float64)
                     touched = np.zeros(num_rows, dtype=bool)
                 for column, weight in weights.items():
                     norm_sq += weight * weight
-                    posted, stored = postings[column]
-                    dots[posted] += stored * weight
+                    start, end = bounds[column], bounds[column + 1]
+                    posted = post_rows[start:end]
+                    dots[posted] += post_weights[start:end] * weight
                     touched[posted] = True
                 candidates = touched.nonzero()[0]
                 scores = dots[candidates]
@@ -819,23 +695,20 @@ class MatrixConceptSpace:
         row = self._doc_index.get(resource)
         if row is None:
             return 0.0
-        weights, out_of_vocab_sq = self._weight_query(query_bag)
-        if not weights and out_of_vocab_sq == 0.0:
-            return 0.0
-        norm_sq = out_of_vocab_sq + sum(w * w for w in weights.values())
-        query_norm = math.sqrt(norm_sq)
+        weights, norm_sq = self._weight_query(query_bag)
         doc_norm = self._doc_norms[row]
-        if query_norm == 0.0 or doc_norm == 0.0:
+        if not weights or doc_norm == 0.0:
             return 0.0
-        start, end = self._matrix.indptr[row], self._matrix.indptr[row + 1]
+        bounds, post_rows, post_weights = self._postings
         dot = 0.0
-        for column, value in zip(
-            self._matrix.indices[start:end], self._matrix.data[start:end]
-        ):
-            weight = weights.get(int(column))
-            if weight is not None:
-                dot += weight * float(value)
-        return dot / (query_norm * doc_norm)
+        for column, weight in weights.items():
+            norm_sq += weight * weight
+            # Row ids ascend within a term: bisect for this document's entry.
+            start, end = bounds[column], bounds[column + 1]
+            at = start + int(np.searchsorted(post_rows[start:end], row))
+            if at < end and post_rows[at] == row:
+                dot += weight * float(post_weights[at])
+        return dot / (math.sqrt(norm_sq) * doc_norm)
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -843,14 +716,14 @@ class MatrixConceptSpace:
     def save(
         self, directory: Union[str, Path], mmap_ready: bool = False
     ) -> Path:
-        """Write the arrays and metadata (JSON) to ``directory``.
+        """Write both matrices and the metadata (JSON) to ``directory``.
 
         With the default ``mmap_ready=False`` the arrays land in one
         compressed ``.npz`` archive (smallest on disk).  With
         ``mmap_ready=True`` each array is written as a raw ``.npy`` file
         instead, so :meth:`load` can memory-map them (``mmap=True``):
         opening the space is then near-instant regardless of corpus size
-        and the OS pages rows in on demand — the layout the
+        and the OS pages postings in on demand — the layout the
         process-per-shard serving pool
         (:mod:`repro.search.shardpool`) expects.  A re-save removes the
         other layout's files so a directory never carries both.
@@ -858,29 +731,24 @@ class MatrixConceptSpace:
         self.refresh()
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
+        bounds, post_rows, post_weights = self._postings
         arrays = {
-            "indptr": self._matrix.indptr.astype(np.int64),
-            "indices": self._matrix.indices.astype(np.int64),
-            "data": self._matrix.data.astype(np.float64),
+            "counts_indptr": self._counts.indptr,
+            "counts_indices": self._counts.indices,
+            "counts_data": self._counts.data,
+            "post_indptr": np.asarray(bounds, dtype=np.int64),
+            "post_rows": post_rows.astype(np.int64, copy=False),
+            "post_weights": post_weights,
             "doc_norms": self._doc_norms,
             "idf": self._idf,
         }
-        if self._counts is not None:
-            arrays["counts_indptr"] = self._counts.indptr.astype(np.int64)
-            arrays["counts_indices"] = self._counts.indices.astype(np.int64)
-            arrays["counts_data"] = self._counts.data.astype(np.float64)
         if mmap_ready:
             for name, array in arrays.items():
                 np.save(_npy_path(path, name), array)
-            # A previous npz-layout save (or a formerly-mutable space's
-            # counts files) must not shadow the fresh arrays.
             (path / ARRAYS_FILENAME).unlink(missing_ok=True)
-            for name in _ARRAY_NAMES:
-                if name not in arrays:
-                    _npy_path(path, name).unlink(missing_ok=True)
         else:
             np.savez_compressed(path / ARRAYS_FILENAME, **arrays)
-            for name in _ARRAY_NAMES:
+            for name in arrays:
                 _npy_path(path, name).unlink(missing_ok=True)
         metadata = {
             "format_version": FORMAT_VERSION,
@@ -889,8 +757,6 @@ class MatrixConceptSpace:
             "terms": _encode_terms(self._terms),
             "smooth_idf": self._smooth_idf,
             "num_resources": self._num_resources,
-            "shape": [len(self._doc_ids), len(self._terms)],
-            "mutable": self._counts is not None,
             "external_stats": self._external_stats,
         }
         (path / METADATA_FILENAME).write_text(
@@ -905,23 +771,22 @@ class MatrixConceptSpace:
         """Reconstruct a space from a directory written by :meth:`save`.
 
         ``mmap=True`` memory-maps the arrays read-only instead of loading
-        them into RAM — zero-copy open, pages faulted in as queries touch
-        rows.  It requires the ``mmap_ready`` (``npy``) save layout;
-        asking for it on a compressed ``npz`` save raises (decompressing
-        silently would defeat the cold-start/RSS point of asking).
-        Memory-mapped spaces are for read-only serving: the arrays are
-        opened immutably, so route mutations to a coordinator that owns a
-        writable copy.
+        them into RAM — zero-copy open: queries are scored against views of
+        the mapped postings, pages are faulted in as they touch terms and
+        shared, through the page cache, with every process mapping the same
+        save.  It requires the ``mmap_ready`` (``npy``) save layout; asking
+        for it on a compressed ``npz`` save raises (decompressing silently
+        would defeat the cold-start/RSS point of asking).  The maps are
+        never written: a refresh after mutations installs private arrays.
         """
         path = Path(directory)
-        metadata_path = path / METADATA_FILENAME
-        if not metadata_path.exists():
-            raise NotFittedError(f"no saved matrix space under {path}")
-        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+        metadata = _read_metadata(path)
         version = metadata.get("format_version")
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise ConfigurationError(
-                f"unsupported matrix-space format version {version!r}"
+                f"the matrix space under {path} was saved in format version "
+                f"{version!r}; only version {FORMAT_VERSION} can be read — "
+                "re-save from the pipeline"
             )
         storage = metadata.get("storage", STORAGE_NPZ)
         if mmap and storage != STORAGE_NPY:
@@ -929,61 +794,48 @@ class MatrixConceptSpace:
                 f"cannot memory-map a {storage!r}-layout save; re-save the "
                 "space with mmap_ready=True to get the raw .npy layout"
             )
-        shape = tuple(metadata["shape"])
-        counts = None
-        if storage == STORAGE_NPY:
-            mode = "r" if mmap else None
-
-            def read(name: str) -> np.ndarray:
-                return np.load(_npy_path(path, name), mmap_mode=mode)
-
-            if not _npy_path(path, "data").exists():
-                raise NotFittedError(f"no saved matrix space under {path}")
-            matrix = sp.csr_matrix(
-                (read("data"), read("indices"), read("indptr")), shape=shape
-            )
-            doc_norms = read("doc_norms")
-            idf = read("idf")
-            if _npy_path(path, "counts_data").exists():
-                counts = sp.csr_matrix(
-                    (
-                        read("counts_data"),
-                        read("counts_indices"),
-                        read("counts_indptr"),
-                    ),
-                    shape=shape,
-                )
-        else:
-            arrays_path = path / ARRAYS_FILENAME
-            if not arrays_path.exists():
-                raise NotFittedError(f"no saved matrix space under {path}")
-            with np.load(arrays_path) as arrays:
-                matrix = sp.csr_matrix(
-                    (arrays["data"], arrays["indices"], arrays["indptr"]),
-                    shape=shape,
-                )
-                doc_norms = arrays["doc_norms"]
-                idf = arrays["idf"]
-                if "counts_data" in arrays:
-                    counts = sp.csr_matrix(
-                        (
-                            arrays["counts_data"],
-                            arrays["counts_indices"],
-                            arrays["counts_indptr"],
-                        ),
-                        shape=shape,
+        try:
+            if storage == STORAGE_NPY:
+                arrays = {
+                    # A plain-ndarray view of the map: same pages, none of
+                    # the ``np.memmap`` subclass overhead per kernel slice.
+                    name: np.asarray(
+                        np.load(
+                            _npy_path(path, name), mmap_mode="r" if mmap else None
+                        )
                     )
-        return cls(
-            doc_ids=metadata["doc_ids"],
-            terms=_decode_terms(metadata["terms"]),
-            matrix=matrix,
-            doc_norms=doc_norms,
-            idf=idf,
+                    for name in _ARRAY_NAMES
+                }
+            else:
+                with np.load(path / ARRAYS_FILENAME) as archive:
+                    arrays = {name: archive[name] for name in _ARRAY_NAMES}
+        except FileNotFoundError:
+            raise NotFittedError(f"no saved matrix space under {path}") from None
+        doc_ids, terms = metadata["doc_ids"], _decode_terms(metadata["terms"])
+        space = cls(
+            doc_ids=doc_ids,
+            terms=terms,
+            counts=sp.csr_matrix(
+                (
+                    arrays["counts_data"],
+                    arrays["counts_indices"],
+                    arrays["counts_indptr"],
+                ),
+                shape=(len(doc_ids), len(terms)),
+            ),
             smooth_idf=metadata["smooth_idf"],
-            num_resources=metadata["num_resources"],
-            counts=counts,
             external_stats=bool(metadata.get("external_stats", False)),
         )
+        space._postings = (
+            arrays["post_indptr"].tolist(),
+            arrays["post_rows"].astype(np.intp, copy=False),
+            arrays["post_weights"],
+        )
+        space._doc_norms = arrays["doc_norms"]
+        space._idf = arrays["idf"]
+        space._num_resources = int(metadata["num_resources"])
+        space._weights_stale = False
+        return space
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -1009,13 +861,64 @@ class MatrixConceptSpace:
             tf = float(count) / total
             column = self._term_index.get(term)
             if column is None:
-                weight = tf * self._unknown_idf
-                out_of_vocab_sq += weight * weight
+                if self._smooth_idf:
+                    # idf of a term no document carries, exactly as in the
+                    # dict-loop weighting.
+                    weight = tf * (math.log(self._num_resources + 1.0) + 1.0)
+                    out_of_vocab_sq += weight * weight
                 continue
             weight = tf * float(self._idf[column])
             if weight != 0.0:
                 weights[column] = weight
         return weights, out_of_vocab_sq
+
+
+def refresh_spaces(spaces: Sequence["MatrixConceptSpace"]) -> None:
+    """Fold pending mutations into column-aligned ``spaces``, as one corpus.
+
+    The one refresh there is — over a fresh space it is the build, over
+    ``[space]`` a standalone refresh, over an engine's shards (disjoint
+    rows, shared vocabulary and statistics) the coordinated one: union the
+    new terms so every vocabulary gets the same extension, fold each
+    space's pending count rows (documents re-sorted into ascending-id
+    order), sum document frequency, drop the columns no document carries
+    any more, derive one Eq. 1 idf vector and apply it everywhere — the
+    statistics a from-scratch build over the union of the rows computes.
+
+    Writer-side and unlocked: a standalone space calls it under its own
+    refresh lock, an engine under its write lock.
+    """
+    new_terms: Dict[Hashable, None] = {}  # insertion-ordered set
+    for space in spaces:
+        for bag in space._pending_upsert.values():
+            for term in bag:
+                if term not in space._term_index:
+                    new_terms.setdefault(term)
+    extension = tuple(new_terms)
+    vocabularies = {space.fold_pending_counts(extension) for space in spaces}
+    if len(vocabularies) != 1:
+        raise ConfigurationError(
+            "shard vocabularies drifted out of alignment; the index "
+            "is corrupt — rebuild it from the offline pipeline"
+        )
+    # One stored count is one (document, term) pair: rows hold no duplicates
+    # and no explicit zeros.
+    document_frequency = sum(
+        np.bincount(space._counts.indices, minlength=len(space._terms))
+        for space in spaces
+    )
+    alive = document_frequency > 0
+    if not bool(alive.all()):
+        for space in spaces:
+            space.drop_columns(alive)
+        document_frequency = document_frequency[alive]
+    num_documents = sum(len(space._doc_ids) for space in spaces)
+    if spaces[0].smooth_idf:
+        idf = np.log((num_documents + 1.0) / (document_frequency + 1.0)) + 1.0
+    else:
+        idf = np.log(num_documents / document_frequency.astype(np.float64))
+    for space in spaces:
+        space.apply_statistics(idf, num_documents)
 
 
 def _counts_matrix(
@@ -1024,25 +927,18 @@ def _counts_matrix(
     bags: Mapping[str, Mapping[Hashable, float]],
 ) -> sp.csr_matrix:
     """Raw count CSR rows for ``doc_ids`` over the ``term_index`` vocabulary."""
-    indptr = np.zeros(len(doc_ids) + 1, dtype=np.int64)
+    rows: List[int] = []
     columns: List[int] = []
     values: List[float] = []
     for row, doc_id in enumerate(doc_ids):
-        entries = sorted(
-            (term_index[term], float(count))
-            for term, count in bags.get(doc_id, {}).items()
-            if count > 0 and term in term_index
-        )
-        indptr[row + 1] = indptr[row] + len(entries)
-        columns.extend(column for column, _ in entries)
-        values.extend(count for _, count in entries)
+        for term, count in bags.get(doc_id, {}).items():
+            if count > 0 and term in term_index:
+                rows.append(row)
+                columns.append(term_index[term])
+                values.append(float(count))
+    # Built from triplets, the CSR comes out with column-sorted rows.
     return sp.csr_matrix(
-        (
-            np.asarray(values, dtype=np.float64),
-            np.asarray(columns, dtype=np.int64),
-            indptr,
-        ),
-        shape=(len(doc_ids), len(term_index)),
+        (values, (rows, columns)), shape=(len(doc_ids), len(term_index))
     )
 
 

@@ -9,7 +9,7 @@ process:
 * :func:`_shard_worker_main` — the worker entry point.  Each worker loads
   exactly one shard from the engine save layout
   (``shard_manifest.json`` + ``shard-NNNN/`` directories) via
-  :meth:`SearchEngine.load_shard`, memory-mapping the CSR arrays
+  :meth:`SearchEngine.load_shard`, memory-mapping the shard's arrays
   when the save is ``mmap_ready`` (zero-copy open, near-instant start),
   then answers ranking requests over a pipe.
 * :class:`ShardProcessPool` — the coordinator.  It fans

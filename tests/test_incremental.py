@@ -10,6 +10,9 @@ save → load → apply_delta round trip.
 
 from __future__ import annotations
 
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from repro.core.snapshots import IndexSnapshotStore
 from repro.eval.incremental import replay_deltas
 from repro.search.engine import SearchEngine
 from repro.search.incremental import RefreshPolicy
+from repro.search.matrix_space import METADATA_FILENAME, MatrixConceptSpace
+from repro.search.shardpool import ShardPoolConfig, ShardPoolError, ShardProcessPool
 from repro.tagging.delta import FolksonomyDelta, FolksonomyDeltaBuilder
 from repro.tagging.entities import TagAssignment
 from repro.tagging.folksonomy import Folksonomy
@@ -252,44 +257,31 @@ class TestEngineMutationParity:
         assert not engine.matrix_space.is_stale
         assert not engine.refresh()
 
-    def test_immutable_backend_rejects_batch_without_side_effects(
-        self, small_cleaned, tmp_path
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_other_format_versions_are_refused_by_name(
+        self, small_cleaned, concept_model, tmp_path, version
     ):
-        """A pre-v2 artefact (no raw counts) must reject mutations *before*
-        dynamic concepts are allocated in the shared model."""
-        import json
-
-        import numpy as np
-
-        from repro.core.concepts import Concept, ConceptModel
-        from repro.search.matrix_space import ARRAYS_FILENAME, METADATA_FILENAME
-
-        tags = list(small_cleaned.tags)
-        model = ConceptModel(
-            concepts=[Concept(0, tuple(sorted(tags)))],
-            tag_to_concept={tag: 0 for tag in tags},
-            unknown_policy="own-concept",
-        )
-        SearchEngine.build(small_cleaned, model, name="v1").save(tmp_path)
-        # Strip the count arrays and stamp the save as format v1.
-        arrays_path = tmp_path / "shard-0000" / ARRAYS_FILENAME
-        arrays = dict(np.load(arrays_path))
-        for key in [k for k in arrays if k.startswith("counts_")]:
-            del arrays[key]
-        np.savez_compressed(arrays_path, **arrays)
+        """Only the current matrix-space format loads: every way in raises a
+        typed error naming the version it met, and a pool's worker reports
+        it in its ``fatal`` frame instead of leaving the start to time out."""
+        SearchEngine.build(small_cleaned, concept_model, name="old").save(tmp_path)
         metadata_path = tmp_path / "shard-0000" / METADATA_FILENAME
         metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
-        metadata["format_version"] = 1
-        metadata.pop("mutable", None)
+        metadata["format_version"] = version
         metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
 
-        loaded = SearchEngine.load(tmp_path)
-        assert not loaded.matrix_space.is_mutable
-        before = loaded.concept_model.num_concepts
-        with pytest.raises(ConfigurationError):
-            loaded.add_resources({"r-new": {"tag-unseen-anywhere": 1.0}})
-        assert loaded.concept_model.num_concepts == before  # no phantom ids
-        assert loaded.epoch == 0
+        named = rf"format version {version}; .*re-save from the pipeline"
+        for load in (
+            lambda: MatrixConceptSpace.load(tmp_path / "shard-0000"),
+            lambda: SearchEngine.load(tmp_path),
+            lambda: SearchEngine.load_shard(tmp_path, 0),
+        ):
+            with pytest.raises(ConfigurationError, match=named):
+                load()
+        started = time.monotonic()
+        with pytest.raises(ShardPoolError, match=f"ConfigurationError: .*{named}"):
+            ShardProcessPool(tmp_path)
+        assert time.monotonic() - started < ShardPoolConfig().startup_timeout / 2
 
     def test_refresh_policy_validation(self):
         with pytest.raises(ConfigurationError):

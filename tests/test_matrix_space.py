@@ -269,8 +269,18 @@ def assert_scores_like_scratch_build(space, bags, queries):
         )
 
 
+def assert_postings_are_mapped(space):
+    """Both postings arrays are views over ``np.memmap`` files, not copies."""
+    _, post_rows, post_weights = space._postings
+    for array in (post_rows, post_weights):
+        base = array
+        while base is not None and not isinstance(base, np.memmap):
+            base = base.base
+        assert isinstance(base, np.memmap) and np.shares_memory(array, base)
+
+
 class TestPostingsFreshness:
-    """The term-major postings follow every change of the weight matrix."""
+    """The term-major postings follow every change of the count rows."""
 
     VOCABULARY = [f"t{i}" for i in range(12)]
     QUERIES = [{"t1": 1}, {"t2": 2, "t5": 1}, {"t0": 1, "t3": 1, "rare": 1}, {"rare": 1}]
@@ -298,6 +308,23 @@ class TestPostingsFreshness:
         assert space.refresh() and "rare" not in space.terms
         assert_scores_like_scratch_build(space, bags, self.QUERIES)
 
+    @pytest.mark.parametrize("mmap", [True, False], ids=["npy-mmap", "npz"])
+    def test_a_save_is_what_is_scored(self, tmp_path, mmap):
+        bags = self.corpus()
+        MatrixConceptSpace.from_bags(bags, smooth_idf=True).save(
+            tmp_path, mmap_ready=mmap
+        )
+        loaded = MatrixConceptSpace.load(tmp_path, mmap=mmap)
+        if mmap:  # zero-copy: nothing nnz-sized is derived, before or after
+            assert_postings_are_mapped(loaded)
+        assert_scores_like_scratch_build(loaded, bags, self.QUERIES)
+        if mmap:
+            assert_postings_are_mapped(loaded)
+
+        bags["r9000"] = {"t1": 1, "brand-new": 2}
+        loaded.add_documents({"r9000": bags["r9000"]})
+        assert_scores_like_scratch_build(loaded, bags, self.QUERIES)
+
     def test_partition_shards_and_coordinated_refresh(self, small_cleaned):
         model = identity_concept_model(small_cleaned.tags)
         engine = SearchEngine.from_engine(
@@ -321,7 +348,7 @@ class TestPostingsFreshness:
         del bags[victim]
         bags["r-new"] = model.concept_bag({tags[0]: 2.0, tags[3]: 1.0})
         bags[updated] = model.concept_bag({tags[1]: 1.0})
-        assert engine.refresh()  # fold_pending_counts -> apply_statistics
+        assert engine.refresh()  # refresh_spaces over both shards
         for shard in engine.shards:
             assert_scores_like_scratch_build(shard, bags, queries)
 

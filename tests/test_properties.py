@@ -7,7 +7,10 @@ be wrong (exact ties, eviction boundaries, permuted inputs):
   exact score ties by construction) and any query bags (empty, all-unknown,
   out-of-vocabulary mass), ``MatrixConceptSpace.rank_batch`` must reproduce
   the dict-loop oracle's rankings at every ``top_k``, as a built space, as
-  a ``slice_rows`` shard and as a memory-mapped load.
+  a ``slice_rows`` shard and as a memory-mapped load; and after *any*
+  add/update/remove sequence a standalone space, a 1-shard engine and a
+  3-shard engine (the one refresh routine at N = 1, 1 and 3) must each
+  equal an oracle fitted from scratch on the mutated corpus.
 
 * **top-k merge** — for *any* corpus of scores (tie-rich by construction),
   any shard split and any ``top_k``, the sharded pipeline
@@ -35,8 +38,9 @@ from hypothesis import strategies as st
 from oracle import DictLoopOracle
 from repro.core.concepts import identity_concept_model
 from repro.search.cache import QueryCache
+from repro.search.engine import SearchEngine
 from repro.search.matrix_space import MatrixConceptSpace, select_top_k
-from repro.search.sharding import merge_topk
+from repro.search.sharding import ShardRouter, merge_topk
 from repro.search.vsm import RankedResult, mismatched_probes
 
 # --------------------------------------------------------------------- #
@@ -50,18 +54,16 @@ KERNEL_TAGS = ("a", "b", "c", "d", "e")
 UNSEEN_CONCEPT = len(KERNEL_TAGS)
 
 
+TAG_BAGS = st.dictionaries(
+    st.sampled_from(KERNEL_TAGS), st.integers(1, 2), min_size=1, max_size=3
+)
+
+
 @st.composite
 def corpus_and_bags(draw):
-    """Tag-bag documents, concept-bag queries, a shard mask, idf mode, k."""
-    documents = draw(
-        st.lists(
-            st.dictionaries(
-                st.sampled_from(KERNEL_TAGS), st.integers(1, 2), min_size=1, max_size=3
-            ),
-            min_size=2,
-            max_size=10,
-        )
-    )
+    """Tag-bag documents, concept-bag queries, a shard mask, idf mode, k,
+    and a mutation sequence: ``(kind, victim position, new tag bag)``."""
+    documents = draw(st.lists(TAG_BAGS, min_size=2, max_size=10))
     queries = draw(
         st.lists(
             st.dictionaries(
@@ -76,16 +78,25 @@ def corpus_and_bags(draw):
     )
     smooth_idf = draw(st.booleans())
     top_k = draw(st.integers(1, len(documents)))
-    return documents, queries, on_shard, smooth_idf, top_k
+    mutations = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("add", "update", "remove")),
+                st.integers(0, 9),
+                TAG_BAGS,
+            ),
+            max_size=4,
+        )
+    )
+    return documents, queries, on_shard, smooth_idf, top_k, mutations
 
 
 @given(corpus_and_bags())
 def test_postings_kernel_matches_dict_loop_oracle(data):
-    documents, queries, on_shard, smooth_idf, k = data
+    documents, queries, on_shard, smooth_idf, k, mutations = data
     tag_bags = {f"r{i:02d}": bag for i, bag in enumerate(documents)}
-    reference = DictLoopOracle(
-        identity_concept_model(KERNEL_TAGS), tag_bags, smooth_idf
-    ).space
+    model = identity_concept_model(KERNEL_TAGS)
+    reference = DictLoopOracle(model, tag_bags, smooth_idf).space
     queries = queries + [{}, {UNSEEN_CONCEPT: 2}]
     members = {doc for doc, kept in zip(sorted(tag_bags), on_shard) if kept}
 
@@ -108,6 +119,47 @@ def test_postings_kernel_matches_dict_loop_oracle(data):
                 cut = [ranking[:top_k] for ranking in rankings]
                 assert mismatched_probes(got, cut, top_k is not None) == []
 
+    # Any mutation sequence, one batch per step, folded by the one refresh
+    # routine over 1, 1 and 3 spaces; every step is read, so it refreshes.
+    one_shard = SearchEngine(
+        model, [MatrixConceptSpace.compile(reference)], ShardRouter(1)
+    )
+    three_shards = SearchEngine.from_engine(one_shard, num_shards=3)
+    tag_queries = [
+        [
+            KERNEL_TAGS[concept] if concept < UNSEEN_CONCEPT else "unseen-tag"
+            for concept, count in bag.items()
+            for _ in range(count)
+        ]
+        for bag in queries
+    ]
+    for step, (kind, position, bag) in enumerate(mutations):
+        victim = sorted(tag_bags)[position % len(tag_bags)]
+        if kind == "remove" and len(tag_bags) > 1:
+            del tag_bags[victim]
+            built.remove_documents([victim])
+            batch = {"removed": [victim]}
+        elif kind == "add":
+            victim = f"n{step}"
+            tag_bags[victim] = bag
+            built.add_documents({victim: model.concept_bag(bag)})
+            batch = {"added": {victim: bag}}
+        else:
+            tag_bags[victim] = bag
+            built.update_document(victim, model.concept_bag(bag))
+            batch = {"updated": {victim: bag}}
+        one_shard.apply_mutations(**batch)
+        three_shards.apply_mutations(**batch)
+        oracle = DictLoopOracle(model, tag_bags, smooth_idf)
+        for top_k in (k, None):
+            truncated = top_k is not None
+            on_bags = [oracle.space.rank(bag, top_k=top_k) for bag in queries]
+            got = built.rank_batch(queries, top_k=top_k)
+            assert mismatched_probes(got, on_bags, truncated) == []
+            on_tags = oracle.rank_batch(tag_queries, top_k=top_k)
+            for engine in (one_shard, three_shards):
+                got = engine.rank_batch(tag_queries, top_k=top_k)
+                assert mismatched_probes(got, on_tags, truncated) == []
 
 
 # --------------------------------------------------------------------- #

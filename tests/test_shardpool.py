@@ -148,7 +148,7 @@ class TestMmapStorageLayout:
         space.save(tmp_path, mmap_ready=True)
         assert saved_storage(tmp_path) == STORAGE_NPY
         assert not (tmp_path / ARRAYS_FILENAME).exists()
-        assert (tmp_path / "matrix_space.data.npy").exists()
+        assert (tmp_path / "matrix_space.post_weights.npy").exists()
 
         mapped = MatrixConceptSpace.load(tmp_path, mmap=True)
         eager = MatrixConceptSpace.load(tmp_path)
