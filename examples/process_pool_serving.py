@@ -2,8 +2,9 @@
 """Process-per-shard serving: escape the GIL without changing a score.
 
 The in-process N-shard engine keeps rankings exact but scores its shards
-one after another (scipy's sparse matmul holds the GIL).  This example
-runs the deployment that does: one worker *process* per shard behind a
+one after another (the postings scan is short numpy calls under one GIL,
+so there is nothing to overlap).  This example runs the deployment that
+scores them in parallel: one worker *process* per shard behind a
 coordinating :class:`ShardProcessPool`.
 
 1. fit the offline pipeline once and save a 4-shard, ``mmap_ready``

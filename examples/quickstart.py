@@ -66,9 +66,9 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # 3. Online: answer keyword queries — a whole batch in one call.
-    #    ``rank_batch`` scores every query with a single sparse matmul
-    #    against the compiled CSR index (the cheap-online claim of
-    #    Table VI); ``search`` remains the one-query convenience wrapper.
+    #    ``rank_batch`` scores each query against the term-major postings
+    #    of its concepts only (the cheap-online claim of Table VI);
+    #    ``search`` remains the one-query convenience wrapper.
     # ------------------------------------------------------------------ #
     bow = BowRanker().fit(cleaned)
     queries = [

@@ -5,7 +5,7 @@
 * :mod:`repro.eval.harness` — runs a set of rankers over a dataset + query
   workload, recording ranking quality and offline/online wall-clock times.
 * :mod:`repro.eval.reporting` — plain-text table and series rendering used
-  by the experiment drivers and benchmarks to print paper-style output.
+  by the experiment drivers to print paper-style output.
 * :mod:`repro.eval.incremental` — replay of folksonomy delta streams
   against a serving index (the streaming-update workload).
 * :mod:`repro.eval.sharding` — parity + throughput sweep of sharded

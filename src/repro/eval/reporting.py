@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment tables and figure series.
 
-The benchmark drivers print the same rows/series the paper reports; these
+The experiment drivers print the same rows/series the paper reports; these
 helpers keep that output consistent (column alignment, float formatting)
 across every experiment module.
 """

@@ -9,9 +9,8 @@ on sharded engines of increasing shard counts, verifies every sharded
 ranking against the monolithic one, and returns report rows for
 :func:`repro.eval.reporting.format_table`.
 
-:func:`rankings_match`, the tie-aware comparator shared with the benchmark
-gate, lives next to ``RankedResult`` in :mod:`repro.search.vsm` and stays
-importable from here.
+:func:`rankings_match`, the tie-aware comparator, lives next to
+``RankedResult`` in :mod:`repro.search.vsm` and stays importable from here.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 Every driver exposes a ``run(...)`` function returning an
 :class:`~repro.experiments.common.ExperimentReport` whose ``render()``
-method prints the same rows or series the paper reports.  The pytest
-benchmarks in ``benchmarks/`` call these drivers, so regenerating a table is
-always one function call away:
+method prints the same rows or series the paper reports, so regenerating a
+table is one function call away; ``python -m repro.experiments`` prints all:
 
 ====================  ============================================  =============================
 Experiment            Paper result                                  Module

@@ -2,8 +2,8 @@
 
 ``prepare_corpus`` generates, cleans and packages one profile dataset
 (together with its query workload and semantic lexicon) and memoises the
-result per process, so a benchmark session that regenerates several tables
-does not rebuild the same corpus repeatedly.
+result per process, so regenerating several tables in one run (as
+``python -m repro.experiments`` does) never rebuilds the same corpus.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def prepare_corpus(
     """Generate + clean one profile corpus and build its workload and lexicon.
 
     The result is cached per parameter combination for the lifetime of the
-    process, which keeps multi-table benchmark sessions fast.
+    process, which keeps multi-table runs fast.
     """
     if profile_name not in PROFILES:
         raise ConfigurationError(

@@ -282,7 +282,7 @@ class ScenarioVerdict:
 
     ``details`` carries the numbers the checker judged (amortization
     ratio, shed rate, recovery seconds, per-tenant counts, …) so report
-    rows and bench gates read the same figures the invariant did.
+    rows read the same figures the invariant did.
     """
 
     scenario: str

@@ -6,7 +6,7 @@ dataset is stored as
 * ``<name>/assignments.tsv`` — the assignment log,
 * ``<name>/metadata.json`` — dataset name, statistics and free-form metadata.
 
-The store is what the example scripts and benchmarks use to cache generated
+The store is what the example scripts use to cache generated
 corpora between runs, playing the role of the crawled dumps the paper's
 authors kept on disk.
 """
@@ -154,7 +154,7 @@ class FolksonomyStore:
         """Load ``name`` if present, otherwise build it with ``factory`` and save it.
 
         ``factory`` is a zero-argument callable returning a
-        :class:`Folksonomy`; this is the caching hook used by benchmarks.
+        :class:`Folksonomy`; this is the caching hook the examples use.
         """
         if self.exists(name):
             return self.load(name)

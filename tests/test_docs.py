@@ -125,6 +125,24 @@ class TestBrokenRepositories:
             "README.md: no such module -> repro.gone.module",
         ]
 
+    def test_path_under_a_missing_directory_is_flagged(self, tmp_path):
+        root = self._repo(
+            tmp_path,
+            readme=(
+                "`tests/test_docs.py::TestX::test_y`, `docs/*.md` and "
+                "`src/repro/load/runner.py` sit in real directories; "
+                "`oldbench/test_bench_serve.py` and "
+                "`src/repro/gone/module.py::test_z` do not.  A save layout "
+                "(`shard-0000/`) or `add/update/remove` is not a file path.\n"
+            ),
+        )
+        for directory in ("tests", "docs", "src/repro/load"):
+            (root / directory).mkdir(parents=True)
+        assert check_docs(root) == [
+            "README.md: no such directory -> oldbench/",
+            "README.md: no such directory -> src/repro/gone/",
+        ]
+
     def test_stale_option_name_is_flagged(self, tmp_path):
         root = self._repo(
             tmp_path,

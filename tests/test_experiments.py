@@ -69,10 +69,12 @@ class TestTableExperiments:
         for dataset, variants in by_dataset.items():
             assert variants["cleaned"]["|Y|"] <= variants["raw"]["|Y|"]
             assert variants["cleaned"]["|T|"] <= variants["raw"]["|T|"]
+            assert variants["cleaned"]["|U|"] <= variants["raw"]["|U|"]
 
     def test_table1_produces_verdicts_for_planted_pairs(self):
         report = table1_tag_pairs.run(scale=SCALE, seed=SEED, num_concepts=20)
         assert report.notes
+        assert report.rows, "no planted tag pair survived cleaning"
         for row in report.rows:
             assert row["Human-judged"] in ("Y", "N")
             assert row["CubeLSI"] in ("Y", "N")
@@ -86,6 +88,11 @@ class TestTableExperiments:
             assert row["Average JCN"] >= 0.0
             assert row["Average Rank"] >= 1.0
             assert row["Tags evaluated"] > 0
+        # The paper's ordering for the tensor methods: purified (Tucker)
+        # distances beat the raw tensor slices on both metrics.
+        rows = report.row_lookup("Method")
+        assert rows["CubeLSI"]["Average JCN"] < rows["CubeSim"]["Average JCN"]
+        assert rows["CubeLSI"]["Average Rank"] < rows["CubeSim"]["Average Rank"]
 
     def test_table4_reports_clusters_with_known_correlation_types(self):
         report = table4_clusters.run(scale=SCALE, seed=SEED, num_concepts=20)
@@ -95,10 +102,14 @@ class TestTableExperiments:
             "inflection & derivation",
             "abbreviations",
         }
+        assert report.rows, "no multi-tag cluster with a known correlation type"
+        observed = set()
         for row in report.rows:
             types = set(str(row["Type of correlation"]).split("; "))
             assert types <= allowed
             assert len(str(row["Tags"]).split(", ")) >= 2
+            observed |= types
+        assert len(observed) >= 2  # more than plain synonyms, as in Table IV
 
     def test_table5_reports_both_methods_on_all_datasets(self):
         report = table5_preprocessing.run(scale=SCALE, seed=SEED, num_concepts=20)
@@ -129,7 +140,7 @@ class TestFigureExperiments:
             scale=SCALE,
             seed=SEED,
             num_queries=12,
-            cutoffs=(1, 5, 10),
+            cutoffs=(1, 5, 10, 20),
             profiles=["lastfm"],
             num_concepts=20,
         )
@@ -143,9 +154,11 @@ class TestFigureExperiments:
             "lsi",
             "bow",
         }
-        for series in report.series.values():
-            assert len(series) == 3
+        for method, series in report.series.items():
+            assert len(series) == 4
             assert all(0.0 <= value <= 1.0 for value in series)
+            # every method retrieves something for a healthy share of queries
+            assert series[-1] > 0.05, method
         summary = fig4_ndcg.ndcg_summary(reports, cutoff_index=1)
         assert len(summary) == 6
 
@@ -157,6 +170,35 @@ class TestFigureExperiments:
         assert len(times) == 2
         # Larger reduction ratios mean smaller cores, hence not slower.
         assert times[1] <= times[0] * 1.5
+
+
+class TestCommandLine:
+    def test_module_entry_point_prints_every_report(self, monkeypatch, capsys):
+        from repro.experiments import __main__ as cli
+
+        monkeypatch.setattr(cli, "SCALE", SCALE)
+        monkeypatch.setattr(cli, "NUM_QUERIES", 12)
+        monkeypatch.setattr(cli, "NUM_CONCEPTS", 20)
+        cli.main()
+        headers = [
+            line.split(":")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("== ")
+        ]
+        assert headers == [
+            "== running-example",
+            "== table1",
+            "== table2",
+            "== table3",
+            "== table4",
+            "== fig4-delicious",
+            "== fig4-bibsonomy",
+            "== fig4-lastfm",
+            "== table5",
+            "== fig5",
+            "== table6",
+            "== table7",
+        ]
 
 
 class TestCommon:

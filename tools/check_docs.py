@@ -1,10 +1,10 @@
-"""Documentation presence, link, module-name and option-name checker (CI gate).
+"""Documentation presence, link, path, module-name and option-name checker (CI gate).
 
-Four failure modes make docs rot silently: a book that exists but
+Five failure modes make docs rot silently: a book that exists but
 nothing points at (unreachable, so effectively deleted), a link whose
-target moved (dead, so the reader bounces), a module name that outlived
-its module, and an option that outlived its parameter.  This checker
-makes all four loud:
+target moved (dead, so the reader bounces), a file path that outlived
+its directory, a module name that outlived its module, and an option
+that outlived its parameter.  This checker makes all five loud:
 
 * **presence** — every ``docs/*.md`` file must be referenced by a
   relative link from ``README.md`` itself, so the README remains the
@@ -14,6 +14,10 @@ makes all four loud:
   directory.  External ``http(s)``/``mailto`` links and pure
   ``#fragment`` anchors are out of scope (CI must not flake on the
   network);
+* **paths** — every backticked ``<dir>/…/<file>.<ext>`` (optionally with
+  a ``::test`` suffix) in ``README.md`` and ``docs/*.md`` must sit in a
+  directory that exists under the repo root, so a citation cannot
+  outlive the directory it points into;
 * **module names** — every backticked ``repro.<pkg>.<name>`` in
   ``README.md`` and ``docs/*.md`` must be a module or subpackage under
   ``src/repro/<pkg>/``, or a name that package's ``__init__.py``
@@ -46,6 +50,10 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 #: A backticked dotted name at least ``repro.<pkg>.<name>`` deep.
 _MODULE_RE = re.compile(r"`repro\.(\w+)\.(\w+)[\w.]*`")
+#: A backticked repo-relative file path, ``dir/.../file.ext`` or
+#: ``dir/.../file.ext::node`` (save-layout names like ``shard-0000/`` and
+#: slash-joined words like ``add/update/remove`` have no extension).
+_PATH_RE = re.compile(r"`((?:[\w.-]+/)+)[\w*-]+\.\w+(?:::[^`]*)?`")
 #: A backticked ``name=`` / ``name=value`` option token (``PYTHONPATH=src``
 #: and other upper-case environment variables do not match).
 _OPTION_RE = re.compile(r"`([a-z_][a-z0-9_]*)=[^`]*`")
@@ -130,8 +138,8 @@ def check_docs(root: Path) -> List[str]:
     doc_files = sorted(docs_dir.glob("*.md")) if docs_dir.is_dir() else []
     sources = [readme, *doc_files]
 
-    # Liveness: every module name, option name and relative link in every
-    # source must resolve.
+    # Liveness: every module name, file path, option name and relative
+    # link in every source must resolve.
     options = declared_options(root)
     readme_targets: Set[Path] = set()
     for source in sources:
@@ -139,6 +147,9 @@ def check_docs(root: Path) -> List[str]:
         markdown = source.read_text(encoding="utf-8")
         for dotted in missing_modules(markdown, root):
             problems.append(f"{rel_source}: no such module -> {dotted}")
+        for directory in dict.fromkeys(_PATH_RE.findall(markdown)):
+            if not (root / directory).is_dir():
+                problems.append(f"{rel_source}: no such directory -> {directory}")
         for option in dict.fromkeys(_OPTION_RE.findall(markdown)):
             if option not in options:
                 problems.append(f"{rel_source}: no such option -> {option}=")
@@ -180,7 +191,7 @@ def main(argv: List[str]) -> int:
         return 1
     print(
         "OK: docs present, linked from README, no dead intra-repo links, "
-        "no stale module or option names"
+        "no stale path, module or option names"
     )
     return 0
 
