@@ -7,9 +7,9 @@ distillation has been done offline, online query processing is just cheap
 dot products (Table VI).
 
 * :mod:`repro.search.matrix_space` — the scoring backend: tf-idf weighting
-  (Eq. 1-3) and cosine (Eq. 4) as count rows (what mutations edit) plus
-  term-major weight postings (what the top-k kernel reads), one refresh
-  routine for builds and fold-in mutations, ``.npz``/``.npy`` + JSON persistence.
+  (Eq. 1-3) and cosine (Eq. 4) as term-major tf postings over stable row
+  slots with idf applied per query term, one refresh routine for builds
+  and fold-in mutations, ``.npz``/``.npy`` + JSON persistence.
 * :mod:`repro.search.engine` — the user-facing query interface: a concept
   model over N >= 1 shards of the matrix space, mutation routing, the
   coordinated refresh and the on-disk engine layout.

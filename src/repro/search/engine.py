@@ -624,9 +624,9 @@ class SearchEngine(RankEngine):
         """Coordinated refresh across every shard; True if work was done.
 
         :func:`~repro.search.matrix_space.refresh_spaces` over the shards:
-        pending count mutations fold over a vocabulary extension shared by
-        all shards, document frequencies are summed, and one corpus-wide
-        idf vector is applied everywhere — exactly the statistics a
+        pending mutations splice the postings they touch, the shards'
+        maintained document frequencies are summed and one corpus-wide idf
+        vector is shared by every shard — exactly the statistics a
         from-scratch build over the whole corpus computes.  Runs under the
         exclusive side of the engine's read/write lock, so no concurrent
         query can observe a shard mid-refresh; readers arriving while

@@ -1,22 +1,24 @@
 """The concept vector space the online component serves from.
 
 :class:`MatrixConceptSpace` holds the paper's Section III model — Eq. 2 term
-frequencies, Eq. 1 idf weights, Eq. 4 cosine ranking — as two sparse
-matrices over a fixed concept vocabulary.  *Rows for writing*: a
-document-major CSR of raw concept counts, the only thing mutations edit.
-*Columns for reading*: term-major postings of the tf-idf weights plus
-precomputed document norms, the only thing queries are scored against — a
-query touches only the resources that share a concept with it, a few
-vectorized slices per query followed by :func:`numpy.argpartition` top-k
-selection, which is what makes the paper's "online querying is just cheap
-dot products" claim (Table VI) hold at scale.
+frequencies, Eq. 1 idf weights, Eq. 4 cosine ranking — as term-major
+postings: per concept, the stable row slots of the documents carrying it and
+their plain term frequencies, plus precomputed document norms.  A query
+touches only the resources that share a concept with it, a few vectorized
+slices per query followed by :func:`numpy.argpartition` top-k selection,
+which is what makes the paper's "online querying is just cheap dot
+products" claim (Table VI) hold at scale.
 
-The postings always come from the counts through :func:`refresh_spaces`: a
-build, a standalone refresh after mutations and an engine's coordinated
-refresh of N shards are that one routine over one or N spaces.
+idf is applied at query time — one multiply per query term — so a change in
+corpus size, which moves every term's idf, rewrites no posting.
+:func:`refresh_spaces` folds mutations in at the cost of what they touch:
+the postings of the terms a written or dropped document carries, document
+frequency as a maintained vector, and one vectorized norm pass.  A build, a
+standalone refresh and an engine's coordinated refresh of N shards are that
+one routine over one or N spaces.
 
-The space is also the unit of persistence: :meth:`save` writes both
-matrices (a compressed ``.npz`` archive, or raw per-array ``.npy`` files
+The space is also the unit of persistence: :meth:`save` writes the
+postings (a compressed ``.npz`` archive, or raw per-array ``.npy`` files
 when ``mmap_ready=True`` so :meth:`load` can memory-map them and rank
 straight off the mapped postings) and the vocabulary/metadata to JSON, so
 that offline indexing and online serving — including the process-per-shard
@@ -33,11 +35,11 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left, insort
 from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.search.vsm import ConceptVectorSpace, RankedResult
 from repro.utils.errors import ConfigurationError, NotFittedError
@@ -56,11 +58,8 @@ STORAGE_NPZ = "npz"
 STORAGE_NPY = "npy"
 
 #: Names of the arrays persisted by :meth:`MatrixConceptSpace.save`: the
-#: count CSR, the postings (a CSC of the weights), norms and idf.
+#: postings (a CSC of term frequencies, ``post_weights``), norms and idf.
 _ARRAY_NAMES = (
-    "counts_indptr",
-    "counts_indices",
-    "counts_data",
     "post_indptr",
     "post_rows",
     "post_weights",
@@ -68,10 +67,14 @@ _ARRAY_NAMES = (
     "idf",
 )
 
-#: Bumped whenever the on-disk layout changes incompatibly.  Version 3
-#: stores the term-major postings queries are scored against in place of
-#: the document-major weights of versions 1-2, which are refused on load.
-FORMAT_VERSION = 3
+#: Bumped whenever the on-disk layout changes incompatibly.  Version 4
+#: stores plain term frequencies in the postings (idf is applied per query
+#: term); version 3 stored tf-idf weights and, like versions 1-2, is
+#: refused on load.
+FORMAT_VERSION = 4
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_TF = np.empty(0, dtype=np.float64)
 
 
 def _npy_path(directory: Path, name: str) -> Path:
@@ -124,12 +127,16 @@ def boundary_tie_candidates(scores: np.ndarray, top_k: Optional[int]) -> np.ndar
 
 
 def select_top_k(
-    positions: np.ndarray, scores: np.ndarray, top_k: Optional[int]
+    positions: np.ndarray,
+    scores: np.ndarray,
+    top_k: Optional[int],
+    rank: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Exact top-k selection with deterministic tie-breaking.
 
     Given candidate row ``positions`` (whose order encodes the tie-break:
-    lower position wins) and their ``scores``, return the indices into
+    lower position wins — or, when ``rank`` is given, lower
+    ``rank[position]`` wins) and their ``scores``, return the indices into
     ``positions``/``scores`` of the top ``top_k`` entries sorted by
     descending score, ties broken by ascending position.  Entries with
     non-positive scores are dropped, mirroring the dict-loop path which
@@ -156,7 +163,10 @@ def select_top_k(
         kept_scores = scores[keep]
         kept_positions = positions[keep]
     candidate = boundary_tie_candidates(kept_scores, top_k)
-    order = np.lexsort((kept_positions[candidate], -kept_scores[candidate]))
+    tie = kept_positions[candidate]
+    if rank is not None:
+        tie = rank[tie]
+    order = np.lexsort((tie, -kept_scores[candidate]))
     selected = candidate[order]
     if top_k is not None:
         selected = selected[:top_k]
@@ -164,53 +174,67 @@ def select_top_k(
 
 
 class MatrixConceptSpace:
-    """tf-idf concept space: count rows to edit, weight postings to rank.
+    """tf-idf concept space: term-major tf postings over stable row slots.
 
     Instances are produced by :meth:`from_bags` (from raw count bags),
     :meth:`slice_rows` / :meth:`partition` (row shards) or :meth:`load`
     (from a directory written by :meth:`save`).  The constructor takes the
-    count rows; :meth:`apply_statistics` (or :meth:`load`) installs what is
-    derived from them before the space is handed out.
+    saved arrays with slot ``i`` holding the ``i``-th id; later additions
+    take new slots, so a per-slot rank carries the ranking tie-break.
     """
 
-    #: The weights as a CSC matrix: per-term bounds (a list, the kernel
-    #: indexes it with Python ints), ascending row ids (``intp``) and their
-    #: non-zero tf-idf weights.
-    _postings: Tuple[List[int], np.ndarray, np.ndarray]
-    _doc_norms: np.ndarray
-    _idf: np.ndarray
+    _post_rows: List[np.ndarray]  #: per term: the slots carrying it, ascending
+    _post_tf: List[np.ndarray]  #: per term: those slots' tf
+    _doc_norms: np.ndarray  #: per slot; 0 for a freed slot
+    _idf: np.ndarray  #: corpus-wide Eq. 1 idf per column
+    _alive: np.ndarray  #: per column: does any document of the corpus carry it
     _num_resources: int  #: corpus-wide document count behind the idf
 
     def __init__(
         self,
         doc_ids: Sequence[str],
         terms: Sequence[Hashable],
-        counts: sp.csr_matrix,
+        arrays: Mapping[str, np.ndarray],
         smooth_idf: bool,
+        num_resources: int = 0,
         external_stats: bool = False,
     ) -> None:
-        self._doc_ids: Tuple[str, ...] = tuple(doc_ids)
+        # Slot bookkeeping: a removed document leaves a freed slot (None)
+        # behind; slots are only renumbered by a save or a slice.
+        self._slot_ids: List[Optional[str]] = list(doc_ids)
         self._doc_index: Dict[str, int] = {
-            doc_id: row for row, doc_id in enumerate(self._doc_ids)
+            doc_id: slot for slot, doc_id in enumerate(self._slot_ids)
         }
+        self._sorted_ids: List[str] = list(doc_ids)
+        self._rank = np.arange(len(self._slot_ids), dtype=np.intp)
         self._terms: Tuple[Hashable, ...] = tuple(terms)
         self._term_index: Dict[Hashable, int] = {
             term: column for column, term in enumerate(self._terms)
         }
-        if counts.shape != (len(self._doc_ids), len(self._terms)):
+        bounds, idf = arrays["post_indptr"], arrays["idf"]
+        num_terms, num_slots = len(self._terms), len(self._slot_ids)
+        expected = (num_terms + 1, num_terms, num_slots)
+        if (bounds.size, idf.size, arrays["doc_norms"].size) != expected:
             raise ConfigurationError(
-                f"counts shape {counts.shape} does not match "
-                f"{len(self._doc_ids)} documents x {len(self._terms)} terms"
+                f"arrays do not match {num_slots} documents x {num_terms} terms"
             )
-        # Raw concept counts, one row per document.  Weights are always
-        # re-derived from them after documents fold in or out, including
-        # entries whose weight was zero (idf 0) at build time and
-        # resurrects later.
-        self._counts = counts
+        #: Every term's postings packed as one CSC ``(bounds, rows, tf)``,
+        #: re-packed by each refresh: what a save writes and where a
+        #: document's terms are found.  The kernel reads per-term views of
+        #: it, which a refresh replaces only for the terms it splices.
+        rows = arrays["post_rows"].astype(np.intp, copy=False)
+        tf = arrays["post_weights"]
+        self._postings = (bounds, rows, tf)
+        edges = list(zip(bounds.tolist(), bounds.tolist()[1:]))
+        self._post_rows = [rows[a:b] for a, b in edges]
+        self._post_tf = [tf[a:b] for a, b in edges]
+        self._df = np.diff(bounds)  #: documents of *this* space per column
+        self._alive = np.ones(len(self._terms), dtype=bool)
+        self._idf, self._doc_norms = idf, arrays["doc_norms"]
+        self._num_resources = int(num_resources)
         self._smooth_idf = bool(smooth_idf)
         self._pending_upsert: Dict[str, Dict[Hashable, float]] = {}
         self._pending_remove: set = set()
-        self._weights_stale = True
         # Shards of a sharded index carry *global* statistics (idf over the
         # whole corpus, corpus-wide num_resources) that only their
         # coordinator may recompute; a shard-local refresh would silently
@@ -229,26 +253,18 @@ class MatrixConceptSpace:
     ) -> "MatrixConceptSpace":
         """Build the space from ``resource -> {term -> occurrence count}``.
 
-        Documents are laid out in ascending resource-id order so that row
-        position doubles as the ranking tie-break; non-positive counts are
-        dropped.  idf, weights and norms come from :func:`refresh_spaces` —
-        the pass a post-mutation :meth:`refresh` runs — so a build and a
-        refresh over the same corpus produce the same arrays.
+        Every document is added, in ascending resource-id order, to an
+        empty space that :func:`refresh_spaces` then folds — the pass a
+        post-mutation :meth:`refresh` runs — so a build and a refresh over
+        the same corpus produce the same arrays.  Non-positive counts are
+        dropped.
         """
         if not resource_bags:
             raise ConfigurationError("cannot build a concept space on zero resources")
-        doc_ids = sorted(resource_bags)
-        term_index: Dict[Hashable, int] = {}
-        for doc_id in doc_ids:
-            for term, count in resource_bags[doc_id].items():
-                if count > 0 and term not in term_index:
-                    term_index[term] = len(term_index)
-        space = cls(
-            doc_ids=doc_ids,
-            terms=tuple(term_index),
-            counts=_counts_matrix(doc_ids, term_index, resource_bags),
-            smooth_idf=smooth_idf,
-        )
+        empty = {name: np.zeros(0) for name in _ARRAY_NAMES}
+        empty["post_indptr"] = np.zeros(1, dtype=np.intp)
+        space = cls(doc_ids=(), terms=(), arrays=empty, smooth_idf=smooth_idf)
+        space.add_documents({d: resource_bags[d] for d in sorted(resource_bags)})
         refresh_spaces([space])
         return space
 
@@ -268,12 +284,13 @@ class MatrixConceptSpace:
     @property
     def num_documents(self) -> int:
         self.refresh()
-        return len(self._doc_ids)
+        return len(self._doc_index)
 
     @property
     def vocabulary_size(self) -> int:
+        """Terms some document of the corpus carries."""
         self.refresh()
-        return len(self._terms)
+        return int(self._alive.sum())
 
     @property
     def smooth_idf(self) -> bool:
@@ -281,44 +298,47 @@ class MatrixConceptSpace:
 
     @property
     def doc_ids(self) -> Tuple[str, ...]:
+        """The indexed resource ids, ascending."""
         self.refresh()
-        return self._doc_ids
+        return tuple(self._sorted_ids)
 
     @property
     def terms(self) -> Tuple[Hashable, ...]:
+        """Terms some document of the corpus carries, in column order."""
         self.refresh()
-        return self._terms
+        return tuple(
+            term for term, alive in zip(self._terms, self._alive.tolist()) if alive
+        )
 
     @property
     def nnz(self) -> int:
-        """Stored weights — the memory figure Table VII cares about."""
+        """Non-zero weights (tf x non-zero idf) — the Table VII memory figure."""
         self.refresh()
-        return int(self._postings[2].size)
+        return int(self._df[self._idf != 0.0].sum())
 
     def idf(self, term: Hashable) -> float:
         self.refresh()
         column = self._term_index.get(term)
-        return float(self._idf[column]) if column is not None else 0.0
+        if column is None or not self._alive[column]:
+            return 0.0
+        return float(self._idf[column])
 
     def document_norm(self, doc_id: str) -> float:
         self.refresh()
-        row = self._doc_index.get(doc_id)
-        return float(self._doc_norms[row]) if row is not None else 0.0
+        slot = self._doc_index.get(doc_id)
+        return float(self._doc_norms[slot]) if slot is not None else 0.0
 
     def document_weights(self, doc_id: str) -> Dict[Hashable, float]:
         """A document's non-zero ``term -> weight`` row (empty if unknown).
 
-        Read off the count row: tf (Eq. 2) times the current idf, the same
-        product :meth:`apply_statistics` stores in the postings.
+        Read off the postings: tf (Eq. 2) times the current idf.
         """
         self.refresh()
-        row = self._doc_index.get(doc_id)
-        if row is None:
+        slot = self._doc_index.get(doc_id)
+        if slot is None:
             return {}
-        counts = self._counts
-        start, end = counts.indptr[row], counts.indptr[row + 1]
-        columns, stored = counts.indices[start:end], counts.data[start:end]
-        weights = stored / stored.sum() * self._idf[columns]
+        at, columns = self._entries_of([slot])
+        weights = self._postings[2][at] * self._idf[columns]
         return {
             self._terms[column]: weight
             for column, weight in zip(columns.tolist(), weights.tolist())
@@ -336,17 +356,18 @@ class MatrixConceptSpace:
         """
         self.refresh()
         weights, _ = self._weight_query(query_bag)
-        return {self._terms[column]: weight for column, weight in weights.items()}
-
+        return {
+            self._terms[column]: weight
+            for column, weight in weights.items()
+            if self._alive[column]
+        }
     # ------------------------------------------------------------------ #
     # Incremental updates (fold-in without rebuilding from the bags)
     # ------------------------------------------------------------------ #
     @property
     def is_stale(self) -> bool:
-        """Whether mutations are pending the lazy idf/norm recompute."""
-        return bool(
-            self._pending_upsert or self._pending_remove or self._weights_stale
-        )
+        """Whether mutations are pending the lazy fold and statistics pass."""
+        return bool(self._pending_upsert or self._pending_remove)
 
     @property
     def has_external_stats(self) -> bool:
@@ -359,7 +380,7 @@ class MatrixConceptSpace:
         appended = sum(
             1 for doc_id in self._pending_upsert if doc_id not in self._doc_index
         )
-        return len(self._doc_ids) - len(self._pending_remove) + appended
+        return len(self._doc_index) - len(self._pending_remove) + appended
 
     def has_document(self, doc_id: str) -> bool:
         """Whether ``doc_id`` is indexed (pending mutations included)."""
@@ -372,9 +393,9 @@ class MatrixConceptSpace:
     ) -> None:
         """Append new documents; idf, weights and norms refresh lazily.
 
-        The rows are buffered and folded into the count rows on the next
-        read (query, introspection or save), so a burst of additions pays
-        for one vectorized recompute instead of one per call.
+        The rows are buffered and folded in on the next read (query,
+        introspection or save), so a burst of additions pays for one
+        vectorized fold instead of one per call.
         """
         for doc_id in bags:
             if self.has_document(doc_id):
@@ -420,10 +441,10 @@ class MatrixConceptSpace:
         }
 
     def refresh(self) -> bool:
-        """Fold pending mutations into both matrices; True if work was done.
+        """Fold pending mutations in; True if work was done.
 
-        :func:`refresh_spaces` over this one space, leaving exactly the
-        arrays a from-scratch build over the mutated corpus would produce.
+        :func:`refresh_spaces` over this one space, after which it ranks
+        like a from-scratch build over the mutated corpus (to 1e-9).
 
         Spaces with :attr:`has_external_stats` (shards of a sharded index)
         refuse a local refresh while stale: their idf and ``num_resources``
@@ -452,112 +473,205 @@ class MatrixConceptSpace:
     # ------------------------------------------------------------------ #
     # The steps of :func:`refresh_spaces` (writer-side, unlocked)
     # ------------------------------------------------------------------ #
-    def fold_pending_counts(
-        self, new_terms: Sequence[Hashable]
-    ) -> Tuple[Hashable, ...]:
-        """Fold pending mutations into the count rows; weights stay stale.
+    def fold_pending(self, new_terms: Sequence[Hashable]) -> Tuple[Hashable, ...]:
+        """Fold pending mutations into the postings; returns the vocabulary.
 
-        Extends the vocabulary with ``new_terms`` (the union over every
-        aligned space's pending bags), appends/drops count rows and
-        re-sorts documents into ascending-id order.  Returns the resulting
-        vocabulary so the caller can assert cross-shard alignment.
+        The vocabulary grows by ``new_terms`` (the union over every aligned
+        space's pending bags).  An added document takes a new slot, an
+        updated one keeps its own, a removed one frees its slot, and only
+        the postings of terms a written or dropped document carries are
+        spliced.  The caller asserts cross-shard alignment on the result.
         """
-        terms: List[Hashable] = list(self._terms)
-        term_index: Dict[Hashable, int] = dict(self._term_index)
-        for term in new_terms:
-            if term not in term_index:
-                term_index[term] = len(terms)
-                terms.append(term)
-
-        if self._pending_upsert or self._pending_remove:
-            dropped = self._pending_remove | set(self._pending_upsert)
-            keep_ids = [d for d in self._doc_ids if d not in dropped]
-            keep_rows = np.array(
-                [self._doc_index[d] for d in keep_ids], dtype=np.intp
-            )
-            old = self._counts[keep_rows] if keep_ids else sp.csr_matrix(
-                (0, len(self._terms)), dtype=np.float64
-            )
-            old.resize((old.shape[0], len(terms)))
-
-            new_ids = sorted(self._pending_upsert)
-            fresh = _counts_matrix(new_ids, term_index, self._pending_upsert)
-            combined_ids = keep_ids + new_ids
-            combined = sp.vstack([old, fresh], format="csr")
-
-            order = sorted(range(len(combined_ids)), key=combined_ids.__getitem__)
-            counts = combined[np.asarray(order, dtype=np.intp)].tocsr()
-            counts.eliminate_zeros()
-
-            self._doc_ids = tuple(combined_ids[i] for i in order)
-            self._doc_index = {
-                doc_id: row for row, doc_id in enumerate(self._doc_ids)
-            }
-            self._pending_upsert = {}
-            self._pending_remove = set()
-        elif len(terms) != len(self._terms):
-            counts = self._counts.copy()
-            counts.resize((counts.shape[0], len(terms)))
-        else:
+        if new_terms:
+            first = len(self._terms)
+            self._terms += tuple(new_terms)
+            self._term_index.update(zip(new_terms, range(first, len(self._terms))))
+            self._post_rows.extend([_NO_ROWS] * len(new_terms))
+            self._post_tf.extend([_NO_TF] * len(new_terms))
+            self._df = np.concatenate((self._df, np.zeros(len(new_terms), np.int64)))
+        if not self.is_stale:
             return self._terms
-        self._terms = tuple(terms)
-        self._term_index = term_index
-        self._counts = counts
-        self._weights_stale = True
+        upsert, removed = self._pending_upsert, self._pending_remove
+        self._pending_upsert, self._pending_remove = {}, set()
+        index = self._doc_index
+        added = sorted(doc_id for doc_id in upsert if doc_id not in index)
+        dropped = [index[d] for d in removed] + [index[d] for d in upsert if d in index]
+        _, old_columns = self._entries_of(dropped)
+        if added or removed:
+            self._reorder(np.array([index[d] for d in removed], np.intp), added)
+        for doc_id in removed:
+            self._slot_ids[index.pop(doc_id)] = None
+        slots = np.array([index[doc_id] for doc_id in upsert], dtype=np.intp)
+        lengths = [len(bag) for bag in upsert.values()]
+        columns: List[int] = []
+        counts: List[float] = []
+        for bag in upsert.values():
+            columns += map(self._term_index.__getitem__, bag)
+            counts += bag.values()
+        totals = np.repeat([sum(bag.values()) for bag in upsert.values()], lengths)
+        new_columns = np.array(columns, dtype=np.intp)
+        self._splice(
+            np.concatenate((new_columns, old_columns)),
+            np.array(dropped, dtype=np.intp),
+            np.repeat(slots, lengths),
+            new_columns,
+            np.array(counts) / totals,  # Eq. 2
+        )
         return self._terms
 
-    def drop_columns(self, alive: np.ndarray) -> None:
-        """Restrict counts and vocabulary to the ``alive`` column mask."""
-        self._counts = self._counts[:, np.flatnonzero(alive)].tocsr()
-        self._terms = tuple(
-            term for term, keep in zip(self._terms, alive) if keep
-        )
-        self._term_index = {
-            term: column for column, term in enumerate(self._terms)
-        }
-        self._weights_stale = True
+    def _reorder(self, removed_slots: np.ndarray, added: List[str]) -> None:
+        """Give ``added`` (ascending ids) new slots and re-rank every slot.
 
-    def apply_statistics(self, idf: np.ndarray, num_resources: int) -> None:
-        """Derive the postings and norms from the counts and a given idf.
-
-        ``idf``/``num_resources`` are local figures for a standalone space
-        and corpus-wide figures for a shard; either way the weights become
-        exactly what a from-scratch build with those statistics produces.
-        One column-major pass: each entry is ``count / row sum * idf``
-        (Eq. 2 x Eq. 1), exact zeros (idf 0) are not stored, and a row's
-        squared weights accumulate into its norm in ascending-column order.
+        A slot's rank — its id's position in ascending-id order, the ranking
+        tie-break — moves down by the removals below it and up by the
+        additions at or below it: one vectorised shift.
         """
-        idf = np.asarray(idf, dtype=np.float64)
+        old, first = self._sorted_ids, len(self._slot_ids)
+        self._slot_ids.extend(added)
+        self._doc_index.update(zip(added, range(first, len(self._slot_ids))))
+        # ``before[i]``: how many ids already indexed sort before ``added[i]``.
+        appends = not old or (added and added[0] > old[-1])  # e.g. the build
+        if appends:
+            before = np.full(len(added), len(old), dtype=np.intp)
+        else:
+            before = np.array([bisect_left(old, d) for d in added], dtype=np.intp)
+        below = np.searchsorted(before, self._rank, side="right")
+        rank = np.concatenate((self._rank, before))
+        below = np.concatenate((below, np.arange(len(added))))
+        gone = np.sort(rank[removed_slots])
+        self._rank = rank + below - np.searchsorted(gone, rank)
+        for position in gone[::-1].tolist():
+            del old[position]
+        if appends:
+            old.extend(added)
+        else:
+            for doc_id in added:
+                insort(old, doc_id)
+
+    def _entries_of(self, slots: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Where ``slots`` sit in the packed postings: ``(positions, columns)``.
+
+        One vectorised mask: a document's terms are stored once, here.
+        """
+        bounds, rows, _ = self._postings
+        wanted = np.zeros(len(self._slot_ids), dtype=bool)
+        wanted[slots] = True
+        at = np.flatnonzero(wanted[rows])
+        return at, np.searchsorted(bounds, at, side="right") - 1
+
+    def _splice(
+        self,
+        touched_columns: np.ndarray,
+        dropped_slots: np.ndarray,
+        new_slots: np.ndarray,
+        new_columns: np.ndarray,
+        new_tf: np.ndarray,
+    ) -> None:
+        """Rewrite the postings of ``touched_columns``, and only those.
+
+        Their entries of ``dropped_slots`` leave and the new entries merge
+        in, slot-ascending per term, in a fixed number of vectorised passes
+        over the touched terms' postings.
+        """
+        touched = np.unique(touched_columns)
+        columns = touched.tolist()
+        num_slots = len(self._slot_ids)
+        rows = np.concatenate([_NO_ROWS] + [self._post_rows[c] for c in columns])
+        tf = np.concatenate([_NO_TF] + [self._post_tf[c] for c in columns])
+        term = np.repeat(np.arange(touched.size), self._df[touched])
+        if dropped_slots.size:
+            dropped = np.zeros(num_slots, dtype=bool)
+            dropped[dropped_slots] = True
+            keep = ~dropped[rows]
+            rows, tf, term = rows[keep], tf[keep], term[keep]
+        key = np.searchsorted(touched, new_columns) * num_slots + new_slots
+        order = np.argsort(key)  # keys are unique: no stable sort needed
+        key = key[order]
+        new_term = key // num_slots
+        # Merge: the i-th new entry lands after ``at[i]`` kept ones.
+        at = np.searchsorted(term * num_slots + rows, key)
+        landed = at + np.arange(key.size)
+        kept = np.ones(rows.size + key.size, dtype=bool)
+        kept[landed] = False
+        merged_rows, merged_tf = np.empty(kept.size, np.intp), np.empty(kept.size)
+        merged_rows[kept], merged_rows[landed] = rows, new_slots[order]
+        merged_tf[kept], merged_tf[landed] = tf, new_tf[order]
+        rows, tf = merged_rows, merged_tf
+        per_term = np.arange(touched.size + 1)
+        edges = (
+            np.searchsorted(term, per_term) + np.searchsorted(new_term, per_term)
+        ).tolist()
+        for column, start, end in zip(columns, edges, edges[1:]):
+            self._post_rows[column] = rows[start:end]
+            self._post_tf[column] = tf[start:end]
+        self._df[touched] = np.diff(edges)
+
+    def apply_statistics(
+        self, idf: np.ndarray, alive: np.ndarray, num_resources: int
+    ) -> None:
+        """Install corpus-wide statistics, re-pack the postings, re-derive norms.
+
+        ``idf``/``alive``/``num_resources`` are local figures for a
+        standalone space and corpus-wide ones for a shard.  The postings
+        hold plain tf and need nothing; the norms are one exact vectorised
+        pass over them — each entry is ``tf * idf`` (Eq. 2 x Eq. 1), and a
+        row's squared weights accumulate in ascending-column order.
+        """
         if idf.shape != (len(self._terms),):
             raise ConfigurationError(
                 f"idf vector of length {idf.shape} does not match the "
                 f"{len(self._terms)}-term vocabulary"
             )
-        row_sums = np.asarray(self._counts.sum(axis=1)).ravel()
-        columns = self._counts.tocsc()
-        rows = columns.indices.astype(np.intp)
-        term_of = np.repeat(np.arange(idf.size), np.diff(columns.indptr))
-        weights = columns.data / row_sums[rows] * idf[term_of]
-        stored = weights != 0.0
-        if not bool(stored.all()):
-            rows, weights, term_of = rows[stored], weights[stored], term_of[stored]
-        # ``term_of`` ascends, so a term's postings start where it first shows.
-        bounds = np.searchsorted(term_of, np.arange(idf.size + 1)).tolist()
-        self._postings = (bounds, rows, weights)
+        self._postings = (
+            np.concatenate(([0], np.cumsum(self._df))),
+            np.concatenate([_NO_ROWS] + self._post_rows),
+            np.concatenate([_NO_TF] + self._post_tf),
+        )
+        squares = (self._postings[2] * np.repeat(idf, self._df)) ** 2
         self._doc_norms = np.sqrt(
-            np.bincount(rows, weights=weights * weights, minlength=row_sums.size)
+            np.bincount(self._postings[1], squares, minlength=len(self._slot_ids))
         )
         self._idf = idf
+        self._alive = alive
         self._num_resources = int(num_resources)
-        self._weights_stale = False
 
     # ------------------------------------------------------------------ #
-    # Partitioning (sharded serving)
+    # Partitioning (sharded serving) and compaction
     # ------------------------------------------------------------------ #
+    def _compacted(
+        self, doc_ids: Sequence[str]
+    ) -> Tuple[List[Hashable], Dict[str, np.ndarray]]:
+        """``(terms, arrays)`` of ``doc_ids`` (ascending) in slots ``0..n-1``.
+
+        What the constructor takes: no freed slots, no column no document
+        of the corpus carries, the norms and idf of this space.
+        """
+        slots = np.array([self._doc_index[d] for d in doc_ids], dtype=np.intp)
+        renumber = np.full(len(self._slot_ids), -1, dtype=np.intp)
+        renumber[slots] = np.arange(slots.size)
+        kept = np.flatnonzero(self._alive)
+        column_of = np.cumsum(self._alive) - 1
+        _, rows, tf = self._postings
+        term = np.repeat(column_of, self._df)
+        rows = renumber[rows]
+        keep = rows >= 0
+        rows, tf, term = rows[keep], tf[keep], term[keep]
+        order = np.argsort(term * slots.size + rows)
+        arrays = {
+            "post_indptr": np.concatenate(
+                ([0], np.cumsum(np.bincount(term, minlength=kept.size)))
+            ),
+            "post_rows": rows[order],
+            "post_weights": tf[order],
+            "doc_norms": self._doc_norms[slots],
+            "idf": self._idf[kept],
+        }
+        return [self._terms[column] for column in kept.tolist()], arrays
+
     def slice_rows(self, doc_ids: Sequence[str]) -> "MatrixConceptSpace":
         """A shard view: the given rows with corpus-wide statistics.
 
-        The slice keeps the full vocabulary, the global idf vector and the
+        The slice keeps the corpus vocabulary, the global idf vector and the
         global ``num_resources``, so every sliced row scores bit-for-bit
         like it does in this space; only the set of candidate documents
         shrinks.  The returned space has :attr:`has_external_stats` set —
@@ -572,16 +686,15 @@ class MatrixConceptSpace:
             raise ConfigurationError(
                 f"slice_rows got unknown documents: {missing[:3]}"
             )
-        rows = np.array([self._doc_index[d] for d in ordered], dtype=np.intp)
-        shard = MatrixConceptSpace(
-            doc_ids=ordered,
-            terms=self._terms,
-            counts=self._counts[rows].tocsr(),
+        terms, arrays = self._compacted(ordered)
+        return MatrixConceptSpace(
+            ordered,
+            terms,
+            arrays,
             smooth_idf=self._smooth_idf,
+            num_resources=self._num_resources,
             external_stats=True,
         )
-        shard.apply_statistics(self._idf.copy(), self._num_resources)
-        return shard
 
     def partition(
         self, num_shards: int, assign
@@ -600,7 +713,7 @@ class MatrixConceptSpace:
             )
         self.refresh()
         buckets: List[List[str]] = [[] for _ in range(num_shards)]
-        for doc_id in self._doc_ids:
+        for doc_id in self._sorted_ids:
             shard = int(assign(doc_id))
             if not 0 <= shard < num_shards:
                 raise ConfigurationError(
@@ -631,8 +744,9 @@ class MatrixConceptSpace:
         A query scores only the documents that store one of its terms: with
         one term the term's postings *are* the candidates; with several the
         postings accumulate, in bag order (the dict-loop reference's
-        summation order), into a scratch vector.  Scratch is allocated per
-        call — concurrent readers share the space, never the buffers.
+        summation order), into a scratch vector, each term scaled by its
+        weight times its idf (postings hold tf).  Scratch is allocated per call —
+        concurrent readers share the space, never the buffers.
 
         Queries whose bags are empty or carry no corpus term simply yield an
         empty result list — a zero query norm never raises or produces NaN.
@@ -641,8 +755,9 @@ class MatrixConceptSpace:
         if not query_bags:
             return []
         self.refresh()
-        bounds, post_rows, post_weights = self._postings
-        doc_norms, resource_of = self._doc_norms, self._doc_ids.__getitem__
+        post_rows, post_tf, idf = self._post_rows, self._post_tf, self._idf
+        doc_norms, rank = self._doc_norms, self._rank
+        resource_of = self._slot_ids.__getitem__
         num_rows = doc_norms.size
         dots: Optional[np.ndarray] = None
         touched: Optional[np.ndarray] = None
@@ -656,25 +771,23 @@ class MatrixConceptSpace:
             if len(weights) == 1:
                 ((column, weight),) = weights.items()
                 norm_sq += weight * weight
-                start, end = bounds[column], bounds[column + 1]
-                candidates = post_rows[start:end]
-                scores = post_weights[start:end] * weight
+                candidates = post_rows[column]
+                scores = post_tf[column] * (weight * idf[column])
             else:
                 if dots is None or touched is None:
                     dots = np.zeros(num_rows, dtype=np.float64)
                     touched = np.zeros(num_rows, dtype=bool)
                 for column, weight in weights.items():
                     norm_sq += weight * weight
-                    start, end = bounds[column], bounds[column + 1]
-                    posted = post_rows[start:end]
-                    dots[posted] += post_weights[start:end] * weight
+                    posted = post_rows[column]
+                    dots[posted] += post_tf[column] * (weight * idf[column])
                     touched[posted] = True
                 candidates = touched.nonzero()[0]
                 scores = dots[candidates]
                 dots[candidates] = 0.0
                 touched[candidates] = False
             scores /= math.sqrt(norm_sq) * doc_norms[candidates]
-            selected = select_top_k(candidates, scores, top_k)
+            selected = select_top_k(candidates, scores, top_k, rank)
             results.append(
                 list(
                     map(
@@ -692,23 +805,22 @@ class MatrixConceptSpace:
     def cosine(self, query_bag: Mapping[Hashable, float], resource: str) -> float:
         """Cosine similarity between one query bag and one resource."""
         self.refresh()
-        row = self._doc_index.get(resource)
-        if row is None:
+        slot = self._doc_index.get(resource)
+        if slot is None:
             return 0.0
         weights, norm_sq = self._weight_query(query_bag)
-        doc_norm = self._doc_norms[row]
+        doc_norm = self._doc_norms[slot]
         if not weights or doc_norm == 0.0:
             return 0.0
-        bounds, post_rows, post_weights = self._postings
         dot = 0.0
         for column, weight in weights.items():
             norm_sq += weight * weight
-            # Row ids ascend within a term: bisect for this document's entry.
-            start, end = bounds[column], bounds[column + 1]
-            at = start + int(np.searchsorted(post_rows[start:end], row))
-            if at < end and post_rows[at] == row:
-                dot += weight * float(post_weights[at])
-        return dot / (math.sqrt(norm_sq) * doc_norm)
+            # Slots ascend within a term: bisect for this document's entry.
+            rows = self._post_rows[column]
+            at = rows.searchsorted(slot)
+            if at < rows.size and rows[at] == slot:
+                dot += self._post_tf[column][at] * (weight * self._idf[column])
+        return float(dot / (math.sqrt(norm_sq) * doc_norm))
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -716,32 +828,23 @@ class MatrixConceptSpace:
     def save(
         self, directory: Union[str, Path], mmap_ready: bool = False
     ) -> Path:
-        """Write both matrices and the metadata (JSON) to ``directory``.
+        """Write the postings, norms, idf and metadata (JSON) to ``directory``.
 
-        With the default ``mmap_ready=False`` the arrays land in one
-        compressed ``.npz`` archive (smallest on disk).  With
-        ``mmap_ready=True`` each array is written as a raw ``.npy`` file
-        instead, so :meth:`load` can memory-map them (``mmap=True``):
-        opening the space is then near-instant regardless of corpus size
-        and the OS pages postings in on demand — the layout the
-        process-per-shard serving pool
+        The save is compacted: documents renumbered in ascending-id order,
+        freed slots and columns no document carries left out.  With the
+        default ``mmap_ready=False`` the arrays land in one compressed
+        ``.npz`` archive (smallest on disk).  With ``mmap_ready=True`` each
+        array is written as a raw ``.npy`` file instead, so :meth:`load`
+        can memory-map them (``mmap=True``): opening the space is then
+        near-instant regardless of corpus size and the OS pages postings in
+        on demand — the layout the process-per-shard serving pool
         (:mod:`repro.search.shardpool`) expects.  A re-save removes the
         other layout's files so a directory never carries both.
         """
         self.refresh()
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        bounds, post_rows, post_weights = self._postings
-        arrays = {
-            "counts_indptr": self._counts.indptr,
-            "counts_indices": self._counts.indices,
-            "counts_data": self._counts.data,
-            "post_indptr": np.asarray(bounds, dtype=np.int64),
-            "post_rows": post_rows.astype(np.int64, copy=False),
-            "post_weights": post_weights,
-            "doc_norms": self._doc_norms,
-            "idf": self._idf,
-        }
+        terms, arrays = self._compacted(self._sorted_ids)
         if mmap_ready:
             for name, array in arrays.items():
                 np.save(_npy_path(path, name), array)
@@ -753,8 +856,8 @@ class MatrixConceptSpace:
         metadata = {
             "format_version": FORMAT_VERSION,
             "storage": STORAGE_NPY if mmap_ready else STORAGE_NPZ,
-            "doc_ids": list(self._doc_ids),
-            "terms": _encode_terms(self._terms),
+            "doc_ids": self._sorted_ids,
+            "terms": _encode_terms(terms),
             "smooth_idf": self._smooth_idf,
             "num_resources": self._num_resources,
             "external_stats": self._external_stats,
@@ -811,31 +914,14 @@ class MatrixConceptSpace:
                     arrays = {name: archive[name] for name in _ARRAY_NAMES}
         except FileNotFoundError:
             raise NotFittedError(f"no saved matrix space under {path}") from None
-        doc_ids, terms = metadata["doc_ids"], _decode_terms(metadata["terms"])
-        space = cls(
-            doc_ids=doc_ids,
-            terms=terms,
-            counts=sp.csr_matrix(
-                (
-                    arrays["counts_data"],
-                    arrays["counts_indices"],
-                    arrays["counts_indptr"],
-                ),
-                shape=(len(doc_ids), len(terms)),
-            ),
+        return cls(
+            doc_ids=metadata["doc_ids"],
+            terms=_decode_terms(metadata["terms"]),
+            arrays=arrays,
             smooth_idf=metadata["smooth_idf"],
+            num_resources=int(metadata["num_resources"]),
             external_stats=bool(metadata.get("external_stats", False)),
         )
-        space._postings = (
-            arrays["post_indptr"].tolist(),
-            arrays["post_rows"].astype(np.intp, copy=False),
-            arrays["post_weights"],
-        )
-        space._doc_norms = arrays["doc_norms"]
-        space._idf = arrays["idf"]
-        space._num_resources = int(metadata["num_resources"])
-        space._weights_stale = False
-        return space
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -843,12 +929,14 @@ class MatrixConceptSpace:
     def _weight_query(
         self, bag: Mapping[Hashable, float]
     ) -> Tuple[Dict[int, float], float]:
-        """Eq. 1-2 weighting of a query against the frozen vocabulary.
+        """Eq. 1-2 weighting of a query against the vocabulary.
 
         Returns ``(column -> weight, out_of_vocabulary_norm_sq)``; the second
         value carries the squared weight mass of terms outside the vocabulary
         (nonzero only under idf smoothing), which must still count towards
-        the query norm for parity with the dict-loop cosine.
+        the query norm for parity with the dict-loop cosine.  A column no
+        document carries any more scores like a term outside the vocabulary:
+        empty postings, and the same idf.
         """
         total = float(sum(count for count in bag.values() if count > 0))
         if total <= 0.0:
@@ -880,66 +968,37 @@ def refresh_spaces(spaces: Sequence["MatrixConceptSpace"]) -> None:
     ``[space]`` a standalone refresh, over an engine's shards (disjoint
     rows, shared vocabulary and statistics) the coordinated one: union the
     new terms so every vocabulary gets the same extension, fold each
-    space's pending count rows (documents re-sorted into ascending-id
-    order), sum document frequency, drop the columns no document carries
-    any more, derive one Eq. 1 idf vector and apply it everywhere — the
-    statistics a from-scratch build over the union of the rows computes.
+    space's pending rows (splicing only the postings of the terms they
+    touch), sum the maintained document-frequency vectors, derive one Eq. 1
+    idf vector and apply it everywhere — the statistics a from-scratch
+    build over the union of the rows computes.  A term no document carries
+    any more keeps its (empty) column.
 
     Writer-side and unlocked: a standalone space calls it under its own
     refresh lock, an engine under its write lock.
     """
-    new_terms: Dict[Hashable, None] = {}  # insertion-ordered set
+    pending: Dict[Hashable, float] = {}  # its keys: an insertion-ordered set
     for space in spaces:
         for bag in space._pending_upsert.values():
-            for term in bag:
-                if term not in space._term_index:
-                    new_terms.setdefault(term)
-    extension = tuple(new_terms)
-    vocabularies = {space.fold_pending_counts(extension) for space in spaces}
+            pending.update(bag)
+    vocabulary = spaces[0]._term_index
+    extension = tuple(term for term in pending if term not in vocabulary)
+    vocabularies = {space.fold_pending(extension) for space in spaces}
     if len(vocabularies) != 1:
         raise ConfigurationError(
             "shard vocabularies drifted out of alignment; the index "
             "is corrupt — rebuild it from the offline pipeline"
         )
-    # One stored count is one (document, term) pair: rows hold no duplicates
-    # and no explicit zeros.
-    document_frequency = sum(
-        np.bincount(space._counts.indices, minlength=len(space._terms))
-        for space in spaces
-    )
+    document_frequency = sum(space._df for space in spaces)
+    num_documents = sum(len(space._doc_index) for space in spaces)
     alive = document_frequency > 0
-    if not bool(alive.all()):
-        for space in spaces:
-            space.drop_columns(alive)
-        document_frequency = document_frequency[alive]
-    num_documents = sum(len(space._doc_ids) for space in spaces)
     if spaces[0].smooth_idf:
         idf = np.log((num_documents + 1.0) / (document_frequency + 1.0)) + 1.0
     else:
-        idf = np.log(num_documents / document_frequency.astype(np.float64))
+        # A column no document carries has idf 0, as an unseen term does.
+        idf = np.log(num_documents / np.maximum(document_frequency, 1)) * alive
     for space in spaces:
-        space.apply_statistics(idf, num_documents)
-
-
-def _counts_matrix(
-    doc_ids: Sequence[str],
-    term_index: Mapping[Hashable, int],
-    bags: Mapping[str, Mapping[Hashable, float]],
-) -> sp.csr_matrix:
-    """Raw count CSR rows for ``doc_ids`` over the ``term_index`` vocabulary."""
-    rows: List[int] = []
-    columns: List[int] = []
-    values: List[float] = []
-    for row, doc_id in enumerate(doc_ids):
-        for term, count in bags.get(doc_id, {}).items():
-            if count > 0 and term in term_index:
-                rows.append(row)
-                columns.append(term_index[term])
-                values.append(float(count))
-    # Built from triplets, the CSR comes out with column-sorted rows.
-    return sp.csr_matrix(
-        (values, (rows, columns)), shape=(len(doc_ids), len(term_index))
-    )
+        space.apply_statistics(idf, alive, num_documents)
 
 
 def _encode_terms(terms: Sequence[Hashable]) -> Dict[str, object]:

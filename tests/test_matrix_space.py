@@ -280,7 +280,7 @@ def assert_postings_are_mapped(space):
 
 
 class TestPostingsFreshness:
-    """The term-major postings follow every change of the count rows."""
+    """The term-major postings follow every mutation of the documents."""
 
     VOCABULARY = [f"t{i}" for i in range(12)]
     QUERIES = [{"t1": 1}, {"t2": 2, "t5": 1}, {"t0": 1, "t3": 1, "rare": 1}, {"rare": 1}]
@@ -351,6 +351,43 @@ class TestPostingsFreshness:
         assert engine.refresh()  # refresh_spaces over both shards
         for shard in engine.shards:
             assert_scores_like_scratch_build(shard, bags, queries)
+
+
+class TestRefreshCostsWhatItTouches:
+    """A refresh rewrites the postings of the terms a delta touches, no more.
+
+    Structural, not timed: after a one-document write to a 5k-row space,
+    every other term's postings are the very same array objects and the
+    id -> slot index is the same dict, so the refresh cannot have paid for
+    the corpus.
+    """
+
+    @pytest.mark.parametrize("kind", ["update", "add", "remove"])
+    def test_untouched_postings_and_the_slot_index_survive(self, kind):
+        vocabulary = [f"t{i}" for i in range(40)]
+        bags = random_bags(np.random.default_rng(41), 5000, vocabulary)
+        space = MatrixConceptSpace.from_bags(bags, smooth_idf=True)
+        rows, tf, index = list(space._post_rows), list(space._post_tf), space._doc_index
+        if kind == "update":
+            touched = set(bags["r0042"]) | {"t1", "t7"}
+            bags["r0042"] = {"t1": 2, "t7": 1}
+            space.update_document("r0042", bags["r0042"])
+        elif kind == "add":
+            bags["r0042a"] = {"t1": 2, "t7": 1}
+            touched = set(bags["r0042a"])
+            space.add_documents({"r0042a": bags["r0042a"]})
+        else:
+            touched = set(bags.pop("r0042"))
+            space.remove_documents(["r0042"])
+        assert space.refresh()
+
+        assert space._doc_index is index
+        assert 0 < len(touched) < len(vocabulary)
+        for term, column in space._term_index.items():
+            kept = space._post_rows[column] is rows[column]
+            assert kept == (space._post_tf[column] is tf[column])
+            assert kept == (term not in touched), term
+        assert_scores_like_scratch_build(space, bags, [{"t1": 1}, {"t7": 1, "t3": 1}])
 
 
 class TestConcurrentReaders:

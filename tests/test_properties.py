@@ -10,7 +10,10 @@ be wrong (exact ties, eviction boundaries, permuted inputs):
   a ``slice_rows`` shard and as a memory-mapped load; and after *any*
   add/update/remove sequence a standalone space, a 1-shard engine and a
   3-shard engine (the one refresh routine at N = 1, 1 and 3) must each
-  equal an oracle fitted from scratch on the mutated corpus.
+  equal an oracle fitted from scratch on the mutated corpus — rankings,
+  idf, document norms and document weights, after every batch, including
+  a term drained to df 0 and resurrected and a long sequence that moves the
+  corpus size on every step.
 
 * **top-k merge** — for *any* corpus of scores (tie-rich by construction),
   any shard split and any ``top_k``, the sharded pipeline
@@ -32,10 +35,10 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracle import DictLoopOracle
+from oracle import PARITY_TOL, DictLoopOracle
 from repro.core.concepts import identity_concept_model
 from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
@@ -91,7 +94,62 @@ def corpus_and_bags(draw):
     return documents, queries, on_shard, smooth_idf, top_k, mutations
 
 
+#: Drain "a" to df 0 (an update, then a removal), query it while dead, then
+#: resurrect it — once through an update, once through an addition.
+DRAIN_AND_RESURRECT = (
+    [{"a": 1, "b": 1}, {"a": 2, "c": 1}, {"b": 2}],
+    [{0: 1}, {0: 1, 1: 1}, {2: 1}],
+    [True, False, True],
+    2,
+    [
+        ("update", 0, {"b": 1}),
+        ("remove", 0, {}),
+        ("update", 0, {"d": 1}),
+        ("update", 0, {"a": 1, "e": 2}),
+        ("remove", 0, {}),
+        ("add", 0, {"a": 2}),
+    ],
+)
+
+
+def long_drift(num_batches: int = 240):
+    """A seeded sequence that alternately adds and removes a document, so
+    the corpus size — hence every term's idf — moves on every batch."""
+    rng = np.random.default_rng(26)
+    mutations = []
+    for step in range(num_batches):
+        kind = ("add", "remove")[step % 2]
+        size = int(rng.integers(1, 4))
+        bag = {
+            KERNEL_TAGS[i]: int(rng.integers(1, 3))
+            for i in rng.choice(len(KERNEL_TAGS), size=size, replace=False)
+        }
+        mutations.append((kind, int(rng.integers(0, 10)), bag))
+    documents = [{"a": 1, "b": 2}, {"c": 1}, {"b": 1, "d": 1}, {"e": 2}, {"a": 1}]
+    return documents, [{0: 1, 3: 1}, {4: 2}], [True, False] * 2 + [True], 3, mutations
+
+
+LONG_DRIFT = long_drift()
+
+
+def assert_statistics_match(space, scratch, oracle):
+    """``space`` (a standalone space or a shard) has the from-scratch idf,
+    norms and weights of every term and of its documents."""
+    for concept in range(UNSEEN_CONCEPT + 1):
+        assert abs(space.idf(concept) - oracle.idf(concept)) <= PARITY_TOL
+    for doc_id in space.doc_ids:
+        got = space.document_norm(doc_id) - scratch.document_norm(doc_id)
+        assert abs(got) <= PARITY_TOL
+        weights, want = space.document_weights(doc_id), oracle.resource_vector(doc_id)
+        assert weights.keys() == want.keys()
+        assert all(abs(weights[t] - want[t]) <= PARITY_TOL for t in want)
+
+
 @given(corpus_and_bags())
+@example(data=(*DRAIN_AND_RESURRECT[:3], False, *DRAIN_AND_RESURRECT[3:]))
+@example(data=(*DRAIN_AND_RESURRECT[:3], True, *DRAIN_AND_RESURRECT[3:]))
+@example(data=(*LONG_DRIFT[:3], False, *LONG_DRIFT[3:]))
+@example(data=(*LONG_DRIFT[:3], True, *LONG_DRIFT[3:]))
 def test_postings_kernel_matches_dict_loop_oracle(data):
     documents, queries, on_shard, smooth_idf, k, mutations = data
     tag_bags = {f"r{i:02d}": bag for i, bag in enumerate(documents)}
@@ -151,6 +209,11 @@ def test_postings_kernel_matches_dict_loop_oracle(data):
         one_shard.apply_mutations(**batch)
         three_shards.apply_mutations(**batch)
         oracle = DictLoopOracle(model, tag_bags, smooth_idf)
+        scratch = MatrixConceptSpace.compile(oracle.space)
+        one_shard.refresh()
+        three_shards.refresh()
+        for space in (built, *one_shard.shards, *three_shards.shards):
+            assert_statistics_match(space, scratch, oracle.space)
         for top_k in (k, None):
             truncated = top_k is not None
             on_bags = [oracle.space.rank(bag, top_k=top_k) for bag in queries]
