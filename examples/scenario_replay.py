@@ -39,6 +39,7 @@ from repro.datasets.vocabulary import build_default_vocabulary
 from repro.eval.reporting import format_table
 from repro.eval.workload import scenario_sweep
 from repro.load import SCENARIO_NAMES, build_scenario
+from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
 from repro.utils.errors import ConvergenceWarning
 
@@ -80,29 +81,22 @@ def main() -> None:
     print()
 
     def build_engine():
-        return SearchEngine.from_engine(
-            SearchEngine.build(
-                folksonomy, identity_concept_model(folksonomy.tags), name="scenario"
-            ),
-            num_shards=NUM_SHARDS,
+        built = SearchEngine.build(
+            folksonomy, identity_concept_model(folksonomy.tags), name="scenario"
+        )
+        return SearchEngine(
+            built.concept_model, built.matrix_space, name=built.name, cache=QueryCache()
         )
 
     # ------------------------------------------------------------------ #
     # 2. The chaos profile replays against a real process pool, so it
-    #    needs a published sharded save to fault workers of.
+    #    needs an N-shard save to fault workers of.
     # ------------------------------------------------------------------ #
     with tempfile.TemporaryDirectory() as tmp:
         save_dir = Path(tmp) / "index"
-        engine = SearchEngine.build(
+        SearchEngine.build(
             folksonomy, identity_concept_model(folksonomy.tags), name="scenario"
-        )
-        sharded = SearchEngine.from_engine(
-            engine, num_shards=NUM_SHARDS, cache_entries=None
-        )
-        try:
-            sharded.save(save_dir, mmap_ready=True)
-        finally:
-            sharded.close()
+        ).save(save_dir, mmap_ready=True, num_shards=NUM_SHARDS)
 
         # ------------------------------------------------------------- #
         # 3. Replay every profile under its invariant; any violation
@@ -117,8 +111,8 @@ def main() -> None:
         )
 
     print(
-        f"== scenario sweep ({NUM_SHARDS}-shard engine, {NUM_WORKERS} "
-        "workers; every row passed its invariant) =="
+        f"== scenario sweep (cached engine; chaos over a {NUM_SHARDS}-process "
+        f"pool; {NUM_WORKERS} workers; every row passed its invariant) =="
     )
     print(format_table(rows))
     print()

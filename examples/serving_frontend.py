@@ -6,7 +6,7 @@ query than one-at-a-time calls, but production traffic arrives as
 concurrent single queries.  This example walks the layer that closes the
 gap:
 
-1. build a sharded engine and wrap it in a
+1. build an engine (one space, fronted by a query cache) and wrap it in a
    :class:`~repro.serve.frontend.BatchingFrontend` — concurrent
    ``submit(tags, top_k)`` calls coalesce under a micro-batch window into
    single ``snapshot_rank_batch`` reads, identical in-flight queries are
@@ -36,19 +36,19 @@ from repro.datasets.vocabulary import build_default_vocabulary
 from repro.eval.reporting import format_table
 from repro.eval.serve import frontend_sweep
 from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
+from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
 from repro.serve import BatchingFrontend, FrontendConfig, Overloaded
 from repro.utils.errors import ConvergenceWarning
 
 warnings.filterwarnings("ignore", category=ConvergenceWarning)
 
-NUM_SHARDS = 2
 NUM_CLIENTS = 4
 
 
 def main() -> None:
     # ------------------------------------------------------------------ #
-    # 1. A corpus, a sharded engine, a batching front-end around it.
+    # 1. A corpus, a cached engine, a batching front-end around it.
     # ------------------------------------------------------------------ #
     config = GeneratorConfig(
         num_users=100,
@@ -68,11 +68,11 @@ def main() -> None:
     print()
 
     def build_engine():
-        return SearchEngine.from_engine(
-            SearchEngine.build(
-                folksonomy, identity_concept_model(folksonomy.tags), name="serve"
-            ),
-            num_shards=NUM_SHARDS,
+        built = SearchEngine.build(
+            folksonomy, identity_concept_model(folksonomy.tags), name="serve"
+        )
+        return SearchEngine(
+            built.concept_model, built.matrix_space, name=built.name, cache=QueryCache()
         )
 
     trace = WorkloadGenerator(

@@ -33,12 +33,12 @@ from repro.datasets.vocabulary import build_default_vocabulary
 from repro.eval.reporting import format_table
 from repro.eval.workload import workload_sweep
 from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
+from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
 from repro.utils.errors import ConvergenceWarning
 
 warnings.filterwarnings("ignore", category=ConvergenceWarning)
 
-NUM_SHARDS = 4
 NUM_WORKERS = 4
 
 
@@ -78,11 +78,11 @@ def main() -> None:
     print()
 
     def build_engine():
-        return SearchEngine.from_engine(
-            SearchEngine.build(
-                folksonomy, identity_concept_model(folksonomy.tags), name="workload"
-            ),
-            num_shards=NUM_SHARDS,
+        built = SearchEngine.build(
+            folksonomy, identity_concept_model(folksonomy.tags), name="workload"
+        )
+        return SearchEngine(
+            built.concept_model, built.matrix_space, name=built.name, cache=QueryCache()
         )
 
     # ------------------------------------------------------------------ #

@@ -120,7 +120,7 @@ class OfflineIndex:
         self,
         directory: Union[str, Path],
         include_folksonomy: bool = False,
-        num_shards: Optional[int] = None,
+        num_shards: int = 1,
         mmap_ready: bool = False,
     ) -> Path:
         """Write the serving artefacts (engine + metadata) to ``directory``.
@@ -129,9 +129,9 @@ class OfflineIndex:
         the engine so that a serving process restoring the snapshot can keep
         hot-applying deltas (at the cost of a larger artefact).
 
-        ``num_shards`` re-partitions a one-shard engine on the fly, so the
-        offline indexer can emit artefacts an N-process deployment loads
-        one shard each from.  ``mmap_ready=True`` writes the compiled
+        ``num_shards`` is the save layout (see :meth:`SearchEngine.save`):
+        the offline indexer can emit artefacts an N-process deployment
+        loads one shard each from.  ``mmap_ready=True`` writes the compiled
         arrays as raw ``.npy`` files instead of a compressed ``.npz``, the
         layout :class:`~repro.search.shardpool.ShardProcessPool` workers
         memory-map so one host's worker fleet shares a single page-cache
@@ -143,18 +143,13 @@ class OfflineIndex:
         recording them here made a reloaded index disagree with its own
         metadata.
         """
-        from repro.search.engine import SearchEngine
-
         if include_folksonomy and self.folksonomy is None:
             raise ConfigurationError(
                 "include_folksonomy=True but this index carries no folksonomy"
             )
-        engine = self.engine
-        if num_shards is not None and num_shards != engine.num_shards:
-            engine = SearchEngine.from_engine(engine, num_shards=num_shards)
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        engine.save(path, mmap_ready=mmap_ready)
+        self.engine.save(path, mmap_ready=mmap_ready, num_shards=num_shards)
         metadata = {
             "timings": {name: float(value) for name, value in self.timings.items()},
             "dataset_name": self.folksonomy.name if self.folksonomy else None,

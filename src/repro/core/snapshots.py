@@ -68,7 +68,7 @@ class IndexSnapshotStore:
     def save(
         self,
         index: OfflineIndex,
-        num_shards: Optional[int] = None,
+        num_shards: int = 1,
         mmap_ready: bool = False,
     ) -> Path:
         """Checkpoint ``index`` under its engine's current epoch.
@@ -83,9 +83,9 @@ class IndexSnapshotStore:
         refitting if the outgoing generation's snapshot must survive a
         same-epoch overwrite.
 
-        ``num_shards`` re-partitions a one-shard engine's checkpoint on the
-        fly; every checkpoint is the one engine layout (per-shard array
-        dirs + manifest), so an N-process deployment can point
+        ``num_shards`` is the checkpoint's save layout; every checkpoint is
+        the one engine layout (per-shard array dirs + manifest), so an
+        N-process deployment can point
         ``SearchEngine.load_shard`` — or a
         :class:`~repro.search.shardpool.ShardProcessPool` — at any snapshot
         directory (``mmap_ready=True`` writes the raw ``.npy`` array layout
@@ -174,7 +174,7 @@ class IndexSnapshotStore:
         index: OfflineIndex,
         generation: Optional[int] = None,
         make_current: bool = True,
-        num_shards: Optional[int] = None,
+        num_shards: int = 1,
         mmap_ready: bool = False,
     ) -> Path:
         """Write ``index`` as generation ``generation`` (next free by default).

@@ -8,10 +8,12 @@
   by the experiment drivers to print paper-style output.
 * :mod:`repro.eval.incremental` — replay of folksonomy delta streams
   against a serving index (the streaming-update workload).
-* :mod:`repro.eval.sharding` — parity + throughput sweep of sharded
-  engines against the monolithic baseline.
-* :mod:`repro.eval.shardpool` — the same sweep for the process-per-shard
-  pool: true multi-core fan-out, cold-start cost, degraded reads rejected.
+* :mod:`repro.eval.shardpool` — parity + throughput sweep of the
+  process-per-shard pool (N is a save layout and a pool size) against the
+  one-space engine: multi-core fan-out, cold-start cost, degraded reads
+  rejected.
+* :mod:`repro.eval.sharding` — re-exports the tie-aware comparator
+  :func:`rankings_match`.
 * :mod:`repro.eval.workload` — workload replay sweep: concurrent replay
   throughput at increasing worker counts, parity with the serial golden
   enforced.
@@ -40,7 +42,7 @@ from repro.eval.incremental import (
     replay_deltas,
 )
 from repro.eval.serve import frontend_sweep
-from repro.eval.sharding import rankings_match, sharding_sweep
+from repro.eval.sharding import rankings_match
 from repro.eval.shardpool import pool_sweep
 from repro.eval.workload import workload_sweep
 
@@ -62,7 +64,6 @@ __all__ = [
     "DeltaReplayStep",
     "replay_deltas",
     "rankings_match",
-    "sharding_sweep",
     "pool_sweep",
     "workload_sweep",
     "frontend_sweep",

@@ -1,8 +1,8 @@
 """Workload replay sweeps: throughput, scenarios, parity enforced.
 
 :func:`workload_sweep` is to the workload subsystem what
-:func:`repro.eval.sharding.sharding_sweep` is to sharding: it replays one
-deterministic trace serially (the golden reference, ``Workers == 0``) and
+:func:`repro.eval.shardpool.pool_sweep` is to the process pool: it replays
+one deterministic trace serially (the golden reference, ``Workers == 0``) and
 then concurrently at increasing worker counts, verifies every concurrent
 run against the golden with :func:`repro.load.check_replay_parity`, and
 returns rows for :func:`repro.eval.reporting.format_table` — throughput,
@@ -14,6 +14,10 @@ diverged from the golden raises instead of reporting.
 skew, rebuild storm, chaos fault injection — each under its *own*
 invariant (:func:`repro.load.check_scenario`) on top of the parity bar,
 and reports per-scenario latency, shed-rate and degradation columns.
+
+Engines are one space per process; N shards appear only as a save layout
+and a pool size — the chaos leg replays over a
+:class:`~repro.search.shardpool.ShardProcessPool` of an N-shard save.
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ def scenario_sweep(
     and multi-tenant legs replay through the micro-batching front-end
     (``frontend_config`` or a default) because their invariants read the
     dedup/admission books; diurnal replays paced because its trace is
-    stamped; chaos needs ``save_dir`` (a published sharded save) and
+    stamped; chaos needs ``save_dir`` (an N-shard save) and
     is skipped with a raise if it is requested without one.  Rows are
     :func:`repro.eval.reporting.format_table`-ready: per-scenario wall
     time, throughput, query quantiles, shed rate and degraded-read
@@ -159,7 +163,7 @@ def scenario_sweep(
             if save_dir is None:
                 raise ConfigurationError(
                     "the chaos scenario replays over a ShardProcessPool; "
-                    "pass save_dir= (a published sharded save directory)"
+                    "pass save_dir= (an N-shard save directory)"
                 )
             with build_engine() as golden_engine:
                 golden_rankings = quiesced_rankings(

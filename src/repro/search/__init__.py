@@ -11,19 +11,20 @@ dot products (Table VI).
   slots with idf applied per query term, one refresh routine for builds
   and fold-in mutations, ``.npz``/``.npy`` + JSON persistence.
 * :mod:`repro.search.engine` — the user-facing query interface: a concept
-  model over N >= 1 shards of the matrix space, mutation routing, the
-  coordinated refresh and the on-disk engine layout.
+  model over one matrix space, mutation fold-in and the on-disk engine
+  layout (N shards are a save layout, partitioned at write time).
 * :mod:`repro.search.vsm` / :mod:`repro.search.inverted_index` — the
   :class:`~repro.search.vsm.RankEngine` protocol every engine implements,
   plus the fit-once dict-loop reference of the same model (a test and
   benchmark oracle, not a serving path).
 * :mod:`repro.search.incremental` — staleness accounting for incrementally
   updated engines (epochs, refresh policy, fold-in drift reports).
-* :mod:`repro.search.sharding` — what the engine shards with: the stable
-  resource router, the heap top-k merge and the save-manifest reader.
-* :mod:`repro.search.shardpool` — the process-per-shard serving pool:
-  one worker process per shard (memory-mapped arrays, pipe IPC, typed
-  failure handling), true parallel fan-out that escapes the GIL.
+* :mod:`repro.search.sharding` — what saves and the pool shard with: the
+  stable resource router, the heap top-k merge and the save-manifest
+  reader.
+* :mod:`repro.search.shardpool` — the opt-in process-per-shard serving
+  pool: N is its size, one worker process per shard of an N-shard save
+  (memory-mapped arrays, pipe IPC, typed failure handling).
 * :mod:`repro.search.cache` — the LRU query result cache layered in front
   of scoring.
 * :mod:`repro.search.concurrency` — the reader/writer lock behind the
@@ -50,11 +51,7 @@ from repro.search.incremental import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.cache import QueryCache
-from repro.search.sharding import (
-    ShardRouter,
-    ShardedSearchEngine,
-    merge_topk,
-)
+from repro.search.sharding import ShardRouter, merge_topk
 from repro.search.shardpool import (
     PoolResult,
     ShardFailure,
@@ -90,7 +87,6 @@ __all__ = [
     "SearchEngine",
     "QueryCache",
     "ShardRouter",
-    "ShardedSearchEngine",
     "merge_topk",
     "PoolResult",
     "ShardFailure",

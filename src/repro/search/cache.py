@@ -23,7 +23,7 @@ keeps the whole old generation's memory from lingering until LRU
 pressure finds it).
 
 The cache is thread-safe: one lock guards the ordered map *and* the
-hit/miss/eviction counters, so a sharded engine can be queried from many
+hit/miss/eviction counters, so one engine can be queried from many
 serving threads and :meth:`stats` always returns a consistent snapshot
 (hits + misses equals the number of lookups even mid-storm).
 """

@@ -1,29 +1,24 @@
 """The user-facing search engine: tag queries in, ranked resources out.
 
 :class:`SearchEngine` glues together a :class:`~repro.core.concepts.ConceptModel`
-(how tags map to concepts) and N >= 1 row shards of one
+(how tags map to concepts) and one
 :class:`~repro.search.matrix_space.MatrixConceptSpace` (how resources are
 weighted).  It implements the *online* component of the paper's Figure 1:
 transform the query's tags into concepts, compute cosine similarities,
 return a ranked list.
 
-:meth:`SearchEngine.build` indexes a folksonomy into one shard;
-:meth:`SearchEngine.from_engine` re-partitions that along a
-:class:`~repro.search.sharding.ShardRouter`.  With more than one shard a
-query (or a whole ``rank_batch`` batch) is scored shard by shard on the
-calling thread and the per-shard top-k lists are heap-merged by
-:func:`~repro.search.sharding.merge_topk`; with one shard its ranking is
-returned as is.  The postings kernel is short numpy calls under one GIL,
-so in-process sharding buys capacity, not speed —
-:class:`~repro.search.shardpool.ShardProcessPool` is the parallel reader,
-this class the mutation coordinator and the parity reference.
+One space per process: N shards are a save layout (``save(...,
+num_shards=N)``) and a pool size
+(:class:`~repro.search.shardpool.ShardProcessPool`, one worker process per
+shard of such a save), never an in-process loop — the postings kernel is
+short numpy calls under one GIL, so scoring N shards in turn could only
+add a merge to the same row work.
 
-Mutations route each delta to the owning shard; the refresh is then
-coordinated — document frequencies are summed over the shards, one idf
-vector is derived and applied everywhere — so folded-in rankings match a
-from-scratch rebuild to 1e-9 at every shard count.  An optional
-:class:`~repro.search.cache.QueryCache` sits in front of scoring, keyed on
-the canonical tag multiset + epoch and cleared on every mutation batch.
+Mutations fold into the space through the frozen concept model and a lazy
+refresh, so folded-in rankings match a from-scratch rebuild to 1e-9.  An
+optional :class:`~repro.search.cache.QueryCache` sits in front of scoring,
+keyed on the canonical tag multiset + epoch and cleared on every mutation
+batch.
 
 Concurrency
 -----------
@@ -34,7 +29,7 @@ Queries (:meth:`SearchEngine.search` / :meth:`SearchEngine.rank_batch` /
 (:meth:`SearchEngine.apply_mutations` / :meth:`SearchEngine.refresh`) hold
 it exclusively.  A query arriving while mutations are pending first drives
 the refresh through the write path, then re-acquires read access — so a
-reader never observes a shard mid-refresh, and
+reader never observes the space mid-refresh, and
 :meth:`SearchEngine.snapshot_rank_batch` hands back results together with
 the exact epoch they were computed against.
 
@@ -42,8 +37,9 @@ Persistence
 -----------
 One layout at every shard count: a ``shard-NNNN/`` directory per shard (the
 space's arrays + JSON pair) plus ``shard_manifest.json`` carrying the
-router, the concept model and the serving metadata.  :meth:`SearchEngine.load`
-restores the whole engine; :meth:`SearchEngine.load_shard` one shard of it
+router, the concept model and the serving metadata.  :meth:`SearchEngine.save`
+partitions the space at write time; :meth:`SearchEngine.load` folds every
+shard back into one space; :meth:`SearchEngine.load_shard` opens one shard
 as a read-only view for an N-process deployment.
 """
 
@@ -67,19 +63,14 @@ from typing import (
 )
 
 from repro.core.concepts import Concept, ConceptModel
-from repro.search.cache import DEFAULT_MAX_ENTRIES, QueryCache
+from repro.search.cache import QueryCache
 from repro.search.concurrency import ReadWriteLock
 from repro.search.incremental import RefreshPolicy, StalenessReport
-from repro.search.matrix_space import (
-    MatrixConceptSpace,
-    refresh_spaces,
-    validate_top_k,
-)
+from repro.search.matrix_space import MatrixConceptSpace, validate_top_k
 from repro.search.sharding import (
     SHARD_MANIFEST_FILENAME,
     SHARD_MANIFEST_VERSION,
     ShardRouter,
-    merge_topk,
     read_shard_manifest,
 )
 from repro.search.vsm import RankedResult, RankEngine
@@ -96,27 +87,26 @@ def _mutation_counts(payload: Optional[Mapping[str, int]]) -> Dict[str, int]:
 
 
 class SearchEngine(RankEngine):
-    """Online query processing over N >= 1 shards of a concept-space index.
+    """Online query processing over one concept-space index.
 
-    Shards carry corpus-wide statistics; the engine is their coordinator —
-    the only writer that refreshes them (see
-    :func:`~repro.search.matrix_space.refresh_spaces`).  An engine
-    holding fewer shards than its router places onto (what
-    :meth:`load_shard` returns) is a read-only partial view: it ranks its
-    own rows with the corpus-wide statistics and refuses mutation.
+    The engine is the only writer of its space: mutations and the lazy
+    refresh they trigger run under its write lock.  An engine whose space
+    :attr:`~MatrixConceptSpace.has_external_stats` (what :meth:`load_shard`
+    returns for one shard of a partitioned save) is a read-only view: it
+    ranks its own rows with the corpus-wide statistics and refuses
+    mutation.
 
-    Instances come from :meth:`build`, :meth:`from_engine`, :meth:`load`
-    and :meth:`load_shard`; the engine owns no threads or processes, so
-    :meth:`close` is the inherited no-op.
+    Instances come from :meth:`build`, :meth:`load` and :meth:`load_shard`,
+    or from the constructor over an existing space (e.g. to put a
+    ``cache=QueryCache(...)`` in front of it); the engine owns no threads
+    or processes, so :meth:`close` is the inherited no-op.
 
     Attributes
     ----------
     concept_model:
         Maps tags (of resources and of queries) to concept ids.
-    shards:
-        The tf-idf spaces queries are scored against, in router order.
-    router:
-        Places every resource on exactly one shard.
+    matrix_space:
+        The tf-idf space queries are scored against.
     name:
         Identifier used in experiment reports (e.g. ``"cubelsi"``).
     refresh_policy:
@@ -135,8 +125,7 @@ class SearchEngine(RankEngine):
     def __init__(
         self,
         concept_model: ConceptModel,
-        shards: Sequence[MatrixConceptSpace],
-        router: ShardRouter,
+        matrix_space: MatrixConceptSpace,
         name: str = "cubelsi",
         refresh_policy: Optional[RefreshPolicy] = None,
         epoch: int = 0,
@@ -144,28 +133,14 @@ class SearchEngine(RankEngine):
         baseline_resources: Optional[int] = None,
         mutation_counts: Optional[Mapping[str, int]] = None,
     ) -> None:
-        self.shards: Tuple[MatrixConceptSpace, ...] = tuple(shards)
-        if len(self.shards) not in (1, router.num_shards):
-            raise ConfigurationError(
-                f"router places onto {router.num_shards} shards but "
-                f"{len(self.shards)} shard spaces were given"
-            )
-        if len(self.shards) > 1:
-            for index, shard in enumerate(self.shards):
-                for doc_id in shard.doc_ids:
-                    if router.shard_of(doc_id) != index:
-                        raise ConfigurationError(
-                            f"document {doc_id!r} sits on shard {index} but the "
-                            f"router places it on shard {router.shard_of(doc_id)}"
-                        )
         self.concept_model = concept_model
-        self.router = router
+        self.matrix_space = matrix_space
         self.name = name
         self.refresh_policy = refresh_policy or RefreshPolicy()
         self.epoch = int(epoch)
         self.cache = cache
         self._baseline_resources = (
-            sum(self.shard_sizes())
+            matrix_space.pending_num_documents
             if baseline_resources is None
             else int(baseline_resources)
         )
@@ -185,7 +160,7 @@ class SearchEngine(RankEngine):
         name: str = "cubelsi",
         refresh_policy: Optional[RefreshPolicy] = None,
     ) -> "SearchEngine":
-        """Build a one-shard engine by indexing every resource of ``folksonomy``.
+        """Build an engine by indexing every resource of ``folksonomy``.
 
         Each resource's bag of tags is translated to a bag of concepts with
         ``concept_model`` and indexed with tf-idf weights.
@@ -198,80 +173,10 @@ class SearchEngine(RankEngine):
             )
         return cls(
             concept_model=concept_model,
-            shards=[MatrixConceptSpace.from_bags(resource_bags, smooth_idf)],
-            router=ShardRouter(1),
+            matrix_space=MatrixConceptSpace.from_bags(resource_bags, smooth_idf),
             name=name,
             refresh_policy=refresh_policy,
         )
-
-    @classmethod
-    def from_engine(
-        cls,
-        engine: "SearchEngine",
-        num_shards: Optional[int] = None,
-        router: Optional[ShardRouter] = None,
-        cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-    ) -> "SearchEngine":
-        """Re-partition a one-shard engine along a router's placement.
-
-        The engine's space is sliced row-wise; epoch, staleness counters
-        and refresh policy carry over, so the new engine reports the same
-        drift the source does.  ``cache_entries`` sizes the query result
-        cache (``0``/``None`` disables it).
-        """
-        if router is None:
-            if num_shards is None:
-                raise ConfigurationError(
-                    "from_engine needs num_shards or an explicit router"
-                )
-            router = ShardRouter(num_shards)
-        elif num_shards is not None and router.num_shards != num_shards:
-            raise ConfigurationError(
-                f"router places onto {router.num_shards} shards but "
-                f"num_shards={num_shards} was requested"
-            )
-        with engine._read_fresh():
-            shards = engine.matrix_space.partition(
-                router.num_shards, router.shard_of
-            )
-            return cls(
-                concept_model=engine.concept_model,
-                shards=shards,
-                router=router,
-                name=engine.name,
-                refresh_policy=engine.refresh_policy,
-                epoch=engine.epoch,
-                cache=QueryCache(cache_entries) if cache_entries else None,
-                baseline_resources=engine._baseline_resources,
-                mutation_counts=engine._mutations,
-            )
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def matrix_space(self) -> MatrixConceptSpace:
-        """The one space of a one-shard engine."""
-        if len(self.shards) != 1:
-            raise ConfigurationError(
-                f"this engine holds {len(self.shards)} shards; matrix_space "
-                "is only defined for a one-shard engine"
-            )
-        return self.shards[0]
-
-    def shard_sizes(self) -> List[int]:
-        """Documents per shard, pending mutations included."""
-        return [shard.pending_num_documents for shard in self.shards]
-
-    def _shard_of(self, resource: str) -> int:
-        """Index into :attr:`shards` of the space that owns ``resource``."""
-        if len(self.shards) == 1:
-            return 0
-        return self.router.shard_of(resource)
 
     # ------------------------------------------------------------------ #
     # Querying
@@ -283,8 +188,8 @@ class SearchEngine(RankEngine):
         If mutations are pending, the refresh is driven through the write
         path first; the loop re-checks after acquiring read access because
         another writer may have mutated in between.  Within the ``with``
-        body no mutation or refresh can run, so the epoch and every
-        shard's arrays are one consistent snapshot.
+        body no mutation or refresh can run, so the epoch and the space's
+        arrays are one consistent snapshot.
         """
         while True:
             self._rw.acquire_read()
@@ -322,12 +227,11 @@ class SearchEngine(RankEngine):
         queries: Sequence[Sequence[str]],
         top_k: Optional[int] = None,
     ) -> List[List[RankedResult]]:
-        """Rank a whole batch of tag queries in one pass over every shard.
+        """Rank a whole batch of tag queries in one pass over the space.
 
         Cache hits (canonical tag multiset + ``top_k`` + epoch) are served
-        without touching the shards; misses — deduplicated within the
-        batch — are scored against each shard's postings and fill the
-        cache.  The i-th result list always corresponds to the i-th query,
+        without touching the space; misses — deduplicated within the
+        batch — are scored against its postings and fill the cache.  The i-th result list always corresponds to the i-th query,
         with empty/unmatchable queries producing empty lists.  An empty
         batch yields an empty list, and an invalid ``top_k`` is rejected
         up front even when no query is scorable.
@@ -372,7 +276,7 @@ class SearchEngine(RankEngine):
         bags = [self.query_concepts(tags) for tags in queries]
         if self.cache is None:
             # An empty bag ranks to an empty list in the space itself.
-            return self._rank_bags(bags, top_k)
+            return self.matrix_space.rank_batch(bags, top_k)
 
         results: List[List[RankedResult]] = [[] for _ in queries]
         miss_positions: Dict[Hashable, List[int]] = {}
@@ -391,7 +295,7 @@ class SearchEngine(RankEngine):
             miss_positions[key] = [position]
             miss_bags[key] = bag
         if miss_positions:
-            ranked = self._rank_bags(
+            ranked = self.matrix_space.rank_batch(
                 [miss_bags[key] for key in miss_positions], top_k
             )
             for key, result in zip(miss_positions, ranked):
@@ -399,22 +303,6 @@ class SearchEngine(RankEngine):
                 for position in miss_positions[key]:
                     results[position] = list(result)
         return results
-
-    def _rank_bags(
-        self,
-        bags: Sequence[Mapping[int, float]],
-        top_k: Optional[int],
-    ) -> List[List[RankedResult]]:
-        """Score concept bags on every shard; caller holds the read lock."""
-        if len(self.shards) == 1:
-            return self.shards[0].rank_batch(bags, top_k)
-        per_shard = [shard.rank_batch(bags, top_k) for shard in self.shards]
-        return [
-            merge_topk(
-                [shard_lists[position] for shard_lists in per_shard], top_k
-            )
-            for position in range(len(bags))
-        ]
 
     def ranked_resources(
         self, query_tags: Sequence[str], top_k: Optional[int] = None
@@ -428,25 +316,22 @@ class SearchEngine(RankEngine):
             concept_bag = self.query_concepts(query_tags)
             if not concept_bag:
                 return 0.0
-            shard = self.shards[self._shard_of(resource)]
-            return shard.cosine(concept_bag, resource)
+            return self.matrix_space.cosine(concept_bag, resource)
 
     def explain(self, query_tags: Sequence[str], resource: str) -> Dict[str, object]:
         """A debugging breakdown of how a resource scored for a query.
 
-        The document's weights come from the shard that owns it; the
-        query's from any shard (idf is corpus-wide).  Vectors and the
-        cosine are read inside one reader-held region (the cosine is
-        computed inline — :meth:`score` would re-enter the non-reentrant
-        lock), so the breakdown reflects a single index state even while
-        mutations race.
+        Vectors and the cosine are read inside one reader-held region (the
+        cosine is computed inline — :meth:`score` would re-enter the
+        non-reentrant lock), so the breakdown reflects a single index state
+        even while mutations race.
         """
         with self._read_fresh():
-            shard = self.shards[self._shard_of(resource)]
+            space = self.matrix_space
             concept_bag = self.query_concepts(query_tags)
-            query_vector = shard.query_weights(concept_bag)
-            resource_vector = shard.document_weights(resource)
-            cosine = shard.cosine(concept_bag, resource)
+            query_vector = space.query_weights(concept_bag)
+            resource_vector = space.document_weights(resource)
+            cosine = space.cosine(concept_bag, resource)
         overlap = {
             concept: (query_vector.get(concept, 0.0), resource_vector.get(concept, 0.0))
             for concept in set(query_vector) | set(resource_vector)
@@ -459,17 +344,16 @@ class SearchEngine(RankEngine):
         }
 
     # ------------------------------------------------------------------ #
-    # Incremental updates (fold-in through the frozen concept model,
-    # deltas routed to the owning shard)
+    # Incremental updates (fold-in through the frozen concept model)
     # ------------------------------------------------------------------ #
     @property
     def is_mutable(self) -> bool:
-        """Whether this engine holds every shard (a partial view is read-only)."""
-        return len(self.shards) == self.router.num_shards
+        """Whether this engine holds the whole index (a shard is read-only)."""
+        return not self.matrix_space.has_external_stats
 
     def has_resource(self, resource: str) -> bool:
         """Whether ``resource`` is currently indexed (pending ops included)."""
-        return self.shards[self._shard_of(resource)].has_document(resource)
+        return self.matrix_space.has_document(resource)
 
     @property
     def num_indexed_resources(self) -> int:
@@ -478,15 +362,14 @@ class SearchEngine(RankEngine):
         Deliberately does *not* trigger the lazy refresh — staleness
         accounting after a mutation must stay O(1).
         """
-        return sum(self.shard_sizes())
+        return self.matrix_space.pending_num_documents
 
-    def _require_every_shard(self, action: str) -> None:
-        if len(self.shards) < self.router.num_shards:
+    def _require_mutable(self, action: str) -> None:
+        if not self.is_mutable:
             raise ConfigurationError(
-                f"this engine is a read-only view of {len(self.shards)} of "
-                f"the index's {self.router.num_shards} shards (idf and "
-                f"num_resources are corpus-wide) and cannot {action}; use "
-                "an engine that holds every shard"
+                "this engine is a read-only view of one shard of a "
+                "partitioned save (idf and num_resources are corpus-wide) "
+                f"and cannot {action}; load the whole index instead"
             )
 
     def _prepare_mutation_batch(
@@ -502,7 +385,7 @@ class SearchEngine(RankEngine):
         rejected, a batch that would empty the corpus is rejected, and only
         then is every tag bag mapped through the *frozen* concept model
         with dynamic-concept allocation.  Returns ``(added_bags,
-        updated_bags, removed)`` ready to push into the shards, or ``None``
+        updated_bags, removed)`` ready to push into the space, or ``None``
         for an empty (no-op) batch.
         """
         added = dict(added or {})
@@ -554,38 +437,27 @@ class SearchEngine(RankEngine):
         """Apply one batch of resource mutations; bumps the epoch once.
 
         All tag bags are mapped through the *frozen* concept model
-        (LSI-style fold-in) and pushed into the shard the router owns them
-        to; idf and norms recompute lazily on the next read and the query
-        cache is invalidated.  Everything is validated before anything is
-        applied (a read-only partial view refuses before dynamic-concept
-        allocation), so a rejected batch has no side effects, and additions
-        land before removals so a batch that swaps most of the corpus never
-        looks momentarily empty.  A shard may legally drain empty as long as
-        the corpus keeps at least one resource.
+        (LSI-style fold-in) and pushed into the space; idf and norms
+        recompute lazily on the next read and the query cache is
+        invalidated.  Everything is validated before anything is applied (a
+        read-only shard view refuses before dynamic-concept allocation), so
+        a rejected batch has no side effects, and additions land before
+        removals so a batch that swaps most of the corpus never looks
+        momentarily empty.
         """
-        self._require_every_shard("mutate")
+        self._require_mutable("mutate")
         with self._rw.write():
             batch = self._prepare_mutation_batch(added, updated, removed)
             if batch is None:
                 return self.staleness()
             added_bags, updated_bags, removed = batch
-            routed: List[Dict[str, object]] = [
-                {"added": {}, "updated": {}, "removed": []} for _ in self.shards
-            ]
-            for resource, bag in added_bags.items():
-                routed[self._shard_of(resource)]["added"][resource] = bag
+            space = self.matrix_space
+            if added_bags:
+                space.add_documents(added_bags)
             for resource, bag in updated_bags.items():
-                routed[self._shard_of(resource)]["updated"][resource] = bag
-            for resource in removed:
-                routed[self._shard_of(resource)]["removed"].append(resource)
-
-            for shard, delta in zip(self.shards, routed):
-                if delta["added"]:
-                    shard.add_documents(delta["added"])
-                for resource, bag in delta["updated"].items():
-                    shard.update_document(resource, bag)
-                if delta["removed"]:
-                    shard.remove_documents(delta["removed"], allow_empty=True)
+                space.update_document(resource, bag)
+            if removed:
+                space.remove_documents(removed)
 
             self.epoch += 1
             self._mutations["added"] += len(added_bags)
@@ -618,32 +490,26 @@ class SearchEngine(RankEngine):
 
     def _needs_refresh(self) -> bool:
         """Whether pending mutations await the lazy statistics refresh."""
-        return any(shard.is_stale for shard in self.shards)
+        return self.matrix_space.is_stale
 
     def refresh(self) -> bool:
-        """Coordinated refresh across every shard; True if work was done.
+        """Fold pending mutations into the space; True if work was done.
 
-        :func:`~repro.search.matrix_space.refresh_spaces` over the shards:
-        pending mutations splice the postings they touch, the shards'
-        maintained document frequencies are summed and one corpus-wide idf
-        vector is shared by every shard — exactly the statistics a
+        :meth:`MatrixConceptSpace.refresh`: pending mutations splice the
+        postings they touch and the idf vector is re-derived from the
+        maintained document frequencies — exactly the statistics a
         from-scratch build over the whole corpus computes.  Runs under the
         exclusive side of the engine's read/write lock, so no concurrent
-        query can observe a shard mid-refresh; readers arriving while
+        query can observe the space mid-refresh; readers arriving while
         mutations are pending drive this refresh themselves before scoring.
         """
         if not self._needs_refresh():
             return False
         with self._rw.write():
-            return self._refresh_in_write_lock()
-
-    def _refresh_in_write_lock(self) -> bool:
-        if not self._needs_refresh():  # another writer refreshed meanwhile
-            return False
-        self._require_every_shard("refresh")
-        refresh_spaces(self.shards)
-        self._pending_batches = 0
-        return True
+            if not self.matrix_space.refresh():  # another writer refreshed
+                return False
+            self._pending_batches = 0
+            return True
 
     def staleness(self) -> StalenessReport:
         """How far the engine has drifted since its last full (re)fit (O(1))."""
@@ -666,7 +532,6 @@ class SearchEngine(RankEngine):
         return {
             "name": self.name,
             "epoch": self.epoch,
-            "num_shards": len(self.shards),
             "staleness": self.staleness().as_dict(),
         }
 
@@ -674,11 +539,16 @@ class SearchEngine(RankEngine):
     # Persistence (one array dir per shard + one manifest)
     # ------------------------------------------------------------------ #
     def save(
-        self, directory: Union[str, Path], mmap_ready: bool = False
+        self,
+        directory: Union[str, Path],
+        mmap_ready: bool = False,
+        num_shards: int = 1,
     ) -> Path:
-        """Persist the engine: per-shard dirs + a manifest.
+        """Persist the engine: ``num_shards`` shard dirs + a manifest.
 
-        Each shard saves its arrays + JSON pair under ``shard-NNNN/``;
+        The space is partitioned at write time along
+        ``ShardRouter(num_shards)``; each shard saves its arrays + JSON
+        pair under ``shard-NNNN/`` with the corpus-wide statistics, and
         ``shard_manifest.json`` records the router, the concept model and
         the serving metadata.  Dynamic (``own-concept``) concepts travel
         with the manifest: their columns live in the persisted count
@@ -690,12 +560,18 @@ class SearchEngine(RankEngine):
         ``mmap=True`` — and hence the process pool's near-instant worker
         start — is available; the default keeps the compact ``.npz``.
         """
-        self._require_every_shard("save")
+        self._require_mutable("save")
+        router = ShardRouter(num_shards)
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         with self._read_fresh():
+            shards = (
+                [self.matrix_space]
+                if num_shards == 1
+                else self.matrix_space.partition(num_shards, router.shard_of)
+            )
             shard_entries = []
-            for index, shard in enumerate(self.shards):
+            for index, shard in enumerate(shards):
                 shard_dir = f"shard-{index:04d}"
                 shard.save(path / shard_dir, mmap_ready=mmap_ready)
                 shard_entries.append(
@@ -707,7 +583,7 @@ class SearchEngine(RankEngine):
             payload = {
                 "format_version": SHARD_MANIFEST_VERSION,
                 "name": self.name,
-                "router": self.router.to_json(),
+                "router": router.to_json(),
                 "shards": shard_entries,
                 "concept_model": concept_model_to_json(self.concept_model),
                 "epoch": self.epoch,
@@ -731,24 +607,35 @@ class SearchEngine(RankEngine):
                 index = int(stale_dir.name.split("-", 1)[1])
             except ValueError:
                 continue
-            if index >= len(self.shards):
+            if index >= num_shards:
                 shutil.rmtree(stale_dir)
         return path
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "SearchEngine":
-        """Restore a whole engine saved by :meth:`save`."""
+        """Restore a whole engine saved by :meth:`save`, at any shard count.
+
+        The shards of a partitioned save are folded back into one space:
+        their tf rows go through :meth:`MatrixConceptSpace.from_bags`, the
+        build every space comes from, so the engine ranks like the one that
+        was saved (to 1e-9) and accepts mutations.
+        """
         path = Path(directory)
         payload = read_shard_manifest(path)
-        shard_entries = payload["shards"]
+        shards = [
+            MatrixConceptSpace.load(path / entry["directory"])
+            for entry in payload["shards"]
+        ]
+        space = shards[0]
+        if len(shards) > 1:
+            rows: Dict[str, Dict[Hashable, float]] = {}
+            for shard in shards:
+                rows.update(shard.tf_bags())
+            space = MatrixConceptSpace.from_bags(rows, space.smooth_idf)
         cache_entries = int(payload.get("cache_entries") or 0)
         return cls(
             concept_model=concept_model_from_json(payload["concept_model"]),
-            shards=[
-                MatrixConceptSpace.load(path / entry["directory"])
-                for entry in shard_entries
-            ],
-            router=ShardRouter.from_json(payload["router"]),
+            matrix_space=space,
             name=payload["name"],
             refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
             epoch=int(payload.get("epoch", 0)),
@@ -771,8 +658,9 @@ class SearchEngine(RankEngine):
         behind any top-k merging frontend.  ``mmap=True`` memory-maps the
         shard's arrays instead of reading them into RAM — requires a save
         made with ``mmap_ready=True``.  Unless the save has a single shard,
-        mutations are rejected (statistics are corpus-wide); route them
-        through an engine that holds every shard.
+        the shard's space :attr:`~MatrixConceptSpace.has_external_stats`
+        and mutations are rejected (statistics are corpus-wide); route them
+        through :meth:`load` of the whole save.
         """
         path = Path(directory)
         payload = read_shard_manifest(path)
@@ -784,8 +672,9 @@ class SearchEngine(RankEngine):
         entry = shard_entries[shard_id]
         return cls(
             concept_model=concept_model_from_json(payload["concept_model"]),
-            shards=[MatrixConceptSpace.load(path / entry["directory"], mmap=mmap)],
-            router=ShardRouter.from_json(payload["router"]),
+            matrix_space=MatrixConceptSpace.load(
+                path / entry["directory"], mmap=mmap
+            ),
             name=f"{payload['name']}-shard{shard_id}",
             refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
             epoch=int(payload.get("epoch", 0)),
@@ -794,7 +683,6 @@ class SearchEngine(RankEngine):
     def __repr__(self) -> str:
         return (
             f"SearchEngine(name={self.name!r}, "
-            f"num_shards={len(self.shards)}, "
             f"resources={self.num_indexed_resources}, epoch={self.epoch})"
         )
 

@@ -11,11 +11,11 @@ products" claim (Table VI) hold at scale.
 
 idf is applied at query time — one multiply per query term — so a change in
 corpus size, which moves every term's idf, rewrites no posting.
-:func:`refresh_spaces` folds mutations in at the cost of what they touch:
-the postings of the terms a written or dropped document carries, document
-frequency as a maintained vector, and one vectorized norm pass.  A build, a
-standalone refresh and an engine's coordinated refresh of N shards are that
-one routine over one or N spaces.
+:meth:`MatrixConceptSpace.refresh` folds mutations in at the cost of what
+they touch: the postings of the terms a written or dropped document
+carries, document frequency as a maintained vector, and one vectorized norm
+pass.  A build is that same refresh over a space every document is pending
+in.
 
 The space is also the unit of persistence: :meth:`save` writes the
 postings (a compressed ``.npz`` archive, or raw per-array ``.npy`` files
@@ -228,17 +228,16 @@ class MatrixConceptSpace:
         edges = list(zip(bounds.tolist(), bounds.tolist()[1:]))
         self._post_rows = [rows[a:b] for a, b in edges]
         self._post_tf = [tf[a:b] for a, b in edges]
-        self._df = np.diff(bounds)  #: documents of *this* space per column
+        self._df = np.diff(bounds)  #: documents per column
         self._alive = np.ones(len(self._terms), dtype=bool)
         self._idf, self._doc_norms = idf, arrays["doc_norms"]
         self._num_resources = int(num_resources)
         self._smooth_idf = bool(smooth_idf)
         self._pending_upsert: Dict[str, Dict[Hashable, float]] = {}
         self._pending_remove: set = set()
-        # Shards of a sharded index carry *global* statistics (idf over the
-        # whole corpus, corpus-wide num_resources) that only their
-        # coordinator may recompute; a shard-local refresh would silently
-        # reweigh the shard against its own rows.
+        # Shards of a partitioned save carry *global* statistics (idf over
+        # the whole corpus, corpus-wide num_resources); a shard-local
+        # refresh would silently reweigh the shard against its own rows.
         self._external_stats = bool(external_stats)
         self._refresh_lock = threading.Lock()
 
@@ -254,10 +253,9 @@ class MatrixConceptSpace:
         """Build the space from ``resource -> {term -> occurrence count}``.
 
         Every document is added, in ascending resource-id order, to an
-        empty space that :func:`refresh_spaces` then folds — the pass a
-        post-mutation :meth:`refresh` runs — so a build and a refresh over
-        the same corpus produce the same arrays.  Non-positive counts are
-        dropped.
+        empty space that :meth:`refresh` then folds — the pass a
+        post-mutation refresh runs — so a build and a refresh over the same
+        corpus produce the same arrays.  Non-positive counts are dropped.
         """
         if not resource_bags:
             raise ConfigurationError("cannot build a concept space on zero resources")
@@ -265,7 +263,7 @@ class MatrixConceptSpace:
         empty["post_indptr"] = np.zeros(1, dtype=np.intp)
         space = cls(doc_ids=(), terms=(), arrays=empty, smooth_idf=smooth_idf)
         space.add_documents({d: resource_bags[d] for d in sorted(resource_bags)})
-        refresh_spaces([space])
+        space.refresh()
         return space
 
     @classmethod
@@ -345,6 +343,23 @@ class MatrixConceptSpace:
             if weight != 0.0
         }
 
+    def tf_bags(self) -> Dict[str, Dict[Hashable, float]]:
+        """Every document's ``term -> tf`` row (Eq. 2), ascending ids.
+
+        Read off the postings, so a space rebuilt by :meth:`from_bags` over
+        the rows of several shards ranks like the space they were cut from.
+        """
+        self.refresh()
+        bounds, rows, tf = self._postings
+        columns = np.repeat(np.arange(len(self._terms)), np.diff(bounds))
+        bags: Dict[str, Dict[Hashable, float]] = {d: {} for d in self._sorted_ids}
+        order = np.argsort(rows, kind="stable")  # slot-major, columns ascending
+        for slot, column, value in zip(
+            rows[order].tolist(), columns[order].tolist(), tf[order].tolist()
+        ):
+            bags[self._slot_ids[slot]][self._terms[column]] = value
+        return bags
+
     def query_weights(
         self, query_bag: Mapping[Hashable, float]
     ) -> Dict[Hashable, float]:
@@ -371,7 +386,7 @@ class MatrixConceptSpace:
 
     @property
     def has_external_stats(self) -> bool:
-        """Whether idf/num_resources are owned by a sharding coordinator."""
+        """Whether idf/num_resources are corpus-wide figures of a partition."""
         return self._external_stats
 
     @property
@@ -408,20 +423,13 @@ class MatrixConceptSpace:
                 term: float(c) for term, c in bag.items() if c > 0
             }
 
-    def remove_documents(
-        self, doc_ids: Sequence[str], allow_empty: bool = False
-    ) -> None:
-        """Drop documents (lazily applied, like :meth:`add_documents`).
-
-        ``allow_empty=True`` lets the space drain to zero rows — a sharding
-        coordinator needs that, because emptying one shard is legal as long
-        as the *corpus* (which the coordinator guards) stays non-empty.
-        """
+    def remove_documents(self, doc_ids: Sequence[str]) -> None:
+        """Drop documents (lazily applied, like :meth:`add_documents`)."""
         doc_ids = list(doc_ids)
         for doc_id in doc_ids:
             if not self.has_document(doc_id):
                 raise ConfigurationError(f"document {doc_id!r} is not indexed")
-        if not allow_empty and self.pending_num_documents - len(set(doc_ids)) < 1:
+        if self.pending_num_documents - len(set(doc_ids)) < 1:
             raise ConfigurationError(
                 "cannot remove every document; rebuild the space instead"
             )
@@ -443,13 +451,16 @@ class MatrixConceptSpace:
     def refresh(self) -> bool:
         """Fold pending mutations in; True if work was done.
 
-        :func:`refresh_spaces` over this one space, after which it ranks
-        like a from-scratch build over the mutated corpus (to 1e-9).
+        The one refresh there is: fold each pending row (splicing only the
+        postings of the terms it touches), derive the Eq. 1 idf vector from
+        the maintained document frequencies and redo the norms — after
+        which the space ranks like a from-scratch build over the mutated
+        corpus (to 1e-9).  A term no document carries any more keeps its
+        (empty) column.
 
-        Spaces with :attr:`has_external_stats` (shards of a sharded index)
-        refuse a local refresh while stale: their idf and ``num_resources``
-        are corpus-wide figures that only the owning coordinator can
-        recompute (the same routine over every shard).
+        Spaces with :attr:`has_external_stats` (shards of a partitioned
+        save) refuse a local refresh while stale: their idf and
+        ``num_resources`` are corpus-wide figures no shard can recompute.
 
         Mutations and the refresh they trigger are *writer-side* operations:
         concurrent refreshes are serialised by a lock, but concurrent query
@@ -461,38 +472,40 @@ class MatrixConceptSpace:
             return False
         if self._external_stats:
             raise ConfigurationError(
-                "this space is a shard carrying coordinated corpus-wide "
-                "statistics; refresh it through the owning SearchEngine"
+                "this space is a shard carrying corpus-wide statistics of a "
+                "partitioned save; refresh the whole index instead"
             )
         with self._refresh_lock:
             if not self.is_stale:  # another thread refreshed while we waited
                 return False
-            refresh_spaces([self])
+            self._fold_pending()
+            self._apply_statistics()
             return True
 
     # ------------------------------------------------------------------ #
-    # The steps of :func:`refresh_spaces` (writer-side, unlocked)
+    # The steps of :meth:`refresh` (writer-side, unlocked)
     # ------------------------------------------------------------------ #
-    def fold_pending(self, new_terms: Sequence[Hashable]) -> Tuple[Hashable, ...]:
-        """Fold pending mutations into the postings; returns the vocabulary.
+    def _fold_pending(self) -> None:
+        """Fold pending mutations into the postings.
 
-        The vocabulary grows by ``new_terms`` (the union over every aligned
-        space's pending bags).  An added document takes a new slot, an
-        updated one keeps its own, a removed one frees its slot, and only
-        the postings of terms a written or dropped document carries are
-        spliced.  The caller asserts cross-shard alignment on the result.
+        The vocabulary grows by the pending bags' unseen terms.  An added
+        document takes a new slot, an updated one keeps its own, a removed
+        one frees its slot, and only the postings of terms a written or
+        dropped document carries are spliced.
         """
+        upsert, removed = self._pending_upsert, self._pending_remove
+        self._pending_upsert, self._pending_remove = {}, set()
+        pending: Dict[Hashable, float] = {}  # its keys: an insertion-ordered set
+        for bag in upsert.values():
+            pending.update(bag)
+        new_terms = tuple(term for term in pending if term not in self._term_index)
         if new_terms:
             first = len(self._terms)
-            self._terms += tuple(new_terms)
+            self._terms += new_terms
             self._term_index.update(zip(new_terms, range(first, len(self._terms))))
             self._post_rows.extend([_NO_ROWS] * len(new_terms))
             self._post_tf.extend([_NO_TF] * len(new_terms))
             self._df = np.concatenate((self._df, np.zeros(len(new_terms), np.int64)))
-        if not self.is_stale:
-            return self._terms
-        upsert, removed = self._pending_upsert, self._pending_remove
-        self._pending_upsert, self._pending_remove = {}, set()
         index = self._doc_index
         added = sorted(doc_id for doc_id in upsert if doc_id not in index)
         dropped = [index[d] for d in removed] + [index[d] for d in upsert if d in index]
@@ -517,7 +530,6 @@ class MatrixConceptSpace:
             new_columns,
             np.array(counts) / totals,  # Eq. 2
         )
-        return self._terms
 
     def _reorder(self, removed_slots: np.ndarray, added: List[str]) -> None:
         """Give ``added`` (ascending ids) new slots and re-rank every slot.
@@ -606,22 +618,21 @@ class MatrixConceptSpace:
             self._post_tf[column] = tf[start:end]
         self._df[touched] = np.diff(edges)
 
-    def apply_statistics(
-        self, idf: np.ndarray, alive: np.ndarray, num_resources: int
-    ) -> None:
-        """Install corpus-wide statistics, re-pack the postings, re-derive norms.
+    def _apply_statistics(self) -> None:
+        """Derive idf from document frequency, re-pack the postings and norms.
 
-        ``idf``/``alive``/``num_resources`` are local figures for a
-        standalone space and corpus-wide ones for a shard.  The postings
-        hold plain tf and need nothing; the norms are one exact vectorised
-        pass over them — each entry is ``tf * idf`` (Eq. 2 x Eq. 1), and a
-        row's squared weights accumulate in ascending-column order.
+        The postings hold plain tf and need nothing; the norms are one exact
+        vectorised pass over them — each entry is ``tf * idf`` (Eq. 2 x
+        Eq. 1), and a row's squared weights accumulate in ascending-column
+        order.
         """
-        if idf.shape != (len(self._terms),):
-            raise ConfigurationError(
-                f"idf vector of length {idf.shape} does not match the "
-                f"{len(self._terms)}-term vocabulary"
-            )
+        num_documents = len(self._doc_index)
+        alive = self._df > 0
+        if self._smooth_idf:
+            idf = np.log((num_documents + 1.0) / (self._df + 1.0)) + 1.0
+        else:
+            # A column no document carries has idf 0, as an unseen term does.
+            idf = np.log(num_documents / np.maximum(self._df, 1)) * alive
         self._postings = (
             np.concatenate(([0], np.cumsum(self._df))),
             np.concatenate([_NO_ROWS] + self._post_rows),
@@ -633,7 +644,7 @@ class MatrixConceptSpace:
         )
         self._idf = idf
         self._alive = alive
-        self._num_resources = int(num_resources)
+        self._num_resources = num_documents
 
     # ------------------------------------------------------------------ #
     # Partitioning (sharded serving) and compaction
@@ -675,7 +686,7 @@ class MatrixConceptSpace:
         global ``num_resources``, so every sliced row scores bit-for-bit
         like it does in this space; only the set of candidate documents
         shrinks.  The returned space has :attr:`has_external_stats` set —
-        its statistics stay owned by whoever coordinates the shards.
+        its statistics are frozen, so it refuses a local refresh.
         """
         self.refresh()
         ordered = sorted(doc_ids)
@@ -959,46 +970,6 @@ class MatrixConceptSpace:
             if weight != 0.0:
                 weights[column] = weight
         return weights, out_of_vocab_sq
-
-
-def refresh_spaces(spaces: Sequence["MatrixConceptSpace"]) -> None:
-    """Fold pending mutations into column-aligned ``spaces``, as one corpus.
-
-    The one refresh there is — over a fresh space it is the build, over
-    ``[space]`` a standalone refresh, over an engine's shards (disjoint
-    rows, shared vocabulary and statistics) the coordinated one: union the
-    new terms so every vocabulary gets the same extension, fold each
-    space's pending rows (splicing only the postings of the terms they
-    touch), sum the maintained document-frequency vectors, derive one Eq. 1
-    idf vector and apply it everywhere — the statistics a from-scratch
-    build over the union of the rows computes.  A term no document carries
-    any more keeps its (empty) column.
-
-    Writer-side and unlocked: a standalone space calls it under its own
-    refresh lock, an engine under its write lock.
-    """
-    pending: Dict[Hashable, float] = {}  # its keys: an insertion-ordered set
-    for space in spaces:
-        for bag in space._pending_upsert.values():
-            pending.update(bag)
-    vocabulary = spaces[0]._term_index
-    extension = tuple(term for term in pending if term not in vocabulary)
-    vocabularies = {space.fold_pending(extension) for space in spaces}
-    if len(vocabularies) != 1:
-        raise ConfigurationError(
-            "shard vocabularies drifted out of alignment; the index "
-            "is corrupt — rebuild it from the offline pipeline"
-        )
-    document_frequency = sum(space._df for space in spaces)
-    num_documents = sum(len(space._doc_index) for space in spaces)
-    alive = document_frequency > 0
-    if spaces[0].smooth_idf:
-        idf = np.log((num_documents + 1.0) / (document_frequency + 1.0)) + 1.0
-    else:
-        # A column no document carries has idf 0, as an unseen term does.
-        idf = np.log(num_documents / np.maximum(document_frequency, 1)) * alive
-    for space in spaces:
-        space.apply_statistics(idf, alive, num_documents)
 
 
 def _encode_terms(terms: Sequence[Hashable]) -> Dict[str, object]:

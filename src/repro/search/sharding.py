@@ -1,29 +1,27 @@
 """Sharding primitives: resource placement, top-k merge, the save manifest.
 
-:class:`~repro.search.engine.SearchEngine` holds N >= 1 row shards of one
-concept space; this module is what it shards *with*:
+N shards are a save layout and a pool size, never an in-process engine:
+:meth:`SearchEngine.save(..., num_shards=N) <repro.search.engine.SearchEngine.save>`
+partitions the one space at write time and
+:class:`~repro.search.shardpool.ShardProcessPool` serves one shard per
+worker process.  This module is what both shard *with*:
 
 * :class:`ShardRouter` — a stable hash (CRC-32) of the resource id places
   every resource on exactly one of N shards, identically in every process
   that ever routes for the same corpus.
 * :func:`merge_topk` — heap-merges per-shard top-k lists under the
   engine-wide deterministic tie-break (descending score, ascending
-  resource id); shared by the in-process N-shard engine and the
-  process-per-shard pool (:mod:`repro.search.shardpool`).
+  resource id); the pool's fan-out merge.
 * :func:`read_shard_manifest` — the one reader of ``shard_manifest.json``,
   the file that ties a save directory's ``shard-NNNN/`` array dirs to the
   router, the concept model and the serving metadata.  Every engine save
-  uses this layout (a one-shard engine writes ``shard-0000/``), so any
-  saved index opens whole (``SearchEngine.load``), one shard per process
+  uses this layout (``num_shards=1`` writes ``shard-0000/``), so any saved
+  index opens whole (``SearchEngine.load``), one shard per process
   (``SearchEngine.load_shard``) or under a ``ShardProcessPool``.
 
 Each shard is a :meth:`MatrixConceptSpace.partition` slice that keeps the
 *corpus-wide* vocabulary, idf vector and ``num_resources``, so it scores
 its rows bit-for-bit like the unsharded space does.
-
-``ShardedSearchEngine`` is a second name for
-:class:`~repro.search.engine.SearchEngine`, kept for callers written when
-the N-shard engine was a class of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import heapq
 import json
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.search.matrix_space import validate_top_k
 from repro.search.vsm import RankedResult
@@ -43,16 +41,6 @@ SHARD_MANIFEST_FILENAME = "shard_manifest.json"
 
 #: Bumped whenever the on-disk engine layout changes incompatibly.
 SHARD_MANIFEST_VERSION = 1
-
-
-def __getattr__(name: str):
-    # Resolved lazily: the engine module imports this one, so binding the
-    # alias at import time would close an import cycle.
-    if name == "ShardedSearchEngine":
-        from repro.search.engine import SearchEngine
-
-        return SearchEngine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def read_shard_manifest(directory: Union[str, Path]) -> Dict[str, object]:
@@ -107,13 +95,6 @@ class ShardRouter:
     def shard_of(self, resource: str) -> int:
         """The shard index owning ``resource`` (stable across processes)."""
         return zlib.crc32(resource.encode("utf-8")) % self._num_shards
-
-    def assign(self, resources: Iterable[str]) -> List[List[str]]:
-        """Bucket ``resources`` per shard, preserving the given order."""
-        buckets: List[List[str]] = [[] for _ in range(self._num_shards)]
-        for resource in resources:
-            buckets[self.shard_of(resource)].append(resource)
-        return buckets
 
     def to_json(self) -> Dict[str, object]:
         return {"algorithm": "crc32", "num_shards": self._num_shards}

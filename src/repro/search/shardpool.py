@@ -1,10 +1,8 @@
 """Process-per-shard serving pool: parallel fan-out that escapes the GIL.
 
-An N-shard :class:`~repro.search.engine.SearchEngine` scores its shards
-one after another in one CPython interpreter (the postings kernel is
-short numpy calls under one GIL), so in-process sharding is slower than
-the monolith.  This module moves each shard into its own worker
-process:
+A :class:`~repro.search.engine.SearchEngine` holds one space per process;
+N shards exist only as a save layout (``save(..., num_shards=N)``).  This
+opt-in module serves such a save with N worker processes, one shard each:
 
 * :func:`_shard_worker_main` — the worker entry point.  Each worker loads
   exactly one shard from the engine save layout
@@ -27,9 +25,9 @@ brings a shard back online without touching the rest of the pool.
 
 The pool is **read-only**: every response carries the shard's epoch, the
 coordinator asserts all shards agree with the manifest epoch, and
-mutations are rejected — route writes through a
-:class:`~repro.search.engine.SearchEngine` holding every shard, re-save,
-and restart the pool.  The pool is a
+mutations are rejected — route writes through
+:meth:`SearchEngine.load <repro.search.engine.SearchEngine.load>` of the
+whole save, re-save, and restart the pool.  The pool is a
 :class:`~repro.search.vsm.RankEngine`, so
 :class:`~repro.serve.frontend.BatchingFrontend` and the workload replay
 subsystem sit in front of it unchanged.
@@ -274,14 +272,13 @@ class ShardProcessPool(RankEngine):
     spawns ``num_shards`` workers (each loading exactly one shard,
     memory-mapped exactly when the save is in the ``mmap_ready`` ``.npy``
     layout), and exposes the same epoch-tagged read surface as the
-    in-process engines::
+    in-process engine::
 
         with ShardProcessPool(save_dir) as pool:
             epoch, results = pool.snapshot_rank_batch(queries, top_k=10)
 
     Because the heavy scoring happens in separate interpreters, the
-    shards genuinely run in parallel — unlike the in-process N-shard
-    engine's loop.  :meth:`rank_batch_detailed` returns the
+    shards genuinely run in parallel.  :meth:`rank_batch_detailed` returns the
     typed :class:`PoolResult` (merged rankings plus per-shard failures);
     :meth:`snapshot_rank_batch` flattens that to ``(epoch, results)``
     for drop-in use behind :class:`~repro.serve.frontend.BatchingFrontend`

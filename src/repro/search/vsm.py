@@ -169,7 +169,7 @@ class RankEngine(ABC):
     def apply_mutations(self, added=None, updated=None, removed=None):
         raise ConfigurationError(
             f"{type(self).__name__} is read-only and cannot apply mutations; "
-            "route writes through an engine that holds every shard"
+            "route writes through SearchEngine.load of the whole index"
         )
 
     def health(self) -> Dict[str, object]:

@@ -30,7 +30,7 @@ covers the whole serving column.
 Result caching
 --------------
 When the engine carries its own :class:`~repro.search.cache.QueryCache`
-(the sharded engine does), the front-end *stays out of the way*: the
+(one passed as ``SearchEngine(..., cache=...)``), the front-end *stays out of the way*: the
 engine probes and fills that cache inside its read lock with per-batch
 dedup, so each unique query counts exactly one hit or miss — a
 front-end-level probe of the same cache would double-count every lookup.

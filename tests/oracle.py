@@ -6,13 +6,21 @@ only; the reference every parity test compares it with is a
 *final* corpus (after any mutations) — never something the engine under
 test was fed deltas through.  ``perf/cubeperf/oracle.py`` is the same idea
 for the benchmark.
+
+The two places N shards show up have helpers here too: an engine restored
+from an N-shard save (:func:`through_save`) and the process pool's read
+path without the processes (:func:`fanout_rank_batch`).
 """
 
 from __future__ import annotations
 
+import tempfile
 from typing import List, Mapping, Optional, Sequence
 
 from repro.eval.sharding import rankings_match
+from repro.search.cache import QueryCache
+from repro.search.engine import SearchEngine
+from repro.search.sharding import ShardRouter, merge_topk
 from repro.search.vsm import ConceptVectorSpace, RankedResult
 
 PARITY_TOL = 1e-9
@@ -76,3 +84,40 @@ def assert_matches_oracle(
         assert rankings_match(
             answer, reference, tol=PARITY_TOL, truncated=top_k is not None
         ), (tags, answer[:3], reference[:3])
+
+
+def fanout_rank_batch(
+    space, num_shards: int, bags, top_k: Optional[int] = None
+) -> List[List[RankedResult]]:
+    """The process pool's read path, without the processes.
+
+    ``space`` is cut into the ``num_shards`` partitions an N-shard save
+    writes, each ranks the batch, and the per-shard lists are heap-merged
+    exactly as :class:`~repro.search.shardpool.ShardProcessPool` merges its
+    workers' answers.
+    """
+    shards = space.partition(num_shards, ShardRouter(num_shards).shard_of)
+    per_shard = [shard.rank_batch(bags, top_k) for shard in shards]
+    return [
+        merge_topk([lists[position] for lists in per_shard], top_k)
+        for position in range(len(bags))
+    ]
+
+
+def through_save(engine, num_shards: int):
+    """``engine`` restored by :meth:`SearchEngine.load` from a
+    ``num_shards``-shard save: one space again, ranking like ``engine``."""
+    with tempfile.TemporaryDirectory() as directory:
+        engine.save(directory, num_shards=num_shards)
+        return SearchEngine.load(directory)
+
+
+def with_cache(engine, max_entries: int = 1024):
+    """An engine over ``engine``'s space with a query result cache."""
+    return SearchEngine(
+        engine.concept_model,
+        engine.matrix_space,
+        name=engine.name,
+        refresh_policy=engine.refresh_policy,
+        cache=QueryCache(max_entries),
+    )

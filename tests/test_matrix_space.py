@@ -327,16 +327,15 @@ class TestPostingsFreshness:
 
     def test_partition_shards_and_coordinated_refresh(self, small_cleaned):
         model = identity_concept_model(small_cleaned.tags)
-        engine = SearchEngine.from_engine(
-            SearchEngine.build(small_cleaned, model), num_shards=2
-        )
+        engine = SearchEngine.build(small_cleaned, model)
+        router = ShardRouter(2)
         bags = {
             r: model.concept_bag(small_cleaned.tag_bag(r))
             for r in small_cleaned.resources
         }
         tags = list(small_cleaned.tags)
         queries = [model.concept_bag_from_tags(tags[i : i + 2]) for i in range(8)]
-        for shard in engine.shards:
+        for shard in engine.matrix_space.partition(2, router.shard_of):
             assert_scores_like_scratch_build(shard, bags, queries)
 
         victim, updated = small_cleaned.resources[:2]
@@ -348,8 +347,8 @@ class TestPostingsFreshness:
         del bags[victim]
         bags["r-new"] = model.concept_bag({tags[0]: 2.0, tags[3]: 1.0})
         bags[updated] = model.concept_bag({tags[1]: 1.0})
-        assert engine.refresh()  # refresh_spaces over both shards
-        for shard in engine.shards:
+        assert engine.refresh()
+        for shard in engine.matrix_space.partition(2, router.shard_of):
             assert_scores_like_scratch_build(shard, bags, queries)
 
 
@@ -402,8 +401,7 @@ class TestConcurrentReaders:
             {doc_id: model.concept_bag(bag) for doc_id, bag in bags.items()},
             smooth_idf=True,
         )
-        router = ShardRouter(2)
-        sharded = SearchEngine(model, space.partition(2, router.shard_of), router)
+        engine = SearchEngine(model, space)
         # One- and multi-concept queries alternate: the second kind scores
         # through scratch buffers, which must not be shared between calls.
         queries = [
@@ -412,7 +410,7 @@ class TestConcurrentReaders:
         ]
         concept_bags = [model.concept_bag_from_tags(tags) for tags in queries]
         serial_space = [space.rank(bag, top_k=10) for bag in concept_bags]
-        serial_engine = [sharded.search(tags, top_k=10) for tags in queries]
+        serial_engine = [engine.search(tags, top_k=10) for tags in queries]
 
         wrong = []
 
@@ -421,7 +419,7 @@ class TestConcurrentReaders:
                 probe = (offset * 25 + step) % len(queries)
                 if space.rank(concept_bags[probe], top_k=10) != serial_space[probe]:
                     wrong.append(("space", probe))
-                if sharded.search(queries[probe], top_k=10) != serial_engine[probe]:
+                if engine.search(queries[probe], top_k=10) != serial_engine[probe]:
                     wrong.append(("engine", probe))
 
         threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
@@ -506,12 +504,7 @@ class TestPersistence:
     def test_engine_round_trip(self, small_cleaned, tmp_path, num_shards):
         model = identity_concept_model(small_cleaned.tags)
         engine = SearchEngine.build(small_cleaned, model, name="bow")
-        saved = (
-            engine
-            if num_shards == 1
-            else SearchEngine.from_engine(engine, num_shards)
-        )
-        saved.save(tmp_path)
+        engine.save(tmp_path, num_shards=num_shards)
         loaded = SearchEngine.load(tmp_path)
         assert loaded.name == "bow"
         assert loaded.concept_model.num_concepts == model.num_concepts
@@ -519,12 +512,13 @@ class TestPersistence:
         assert_parity(engine.search(query, top_k=10), loaded.search(query, top_k=10))
         best = engine.search(query)[0].resource
         assert loaded.score(query, best) > 0.0
-        # explain at any shard count, restored or not, and on the one-shard
-        # view that holds the resource, equals the built N = 1 breakdown
-        view = SearchEngine.load_shard(tmp_path, loaded.router.shard_of(best))
+        # explain of an engine restored from any shard count, and of the
+        # shard view that holds the resource, equals the built breakdown
+        view = SearchEngine.load_shard(
+            tmp_path, ShardRouter(num_shards).shard_of(best)
+        )
         built = engine.explain(query, best)
         for restored in (
-            saved.explain(query, best),
             loaded.explain(query, best),
             view.explain(query, best),
         ):
@@ -537,8 +531,7 @@ class TestPersistence:
             assert weights and weights.keys() == built["per_concept_weights"].keys()
             for concept, pair in built["per_concept_weights"].items():
                 assert weights[concept] == pytest.approx(pair, abs=1e-9)
-        for opened in (saved, loaded):
-            opened.close()
+        loaded.close()
 
     def test_offline_index_round_trip_in_fresh_process(self, small_cleaned, tmp_path):
         pipeline = CubeLSIPipeline(

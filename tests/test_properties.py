@@ -8,12 +8,13 @@ be wrong (exact ties, eviction boundaries, permuted inputs):
   out-of-vocabulary mass), ``MatrixConceptSpace.rank_batch`` must reproduce
   the dict-loop oracle's rankings at every ``top_k``, as a built space, as
   a ``slice_rows`` shard and as a memory-mapped load; and after *any*
-  add/update/remove sequence a standalone space, a 1-shard engine and a
-  3-shard engine (the one refresh routine at N = 1, 1 and 3) must each
-  equal an oracle fitted from scratch on the mutated corpus — rankings,
-  idf, document norms and document weights, after every batch, including
-  a term drained to df 0 and resurrected and a long sequence that moves the
-  corpus size on every step.
+  add/update/remove sequence a standalone space, an engine, an engine
+  restored from a 3-shard save and the process pool's read path over 3
+  partitions (ranked per shard, heap-merged) must each equal an oracle
+  fitted from scratch on the mutated corpus — rankings, idf, document norms
+  and document weights, after every batch, including a term drained to
+  df 0 and resurrected and a long sequence that moves the corpus size on
+  every step.
 
 * **top-k merge** — for *any* corpus of scores (tie-rich by construction),
   any shard split and any ``top_k``, the sharded pipeline
@@ -38,13 +39,13 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracle import PARITY_TOL, DictLoopOracle
+from oracle import PARITY_TOL, DictLoopOracle, fanout_rank_batch
 from repro.core.concepts import identity_concept_model
 from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
 from repro.search.matrix_space import MatrixConceptSpace, select_top_k
 from repro.search.sharding import ShardRouter, merge_topk
-from repro.search.vsm import RankedResult, mismatched_probes
+from repro.search.vsm import RankedResult, mismatched_probes, rankings_match
 
 # --------------------------------------------------------------------- #
 # postings kernel == dict-loop oracle
@@ -164,6 +165,7 @@ def test_postings_kernel_matches_dict_loop_oracle(data):
         for ranking in want
     ]
     built = MatrixConceptSpace.compile(reference)
+    engine = SearchEngine(model, MatrixConceptSpace.compile(reference))
     with tempfile.TemporaryDirectory() as directory:
         built.save(directory, mmap_ready=True)
         spaces = (
@@ -176,13 +178,16 @@ def test_postings_kernel_matches_dict_loop_oracle(data):
                 got = space.rank_batch(queries, top_k=top_k)
                 cut = [ranking[:top_k] for ranking in rankings]
                 assert mismatched_probes(got, cut, top_k is not None) == []
+        # A 3-shard save folds back into one space that ranks like the
+        # engine it was saved from.
+        engine.save(f"{directory}/engine", num_shards=3)
+        reloaded = SearchEngine.load(f"{directory}/engine")
+    saved = engine.matrix_space.rank_batch(queries)
+    for got, cut in zip(reloaded.matrix_space.rank_batch(queries), saved):
+        assert rankings_match(got, cut, tol=PARITY_TOL, truncated=False)
 
-    # Any mutation sequence, one batch per step, folded by the one refresh
-    # routine over 1, 1 and 3 spaces; every step is read, so it refreshes.
-    one_shard = SearchEngine(
-        model, [MatrixConceptSpace.compile(reference)], ShardRouter(1)
-    )
-    three_shards = SearchEngine.from_engine(one_shard, num_shards=3)
+    # Any mutation sequence, one batch per step; every step is read, so it
+    # refreshes.
     tag_queries = [
         [
             KERNEL_TAGS[concept] if concept < UNSEEN_CONCEPT else "unseen-tag"
@@ -206,22 +211,25 @@ def test_postings_kernel_matches_dict_loop_oracle(data):
             tag_bags[victim] = bag
             built.update_document(victim, model.concept_bag(bag))
             batch = {"updated": {victim: bag}}
-        one_shard.apply_mutations(**batch)
-        three_shards.apply_mutations(**batch)
+        engine.apply_mutations(**batch)
+        reloaded.apply_mutations(**batch)
         oracle = DictLoopOracle(model, tag_bags, smooth_idf)
         scratch = MatrixConceptSpace.compile(oracle.space)
-        one_shard.refresh()
-        three_shards.refresh()
-        for space in (built, *one_shard.shards, *three_shards.shards):
+        engine.refresh()
+        reloaded.refresh()
+        shards = built.partition(3, ShardRouter(3).shard_of)
+        for space in (built, engine.matrix_space, reloaded.matrix_space, *shards):
             assert_statistics_match(space, scratch, oracle.space)
         for top_k in (k, None):
             truncated = top_k is not None
             on_bags = [oracle.space.rank(bag, top_k=top_k) for bag in queries]
             got = built.rank_batch(queries, top_k=top_k)
             assert mismatched_probes(got, on_bags, truncated) == []
+            got = fanout_rank_batch(built, 3, queries, top_k)
+            assert mismatched_probes(got, on_bags, truncated) == []
             on_tags = oracle.rank_batch(tag_queries, top_k=top_k)
-            for engine in (one_shard, three_shards):
-                got = engine.rank_batch(tag_queries, top_k=top_k)
+            for served in (engine, reloaded):
+                got = served.rank_batch(tag_queries, top_k=top_k)
                 assert mismatched_probes(got, on_tags, truncated) == []
 
 

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import through_save, with_cache
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline
 from repro.core.snapshots import IndexSnapshotStore
@@ -94,26 +95,17 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards=2):
-    return SearchEngine.from_engine(
-        SearchEngine.build(
-            folksonomy, identity_concept_model(folksonomy.tags), name="scen"
-        ),
-        num_shards=num_shards,
-    )
+    """A cached engine restored from a ``num_shards``-shard save."""
+    return through_save(with_cache(build_mono(folksonomy)), num_shards)
 
 
 @pytest.fixture(scope="module")
 def scenario_save_dir(tmp_path_factory, small_cleaned):
     """A 4-shard mmap-ready save the chaos runs replay against."""
     directory = tmp_path_factory.mktemp("scenario-index") / "index"
-    engine = build_mono(small_cleaned)
-    sharded = SearchEngine.from_engine(
-        engine, num_shards=NUM_SHARDS, cache_entries=None
+    build_mono(small_cleaned).save(
+        directory, mmap_ready=True, num_shards=NUM_SHARDS
     )
-    try:
-        sharded.save(directory, mmap_ready=True)
-    finally:
-        sharded.close()
     return directory
 
 

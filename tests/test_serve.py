@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from oracle import through_save, with_cache
 from repro.core.concepts import identity_concept_model
 from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
 from repro.eval.serve import frontend_sweep
@@ -83,12 +84,8 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards=4):
-    return SearchEngine.from_engine(
-        SearchEngine.build(
-            folksonomy, identity_concept_model(folksonomy.tags), name="serve"
-        ),
-        num_shards=num_shards,
-    )
+    """A cached engine restored from a ``num_shards``-shard save."""
+    return through_save(with_cache(build_mono(folksonomy)), num_shards)
 
 
 class TestFrontendConfig:

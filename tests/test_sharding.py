@@ -1,13 +1,15 @@
-"""Parity suite for the engine at every shard count.
+"""Parity suite for the engine at every save layout.
 
-The acceptance bar: a :class:`SearchEngine` with N ∈ {1, 2, 4} shards —
-N = 1 being ``SearchEngine.build`` itself — must reproduce the dict-loop
-oracle's rankings and scores to 1e-9 — on the toy and generated corpora,
-through add/remove/update sequences (coordinated global-statistics
-refresh), through cache hits, and through a save → load round trip.  On
-top of the parity bar, this file covers the router, the heap merge's
+N shards are a save layout and a pool size; the engine holds one space.
+The acceptance bar: for N ∈ {1, 2, 4}, an engine restored by
+``SearchEngine.load`` from an N-shard save, and the pool's read path
+(N partitions ranked one by one and heap-merged), must reproduce the
+dict-loop oracle's rankings and scores to 1e-9 — on the toy and generated
+corpora, through add/remove/update sequences after the load, through cache
+hits, and through a save → load round trip in a fresh process.  On top of
+the parity bar, this file covers the router, the heap merge's
 boundary-tie handling, the query cache, the hardened ``rank_batch`` edge
-cases and per-shard staleness reporting.
+cases and the read-only shard view.
 """
 
 from __future__ import annotations
@@ -24,11 +26,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle import DictLoopOracle, assert_matches_oracle
+from oracle import (
+    DictLoopOracle,
+    assert_matches_oracle,
+    fanout_rank_batch,
+    with_cache,
+)
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.core.snapshots import IndexSnapshotStore
-from repro.eval.sharding import rankings_match, sharding_sweep
+from repro.eval.sharding import rankings_match
 from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
 from repro.search.incremental import RefreshPolicy
@@ -40,7 +47,6 @@ from repro.search.matrix_space import (
 from repro.search.sharding import (
     SHARD_MANIFEST_FILENAME,
     ShardRouter,
-    ShardedSearchEngine,
     merge_topk,
     read_shard_manifest,
 )
@@ -65,11 +71,23 @@ def sample_queries(folksonomy, rng, count=24):
     return queries
 
 
-def at_shards(engine, num_shards):
-    """``engine`` at N shards; the built engine itself is the N = 1 case."""
-    if num_shards == 1:
-        return engine
-    return SearchEngine.from_engine(engine, num_shards)
+def at_shards(engine, num_shards, directory):
+    """``engine`` restored from a ``num_shards``-shard save under ``directory``."""
+    path = Path(directory) / f"layout-{num_shards}"
+    engine.save(path, num_shards=num_shards)
+    return SearchEngine.load(path)
+
+
+def assert_fanout_matches_oracle(engine, oracle, queries, num_shards, top_k=10):
+    """The pool's read path over ``engine``'s space agrees with the oracle."""
+    bags = [engine.query_concepts(tags) for tags in queries]
+    got = fanout_rank_batch(engine.matrix_space, num_shards, bags, top_k)
+    for tags, answer, reference in zip(
+        queries, got, oracle.rank_batch(queries, top_k=top_k)
+    ):
+        assert rankings_match(
+            answer, reference, tol=1e-9, truncated=top_k is not None
+        ), (tags, answer[:3], reference[:3])
 
 
 def tag_bags_of(folksonomy):
@@ -84,9 +102,9 @@ def apply_batch(bags, added=None, updated=None, removed=()):
         del bags[resource]
 
 
-def assert_sharded_parity(sharded, engine, queries, top_k=10, tol=1e-9):
+def assert_same_rankings(served, engine, queries, top_k=10, tol=1e-9):
     """Two engines' rankings/scores agree on every query."""
-    got = sharded.rank_batch(queries, top_k=top_k)
+    got = served.rank_batch(queries, top_k=top_k)
     want = engine.rank_batch(queries, top_k=top_k)
     for got_results, want_results in zip(got, want):
         assert rankings_match(
@@ -109,10 +127,6 @@ def oracle(small_cleaned, concept_model):
     return DictLoopOracle.of_folksonomy(concept_model, small_cleaned)
 
 
-def test_sharded_name_is_the_engine_class():
-    assert ShardedSearchEngine is SearchEngine
-
-
 class TestShardRouter:
     def test_routing_is_stable_and_total(self):
         router = ShardRouter(4)
@@ -122,14 +136,12 @@ class TestShardRouter:
             assert 0 <= shard < 4
             assert again.shard_of(resource) == shard
 
-    def test_assign_partitions_disjointly_and_roughly_evenly(self):
+    def test_crc32_spreads_ids_roughly_evenly(self):
         router = ShardRouter(4)
-        resources = [f"resource-{i}" for i in range(1000)]
-        buckets = router.assign(resources)
-        assert sum(len(bucket) for bucket in buckets) == len(resources)
-        assert len({r for bucket in buckets for r in bucket}) == len(resources)
-        for bucket in buckets:  # crc32 spreads ids close to uniformly
-            assert 150 <= len(bucket) <= 350
+        sizes = Counter(router.shard_of(f"resource-{i}") for i in range(1000))
+        assert sorted(sizes) == [0, 1, 2, 3]
+        for size in sizes.values():  # crc32 spreads ids close to uniformly
+            assert 150 <= size <= 350
 
     def test_json_round_trip_and_validation(self):
         router = ShardRouter(3)
@@ -200,7 +212,7 @@ class TestBoundaryTieWidening:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("top_k", [1, 2, 3, 4, 6])
     def test_exact_rank_k_ties_keep_the_lowest_resource_ids(
-        self, num_shards, top_k
+        self, num_shards, top_k, tmp_path
     ):
         # Six resources with *identical* tag bags -> identical scores; any
         # top-k cuts through an exact tie group, the worst case for the
@@ -212,23 +224,24 @@ class TestBoundaryTieWidening:
         records.append(("u", "alpha", "distinct"))
         folksonomy = Folksonomy(records, name="ties")
         model = identity_concept_model(folksonomy.tags)
-        sharded = at_shards(
-            SearchEngine.build(folksonomy, model, name="ties"), num_shards
-        )
+        engine = SearchEngine.build(folksonomy, model, name="ties")
+        reloaded = at_shards(engine, num_shards, tmp_path)
         # "alpha" is in every resource (idf 0, matches nothing); "beta" is not.
         want = DictLoopOracle.of_folksonomy(model, folksonomy).rank(
             ["beta"], top_k=top_k
         )
-        got = sharded.search(["beta"], top_k=top_k)
+        (fanned,) = fanout_rank_batch(
+            engine.matrix_space, num_shards, [engine.query_concepts(["beta"])], top_k
+        )
         expected = [f"twin-{index}" for index in range(6)]
-        assert [r.resource for r in got] == expected[:top_k]
         assert [r.resource for r in want] == expected[:top_k]
-        for got_result, want_result in zip(got, want):
-            assert got_result.score == pytest.approx(
-                want_result.score, abs=1e-9
-            )
-            assert got_result.rank == want_result.rank
-        sharded.close()
+        for got in (reloaded.search(["beta"], top_k=top_k), fanned):
+            assert [r.resource for r in got] == expected[:top_k]
+            for got_result, want_result in zip(got, want):
+                assert got_result.score == pytest.approx(
+                    want_result.score, abs=1e-9
+                )
+                assert got_result.rank == want_result.rank
 
 
 class TestMismatchedProbes:
@@ -269,40 +282,42 @@ class TestMismatchedProbes:
 class TestStaticParity:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_generated_corpus_parity(
-        self, small_cleaned, mono_engine, oracle, num_shards
+        self, small_cleaned, mono_engine, oracle, num_shards, tmp_path
     ):
         rng = np.random.default_rng(17)
-        sharded = at_shards(mono_engine, num_shards)
+        reloaded = at_shards(mono_engine, num_shards, tmp_path)
         queries = sample_queries(small_cleaned, rng)
         for top_k in (None, 1, 5, 1000):
-            assert_matches_oracle(sharded, oracle, queries, top_k=top_k)
+            assert_matches_oracle(reloaded, oracle, queries, top_k=top_k)
+            assert_fanout_matches_oracle(
+                mono_engine, oracle, queries, num_shards, top_k=top_k
+            )
         for query in queries[:6]:
-            results = sharded.search(query, top_k=5)
-            assert sharded.ranked_resources(query, top_k=5) == [
+            results = reloaded.search(query, top_k=5)
+            assert reloaded.ranked_resources(query, top_k=5) == [
                 r.resource for r in results
             ]
             for result in oracle.rank(query, top_k=5):
-                assert sharded.score(query, result.resource) == pytest.approx(
+                assert reloaded.score(query, result.resource) == pytest.approx(
                     result.score, abs=1e-9
                 )
-        assert sharded.num_indexed_resources == small_cleaned.num_resources
-        assert sum(sharded.shard_sizes()) == sharded.num_indexed_resources
-        sharded.close()
+        assert reloaded.num_indexed_resources == small_cleaned.num_resources
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_toy_corpus_parity(self, toy_folksonomy, num_shards):
+    def test_toy_corpus_parity(self, toy_folksonomy, num_shards, tmp_path):
         model = identity_concept_model(toy_folksonomy.tags)
-        sharded = at_shards(
-            SearchEngine.build(toy_folksonomy, model, name="toy"), num_shards
-        )
+        engine = SearchEngine.build(toy_folksonomy, model, name="toy")
+        reloaded = at_shards(engine, num_shards, tmp_path)
         reference = DictLoopOracle.of_folksonomy(model, toy_folksonomy)
         for tag in toy_folksonomy.tags:
-            assert_matches_oracle(sharded, reference, [[tag]], top_k=None)
-        sharded.close()
+            assert_matches_oracle(reloaded, reference, [[tag]], top_k=None)
+            assert_fanout_matches_oracle(
+                engine, reference, [[tag]], num_shards, top_k=None
+            )
 
     @pytest.mark.parametrize("smooth_idf", [False, True])
     def test_smooth_idf_parity_including_unknown_query_mass(
-        self, small_cleaned, concept_model, smooth_idf
+        self, small_cleaned, concept_model, smooth_idf, tmp_path
     ):
         engine = SearchEngine.build(
             small_cleaned, concept_model, smooth_idf=smooth_idf, name="s"
@@ -313,11 +328,12 @@ class TestStaticParity:
         tags = list(small_cleaned.tags)
         queries = [[tags[0], tags[1]], [tags[2], "tag-unseen-anywhere"]]
         for num_shards in (1, 3):
-            sharded = at_shards(engine, num_shards)
-            assert_matches_oracle(sharded, reference, queries, top_k=10)
-            sharded.close()
+            reloaded = at_shards(engine, num_shards, tmp_path)
+            assert reloaded.matrix_space.smooth_idf == smooth_idf
+            assert_matches_oracle(reloaded, reference, queries, top_k=10)
+            assert_fanout_matches_oracle(engine, reference, queries, num_shards)
 
-    def test_pipeline_fitted_engine_parity(self, small_cleaned):
+    def test_pipeline_fitted_engine_parity(self, small_cleaned, tmp_path):
         pipeline = CubeLSIPipeline(
             reduction_ratios=(10.0, 3.0, 10.0), num_concepts=12, seed=0, min_rank=4
         )
@@ -328,55 +344,65 @@ class TestStaticParity:
         )
         queries = sample_queries(small_cleaned, rng)
         for num_shards in SHARD_COUNTS:
-            sharded = at_shards(index.engine, num_shards)
-            assert_matches_oracle(sharded, reference, queries)
-            sharded.close()
+            reloaded = at_shards(index.engine, num_shards, tmp_path)
+            assert_matches_oracle(reloaded, reference, queries)
+            assert_fanout_matches_oracle(
+                index.engine, reference, queries, num_shards
+            )
 
     def test_one_shard_engine_never_routes_merges_or_spawns_threads(
-        self, small_cleaned, concept_model, mono_engine, monkeypatch
+        self, small_cleaned, concept_model, mono_engine, monkeypatch, tmp_path
     ):
         tag = small_cleaned.tags[0]
-        for num_shards in SHARD_COUNTS:  # no shard count starts a thread
-            engine = at_shards(mono_engine, num_shards)
+        for num_shards in SHARD_COUNTS:  # no save layout starts a thread
+            engine = at_shards(mono_engine, num_shards, tmp_path)
             threads_before = threading.active_count()
             assert engine.rank_batch([[tag], []], top_k=3)[0]
             assert threading.active_count() == threads_before
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the one-shard path must not route or merge")
+            raise AssertionError("the engine must not route or merge")
 
         monkeypatch.setattr(ShardRouter, "shard_of", forbidden)
-        monkeypatch.setattr("repro.search.engine.merge_topk", forbidden)
+        monkeypatch.setattr("repro.search.sharding.merge_topk", forbidden)
         engine = SearchEngine.build(small_cleaned, concept_model, name="n1")
-        assert engine.matrix_space is engine.shards[0]
+        assert not hasattr(engine, "router") and not hasattr(engine, "shards")
         best = engine.search([tag], top_k=3)[0]
         assert engine.score([tag], best.resource) == pytest.approx(best.score)
         engine.add_resources({"fresh-n1": {tag: 1.0}})
         assert engine.has_resource("fresh-n1")
         assert engine.rank_batch([[tag], []], top_k=3)[0]
+        engine.save(tmp_path / "n1")  # a one-shard save routes nothing
+        assert SearchEngine.load(tmp_path / "n1").has_resource("fresh-n1")
 
-    def test_router_shard_count_mismatch_rejected(self, mono_engine):
+    def test_router_shard_count_mismatch_rejected(self, mono_engine, tmp_path):
         with pytest.raises(ConfigurationError):
-            SearchEngine.from_engine(
-                mono_engine, num_shards=2, router=ShardRouter(3)
-            )
+            mono_engine.save(tmp_path / "none", num_shards=0)
+        mono_engine.save(tmp_path, num_shards=2)
+        manifest_path = tmp_path / SHARD_MANIFEST_FILENAME
+        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+        payload["router"]["num_shards"] = 3
+        manifest_path.write_text(json.dumps(payload), encoding="utf-8")
+        for load in (read_shard_manifest, SearchEngine.load):
+            with pytest.raises(ConfigurationError, match="3"):
+                load(tmp_path)
         with pytest.raises(ConfigurationError):
-            SearchEngine.from_engine(mono_engine)
+            SearchEngine.load_shard(tmp_path, 0)
 
 
 class TestMutationParity:
-    def build_pair(self, folksonomy, num_shards):
-        """A fresh engine at N shards plus the tag bags it was built from."""
+    def build_pair(self, folksonomy, num_shards, directory):
+        """An engine restored from an N-shard save plus its tag bags."""
         model = identity_concept_model(folksonomy.tags)
         engine = SearchEngine.build(folksonomy, model, name="mut")
-        return at_shards(engine, num_shards), tag_bags_of(folksonomy)
+        return at_shards(engine, num_shards, directory), tag_bags_of(folksonomy)
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_mutation_sequences_stay_in_parity(
-        self, small_cleaned, num_shards
+        self, small_cleaned, num_shards, tmp_path
     ):
         rng = np.random.default_rng(5)
-        sharded, bags = self.build_pair(small_cleaned, num_shards)
+        engine, bags = self.build_pair(small_cleaned, num_shards, tmp_path)
         tags = list(small_cleaned.tags)
         queries = sample_queries(small_cleaned, rng)
 
@@ -397,80 +423,88 @@ class TestMutationParity:
         ]
         delta_ops = 0
         for epoch, batch in enumerate(batches, start=1):
-            report = sharded.apply_mutations(**batch)
+            report = engine.apply_mutations(**batch)
             apply_batch(bags, **batch)
             delta_ops += sum(len(bucket) for bucket in batch.values())
             assert report.epoch == epoch
             assert report.delta_ops == delta_ops
             if epoch % 2:  # eager refresh and the lazy read-driven one alike
-                assert sharded.refresh()
-                assert not sharded.refresh()
+                assert engine.refresh()
+                assert not engine.refresh()
             # fitted after the fold-in: "tag-never-seen" has its concept now
-            reference = DictLoopOracle(sharded.concept_model, bags)
-            assert_matches_oracle(sharded, reference, queries)
-            assert_matches_oracle(sharded, reference, queries, top_k=None)
-        assert sharded.num_indexed_resources == len(bags)
-        sharded.close()
+            reference = DictLoopOracle(engine.concept_model, bags)
+            assert_matches_oracle(engine, reference, queries)
+            assert_matches_oracle(engine, reference, queries, top_k=None)
+        assert engine.num_indexed_resources == len(bags)
 
-    def test_draining_one_shard_empty_keeps_serving(self, small_cleaned):
-        sharded, bags = self.build_pair(small_cleaned, 2)
+    def test_draining_one_shard_empty_keeps_serving(self, small_cleaned, tmp_path):
+        engine, bags = self.build_pair(small_cleaned, 1, tmp_path)
         rng = np.random.default_rng(7)
+        router = ShardRouter(2)
         victims = [
             resource
             for resource in small_cleaned.resources
-            if sharded.router.shard_of(resource) == 0
+            if router.shard_of(resource) == 0
         ]
         assert victims  # the corpus is large enough to populate both shards
-        sharded.remove_resources(victims)
+        engine.remove_resources(victims)
         apply_batch(bags, removed=victims)
-        assert 0 in sharded.shard_sizes()
         queries = sample_queries(small_cleaned, rng)
-        assert_matches_oracle(
-            sharded, DictLoopOracle(sharded.concept_model, bags), queries
-        )
-        # the drained shard accepts new residents again
+        reference = DictLoopOracle(engine.concept_model, bags)
+        # a two-shard save of the drained corpus writes an empty shard-0000
+        drained = at_shards(engine, 2, tmp_path)
+        assert read_shard_manifest(tmp_path / "layout-2")["shards"][0][
+            "num_documents"
+        ] == 0
+        assert SearchEngine.load_shard(tmp_path / "layout-2", 0).search(
+            [small_cleaned.tags[0]]
+        ) == []
+        for served in (engine, drained):
+            assert_matches_oracle(served, reference, queries)
+        assert_fanout_matches_oracle(engine, reference, queries, 2)
+        # the drained shard takes new residents again
         revived = {victims[0]: {small_cleaned.tags[0]: 2.0}}
-        sharded.add_resources(revived)
+        drained.add_resources(revived)
         apply_batch(bags, added=revived)
-        assert_matches_oracle(
-            sharded, DictLoopOracle(sharded.concept_model, bags), queries
-        )
-        sharded.close()
+        reference = DictLoopOracle(drained.concept_model, bags)
+        assert_matches_oracle(drained, reference, queries)
+        assert_fanout_matches_oracle(drained, reference, queries, 2)
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_rejected_batches_have_no_side_effects(
-        self, small_cleaned, num_shards
+        self, small_cleaned, num_shards, tmp_path
     ):
-        sharded, _ = self.build_pair(small_cleaned, num_shards)
+        engine, _ = self.build_pair(small_cleaned, num_shards, tmp_path)
         existing = small_cleaned.resources[0]
         with pytest.raises(ConfigurationError):
-            sharded.add_resources({existing: {"a": 1}})
+            engine.add_resources({existing: {"a": 1}})
         with pytest.raises(ConfigurationError):
-            sharded.remove_resources(["missing-resource"])
+            engine.remove_resources(["missing-resource"])
         with pytest.raises(ConfigurationError):
-            sharded.update_resource("missing-resource", {"a": 1})
+            engine.update_resource("missing-resource", {"a": 1})
         with pytest.raises(ConfigurationError):
-            sharded.remove_resources(list(small_cleaned.resources))
+            engine.remove_resources(list(small_cleaned.resources))
         with pytest.raises(ConfigurationError):
-            sharded.apply_mutations(
+            engine.apply_mutations(
                 updated={existing: {"a": 1}}, removed=[existing]
             )
-        assert sharded.epoch == 0
-        assert sharded.num_indexed_resources == small_cleaned.num_resources
-        assert not sharded.refresh()  # nothing was left pending
-        sharded.close()
+        assert engine.epoch == 0
+        assert engine.num_indexed_resources == small_cleaned.num_resources
+        assert not engine.refresh()  # nothing was left pending
 
-    def test_shard_local_refresh_is_rejected_while_stale(self, small_cleaned):
-        sharded, _ = self.build_pair(small_cleaned, 2)
-        sharded.add_resources({"fresh": {small_cleaned.tags[0]: 1.0}})
-        stale = [shard for shard in sharded.shards if shard.is_stale]
-        assert stale
+    def test_shard_local_refresh_is_rejected_while_stale(
+        self, small_cleaned, tmp_path
+    ):
+        engine, _ = self.build_pair(small_cleaned, 1, tmp_path)
+        shards = engine.matrix_space.partition(2, ShardRouter(2).shard_of)
+        shards[0].add_documents({"fresh": {0: 1.0}})
+        assert shards[0].is_stale
         with pytest.raises(ConfigurationError):
-            stale[0].refresh()
-        # the coordinated refresh is the sanctioned path
-        assert sharded.refresh()
-        assert not any(shard.is_stale for shard in sharded.shards)
-        sharded.close()
+            shards[0].refresh()
+        # the whole index is the sanctioned writer
+        engine.add_resources({"fresh": {small_cleaned.tags[0]: 1.0}})
+        assert engine.refresh()
+        assert not engine.matrix_space.is_stale
 
 
 class TestQueryCache:
@@ -510,77 +544,70 @@ class TestQueryCache:
         self, small_cleaned, mono_engine
     ):
         rng = np.random.default_rng(11)
-        sharded = SearchEngine.from_engine(mono_engine, 2)
+        cached = with_cache(mono_engine)
         queries = sample_queries(small_cleaned, rng)
-        cold = sharded.rank_batch(queries, top_k=10)
-        warm = sharded.rank_batch(queries, top_k=10)
-        assert sharded.cache.hits > 0
+        cold = cached.rank_batch(queries, top_k=10)
+        warm = cached.rank_batch(queries, top_k=10)
+        assert cached.cache.hits > 0
         for cold_results, warm_results in zip(cold, warm):
             assert [r.resource for r in warm_results] == [
                 r.resource for r in cold_results
             ]
-        assert_sharded_parity(sharded, mono_engine, queries)
-        sharded.close()
+        assert_same_rankings(cached, mono_engine, queries)
 
     def test_duplicate_queries_in_one_batch_scored_once(
         self, small_cleaned, mono_engine
     ):
-        sharded = SearchEngine.from_engine(mono_engine, 2)
+        cached = with_cache(mono_engine)
         tag = small_cleaned.tags[0]
         batch = [[tag], [tag], [tag]]
-        results = sharded.rank_batch(batch, top_k=5)
-        assert sharded.cache.misses == 1  # one unique canonical key
+        results = cached.rank_batch(batch, top_k=5)
+        assert cached.cache.misses == 1  # one unique canonical key
         assert [r.resource for r in results[0]] == [
             r.resource for r in results[1]
         ] == [r.resource for r in results[2]]
-        sharded.close()
 
     def test_mutation_invalidates_cache(self, small_cleaned):
         model = identity_concept_model(small_cleaned.tags)
         engine = SearchEngine.build(small_cleaned, model, name="inv")
-        sharded = SearchEngine.from_engine(engine, 2)
+        cached = with_cache(SearchEngine.build(small_cleaned, model, name="inv"))
         query = [small_cleaned.tags[0]]
-        before = sharded.search(query, top_k=5)
-        assert sharded.search(query, top_k=5)  # warm the cache
-        assert len(sharded.cache) > 0
+        before = cached.search(query, top_k=5)
+        assert cached.search(query, top_k=5)  # warm the cache
+        assert len(cached.cache) > 0
         engine.add_resources({"cache-buster": {small_cleaned.tags[0]: 9.0}})
-        sharded.add_resources({"cache-buster": {small_cleaned.tags[0]: 9.0}})
-        assert len(sharded.cache) == 0  # cleared on mutation
-        after = sharded.search(query, top_k=5)
+        cached.add_resources({"cache-buster": {small_cleaned.tags[0]: 9.0}})
+        assert len(cached.cache) == 0  # cleared on mutation
+        after = cached.search(query, top_k=5)
         assert after != before  # the new resource actually surfaced
         want = engine.search(query, top_k=5)
         assert [r.resource for r in after] == [r.resource for r in want]
-        sharded.close()
 
 
 class TestRankBatchHardening:
     def test_empty_batch_returns_well_typed_empty(self, mono_engine):
-        sharded = SearchEngine.from_engine(mono_engine, 2)
+        cached = with_cache(mono_engine)
         assert mono_engine.rank_batch([]) == []
-        assert sharded.rank_batch([]) == []
-        sharded.close()
+        assert cached.rank_batch([]) == []
 
     def test_all_unknown_tags_yield_empty_lists(self, mono_engine):
-        sharded = SearchEngine.from_engine(mono_engine, 2)
+        cached = with_cache(mono_engine)
         batch = [["zzz-unknown"], [], ["another-unknown", "more-unknown"]]
         assert mono_engine.rank_batch(batch, top_k=5) == [[], [], []]
-        assert sharded.rank_batch(batch, top_k=5) == [[], [], []]
+        assert cached.rank_batch(batch, top_k=5) == [[], [], []]
         assert mono_engine.search(["zzz-unknown"]) == []
-        assert sharded.search(["zzz-unknown"]) == []
-        sharded.close()
+        assert cached.search(["zzz-unknown"]) == []
 
     def test_invalid_top_k_rejected_even_without_scorable_queries(
         self, mono_engine
     ):
-        sharded = SearchEngine.from_engine(mono_engine, 2)
-        for engine in (mono_engine, sharded):
+        for engine in (mono_engine, with_cache(mono_engine)):
             with pytest.raises(ConfigurationError):
                 engine.rank_batch([["zzz-unknown"]], top_k=0)
             with pytest.raises(ConfigurationError):
                 engine.rank_batch([], top_k=-3)
             with pytest.raises(ConfigurationError):
                 engine.search([], top_k=0)
-        sharded.close()
 
 
 class TestShardedPersistence:
@@ -589,33 +616,30 @@ class TestShardedPersistence:
         self, small_cleaned, mono_engine, oracle, tmp_path, num_shards
     ):
         rng = np.random.default_rng(13)
-        sharded = at_shards(mono_engine, num_shards)
-        sharded.save(tmp_path)
+        mono_engine.save(tmp_path, num_shards=num_shards)
+        shard_dirs = [f"shard-{index:04d}" for index in range(num_shards)]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            *(f"shard-{index:04d}" for index in range(num_shards)),
+            *shard_dirs,
             SHARD_MANIFEST_FILENAME,
         ]
-        loaded = SearchEngine.load(tmp_path)
-        assert loaded.num_shards == num_shards
-        assert loaded.name == mono_engine.name
-        # from_engine's default cache travels; a built engine carries none
-        assert (loaded.cache is None) == (sharded.cache is None)
-        for shard in loaded.shards:
+        for shard_dir in shard_dirs:  # a partition carries corpus-wide stats
+            shard = MatrixConceptSpace.load(tmp_path / shard_dir)
             assert shard.has_external_stats == (num_shards > 1)
+        loaded = SearchEngine.load(tmp_path)
+        assert loaded.name == mono_engine.name
+        assert loaded.cache is None  # a built engine carries none
+        assert loaded.is_mutable and not loaded.matrix_space.has_external_stats
         queries = sample_queries(small_cleaned, rng)
         assert_matches_oracle(loaded, oracle, queries)
-        sharded.close()
-        loaded.close()
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_save_load_then_mutate_stays_in_parity(
         self, small_cleaned, tmp_path, num_shards
     ):
         model = identity_concept_model(small_cleaned.tags)
-        sharded = at_shards(
-            SearchEngine.build(small_cleaned, model, name="slm"), num_shards
+        SearchEngine.build(small_cleaned, model, name="slm").save(
+            tmp_path, num_shards=num_shards
         )
-        sharded.save(tmp_path)
         loaded = SearchEngine.load(tmp_path)
         batch = dict(
             added={"post-load": {small_cleaned.tags[0]: 2.0}},
@@ -630,18 +654,16 @@ class TestShardedPersistence:
             DictLoopOracle(loaded.concept_model, bags),
             sample_queries(small_cleaned, rng),
         )
-        sharded.close()
-        loaded.close()
 
     def test_manifest_with_per_shard_drift_keys_still_loads(
-        self, small_cleaned, mono_engine, oracle, tmp_path
+        self, small_cleaned, concept_model, tmp_path
     ):
         """Saves made before the per-shard drift books were dropped carry
         ``baseline_resources`` / ``mutations`` on every shard entry; the
         keys are ignored and engine-level staleness is unaffected."""
-        sharded = SearchEngine.from_engine(mono_engine, 2)
-        sharded.add_resources({"drift-0": {small_cleaned.tags[0]: 1.0}})
-        sharded.save(tmp_path)
+        engine = SearchEngine.build(small_cleaned, concept_model, name="drift")
+        engine.add_resources({"drift-0": {small_cleaned.tags[0]: 1.0}})
+        engine.save(tmp_path, num_shards=2)
         manifest_path = tmp_path / SHARD_MANIFEST_FILENAME
         payload = json.loads(manifest_path.read_text(encoding="utf-8"))
         for entry in payload["shards"]:
@@ -650,36 +672,34 @@ class TestShardedPersistence:
             entry["mutations"] = {"added": 1, "removed": 0, "updated": 0}
         manifest_path.write_text(json.dumps(payload), encoding="utf-8")
         loaded = SearchEngine.load(tmp_path)
-        assert loaded.staleness() == sharded.staleness()
-        assert SearchEngine.load_shard(tmp_path, 1).epoch == sharded.epoch
-        sharded.close()
-        loaded.close()
+        assert loaded.staleness() == engine.staleness()
+        assert SearchEngine.load_shard(tmp_path, 1).epoch == engine.epoch
 
     def test_load_one_shard_serves_with_global_statistics(
         self, small_cleaned, mono_engine, tmp_path
     ):
-        sharded = SearchEngine.from_engine(mono_engine, 3)
-        sharded.save(tmp_path)
+        mono_engine.save(tmp_path, num_shards=3)
         shard_engine = SearchEngine.load_shard(tmp_path, 1)
-        shard_docs = set(sharded.shards[1].doc_ids)
-        assert shard_docs
+        router = ShardRouter(3)
+        shard_docs = {r for r in small_cleaned.resources if router.shard_of(r) == 1}
+        assert shard_docs and set(shard_engine.matrix_space.doc_ids) == shard_docs
         query = [small_cleaned.tags[0], small_cleaned.tags[1]]
         for result in shard_engine.search(query, top_k=None):
             assert result.resource in shard_docs
             assert mono_engine.score(query, result.resource) == pytest.approx(
                 result.score, abs=1e-9
             )
-        # a partial view is read-only: statistics are corpus-wide
-        assert (shard_engine.num_shards, shard_engine.router.num_shards) == (1, 3)
+        # a shard view is read-only: its statistics are corpus-wide
+        assert shard_engine.matrix_space.has_external_stats
+        assert not shard_engine.is_mutable
         with pytest.raises(ConfigurationError):
             shard_engine.add_resources({"nope": {small_cleaned.tags[0]: 1.0}})
         with pytest.raises(ConfigurationError):
             shard_engine.save(tmp_path / "partial")
-        assert shard_engine.epoch == sharded.epoch
+        assert shard_engine.epoch == mono_engine.epoch
         assert not shard_engine.refresh()
         with pytest.raises(ConfigurationError):
             SearchEngine.load_shard(tmp_path, 7)
-        sharded.close()
 
     def test_refresh_policy_round_trips_and_old_saves_get_defaults(
         self, small_cleaned, tmp_path
@@ -706,9 +726,7 @@ class TestShardedPersistence:
         )
         mono_dir, sharded_dir = tmp_path / "mono", tmp_path / "sharded"
         engine.save(mono_dir)
-        sharded = SearchEngine.from_engine(engine, 2)
-        sharded.save(sharded_dir)
-        sharded.close()
+        engine.save(sharded_dir, num_shards=2)
 
         def loaded_policies():
             whole = SearchEngine.load(sharded_dir)
@@ -733,23 +751,18 @@ class TestShardedPersistence:
     def test_resave_with_fewer_shards_prunes_stale_dirs(
         self, small_cleaned, mono_engine, tmp_path
     ):
-        wide = SearchEngine.from_engine(mono_engine, 4)
-        wide.save(tmp_path)
-        narrow = SearchEngine.from_engine(mono_engine, 2)
-        narrow.save(tmp_path)
+        mono_engine.save(tmp_path, num_shards=4)
+        mono_engine.save(tmp_path, num_shards=2)
         assert sorted(p.name for p in tmp_path.glob("shard-*")) == [
             "shard-0000",
             "shard-0001",
         ]
+        assert len(read_shard_manifest(tmp_path)["shards"]) == 2
         loaded = SearchEngine.load(tmp_path)
-        assert loaded.num_shards == 2
         rng = np.random.default_rng(43)
-        assert_sharded_parity(
+        assert_same_rankings(
             loaded, mono_engine, sample_queries(small_cleaned, rng)
         )
-        wide.close()
-        narrow.close()
-        loaded.close()
 
     def test_load_missing_manifest_raises(self, tmp_path):
         with pytest.raises(NotFittedError):
@@ -768,14 +781,13 @@ class TestShardedPersistence:
     def test_round_trip_in_fresh_process(
         self, small_cleaned, mono_engine, oracle, tmp_path, num_shards
     ):
-        sharded = at_shards(mono_engine, num_shards)
-        sharded.save(tmp_path)
+        mono_engine.save(tmp_path, num_shards=num_shards)
         query_tag = small_cleaned.tags[0]
         expected = oracle.rank([query_tag], top_k=5)
         script = (
             "import json, sys\n"
-            "from repro.search.sharding import ShardedSearchEngine\n"
-            "engine = ShardedSearchEngine.load(sys.argv[1])\n"
+            "from repro.search.engine import SearchEngine\n"
+            "engine = SearchEngine.load(sys.argv[1])\n"
             "results = engine.search([sys.argv[2]], top_k=5)\n"
             "print(json.dumps([[r.resource, r.score] for r in results]))\n"
         )
@@ -794,7 +806,6 @@ class TestShardedPersistence:
         ]
         for (_, score), result in zip(fresh, expected):
             assert score == pytest.approx(result.score, abs=1e-9)
-        sharded.close()
 
 
 #: Every ``repro.<pkg>`` package plus the two modules the comparator's
@@ -823,12 +834,9 @@ def test_serving_layers_import_each_other_at_module_scope_only():
 
     A function-scope ``from repro.`` import hides a layering inversion;
     the only ones allowed are the ``core.pipeline`` <-> ``search`` pair's
-    lifecycle half and the pinned ``ShardedSearchEngine`` alias.
+    lifecycle half.
     """
-    allowed = {
-        ("search/lifecycle.py", "repro.core.pipeline"): 3,
-        ("search/sharding.py", "repro.search.engine"): 1,
-    }
+    allowed = {("search/lifecycle.py", "repro.core.pipeline"): 3}
     deferred = set()  # a set: nested functions are walked more than once
     for layer in ("search", "serve", "load", "eval"):
         for path in sorted((SRC_DIR / "repro" / layer).glob("*.py")):
@@ -859,12 +867,11 @@ class TestOfflineIndexSharding:
     ):
         rng = np.random.default_rng(23)
         fitted_index.save(tmp_path, include_folksonomy=True, num_shards=2)
-        assert (tmp_path / SHARD_MANIFEST_FILENAME).exists()
+        assert len(read_shard_manifest(tmp_path)["shards"]) == 2
         loaded = OfflineIndex.load(tmp_path)
-        assert loaded.engine.num_shards == 2
         queries = sample_queries(fitted_index.folksonomy, rng)
-        assert_sharded_parity(loaded.engine, fitted_index.engine, queries)
-        # the restored sharded index keeps hot-applying deltas
+        assert_same_rankings(loaded.engine, fitted_index.engine, queries)
+        # the restored index keeps hot-applying deltas
         delta = (
             FolksonomyDeltaBuilder()
             .add_resource(
@@ -878,8 +885,26 @@ class TestOfflineIndexSharding:
         rebuilt = SearchEngine.build(
             loaded.folksonomy, loaded.concept_model, name="rebuild"
         )
-        assert_sharded_parity(loaded.engine, rebuilt, queries)
-        loaded.engine.close()
+        assert_same_rankings(loaded.engine, rebuilt, queries)
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_loaded_engine_caches_exactly_like_the_saved_one(
+        self, fitted_index, tmp_path, num_shards
+    ):
+        assert fitted_index.engine.cache is None
+        fitted_index.save(tmp_path / "plain", num_shards=num_shards)
+        assert OfflineIndex.load(tmp_path / "plain").engine.cache is None
+        engine = fitted_index.engine
+        cached = OfflineIndex(
+            concept_model=fitted_index.concept_model,
+            engine=SearchEngine(
+                engine.concept_model, engine.matrix_space, cache=QueryCache(64)
+            ),
+            timings={},
+        )
+        cached.save(tmp_path / "cached", num_shards=num_shards)
+        loaded = OfflineIndex.load(tmp_path / "cached").engine
+        assert loaded.cache is not None and loaded.cache.max_entries == 64
 
     def test_overwriting_layouts_never_mixes_artefacts(
         self, fitted_index, tmp_path
@@ -887,26 +912,33 @@ class TestOfflineIndexSharding:
         fitted_index.save(tmp_path, num_shards=2)
         fitted_index.save(tmp_path)  # back to one shard
         assert [p.name for p in tmp_path.glob("shard-*")] == ["shard-0000"]
-        loaded = OfflineIndex.load(tmp_path)
-        assert loaded.engine.num_shards == 1
+        assert len(read_shard_manifest(tmp_path)["shards"]) == 1
+        OfflineIndex.load(tmp_path)
         fitted_index.save(tmp_path, num_shards=3)  # and sharded again
-        loaded = OfflineIndex.load(tmp_path)
-        assert loaded.engine.num_shards == 3
-        loaded.engine.close()
+        assert len(read_shard_manifest(tmp_path)["shards"]) == 3
+        rng = np.random.default_rng(41)
+        assert_same_rankings(
+            OfflineIndex.load(tmp_path).engine,
+            fitted_index.engine,
+            sample_queries(fitted_index.folksonomy, rng),
+        )
 
     def test_resharding_a_sharded_engine_is_rejected(
         self, fitted_index, tmp_path
     ):
-        sharded_index = OfflineIndex(
+        fitted_index.save(tmp_path / "two", num_shards=2)
+        shard_index = OfflineIndex(
             concept_model=fitted_index.concept_model,
-            engine=SearchEngine.from_engine(fitted_index.engine, 2),
+            engine=SearchEngine.load_shard(tmp_path / "two", 0),
             timings=dict(fitted_index.timings),
             folksonomy=fitted_index.folksonomy,
         )
-        with pytest.raises(ConfigurationError):
-            sharded_index.save(tmp_path, num_shards=4)
-        sharded_index.save(tmp_path, num_shards=2)  # matching count is fine
-        sharded_index.engine.close()
+        for num_shards in (1, 2, 4):  # one shard is not the index
+            with pytest.raises(ConfigurationError):
+                shard_index.save(tmp_path / "out", num_shards=num_shards)
+        # the whole save, loaded, re-partitions freely
+        OfflineIndex.load(tmp_path / "two").save(tmp_path / "four", num_shards=4)
+        assert len(read_shard_manifest(tmp_path / "four")["shards"]) == 4
 
     def test_snapshot_store_checkpoints_sharded_layout(
         self, small_cleaned, tmp_path
@@ -918,11 +950,10 @@ class TestOfflineIndexSharding:
         index = pipeline.fit(small_cleaned)
         store = IndexSnapshotStore(tmp_path / "snapshots")
         first = store.save(index, num_shards=2)
-        assert (first / SHARD_MANIFEST_FILENAME).exists()
+        assert len(read_shard_manifest(first)["shards"]) == 2
         serving = store.load()
-        assert serving.engine.num_shards == 2
         queries = sample_queries(small_cleaned, rng)
-        assert_sharded_parity(serving.engine, index.engine, queries)
+        assert_same_rankings(serving.engine, index.engine, queries)
         # the restored snapshot accepts deltas and re-checkpoints sharded
         delta = (
             FolksonomyDeltaBuilder()
@@ -930,23 +961,9 @@ class TestOfflineIndexSharding:
             .build()
         )
         serving.apply_delta(delta)
-        second = store.save(serving)
-        assert (second / SHARD_MANIFEST_FILENAME).exists()
+        second = store.save(serving, num_shards=2)
+        assert len(read_shard_manifest(second)["shards"]) == 2
         assert store.latest_epoch() == serving.engine.epoch
-        serving.engine.close()
-
-
-class TestShardingSweepHarness:
-    def test_sweep_reports_and_enforces_parity(self, small_cleaned, mono_engine):
-        rng = np.random.default_rng(37)
-        queries = sample_queries(small_cleaned, rng, count=12)
-        rows = sharding_sweep(
-            mono_engine, queries, shard_counts=(1, 2), top_k=10, repeats=1
-        )
-        assert [row["Shards"] for row in rows] == [0, 1, 2]
-        assert all(row["Seconds"] > 0 for row in rows)
-        with pytest.raises(ConfigurationError):
-            sharding_sweep(mono_engine, [], shard_counts=(1,))
 
 
 class TestSlicedSpaces:

@@ -106,13 +106,7 @@ def golden(mono_engine, queries):
 def save_dir(tmp_path_factory, mono_engine):
     """A 4-shard mmap-ready save the pool tests share (read-only)."""
     directory = tmp_path_factory.mktemp("pool-index") / "index"
-    sharded = SearchEngine.from_engine(
-        mono_engine, num_shards=NUM_SHARDS, cache_entries=None
-    )
-    try:
-        sharded.save(directory, mmap_ready=True)
-    finally:
-        sharded.close()
+    mono_engine.save(directory, mmap_ready=True, num_shards=NUM_SHARDS)
     return directory
 
 
@@ -186,13 +180,7 @@ class TestMmapStorageLayout:
     def test_sharded_save_plumbs_mmap_ready_through(
         self, mono_engine, tmp_path
     ):
-        sharded = SearchEngine.from_engine(
-            mono_engine, num_shards=2, cache_entries=None
-        )
-        try:
-            sharded.save(tmp_path, mmap_ready=True)
-        finally:
-            sharded.close()
+        mono_engine.save(tmp_path, mmap_ready=True, num_shards=2)
         for shard_id in range(2):
             assert saved_storage(tmp_path / f"shard-{shard_id:04d}") == (
                 STORAGE_NPY
@@ -215,10 +203,11 @@ class TestPoolParity:
         self, mono_engine, queries, golden, tmp_path, num_shards
     ):
         # Any saved index opens under the pool — including a plain
-        # ``OfflineIndex.save(dir)`` of the built one-shard engine.  Both
-        # are the compressed layout, not mmap-able.
+        # ``OfflineIndex.save(dir)`` of the engine.  Both are the
+        # compressed layout, not mmap-able.
+        layout = {} if num_shards is None else {"num_shards": num_shards}
         OfflineIndex(mono_engine.concept_model, mono_engine, timings={}).save(
-            tmp_path, num_shards=num_shards
+            tmp_path, **layout
         )
         with ShardProcessPool(tmp_path) as pool:
             assert pool.num_shards == (num_shards or 1)
@@ -460,10 +449,7 @@ class TestReplayParityThroughPool:
     def test_mutation_replayed_over_the_pool_is_a_typed_read_only_error(
         self, mono_engine, tmp_path
     ):
-        with SearchEngine.from_engine(
-            mono_engine, num_shards=2, cache_entries=None
-        ) as sharded:
-            sharded.save(tmp_path, mmap_ready=True)
+        mono_engine.save(tmp_path, mmap_ready=True, num_shards=2)
         tag = mono_engine.concept_model.concepts[0].tags[0]
         trace = WorkloadTrace(
             operations=(
@@ -483,10 +469,7 @@ class TestReplayParityThroughPool:
     ):
         """The harness teardown is ``engine.close()``: a handle around a
         pool must pass it through, or the workers outlive the check."""
-        with SearchEngine.from_engine(
-            mono_engine, num_shards=2, cache_entries=None
-        ) as sharded:
-            sharded.save(tmp_path, mmap_ready=True)
+        mono_engine.save(tmp_path, mmap_ready=True, num_shards=2)
         trace = WorkloadGenerator(
             WorkloadConfig(
                 num_operations=40,

@@ -19,7 +19,12 @@ import threading
 import numpy as np
 import pytest
 
-from oracle import DictLoopOracle, assert_matches_oracle
+from oracle import (
+    DictLoopOracle,
+    assert_matches_oracle,
+    through_save,
+    with_cache,
+)
 from repro.core.concepts import identity_concept_model
 from repro.eval.sharding import rankings_match
 from repro.eval.workload import workload_sweep
@@ -63,12 +68,8 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards):
-    return SearchEngine.from_engine(
-        SearchEngine.build(
-            folksonomy, identity_concept_model(folksonomy.tags), name="wl"
-        ),
-        num_shards=num_shards,
-    )
+    """A cached engine restored from a ``num_shards``-shard save."""
+    return through_save(with_cache(build_mono(folksonomy)), num_shards)
 
 
 class TestWorkloadGenerator:
