@@ -75,26 +75,20 @@ class FolkRankRanker(Ranker):
             r: self._node_index[("resource", r)] for r in folksonomy.resources
         }
 
-        pair_counts: Dict[Tuple[int, int], float] = {}
-
-        def bump(node_a: Tuple[str, str], node_b: Tuple[str, str]) -> None:
-            i, j = self._node_index[node_a], self._node_index[node_b]
-            pair_counts[(i, j)] = pair_counts.get((i, j), 0.0) + 1.0
-            pair_counts[(j, i)] = pair_counts.get((j, i), 0.0) + 1.0
-
-        for assignment in folksonomy.assignments:
-            user = ("user", assignment.user)
-            tag = ("tag", assignment.tag)
-            resource = ("resource", assignment.resource)
-            bump(user, tag)
-            bump(user, resource)
-            bump(tag, resource)
-
-        rows = [i for (i, _j) in pair_counts]
-        cols = [j for (_i, j) in pair_counts]
-        data = list(pair_counts.values())
+        # Node ids follow the list above: users, then tags, then resources.
+        users, tags, resources = (c.astype(np.int64) for c in folksonomy.columns)
+        tags = tags + folksonomy.num_users
+        resources = resources + folksonomy.num_users + folksonomy.num_tags
+        heads = np.concatenate([users, users, tags])
+        tails = np.concatenate([tags, resources, resources])
+        size = self._num_nodes
+        pairs, counts = np.unique(
+            np.concatenate([heads * size + tails, tails * size + heads]),
+            return_counts=True,
+        )
         self._adjacency = sp.coo_matrix(
-            (data, (rows, cols)), shape=(self._num_nodes, self._num_nodes)
+            (counts.astype(float), (pairs // size, pairs % size)),
+            shape=(size, size),
         ).tocsr()
 
         if self._differential:

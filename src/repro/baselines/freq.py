@@ -47,10 +47,7 @@ class FreqRanker(Ranker):
         self._votes = {}
         self._total_votes = {}
         for resource in folksonomy.resources:
-            votes = {
-                tag: len(folksonomy.users_of(tag, resource))
-                for tag in folksonomy.tags_of_resource(resource)
-            }
+            votes = folksonomy.tag_bag(resource)
             self._votes[resource] = votes
             self._total_votes[resource] = float(sum(votes.values()))
         self._compile()

@@ -7,10 +7,11 @@ called a *folksonomy*.
 
 * :mod:`repro.tagging.entities` — value objects for users, tags, resources
   and tag assignments.
-* :mod:`repro.tagging.folksonomy` — the in-memory triple store with interned
-  ids, per-dimension indexes and tensor/matrix export.
+* :mod:`repro.tagging.folksonomy` — the in-memory triple store: int32 id
+  columns over sorted interned vocabularies, with tag bags and
+  tensor/matrix export derived from them.
 * :mod:`repro.tagging.delta` — incremental assignment deltas
-  (:class:`FolksonomyDelta`) applied without rebuilding the interning state.
+  (:class:`FolksonomyDelta`), merged into the sorted columns.
 * :mod:`repro.tagging.cleaning` — the cleaning pipeline of Section VI-A
   (system-tag removal, lower-casing, iterative minimum-support filtering).
 * :mod:`repro.tagging.io` — TSV / JSON-lines readers and writers.

@@ -15,12 +15,12 @@ statistics so Table II can be regenerated.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.tagging.entities import TagAssignment
-from repro.tagging.folksonomy import Folksonomy
+import numpy as np
+
+from repro.tagging.folksonomy import Folksonomy, _distinct_rows, _remap
 from repro.tagging.stats import DatasetStatistics, compute_statistics
 from repro.utils.errors import ConfigurationError
 
@@ -124,6 +124,9 @@ def clean_folksonomy(
 ) -> Tuple[Folksonomy, CleaningReport]:
     """Run the full cleaning pipeline and return the cleaned dataset.
 
+    Tags are normalised and classified once per distinct label; removal,
+    deduplication and pruning are passes over the id columns.
+
     Returns
     -------
     (cleaned, report):
@@ -133,17 +136,25 @@ def clean_folksonomy(
     config = config or CleaningConfig()
     raw_stats = compute_statistics(folksonomy, label="raw")
 
-    normalized: List[TagAssignment] = []
-    removed_system = 0
-    for assignment in folksonomy.assignments:
-        tag = normalize_tag(assignment.tag, config)
-        if not tag or is_system_tag(tag, config):
-            removed_system += 1
-            continue
-        normalized.append(TagAssignment(assignment.user, tag, assignment.resource))
+    normalized = [normalize_tag(tag, config) for tag in folksonomy.tags]
+    tags = tuple(
+        sorted({tag for tag in normalized if tag and not is_system_tag(tag, config)})
+    )
+    tag_ids = _remap(normalized, tags)
+    users, tag_column, resources = folksonomy.columns
+    kept = tag_ids[tag_column] >= 0
+    removed_system = int(kept.size - np.count_nonzero(kept))
+    vocabularies = (folksonomy.users, tags, folksonomy.resources)
+    columns = (users[kept], tag_ids[tag_column[kept]], resources[kept])
+    deduped = Folksonomy._from_rows(
+        vocabularies, _distinct_rows(vocabularies, columns), folksonomy.name
+    )
 
-    pruned, iterations = _prune_low_support(normalized, config)
-    cleaned = Folksonomy(pruned, name=folksonomy.name)
+    # Pruning masks sorted distinct rows, so they stay sorted and distinct.
+    pruned, iterations = _prune_low_support(deduped.columns, config)
+    cleaned = Folksonomy._from_rows(
+        (deduped.users, deduped.tags, deduped.resources), pruned, folksonomy.name
+    )
     cleaned_stats = compute_statistics(cleaned, label="cleaned")
 
     report = CleaningReport(
@@ -155,7 +166,7 @@ def clean_folksonomy(
         removed_tags=raw_stats.num_tags - cleaned_stats.num_tags,
         removed_resources=raw_stats.num_resources - cleaned_stats.num_resources,
     )
-    if not pruned:
+    if not cleaned.num_assignments:
         report.notes.append(
             "cleaning removed every assignment; consider lowering min_assignments"
         )
@@ -163,47 +174,20 @@ def clean_folksonomy(
 
 
 def _prune_low_support(
-    assignments: Sequence[TagAssignment],
+    columns: Sequence[np.ndarray],
     config: CleaningConfig,
-) -> Tuple[List[TagAssignment], int]:
+) -> Tuple[List[np.ndarray], int]:
     """Iteratively drop low-support users/tags/resources until stable."""
-    current = list(dict.fromkeys(assignments))  # dedupe, keep order
+    current = list(columns)
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        user_counts: Counter = Counter()
-        tag_counts: Counter = Counter()
-        resource_counts: Counter = Counter()
-        for a in current:
-            user_counts[a.user] += 1
-            tag_counts[a.tag] += 1
-            resource_counts[a.resource] += 1
-
-        keep_users = {u for u, c in user_counts.items() if c >= config.min_assignments}
-        keep_tags = {t for t, c in tag_counts.items() if c >= config.min_assignments}
-        keep_resources = {
-            r for r, c in resource_counts.items() if c >= config.min_assignments
-        }
-
-        filtered = [
-            a
-            for a in current
-            if a.user in keep_users
-            and a.tag in keep_tags
-            and a.resource in keep_resources
-        ]
-        if len(filtered) == len(current):
+        keep = np.ones(current[0].size, dtype=bool)
+        for column in current:
+            keep &= (np.bincount(column) >= config.min_assignments)[column]
+        if keep.all():
             break
-        current = filtered
-        if not current:
+        current = [column[keep] for column in current]
+        if not current[0].size:
             break
     return current, iterations
-
-
-def clean_assignments(
-    assignments: Iterable[TagAssignment],
-    config: Optional[CleaningConfig] = None,
-    name: str = "dataset",
-) -> Tuple[Folksonomy, CleaningReport]:
-    """Convenience wrapper: build a folksonomy from raw triples and clean it."""
-    return clean_folksonomy(Folksonomy(assignments, name=name), config=config)

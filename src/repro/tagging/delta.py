@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Tuple
 
-from repro.tagging.entities import (
-    AssignmentLike,
-    TagAssignment,
-    as_assignment,
-    normalize_assignments,
-)
+from repro.tagging.entities import AssignmentLike, TagAssignment, as_assignment
 from repro.utils.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def _normalize(items: Iterable[AssignmentLike]) -> Tuple[TagAssignment, ...]:
-    return tuple(sorted(normalize_assignments(items)))
+    return tuple(sorted({as_assignment(item) for item in items}))
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,23 @@ container interns them into dense integer ids when numeric work begins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple, Union
+from typing import Tuple, Union
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, order=True)
 class TagAssignment:
     """A single ``(user, tag, resource)`` annotation event.
 
-    Instances are hashable and order-comparable so collections of
-    assignments can be deduplicated and stored in sets, mirroring the
-    set-semantics of ``Y`` in the paper (Eq. 5 maps each distinct triple to
-    a 1 in the tensor regardless of how many times it was observed).
+    Instances are hashable and order-comparable (field by field) so
+    collections of assignments can be deduplicated and stored in sets,
+    mirroring the set-semantics of ``Y`` in the paper (Eq. 5 maps each
+    distinct triple to a 1 in the tensor regardless of how many times it was
+    observed).  :class:`~repro.tagging.folksonomy.Folksonomy` stores none of
+    them; they are the I/O type at its edges.
     """
+
+    # Written out rather than ``dataclass(slots=True)``, which needs 3.10.
+    __slots__ = ("user", "tag", "resource")
 
     user: str
     tag: str
@@ -34,11 +39,6 @@ class TagAssignment:
         """A copy of this assignment annotated with a different tag label."""
         return TagAssignment(user=self.user, tag=tag, resource=self.resource)
 
-    def __lt__(self, other: "TagAssignment") -> bool:
-        if not isinstance(other, TagAssignment):
-            return NotImplemented
-        return self.as_tuple() < other.as_tuple()
-
 
 #: What the normalisation helpers accept: an assignment value object or a
 #: plain ``(user, tag, resource)`` tuple of str()-coercible labels.
@@ -46,27 +46,20 @@ AssignmentLike = Union["TagAssignment", Tuple[str, str, str]]
 
 
 def as_assignment(item: AssignmentLike) -> "TagAssignment":
-    """Coerce one assignment-like value into a :class:`TagAssignment`."""
-    if isinstance(item, TagAssignment):
-        return item
-    user, tag, resource = item
-    return TagAssignment(user=str(user), tag=str(tag), resource=str(resource))
-
-
-def normalize_assignments(
-    items: Iterable[AssignmentLike],
-) -> FrozenSet["TagAssignment"]:
-    """Coerce and deduplicate assignment-like values (set semantics of ``Y``).
+    """Coerce one assignment-like value into a :class:`TagAssignment`.
 
     The single definition of triple identity shared by
     :class:`~repro.tagging.folksonomy.Folksonomy` and
     :class:`~repro.tagging.delta.FolksonomyDelta` — the two must never
     disagree on which triples are equal.
     """
-    return frozenset(as_assignment(item) for item in items)
+    if isinstance(item, TagAssignment):
+        return item
+    user, tag, resource = item
+    return TagAssignment(user=str(user), tag=str(tag), resource=str(resource))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, order=True)
 class PostKey:
     """Identifies a *post*: one user's annotation of one resource.
 
@@ -75,13 +68,10 @@ class PostKey:
     export, and the unit the synthetic generator produces.
     """
 
+    __slots__ = ("user", "resource")
+
     user: str
     resource: str
 
     def as_tuple(self) -> Tuple[str, str]:
         return (self.user, self.resource)
-
-    def __lt__(self, other: "PostKey") -> bool:
-        if not isinstance(other, PostKey):
-            return NotImplemented
-        return self.as_tuple() < other.as_tuple()

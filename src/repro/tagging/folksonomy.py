@@ -1,46 +1,196 @@
 """The in-memory folksonomy: users, tags, resources and their assignments.
 
 :class:`Folksonomy` is the central data structure of the library.  It stores
-the distinct labels of each dimension, interns them into dense integer ids,
-maintains the per-dimension indexes that the rankers need (which tags a
-resource carries, who used a tag on a resource, ...) and exports the numeric
-representations used downstream:
+``Y`` as three parallel int32 columns ``(user, tag, resource)`` over three
+sorted, interned vocabularies; the rows are distinct and sorted, so row
+order is the lexicographic order of the label triples.  Everything the rest
+of the library reads is a numpy pass over those columns:
 
 * the third-order binary tensor ``F`` of Eq. 5 (``to_tensor``),
 * the user-aggregated tag-resource count matrix of Fig. 3 (``to_tag_resource_matrix``),
-* per-resource tag bags for the IR layer (``tag_bag``).
+* per-resource tag bags for the IR layer (``tag_bag``), rows of a
+  resource x tag count CSR derived on first use.
+
+:class:`~repro.tagging.entities.TagAssignment` objects exist only at the
+edges: :attr:`Folksonomy.assignments` is a lazy sequence that builds one per
+item read, and readers/writers (``io``, ``store``, deltas) speak in them.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter, defaultdict
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from bisect import bisect_left
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.tagging.entities import TagAssignment, normalize_assignments
+from repro.tagging.entities import TagAssignment, as_assignment
 from repro.tensor.sparse import SparseTensor
 from repro.utils.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tagging.delta import FolksonomyDelta
 
+Vocabulary = Tuple[str, ...]
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_FIELDS = ("user", "tag", "resource")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _intern(labels: Sequence[str]) -> Tuple[Vocabulary, np.ndarray]:
+    """The sorted distinct labels and each label's id in them."""
+    vocabulary = tuple(sorted(set(labels)))
+    return vocabulary, _remap(labels, vocabulary)
+
+
+def _remap(labels: Sequence[str], vocabulary: Vocabulary) -> np.ndarray:
+    """Ids of ``labels`` in ``vocabulary`` (-1 for a label it lacks)."""
+    index = {label: i for i, label in enumerate(vocabulary)}
+    return np.fromiter(
+        (index.get(label, -1) for label in labels), np.int64, len(labels)
+    )
+
+
+def _find(vocabulary: Vocabulary, label: str) -> int:
+    """Id of ``label`` in a sorted vocabulary, or -1."""
+    position = bisect_left(vocabulary, label)
+    if position < len(vocabulary) and vocabulary[position] == label:
+        return position
+    return -1
+
+
+def _encode(columns: Sequence[np.ndarray], shape: Sequence[int]) -> np.ndarray:
+    """One int64 key per row, ordered like the rows' ``(u, t, r)`` id triples."""
+    if int(np.prod(shape, dtype=object)) > _INT64_MAX:
+        raise ConfigurationError(
+            f"a {shape} folksonomy does not fit 64-bit triple keys"
+        )
+    users, tags, resources = (np.asarray(c, dtype=np.int64) for c in columns)
+    return (users * shape[1] + tags) * shape[2] + resources
+
+
+def _decode(keys: np.ndarray, shape: Sequence[int]) -> Columns:
+    users, rest = np.divmod(keys, shape[1] * shape[2])
+    tags, resources = np.divmod(rest, shape[2])
+    return tuple(c.astype(np.int32) for c in (users, tags, resources))
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    starts = np.ones(ordered.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return starts
+
+
+def _distinct_rows(
+    vocabularies: Sequence[Vocabulary], columns: Sequence[np.ndarray]
+) -> Columns:
+    """Id rows that may repeat and come in any order, sorted and distinct.
+
+    A sort and a run mask rather than ``np.unique``, which is several times
+    slower on these sizes.
+    """
+    shape = [len(v) for v in vocabularies]
+    keys = np.sort(_encode(columns, shape))
+    return _decode(keys[_run_starts(keys)], shape)
+
+
+def _lookup(
+    vocabularies: Sequence[Vocabulary], assignments: Iterable[TagAssignment]
+) -> List[np.ndarray]:
+    """Id columns of the ``assignments`` whose three labels are all known."""
+    rows = [
+        ids
+        for ids in (
+            [_find(v, label) for v, label in zip(vocabularies, a.as_tuple())]
+            for a in assignments
+        )
+        if min(ids) >= 0
+    ]
+    return list(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def _locate(keys: np.ndarray, probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where ``probes`` sit in the sorted ``keys``, and which are present."""
+    positions = np.searchsorted(keys, probes)
+    found = positions < keys.size
+    found[found] = keys[positions[found]] == probes[found]
+    return positions, found
+
+
+def _splice(vocabulary: Vocabulary, cuts: List[Tuple[int, int, List[str]]]) -> Vocabulary:
+    """``vocabulary`` with each ``[start:end]`` of the sorted ``cuts`` replaced.
+
+    Copies O(|V|) references and compares no strings.
+    """
+    spliced: List[str] = []
+    position = 0
+    for start, end, labels in cuts:
+        spliced += vocabulary[position:start]
+        spliced += labels
+        position = end
+    spliced += vocabulary[position:]
+    return tuple(spliced)
+
+
+def _grow(
+    vocabulary: Vocabulary, labels: Set[str]
+) -> Tuple[Vocabulary, Optional[np.ndarray]]:
+    """``vocabulary`` plus ``labels``, and the old ids' new positions.
+
+    The remap is ``None`` when every label is already known.
+    """
+    new = sorted(label for label in labels if _find(vocabulary, label) < 0)
+    if not new:
+        return vocabulary, None
+    positions = [bisect_left(vocabulary, label) for label in new]
+    grown = _splice(vocabulary, [(p, p, [label]) for p, label in zip(positions, new)])
+    shift = np.cumsum(np.bincount(positions, minlength=len(vocabulary) + 1))
+    return grown, np.arange(len(vocabulary)) + shift[:-1]
+
+
+class AssignmentSequence(Sequence):
+    """``Y`` in sorted order; indexing builds exactly one :class:`TagAssignment`."""
+
+    __slots__ = ("_vocabularies", "_columns")
+
+    def __init__(self, vocabularies: Tuple[Vocabulary, ...], columns: Columns) -> None:
+        self._vocabularies = vocabularies
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        users, tags, resources = self._vocabularies
+        u, t, r = (int(column[index]) for column in self._columns)
+        return TagAssignment(users[u], tags[t], resources[r])
+
+    def __iter__(self) -> Iterator[TagAssignment]:
+        return map(
+            TagAssignment,
+            *(
+                map(vocabulary.__getitem__, column.tolist())
+                for vocabulary, column in zip(self._vocabularies, self._columns)
+            ),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AssignmentSequence):
+            return NotImplemented
+        return self._vocabularies == other._vocabularies and all(
+            np.array_equal(a, b) for a, b in zip(self._columns, other._columns)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
 
 class Folksonomy:
-    """An immutable collection of tag assignments with fast lookups.
+    """An immutable set of tag assignments stored as interned id columns.
 
     Parameters
     ----------
@@ -56,58 +206,48 @@ class Folksonomy:
         assignments: Iterable,
         name: str = "folksonomy",
     ) -> None:
-        normalized = normalize_assignments(assignments)
+        triples = [as_assignment(item) for item in assignments]
+        vocabularies, columns = zip(
+            *(_intern([getattr(a, field) for a in triples]) for field in _FIELDS)
+        )
+        self._store(name, vocabularies, _distinct_rows(vocabularies, columns))
+
+    @classmethod
+    def _from_rows(
+        cls,
+        vocabularies: Sequence[Vocabulary],
+        columns: Sequence[np.ndarray],
+        name: str,
+    ) -> "Folksonomy":
+        """A folksonomy over sorted distinct id rows into sorted vocabularies."""
+        new = object.__new__(cls)
+        new._store(name, vocabularies, columns)
+        return new
+
+    def _store(
+        self,
+        name: str,
+        vocabularies: Sequence[Vocabulary],
+        columns: Sequence[np.ndarray],
+    ) -> None:
+        """Keep sorted distinct id rows, dropping labels no row uses."""
+        kept_vocabularies = []
+        kept_columns = []
+        for vocabulary, column in zip(vocabularies, columns):
+            column = np.asarray(column, dtype=np.int32)
+            used = np.zeros(len(vocabulary), dtype=bool)
+            used[column] = True
+            if not used.all():
+                unused = np.flatnonzero(~used).tolist()
+                vocabulary = _splice(vocabulary, [(i, i + 1, []) for i in unused])
+                column = (np.cumsum(used, dtype=np.int32) - 1)[column]
+            column.flags.writeable = False
+            kept_vocabularies.append(tuple(vocabulary))
+            kept_columns.append(column)
         self._name = name
-        self._assignments: Tuple[TagAssignment, ...] = tuple(sorted(normalized))
-        self._assignment_set: FrozenSet[TagAssignment] = normalized
-
-        users = sorted({a.user for a in self._assignments})
-        tags = sorted({a.tag for a in self._assignments})
-        resources = sorted({a.resource for a in self._assignments})
-        self._users = tuple(users)
-        self._tags = tuple(tags)
-        self._resources = tuple(resources)
-        self._user_index = {label: i for i, label in enumerate(users)}
-        self._tag_index = {label: i for i, label in enumerate(tags)}
-        self._resource_index = {label: i for i, label in enumerate(resources)}
-
-        tags_by_resource: Dict[str, Counter] = defaultdict(Counter)
-        users_by_tag_resource: Dict[Tuple[str, str], Set[str]] = defaultdict(set)
-        resources_by_tag: Dict[str, Set[str]] = defaultdict(set)
-        tags_by_user: Dict[str, Set[str]] = defaultdict(set)
-        resources_by_user: Dict[str, Set[str]] = defaultdict(set)
-        assignment_count_by_user: Counter = Counter()
-        assignment_count_by_tag: Counter = Counter()
-        assignment_count_by_resource: Counter = Counter()
-        count_by_user_tag: Counter = Counter()
-        count_by_user_resource: Counter = Counter()
-
-        for a in self._assignments:
-            tags_by_resource[a.resource][a.tag] += 1
-            users_by_tag_resource[(a.tag, a.resource)].add(a.user)
-            resources_by_tag[a.tag].add(a.resource)
-            tags_by_user[a.user].add(a.tag)
-            resources_by_user[a.user].add(a.resource)
-            assignment_count_by_user[a.user] += 1
-            assignment_count_by_tag[a.tag] += 1
-            assignment_count_by_resource[a.resource] += 1
-            count_by_user_tag[(a.user, a.tag)] += 1
-            count_by_user_resource[(a.user, a.resource)] += 1
-
-        self._tags_by_resource = {r: dict(c) for r, c in tags_by_resource.items()}
-        self._users_by_tag_resource = {
-            key: frozenset(users) for key, users in users_by_tag_resource.items()
-        }
-        self._resources_by_tag = {t: frozenset(r) for t, r in resources_by_tag.items()}
-        self._tags_by_user = {u: frozenset(t) for u, t in tags_by_user.items()}
-        self._resources_by_user = {
-            u: frozenset(r) for u, r in resources_by_user.items()
-        }
-        self._assignment_count_by_user = dict(assignment_count_by_user)
-        self._assignment_count_by_tag = dict(assignment_count_by_tag)
-        self._assignment_count_by_resource = dict(assignment_count_by_resource)
-        self._count_by_user_tag = dict(count_by_user_tag)
-        self._count_by_user_resource = dict(count_by_user_resource)
+        self._vocabularies: Tuple[Vocabulary, ...] = tuple(kept_vocabularies)
+        self._columns: Columns = tuple(kept_columns)
+        self._bags: Optional[Tuple[List[int], List[str], List[int]]] = None
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -117,53 +257,59 @@ class Folksonomy:
         return self._name
 
     @property
-    def users(self) -> Tuple[str, ...]:
+    def users(self) -> Vocabulary:
         """Distinct user labels in deterministic (sorted) order."""
-        return self._users
+        return self._vocabularies[0]
 
     @property
-    def tags(self) -> Tuple[str, ...]:
+    def tags(self) -> Vocabulary:
         """Distinct tag labels in deterministic (sorted) order."""
-        return self._tags
+        return self._vocabularies[1]
 
     @property
-    def resources(self) -> Tuple[str, ...]:
+    def resources(self) -> Vocabulary:
         """Distinct resource labels in deterministic (sorted) order."""
-        return self._resources
+        return self._vocabularies[2]
 
     @property
-    def assignments(self) -> Tuple[TagAssignment, ...]:
-        """All distinct assignments, sorted."""
-        return self._assignments
+    def columns(self) -> Columns:
+        """Read-only int32 ``(user, tag, resource)`` id columns, rows sorted."""
+        return self._columns
+
+    @property
+    def assignments(self) -> AssignmentSequence:
+        """All distinct assignments, sorted (built lazily, one per item read)."""
+        return AssignmentSequence(self._vocabularies, self._columns)
 
     @property
     def num_users(self) -> int:
-        return len(self._users)
+        return len(self.users)
 
     @property
     def num_tags(self) -> int:
-        return len(self._tags)
+        return len(self.tags)
 
     @property
     def num_resources(self) -> int:
-        return len(self._resources)
+        return len(self.resources)
 
     @property
     def num_assignments(self) -> int:
-        return len(self._assignments)
+        return len(self._columns[0])
 
     def __len__(self) -> int:
         return self.num_assignments
 
     def __iter__(self) -> Iterator[TagAssignment]:
-        return iter(self._assignments)
+        return iter(self.assignments)
 
     def __contains__(self, item) -> bool:
-        if isinstance(item, TagAssignment):
-            return item in self._assignment_set
-        if isinstance(item, tuple) and len(item) == 3:
-            return TagAssignment(*map(str, item)) in self._assignment_set
-        return False
+        if not isinstance(item, TagAssignment):
+            if not (isinstance(item, tuple) and len(item) == 3):
+                return False
+            item = as_assignment(item)
+        probe = _encode(_lookup(self._vocabularies, [item]), self._shape())
+        return bool(_locate(_encode(self._columns, self._shape()), probe)[1].any())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -172,75 +318,91 @@ class Folksonomy:
             f"|Y|={self.num_assignments})"
         )
 
+    def _shape(self) -> Tuple[int, int, int]:
+        return (self.num_users, self.num_tags, self.num_resources)
+
     # ------------------------------------------------------------------ #
     # Id interning
     # ------------------------------------------------------------------ #
+    def _id(self, dimension: int, label: str) -> int:
+        position = _find(self._vocabularies[dimension], label)
+        if position < 0:
+            raise KeyError(label)
+        return position
+
     def user_id(self, user: str) -> int:
         """Dense integer id of ``user`` (raises ``KeyError`` if unknown)."""
-        return self._user_index[user]
+        return self._id(0, user)
 
     def tag_id(self, tag: str) -> int:
         """Dense integer id of ``tag`` (raises ``KeyError`` if unknown)."""
-        return self._tag_index[tag]
+        return self._id(1, tag)
 
     def resource_id(self, resource: str) -> int:
         """Dense integer id of ``resource`` (raises ``KeyError`` if unknown)."""
-        return self._resource_index[resource]
+        return self._id(2, resource)
 
     def has_tag(self, tag: str) -> bool:
-        return tag in self._tag_index
+        return _find(self.tags, tag) >= 0
 
     def has_resource(self, resource: str) -> bool:
-        return resource in self._resource_index
-
-    def has_user(self, user: str) -> bool:
-        return user in self._user_index
+        return _find(self.resources, resource) >= 0
 
     # ------------------------------------------------------------------ #
     # Relationship queries
     # ------------------------------------------------------------------ #
-    def tags_of_resource(self, resource: str) -> Mapping[str, int]:
-        """``tag -> number of distinct users`` who applied it to ``resource``.
+    def _bag_rows(self) -> Tuple[List[int], List[str], List[int]]:
+        """The resource x tag count CSR as lists ``(indptr, tags, counts)``.
+
+        Within a row, tags come in the order of their first assignment in
+        row order — the order the engine numbers new term columns in, so
+        it must not change.  Lists, not arrays: ``tag_bag`` is called once
+        per resource and slicing lists is what keeps that call cheap.
+        """
+        if self._bags is None:
+            _, tags, resources = self._columns
+            width = max(self.num_tags, 1)
+            pairs = resources.astype(np.int64) * width + tags
+            by_pair = np.argsort(pairs)
+            starts = np.flatnonzero(_run_starts(pairs[by_pair]))
+            keys = pairs[by_pair[starts]]
+            first = np.minimum.reduceat(by_pair, starts) if starts.size else starts
+            counts = np.diff(np.append(starts, pairs.size))
+            rows = keys // width
+            order = np.argsort(rows * max(pairs.size, 1) + first)
+            self._bags = (
+                np.searchsorted(rows, np.arange(self.num_resources + 1)).tolist(),
+                list(map(self.tags.__getitem__, (keys % width)[order].tolist())),
+                counts[order].tolist(),
+            )
+        return self._bags
+
+    def tag_bag(self, resource: str) -> Dict[str, int]:
+        """Bag-of-tags of a resource: tag -> number of distinct users who used it.
 
         This is ``tags(r)`` of the Freq baseline with per-tag user counts.
         """
-        return dict(self._tags_by_resource.get(resource, {}))
+        row = _find(self.resources, resource)
+        if row < 0:
+            return {}
+        indptr, tags, counts = self._bag_rows()
+        start, end = indptr[row], indptr[row + 1]
+        return dict(zip(tags[start:end], counts[start:end]))
 
-    def users_of(self, tag: str, resource: str) -> FrozenSet[str]:
-        """``users(t, r)``: users who annotated ``resource`` with ``tag``."""
-        return self._users_by_tag_resource.get((tag, resource), frozenset())
-
-    def resources_of_tag(self, tag: str) -> FrozenSet[str]:
-        """All resources that carry ``tag`` at least once."""
-        return self._resources_by_tag.get(tag, frozenset())
-
-    def tags_of_user(self, user: str) -> FrozenSet[str]:
-        """All tags ``user`` has ever applied."""
-        return self._tags_by_user.get(user, frozenset())
-
-    def resources_of_user(self, user: str) -> FrozenSet[str]:
-        """All resources ``user`` has annotated."""
-        return self._resources_by_user.get(user, frozenset())
-
-    def tag_bag(self, resource: str) -> Dict[str, int]:
-        """Bag-of-tags of a resource: tag -> occurrence count (user votes)."""
-        return dict(self._tags_by_resource.get(resource, {}))
+    tags_of_resource = tag_bag
 
     def assignments_of_resource(self, resource: str) -> Tuple[TagAssignment, ...]:
         """All assignments annotating ``resource``, sorted."""
-        found = [
-            TagAssignment(user=user, tag=tag, resource=resource)
-            for tag in self._tags_by_resource.get(resource, {})
-            for user in self._users_by_tag_resource.get((tag, resource), ())
-        ]
-        return tuple(sorted(found))
+        row = _find(self.resources, resource)
+        positions = np.flatnonzero(self._columns[2] == row) if row >= 0 else ()
+        assignments = self.assignments
+        return tuple(assignments[i] for i in positions)
 
     def assignment_counts(self) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
         """Per-user, per-tag and per-resource assignment counts."""
-        return (
-            dict(self._assignment_count_by_user),
-            dict(self._assignment_count_by_tag),
-            dict(self._assignment_count_by_resource),
+        return tuple(
+            dict(zip(vocabulary, np.bincount(column, minlength=len(vocabulary)).tolist()))
+            for vocabulary, column in zip(self._vocabularies, self._columns)
         )
 
     # ------------------------------------------------------------------ #
@@ -253,16 +415,20 @@ class Folksonomy:
         mode-1 slices ``F[:, t, :]`` are the user-resource feature matrices
         of individual tags.
         """
-        if not self._assignments:
+        if not self.num_assignments:
             raise ConfigurationError("cannot build a tensor from an empty folksonomy")
-        coords = np.empty((3, len(self._assignments)), dtype=np.int64)
-        for column, a in enumerate(self._assignments):
-            coords[0, column] = self._user_index[a.user]
-            coords[1, column] = self._tag_index[a.tag]
-            coords[2, column] = self._resource_index[a.resource]
-        values = np.ones(len(self._assignments), dtype=float)
-        shape = (self.num_users, self.num_tags, self.num_resources)
-        return SparseTensor(coords, values, shape)
+        coords = np.vstack(self._columns).astype(np.int64)
+        return SparseTensor(coords, np.ones(self.num_assignments), self._shape())
+
+    def _count_matrix(self, rows: int, columns: int) -> sp.csr_matrix:
+        shape = self._shape()
+        return sp.coo_matrix(
+            (
+                np.ones(self.num_assignments),
+                (self._columns[rows], self._columns[columns]),
+            ),
+            shape=(shape[rows], shape[columns]),
+        ).tocsr()
 
     def to_tag_resource_matrix(self) -> sp.csr_matrix:
         """User-aggregated tag-resource count matrix (Fig. 3).
@@ -271,30 +437,11 @@ class Folksonomy:
         ``t`` to resource ``r``; this is the input of the BOW and LSI
         baselines.
         """
-        rows = []
-        cols = []
-        values = []
-        for (tag, resource), users in self._users_by_tag_resource.items():
-            rows.append(self._tag_index[tag])
-            cols.append(self._resource_index[resource])
-            values.append(float(len(users)))
-        matrix = sp.coo_matrix(
-            (values, (rows, cols)), shape=(self.num_tags, self.num_resources)
-        )
-        return matrix.tocsr()
+        return self._count_matrix(1, 2)
 
     def to_user_tag_matrix(self) -> sp.csr_matrix:
         """User-tag count matrix (how many resources each user tagged with t)."""
-        pair_counts: Counter = Counter()
-        for a in self._assignments:
-            pair_counts[(a.user, a.tag)] += 1
-        rows = [self._user_index[u] for (u, _t) in pair_counts]
-        cols = [self._tag_index[t] for (_u, t) in pair_counts]
-        values = [float(c) for c in pair_counts.values()]
-        matrix = sp.coo_matrix(
-            (values, (rows, cols)), shape=(self.num_users, self.num_tags)
-        )
-        return matrix.tocsr()
+        return self._count_matrix(0, 1)
 
     # ------------------------------------------------------------------ #
     # Incremental updates
@@ -302,167 +449,44 @@ class Folksonomy:
     def apply_delta(
         self, delta: "FolksonomyDelta", name: Optional[str] = None
     ) -> "Folksonomy":
-        """A new folksonomy with ``delta`` applied, built incrementally.
+        """A new folksonomy with ``delta`` applied.
 
-        Equivalent to ``Folksonomy(set(self.assignments) | added - removed)``
-        but O(|delta| + |touched labels|) for the interning and relationship
-        indexes: untouched index entries are shared with this instance (all
-        values are immutable), only entries reachable from the delta's
-        triples are recomputed.  The flat assignment tuple/set are re-merged
-        in one linear pass (no re-sorting, no per-assignment re-indexing).
-        Additions already present and removals already absent are ignored.
+        Equal to ``Folksonomy(set(self.assignments) | added - removed)``:
+        survivors are masked, vocabularies grown by the additions' new
+        labels remap the old ids, and the additions are merged into the
+        sorted rows — O(|Y|) numpy work and O(|delta|) Python work.
+        Additions already present and removals already absent are ignored;
+        a delta that changes nothing returns ``self``.
         """
-        current = self._assignment_set
-        to_add = sorted(a for a in delta.added if a not in current)
-        to_remove = {a for a in delta.removed if a in current}
-        if not to_add and not to_remove:
-            return self if name is None or name == self._name else Folksonomy(
-                self._assignments, name=name
-            )
-
-        new = object.__new__(Folksonomy)
-        new._name = name or self._name
-        survivors: Iterable[TagAssignment] = (
-            (a for a in self._assignments if a not in to_remove)
-            if to_remove
-            else self._assignments
+        name = name or self._name
+        vocabularies = list(self._vocabularies)
+        columns = list(self._columns)
+        removed = _lookup(vocabularies, delta.removed)
+        for dimension, field in enumerate(_FIELDS):
+            labels = {getattr(a, field) for a in delta.added}
+            grown, remap = _grow(vocabularies[dimension], labels)
+            if remap is not None:
+                vocabularies[dimension] = grown
+                columns[dimension] = remap[columns[dimension]]
+                removed[dimension] = remap[removed[dimension]]
+        shape = tuple(len(v) for v in vocabularies)
+        keys = _encode(columns, shape)
+        added = np.unique(_encode(_lookup(vocabularies, delta.added), shape))
+        dropped, gone = _locate(keys, _encode(removed, shape))
+        _, present = _locate(keys, added)
+        fresh = added[~present]
+        if not gone.any() and not fresh.size:
+            if name == self._name:
+                return self
+            return Folksonomy._from_rows(vocabularies, columns, name)
+        keep = np.ones(keys.size, dtype=bool)
+        keep[dropped[gone]] = False
+        at = np.searchsorted(keys[keep], fresh)
+        return Folksonomy._from_rows(
+            vocabularies,
+            [
+                np.insert(column[keep], at, rows)
+                for column, rows in zip(columns, _decode(fresh, shape))
+            ],
+            name,
         )
-        new._assignments = tuple(
-            heapq.merge(survivors, to_add) if to_add else survivors
-        )
-        new._assignment_set = current.difference(to_remove).union(to_add)
-
-        tags_by_resource = dict(self._tags_by_resource)
-        users_by_tag_resource = dict(self._users_by_tag_resource)
-        resources_by_tag = dict(self._resources_by_tag)
-        tags_by_user = dict(self._tags_by_user)
-        resources_by_user = dict(self._resources_by_user)
-        count_by_user = dict(self._assignment_count_by_user)
-        count_by_tag = dict(self._assignment_count_by_tag)
-        count_by_resource = dict(self._assignment_count_by_resource)
-        count_by_user_tag = dict(self._count_by_user_tag)
-        count_by_user_resource = dict(self._count_by_user_resource)
-
-        def bump(counter: Dict, key, step: int) -> int:
-            value = counter.get(key, 0) + step
-            if value:
-                counter[key] = value
-            else:
-                counter.pop(key, None)
-            return value
-
-        def patch_set(index: Dict, key, member, present: bool) -> None:
-            members = index.get(key, frozenset())
-            members = members | {member} if present else members - {member}
-            if members:
-                index[key] = members
-            else:
-                index.pop(key, None)
-
-        for a in to_remove:
-            bag = dict(tags_by_resource[a.resource])
-            if bag[a.tag] > 1:
-                bag[a.tag] -= 1
-            else:
-                del bag[a.tag]
-            if bag:
-                tags_by_resource[a.resource] = bag
-            else:
-                del tags_by_resource[a.resource]
-            patch_set(users_by_tag_resource, (a.tag, a.resource), a.user, False)
-            if (a.tag, a.resource) not in users_by_tag_resource:
-                patch_set(resources_by_tag, a.tag, a.resource, False)
-            if bump(count_by_user_tag, (a.user, a.tag), -1) == 0:
-                patch_set(tags_by_user, a.user, a.tag, False)
-            if bump(count_by_user_resource, (a.user, a.resource), -1) == 0:
-                patch_set(resources_by_user, a.user, a.resource, False)
-            bump(count_by_user, a.user, -1)
-            bump(count_by_tag, a.tag, -1)
-            bump(count_by_resource, a.resource, -1)
-
-        for a in to_add:
-            bag = dict(tags_by_resource.get(a.resource, {}))
-            bag[a.tag] = bag.get(a.tag, 0) + 1
-            tags_by_resource[a.resource] = bag
-            patch_set(users_by_tag_resource, (a.tag, a.resource), a.user, True)
-            patch_set(resources_by_tag, a.tag, a.resource, True)
-            if bump(count_by_user_tag, (a.user, a.tag), 1) == 1:
-                patch_set(tags_by_user, a.user, a.tag, True)
-            if bump(count_by_user_resource, (a.user, a.resource), 1) == 1:
-                patch_set(resources_by_user, a.user, a.resource, True)
-            bump(count_by_user, a.user, 1)
-            bump(count_by_tag, a.tag, 1)
-            bump(count_by_resource, a.resource, 1)
-
-        new._tags_by_resource = tags_by_resource
-        new._users_by_tag_resource = users_by_tag_resource
-        new._resources_by_tag = resources_by_tag
-        new._tags_by_user = tags_by_user
-        new._resources_by_user = resources_by_user
-        new._assignment_count_by_user = count_by_user
-        new._assignment_count_by_tag = count_by_tag
-        new._assignment_count_by_resource = count_by_resource
-        new._count_by_user_tag = count_by_user_tag
-        new._count_by_user_resource = count_by_user_resource
-
-        for labels, counts, vocab_attr, index_attr in (
-            (self._users, count_by_user, "_users", "_user_index"),
-            (self._tags, count_by_tag, "_tags", "_tag_index"),
-            (self._resources, count_by_resource, "_resources", "_resource_index"),
-        ):
-            if len(labels) == len(counts) and all(label in counts for label in labels):
-                setattr(new, vocab_attr, labels)
-                setattr(new, index_attr, getattr(self, index_attr))
-            else:
-                relabeled = tuple(sorted(counts))
-                setattr(new, vocab_attr, relabeled)
-                setattr(
-                    new, index_attr, {label: i for i, label in enumerate(relabeled)}
-                )
-        return new
-
-    # ------------------------------------------------------------------ #
-    # Transformations
-    # ------------------------------------------------------------------ #
-    def filter(
-        self,
-        keep_users: Optional[Set[str]] = None,
-        keep_tags: Optional[Set[str]] = None,
-        keep_resources: Optional[Set[str]] = None,
-        name: Optional[str] = None,
-    ) -> "Folksonomy":
-        """A new folksonomy restricted to the given label sets.
-
-        ``None`` keeps a dimension unrestricted.  Labels of the other
-        dimensions that lose all their assignments disappear automatically
-        because the new instance recomputes its vocabularies.
-        """
-        kept = [
-            a
-            for a in self._assignments
-            if (keep_users is None or a.user in keep_users)
-            and (keep_tags is None or a.tag in keep_tags)
-            and (keep_resources is None or a.resource in keep_resources)
-        ]
-        return Folksonomy(kept, name=name or self._name)
-
-    def map_tags(self, mapping: Mapping[str, str], name: Optional[str] = None) -> "Folksonomy":
-        """Relabel tags through ``mapping`` (labels not present map to themselves)."""
-        relabeled = [
-            TagAssignment(a.user, mapping.get(a.tag, a.tag), a.resource)
-            for a in self._assignments
-        ]
-        return Folksonomy(relabeled, name=name or self._name)
-
-    def merge(self, other: "Folksonomy", name: Optional[str] = None) -> "Folksonomy":
-        """Union of two folksonomies."""
-        return Folksonomy(
-            list(self._assignments) + list(other.assignments),
-            name=name or self._name,
-        )
-
-    def sample_resources(
-        self, resources: Sequence[str], name: Optional[str] = None
-    ) -> "Folksonomy":
-        """Restrict to a subset of resources given as a sequence."""
-        return self.filter(keep_resources=set(resources), name=name)

@@ -114,9 +114,14 @@ def write_assignments_jsonl(
 
 
 def _check_writable_labels(assignment: TagAssignment, separator: str) -> None:
-    for label in assignment.as_tuple():
-        if separator in label or "\n" in label:
-            raise DataFormatError(
-                f"label {label!r} contains the field separator or a newline; "
-                "use the JSON-lines format instead"
-            )
+    """Refuse labels the TSV reader would not read back unchanged: it splits
+    fields on ``separator``, lines on ``\n`` and ``\r``, and skips a line
+    starting with ``#`` as a comment."""
+    labels = assignment.as_tuple()
+    if assignment.user.startswith("#") or any(
+        separator in label or "\n" in label or "\r" in label for label in labels
+    ):
+        raise DataFormatError(
+            f"assignment {labels!r} has a field separator, a newline or a "
+            "leading '#' in a label; use the JSON-lines format instead"
+        )

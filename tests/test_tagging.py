@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,9 +67,6 @@ class TestFolksonomy:
         assert len(list(toy_folksonomy)) == 7
 
     def test_relationship_queries(self, toy_folksonomy):
-        assert toy_folksonomy.users_of("t1", "r2") == {"u1", "u2", "u3"}
-        assert toy_folksonomy.resources_of_tag("t3") == {"r3"}
-        assert toy_folksonomy.tags_of_user("u1") == {"t1", "t2"}
         assert toy_folksonomy.tags_of_resource("r1") == {"t1": 1, "t2": 1}
         assert toy_folksonomy.tag_bag("r2") == {"t1": 3}
 
@@ -106,20 +105,29 @@ class TestFolksonomy:
         with pytest.raises(ConfigurationError):
             Folksonomy([]).to_tensor()
 
-    def test_filter_and_map_and_merge(self, toy_folksonomy):
-        only_t1 = toy_folksonomy.filter(keep_tags={"t1"})
-        assert only_t1.num_tags == 1
-        assert only_t1.num_assignments == 4
+    def test_heap_footprint_does_not_grow_with_assignments(self):
+        """``Y`` lives in id columns: no Python object per assignment.
 
-        renamed = toy_folksonomy.map_tags({"t1": "folk"})
-        assert "folk" in renamed.tags and "t1" not in renamed.tags
+        Counts GC-tracked objects, not time.  Indexing ``assignments``
+        builds the one assignment asked for and nothing else.
+        """
+        records = [
+            (f"u{i % 97}", f"t{i % 89}", f"r{i % 2003}") for i in range(20_000)
+        ]
+        gc.collect()
+        before = len(gc.get_objects())
+        folksonomy = Folksonomy(records)
+        gc.collect()
+        assert folksonomy.num_assignments == 20_000
+        assert len(gc.get_objects()) - before < 50
 
-        merged = only_t1.merge(toy_folksonomy.filter(keep_tags={"t2"}))
-        assert merged.num_tags == 2
+        def live_assignments() -> int:
+            return sum(isinstance(o, TagAssignment) for o in gc.get_objects())
 
-    def test_sample_resources(self, toy_folksonomy):
-        subset = toy_folksonomy.sample_resources(["r1"])
-        assert subset.resources == ("r1",)
+        baseline = live_assignments()
+        item = folksonomy.assignments[12_345]
+        assert live_assignments() == baseline + 1
+        assert item == sorted(TagAssignment(*r) for r in records)[12_345]
 
 
 class TestCleaning:
@@ -246,6 +254,20 @@ class TestIo:
         path = tmp_path / "data.tsv"
         with pytest.raises(DataFormatError):
             write_assignments_tsv([TagAssignment("u\t1", "t", "r")], path)
+
+    def test_tsv_rejects_user_labels_the_reader_takes_for_comments(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        with pytest.raises(DataFormatError, match="JSON-lines"):
+            write_assignments_tsv([TagAssignment("#u1", "t", "r")], path)
+        # Only a line's first field can start a comment.
+        write_assignments_tsv([TagAssignment("u1", "#t", "#r")], path)
+        assert list(read_assignments_tsv(path)) == [TagAssignment("u1", "#t", "#r")]
+
+    def test_tsv_rejects_labels_with_carriage_returns(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        for labels in (("u\r1", "t", "r"), ("u", "t\r", "r"), ("u", "t", "r\r")):
+            with pytest.raises(DataFormatError, match="JSON-lines"):
+                write_assignments_tsv([TagAssignment(*labels)], path)
 
     def test_jsonl_rejects_invalid_json_and_missing_keys(self, tmp_path):
         path = tmp_path / "bad.jsonl"
