@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Continuous refit: background Tucker refits with hot snapshot swaps.
 
-``examples/incremental_serving.py`` ends where the interesting problem
-begins: the staleness policy says a full refit is due — but the refit
-takes seconds and serving must not stop.  This example closes that loop
+``examples/quickstart.py`` ends by folding one delta into a reloaded
+index.  Keep folding and the staleness policy eventually says a full
+refit is due — but the refit takes seconds and serving must not stop.  This example closes that loop
 with the lifecycle subsystem:
 
 1. fit once, wrap the engine in an :class:`EngineHandle` (every read pins

@@ -33,8 +33,8 @@ from pathlib import Path
 
 from repro.core.pipeline import CubeLSIPipeline
 from repro.datasets.profiles import LASTFM_PROFILE, generate_profile_dataset
-from repro.eval.sharding import rankings_match
 from repro.search.shardpool import ShardPoolConfig, ShardProcessPool
+from repro.search.vsm import rankings_match
 from repro.serve import BatchingFrontend, FrontendConfig
 from repro.tagging.cleaning import CleaningConfig, clean_folksonomy
 from repro.utils.errors import ConvergenceWarning

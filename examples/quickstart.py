@@ -9,7 +9,9 @@ synthetic Last.fm-like corpus:
    → tf-idf index),
 3. answer a few keyword queries online with cosine similarity,
 4. compare the results against a plain bag-of-words engine to see the effect
-   of concept-level matching.
+   of concept-level matching,
+5. save the index, reload it as a serving process would, and fold one
+   folksonomy delta into it without a refit.
 
 Run with::
 
@@ -24,6 +26,7 @@ import warnings
 from repro.baselines import BowRanker
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.datasets.profiles import LASTFM_PROFILE, generate_profile_dataset
+from repro.tagging.delta import FolksonomyDeltaBuilder
 from repro.tagging.cleaning import CleaningConfig, clean_folksonomy
 from repro.utils.errors import ConvergenceWarning
 
@@ -92,14 +95,28 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # 4. Ship the index to a serving process: save, load, query again.
+    # 5. Keep serving while the corpus drifts: fold one delta into the
+    #    reloaded index (no refit) and query it again.
     # ------------------------------------------------------------------ #
     with tempfile.TemporaryDirectory() as directory:
-        index.save(directory)
+        index.save(directory, include_folksonomy=True)
         serving = OfflineIndex.load(directory)
         if queries:
             reloaded = serving.engine.search(queries[0], top_k=3)
             print("== reloaded index answers the first query ==")
             for result in reloaded:
+                print(f"    {result.rank}. {result.resource}  score={result.score:.3f}")
+
+            delta = (
+                FolksonomyDeltaBuilder()
+                .add_resource("new-track", {"new-listener": list(queries[0])})
+                .build()
+            )
+            serving.apply_delta(delta)
+            print()
+            print("== after one delta ==")
+            print(serving.engine.staleness().summary())
+            for result in serving.engine.search(queries[0], top_k=3):
                 print(f"    {result.rank}. {result.resource}  score={result.score:.3f}")
 
 

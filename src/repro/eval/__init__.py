@@ -1,4 +1,4 @@
-"""Evaluation metrics, experiment harness and report rendering.
+"""Evaluation: the NDCG harness behind Figure 4 and Tables V-VI.
 
 * :mod:`repro.eval.ndcg` — graded-relevance ranking metrics (NDCG@N, Eq. 24)
   plus precision/recall helpers.
@@ -6,19 +6,13 @@
   workload, recording ranking quality and offline/online wall-clock times.
 * :mod:`repro.eval.reporting` — plain-text table and series rendering used
   by the experiment drivers to print paper-style output.
-* :mod:`repro.eval.incremental` — replay of folksonomy delta streams
-  against a serving index (the streaming-update workload).
-* :mod:`repro.eval.shardpool` — parity + throughput sweep of the
-  process-per-shard pool (N is a save layout and a pool size) against the
-  one-space engine: multi-core fan-out, cold-start cost, degraded reads
-  rejected.
-* :mod:`repro.eval.sharding` — re-exports the tie-aware comparator
-  :func:`rankings_match`.
-* :mod:`repro.eval.workload` — workload replay sweep: concurrent replay
-  throughput at increasing worker counts, parity with the serial golden
-  enforced.
-* :mod:`repro.eval.serve` — batch-window sweep of the micro-batching
-  serving front-end, parity with direct ``rank_batch`` enforced.
+* :mod:`repro.eval.sharding` — a re-export of
+  :func:`repro.search.vsm.rankings_match` kept for the ``perf/`` oracle.
+
+Serving parity and serving latency are not measured here: the tests that
+drive each serving layer hold its parity checks, and ``perf/`` is the one
+benchmark.  This package imports nothing from the front-end, the load
+replays or the process pool, and reads no clock of its own.
 """
 
 from repro.eval.ndcg import (
@@ -36,15 +30,6 @@ from repro.eval.harness import (
     RankingExperiment,
 )
 from repro.eval.reporting import format_table, format_series, format_float
-from repro.eval.incremental import (
-    DeltaReplayReport,
-    DeltaReplayStep,
-    replay_deltas,
-)
-from repro.eval.serve import frontend_sweep
-from repro.eval.sharding import rankings_match
-from repro.eval.shardpool import pool_sweep
-from repro.eval.workload import workload_sweep
 
 __all__ = [
     "dcg_at",
@@ -60,11 +45,4 @@ __all__ = [
     "format_table",
     "format_series",
     "format_float",
-    "DeltaReplayReport",
-    "DeltaReplayStep",
-    "replay_deltas",
-    "rankings_match",
-    "pool_sweep",
-    "workload_sweep",
-    "frontend_sweep",
 ]

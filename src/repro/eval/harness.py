@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.base import Ranker
 from repro.datasets.queries import QueryWorkload, RelevanceJudgments
-from repro.eval.ndcg import ndcg_at
+from repro.eval.ndcg import mean_ndcg_at
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError
 
@@ -140,13 +140,12 @@ class RankingExperiment:
         for name, ranker in rankers.items():
             evaluation.methods[name] = self._run_single(name, ranker)
 
-        judgments = self._pooled_judgments(evaluation) if self._pooled else {
-            query.query_id: self._workload.judgments_for(query)
-            for query in self._workload
-        }
+        judged = (
+            self._pooled_workload(evaluation) if self._pooled else self._workload
+        )
         for method in evaluation.methods.values():
             method.ndcg_by_cutoff = {
-                cutoff: self._mean_ndcg(method.rankings, judgments, cutoff)
+                cutoff: mean_ndcg_at(method.rankings, judged, cutoff)
                 for cutoff in self._cutoffs
             }
         return evaluation
@@ -183,8 +182,8 @@ class RankingExperiment:
             rankings=rankings,
         )
 
-    def _pooled_judgments(self, evaluation: RankingEvaluation):
-        """Per-query judgments restricted to the pooled returned resources."""
+    def _pooled_workload(self, evaluation: RankingEvaluation) -> QueryWorkload:
+        """The workload with judgments restricted to the pooled resources."""
         pooled: Dict[str, RelevanceJudgments] = {}
         for query in self._workload:
             pool = set()
@@ -195,13 +194,4 @@ class RankingExperiment:
                 query_id=query.query_id,
                 grades={r: g for r, g in full.grades.items() if r in pool},
             )
-        return pooled
-
-    def _mean_ndcg(self, rankings, judgments, cutoff: int) -> float:
-        scores = []
-        for query in self._workload:
-            judgment = judgments[query.query_id]
-            if not judgment.ideal_gains():
-                continue
-            scores.append(ndcg_at(rankings.get(query.query_id, []), judgment, cutoff))
-        return float(sum(scores) / len(scores)) if scores else 0.0
+        return QueryWorkload(list(self._workload), pooled)

@@ -33,11 +33,19 @@ def _positive_grades(judgments: GradeLookup) -> List[int]:
 
 
 def dcg_at(ranking: Sequence[str], judgments: GradeLookup, n: int) -> float:
-    """Discounted cumulative gain of the top-``n`` ranked resources."""
+    """Discounted cumulative gain of the top-``n`` ranked resources.
+
+    A resource repeated within the top ``n`` would be credited twice and
+    push NDCG above 1, so it is refused.
+    """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
+    top = ranking[:n]
+    if len(set(top)) != len(top):
+        repeated = sorted({resource for resource in top if top.count(resource) > 1})
+        raise ConfigurationError(f"ranking repeats {repeated} in its top {n}")
     total = 0.0
-    for position, resource in enumerate(ranking[:n], start=1):
+    for position, resource in enumerate(top, start=1):
         gain = (2 ** _grade(judgments, resource)) - 1
         total += gain / math.log2(position + 1)
     return total
@@ -72,26 +80,18 @@ def mean_ndcg_at(
     rankings: Mapping[str, Sequence[str]],
     workload: QueryWorkload,
     n: int,
-    skip_unjudged: bool = True,
 ) -> float:
     """Mean NDCG@N over a query workload.
 
-    Parameters
-    ----------
-    rankings:
-        ``query_id -> ranked resource list`` produced by one method.
-    workload:
-        The workload providing per-query judgments.
-    n:
-        The cutoff.
-    skip_unjudged:
-        If ``True`` queries without any relevant resource are excluded from
-        the mean (they would contribute an uninformative 0).
+    ``rankings`` maps ``query_id -> ranked resource list`` for one method;
+    ``workload`` provides the per-query judgments.  Queries without any
+    relevant resource are excluded from the mean (they would contribute
+    an uninformative 0).
     """
     scores: List[float] = []
     for query in workload:
         judgments = workload.judgments_for(query)
-        if skip_unjudged and not judgments.ideal_gains():
+        if not judgments.ideal_gains():
             continue
         ranking = rankings.get(query.query_id, [])
         scores.append(ndcg_at(ranking, judgments, n))

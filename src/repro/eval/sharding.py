@@ -1,9 +1,9 @@
 """Where the tie-aware ranking comparator used to live.
 
 :func:`rankings_match` lives next to ``RankedResult`` in
-:mod:`repro.search.vsm`; this module re-exports it for callers that import
-it from here.  Sharded serving is evaluated by
-:func:`repro.eval.shardpool.pool_sweep`.
+:mod:`repro.search.vsm`.  This module re-exports it only for the
+``perf/`` oracle, which imports it from here; new code imports it from
+:mod:`repro.search.vsm`.
 """
 
 from __future__ import annotations

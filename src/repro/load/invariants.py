@@ -194,8 +194,8 @@ def check_replay_parity(
     ``build_engine`` must return a *freshly built, identically configured*
     engine on every call — each replay mutates its own instance, and both
     are closed before returning.  A caller that already holds the serial
-    run (a sweep comparing several worker counts against one golden)
-    passes it as ``golden`` (see :func:`run_golden`).
+    run (several worker counts judged against one golden) passes it as
+    ``golden`` (see :func:`run_golden`).
 
     ``concurrent_build_engine`` swaps in a different factory for the
     *concurrent* side only — the pool-backed replay mode: the serial

@@ -418,9 +418,9 @@ def run_golden(
 ) -> GoldenReplay:
     """Replay ``trace`` serially on a fresh engine (closed on return).
 
-    The reference every concurrent replay is judged against; a sweep
-    runs it once and hands it to each :func:`check_replay_parity` call
-    as ``golden=``.
+    The reference every concurrent replay is judged against; a caller
+    comparing several worker counts runs it once and hands it to each
+    :func:`check_replay_parity` call as ``golden=``.
     """
     with build_engine() as engine:
         report = WorkloadRunner(engine, trace).run_serial()

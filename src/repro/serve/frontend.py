@@ -42,6 +42,7 @@ epoch the batch was scored against, so a stale entry can never be served.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -90,9 +91,9 @@ class FrontendConfig:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_wait_ms < 0.0:
+        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0.0):
             raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
+                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms}"
             )
         if self.max_pending < 1:
             raise ConfigurationError(

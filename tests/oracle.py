@@ -23,11 +23,10 @@ import tempfile
 from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.eval.sharding import rankings_match
 from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
 from repro.search.sharding import ShardRouter, merge_topk
-from repro.search.vsm import ConceptVectorSpace, RankedResult
+from repro.search.vsm import ConceptVectorSpace, RankedResult, rankings_match
 from repro.tagging.cleaning import CleaningConfig, is_system_tag, normalize_tag
 
 PARITY_TOL = 1e-9

@@ -133,14 +133,32 @@ class TestBrokenRepositories:
                 "`src/repro/load/runner.py` sit in real directories; "
                 "`oldbench/test_bench_serve.py` and "
                 "`src/repro/gone/module.py::test_z` do not.  A save layout "
-                "(`shard-0000/`) or `add/update/remove` is not a file path.\n"
+                "(`shard-0000/`) or `add/update/remove` is not a file path.  "
+                "[a](docs/a.md)\n"
             ),
         )
-        for directory in ("tests", "docs", "src/repro/load"):
-            (root / directory).mkdir(parents=True)
+        for path in ("tests/test_docs.py", "docs/a.md", "src/repro/load/runner.py"):
+            (root / path).parent.mkdir(parents=True, exist_ok=True)
+            (root / path).write_text("", encoding="utf-8")
         assert check_docs(root) == [
             "README.md: no such directory -> oldbench/",
             "README.md: no such directory -> src/repro/gone/",
+        ]
+
+    def test_missing_file_in_a_real_directory_is_flagged(self, tmp_path):
+        root = self._repo(
+            tmp_path,
+            readme=(
+                "`examples/quickstart.py` and `examples/*.py` exist; "
+                "`examples/serving_frontend.py` and `tools/*.sh` do not.\n"
+            ),
+        )
+        for directory in ("examples", "tools"):
+            (root / directory).mkdir()
+        (root / "examples" / "quickstart.py").write_text("", encoding="utf-8")
+        assert check_docs(root) == [
+            "README.md: no such file -> examples/serving_frontend.py",
+            "README.md: no such file -> tools/*.sh",
         ]
 
     def test_stale_option_name_is_flagged(self, tmp_path):

@@ -64,6 +64,15 @@ class TestNdcg:
         with pytest.raises(ConfigurationError):
             ndcg_at(["r1"], GRADES, 0)
 
+    def test_repeated_resource_is_refused(self):
+        """Crediting one resource twice would score NDCG above 1."""
+        with pytest.raises(ConfigurationError, match="repeats"):
+            ndcg_at(["a", "a"], {"a": 2}, 2)
+        with pytest.raises(ConfigurationError, match="repeats"):
+            dcg_at(["r1", "r2", "r1"], GRADES, 3)
+        # Only the scored prefix counts: a repeat past the cutoff is unread.
+        assert ndcg_at(["r1", "r3", "r1"], GRADES, 2) == pytest.approx(1.0)
+
     def test_works_with_relevance_judgments_object(self):
         judgments = RelevanceJudgments(query_id="q", grades=dict(GRADES))
         assert ndcg_at(["r1", "r3"], judgments, 2) == pytest.approx(1.0)

@@ -30,7 +30,6 @@ from oracle import through_save, with_cache
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.core.snapshots import IndexSnapshotStore
-from repro.eval.sharding import rankings_match
 from repro.load import (
     WorkloadConfig,
     WorkloadGenerator,
@@ -50,7 +49,7 @@ from repro.search.lifecycle import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.shardpool import ShardProcessPool
-from repro.search.vsm import RankedResult, RankEngine, mismatched_probes
+from repro.search.vsm import RankedResult, RankEngine, mismatched_probes, rankings_match
 from repro.serve.frontend import BatchingFrontend, FrontendConfig
 from repro.utils.errors import ConfigurationError, NotFittedError
 

@@ -23,11 +23,10 @@ from oracle import DictLoopOracle
 from repro.baselines.freq import FreqRanker
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
-from repro.eval.sharding import rankings_match
 from repro.search.engine import SearchEngine
 from repro.search.matrix_space import MatrixConceptSpace, select_top_k
 from repro.search.sharding import ShardRouter
-from repro.search.vsm import ConceptVectorSpace, mismatched_probes
+from repro.search.vsm import ConceptVectorSpace, mismatched_probes, rankings_match
 from repro.utils.errors import ConfigurationError, NotFittedError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"

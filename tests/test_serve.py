@@ -22,9 +22,8 @@ import pytest
 from oracle import through_save, with_cache
 from repro.core.concepts import identity_concept_model
 from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
-from repro.eval.serve import frontend_sweep
 from repro.search.engine import SearchEngine
-from repro.search.vsm import RankedResult, RankEngine
+from repro.search.vsm import RankedResult, RankEngine, mismatched_probes
 from repro.serve import (
     AdmissionController,
     BatchingFrontend,
@@ -88,12 +87,37 @@ def build_sharded(folksonomy, num_shards=4):
     return through_save(with_cache(build_mono(folksonomy)), num_shards)
 
 
+def run_clients(frontend, queries, num_clients):
+    """Client ``c`` submits queries ``c, c + n, ...`` one at a time."""
+    got = [None] * len(queries)
+
+    def client(first):
+        for position in range(first, len(queries), num_clients):
+            got[position] = frontend.query(queries[position], top_k=10)
+
+    threads = [
+        threading.Thread(target=client, args=(first,))
+        for first in range(num_clients)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert None not in got  # a client that raised left its answers unset
+    return got
+
+
 class TestFrontendConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             FrontendConfig(max_batch_size=0)
         with pytest.raises(ConfigurationError):
             FrontendConfig(max_wait_ms=-1.0)
+        with pytest.raises(ConfigurationError):
+            FrontendConfig(max_wait_ms=float("nan"))
+        with pytest.raises(ConfigurationError):
+            FrontendConfig(max_wait_ms=float("inf"))
         with pytest.raises(ConfigurationError):
             FrontendConfig(max_pending=0)
         with pytest.raises(ConfigurationError):
@@ -469,6 +493,7 @@ class TestFrontendParityAcceptance:
         assert report.ok, report.summary()
 
     def test_frontend_sweep_rows_and_parity(self, small_cleaned):
+        """4 clients, two batch windows, every answer the direct one's."""
         engine = build_sharded(small_cleaned, 2)
         try:
             queries = [
@@ -478,22 +503,23 @@ class TestFrontendParityAcceptance:
                 )
                 .generate(small_cleaned)
                 .eval_queries
-            ]
-            rows, registries = frontend_sweep(
-                engine,
-                queries * 4,
-                windows=((1, 0.0), (8, 2.0)),
-                num_clients=4,
-                top_k=10,
-            )
-            assert len(rows) == len(registries) == 2
-            for row in rows:
-                assert row["Queries/s"] > 0
-                assert row["Coalesced"] >= 0
-            assert rows[1]["Mean batch"] >= rows[0]["Mean batch"]
-            with pytest.raises(ConfigurationError):
-                frontend_sweep(engine, [], num_clients=4)
-            with pytest.raises(ConfigurationError):
-                frontend_sweep(engine, queries, num_clients=0)
+            ] * 4
+            want = engine.rank_batch(queries, top_k=10)
+            mean_batches = []
+            for max_batch_size, max_wait_ms in ((1, 0.0), (8, 2.0)):
+                engine.cache.clear()
+                config = FrontendConfig(
+                    max_batch_size=max_batch_size,
+                    max_wait_ms=max_wait_ms,
+                    cache_entries=0,
+                )
+                with BatchingFrontend(engine, config) as frontend:
+                    got = run_clients(frontend, queries, num_clients=4)
+                    sizes = frontend.metrics.size_distribution(
+                        "batch_distinct_queries"
+                    )
+                assert mismatched_probes(got, want, truncated=True) == []
+                mean_batches.append(sizes.mean)
+            assert mean_batches[1] >= mean_batches[0]
         finally:
             engine.close()

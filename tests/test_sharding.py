@@ -35,7 +35,6 @@ from oracle import (
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.core.snapshots import IndexSnapshotStore
-from repro.eval.sharding import rankings_match
 from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
 from repro.search.incremental import RefreshPolicy
@@ -50,7 +49,7 @@ from repro.search.sharding import (
     merge_topk,
     read_shard_manifest,
 )
-from repro.search.vsm import RankedResult, mismatched_probes
+from repro.search.vsm import RankedResult, mismatched_probes, rankings_match
 from repro.tagging.delta import FolksonomyDeltaBuilder
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError, NotFittedError
@@ -830,7 +829,7 @@ def test_importable_as_the_first_import_of_a_fresh_interpreter(module):
 
 
 def test_serving_layers_import_each_other_at_module_scope_only():
-    """utils <- tagging/core <- search <- serve <- load <- eval, no detours.
+    """utils <- tagging/core <- search <- serve <- load (eval aside), no detours.
 
     A function-scope ``from repro.`` import hides a layering inversion;
     the only ones allowed are the ``core.pipeline`` <-> ``search`` pair's
@@ -852,6 +851,30 @@ def test_serving_layers_import_each_other_at_module_scope_only():
                 )
     found = Counter((file, module) for file, module, _line in deferred)
     assert found == allowed
+
+
+def test_eval_is_the_ndcg_harness_not_a_serving_clock():
+    """``repro.eval`` scores rankings: it neither drives a serving layer
+    nor times one (``perf/`` is the only benchmark)."""
+    serving = ("repro.serve", "repro.load", "repro.search.shardpool")
+    offenders = []
+    for path in sorted((SRC_DIR / "repro" / "eval").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if "perf_counter" in source:
+            offenders.append((path.name, "perf_counter"))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders.extend(
+                (path.name, module)
+                for module in modules
+                if module.startswith(serving)
+            )
+    assert offenders == []
 
 
 class TestOfflineIndexSharding:

@@ -27,8 +27,6 @@ import pytest
 
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import OfflineIndex
-from repro.eval.shardpool import pool_sweep
-from repro.eval.sharding import rankings_match
 from repro.load.invariants import check_replay_parity
 from repro.load.runner import WorkloadRunner
 from repro.load.workload import (
@@ -55,6 +53,7 @@ from repro.search.shardpool import (
     ShardPoolError,
     ShardProcessPool,
 )
+from repro.search.vsm import mismatched_probes, rankings_match
 from repro.serve.frontend import BatchingFrontend, FrontendConfig
 from repro.utils.errors import ConfigurationError
 
@@ -230,17 +229,17 @@ class TestPoolParity:
         assert pool.search(["no-such-tag"], top_k=TOP_K) == want == []
         assert pool.rank_batch([[]], top_k=TOP_K) == [[]]
 
-    def test_pool_sweep_harness(self, mono_engine, queries):
-        rows = pool_sweep(
-            mono_engine,
-            [query for query in queries if query],
-            shard_counts=(2,),
-            top_k=TOP_K,
-            repeats=1,
-        )
-        assert rows[0]["Engine"] == "monolithic"
-        assert rows[1]["Shards"] == 2
-        assert rows[1]["Cold-start s"] > 0.0
+    def test_two_shard_mmap_pool_fans_out_completely(
+        self, mono_engine, queries, tmp_path
+    ):
+        asked = [query for query in queries if query]
+        want = mono_engine.rank_batch(asked, top_k=TOP_K)
+        mono_engine.save(tmp_path, mmap_ready=True, num_shards=2)
+        with ShardProcessPool(tmp_path) as pool:
+            outcome = pool.rank_batch_detailed(asked, top_k=TOP_K)
+            assert outcome.complete, outcome.failures
+            assert mismatched_probes(outcome.results, want, truncated=True) == []
+            assert min(pool.worker_load_seconds()) > 0.0
 
     def test_health_reports_every_worker_ready(self, pool):
         health = pool.health()

@@ -26,8 +26,6 @@ from oracle import (
     with_cache,
 )
 from repro.core.concepts import identity_concept_model
-from repro.eval.sharding import rankings_match
-from repro.eval.workload import workload_sweep
 from repro.load import (
     MUTATE,
     QUERY,
@@ -38,12 +36,13 @@ from repro.load import (
     WorkloadRunner,
     WorkloadTrace,
     check_replay_parity,
+    run_golden,
 )
 from repro.search.cache import QueryCache
 from repro.search.concurrency import ReadWriteLock
 from repro.search.engine import SearchEngine
 from repro.search.incremental import EpochObservationLog
-from repro.search.vsm import RankEngine
+from repro.search.vsm import RankEngine, rankings_match
 from repro.utils.errors import ConfigurationError
 
 SHARD_COUNTS = (1, 2, 4)
@@ -246,27 +245,23 @@ class TestConcurrentReplayAcceptance:
         )
         assert report.ok, report.summary()
 
-    def test_workload_sweep_harness(self, small_cleaned):
+    def test_golden_then_two_worker_parity(self, small_cleaned):
+        """One serial golden, then a 2-worker replay judged against it."""
         trace = make_trace(small_cleaned, num_operations=120, seed=41)
-        rows, reports = workload_sweep(
-            lambda: build_sharded(small_cleaned, 2),
-            trace,
-            worker_counts=(2,),
-        )
-        assert [row["Workers"] for row in rows] == [0, 2]
-        assert all(row["Errors"] == 0 for row in rows)
-        assert reports[0].mode == "serial"
-        assert reports[1].mode == "concurrent"
-        with pytest.raises(ConfigurationError):
-            workload_sweep(
-                lambda: build_sharded(small_cleaned, 2), trace, worker_counts=()
-            )
-        with pytest.raises(ConfigurationError):
-            workload_sweep(
-                lambda: build_sharded(small_cleaned, 2),
-                trace,
-                worker_counts=(0,),
-            )
+
+        def build():
+            return build_sharded(small_cleaned, 2)
+
+        golden = run_golden(build, trace)
+        assert golden.report.mode == "serial"
+        assert golden.report.errors == []
+        report = check_replay_parity(build, trace, num_workers=2, golden=golden)
+        assert report.ok, report.summary()
+        assert report.serial is golden.report
+        assert report.concurrent.mode == "concurrent"
+        assert report.concurrent.num_workers == 2
+        assert report.concurrent.errors == []
+        assert report.mismatched_probes == []
 
 
 class _Tampered(RankEngine):

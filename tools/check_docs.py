@@ -3,8 +3,8 @@
 Five failure modes make docs rot silently: a book that exists but
 nothing points at (unreachable, so effectively deleted), a link whose
 target moved (dead, so the reader bounces), a file path that outlived
-its directory, a module name that outlived its module, and an option
-that outlived its parameter.  This checker makes all five loud:
+its file, a module name that outlived its module, and an option that
+outlived its parameter.  This checker makes all five loud:
 
 * **presence** — every ``docs/*.md`` file must be referenced by a
   relative link from ``README.md`` itself, so the README remains the
@@ -15,9 +15,9 @@ that outlived its parameter.  This checker makes all five loud:
   ``#fragment`` anchors are out of scope (CI must not flake on the
   network);
 * **paths** — every backticked ``<dir>/…/<file>.<ext>`` (optionally with
-  a ``::test`` suffix) in ``README.md`` and ``docs/*.md`` must sit in a
-  directory that exists under the repo root, so a citation cannot
-  outlive the directory it points into;
+  a ``::test`` suffix) in ``README.md`` and ``docs/*.md`` must name a
+  file that exists under the repo root (a ``*`` glob must match at least
+  one), so a citation cannot outlive the file it points at;
 * **module names** — every backticked ``repro.<pkg>.<name>`` in
   ``README.md`` and ``docs/*.md`` must be a module or subpackage under
   ``src/repro/<pkg>/``, or a name that package's ``__init__.py``
@@ -53,7 +53,7 @@ _MODULE_RE = re.compile(r"`repro\.(\w+)\.(\w+)[\w.]*`")
 #: A backticked repo-relative file path, ``dir/.../file.ext`` or
 #: ``dir/.../file.ext::node`` (save-layout names like ``shard-0000/`` and
 #: slash-joined words like ``add/update/remove`` have no extension).
-_PATH_RE = re.compile(r"`((?:[\w.-]+/)+)[\w*-]+\.\w+(?:::[^`]*)?`")
+_PATH_RE = re.compile(r"`((?:[\w.-]+/)+)([\w*-]+\.\w+)(?:::[^`]*)?`")
 #: A backticked ``name=`` / ``name=value`` option token (``PYTHONPATH=src``
 #: and other upper-case environment variables do not match).
 _OPTION_RE = re.compile(r"`([a-z_][a-z0-9_]*)=[^`]*`")
@@ -147,9 +147,11 @@ def check_docs(root: Path) -> List[str]:
         markdown = source.read_text(encoding="utf-8")
         for dotted in missing_modules(markdown, root):
             problems.append(f"{rel_source}: no such module -> {dotted}")
-        for directory in dict.fromkeys(_PATH_RE.findall(markdown)):
+        for directory, name in dict.fromkeys(_PATH_RE.findall(markdown)):
             if not (root / directory).is_dir():
                 problems.append(f"{rel_source}: no such directory -> {directory}")
+            elif not any((root / directory).glob(name)):
+                problems.append(f"{rel_source}: no such file -> {directory}{name}")
         for option in dict.fromkeys(_OPTION_RE.findall(markdown)):
             if option not in options:
                 problems.append(f"{rel_source}: no such option -> {option}=")
