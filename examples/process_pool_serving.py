@@ -15,8 +15,8 @@ coordinating :class:`ShardProcessPool`.
    *degraded but typed and on time* (a ``ShardFailure``, never a
    hang), then watch the heartbeat revive the worker, and restart a
    worker outright to show it rejoins at exact parity,
-4. put the micro-batching :class:`BatchingFrontend` in front of the
-   pool — it is a drop-in engine — and read pool health out of the
+4. put the :class:`BatchingFrontend` (admission, cache, in-flight
+   dedup) in front of the pool — it is a drop-in engine — and read pool health out of the
    front-end's ``stats()``.
 
 Run with::
@@ -133,10 +133,10 @@ def main() -> None:
             print("restarted worker 1 from disk -> rejoined at exact parity")
 
             # ---------------------------------------------------------- #
-            # 4. The batching front-end treats the pool as an engine.
+            # 4. The front-end treats the pool as an engine.
             # ---------------------------------------------------------- #
             print("\n== front-end over the pool ==")
-            frontend_config = FrontendConfig(max_batch_size=8, max_wait_ms=2.0)
+            frontend_config = FrontendConfig(max_pending=64)
             with BatchingFrontend(pool, frontend_config) as frontend:
                 futures = [
                     frontend.submit(query, top_k=TOP_K) for query in queries
@@ -152,8 +152,8 @@ def main() -> None:
                     worker["state"] for worker in health["workers"]
                 ]
                 print(
-                    f"{len(responses)} futures resolved through micro-"
-                    f"batches at epoch {responses[0].epoch}; pool health "
+                    f"{len(responses)} futures resolved on arrival "
+                    f"at epoch {responses[0].epoch}; pool health "
                     f"via stats(): states={states}, "
                     f"restarts={[w['restarts'] for w in health['workers']]}, "
                     f"degraded_reads={health['degraded_reads']}"

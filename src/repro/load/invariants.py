@@ -211,8 +211,8 @@ def check_replay_parity(
     *concurrent* replay routes every query through a
     :class:`~repro.serve.frontend.BatchingFrontend` wrapped around the
     concurrent engine while the serial golden stays direct, so the same
-    four checks are re-proven *through the batching path*.  The front-end
-    is drained and closed before the quiesced probes are ranked.
+    four checks are re-proven *through the front-end*.  The front-end
+    is closed before the quiesced probes are ranked.
 
     ``swap_during_replay`` turns on **swap mode**: the callable (e.g. a
     bound :meth:`~repro.search.lifecycle.RefitCoordinator.refit`) runs on

@@ -232,11 +232,11 @@ class WorkloadRunner:
         With ``frontend`` (a :class:`repro.serve.BatchingFrontend` built
         around this runner's engine), queries are *submitted* instead of
         executed: each
-        worker blocks on its own future while the front-end coalesces the
-        racing submissions into micro-batched engine reads.  The observed
+        worker blocks on its own future, scored in its own thread or
+        shared with an identical in-flight request.  The observed
         epoch then comes from the resolved
         :class:`~repro.serve.frontend.QueryResponse`, so the epoch audit
-        covers the batching path end to end.  Mutations and refreshes
+        covers the front-end end to end.  Mutations and refreshes
         keep going straight to the engine — the front-end is a read-only
         surface.  The caller owns the front-end's lifecycle (it is not
         closed here).
@@ -517,9 +517,8 @@ def replay_pair(
                 num_workers, frontend=frontend
             )
             if swap_thread is not None:
-                # Joined with the front-end still open: the refit may need
-                # a last micro-batch window to drain, and its swap must
-                # land on a *serving* front-end to prove zero-pause.
+                # Joined with the front-end still open: the refit's swap
+                # must land on a *serving* front-end to prove zero-pause.
                 swap_thread.join()
             frontend_stats = frontend.stats() if frontend is not None else None
 

@@ -73,7 +73,7 @@ from repro.search.sharding import (
     ShardRouter,
     read_shard_manifest,
 )
-from repro.search.vsm import RankedResult, RankEngine
+from repro.search.vsm import RankedResult, RankEngine, query_tag_list
 from repro.tagging.folksonomy import Folksonomy
 from repro.utils.errors import ConfigurationError
 
@@ -237,6 +237,7 @@ class SearchEngine(RankEngine):
         up front even when no query is scorable.
         """
         validate_top_k(top_k)
+        queries = [query_tag_list(tags) for tags in queries]
         if not queries:
             return []
         with self._read_fresh():
@@ -256,7 +257,7 @@ class SearchEngine(RankEngine):
         monotonicity under concurrent traffic.
         """
         validate_top_k(top_k)
-        queries = [list(tags) for tags in queries]
+        queries = [query_tag_list(tags) for tags in queries]
         with self._read_fresh():
             if not queries:
                 return self.epoch, []

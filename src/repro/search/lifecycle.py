@@ -333,7 +333,7 @@ class EngineHandle(RankEngine):
     :class:`~repro.search.shardpool.ShardProcessPool` was used.
 
     Every read pins exactly **one** generation for its whole duration, so
-    a single engine call — and therefore a whole front-end micro-batch,
+    a single engine call — and therefore a whole front-end request,
     which is one ``snapshot_rank_batch`` call — can never mix generations.
     Mutations additionally append to the handle's :class:`DeltaJournal`
     and (when a folksonomy was given) fold into the handle's authoritative

@@ -70,7 +70,7 @@ from repro.search.matrix_space import (
 from repro.search.concurrency import process_context
 from repro.search.engine import SearchEngine
 from repro.search.sharding import merge_topk, read_shard_manifest
-from repro.search.vsm import RankedResult, RankEngine
+from repro.search.vsm import RankedResult, RankEngine, query_tag_list
 from repro.utils.errors import ConfigurationError, ReproError
 
 __all__ = [
@@ -554,7 +554,7 @@ class ShardProcessPool(RankEngine):
         if self._closed:
             raise ShardPoolError("pool is closed")
         validate_top_k(top_k)
-        queries = [list(tags) for tags in queries]
+        queries = [query_tag_list(tags) for tags in queries]
         if not queries:
             return PoolResult(self._epoch, [], {}, ())
         with self._lock:

@@ -51,6 +51,20 @@ class RankedResult(NamedTuple):
     rank: int
 
 
+def query_tag_list(query_tags: Sequence[str]) -> List[str]:
+    """One query's tags as a list; a bare ``str``/``bytes`` is refused.
+
+    ``list("folk")`` is four one-letter tags, which silently match
+    nothing, so a string passed where a tag sequence belongs is an error.
+    """
+    if isinstance(query_tags, (str, bytes)):
+        raise ConfigurationError(
+            f"a query is a sequence of tags, not a bare string: got "
+            f"{query_tags!r}; pass [{query_tags!r}] for a one-tag query"
+        )
+    return list(query_tags)
+
+
 #: The one ranking parity tolerance (engine vs oracle, shard vs monolith,
 #: concurrent vs serial replay).
 PARITY_TOL = 1e-9
@@ -160,7 +174,7 @@ class RankEngine(ABC):
         self, query_tags: Sequence[str], top_k: Optional[int] = None
     ) -> List[RankedResult]:
         """Rank all resources against one tag query."""
-        return self.rank_batch([list(query_tags)], top_k=top_k)[0]
+        return self.rank_batch([query_tag_list(query_tags)], top_k=top_k)[0]
 
     def refresh(self) -> bool:
         """Fold pending mutations in; a read-only engine never has any."""

@@ -1,21 +1,20 @@
-"""Serving front-end: micro-batching, admission control, live metrics.
+"""Serving front-end: admission control, in-flight dedup, live metrics.
 
-The online engines answer *batches* ~20x faster per query than single
-calls, but production traffic is concurrent single queries.  This package
-is the layer in between:
+Production traffic is concurrent single queries.  This package is the
+layer between those callers and a ranking engine:
 
-* :mod:`repro.serve.frontend` — :class:`BatchingFrontend` coalesces
-  concurrent ``submit(tags, top_k)`` calls under a micro-batch window
-  into single epoch-consistent ``snapshot_rank_batch`` reads,
-  deduplicating identical in-flight queries and resolving one future per
-  caller;
+* :mod:`repro.serve.frontend` — :class:`BatchingFrontend` scores each
+  ``submit(tags, top_k)`` in the submitting thread with one
+  epoch-consistent ``snapshot_rank_batch`` read, serving repeats from an
+  epoch-keyed cache and letting identical in-flight queries share one
+  read;
 * :mod:`repro.serve.admission` — :class:`AdmissionController` bounds the
   in-flight queue and sheds overflow with typed :class:`Overloaded`
   errors instead of unbounded queueing;
 * :mod:`repro.utils.metrics` — :class:`MetricsRegistry` (re-exported
-  here) records per-stage latency histograms, batch-size distributions,
-  queue depth and shed/error counters, and exports them in the Prometheus
-  text format.
+  here) records per-stage latency histograms, queue depth and
+  submitted/coalesced/shed/error counters, and exports them in the
+  Prometheus text format.
 """
 
 from repro.serve.admission import AdmissionController, Overloaded

@@ -1,18 +1,17 @@
 """Admission control: a bounded queue that sheds load instead of queueing.
 
-A micro-batching front-end converts burst arrivals into bounded-size
-engine calls, but the *queue in front of the batcher* is still unbounded
-unless something says no.  :class:`AdmissionController` is that something:
-it tracks how many requests are in flight (submitted, not yet resolved)
-and rejects new submissions with a typed :class:`Overloaded` error once
-``max_pending`` is reached — the client gets an immediate, retryable
-signal instead of a latency cliff, and the front-end's memory stays
-bounded no matter how hard the storm.
+A front-end that scores each query as it arrives still admits unbounded
+concurrent work unless something says no.  :class:`AdmissionController`
+is that something: it tracks how many requests are in flight (submitted,
+not yet resolved) and rejects new submissions with a typed
+:class:`Overloaded` error once ``max_pending`` is reached — the client
+gets an immediate, retryable signal instead of a latency cliff, and the
+front-end's memory stays bounded no matter how hard the storm.
 
-The controller is deliberately a counter, not a queue: the front-end owns
-the actual request list, and tickets are released when the request
-resolves (result, error or shed), so ``pending`` equals true in-flight
-depth rather than just batcher backlog.
+The controller is deliberately a counter, not a queue: tickets are
+released when the request resolves (result or error), so ``pending``
+equals the true in-flight depth, requests waiting on an identical
+in-flight read included.
 
 Multi-tenant fairness rides on the same counter: with
 ``tenant_max_pending`` set, each tenant additionally holds at most that

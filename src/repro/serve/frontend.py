@@ -1,59 +1,44 @@
-"""Micro-batching front-end: concurrent single queries, batched engine calls.
+"""Serving front-end: admission, cache, in-flight dedup, dispatched on arrival.
 
-The batched scoring path (``rank_batch``) pays the per-call costs — the
-read lock, the cache pass, a pool engine's IPC round trip — once for a
-whole query set and scores duplicate queries once, but production traffic
-arrives as concurrent *single* queries — each client submits one tag query
-and waits for its own answer.
-:class:`BatchingFrontend` closes that gap:
+Production traffic arrives as concurrent *single* queries.
+:class:`BatchingFrontend` serves each one in the thread that submits it
+and starts no thread of its own: :meth:`~BatchingFrontend.submit`
+validates the query, takes an admission ticket (shedding the overflow
+with typed :class:`~repro.serve.admission.Overloaded` errors), probes the
+front-end's own result cache, then either attaches to an identical
+in-flight request or runs one ``snapshot_rank_batch([tags], top_k)``
+itself; it fills the cache at the epoch the engine returned, resolves
+the :class:`~concurrent.futures.Future` of every request that attached,
+and releases their tickets.  Every stage records into a
+:class:`~repro.utils.metrics.MetricsRegistry` ready for Prometheus-style
+scraping.
 
-* :meth:`BatchingFrontend.submit` is the client surface — it enqueues one
-  query and immediately returns a :class:`~concurrent.futures.Future`;
-* a dedicated batcher thread coalesces everything that arrives within a
-  micro-batch window (flush on ``max_batch_size`` distinct queries or
-  ``max_wait_ms`` after the oldest enqueue, whichever first) into one
-  epoch-consistent ``snapshot_rank_batch`` call against the engine;
-* identical in-flight queries (canonical tag multiset + ``top_k``) are
-  *deduplicated* — scored once, fanned out to every waiter;
-* an :class:`~repro.serve.admission.AdmissionController` bounds the
-  in-flight queue and sheds the overflow with typed
-  :class:`~repro.serve.admission.Overloaded` errors;
-* every stage records into a :class:`~repro.utils.metrics.MetricsRegistry`
-  (queue wait, engine call, end-to-end latency, batch-size distribution,
-  shed/error counters) ready for Prometheus-style scraping.
+**Epoch rule.**  The in-flight map is keyed like the cache: canonical
+tag multiset, ``top_k`` and the engine epoch read at the probe.  A
+request attaches only to a read started at the epoch it observed itself,
+and that read returns an epoch at least as new, so a waiter never gets
+an answer older than a write it had already seen, and a client that
+waits for each answer before its next query sees its epochs run forwards.
 
-The front-end works against any :class:`~repro.search.vsm.RankEngine`;
-the engine's :meth:`~repro.search.vsm.RankEngine.health` is folded into
-:meth:`BatchingFrontend.stats` under ``engine_health``, so one scrape
-covers the whole serving column.
-
-Result caching
---------------
-When the engine carries its own :class:`~repro.search.cache.QueryCache`
-(one passed as ``SearchEngine(..., cache=...)``), the front-end *stays out of the way*: the
-engine probes and fills that cache inside its read lock with per-batch
-dedup, so each unique query counts exactly one hit or miss — a
-front-end-level probe of the same cache would double-count every lookup.
-When the engine has no cache, the front-end owns one and probes it before
-a query enters a batch (a hit resolves the future without touching the
-engine at all) and fills it after the batch returns, keyed by the exact
-epoch the batch was scored against, so a stale entry can never be served.
+**One cache owner.**  An engine with its own
+:class:`~repro.search.cache.QueryCache` probes and fills it inside its
+read lock, so the front-end stays out of the way (a second probe would
+count every lookup twice).  For an engine without one, the front-end
+owns an epoch-keyed cache, so a stale entry can never be served.
 """
 
 from __future__ import annotations
 
-import math
+import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
-from threading import Condition, Thread
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence
 
 from repro.search.cache import DEFAULT_MAX_ENTRIES, QueryCache
 from repro.search.matrix_space import validate_top_k
-from repro.search.vsm import RankedResult, RankEngine
-from repro.serve.admission import AdmissionController
+from repro.search.vsm import RankedResult, RankEngine, query_tag_list
+from repro.serve.admission import AdmissionController, Overloaded
 from repro.utils.errors import ConfigurationError, ReproError
 from repro.utils.metrics import MetricsRegistry
 
@@ -64,36 +49,28 @@ class FrontendClosed(ReproError):
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    """Tuning knobs of the micro-batch window and the admission bound.
+    """The admission bound, tenant quota and front-end cache size.
 
-    ``max_batch_size`` counts *distinct* queries per engine call (a
-    hundred waiters on one hot query are scored once, so they never
-    delay the flush); ``max_wait_ms`` bounds how long the oldest request
-    may sit waiting for company, trading per-query latency for batch
-    amortization (``0`` flushes greedily: whatever has accumulated by the
-    time the batcher thread is free forms the batch).  ``cache_entries``
-    sizes the front-end-owned result cache and is only consulted when the
-    engine does not bring its own (``0``/``None`` disables it).
-    ``tenant_max_pending`` caps how many tickets any one tenant-tagged
-    submitter may hold (``None`` disables per-tenant quotas), so a single
-    tenant's burst sheds against its own allowance before it can exhaust
-    ``max_pending`` for everyone.
+    ``tenant_max_pending`` caps the tickets any one tenant may hold
+    (``None``: no quota), so one tenant's burst sheds against its own
+    allowance before it exhausts ``max_pending`` for everyone.
+    ``cache_entries`` sizes the front-end-owned cache, used only when
+    the engine has none (``0``/``None`` disables it).  ``max_wait_ms`` is
+    kept only so ``max_wait_ms=0.0`` call sites still construct; queries
+    are dispatched on arrival, and any other value is refused.
     """
 
-    max_batch_size: int = 32
-    max_wait_ms: float = 2.0
     max_pending: int = 1024
     cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     tenant_max_pending: Optional[int] = None
+    max_wait_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
+        if self.max_wait_ms != 0.0:
             raise ConfigurationError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0.0):
-            raise ConfigurationError(
-                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms}"
+                f"max_wait_ms={self.max_wait_ms}: the micro-batch window is "
+                "gone (each query is scored on arrival); 0.0 is the only "
+                "accepted value"
             )
         if self.max_pending < 1:
             raise ConfigurationError(
@@ -118,42 +95,27 @@ class QueryResponse(NamedTuple):
     cached: bool
 
 
-class _Request:
-    """One waiter: its query, its future, and when it entered the queue."""
+class _Request(NamedTuple):
+    """One waiter: its future, its tenant, and when it was admitted."""
 
-    __slots__ = ("key", "tags", "top_k", "future", "enqueued", "tenant")
-
-    def __init__(
-        self,
-        key: Tuple[Tuple[str, ...], Optional[int]],
-        tags: List[str],
-        top_k: Optional[int],
-        future: "Future[QueryResponse]",
-        enqueued: float,
-        tenant: Optional[str] = None,
-    ) -> None:
-        self.key = key
-        self.tags = tags
-        self.top_k = top_k
-        self.future = future
-        self.enqueued = enqueued
-        self.tenant = tenant
+    future: "Future[QueryResponse]"
+    tenant: Optional[str]
+    admitted: float
 
 
 class BatchingFrontend:
-    """Coalesces concurrent ``submit`` calls into batched engine reads.
+    """Admission, cache and in-flight dedup in front of a ranking engine.
 
-    Construct it around a built engine and use it as a context manager
-    (or call :meth:`close`) so the batcher thread is released::
+    Construct it around a built engine; it starts no thread, and
+    :meth:`close` (or the context manager) only refuses further work::
 
-        with BatchingFrontend(engine, FrontendConfig(max_wait_ms=2)) as fe:
+        with BatchingFrontend(engine) as fe:
             future = fe.submit(["jazz", "piano"], top_k=10)
             response = future.result()      # QueryResponse(epoch, results, cached)
 
-    Thread-safe: any number of threads may submit concurrently; one
-    internal batcher thread executes batches strictly in formation order,
-    so two batches never interleave on the engine and per-client response
-    order follows submission order.
+    Thread-safe: any number of threads may submit concurrently.  Each
+    scores its own query; one that finds an identical query in flight
+    waits on that request's answer instead of scoring it again.
     """
 
     def __init__(
@@ -176,71 +138,75 @@ class BatchingFrontend:
             self.config.max_pending,
             tenant_max_pending=self.config.tenant_max_pending,
         )
-        if engine.cache is not None:
-            # The engine probes/fills its own cache inside the read lock
-            # (with per-batch dedup); a second probe here would count
-            # every lookup twice.
-            self.cache: Optional[QueryCache] = engine.cache
-            self._cache_is_engines = True
-        elif self.config.cache_entries:
-            self.cache = QueryCache(self.config.cache_entries)
-            self._cache_is_engines = False
-        else:
-            self.cache = None
-            self._cache_is_engines = False
+        self._owns_cache = engine.cache is None and bool(self.config.cache_entries)
+        self.cache: Optional[QueryCache] = (
+            QueryCache(self.config.cache_entries) if self._owns_cache else engine.cache
+        )
         # Lifecycle-managed engines (an EngineHandle) announce hot
         # generation swaps; the front-end flushes its cache — a new
         # generation is a new concept model — and counts the event.
         engine.add_swap_listener(self._on_generation_swap)
-        self._cond = Condition()
-        self._pending: List[_Request] = []
+        self._lock = threading.Lock()
+        self._in_flight: Dict[Hashable, List[_Request]] = {}
         self._closed = False
-        self._thread = Thread(
-            target=self._batch_loop, name=f"{name}-batcher", daemon=True
-        )
-        self._thread.start()
 
-    # ------------------------------------------------------------------ #
-    # Client surface
-    # ------------------------------------------------------------------ #
     def submit(
         self,
         query_tags: Sequence[str],
         top_k: Optional[int] = None,
         tenant: Optional[str] = None,
     ) -> "Future[QueryResponse]":
-        """Enqueue one query; returns a future for its ranked results.
+        """Serve one query in this thread; returns its resolved future.
 
-        ``tenant`` attributes the request for per-tenant admission quotas
-        and stats; untagged requests count only against the global bound.
-        Raises :class:`~repro.serve.admission.Overloaded` immediately when
-        the in-flight bound (global or tenant quota) is hit — the request
-        is shed, not queued — and :class:`FrontendClosed` after
-        :meth:`close`.
+        The future is still pending only when the query attached to an
+        identical request another thread is scoring.  ``tenant``
+        attributes the request for per-tenant admission quotas and stats.
+        Raises :class:`~repro.serve.admission.Overloaded` when the
+        in-flight bound (global or tenant quota) is hit — the request is
+        shed, not queued — and :class:`FrontendClosed` after
+        :meth:`close`.  Engine errors resolve the future exceptionally.
         """
         validate_top_k(top_k)
-        tags = list(query_tags)
-        key = (tuple(sorted(tags)), top_k)
+        tags = query_tag_list(query_tags)
+        if self._closed:
+            raise FrontendClosed(f"front-end {self.name!r} is closed; no new queries")
         try:
             depth = self.admission.admit(tenant=tenant)
-        except Exception:
+        except Overloaded:
             self.metrics.increment("shed")
             raise
-        future: "Future[QueryResponse]" = Future()
-        request = _Request(
-            key, tags, top_k, future, time.perf_counter(), tenant=tenant
-        )
-        with self._cond:
-            if self._closed:
-                self.admission.release(tenant=tenant)
-                raise FrontendClosed(
-                    f"front-end {self.name!r} is closed; no new queries"
-                )
-            self._pending.append(request)
-            self._cond.notify_all()
         self.metrics.increment("submitted")
         self.metrics.set_gauge("queue_depth", depth)
-        return future
+        request = _Request(Future(), tenant, time.perf_counter())
+        probe_epoch = self.engine.epoch
+        key = QueryCache.canonical_key(tags, top_k, probe_epoch)
+        if self._owns_cache:
+            hit = self.cache.get(key)
+            if hit is not None:
+                self._settle([request], QueryResponse(probe_epoch, hit, True))
+                return request.future
+        with self._lock:
+            waiters = self._in_flight.get(key)
+            if waiters is not None:
+                waiters.append(request)
+                self.metrics.increment("coalesced")
+                return request.future
+            self._in_flight[key] = [request]
+        try:
+            started = time.perf_counter()
+            epoch, (results,) = self.engine.snapshot_rank_batch([tags], top_k=top_k)
+            self.metrics.observe_latency("stage.engine", time.perf_counter() - started)
+            if self._owns_cache:
+                self.cache.put(QueryCache.canonical_key(tags, top_k, epoch), results)
+        except BaseException as error:  # noqa: BLE001 - waiters must resolve
+            waiters = self._detach(key)
+            self.metrics.increment("errors", len(waiters))
+            self._settle(waiters, error=error)
+            if not isinstance(error, Exception):
+                raise
+            return request.future
+        self._settle(self._detach(key), QueryResponse(epoch, results, False))
+        return request.future
 
     def query(
         self,
@@ -251,15 +217,9 @@ class BatchingFrontend:
         return self.submit(query_tags, top_k=top_k).result().results
 
     def stats(self) -> Dict[str, object]:
-        """One dict: metrics snapshot, admission state, cache stats.
-
-        The engine's ``health()`` (the process pool's worker states, an
-        :class:`~repro.search.lifecycle.EngineHandle`'s
-        generation/epoch/staleness snapshot — which separates the
-        ``fold_in_due`` and ``refit_due`` verdicts) is included under
-        ``engine_health``, so drift alarms and generation swaps surface
-        through the same endpoint as the front-end's own metrics.
-        """
+        """Metrics snapshot, admission state, cache stats and, under
+        ``engine_health``, the engine's ``health()`` (pool worker states, a
+        lifecycle handle's generation and drift verdicts) in one dict."""
         payload = self.metrics.snapshot()
         payload["admission"] = {
             "pending": self.admission.pending,
@@ -270,9 +230,7 @@ class BatchingFrontend:
         }
         if self.cache is not None:
             payload["cache"] = self.cache.stats()
-            payload["cache_owner"] = (
-                "engine" if self._cache_is_engines else "frontend"
-            )
+            payload["cache_owner"] = "frontend" if self._owns_cache else "engine"
         payload["engine_generation"] = self.engine.generation
         payload["engine_health"] = self.engine.health()
         return payload
@@ -281,16 +239,14 @@ class BatchingFrontend:
         """Swap-listener hook: flush the owned cache, count the event."""
         self.metrics.increment("generation_swaps")
         self.metrics.set_gauge("engine_generation", generation)
-        if self.cache is not None and not self._cache_is_engines:
+        if self._owns_cache:
             self.cache.invalidate_generation(generation)
 
     def close(self) -> None:
-        """Drain every pending request, then stop the batcher (idempotent)."""
-        with self._cond:
+        """Refuse new queries (idempotent); requests in flight finish."""
+        if not self._closed:
             self._closed = True
-            self._cond.notify_all()
-        self._thread.join()
-        self.engine.remove_swap_listener(self._on_generation_swap)
+            self.engine.remove_swap_listener(self._on_generation_swap)
 
     def __enter__(self) -> "BatchingFrontend":
         return self
@@ -298,234 +254,42 @@ class BatchingFrontend:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Batcher thread
-    # ------------------------------------------------------------------ #
-    def _batch_loop(self) -> None:
-        try:
-            while True:
-                batch = self._collect_batch()
-                if batch is None:
-                    return
-                self._execute_batch(batch)
-        except BaseException as error:  # noqa: BLE001 - never die silently
-            # A batcher bug must not strand waiters on futures that will
-            # never resolve: fail everything pending, refuse new work.
-            with self._cond:
-                self._closed = True
-                stranded = self._pending
-                self._pending = []
-                self._cond.notify_all()
-            self.metrics.increment("errors", len(stranded))
-            self._fail(stranded, error)
-            raise
+    def _detach(self, key: Hashable) -> List[_Request]:
+        """Take the request that scored ``key`` and every one attached to it."""
+        with self._lock:
+            return self._in_flight.pop(key)
 
-    def _collect_batch(
-        self,
-    ) -> Optional["OrderedDict[Tuple, List[_Request]]"]:
-        """Block until a batch forms; ``None`` once closed and drained.
-
-        The window starts at the *oldest* pending request: flush when
-        ``max_batch_size`` distinct queries have accumulated, when
-        ``max_wait_ms`` has elapsed, or when the front-end is closing
-        (close still drains, so no future is ever abandoned).  Requests
-        beyond the size limit stay queued, in order, for the next batch;
-        duplicates of a query already in the batch always ride along.
-        """
-        max_wait = self.config.max_wait_ms / 1000.0
-        with self._cond:
-            while not self._pending:
-                if self._closed:
-                    return None
-                self._cond.wait()
-            deadline = self._pending[0].enqueued + max_wait
-            while not self._closed:
-                distinct = len({request.key for request in self._pending})
-                if distinct >= self.config.max_batch_size:
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-            groups: "OrderedDict[Tuple, List[_Request]]" = OrderedDict()
-            overflow: List[_Request] = []
-            for request in self._pending:
-                if request.key in groups:
-                    groups[request.key].append(request)
-                elif len(groups) < self.config.max_batch_size:
-                    groups[request.key] = [request]
-                else:
-                    overflow.append(request)
-            self._pending = overflow
-            return groups
-
-    def _execute_batch(
-        self, groups: "OrderedDict[Tuple, List[_Request]]"
-    ) -> None:
-        try:
-            self._execute_batch_inner(groups)
-        except BaseException as error:  # noqa: BLE001 - fail, don't strand
-            stranded = [
-                request
-                for requests in groups.values()
-                for request in requests
-                if not request.future.done()
-            ]
-            self.metrics.increment("errors", len(stranded))
-            self._fail(stranded, error)
-            if not isinstance(error, Exception):
-                # SystemExit/KeyboardInterrupt must still tear the
-                # batcher down (the loop's handler drains the queue);
-                # this batch's waiters were failed above first.
-                raise
-
-    def _execute_batch_inner(
-        self, groups: "OrderedDict[Tuple, List[_Request]]"
-    ) -> None:
-        dispatched = time.perf_counter()
-        waiters = sum(len(requests) for requests in groups.values())
-        self.metrics.increment("batches")
-        self.metrics.increment("coalesced", waiters - len(groups))
-        self.metrics.observe_size("batch_distinct_queries", len(groups))
-        self.metrics.observe_size("batch_waiters", waiters)
-        for requests in groups.values():
-            for request in requests:
-                self.metrics.observe_latency(
-                    "stage.queue", dispatched - request.enqueued
-                )
-
-        # Everything below resolves the whole batch against ONE epoch, so
-        # a client pipelining several submits can never observe the epoch
-        # run backwards across its own futures: batches execute strictly
-        # in order and the engine's epoch is monotone, so batch N+1's
-        # epoch >= batch N's.
-        own_cache = self.cache is not None and not self._cache_is_engines
-        hits: "OrderedDict[Tuple, List[RankedResult]]" = OrderedDict()
-        misses: "OrderedDict[Tuple, List[_Request]]" = groups
-        probe_epoch = 0
-        if own_cache:
-            probe_epoch = self.engine.epoch
-            misses = OrderedDict()
-            for key, requests in groups.items():
-                sorted_tags, top_k = key
-                hit = self.cache.get(
-                    QueryCache.canonical_key(sorted_tags, top_k, probe_epoch)
-                )
-                if hit is None:
-                    misses[key] = requests
-                else:
-                    hits[key] = hit
-        if not misses:
-            for key, results in hits.items():
-                self._resolve(groups[key], probe_epoch, results, cached=True)
-            return
-
-        try:
-            epoch, ranked = self._rank_keys(misses)
-            if own_cache and hits and epoch != probe_epoch:
-                # A mutation landed between the cache probe and the
-                # snapshot: the hits describe an older index state than
-                # the misses.  Re-rank the *whole* batch in one snapshot
-                # call so every waiter still shares one epoch (rare:
-                # costs one wasted engine call only when a write races
-                # the window).
-                misses = groups
-                epoch, ranked = self._rank_keys(misses)
-                hits.clear()  # resolved below from the re-rank instead
-        except Exception as error:  # noqa: BLE001 - fail only the misses
-            # Cache hits are still valid answers for the epoch they were
-            # probed at; only the queries that needed the engine fail.
-            for key, results in hits.items():
-                self._resolve(groups[key], probe_epoch, results, cached=True)
-            stranded = [
-                request
-                for key, requests in misses.items()
-                if key not in hits
-                for request in requests
-            ]
-            self.metrics.increment("errors", len(stranded))
-            self._fail(stranded, error)
-            return
-
-        for key, results in zip(misses, ranked):
-            sorted_tags, top_k = key
-            sliced = results if top_k is None else results[:top_k]
-            if own_cache:
-                self.cache.put(
-                    QueryCache.canonical_key(sorted_tags, top_k, epoch),
-                    sliced,
-                )
-            self._resolve(misses[key], epoch, sliced, cached=False)
-        for key, results in hits.items():
-            # Only reached when epoch == probe_epoch: hits and misses
-            # describe the same index state.
-            self._resolve(groups[key], probe_epoch, results, cached=True)
-
-    def _rank_keys(
-        self, grouped: "OrderedDict[Tuple, List[_Request]]"
-    ) -> Tuple[int, List[list]]:
-        """One epoch-consistent engine call covering every key.
-
-        Keys may carry different ``top_k`` values but an engine call
-        takes one, so the batch is scored at the *widest* requested depth
-        (``None`` if any key wants the full ranking) and each key's
-        results are sliced down afterwards — sound because a ranking is a
-        strict total order (descending score, ascending resource id), so
-        a top-k list is a prefix of any deeper list.  One call means one
-        epoch for the whole batch, the property the monotonicity argument
-        above rests on.
-        """
-        top_ks = [key[1] for key in grouped]
-        effective = None if any(k is None for k in top_ks) else max(top_ks)
-        queries = [requests[0].tags for requests in grouped.values()]
-        started = time.perf_counter()
-        epoch, ranked = self.engine.snapshot_rank_batch(
-            queries, top_k=effective
-        )
-        self.metrics.observe_latency(
-            "stage.engine", time.perf_counter() - started
-        )
-        if len(ranked) != len(queries):
-            raise ConfigurationError(
-                f"engine returned {len(ranked)} result lists for "
-                f"{len(queries)} queries; the batch cannot be resolved"
-            )
-        return epoch, ranked
-
-    def _resolve(
+    def _settle(
         self,
         requests: List[_Request],
-        epoch: int,
-        results: Sequence[RankedResult],
-        cached: bool,
+        response: Optional[QueryResponse] = None,
+        error: Optional[BaseException] = None,
     ) -> None:
-        """Fan one scored result list out to every waiter on the query."""
-        for request in requests:
-            if request.future.set_running_or_notify_cancel():
-                request.future.set_result(
-                    QueryResponse(epoch, list(results), cached)
-                )
-            self._finish(request)
+        """Release each ticket, then resolve its future.
 
-    def _fail(self, requests: List[_Request], error: BaseException) -> None:
-        """Resolve every waiter exceptionally; tickets are still released."""
+        The books are closed first, so a caller woken by its future
+        already sees its ticket returned.  Each waiter gets its own copy
+        of the result list.
+        """
         for request in requests:
-            if request.future.set_running_or_notify_cancel():
+            depth = self.admission.release(tenant=request.tenant)
+            self.metrics.increment("completed")
+            self.metrics.set_gauge("queue_depth", depth)
+            self.metrics.observe_latency(
+                "stage.total", time.perf_counter() - request.admitted
+            )
+            if not request.future.set_running_or_notify_cancel():
+                continue
+            if error is not None:
                 request.future.set_exception(error)
-            self._finish(request)
-
-    def _finish(self, request: _Request) -> None:
-        depth = self.admission.release(tenant=request.tenant)
-        self.metrics.increment("completed")
-        self.metrics.set_gauge("queue_depth", depth)
-        self.metrics.observe_latency(
-            "stage.total", time.perf_counter() - request.enqueued
-        )
+            else:
+                request.future.set_result(
+                    response._replace(results=list(response.results))
+                )
 
     def __repr__(self) -> str:
         return (
             f"BatchingFrontend(name={self.name!r}, "
             f"engine={type(self.engine).__name__}, "
-            f"max_batch_size={self.config.max_batch_size}, "
-            f"max_wait_ms={self.config.max_wait_ms})"
+            f"max_pending={self.config.max_pending})"
         )

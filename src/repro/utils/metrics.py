@@ -8,12 +8,12 @@ runner:
   covers microsecond cache hits and multi-second refreshes), mergeable
   across replay workers without locks, with labelled sub-histograms;
 * :class:`SizeDistribution` — exact per-value counts for small integer
-  observations (batch sizes), so "what batch sizes did the window
-  actually form?" has a precise answer, not a bucketed estimate;
+  observations (such as batch sizes), so a size question has a precise
+  answer, not a bucketed estimate;
 * :class:`MetricsRegistry` — thread-safe **counters** (monotone totals),
   **gauges** (last-written values), per-stage latency histograms and size
   distributions behind one lock, because the front-end records from
-  submitter threads *and* the batcher thread.
+  every submitter thread.
 
 :meth:`MetricsRegistry.export_text` renders everything in the
 Prometheus text exposition format (``# TYPE`` comments, cumulative
@@ -247,7 +247,7 @@ class MetricsRegistry:
     """Thread-safe counters, gauges, latency histograms and distributions.
 
     All mutation goes through one lock: the front-end records from many
-    submitter threads plus the batcher thread, and a scrape
+    submitter threads, and a scrape
     (:meth:`export_text` / :meth:`snapshot`) must see an internally
     consistent view (a completed request is never counted in ``completed``
     while missing from its latency histogram's ``count``).

@@ -632,7 +632,7 @@ class TestRefreshPolicySplit:
         handle = EngineHandle(
             build_mono(toy_folksonomy), folksonomy=toy_folksonomy
         )
-        with BatchingFrontend(handle, FrontendConfig(max_wait_ms=1.0)) as front:
+        with BatchingFrontend(handle) as front:
             tag = sorted(toy_folksonomy.tags)[0]
             front.query([tag], top_k=3)
             stats = front.stats()
@@ -803,7 +803,7 @@ class TestSwapDuringReplayAcceptance:
             lambda: build_mono(small_cleaned),
             trace,
             num_workers=NUM_WORKERS,
-            frontend_config=FrontendConfig(max_wait_ms=1.0),
+            frontend_config=FrontendConfig(),
             concurrent_build_engine=build_concurrent,
             swap_during_replay=lambda: coordinator_box["coordinator"].refit(),
         )

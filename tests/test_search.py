@@ -194,6 +194,17 @@ class TestSearchEngine:
         assert engine.score(["nonexistent"], "r1") == 0.0
         assert engine.rank_batch([["nonexistent"]]) == [[]]
 
+    def test_bare_string_query_is_refused(self):
+        _, engine = self.build_engine()
+        assert engine.search(["audio"])  # the tag list form matches
+        # list("audio") would be five one-letter tags that match nothing.
+        with pytest.raises(ConfigurationError, match="bare string"):
+            engine.search("audio")
+        with pytest.raises(ConfigurationError, match="bare string"):
+            engine.rank_batch([["travel"], "audio"])
+        with pytest.raises(ConfigurationError, match="bare string"):
+            engine.snapshot_rank_batch([b"audio"])
+
     def test_rank_batch_matches_search(self):
         _, engine = self.build_engine()
         queries = [["audio"], ["travel", "vacation"], [], ["nonexistent"]]

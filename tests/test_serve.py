@@ -1,21 +1,23 @@
-"""Serving front-end suite: batching, dedup, admission, metrics, cache.
+"""Serving front-end suite: dispatch on arrival, dedup, admission, metrics, cache.
 
 The acceptance bar (ISSUE 5): a concurrent 90/10 workload replayed with
 every query routed through the :class:`~repro.serve.BatchingFrontend`
 must finish with zero errors and post-quiesce 1e-9 parity against the
 serial golden replay — the same invariants the direct path satisfies,
-re-proven through the batching path.  Around that bar this file covers
-the micro-batch window's flush ordering, dedup fan-out to N waiters,
-admission-control shedding under a saturated queue, the metrics registry
-and its Prometheus export, and the result-cache integration (exactly one
-hit-or-miss per logical query, front-end-owned or engine-owned).
+re-proven through the front-end.  Around that bar this file covers the
+threadless dispatch (each query scored in its submitting thread), dedup
+fan-out to N waiters and its epoch rule, admission-control shedding with
+tickets held by a gated engine, the metrics registry and its Prometheus
+export, and the result-cache integration (exactly one hit-or-miss per
+logical query, front-end-owned or engine-owned).  No test here waits on
+a clock: concurrency is staged with a gated engine.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
+from dataclasses import fields
 
 import pytest
 
@@ -38,27 +40,34 @@ from repro.utils.errors import ConfigurationError
 #: Mirrors tests/test_workload.py: the nightly stress job raises it to 8.
 NUM_WORKERS = max(1, int(os.environ.get("WORKLOAD_WORKERS", "4")))
 
+#: Upper bound on any wait in this file; reached only when a test fails.
+TIMEOUT = 10.0
+
 
 class RecordingEngine(RankEngine):
-    """The required engine surface, with a call log and a delay.
+    """The required engine surface, with a call log and an optional gate.
 
     Results are a deterministic function of the query's sorted tags, so
-    tests can assert fan-out correctness without building an index.
+    tests can assert fan-out correctness without building an index.  With
+    a ``gate``, every call signals ``entered`` and then blocks until the
+    gate is set, so a test can hold a read in flight.
     """
 
     epoch = 0
     num_indexed_resources = 0
 
-    def __init__(self, delay: float = 0.0) -> None:
-        self.delay = delay
+    def __init__(self, gate: threading.Event = None) -> None:
+        self.gate = gate
+        self.entered = threading.Semaphore(0)
         self.calls = []
         self._lock = threading.Lock()
 
     def snapshot_rank_batch(self, queries, top_k=None):
         with self._lock:
             self.calls.append(([list(query) for query in queries], top_k))
-        if self.delay:
-            time.sleep(self.delay)
+        self.entered.release()
+        if self.gate is not None:
+            assert self.gate.wait(TIMEOUT), "the test never opened the gate"
         results = [
             [RankedResult("r-" + "-".join(sorted(query)), 1.0, 1)]
             for query in queries
@@ -87,6 +96,16 @@ def build_sharded(folksonomy, num_shards=4):
     return through_save(with_cache(build_mono(folksonomy)), num_shards)
 
 
+def run_threads(target, args_list):
+    """Run ``target(*args)`` per entry on its own thread; join them all."""
+    threads = [threading.Thread(target=target, args=args) for args in args_list]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
 def run_clients(frontend, queries, num_clients):
     """Client ``c`` submits queries ``c, c + n, ...`` one at a time."""
     got = [None] * len(queries)
@@ -95,23 +114,28 @@ def run_clients(frontend, queries, num_clients):
         for position in range(first, len(queries), num_clients):
             got[position] = frontend.query(queries[position], top_k=10)
 
-    threads = [
-        threading.Thread(target=client, args=(first,))
-        for first in range(num_clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
+    run_threads(client, [(first,) for first in range(num_clients)])
     assert None not in got  # a client that raised left its answers unset
     return got
 
 
+def hold_one_read(frontend, tags, top_k=3):
+    """Start a submit of ``tags`` on a thread and wait until it is scoring.
+
+    Returns ``(thread, box)``; once the thread is joined, ``box[0]`` is
+    the future that submit returned.
+    """
+    box = []
+    thread = threading.Thread(
+        target=lambda: box.append(frontend.submit(tags, top_k=top_k))
+    )
+    thread.start()
+    assert frontend.engine.entered.acquire(timeout=TIMEOUT)
+    return thread, box
+
+
 class TestFrontendConfig:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FrontendConfig(max_batch_size=0)
         with pytest.raises(ConfigurationError):
             FrontendConfig(max_wait_ms=-1.0)
         with pytest.raises(ConfigurationError):
@@ -123,93 +147,124 @@ class TestFrontendConfig:
         with pytest.raises(ConfigurationError):
             FrontendConfig(cache_entries=-1)
 
+    def test_window_knobs_are_gone(self):
+        assert [field.name for field in fields(FrontendConfig)] == [
+            "max_pending",
+            "cache_entries",
+            "tenant_max_pending",
+            "max_wait_ms",
+        ]
+        FrontendConfig(max_wait_ms=0.0, cache_entries=0)
+        with pytest.raises(ConfigurationError, match="window is gone"):
+            FrontendConfig(max_wait_ms=2.0)
+        with pytest.raises(TypeError):
+            FrontendConfig(max_batch_size=8)
+
     def test_engine_surface_is_validated(self):
         with pytest.raises(ConfigurationError):
             BatchingFrontend(object())
 
 
-class TestWindowFlush:
-    def test_flushes_in_submission_order_when_size_limit_hit(self):
-        engine = RecordingEngine(delay=0.01)
-        config = FrontendConfig(
-            max_batch_size=2, max_wait_ms=500.0, cache_entries=0
-        )
-        with BatchingFrontend(engine, config) as frontend:
-            futures = [
-                frontend.submit([f"q{index}"], top_k=1) for index in range(5)
-            ]
-            responses = [future.result(timeout=10) for future in futures[:4]]
-        # close() drained the straggler without waiting out the window.
-        responses.append(futures[4].result(timeout=10))
+class TestDispatchOnArrival:
+    def test_construction_starts_no_thread(self):
+        before = threading.active_count()
+        frontend = BatchingFrontend(RecordingEngine())
+        assert threading.active_count() == before
+        frontend.close()
 
-        batches = [
-            [query[0] for query in queries] for queries, _ in engine.calls
-        ]
-        assert batches == [["q0", "q1"], ["q2", "q3"], ["q4"]]
-        for index, response in enumerate(responses):
-            assert response.results[0].resource == f"r-q{index}"
-
-    def test_window_deadline_flushes_partial_batch(self):
+    def test_uncontended_submit_returns_a_done_future(self):
         engine = RecordingEngine()
-        config = FrontendConfig(
-            max_batch_size=32, max_wait_ms=20.0, cache_entries=0
-        )
-        with BatchingFrontend(engine, config) as frontend:
-            response = frontend.submit(["solo"], top_k=1).result(timeout=10)
-        assert response.results[0].resource == "r-solo"
-        assert len(engine.calls) == 1
+        with BatchingFrontend(engine, FrontendConfig(cache_entries=0)) as fe:
+            future = fe.submit(["solo"], top_k=1)
+            assert future.done()
+            assert future.result().results[0].resource == "r-solo"
+            assert fe.admission.pending == 0
+        assert engine.calls == [([["solo"]], 1)]
 
-    def test_mixed_top_k_batches_stay_correct(self):
+    def test_bare_string_query_is_refused(self):
         engine = RecordingEngine()
-        config = FrontendConfig(
-            max_batch_size=4, max_wait_ms=50.0, cache_entries=0
-        )
-        with BatchingFrontend(engine, config) as frontend:
-            narrow = frontend.submit(["a"], top_k=1)
-            wide = frontend.submit(["a"], top_k=5)
-            none = frontend.submit(["a"])
-            assert narrow.result(timeout=10).results[0].resource == "r-a"
-            assert wide.result(timeout=10).results[0].resource == "r-a"
-            assert none.result(timeout=10).results[0].resource == "r-a"
-        # Distinct top_k values are distinct cache keys, but the batch is
-        # scored in ONE engine call at the widest requested depth (None
-        # here) and sliced per request — one call, one epoch.
-        assert len(engine.calls) == 1
-        assert engine.calls[0][1] is None
+        with BatchingFrontend(engine) as frontend:
+            with pytest.raises(ConfigurationError, match="bare string"):
+                frontend.query("folk")
+            with pytest.raises(ConfigurationError, match="bare string"):
+                frontend.submit(b"folk", top_k=3)
+            assert frontend.admission.pending == 0
+        assert engine.calls == []
+
+    def test_mixed_top_k_requests_stay_correct(self, toy_folksonomy):
+        engine = build_mono(toy_folksonomy)
+        tags = sorted(toy_folksonomy.tags)[:2]
+        with BatchingFrontend(engine, FrontendConfig(cache_entries=0)) as fe:
+            for top_k in (1, 2, 5, None):
+                got = fe.query(tags, top_k=top_k)
+                want = engine.search(tags, top_k=top_k)
+                assert mismatched_probes([got], [want], truncated=True) == []
+        # Each request is scored at its own depth: no widest-depth slicing.
+        recording = RecordingEngine()
+        with BatchingFrontend(recording, FrontendConfig(cache_entries=0)) as fe:
+            for top_k in (1, 5, None):
+                fe.submit(["a"], top_k=top_k)
+        assert [top_k for _, top_k in recording.calls] == [1, 5, None]
 
 
 class TestDedupFanout:
     def test_identical_inflight_queries_score_once(self):
-        engine = RecordingEngine()
-        config = FrontendConfig(
-            max_batch_size=64, max_wait_ms=150.0, cache_entries=0
-        )
+        engine = RecordingEngine(gate=threading.Event())
+        config = FrontendConfig(cache_entries=0)
         with BatchingFrontend(engine, config) as frontend:
-            futures = [
-                frontend.submit(["hot", "tag"], top_k=3) for _ in range(8)
-            ]
-            responses = [future.result(timeout=10) for future in futures]
+            owner, box = hold_one_read(frontend, ["hot", "tag"])
+            run_threads(
+                lambda: box.append(frontend.submit(["hot", "tag"], top_k=3)),
+                [()] * 7,
+            )
+            assert frontend.admission.pending == 8
+            engine.gate.set()
+            owner.join(timeout=TIMEOUT)
+            assert not owner.is_alive()
+            responses = [future.result(timeout=TIMEOUT) for future in box]
 
         assert len(engine.calls) == 1
         assert engine.calls[0][0] == [["hot", "tag"]]
         assert frontend.metrics.counter("coalesced") == 7
+        assert len(responses) == 8
         for response in responses:
+            assert response.results == responses[0].results
             assert response.results[0].resource == "r-hot-tag"
         # Every waiter got its own list: mutating one cannot corrupt
         # another waiter's (or the cache's) copy.
         responses[0].results.append("sentinel")
         assert len(responses[1].results) == 1
+        assert frontend.admission.pending == 0
+
+    def test_a_write_seen_at_the_probe_never_attaches_to_an_older_read(self):
+        engine = RecordingEngine(gate=threading.Event())
+        config = FrontendConfig(cache_entries=0)
+        with BatchingFrontend(engine, config) as frontend:
+            first, first_box = hold_one_read(frontend, ["a"])
+            engine.epoch = 1  # a write lands while the epoch-0 read is held
+            second, second_box = hold_one_read(frontend, ["a"])
+            # Both reads are in the engine at once: the second did not
+            # attach to the first, which started before the write.
+            assert len(engine.calls) == 2
+            assert frontend.metrics.counter("coalesced") == 0
+            engine.gate.set()
+            for thread in (first, second):
+                thread.join(timeout=TIMEOUT)
+                assert not thread.is_alive()
+        assert second_box[0].result().epoch == 1
 
     def test_tag_order_is_canonicalized(self):
-        engine = RecordingEngine()
-        config = FrontendConfig(
-            max_batch_size=64, max_wait_ms=150.0, cache_entries=0
-        )
+        engine = RecordingEngine(gate=threading.Event())
+        config = FrontendConfig(cache_entries=0)
         with BatchingFrontend(engine, config) as frontend:
-            first = frontend.submit(["b", "a"], top_k=3)
+            owner, box = hold_one_read(frontend, ["b", "a"])
             second = frontend.submit(["a", "b"], top_k=3)
-            first.result(timeout=10)
-            second.result(timeout=10)
+            assert not second.done()
+            engine.gate.set()
+            owner.join(timeout=TIMEOUT)
+            assert second.result(timeout=TIMEOUT).results == (
+                box[0].result().results
+            )
         assert len(engine.calls) == 1
 
 
@@ -231,29 +286,33 @@ class TestAdmissionControl:
             AdmissionController(max_pending=0)
 
     def test_saturated_queue_sheds_with_typed_errors(self):
-        engine = RecordingEngine(delay=0.2)
-        config = FrontendConfig(
-            max_batch_size=1,
-            max_wait_ms=0.0,
-            max_pending=4,
-            cache_entries=0,
-        )
+        engine = RecordingEngine(gate=threading.Event())
+        config = FrontendConfig(max_pending=4, cache_entries=0)
         with BatchingFrontend(engine, config) as frontend:
-            admitted, shed = [], 0
-            for index in range(10):
+            # One read held in the engine plus three waiters attached to
+            # it hold all four tickets.
+            owner, admitted = hold_one_read(frontend, ["q0"], top_k=1)
+            admitted += [frontend.submit(["q0"], top_k=1) for _ in range(3)]
+            shed = 0
+            for index in range(1, 7):
                 try:
-                    admitted.append(frontend.submit([f"q{index}"], top_k=1))
+                    frontend.submit([f"q{index}"], top_k=1)
                 except Overloaded as error:
                     shed += 1
                     assert error.max_pending == 4
-            # The burst outruns the slow engine: everything beyond the
-            # bound was shed immediately, nothing queued unboundedly.
-            assert shed >= 6
+            # Everything beyond the bound was shed immediately, nothing
+            # queued unboundedly.
+            assert shed == 6
             assert frontend.metrics.counter("shed") == shed
             assert frontend.admission.shed == shed
+            engine.gate.set()
+            owner.join(timeout=TIMEOUT)
+            assert not owner.is_alive()
             for future in admitted:
-                assert future.result(timeout=30).results
-        assert frontend.metrics.counter("completed") == len(admitted)
+                assert future.result(timeout=TIMEOUT).results
+        assert len(engine.calls) == 1
+        assert frontend.metrics.counter("completed") == len(admitted) == 4
+        assert frontend.admission.pending == 0
 
     def test_submit_after_close_raises(self):
         frontend = BatchingFrontend(
@@ -264,15 +323,13 @@ class TestAdmissionControl:
             frontend.submit(["late"], top_k=1)
 
     def test_engine_errors_propagate_to_waiters(self):
-        config = FrontendConfig(
-            max_batch_size=4, max_wait_ms=10.0, cache_entries=0
-        )
+        config = FrontendConfig(cache_entries=0)
         with BatchingFrontend(FailingEngine(), config) as frontend:
             future = frontend.submit(["doomed"], top_k=1)
             with pytest.raises(RuntimeError, match="backend down"):
-                future.result(timeout=10)
+                future.result(timeout=TIMEOUT)
         assert frontend.metrics.counter("errors") == 1
-        # The shed ticket was released: nothing leaks on the error path.
+        # The ticket was released: nothing leaks on the error path.
         assert frontend.admission.pending == 0
 
 
@@ -342,11 +399,10 @@ class TestCacheIntegration:
 
     def test_frontend_owned_cache_serves_repeats_without_engine_calls(self):
         engine = RecordingEngine()
-        config = FrontendConfig(max_batch_size=8, max_wait_ms=5.0)
-        with BatchingFrontend(engine, config) as frontend:
+        with BatchingFrontend(engine) as frontend:
             assert frontend.cache is not None
-            first = frontend.submit(["jazz"], top_k=3).result(timeout=10)
-            second = frontend.submit(["jazz"], top_k=3).result(timeout=10)
+            first = frontend.submit(["jazz"], top_k=3).result(timeout=TIMEOUT)
+            second = frontend.submit(["jazz"], top_k=3).result(timeout=TIMEOUT)
 
         assert len(engine.calls) == 1
         assert first.cached is False
@@ -363,12 +419,12 @@ class TestCacheIntegration:
     def test_engine_owned_cache_is_not_double_counted(self, toy_folksonomy):
         engine = build_sharded(toy_folksonomy, num_shards=2)
         try:
-            config = FrontendConfig(max_batch_size=8, max_wait_ms=5.0)
-            with BatchingFrontend(engine, config) as frontend:
+            with BatchingFrontend(engine) as frontend:
                 assert frontend.cache is engine.cache
                 tags = sorted(toy_folksonomy.tags)[:2]
                 frontend.query(tags, top_k=3)
                 frontend.query(tags, top_k=3)
+                assert frontend.stats()["cache_owner"] == "engine"
             stats = engine.cache.stats()
             # The engine's in-lock probe is the only bookkeeper: two
             # logical queries count exactly one miss and one hit, not
@@ -378,79 +434,13 @@ class TestCacheIntegration:
         finally:
             engine.close()
 
-    def test_raced_mutation_rescores_batch_under_one_epoch(self):
-        """A write landing between the cache probe and the snapshot must
-        not split one batch across two epochs: the whole batch is redone
-        so pipelined clients can never observe the epoch run backwards."""
-
-        class EpochBumpingEngine(RecordingEngine):
-            # Every snapshot observes a mutation that landed just before
-            # it — the worst case for the probe-then-snapshot race.
-            def snapshot_rank_batch(self, queries, top_k=None):
-                self.epoch += 1
-                return super().snapshot_rank_batch(queries, top_k=top_k)
-
-        engine = EpochBumpingEngine()
-        config = FrontendConfig(max_batch_size=8, max_wait_ms=100.0)
-        with BatchingFrontend(engine, config) as frontend:
-            # Prime the cache at epoch 1.
-            frontend.submit(["a"], top_k=2).result(timeout=10)
-            assert engine.epoch == 1
-            # One batch holding a cache hit ("a") and a miss ("b"): the
-            # miss call bumps the epoch, so the hit must be re-scored.
-            hit = frontend.submit(["a"], top_k=2)
-            miss = frontend.submit(["b"], top_k=2)
-            hit_response = hit.result(timeout=10)
-            miss_response = miss.result(timeout=10)
-
-        assert hit_response.epoch == miss_response.epoch
-        assert hit_response.cached is False  # re-scored, not served stale
-        assert hit_response.results[0].resource == "r-a"
-        assert miss_response.results[0].resource == "r-b"
-        # prime + miss call + full-batch redo.
-        assert len(engine.calls) == 3
-        assert engine.calls[-1][0] == [["a"], ["b"]]
-
-    def test_redo_failure_still_serves_cache_hits(self):
-        """If the full-batch re-rank after a raced mutation fails, hit
-        waiters still get their valid probed-epoch cached results; only
-        the queries that needed the engine fail."""
-
-        class RedoFailingEngine(RecordingEngine):
-            def snapshot_rank_batch(self, queries, top_k=None):
-                with self._lock:
-                    call_number = len(self.calls) + 1
-                if call_number == 3:  # the full-batch redo
-                    with self._lock:
-                        self.calls.append((list(queries), top_k))
-                    raise RuntimeError("redo failed")
-                self.epoch += 1
-                return super().snapshot_rank_batch(queries, top_k=top_k)
-
-        engine = RedoFailingEngine()
-        config = FrontendConfig(max_batch_size=8, max_wait_ms=100.0)
-        with BatchingFrontend(engine, config) as frontend:
-            frontend.submit(["a"], top_k=2).result(timeout=10)  # prime
-            hit = frontend.submit(["a"], top_k=2)
-            miss = frontend.submit(["b"], top_k=2)
-            hit_response = hit.result(timeout=10)
-            with pytest.raises(RuntimeError, match="redo failed"):
-                miss.result(timeout=10)
-
-        assert hit_response.cached is True
-        assert hit_response.epoch == 1  # the probed epoch it was valid at
-        assert hit_response.results[0].resource == "r-a"
-        assert frontend.metrics.counter("errors") == 1
-        assert frontend.admission.pending == 0
-
     def test_mutation_invalidates_via_epoch_keying(self, toy_folksonomy):
         engine = build_mono(toy_folksonomy)
-        config = FrontendConfig(max_batch_size=8, max_wait_ms=5.0)
-        with BatchingFrontend(engine, config) as frontend:
+        with BatchingFrontend(engine) as frontend:
             tags = sorted(toy_folksonomy.tags)[:1]
-            before = frontend.submit(tags, top_k=5).result(timeout=10)
+            before = frontend.submit(tags, top_k=5).result(timeout=TIMEOUT)
             engine.add_resources({"fresh": {tags[0]: 3.0}})
-            after = frontend.submit(tags, top_k=5).result(timeout=10)
+            after = frontend.submit(tags, top_k=5).result(timeout=TIMEOUT)
 
         assert before.cached is False
         assert after.cached is False  # epoch changed: the entry missed
@@ -459,7 +449,7 @@ class TestCacheIntegration:
 
 
 class TestFrontendParityAcceptance:
-    """ISSUE 5 acceptance: the PR 4 invariants through the batching path."""
+    """The replay-parity invariants, re-proven through the front-end."""
 
     def test_four_workers_90_10_through_frontend(self, small_cleaned):
         trace = WorkloadGenerator(
@@ -471,7 +461,7 @@ class TestFrontendParityAcceptance:
             lambda: build_sharded(small_cleaned, 4),
             trace,
             num_workers=NUM_WORKERS,
-            frontend_config=FrontendConfig(max_batch_size=8, max_wait_ms=2.0),
+            frontend_config=FrontendConfig(),
         )
         assert report.ok, report.summary()
         assert report.concurrent.errors == []
@@ -488,12 +478,12 @@ class TestFrontendParityAcceptance:
             lambda: build_mono(small_cleaned),
             trace,
             num_workers=NUM_WORKERS,
-            frontend_config=FrontendConfig(max_batch_size=4, max_wait_ms=1.0),
+            frontend_config=FrontendConfig(),
         )
         assert report.ok, report.summary()
 
-    def test_frontend_sweep_rows_and_parity(self, small_cleaned):
-        """4 clients, two batch windows, every answer the direct one's."""
+    def test_four_clients_match_direct_rank_batch(self, small_cleaned):
+        """4 client threads, every answer the direct one's at 1e-9."""
         engine = build_sharded(small_cleaned, 2)
         try:
             queries = [
@@ -505,21 +495,12 @@ class TestFrontendParityAcceptance:
                 .eval_queries
             ] * 4
             want = engine.rank_batch(queries, top_k=10)
-            mean_batches = []
-            for max_batch_size, max_wait_ms in ((1, 0.0), (8, 2.0)):
-                engine.cache.clear()
-                config = FrontendConfig(
-                    max_batch_size=max_batch_size,
-                    max_wait_ms=max_wait_ms,
-                    cache_entries=0,
-                )
-                with BatchingFrontend(engine, config) as frontend:
-                    got = run_clients(frontend, queries, num_clients=4)
-                    sizes = frontend.metrics.size_distribution(
-                        "batch_distinct_queries"
-                    )
-                assert mismatched_probes(got, want, truncated=True) == []
-                mean_batches.append(sizes.mean)
-            assert mean_batches[1] >= mean_batches[0]
+            engine.cache.clear()
+            with BatchingFrontend(engine) as frontend:
+                got = run_clients(frontend, queries, num_clients=4)
+                counters = frontend.stats()["counters"]
+            assert mismatched_probes(got, want, truncated=True) == []
+            assert counters["submitted"] == counters["completed"]
+            assert counters["submitted"] == len(queries)
         finally:
             engine.close()

@@ -229,6 +229,13 @@ class TestPoolParity:
         assert pool.search(["no-such-tag"], top_k=TOP_K) == want == []
         assert pool.rank_batch([[]], top_k=TOP_K) == [[]]
 
+    def test_bare_string_query_is_refused(self, pool):
+        # list("folk") would be four one-letter tags that match nothing.
+        with pytest.raises(ConfigurationError, match="bare string"):
+            pool.snapshot_rank_batch(["folk"], top_k=TOP_K)
+        with pytest.raises(ConfigurationError, match="bare string"):
+            pool.search("folk", top_k=TOP_K)
+
     def test_two_shard_mmap_pool_fans_out_completely(
         self, mono_engine, queries, tmp_path
     ):
@@ -386,8 +393,7 @@ class TestFrontendOverPool:
         self, pool, queries, golden
     ):
         want_epoch, want = golden
-        config = FrontendConfig(max_wait_ms=1.0)
-        with BatchingFrontend(pool, config, name="pool-fe") as frontend:
+        with BatchingFrontend(pool, name="pool-fe") as frontend:
             futures = [
                 frontend.submit(query, top_k=TOP_K) for query in queries
             ]
@@ -404,7 +410,7 @@ class TestFrontendOverPool:
     def test_frontend_owns_the_cache_and_reports_pool_health(
         self, pool, queries
     ):
-        config = FrontendConfig(max_wait_ms=0.0, cache_entries=64)
+        config = FrontendConfig(cache_entries=64)
         with BatchingFrontend(pool, config, name="pool-fe") as frontend:
             assert frontend.cache is not None  # pool brings no cache
             query = next(q for q in queries if q)
@@ -517,7 +523,7 @@ class TestReplayParityThroughPool:
             lambda: mono_engine,
             trace,
             num_workers=NUM_WORKERS,
-            frontend_config=FrontendConfig(max_wait_ms=1.0),
+            frontend_config=FrontendConfig(),
             concurrent_build_engine=lambda: ShardProcessPool(
                 save_dir, ShardPoolConfig(request_timeout=REQUEST_TIMEOUT)
             ),
