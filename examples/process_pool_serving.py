@@ -7,8 +7,8 @@ so there is nothing to overlap).  This example runs the deployment that
 scores them in parallel: one worker *process* per shard behind a
 coordinating :class:`ShardProcessPool`.
 
-1. fit the offline pipeline once and save a 4-shard, ``mmap_ready``
-   artifact (raw ``.npy`` arrays every worker can memory-map),
+1. fit the offline pipeline once and save a 4-shard artifact (raw
+   ``.npy`` arrays every worker memory-maps),
 2. start the pool and verify its merged rankings against the
    monolithic engine query-for-query,
 3. run a failure drill: stall one worker and watch the read come back
@@ -70,9 +70,9 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         artifact = Path(tmp) / "index"
-        index.save(artifact, num_shards=NUM_SHARDS, mmap_ready=True)
+        index.save(artifact, num_shards=NUM_SHARDS)
         print(
-            f"saved {NUM_SHARDS}-shard mmap-ready artifact "
+            f"saved {NUM_SHARDS}-shard artifact "
             f"(epoch {index.engine.epoch}) -> shard_manifest.json + "
             "per-shard raw .npy arrays"
         )
@@ -88,7 +88,7 @@ def main() -> None:
             print("\n== process pool up ==")
             print(
                 f"{pool.num_shards} workers over {pool.num_indexed_resources} "
-                f"resources, mmap={pool.uses_mmap}, cold starts: {loads}"
+                f"resources, memory-mapped, cold starts: {loads}"
             )
 
             detailed = pool.rank_batch_detailed(queries, top_k=TOP_K)

@@ -22,7 +22,6 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.distances import (
-    pairwise_distances_shortcut,
     sigma_from_core,
     sigma_from_singular_values,
     tag_distance_matrix,
@@ -281,11 +280,3 @@ class CubeLSI:
                 decomposition.lambda2, rank=decomposition.ranks[1]
             )
         return sigma_from_core(decomposition.core)
-
-    def distances_from_decomposition(
-        self, decomposition: TuckerDecomposition
-    ) -> np.ndarray:
-        """Shortcut distances for an externally computed decomposition."""
-        return pairwise_distances_shortcut(
-            decomposition.factors[1], self.sigma(decomposition)
-        )

@@ -121,7 +121,6 @@ class OfflineIndex:
         directory: Union[str, Path],
         include_folksonomy: bool = False,
         num_shards: int = 1,
-        mmap_ready: bool = False,
     ) -> Path:
         """Write the serving artefacts (engine + metadata) to ``directory``.
 
@@ -131,11 +130,10 @@ class OfflineIndex:
 
         ``num_shards`` is the save layout (see :meth:`SearchEngine.save`):
         the offline indexer can emit artefacts an N-process deployment
-        loads one shard each from.  ``mmap_ready=True`` writes the compiled
-        arrays as raw ``.npy`` files instead of a compressed ``.npz``, the
-        layout :class:`~repro.search.shardpool.ShardProcessPool` workers
-        memory-map so one host's worker fleet shares a single page-cache
-        copy of the index.
+        loads one shard each from.  The compiled arrays are raw ``.npy``
+        files, which :class:`~repro.search.shardpool.ShardProcessPool`
+        workers memory-map so one host's worker fleet shares a single
+        page-cache copy of the index.
 
         ``num_concepts`` records the *static* (distilled) concept count, the
         figure that is stable across the index's lifetime — dynamic
@@ -149,7 +147,7 @@ class OfflineIndex:
             )
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        self.engine.save(path, mmap_ready=mmap_ready, num_shards=num_shards)
+        self.engine.save(path, num_shards=num_shards)
         metadata = {
             "timings": {name: float(value) for name, value in self.timings.items()},
             "dataset_name": self.folksonomy.name if self.folksonomy else None,

@@ -65,12 +65,7 @@ class IndexSnapshotStore:
     # ------------------------------------------------------------------ #
     # Write path
     # ------------------------------------------------------------------ #
-    def save(
-        self,
-        index: OfflineIndex,
-        num_shards: int = 1,
-        mmap_ready: bool = False,
-    ) -> Path:
+    def save(self, index: OfflineIndex, num_shards: int = 1) -> Path:
         """Checkpoint ``index`` under its engine's current epoch.
 
         Re-checkpointing the current epoch overwrites it in place, so a
@@ -85,11 +80,9 @@ class IndexSnapshotStore:
 
         ``num_shards`` is the checkpoint's save layout; every checkpoint is
         the one engine layout (per-shard array dirs + manifest), so an
-        N-process deployment can point
-        ``SearchEngine.load_shard`` — or a
+        N-process deployment can point ``SearchEngine.load_shard`` — or a
         :class:`~repro.search.shardpool.ShardProcessPool` — at any snapshot
-        directory (``mmap_ready=True`` writes the raw ``.npy`` array layout
-        pool workers memory-map).
+        directory.
         """
         if index.folksonomy is None:
             raise ConfigurationError(
@@ -105,12 +98,7 @@ class IndexSnapshotStore:
         staging = self._root / f".staging-epoch-{index.engine.epoch:08d}"
         if staging.exists():
             shutil.rmtree(staging)
-        index.save(
-            staging,
-            include_folksonomy=True,
-            num_shards=num_shards,
-            mmap_ready=mmap_ready,
-        )
+        index.save(staging, include_folksonomy=True, num_shards=num_shards)
         if directory.exists():
             # Retire the old snapshot with a rename (not an rmtree) so the
             # unprotected window between losing the old directory and
@@ -175,7 +163,6 @@ class IndexSnapshotStore:
         generation: Optional[int] = None,
         make_current: bool = True,
         num_shards: int = 1,
-        mmap_ready: bool = False,
     ) -> Path:
         """Write ``index`` as generation ``generation`` (next free by default).
 
@@ -204,12 +191,7 @@ class IndexSnapshotStore:
         staging = self._root / f".staging-gen-{generation:04d}"
         if staging.exists():
             shutil.rmtree(staging)
-        index.save(
-            staging,
-            include_folksonomy=True,
-            num_shards=num_shards,
-            mmap_ready=mmap_ready,
-        )
+        index.save(staging, include_folksonomy=True, num_shards=num_shards)
         staging.replace(directory)
         if make_current:
             self.set_current(generation)

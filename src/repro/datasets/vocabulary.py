@@ -101,9 +101,6 @@ class Vocabulary:
     def aspects(self) -> Tuple[str, ...]:
         return tuple(sorted({c.aspect for c in self.concepts}))
 
-    def concepts_in_domain(self, domain: str) -> List[ConceptSpec]:
-        return [c for c in self.concepts if c.domain == domain]
-
     def all_tags(self) -> Tuple[str, ...]:
         """Every distinct surface tag across all concepts."""
         tags = set()

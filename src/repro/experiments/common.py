@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.datasets.generator import SyntheticDataset
 from repro.datasets.profiles import PROFILES, generate_profile_dataset
@@ -113,19 +113,3 @@ def prepare_corpus(
         workload=workload,
         lexicon=lexicon,
     )
-
-
-def prepare_all_corpora(
-    scale: float = DEFAULT_SCALE,
-    seed: int = 7,
-    num_queries: int = DEFAULT_NUM_QUERIES,
-    profiles: Optional[Sequence[str]] = None,
-) -> Dict[str, PreparedCorpus]:
-    """Prepare every (or the selected) profile corpus."""
-    names = list(profiles) if profiles is not None else list(PROFILES)
-    return {
-        name: prepare_corpus(
-            profile_name=name, scale=scale, seed=seed + index, num_queries=num_queries
-        )
-        for index, name in enumerate(names)
-    }

@@ -61,7 +61,6 @@ class WorkloadReport:
     epoch_log: EpochObservationLog
     final_epoch: int
     final_resources: int
-    cache_stats: Optional[Dict[str, object]] = None
     quiesce_seconds: float = 0.0
 
     @property
@@ -98,8 +97,6 @@ class WorkloadReport:
         ]
         for kind in sorted(self.latencies):
             lines.append(f"  {kind:<8s} {self.latencies[kind].summary()}")
-        if self.cache_stats is not None:
-            lines.append(f"  cache    {self.cache_stats}")
         regressions = self.epoch_log.regressions()
         lines.append(
             f"  epochs   {len(self.epoch_log)} observations, "
@@ -155,7 +152,6 @@ def merge_workload_reports(
         epoch_log=epoch_log,
         final_epoch=last.final_epoch,
         final_resources=last.final_resources,
-        cache_stats=last.cache_stats,
         quiesce_seconds=last.quiesce_seconds,
     )
 
@@ -373,7 +369,6 @@ class WorkloadRunner:
         quiesce_started = time.perf_counter()
         self.engine.refresh()
         quiesce = time.perf_counter() - quiesce_started
-        cache = self.engine.cache
         return WorkloadReport(
             mode=mode,
             num_workers=num_workers,
@@ -384,7 +379,6 @@ class WorkloadRunner:
             epoch_log=epoch_log,
             final_epoch=self.engine.epoch,
             final_resources=self.engine.num_indexed_resources,
-            cache_stats=cache.stats() if cache is not None else None,
             quiesce_seconds=quiesce,
         )
 

@@ -9,7 +9,7 @@ dot products (Table VI).
 * :mod:`repro.search.matrix_space` — the scoring backend: tf-idf weighting
   (Eq. 1-3) and cosine (Eq. 4) as term-major tf postings over stable row
   slots with idf applied per query term, one refresh routine for builds
-  and fold-in mutations, ``.npz``/``.npy`` + JSON persistence.
+  and fold-in mutations, raw ``.npy`` + JSON persistence.
 * :mod:`repro.search.engine` — the user-facing query interface: a concept
   model over one matrix space, mutation fold-in and the on-disk engine
   layout (N shards are a save layout, partitioned at write time).
@@ -25,8 +25,8 @@ dot products (Table VI).
 * :mod:`repro.search.shardpool` — the opt-in process-per-shard serving
   pool: N is its size, one worker process per shard of an N-shard save
   (memory-mapped arrays, pipe IPC, typed failure handling).
-* :mod:`repro.search.cache` — the LRU query result cache layered in front
-  of scoring.
+* :mod:`repro.search.cache` — the LRU query result cache the serving
+  front-end (:mod:`repro.serve.frontend`) owns.
 * :mod:`repro.search.concurrency` — the reader/writer lock behind the
   engine's query-vs-mutation discipline.
 * :mod:`repro.search.lifecycle` — engine lifecycle management: the
@@ -50,7 +50,6 @@ from repro.search.incremental import (
     StalenessReport,
 )
 from repro.search.engine import SearchEngine
-from repro.search.cache import QueryCache
 from repro.search.sharding import ShardRouter, merge_topk
 from repro.search.shardpool import (
     PoolResult,
@@ -85,7 +84,6 @@ __all__ = [
     "RefreshPolicy",
     "StalenessReport",
     "SearchEngine",
-    "QueryCache",
     "ShardRouter",
     "merge_topk",
     "PoolResult",

@@ -6,26 +6,20 @@ between index mutations.  :class:`QueryCache` exploits both facts: results
 are cached under the *canonicalized tag multiset* — ``["rock", "jazz"]``
 and ``["jazz", "rock"]`` share an entry — together with ``top_k`` and the
 engine's mutation *epoch*.  Because the epoch is part of the key, a stale
-entry can never be served after a mutation; the owning engine additionally
-calls :meth:`clear` on every mutation batch so dead entries do not linger
-until LRU pressure evicts them.
+entry can never be served after a mutation or a hot swap: epochs are
+strictly monotone across both (a swapped-in generation starts at ``old
+epoch + 1``, a key the old generation never served), so nothing is ever
+flushed — dead entries simply age out of the LRU end.
 
-The cache is bounded by entry count (``max_entries``), evicting from the
-LRU end.
-
-Hot swaps add a second invalidation axis: a new *generation* is a new
-concept model, whose scores share nothing with the old one's.
-:meth:`invalidate_generation` drops everything when the serving
-generation changes (epoch keys alone would be unsafe in the other
-direction — the swap protocol restarts the new generation at ``old epoch
-+ 1``, a key the old generation never served, but the explicit flush
-keeps the whole old generation's memory from lingering until LRU
-pressure finds it).
+Its one owner is :class:`~repro.serve.frontend.BatchingFrontend`, which
+probes it at the epoch it read and fills it at the epoch the engine
+returned.  The cache is bounded by entry count (``max_entries``),
+evicting from the LRU end.
 
 The cache is thread-safe: one lock guards the ordered map *and* the
-hit/miss/eviction counters, so one engine can be queried from many
-serving threads and :meth:`stats` always returns a consistent snapshot
-(hits + misses equals the number of lookups even mid-storm).
+hit/miss/eviction counters, so it can be probed from many serving
+threads and :meth:`stats` always returns a consistent snapshot (hits +
+misses equals the number of lookups even mid-storm).
 """
 
 from __future__ import annotations
@@ -57,8 +51,6 @@ class QueryCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._generation: Optional[int] = None
-        self._generation_invalidations = 0
 
     @staticmethod
     def canonical_key(
@@ -100,28 +92,6 @@ class QueryCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def clear(self) -> None:
-        """Drop every entry (called by the owning engine on mutation)."""
-        with self._lock:
-            self._entries.clear()
-
-    def invalidate_generation(self, generation: int) -> bool:
-        """Flush the cache when the serving generation changes.
-
-        Idempotent per generation: the swap listener may fire once per
-        frontend while several frontends share one cache, and only the
-        first observer of a new generation pays the flush.  Returns
-        whether a flush happened.
-        """
-        generation = int(generation)
-        with self._lock:
-            if self._generation == generation:
-                return False
-            self._generation = generation
-            self._generation_invalidations += 1
-            self._entries.clear()
-            return True
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -132,12 +102,6 @@ class QueryCache:
     @property
     def max_entries(self) -> int:
         return self._max_entries
-
-    @property
-    def generation(self) -> Optional[int]:
-        """The serving generation the cache last flushed for (``None`` ever)."""
-        with self._lock:
-            return self._generation
 
     @property
     def hits(self) -> int:
@@ -178,6 +142,4 @@ class QueryCache:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "hit_rate": self._hits / lookups if lookups else 0.0,
-                "generation": self._generation,
-                "generation_invalidations": self._generation_invalidations,
             }

@@ -15,10 +15,9 @@ short numpy calls under one GIL, so scoring N shards in turn could only
 add a merge to the same row work.
 
 Mutations fold into the space through the frozen concept model and a lazy
-refresh, so folded-in rankings match a from-scratch rebuild to 1e-9.  An
-optional :class:`~repro.search.cache.QueryCache` sits in front of scoring,
-keyed on the canonical tag multiset + epoch and cleared on every mutation
-batch.
+refresh, so folded-in rankings match a from-scratch rebuild to 1e-9.  The
+engine caches nothing: the one result cache belongs to
+:class:`~repro.serve.frontend.BatchingFrontend`.
 
 Concurrency
 -----------
@@ -36,7 +35,7 @@ the exact epoch they were computed against.
 Persistence
 -----------
 One layout at every shard count: a ``shard-NNNN/`` directory per shard (the
-space's arrays + JSON pair) plus ``shard_manifest.json`` carrying the
+space's raw ``.npy`` arrays + JSON) plus ``shard_manifest.json`` carrying the
 router, the concept model and the serving metadata.  :meth:`SearchEngine.save`
 partitions the space at write time; :meth:`SearchEngine.load` folds every
 shard back into one space; :meth:`SearchEngine.load_shard` opens one shard
@@ -63,7 +62,6 @@ from typing import (
 )
 
 from repro.core.concepts import Concept, ConceptModel
-from repro.search.cache import QueryCache
 from repro.search.concurrency import ReadWriteLock
 from repro.search.incremental import RefreshPolicy, StalenessReport
 from repro.search.matrix_space import MatrixConceptSpace, validate_top_k
@@ -96,10 +94,17 @@ class SearchEngine(RankEngine):
     ranks its own rows with the corpus-wide statistics and refuses
     mutation.
 
+    :meth:`search` and :meth:`rank_batch` are the inherited
+    :class:`~repro.search.vsm.RankEngine` methods over
+    :meth:`snapshot_rank_batch`: the i-th result list answers the i-th
+    query, resources sharing no concept with a query are omitted (their
+    cosine is zero), empty queries and queries of only unknown tags rank
+    to empty lists, an empty batch to an empty list, and an invalid
+    ``top_k`` is refused up front even when no query is scorable.
+
     Instances come from :meth:`build`, :meth:`load` and :meth:`load_shard`,
-    or from the constructor over an existing space (e.g. to put a
-    ``cache=QueryCache(...)`` in front of it); the engine owns no threads
-    or processes, so :meth:`close` is the inherited no-op.
+    or from the constructor over an existing space; the engine owns no
+    threads or processes, so :meth:`close` is the inherited no-op.
 
     Attributes
     ----------
@@ -115,8 +120,6 @@ class SearchEngine(RankEngine):
     epoch:
         Monotone mutation counter; bumped once per successful mutation
         batch and persisted across save/load.
-    cache:
-        The query result cache, or ``None``.
     """
 
     #: Assigned per instance; declared here to satisfy the abstract property.
@@ -129,7 +132,6 @@ class SearchEngine(RankEngine):
         name: str = "cubelsi",
         refresh_policy: Optional[RefreshPolicy] = None,
         epoch: int = 0,
-        cache: Optional[QueryCache] = None,
         baseline_resources: Optional[int] = None,
         mutation_counts: Optional[Mapping[str, int]] = None,
     ) -> None:
@@ -138,7 +140,6 @@ class SearchEngine(RankEngine):
         self.name = name
         self.refresh_policy = refresh_policy or RefreshPolicy()
         self.epoch = int(epoch)
-        self.cache = cache
         self._baseline_resources = (
             matrix_space.pending_num_documents
             if baseline_resources is None
@@ -211,38 +212,6 @@ class SearchEngine(RankEngine):
             return {}
         return self.concept_model.concept_bag_from_tags(query_tags)
 
-    def search(
-        self, query_tags: Sequence[str], top_k: Optional[int] = None
-    ) -> List[RankedResult]:
-        """Rank all resources against a tag query.
-
-        Resources whose concept vectors share no concept with the query are
-        omitted (their cosine similarity is zero).  Empty queries and queries
-        of entirely unknown tags return an empty list.
-        """
-        return self.rank_batch([query_tags], top_k=top_k)[0]
-
-    def rank_batch(
-        self,
-        queries: Sequence[Sequence[str]],
-        top_k: Optional[int] = None,
-    ) -> List[List[RankedResult]]:
-        """Rank a whole batch of tag queries in one pass over the space.
-
-        Cache hits (canonical tag multiset + ``top_k`` + epoch) are served
-        without touching the space; misses — deduplicated within the
-        batch — are scored against its postings and fill the cache.  The i-th result list always corresponds to the i-th query,
-        with empty/unmatchable queries producing empty lists.  An empty
-        batch yields an empty list, and an invalid ``top_k`` is rejected
-        up front even when no query is scorable.
-        """
-        validate_top_k(top_k)
-        queries = [query_tag_list(tags) for tags in queries]
-        if not queries:
-            return []
-        with self._read_fresh():
-            return self._rank_batch_in_lock(queries, top_k)
-
     def snapshot_rank_batch(
         self,
         queries: Sequence[Sequence[str]],
@@ -254,56 +223,18 @@ class SearchEngine(RankEngine):
         the batch, so the returned results are guaranteed to reflect
         exactly that index state — no mutation can land in between.  This
         is the read the workload replay subsystem uses to audit epoch
-        monotonicity under concurrent traffic.
+        monotonicity under concurrent traffic.  The tag -> concept mapping
+        happens inside the lock too: a racing mutation batch may allocate
+        dynamic concepts, and a bag must describe the same index state it
+        is scored against.
         """
         validate_top_k(top_k)
         queries = [query_tag_list(tags) for tags in queries]
         with self._read_fresh():
             if not queries:
                 return self.epoch, []
-            return self.epoch, self._rank_batch_in_lock(queries, top_k)
-
-    def _rank_batch_in_lock(
-        self,
-        queries: Sequence[Sequence[str]],
-        top_k: Optional[int],
-    ) -> List[List[RankedResult]]:
-        """The :meth:`rank_batch` body; caller holds the read lock.
-
-        The tag -> concept mapping happens inside the lock: a racing
-        mutation batch may allocate dynamic concepts, and a bag must
-        describe the same index state it is scored against.
-        """
-        bags = [self.query_concepts(tags) for tags in queries]
-        if self.cache is None:
-            # An empty bag ranks to an empty list in the space itself.
-            return self.matrix_space.rank_batch(bags, top_k)
-
-        results: List[List[RankedResult]] = [[] for _ in queries]
-        miss_positions: Dict[Hashable, List[int]] = {}
-        miss_bags: Dict[Hashable, Mapping[int, float]] = {}
-        for position, (tags, bag) in enumerate(zip(queries, bags)):
-            if not bag:
-                continue
-            key = QueryCache.canonical_key(tags, top_k, self.epoch)
-            if key in miss_positions:  # duplicate within this batch
-                miss_positions[key].append(position)
-                continue
-            hit = self.cache.get(key)
-            if hit is not None:
-                results[position] = hit
-                continue
-            miss_positions[key] = [position]
-            miss_bags[key] = bag
-        if miss_positions:
-            ranked = self.matrix_space.rank_batch(
-                [miss_bags[key] for key in miss_positions], top_k
-            )
-            for key, result in zip(miss_positions, ranked):
-                self.cache.put(key, result)
-                for position in miss_positions[key]:
-                    results[position] = list(result)
-        return results
+            bags = [self.query_concepts(tags) for tags in queries]
+            return self.epoch, self.matrix_space.rank_batch(bags, top_k)
 
     def ranked_resources(
         self, query_tags: Sequence[str], top_k: Optional[int] = None
@@ -439,12 +370,11 @@ class SearchEngine(RankEngine):
 
         All tag bags are mapped through the *frozen* concept model
         (LSI-style fold-in) and pushed into the space; idf and norms
-        recompute lazily on the next read and the query cache is
-        invalidated.  Everything is validated before anything is applied (a
-        read-only shard view refuses before dynamic-concept allocation), so
-        a rejected batch has no side effects, and additions land before
-        removals so a batch that swaps most of the corpus never looks
-        momentarily empty.
+        recompute lazily on the next read.  Everything is validated before
+        anything is applied (a read-only shard view refuses before
+        dynamic-concept allocation), so a rejected batch has no side
+        effects, and additions land before removals so a batch that swaps
+        most of the corpus never looks momentarily empty.
         """
         self._require_mutable("mutate")
         with self._rw.write():
@@ -465,8 +395,6 @@ class SearchEngine(RankEngine):
             self._mutations["updated"] += len(updated_bags)
             self._mutations["removed"] += len(removed)
             self._pending_batches += 1
-            if self.cache is not None:
-                self.cache.clear()
             return self.staleness()
 
     def add_resources(
@@ -539,12 +467,7 @@ class SearchEngine(RankEngine):
     # ------------------------------------------------------------------ #
     # Persistence (one array dir per shard + one manifest)
     # ------------------------------------------------------------------ #
-    def save(
-        self,
-        directory: Union[str, Path],
-        mmap_ready: bool = False,
-        num_shards: int = 1,
-    ) -> Path:
+    def save(self, directory: Union[str, Path], num_shards: int = 1) -> Path:
         """Persist the engine: ``num_shards`` shard dirs + a manifest.
 
         The space is partitioned at write time along
@@ -555,11 +478,6 @@ class SearchEngine(RankEngine):
         with the manifest: their columns live in the persisted count
         arrays, so dropping the tag -> id map would let a restored serving
         process reallocate a live column id to a different tag.
-
-        ``mmap_ready=True`` writes each shard in the raw ``.npy`` layout
-        (see :meth:`MatrixConceptSpace.save`) so ``load_shard``'s
-        ``mmap=True`` — and hence the process pool's near-instant worker
-        start — is available; the default keeps the compact ``.npz``.
         """
         self._require_mutable("save")
         router = ShardRouter(num_shards)
@@ -574,7 +492,7 @@ class SearchEngine(RankEngine):
             shard_entries = []
             for index, shard in enumerate(shards):
                 shard_dir = f"shard-{index:04d}"
-                shard.save(path / shard_dir, mmap_ready=mmap_ready)
+                shard.save(path / shard_dir)
                 shard_entries.append(
                     {
                         "directory": shard_dir,
@@ -591,9 +509,6 @@ class SearchEngine(RankEngine):
                 "baseline_resources": self._baseline_resources,
                 "mutations": dict(self._mutations),
                 "refresh_policy": self.refresh_policy.as_dict(),
-                "cache_entries": (
-                    self.cache.max_entries if self.cache is not None else 0
-                ),
             }
         (path / SHARD_MANIFEST_FILENAME).write_text(
             json.dumps(payload), encoding="utf-8"
@@ -633,22 +548,18 @@ class SearchEngine(RankEngine):
             for shard in shards:
                 rows.update(shard.tf_bags())
             space = MatrixConceptSpace.from_bags(rows, space.smooth_idf)
-        cache_entries = int(payload.get("cache_entries") or 0)
         return cls(
             concept_model=concept_model_from_json(payload["concept_model"]),
             matrix_space=space,
             name=payload["name"],
             refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
             epoch=int(payload.get("epoch", 0)),
-            cache=QueryCache(cache_entries) if cache_entries else None,
             baseline_resources=payload.get("baseline_resources"),
             mutation_counts=payload.get("mutations"),
         )
 
     @classmethod
-    def load_shard(
-        cls, directory: Union[str, Path], shard_id: int, mmap: bool = False
-    ) -> "SearchEngine":
+    def load_shard(cls, directory: Union[str, Path], shard_id: int) -> "SearchEngine":
         """Load one shard of a saved engine as a read-only partial view.
 
         The returned engine ranks only the shard's resources, but with the
@@ -656,12 +567,13 @@ class SearchEngine(RankEngine):
         equal the full engine's scores for those resources, so an N-process
         deployment (e.g. :class:`~repro.search.shardpool.ShardProcessPool`,
         one worker process per shard) can serve one shard per process
-        behind any top-k merging frontend.  ``mmap=True`` memory-maps the
-        shard's arrays instead of reading them into RAM — requires a save
-        made with ``mmap_ready=True``.  Unless the save has a single shard,
-        the shard's space :attr:`~MatrixConceptSpace.has_external_stats`
-        and mutations are rejected (statistics are corpus-wide); route them
-        through :meth:`load` of the whole save.
+        behind any top-k merging frontend.  The shard's arrays are
+        memory-mapped, not read into RAM: a view only reads them, so the
+        processes serving one save share a single page-cache copy.  Unless
+        the save has a single shard, the shard's space
+        :attr:`~MatrixConceptSpace.has_external_stats` and mutations are
+        rejected (statistics are corpus-wide); route them through
+        :meth:`load` of the whole save.
         """
         path = Path(directory)
         payload = read_shard_manifest(path)
@@ -673,9 +585,7 @@ class SearchEngine(RankEngine):
         entry = shard_entries[shard_id]
         return cls(
             concept_model=concept_model_from_json(payload["concept_model"]),
-            matrix_space=MatrixConceptSpace.load(
-                path / entry["directory"], mmap=mmap
-            ),
+            matrix_space=MatrixConceptSpace.load(path / entry["directory"], mmap=True),
             name=f"{payload['name']}-shard{shard_id}",
             refresh_policy=RefreshPolicy.from_dict(payload.get("refresh_policy")),
             epoch=int(payload.get("epoch", 0)),

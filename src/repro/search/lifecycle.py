@@ -365,7 +365,6 @@ class EngineHandle(RankEngine):
         self._write_lock = threading.Lock()
         self.journal = journal if journal is not None else DeltaJournal()
         self._folksonomy = folksonomy
-        self._swap_listeners: List[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------ #
     # Read surface
@@ -498,23 +497,6 @@ class EngineHandle(RankEngine):
                     )
             return report
 
-    def add_swap_listener(self, listener: Callable[[int], None]) -> None:
-        """Register ``listener(new_generation)``, called after each swap.
-
-        Listeners run outside the write lock (a slow listener must not
-        stall mutations) but before the old generation finishes draining.
-        The front-end uses this to invalidate its result cache by
-        generation.
-        """
-        with self._write_lock:
-            self._swap_listeners.append(listener)
-
-    def remove_swap_listener(self, listener: Callable[[int], None]) -> None:
-        """Unregister ``listener``; unknown listeners are ignored."""
-        with self._write_lock:
-            if listener in self._swap_listeners:
-                self._swap_listeners.remove(listener)
-
     def swap(
         self,
         new_engine,
@@ -559,11 +541,7 @@ class EngineHandle(RankEngine):
                 old.retired = True
             if new_folksonomy is not None:
                 self._folksonomy = new_folksonomy
-            listeners = list(self._swap_listeners)
         swap_seconds = time.perf_counter() - swap_started
-
-        for listener in listeners:
-            listener(fresh.number)
 
         drain_started = time.perf_counter()
         drained = old.drain(drain_timeout)
@@ -716,8 +694,8 @@ class RefitCoordinator:
 
     ``engine_factory(index, published_dir)`` builds the serving engine
     for the new generation from the published artefact — e.g. a
-    :class:`~repro.search.shardpool.ShardProcessPool` over a sharded,
-    mmap-ready publish (blue/green process pools).  Factory-built engines
+    :class:`~repro.search.shardpool.ShardProcessPool` over a sharded
+    publish (blue/green process pools).  Factory-built engines
     are typically read-only; a non-empty journal tail at swap time is
     then refused rather than silently dropped, so factories fit
     query-only (or externally quiesced) serving.
@@ -750,8 +728,8 @@ class RefitCoordinator:
         self.metrics = metrics or MetricsRegistry()
         self.use_process = bool(use_process)
         self.engine_factory = engine_factory
-        # Extra store.publish options (num_shards / mmap_ready) so a pool
-        # factory can demand the sharded memory-mappable layout.
+        # Extra store.publish options (num_shards) so a pool factory can
+        # demand a sharded layout.
         self.publish_kwargs = dict(publish_kwargs or {})
         self._refit_lock = threading.Lock()
 

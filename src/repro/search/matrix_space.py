@@ -18,11 +18,11 @@ pass.  A build is that same refresh over a space every document is pending
 in.
 
 The space is also the unit of persistence: :meth:`save` writes the
-postings (a compressed ``.npz`` archive, or raw per-array ``.npy`` files
-when ``mmap_ready=True`` so :meth:`load` can memory-map them and rank
-straight off the mapped postings) and the vocabulary/metadata to JSON, so
-that offline indexing and online serving — including the process-per-shard
-pool's one-worker-per-shard loads — can run in separate processes.
+postings as one raw ``.npy`` file per array (so :meth:`load` can
+memory-map them and rank straight off the mapped postings) and the
+vocabulary/metadata to JSON, so that offline indexing and online serving —
+including the process-per-shard pool's one-worker-per-shard loads — can
+run in separate processes.
 
 Scores, rankings and tie-breaking (descending score, then ascending resource
 id) agree to 1e-9 with the fit-once dict-loop reference in
@@ -44,18 +44,9 @@ import numpy as np
 from repro.search.vsm import ConceptVectorSpace, RankedResult
 from repro.utils.errors import ConfigurationError, NotFittedError
 
-#: File names used inside a save directory.
-ARRAYS_FILENAME = "matrix_space.npz"
+#: The JSON file of a save directory; each array sits next to it as
+#: ``matrix_space.<name>.npy``.
 METADATA_FILENAME = "matrix_space.json"
-
-#: Array-storage layouts a save directory may use.  ``npz`` is one
-#: compressed archive (smallest on disk, must be decompressed into RAM on
-#: load); ``npy`` is one raw ``.npy`` file per array, which
-#: :meth:`MatrixConceptSpace.load` can memory-map (``mmap=True``) so a
-#: serving process opens a multi-GB shard in milliseconds and only pages
-#: in the postings it actually scores.
-STORAGE_NPZ = "npz"
-STORAGE_NPY = "npy"
 
 #: Names of the arrays persisted by :meth:`MatrixConceptSpace.save`: the
 #: postings (a CSC of term frequencies, ``post_weights``), norms and idf.
@@ -67,35 +58,20 @@ _ARRAY_NAMES = (
     "idf",
 )
 
-#: Bumped whenever the on-disk layout changes incompatibly.  Version 4
-#: stores plain term frequencies in the postings (idf is applied per query
-#: term); version 3 stored tf-idf weights and, like versions 1-2, is
-#: refused on load.
-FORMAT_VERSION = 4
+#: Bumped whenever the on-disk layout changes incompatibly.  Version 5
+#: always writes raw ``.npy`` arrays; version 4 could also write one
+#: compressed ``matrix_space.npz``, and version 3 stored tf-idf weights
+#: instead of plain term frequencies.  Every older version is refused on
+#: load.
+FORMAT_VERSION = 5
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
 _NO_TF = np.empty(0, dtype=np.float64)
 
 
 def _npy_path(directory: Path, name: str) -> Path:
-    """Per-array file of the ``npy`` storage layout."""
+    """The file one persisted array is saved to."""
     return directory / f"matrix_space.{name}.npy"
-
-
-def _read_metadata(directory: Union[str, Path]) -> Dict[str, object]:
-    metadata_path = Path(directory) / METADATA_FILENAME
-    if not metadata_path.exists():
-        raise NotFittedError(f"no saved matrix space under {directory}")
-    return json.loads(metadata_path.read_text(encoding="utf-8"))
-
-
-def saved_storage(directory: Union[str, Path]) -> str:
-    """The array-storage layout of a save directory (``npz`` or ``npy``).
-
-    Lets a coordinator decide *before* spawning workers whether a shard
-    layout supports memory-mapping.
-    """
-    return str(_read_metadata(directory).get("storage", STORAGE_NPZ))
 
 
 def validate_top_k(top_k: Optional[int]) -> None:
@@ -836,37 +812,26 @@ class MatrixConceptSpace:
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
-    def save(
-        self, directory: Union[str, Path], mmap_ready: bool = False
-    ) -> Path:
+    def save(self, directory: Union[str, Path]) -> Path:
         """Write the postings, norms, idf and metadata (JSON) to ``directory``.
 
         The save is compacted: documents renumbered in ascending-id order,
-        freed slots and columns no document carries left out.  With the
-        default ``mmap_ready=False`` the arrays land in one compressed
-        ``.npz`` archive (smallest on disk).  With ``mmap_ready=True`` each
-        array is written as a raw ``.npy`` file instead, so :meth:`load`
-        can memory-map them (``mmap=True``): opening the space is then
-        near-instant regardless of corpus size and the OS pages postings in
-        on demand — the layout the process-per-shard serving pool
-        (:mod:`repro.search.shardpool`) expects.  A re-save removes the
-        other layout's files so a directory never carries both.
+        freed slots and columns no document carries left out.  Each array
+        is written as a raw ``.npy`` file, so :meth:`load` can memory-map
+        it (``mmap=True``): opening the space is then near-instant
+        regardless of corpus size and the OS pages postings in on demand.
+        A re-save over a directory an older format version wrote removes
+        that version's ``matrix_space.npz``, so no dead arrays linger.
         """
         self.refresh()
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         terms, arrays = self._compacted(self._sorted_ids)
-        if mmap_ready:
-            for name, array in arrays.items():
-                np.save(_npy_path(path, name), array)
-            (path / ARRAYS_FILENAME).unlink(missing_ok=True)
-        else:
-            np.savez_compressed(path / ARRAYS_FILENAME, **arrays)
-            for name in arrays:
-                _npy_path(path, name).unlink(missing_ok=True)
+        for name, array in arrays.items():
+            np.save(_npy_path(path, name), array)
+        (path / "matrix_space.npz").unlink(missing_ok=True)
         metadata = {
             "format_version": FORMAT_VERSION,
-            "storage": STORAGE_NPY if mmap_ready else STORAGE_NPZ,
             "doc_ids": self._sorted_ids,
             "terms": _encode_terms(terms),
             "smooth_idf": self._smooth_idf,
@@ -888,13 +853,14 @@ class MatrixConceptSpace:
         them into RAM — zero-copy open: queries are scored against views of
         the mapped postings, pages are faulted in as they touch terms and
         shared, through the page cache, with every process mapping the same
-        save.  It requires the ``mmap_ready`` (``npy``) save layout; asking
-        for it on a compressed ``npz`` save raises (decompressing silently
-        would defeat the cold-start/RSS point of asking).  The maps are
-        never written: a refresh after mutations installs private arrays.
+        save.  The maps are never written: a refresh after mutations
+        installs private arrays.
         """
         path = Path(directory)
-        metadata = _read_metadata(path)
+        metadata_path = path / METADATA_FILENAME
+        if not metadata_path.exists():
+            raise NotFittedError(f"no saved matrix space under {path}")
+        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
         version = metadata.get("format_version")
         if version != FORMAT_VERSION:
             raise ConfigurationError(
@@ -902,27 +868,15 @@ class MatrixConceptSpace:
                 f"{version!r}; only version {FORMAT_VERSION} can be read — "
                 "re-save from the pipeline"
             )
-        storage = metadata.get("storage", STORAGE_NPZ)
-        if mmap and storage != STORAGE_NPY:
-            raise ConfigurationError(
-                f"cannot memory-map a {storage!r}-layout save; re-save the "
-                "space with mmap_ready=True to get the raw .npy layout"
-            )
         try:
-            if storage == STORAGE_NPY:
-                arrays = {
-                    # A plain-ndarray view of the map: same pages, none of
-                    # the ``np.memmap`` subclass overhead per kernel slice.
-                    name: np.asarray(
-                        np.load(
-                            _npy_path(path, name), mmap_mode="r" if mmap else None
-                        )
-                    )
-                    for name in _ARRAY_NAMES
-                }
-            else:
-                with np.load(path / ARRAYS_FILENAME) as archive:
-                    arrays = {name: archive[name] for name in _ARRAY_NAMES}
+            arrays = {
+                # A plain-ndarray view of the map: same pages, none of the
+                # ``np.memmap`` subclass overhead per kernel slice.
+                name: np.asarray(
+                    np.load(_npy_path(path, name), mmap_mode="r" if mmap else None)
+                )
+                for name in _ARRAY_NAMES
+            }
         except FileNotFoundError:
             raise NotFittedError(f"no saved matrix space under {path}") from None
         return cls(

@@ -7,9 +7,9 @@ opt-in module serves such a save with N worker processes, one shard each:
 * :func:`_shard_worker_main` — the worker entry point.  Each worker loads
   exactly one shard from the engine save layout
   (``shard_manifest.json`` + ``shard-NNNN/`` directories) via
-  :meth:`SearchEngine.load_shard`, memory-mapping the shard's arrays
-  when the save is ``mmap_ready`` (zero-copy open, near-instant start),
-  then answers ranking requests over a pipe.
+  :meth:`SearchEngine.load_shard`, which memory-maps the shard's raw
+  ``.npy`` arrays (zero-copy open, near-instant start), then answers
+  ranking requests over a pipe.
 * :class:`ShardProcessPool` — the coordinator.  It fans
   ``snapshot_rank_batch`` batches out to all workers over a lightweight
   pickle-over-pipe protocol (request ids, typed error frames, per-worker
@@ -62,11 +62,7 @@ from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.search.matrix_space import (
-    STORAGE_NPY,
-    saved_storage,
-    validate_top_k,
-)
+from repro.search.matrix_space import validate_top_k
 from repro.search.concurrency import process_context
 from repro.search.engine import SearchEngine
 from repro.search.sharding import merge_topk, read_shard_manifest
@@ -185,7 +181,7 @@ def _try_send(conn, frame) -> None:
         pass
 
 
-def _shard_worker_main(directory, shard_id, mmap, conn) -> None:
+def _shard_worker_main(directory, shard_id, conn) -> None:
     """Worker entry point: load one shard, answer frames until ``stop``.
 
     Module-level (not a closure) so ``spawn`` start methods can pickle
@@ -196,7 +192,7 @@ def _shard_worker_main(directory, shard_id, mmap, conn) -> None:
     """
     try:
         started = time.perf_counter()
-        engine = SearchEngine.load_shard(directory, shard_id, mmap=mmap)
+        engine = SearchEngine.load_shard(directory, shard_id)
         load_seconds = time.perf_counter() - started
         conn.send(
             (
@@ -269,10 +265,9 @@ class ShardProcessPool(RankEngine):
     """Serve a saved index with one OS process per shard.
 
     Opens the directory written by :meth:`SearchEngine.save`,
-    spawns ``num_shards`` workers (each loading exactly one shard,
-    memory-mapped exactly when the save is in the ``mmap_ready`` ``.npy``
-    layout), and exposes the same epoch-tagged read surface as the
-    in-process engine::
+    spawns ``num_shards`` workers (each memory-mapping exactly one shard),
+    and exposes the same epoch-tagged read surface as the in-process
+    engine::
 
         with ShardProcessPool(save_dir) as pool:
             epoch, results = pool.snapshot_rank_batch(queries, top_k=10)
@@ -283,8 +278,8 @@ class ShardProcessPool(RankEngine):
     :meth:`snapshot_rank_batch` flattens that to ``(epoch, results)``
     for drop-in use behind :class:`~repro.serve.frontend.BatchingFrontend`
     or the workload replay runner, counting degraded reads in
-    :meth:`health`.  The pool holds no query cache of its own, so a
-    frontend layered on top owns caching (keyed on the pool's epoch).
+    :meth:`health`.  Result caching is the front-end's (keyed on the
+    pool's epoch).
 
     Thread-safe: concurrent reads are serialized over the pipes by an
     internal lock (the workers themselves are the parallelism).  Always
@@ -308,7 +303,6 @@ class ShardProcessPool(RankEngine):
         if not self._shard_dirs:
             raise ShardPoolError("manifest lists no shards")
         self._epoch = int(manifest.get("epoch", 0))
-        self._mmap = saved_storage(self._shard_dirs[0]) == STORAGE_NPY
         self._ctx = process_context()
         self._lock = threading.Lock()
         self._req_ids = itertools.count(1)
@@ -333,7 +327,7 @@ class ShardProcessPool(RankEngine):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_shard_worker_main,
-            args=(self._directory, worker.shard_id, self._mmap, child_conn),
+            args=(self._directory, worker.shard_id, child_conn),
             name=f"{self.name}-shard{worker.shard_id}",
             daemon=True,
         )
@@ -444,17 +438,11 @@ class ShardProcessPool(RankEngine):
         """Resources across all shards (from the workers' handshakes)."""
         return sum(worker.num_documents for worker in self._workers)
 
-    @property
-    def uses_mmap(self) -> bool:
-        """Whether workers memory-map their arrays (vs eager load)."""
-        return self._mmap
-
     def health(self) -> Dict[str, object]:
         """Pool-level and per-worker status for dashboards and tests."""
         return {
             "epoch": self._epoch,
             "num_shards": self.num_shards,
-            "mmap": self._mmap,
             "degraded_reads": self._degraded_reads,
             "workers": [
                 {
@@ -701,5 +689,5 @@ class ShardProcessPool(RankEngine):
         return (
             f"ShardProcessPool(name={self.name!r}, "
             f"num_shards={self.num_shards}, epoch={self._epoch}, "
-            f"mmap={self._mmap}, workers=[{states}])"
+            f"workers=[{states}])"
         )

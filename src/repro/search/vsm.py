@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from typing import (
-    Callable,
     Dict,
     Hashable,
     List,
@@ -137,12 +136,11 @@ class RankEngine(ABC):
     :attr:`num_indexed_resources`.  *Derived* from those, once:
     :meth:`rank_batch`, :meth:`search` and the context manager (which
     calls :meth:`close`).  Everything else is a *null default* describing
-    a read-only, cache-less, generation-0 engine that owns nothing to
-    release: an engine overrides exactly the capabilities it has, and
-    callers read these attributes directly instead of probing for them.
+    a read-only, generation-0 engine that owns nothing to release: an
+    engine overrides exactly the capabilities it has, and callers read
+    these attributes directly instead of probing for them.
     """
 
-    cache = None  #: the engine-owned query result cache
     generation = 0  #: bumped by each hot swap of a lifecycle handle
     concept_model = None  #: set by engines that can be re-serialized
     folksonomy = None  #: the corpus as of every mutation, when tracked
@@ -189,12 +187,6 @@ class RankEngine(ABC):
     def health(self) -> Dict[str, object]:
         """Operational snapshot; always carries ``epoch``."""
         return {"epoch": self.epoch}
-
-    def add_swap_listener(self, listener: Callable[[int], None]) -> None:
-        """Only a lifecycle handle ever swaps; nothing to subscribe to."""
-
-    def remove_swap_listener(self, listener: Callable[[int], None]) -> None:
-        """Inverse of :meth:`add_swap_listener`."""
 
     def close(self) -> None:
         """Release whatever the engine owns (idempotent); default nothing."""

@@ -37,14 +37,6 @@ class TaxonomyNode:
     #: corpus frequency mass (own + descendants), filled by set_corpus_counts
     frequency: float = 0.0
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 class Taxonomy:
     """A tree of :class:`TaxonomyNode` with tag leaves and IC support."""

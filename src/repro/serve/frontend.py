@@ -20,11 +20,13 @@ and that read returns an epoch at least as new, so a waiter never gets
 an answer older than a write it had already seen, and a client that
 waits for each answer before its next query sees its epochs run forwards.
 
-**One cache owner.**  An engine with its own
-:class:`~repro.search.cache.QueryCache` probes and fills it inside its
-read lock, so the front-end stays out of the way (a second probe would
-count every lookup twice).  For an engine without one, the front-end
-owns an epoch-keyed cache, so a stale entry can never be served.
+**One cache owner.**  The front-end's
+:class:`~repro.search.cache.QueryCache` is the only result cache in the
+stack: no engine caches.  It is probed at the epoch read before the
+engine call and filled at the epoch the engine returned, so a stale
+entry can never be served.  A hot swap flushes nothing: the swapped-in
+generation starts at ``old epoch + 1``, a key the old one never filled,
+and the old generation's entries age out of the LRU end.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ class FrontendConfig:
     ``tenant_max_pending`` caps the tickets any one tenant may hold
     (``None``: no quota), so one tenant's burst sheds against its own
     allowance before it exhausts ``max_pending`` for everyone.
-    ``cache_entries`` sizes the front-end-owned cache, used only when
-    the engine has none (``0``/``None`` disables it).  ``max_wait_ms`` is
-    kept only so ``max_wait_ms=0.0`` call sites still construct; queries
-    are dispatched on arrival, and any other value is refused.
+    ``cache_entries`` sizes the front-end's result cache (``0``/``None``
+    disables it).  ``max_wait_ms`` is kept only so ``max_wait_ms=0.0``
+    call sites still construct; queries are dispatched on arrival, and any
+    other value is refused.
     """
 
     max_pending: int = 1024
@@ -138,14 +140,9 @@ class BatchingFrontend:
             self.config.max_pending,
             tenant_max_pending=self.config.tenant_max_pending,
         )
-        self._owns_cache = engine.cache is None and bool(self.config.cache_entries)
         self.cache: Optional[QueryCache] = (
-            QueryCache(self.config.cache_entries) if self._owns_cache else engine.cache
+            QueryCache(self.config.cache_entries) if self.config.cache_entries else None
         )
-        # Lifecycle-managed engines (an EngineHandle) announce hot
-        # generation swaps; the front-end flushes its cache — a new
-        # generation is a new concept model — and counts the event.
-        engine.add_swap_listener(self._on_generation_swap)
         self._lock = threading.Lock()
         self._in_flight: Dict[Hashable, List[_Request]] = {}
         self._closed = False
@@ -180,7 +177,7 @@ class BatchingFrontend:
         request = _Request(Future(), tenant, time.perf_counter())
         probe_epoch = self.engine.epoch
         key = QueryCache.canonical_key(tags, top_k, probe_epoch)
-        if self._owns_cache:
+        if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
                 self._settle([request], QueryResponse(probe_epoch, hit, True))
@@ -196,7 +193,7 @@ class BatchingFrontend:
             started = time.perf_counter()
             epoch, (results,) = self.engine.snapshot_rank_batch([tags], top_k=top_k)
             self.metrics.observe_latency("stage.engine", time.perf_counter() - started)
-            if self._owns_cache:
+            if self.cache is not None:
                 self.cache.put(QueryCache.canonical_key(tags, top_k, epoch), results)
         except BaseException as error:  # noqa: BLE001 - waiters must resolve
             waiters = self._detach(key)
@@ -230,23 +227,13 @@ class BatchingFrontend:
         }
         if self.cache is not None:
             payload["cache"] = self.cache.stats()
-            payload["cache_owner"] = "frontend" if self._owns_cache else "engine"
         payload["engine_generation"] = self.engine.generation
         payload["engine_health"] = self.engine.health()
         return payload
 
-    def _on_generation_swap(self, generation: int) -> None:
-        """Swap-listener hook: flush the owned cache, count the event."""
-        self.metrics.increment("generation_swaps")
-        self.metrics.set_gauge("engine_generation", generation)
-        if self._owns_cache:
-            self.cache.invalidate_generation(generation)
-
     def close(self) -> None:
         """Refuse new queries (idempotent); requests in flight finish."""
-        if not self._closed:
-            self._closed = True
-            self.engine.remove_swap_listener(self._on_generation_swap)
+        self._closed = True
 
     def __enter__(self) -> "BatchingFrontend":
         return self

@@ -32,18 +32,6 @@ class DatasetStatistics:
         cells = self.tensor_cells
         return self.num_assignments / cells if cells else 0.0
 
-    @property
-    def mean_tags_per_resource(self) -> float:
-        if self.num_resources == 0:
-            return 0.0
-        return self.num_assignments / self.num_resources
-
-    @property
-    def mean_assignments_per_user(self) -> float:
-        if self.num_users == 0:
-            return 0.0
-        return self.num_assignments / self.num_users
-
     def as_dict(self) -> Dict[str, float]:
         """Dictionary form used by the reporting layer."""
         return {

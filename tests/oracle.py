@@ -23,7 +23,6 @@ import tempfile
 from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.search.cache import QueryCache
 from repro.search.engine import SearchEngine
 from repro.search.sharding import ShardRouter, merge_topk
 from repro.search.vsm import ConceptVectorSpace, RankedResult, rankings_match
@@ -116,17 +115,6 @@ def through_save(engine, num_shards: int):
     with tempfile.TemporaryDirectory() as directory:
         engine.save(directory, num_shards=num_shards)
         return SearchEngine.load(directory)
-
-
-def with_cache(engine, max_entries: int = 1024):
-    """An engine over ``engine``'s space with a query result cache."""
-    return SearchEngine(
-        engine.concept_model,
-        engine.matrix_space,
-        name=engine.name,
-        refresh_policy=engine.refresh_policy,
-        cache=QueryCache(max_entries),
-    )
 
 
 Triple = Tuple[str, str, str]

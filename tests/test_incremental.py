@@ -256,7 +256,7 @@ class TestEngineMutationParity:
         assert not engine.matrix_space.is_stale
         assert not engine.refresh()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
     def test_other_format_versions_are_refused_by_name(
         self, small_cleaned, concept_model, tmp_path, version
     ):

@@ -10,8 +10,9 @@ of the final corpus under the post-swap concept model.  Around that bar
 this file covers the :class:`DeltaJournal` (including a hypothesis
 replay-parity property), folksonomy materialization of journaled bags,
 the handle's pin/swap/drain discipline, the snapshot store's generation
-layer, the generation-aware :class:`QueryCache`, the refit-due/fold-in-due
-policy split, coordinator failure modes and pool blue/green swaps.
+layer, the front-end cache's epoch keys across a swap, the
+refit-due/fold-in-due policy split, coordinator failure modes and pool
+blue/green swaps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import through_save, with_cache
+from oracle import through_save
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.core.snapshots import IndexSnapshotStore
@@ -37,7 +38,6 @@ from repro.load import (
     quiesced_rankings,
     scratch_rankings,
 )
-from repro.search.cache import QueryCache
 from repro.search.incremental import RefreshPolicy
 from repro.search.lifecycle import (
     DeltaJournal,
@@ -49,7 +49,7 @@ from repro.search.lifecycle import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.shardpool import ShardProcessPool
-from repro.search.vsm import RankedResult, RankEngine, mismatched_probes, rankings_match
+from repro.search.vsm import RankEngine, mismatched_probes, rankings_match
 from repro.serve.frontend import BatchingFrontend, FrontendConfig
 from repro.utils.errors import ConfigurationError, NotFittedError
 
@@ -76,8 +76,8 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards):
-    """A cached engine restored from a ``num_shards``-shard save."""
-    return through_save(with_cache(build_mono(folksonomy)), num_shards)
+    """An engine restored from a ``num_shards``-shard save."""
+    return through_save(build_mono(folksonomy), num_shards)
 
 
 def probe_queries(folksonomy, singles=5):
@@ -304,9 +304,7 @@ class TestRankEngineConformance:
         elif kind == "sharded4":
             built = build_sharded(small_cleaned, 4)
         elif kind == "pool2":
-            build_mono(small_cleaned).save(
-                tmp_path, mmap_ready=True, num_shards=2
-            )
+            build_mono(small_cleaned).save(tmp_path, num_shards=2)
             built = ShardProcessPool(tmp_path)
         else:
             built = _StubEngine()
@@ -316,6 +314,7 @@ class TestRankEngineConformance:
 
     def test_every_engine_is_one_surface(self, engine, small_cleaned):
         assert isinstance(engine, RankEngine)
+        assert not hasattr(engine, "cache")  # the front-end owns the cache
         query = [sorted(small_cleaned.tags)[0]]
         epoch, (snapshot,) = engine.snapshot_rank_batch([query], 5)
         assert engine.search(query, 5) == snapshot
@@ -380,31 +379,35 @@ class TestEngineHandle:
         with pytest.raises(ConfigurationError):
             handle.apply_mutations(added={"doc-f": {tag: 1.5}})
 
-    def test_swap_stamps_epoch_and_notifies_listeners(self):
+    def test_swap_stamps_epoch_and_closes_the_old_engine(self):
         old = _StubEngine(epoch=7)
         handle = EngineHandle(old)
-        seen = []
-        handle.add_swap_listener(seen.append)
         new = _StubEngine(epoch=0)
         report = handle.swap(new)
         assert report.generation == handle.generation == 1
         assert report.epoch == handle.epoch == 8
         assert report.drained
-        assert seen == [1]
         assert old.closed
         assert not new.closed
 
-    def test_closed_frontends_unsubscribe_from_swaps(self):
-        handle = EngineHandle(_StubEngine())
-        closed = []
-        for _ in range(3):
-            with BatchingFrontend(handle) as frontend:
-                closed.append(frontend)
-        handle.swap(_StubEngine())
-        assert handle._swap_listeners == []
-        assert [
-            frontend.metrics.counter("generation_swaps") for frontend in closed
-        ] == [0, 0, 0]
+    def test_cached_answer_never_crosses_a_swap(self, toy_folksonomy):
+        """The swap flushes nothing: the epoch in the front-end's cache
+        key is what keeps the old generation's answers from being served."""
+        tags = sorted(toy_folksonomy.tags)[:1]
+        handle = EngineHandle(build_mono(toy_folksonomy))
+        with BatchingFrontend(handle) as frontend:
+            first = frontend.submit(tags, top_k=5).result(timeout=10)
+            warm = frontend.submit(tags, top_k=5).result(timeout=10)
+            assert warm.cached and warm.epoch == first.epoch
+            new = build_mono(toy_folksonomy)
+            new.add_resources({"swapped-in": {tags[0]: 9.0}})
+            want = new.search(tags, top_k=5)
+            assert not rankings_match(want, first.results)
+            handle.swap(new)
+            after = frontend.submit(tags, top_k=5).result(timeout=10)
+        assert after.epoch == first.epoch + 1
+        assert after.cached is False
+        assert rankings_match(after.results, want, tol=1e-9, truncated=True)
 
     def test_read_only_epoch_must_be_strictly_greater(self):
         handle = EngineHandle(_StubEngine(epoch=5))
@@ -546,28 +549,6 @@ class TestSnapshotStoreGenerations:
         assert dropped == [3]
         assert store.generations() == [1, 4]
         assert store.current_generation() == 1
-
-
-# ---------------------------------------------------------------------- #
-# QueryCache: generation invalidation
-# ---------------------------------------------------------------------- #
-def _results(resource):
-    return [RankedResult(resource=f"{resource}-0", score=1.0, rank=1)]
-
-
-class TestQueryCacheGeneration:
-    def test_generation_invalidation_is_idempotent(self):
-        cache = QueryCache(max_entries=8)
-        cache.put(("a",), _results("x"))
-        assert cache.invalidate_generation(1)
-        assert len(cache) == 0
-        assert not cache.invalidate_generation(1)
-        cache.put(("b",), _results("y"))
-        assert cache.invalidate_generation(2)
-        assert len(cache) == 0
-        stats = cache.stats()
-        assert stats["generation"] == 2
-        assert stats["generation_invalidations"] == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -855,9 +836,7 @@ class TestPoolBlueGreen:
     def test_refit_swaps_in_a_fresh_process_pool(self, small_cleaned, tmp_path):
         store = IndexSnapshotStore(tmp_path)
         fitted = CubeLSIPipeline(**PIPELINE_KWARGS).fit(small_cleaned)
-        first = store.publish(
-            fitted, generation=1, num_shards=2, mmap_ready=True
-        )
+        first = store.publish(fitted, generation=1, num_shards=2)
         probes = probe_queries(small_cleaned)
 
         pool = ShardProcessPool(first)
@@ -871,7 +850,7 @@ class TestPoolBlueGreen:
                 engine_factory=lambda index, directory: ShardProcessPool(
                     directory
                 ),
-                publish_kwargs=dict(num_shards=2, mmap_ready=True),
+                publish_kwargs=dict(num_shards=2),
             )
             epoch_before = handle.epoch
             result = coordinator.refit()

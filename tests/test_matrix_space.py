@@ -3,8 +3,8 @@
 The fit-once dict-loop :class:`ConceptVectorSpace` is the reference; the CSR
 :class:`MatrixConceptSpace` built from the same bags must reproduce its
 scores and its ordering (descending score, ties by ascending resource id)
-within 1e-9.  Persistence must round-trip through ``.npz`` + JSON, including
-into a fresh Python process.
+within 1e-9.  Persistence must round-trip through raw ``.npy`` arrays + JSON,
+memory-mapped or read eagerly, including into a fresh Python process.
 """
 
 from __future__ import annotations
@@ -307,12 +307,11 @@ class TestPostingsFreshness:
         assert space.refresh() and "rare" not in space.terms
         assert_scores_like_scratch_build(space, bags, self.QUERIES)
 
-    @pytest.mark.parametrize("mmap", [True, False], ids=["npy-mmap", "npz"])
+    @pytest.mark.parametrize("mmap", [True, False], ids=["npy-mmap", "npy-eager"])
     def test_a_save_is_what_is_scored(self, tmp_path, mmap):
         bags = self.corpus()
-        MatrixConceptSpace.from_bags(bags, smooth_idf=True).save(
-            tmp_path, mmap_ready=mmap
-        )
+        MatrixConceptSpace.from_bags(bags, smooth_idf=True).save(tmp_path)
+        assert {path.suffix for path in tmp_path.iterdir()} == {".npy", ".json"}
         loaded = MatrixConceptSpace.load(tmp_path, mmap=mmap)
         if mmap:  # zero-copy: nothing nnz-sized is derived, before or after
             assert_postings_are_mapped(loaded)
@@ -516,6 +515,7 @@ class TestPersistence:
         view = SearchEngine.load_shard(
             tmp_path, ShardRouter(num_shards).shard_of(best)
         )
+        assert_postings_are_mapped(view.matrix_space)  # a view only reads
         built = engine.explain(query, best)
         for restored in (
             loaded.explain(query, best),

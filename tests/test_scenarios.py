@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import through_save, with_cache
+from oracle import through_save
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline
 from repro.core.snapshots import IndexSnapshotStore
@@ -94,17 +94,15 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards=2):
-    """A cached engine restored from a ``num_shards``-shard save."""
-    return through_save(with_cache(build_mono(folksonomy)), num_shards)
+    """An engine restored from a ``num_shards``-shard save."""
+    return through_save(build_mono(folksonomy), num_shards)
 
 
 @pytest.fixture(scope="module")
 def scenario_save_dir(tmp_path_factory, small_cleaned):
-    """A 4-shard mmap-ready save the chaos runs replay against."""
+    """A 4-shard save the chaos runs replay against."""
     directory = tmp_path_factory.mktemp("scenario-index") / "index"
-    build_mono(small_cleaned).save(
-        directory, mmap_ready=True, num_shards=NUM_SHARDS
-    )
+    build_mono(small_cleaned).save(directory, num_shards=NUM_SHARDS)
     return directory
 
 
@@ -719,9 +717,7 @@ class TestChaosDuringRefit:
         never presents a partial read as complete."""
         store = IndexSnapshotStore(tmp_path)
         fitted = CubeLSIPipeline(**PIPELINE_KWARGS).fit(small_cleaned)
-        first = store.publish(
-            fitted, generation=1, num_shards=2, mmap_ready=True
-        )
+        first = store.publish(fitted, generation=1, num_shards=2)
         tags = sorted(small_cleaned.tags)
         probes = [[tag] for tag in tags[:5]]
 
@@ -740,7 +736,7 @@ class TestChaosDuringRefit:
                 engine_factory=lambda index, directory: ShardProcessPool(
                     directory
                 ),
-                publish_kwargs=dict(num_shards=2, mmap_ready=True),
+                publish_kwargs=dict(num_shards=2),
             )
             epoch_before = handle.epoch
             refit = coordinator.refit_in_background()

@@ -8,9 +8,9 @@ re-proven through the front-end.  Around that bar this file covers the
 threadless dispatch (each query scored in its submitting thread), dedup
 fan-out to N waiters and its epoch rule, admission-control shedding with
 tickets held by a gated engine, the metrics registry and its Prometheus
-export, and the result-cache integration (exactly one hit-or-miss per
-logical query, front-end-owned or engine-owned).  No test here waits on
-a clock: concurrency is staged with a gated engine.
+export, and the front-end's result cache (exactly one hit-or-miss per
+logical query, epoch-keyed).  No test here waits on a clock: concurrency
+is staged with a gated engine.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import fields
 
 import pytest
 
-from oracle import through_save, with_cache
+from oracle import through_save
 from repro.core.concepts import identity_concept_model
 from repro.load import WorkloadConfig, WorkloadGenerator, check_replay_parity
 from repro.search.engine import SearchEngine
@@ -92,8 +92,8 @@ def build_mono(folksonomy):
 
 
 def build_sharded(folksonomy, num_shards=4):
-    """A cached engine restored from a ``num_shards``-shard save."""
-    return through_save(with_cache(build_mono(folksonomy)), num_shards)
+    """An engine restored from a ``num_shards``-shard save."""
+    return through_save(build_mono(folksonomy), num_shards)
 
 
 def run_threads(target, args_list):
@@ -416,24 +416,6 @@ class TestCacheIntegration:
         assert stats["misses"] == 1
         assert stats["hits"] == 1
 
-    def test_engine_owned_cache_is_not_double_counted(self, toy_folksonomy):
-        engine = build_sharded(toy_folksonomy, num_shards=2)
-        try:
-            with BatchingFrontend(engine) as frontend:
-                assert frontend.cache is engine.cache
-                tags = sorted(toy_folksonomy.tags)[:2]
-                frontend.query(tags, top_k=3)
-                frontend.query(tags, top_k=3)
-                assert frontend.stats()["cache_owner"] == "engine"
-            stats = engine.cache.stats()
-            # The engine's in-lock probe is the only bookkeeper: two
-            # logical queries count exactly one miss and one hit, not
-            # twice each.
-            assert stats["misses"] == 1
-            assert stats["hits"] == 1
-        finally:
-            engine.close()
-
     def test_mutation_invalidates_via_epoch_keying(self, toy_folksonomy):
         engine = build_mono(toy_folksonomy)
         with BatchingFrontend(engine) as frontend:
@@ -495,7 +477,6 @@ class TestFrontendParityAcceptance:
                 .eval_queries
             ] * 4
             want = engine.rank_batch(queries, top_k=10)
-            engine.cache.clear()
             with BatchingFrontend(engine) as frontend:
                 got = run_clients(frontend, queries, num_clients=4)
                 counters = frontend.stats()["counters"]

@@ -5,11 +5,11 @@ The acceptance bar: for N ∈ {1, 2, 4}, an engine restored by
 ``SearchEngine.load`` from an N-shard save, and the pool's read path
 (N partitions ranked one by one and heap-merged), must reproduce the
 dict-loop oracle's rankings and scores to 1e-9 — on the toy and generated
-corpora, through add/remove/update sequences after the load, through cache
-hits, and through a save → load round trip in a fresh process.  On top of
-the parity bar, this file covers the router, the heap merge's
-boundary-tie handling, the query cache, the hardened ``rank_batch`` edge
-cases and the read-only shard view.
+corpora, through add/remove/update sequences after the load, and through
+a save → load round trip in a fresh process.  On top of the parity bar,
+this file covers the router, the heap merge's boundary-tie handling, the
+query cache's keys and LRU, the hardened ``rank_batch`` edge cases and the
+read-only shard view.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from oracle import (
     DictLoopOracle,
     assert_matches_oracle,
     fanout_rank_batch,
-    with_cache,
 )
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
@@ -527,8 +526,6 @@ class TestQueryCache:
         assert stats["entries"] == 2
         assert stats["hits"] == 3 and stats["misses"] == 1
         assert 0.0 < cache.hit_rate < 1.0
-        cache.clear()
-        assert len(cache) == 0
         with pytest.raises(ConfigurationError):
             QueryCache(max_entries=0)
 
@@ -539,74 +536,25 @@ class TestQueryCache:
         first.append(RankedResult("bogus", 0.0, 2))
         assert len(cache.get("k")) == 1
 
-    def test_engine_cache_hits_preserve_parity(
-        self, small_cleaned, mono_engine
-    ):
-        rng = np.random.default_rng(11)
-        cached = with_cache(mono_engine)
-        queries = sample_queries(small_cleaned, rng)
-        cold = cached.rank_batch(queries, top_k=10)
-        warm = cached.rank_batch(queries, top_k=10)
-        assert cached.cache.hits > 0
-        for cold_results, warm_results in zip(cold, warm):
-            assert [r.resource for r in warm_results] == [
-                r.resource for r in cold_results
-            ]
-        assert_same_rankings(cached, mono_engine, queries)
-
-    def test_duplicate_queries_in_one_batch_scored_once(
-        self, small_cleaned, mono_engine
-    ):
-        cached = with_cache(mono_engine)
-        tag = small_cleaned.tags[0]
-        batch = [[tag], [tag], [tag]]
-        results = cached.rank_batch(batch, top_k=5)
-        assert cached.cache.misses == 1  # one unique canonical key
-        assert [r.resource for r in results[0]] == [
-            r.resource for r in results[1]
-        ] == [r.resource for r in results[2]]
-
-    def test_mutation_invalidates_cache(self, small_cleaned):
-        model = identity_concept_model(small_cleaned.tags)
-        engine = SearchEngine.build(small_cleaned, model, name="inv")
-        cached = with_cache(SearchEngine.build(small_cleaned, model, name="inv"))
-        query = [small_cleaned.tags[0]]
-        before = cached.search(query, top_k=5)
-        assert cached.search(query, top_k=5)  # warm the cache
-        assert len(cached.cache) > 0
-        engine.add_resources({"cache-buster": {small_cleaned.tags[0]: 9.0}})
-        cached.add_resources({"cache-buster": {small_cleaned.tags[0]: 9.0}})
-        assert len(cached.cache) == 0  # cleared on mutation
-        after = cached.search(query, top_k=5)
-        assert after != before  # the new resource actually surfaced
-        want = engine.search(query, top_k=5)
-        assert [r.resource for r in after] == [r.resource for r in want]
-
 
 class TestRankBatchHardening:
     def test_empty_batch_returns_well_typed_empty(self, mono_engine):
-        cached = with_cache(mono_engine)
         assert mono_engine.rank_batch([]) == []
-        assert cached.rank_batch([]) == []
 
     def test_all_unknown_tags_yield_empty_lists(self, mono_engine):
-        cached = with_cache(mono_engine)
         batch = [["zzz-unknown"], [], ["another-unknown", "more-unknown"]]
         assert mono_engine.rank_batch(batch, top_k=5) == [[], [], []]
-        assert cached.rank_batch(batch, top_k=5) == [[], [], []]
         assert mono_engine.search(["zzz-unknown"]) == []
-        assert cached.search(["zzz-unknown"]) == []
 
     def test_invalid_top_k_rejected_even_without_scorable_queries(
         self, mono_engine
     ):
-        for engine in (mono_engine, with_cache(mono_engine)):
-            with pytest.raises(ConfigurationError):
-                engine.rank_batch([["zzz-unknown"]], top_k=0)
-            with pytest.raises(ConfigurationError):
-                engine.rank_batch([], top_k=-3)
-            with pytest.raises(ConfigurationError):
-                engine.search([], top_k=0)
+        with pytest.raises(ConfigurationError):
+            mono_engine.rank_batch([["zzz-unknown"]], top_k=0)
+        with pytest.raises(ConfigurationError):
+            mono_engine.rank_batch([], top_k=-3)
+        with pytest.raises(ConfigurationError):
+            mono_engine.search([], top_k=0)
 
 
 class TestShardedPersistence:
@@ -626,7 +574,6 @@ class TestShardedPersistence:
             assert shard.has_external_stats == (num_shards > 1)
         loaded = SearchEngine.load(tmp_path)
         assert loaded.name == mono_engine.name
-        assert loaded.cache is None  # a built engine carries none
         assert loaded.is_mutable and not loaded.matrix_space.has_external_stats
         queries = sample_queries(small_cleaned, rng)
         assert_matches_oracle(loaded, oracle, queries)
@@ -877,6 +824,22 @@ def test_eval_is_the_ndcg_harness_not_a_serving_clock():
     assert offenders == []
 
 
+def test_one_cache_owner_and_one_array_layout():
+    """The front-end owns the only result cache (no other module names
+    ``QueryCache``), and every save writes raw ``.npy`` arrays (nothing
+    under ``src/`` writes an ``.npz``)."""
+    owners = {"repro/serve/frontend.py", "repro/search/cache.py"}
+    offenders = []
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        name = path.relative_to(SRC_DIR).as_posix()
+        source = path.read_text(encoding="utf-8")
+        if "QueryCache" in source and name not in owners:
+            offenders.append((name, "QueryCache"))
+        if "savez" in source:
+            offenders.append((name, "savez"))
+    assert offenders == []
+
+
 class TestOfflineIndexSharding:
     @pytest.fixture(scope="class")
     def fitted_index(self, small_cleaned):
@@ -909,25 +872,6 @@ class TestOfflineIndexSharding:
             loaded.folksonomy, loaded.concept_model, name="rebuild"
         )
         assert_same_rankings(loaded.engine, rebuilt, queries)
-
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_loaded_engine_caches_exactly_like_the_saved_one(
-        self, fitted_index, tmp_path, num_shards
-    ):
-        assert fitted_index.engine.cache is None
-        fitted_index.save(tmp_path / "plain", num_shards=num_shards)
-        assert OfflineIndex.load(tmp_path / "plain").engine.cache is None
-        engine = fitted_index.engine
-        cached = OfflineIndex(
-            concept_model=fitted_index.concept_model,
-            engine=SearchEngine(
-                engine.concept_model, engine.matrix_space, cache=QueryCache(64)
-            ),
-            timings={},
-        )
-        cached.save(tmp_path / "cached", num_shards=num_shards)
-        loaded = OfflineIndex.load(tmp_path / "cached").engine
-        assert loaded.cache is not None and loaded.cache.max_entries == 64
 
     def test_overwriting_layouts_never_mixes_artefacts(
         self, fitted_index, tmp_path

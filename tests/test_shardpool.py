@@ -2,7 +2,7 @@
 
 The pool's bar extends the sharded parity contract across process
 boundaries: a :class:`ShardProcessPool` over a saved 4-shard layout must
-reproduce the monolithic rankings to 1e-9 (mmap and eager loads alike),
+reproduce the monolithic rankings to 1e-9,
 :class:`~repro.serve.frontend.BatchingFrontend` must sit in front of it
 unchanged, and the PR 4/5 replay invariants
 (:func:`~repro.load.invariants.check_replay_parity`) must hold when the
@@ -11,12 +11,14 @@ the failure paths the coordinator promises to survive: a killed worker
 mid-fan-out yields a typed ``dead`` failure (never a hang), a stalled
 worker yields ``timeout`` then fast-skipped ``stalled`` reads until the
 heartbeat revives it, and :meth:`restart_worker` restores full parity.
-It also covers the mmap storage layout underneath
-(:meth:`MatrixConceptSpace.save`'s ``mmap_ready`` / ``load``'s ``mmap``).
+It also covers the one storage layout underneath: raw ``.npy`` arrays
+(:meth:`MatrixConceptSpace.save`), memory-mapped or read eagerly
+(``load``'s ``mmap``).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import threading
@@ -25,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle import DictLoopOracle, assert_matches_oracle
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import OfflineIndex
 from repro.load.invariants import check_replay_parity
@@ -39,13 +42,7 @@ from repro.load.workload import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.lifecycle import EngineHandle
-from repro.search.matrix_space import (
-    ARRAYS_FILENAME,
-    STORAGE_NPY,
-    STORAGE_NPZ,
-    MatrixConceptSpace,
-    saved_storage,
-)
+from repro.search.matrix_space import METADATA_FILENAME, MatrixConceptSpace
 from repro.search.shardpool import (
     ShardFailure,
     ShardPoolConfig,
@@ -103,9 +100,9 @@ def golden(mono_engine, queries):
 
 @pytest.fixture(scope="module")
 def save_dir(tmp_path_factory, mono_engine):
-    """A 4-shard mmap-ready save the pool tests share (read-only)."""
+    """A 4-shard save the pool tests share (read-only)."""
     directory = tmp_path_factory.mktemp("pool-index") / "index"
-    mono_engine.save(directory, mmap_ready=True, num_shards=NUM_SHARDS)
+    mono_engine.save(directory, num_shards=NUM_SHARDS)
     return directory
 
 
@@ -131,61 +128,71 @@ def assert_pool_parity(pool, queries, golden, top_k=TOP_K):
         ), (got_results[:3], want_results[:3])
 
 
+def array_files(directory):
+    """The file suffixes of a space's save directory."""
+    return {path.suffix for path in directory.iterdir()}
+
+
 class TestMmapStorageLayout:
     """The raw-``.npy`` save layout underneath the pool's zero-copy open."""
 
-    def test_mmap_ready_save_round_trips_with_parity(
-        self, mono_engine, queries, tmp_path
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "eager"])
+    def test_save_round_trips_with_parity(
+        self, small_cleaned, mono_engine, queries, tmp_path, mmap
     ):
         space = mono_engine.matrix_space
-        space.save(tmp_path, mmap_ready=True)
-        assert saved_storage(tmp_path) == STORAGE_NPY
-        assert not (tmp_path / ARRAYS_FILENAME).exists()
+        space.save(tmp_path)
+        assert array_files(tmp_path) == {".npy", ".json"}
         assert (tmp_path / "matrix_space.post_weights.npy").exists()
 
-        mapped = MatrixConceptSpace.load(tmp_path, mmap=True)
-        eager = MatrixConceptSpace.load(tmp_path)
-        bags = [mono_engine.query_concepts(tags) for tags in queries]
-        bags = [bag for bag in bags if bag]
-        want = space.rank_batch(bags, TOP_K)
-        for loaded in (mapped, eager):
-            got = loaded.rank_batch(bags, TOP_K)
-            for got_results, want_results in zip(got, want):
-                assert rankings_match(
-                    got_results, want_results, tol=PARITY_TOL, truncated=True
-                )
+        loaded = SearchEngine(
+            mono_engine.concept_model, MatrixConceptSpace.load(tmp_path, mmap=mmap)
+        )
+        oracle = DictLoopOracle.of_folksonomy(mono_engine.concept_model, small_cleaned)
+        assert_matches_oracle(loaded, oracle, queries, top_k=TOP_K)
 
     def test_mmap_load_of_npz_layout_is_rejected(self, mono_engine, tmp_path):
+        """A format-4 save (the last that could hold one compressed
+        ``matrix_space.npz``) is refused by the version check."""
         mono_engine.matrix_space.save(tmp_path)
-        assert saved_storage(tmp_path) == STORAGE_NPZ
-        with pytest.raises(ConfigurationError, match="mmap_ready"):
-            MatrixConceptSpace.load(tmp_path, mmap=True)
+        stamp_old_npz_save(tmp_path)
+        for mmap in (True, False):
+            with pytest.raises(ConfigurationError, match="format version 4"):
+                MatrixConceptSpace.load(tmp_path, mmap=mmap)
 
     def test_resave_swaps_layouts_without_leaving_stale_files(
         self, mono_engine, tmp_path
     ):
         space = mono_engine.matrix_space
-        space.save(tmp_path, mmap_ready=True)
-        space.save(tmp_path)  # back to npz
-        assert saved_storage(tmp_path) == STORAGE_NPZ
-        assert (tmp_path / ARRAYS_FILENAME).exists()
-        assert not list(tmp_path.glob("matrix_space.*.npy"))
-        space.save(tmp_path, mmap_ready=True)  # and forward again
-        assert not (tmp_path / ARRAYS_FILENAME).exists()
+        space.save(tmp_path)
+        stamp_old_npz_save(tmp_path)
+        space.save(tmp_path)  # a re-save drops the old layout's archive
+        assert not (tmp_path / "matrix_space.npz").exists()
+        assert array_files(tmp_path) == {".npy", ".json"}
         assert MatrixConceptSpace.load(tmp_path, mmap=True).num_documents == (
             space.num_documents
         )
 
-    def test_sharded_save_plumbs_mmap_ready_through(
-        self, mono_engine, tmp_path
-    ):
-        mono_engine.save(tmp_path, mmap_ready=True, num_shards=2)
+    def test_sharded_save_writes_npy_in_every_shard(self, mono_engine, tmp_path):
+        mono_engine.save(tmp_path, num_shards=2)
         for shard_id in range(2):
-            assert saved_storage(tmp_path / f"shard-{shard_id:04d}") == (
-                STORAGE_NPY
-            )
-        shard = SearchEngine.load_shard(tmp_path, 0, mmap=True)
+            assert array_files(tmp_path / f"shard-{shard_id:04d}") == {".npy", ".json"}
+        shard = SearchEngine.load_shard(tmp_path, 0)
         assert shard.num_indexed_resources > 0
+
+
+def stamp_old_npz_save(directory):
+    """Turn a save into what format version 4 wrote by default: one
+    ``matrix_space.npz`` archive and ``"storage": "npz"`` in the JSON."""
+    arrays = {}
+    for path in directory.glob("matrix_space.*.npy"):
+        arrays[path.name.split(".")[1]] = np.load(path)
+        path.unlink()
+    np.savez_compressed(directory / "matrix_space.npz", **arrays)
+    metadata_path = directory / METADATA_FILENAME
+    metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+    metadata.update(format_version=4, storage="npz")
+    metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
 
 
 class TestPoolParity:
@@ -194,23 +201,20 @@ class TestPoolParity:
     def test_mmap_pool_matches_monolithic_rankings(
         self, pool, queries, golden
     ):
-        assert pool.uses_mmap
         assert_pool_parity(pool, queries, golden)
 
     @pytest.mark.parametrize("num_shards", [None, 2])
-    def test_npz_layout_pool_auto_detects_eager_load(
+    def test_plain_index_save_opens_under_the_pool(
         self, mono_engine, queries, golden, tmp_path, num_shards
     ):
         # Any saved index opens under the pool — including a plain
-        # ``OfflineIndex.save(dir)`` of the engine.  Both are the
-        # compressed layout, not mmap-able.
+        # ``OfflineIndex.save(dir)`` of the engine.
         layout = {} if num_shards is None else {"num_shards": num_shards}
         OfflineIndex(mono_engine.concept_model, mono_engine, timings={}).save(
             tmp_path, **layout
         )
         with ShardProcessPool(tmp_path) as pool:
             assert pool.num_shards == (num_shards or 1)
-            assert not pool.uses_mmap
             assert_pool_parity(pool, queries, golden)
 
     def test_read_surface_matches_the_in_process_engines(
@@ -220,7 +224,6 @@ class TestPoolParity:
         assert pool.num_indexed_resources == mono_engine.num_indexed_resources
         assert pool.num_shards == NUM_SHARDS
         assert pool.refresh() is False  # read-only: never anything to do
-        assert pool.cache is None  # the frontend owns caching
         epoch, results = pool.snapshot_rank_batch([], top_k=TOP_K)
         assert (epoch, results) == (pool.epoch, [])
 
@@ -241,7 +244,7 @@ class TestPoolParity:
     ):
         asked = [query for query in queries if query]
         want = mono_engine.rank_batch(asked, top_k=TOP_K)
-        mono_engine.save(tmp_path, mmap_ready=True, num_shards=2)
+        mono_engine.save(tmp_path, num_shards=2)
         with ShardProcessPool(tmp_path) as pool:
             outcome = pool.rank_batch_detailed(asked, top_k=TOP_K)
             assert outcome.complete, outcome.failures
@@ -412,14 +415,14 @@ class TestFrontendOverPool:
     ):
         config = FrontendConfig(cache_entries=64)
         with BatchingFrontend(pool, config, name="pool-fe") as frontend:
-            assert frontend.cache is not None  # pool brings no cache
+            assert frontend.cache is not None
             query = next(q for q in queries if q)
             first = frontend.submit(query, top_k=TOP_K).result()
             second = frontend.submit(query, top_k=TOP_K).result()
             assert second.cached and not first.cached
             assert second.results == first.results
             stats = frontend.stats()
-            assert stats["cache_owner"] == "frontend"
+            assert stats["cache"]["hits"] == 1
             assert stats["engine_health"]["num_shards"] == NUM_SHARDS
 
 
@@ -454,7 +457,7 @@ class TestReplayParityThroughPool:
     def test_mutation_replayed_over_the_pool_is_a_typed_read_only_error(
         self, mono_engine, tmp_path
     ):
-        mono_engine.save(tmp_path, mmap_ready=True, num_shards=2)
+        mono_engine.save(tmp_path, num_shards=2)
         tag = mono_engine.concept_model.concepts[0].tags[0]
         trace = WorkloadTrace(
             operations=(
@@ -474,7 +477,7 @@ class TestReplayParityThroughPool:
     ):
         """The harness teardown is ``engine.close()``: a handle around a
         pool must pass it through, or the workers outlive the check."""
-        mono_engine.save(tmp_path, mmap_ready=True, num_shards=2)
+        mono_engine.save(tmp_path, num_shards=2)
         trace = WorkloadGenerator(
             WorkloadConfig(
                 num_operations=40,
