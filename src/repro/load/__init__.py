@@ -10,22 +10,24 @@ keeping every run reproducible from one seed:
   batches, refresh ticks) that are valid by construction when replayed in
   order;
 * :mod:`repro.load.runner` — :class:`WorkloadRunner` replaying a trace
-  serially (the golden reference) or across N worker threads with
-  mutations admitted in trace order, recording per-op-kind latency
+  serially (the golden reference) or closed-loop across N worker threads
+  with mutations admitted in trace order, recording per-op-kind latency
   histograms (with per-tenant sub-books), throughput and an
   epoch-observation audit; :func:`run_golden` and
   :func:`scratch_rankings` produce the two parity references (the serial
   replay's quiesced probes, a from-scratch rebuild's);
-* :mod:`repro.load.scenarios` — named, seeded production-shaped profiles
-  (:data:`SCENARIO_NAMES`): flash crowds, diurnal arrival curves,
-  multi-tenant skew, rebuild storms and a chaos profile whose
-  :class:`FaultPlan` kills/stalls shard-pool workers at trace-scheduled
-  points (:func:`run_chaos`);
+* :mod:`repro.load.scenarios` — plain functions that reshape the steady
+  mix into incident traces (:func:`flash_crowd_trace`,
+  :func:`multi_tenant_trace`, and :func:`query_only_trace` under a seeded
+  :class:`FaultPlan` that kills/stalls shard-pool workers at
+  trace-scheduled points, replayed by :func:`run_chaos`);
 * :mod:`repro.load.invariants` — :func:`check_replay_parity` (the parity
   bar as four small checks: errors typed, state converged, epochs
-  monotone, probes match at 1e-9) plus per-scenario invariants via
-  :func:`check_scenario` (dedup amortization, pacing fidelity, tenant
-  partitioning, typed degraded modes and bounded chaos recovery).
+  monotone, probes match at 1e-9) plus one check per incident —
+  :func:`check_flash_crowd` (dedup amortization, bounded shed),
+  :func:`check_multi_tenant` (tenant books partition the aggregate) and
+  :func:`check_chaos` (typed degradation, bounded recovery, 1e-9
+  reconvergence) — each returning its list of violations.
 """
 
 from repro.load.workload import (
@@ -47,35 +49,26 @@ from repro.load.runner import (
     scratch_rankings,
 )
 from repro.load.scenarios import (
-    DEFAULT_TENANTS,
     FAULT_KILL,
     FAULT_KINDS,
     FAULT_RESTART,
     FAULT_STALL,
-    SCENARIO_CHAOS,
-    SCENARIO_DIURNAL,
-    SCENARIO_FLASH_CROWD,
-    SCENARIO_MULTI_TENANT,
-    SCENARIO_NAMES,
-    SCENARIO_REBUILD_STORM,
+    TENANTS,
     ChaosOutcome,
     FaultAction,
     FaultPlan,
-    ScenarioTrace,
-    build_scenario,
+    flash_crowd_trace,
+    multi_tenant_trace,
+    query_only_trace,
     run_chaos,
 )
 from repro.load.invariants import (
     PARITY_TOL,
     ReplayParityReport,
-    ScenarioVerdict,
     check_chaos,
-    check_diurnal,
     check_flash_crowd,
     check_multi_tenant,
-    check_rebuild_storm,
     check_replay_parity,
-    check_scenario,
 )
 from repro.utils.metrics import LatencyHistogram
 
@@ -95,31 +88,22 @@ __all__ = [
     "GoldenReplay",
     "run_golden",
     "scratch_rankings",
-    "DEFAULT_TENANTS",
     "FAULT_KILL",
     "FAULT_KINDS",
     "FAULT_RESTART",
     "FAULT_STALL",
-    "SCENARIO_CHAOS",
-    "SCENARIO_DIURNAL",
-    "SCENARIO_FLASH_CROWD",
-    "SCENARIO_MULTI_TENANT",
-    "SCENARIO_NAMES",
-    "SCENARIO_REBUILD_STORM",
+    "TENANTS",
     "ChaosOutcome",
     "FaultAction",
     "FaultPlan",
-    "ScenarioTrace",
-    "build_scenario",
+    "flash_crowd_trace",
+    "multi_tenant_trace",
+    "query_only_trace",
     "run_chaos",
     "PARITY_TOL",
     "ReplayParityReport",
-    "ScenarioVerdict",
     "check_chaos",
-    "check_diurnal",
     "check_flash_crowd",
     "check_multi_tenant",
-    "check_rebuild_storm",
     "check_replay_parity",
-    "check_scenario",
 ]

@@ -16,13 +16,16 @@ replay of the *same* trace on *equally built* engines:
    :func:`~repro.search.vsm.mismatched_probes`.
 
 :func:`check_replay_parity` is a replay step (build both engines, run
-both replays) followed by those four checks; :func:`check_chaos` and the
-scenario checkers reuse the same checks on their own evidence.
+both replays) followed by those four checks.  The three incident checks
+— :func:`check_flash_crowd`, :func:`check_multi_tenant` and
+:func:`check_chaos` — reuse them on their own evidence and add the
+incident's floor; like the four, each returns a list of violations,
+empty when the invariant holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.load.runner import (
@@ -31,15 +34,7 @@ from repro.load.runner import (
     WorkloadReport,
     replay_pair,
 )
-from repro.load.scenarios import (
-    SCENARIO_CHAOS,
-    SCENARIO_DIURNAL,
-    SCENARIO_FLASH_CROWD,
-    SCENARIO_MULTI_TENANT,
-    SCENARIO_REBUILD_STORM,
-    ChaosOutcome,
-    ScenarioTrace,
-)
+from repro.load.scenarios import ChaosOutcome
 from repro.load.workload import QUERY, WorkloadTrace
 from repro.search.vsm import PARITY_TOL, mismatched_probes
 from repro.utils.errors import ConfigurationError
@@ -48,8 +43,6 @@ from repro.utils.errors import ConfigurationError
 #: in-flight coalescing or a cache hit, and the most that may be shed.
 MIN_AMORTIZATION = 0.2
 MAX_SHED_RATE = 0.5
-#: Rebuild storm: the least mutation share that still counts as a storm.
-MIN_MUTATION_FRACTION = 0.4
 #: Chaos: a whole faulted run that takes longer than this hung somewhere.
 MAX_CHAOS_WALL_SECONDS = 120.0
 
@@ -154,7 +147,7 @@ class ReplayParityReport:
     generations_advanced: int = 0
     #: The front-end's ``stats()`` snapshot taken right after the
     #: concurrent replay drained (None when no front-end was involved) —
-    #: the evidence scenario checkers read coalescing/cache/shed numbers
+    #: the evidence the incident checks read coalescing/cache/shed numbers
     #: from without keeping the front-end alive past the replay.
     frontend_stats: Optional[Dict[str, object]] = None
 
@@ -228,13 +221,9 @@ def check_replay_parity(
 
     ``allowed_error_kinds`` names exception classes (by ``__name__``)
     that the **concurrent** replay may raise without violating the
-    errors-typed check — scenarios that deliberately shed load pass
+    errors-typed check — replays that deliberately shed load pass
     ``("Overloaded",)`` so a typed rejection is not confused with a
     wrong answer.  The serial golden must still be error-free.
-
-    Arrival pacing needs no flag: the concurrent runner honours the
-    trace's ``arrival_offset`` stamps (the diurnal scenario); the golden
-    stays unpaced — pacing shapes arrivals, not answers.
     """
     if num_workers < 1:
         raise ConfigurationError(
@@ -274,37 +263,9 @@ def check_replay_parity(
 
 
 # ---------------------------------------------------------------------- #
-# Per-scenario invariants (beyond the parity bar)
+# Incident checks (beyond the parity bar); each returns its violations
 # ---------------------------------------------------------------------- #
-@dataclass
-class ScenarioVerdict:
-    """One scenario's verdict: its violations plus the measured evidence.
-
-    ``details`` carries the numbers the checker judged (amortization
-    ratio, shed rate, recovery seconds, per-tenant counts, …) so report
-    rows read the same figures the invariant did.
-    """
-
-    scenario: str
-    violations: List[str]
-    details: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        lines = [
-            f"scenario {self.scenario}: "
-            + ("OK" if self.ok else "VIOLATED")
-        ]
-        lines.extend(f"  violation: {item}" for item in self.violations)
-        for key in sorted(self.details):
-            lines.append(f"  {key}: {self.details[key]}")
-        return "\n".join(lines)
-
-
-def check_flash_crowd(parity: ReplayParityReport) -> ScenarioVerdict:
+def check_flash_crowd(parity: ReplayParityReport) -> List[str]:
     """Flash crowd: dedup/cache amortization, bounded shed, right answers.
 
     The crowd's repeats must be *absorbed* — at least
@@ -317,95 +278,47 @@ def check_flash_crowd(parity: ReplayParityReport) -> ScenarioVerdict:
     violations = parity.violations + _error_violations(
         "concurrent", parity.concurrent, ("Overloaded",)
     )
-    details: Dict[str, object] = {}
     stats = parity.frontend_stats
     if stats is None:
-        violations.append(
-            "flash_crowd needs the front-end replay path (pass "
+        return violations + [
+            "a flash crowd needs the front-end replay path (pass "
             "frontend_config) to measure dedup amortization"
-        )
-    else:
-        counters = stats.get("counters", {})
-        submitted = int(counters.get("submitted", 0))
-        coalesced = int(counters.get("coalesced", 0))
-        shed = int(counters.get("shed", 0))
-        cache = stats.get("cache") or {}
-        hits = int(cache.get("hits", 0))
-        amortization = (coalesced + hits) / max(submitted, 1)
-        shed_rate = shed / max(submitted + shed, 1)
-        details.update(
-            submitted=submitted,
-            coalesced=coalesced,
-            cache_hits=hits,
-            amortization=round(amortization, 4),
-            shed=shed,
-            shed_rate=round(shed_rate, 4),
-        )
-        if amortization < MIN_AMORTIZATION:
-            violations.append(
-                f"crowd repeats were not amortized: {amortization:.1%} of "
-                f"{submitted} admitted queries coalesced or hit the cache "
-                f"(floor {MIN_AMORTIZATION:.0%})"
-            )
-        if shed_rate > MAX_SHED_RATE:
-            violations.append(
-                f"shed rate {shed_rate:.1%} exceeds the "
-                f"{MAX_SHED_RATE:.0%} bound"
-            )
-    return ScenarioVerdict(SCENARIO_FLASH_CROWD, violations, details)
-
-
-def check_diurnal(
-    parity: ReplayParityReport, scenario: ScenarioTrace
-) -> ScenarioVerdict:
-    """Diurnal: the paced replay actually honoured the arrival curve.
-
-    The concurrent wall time must cover the last scheduled arrival —
-    a replay that finished earlier dispatched operations before their
-    offsets, i.e. pacing silently did not happen — on top of the
-    unchanged parity bar.
-    """
-    violations = list(parity.violations)
-    offsets = [
-        op.arrival_offset
-        for op in scenario.trace.operations
-        if op.arrival_offset >= 0.0
-    ]
-    span = max(offsets) if offsets else 0.0
-    details: Dict[str, object] = {
-        "arrival_span_seconds": round(span, 4),
-        "concurrent_wall_seconds": round(parity.concurrent.wall_seconds, 4),
-    }
-    if not offsets:
-        violations.append("diurnal trace carries no arrival_offset stamps")
-    elif parity.concurrent.wall_seconds < span:
+        ]
+    counters = stats.get("counters", {})
+    submitted = int(counters.get("submitted", 0))
+    shed = int(counters.get("shed", 0))
+    hits = int((stats.get("cache") or {}).get("hits", 0))
+    amortization = (int(counters.get("coalesced", 0)) + hits) / max(submitted, 1)
+    shed_rate = shed / max(submitted + shed, 1)
+    if amortization < MIN_AMORTIZATION:
         violations.append(
-            f"paced replay finished in {parity.concurrent.wall_seconds:.3f}s "
-            f"but the arrival curve spans {span:.3f}s — pacing was ignored"
+            f"crowd repeats were not amortized: {amortization:.1%} of "
+            f"{submitted} admitted queries coalesced or hit the cache "
+            f"(floor {MIN_AMORTIZATION:.0%})"
         )
-    return ScenarioVerdict(SCENARIO_DIURNAL, violations, details)
+    if shed_rate > MAX_SHED_RATE:
+        violations.append(
+            f"shed rate {shed_rate:.1%} exceeds the {MAX_SHED_RATE:.0%} bound"
+        )
+    return violations
 
 
-def check_multi_tenant(
-    parity: ReplayParityReport, scenario: ScenarioTrace
-) -> ScenarioVerdict:
+def check_multi_tenant(parity: ReplayParityReport, trace: WorkloadTrace) -> List[str]:
     """Multi-tenant: per-tenant books exist and partition the aggregate.
 
-    Every tenant that sent traffic must have a query sub-histogram in
-    the concurrent report, the per-tenant counts must sum to exactly
-    the tenant-attributed query count (no double-counting into the
-    aggregate), and — when the replay went through the front-end — the
-    admission snapshot must break pending/shed out per tenant.
+    Every tenant that sent queries in ``trace`` must have a query
+    sub-histogram in the concurrent report, the per-tenant counts must
+    sum to exactly the tenant-attributed query count (no double-counting
+    into the aggregate), and — when the replay went through the
+    front-end — the admission snapshot must break pending/shed out per
+    tenant.
     """
     violations = list(parity.violations)
-    details: Dict[str, object] = {}
     children = parity.concurrent.tenant_latencies(QUERY)
     tenant_queries = [
-        op.tenant
-        for op in scenario.trace.operations
-        if op.kind == QUERY and op.tenant
+        op.tenant for op in trace.operations if op.kind == QUERY and op.tenant
     ]
-    expected, tenant_query_ops = set(tenant_queries), len(tenant_queries)
+    expected = set(tenant_queries)
     missing = sorted(expected - set(children))
     if missing:
         violations.append(
@@ -413,19 +326,10 @@ def check_multi_tenant(
         )
     labeled = sum(child.count for child in children.values())
     aggregate = parity.concurrent.latencies[QUERY].count
-    details.update(
-        tenants=sorted(expected),
-        labeled_samples=labeled,
-        tenant_query_ops=tenant_query_ops,
-        aggregate_samples=aggregate,
-        per_tenant_counts={
-            name: child.count for name, child in sorted(children.items())
-        },
-    )
-    if labeled != tenant_query_ops:
+    if labeled != len(tenant_queries):
         violations.append(
             f"per-tenant books hold {labeled} samples but the trace "
-            f"attributed {tenant_query_ops} queries to tenants — the "
+            f"attributed {len(tenant_queries)} queries to tenants — the "
             "breakdown does not partition the traffic"
         )
     if labeled > aggregate:
@@ -433,62 +337,21 @@ def check_multi_tenant(
             f"per-tenant books hold {labeled} samples against an aggregate "
             f"of {aggregate} — children double-counted into the total"
         )
-    stats = parity.frontend_stats
-    if stats is not None:
-        admission = stats.get("admission", {})
-        tenant_stats = admission.get("tenants", {})
+    if parity.frontend_stats is not None:
+        tenant_stats = parity.frontend_stats.get("admission", {}).get("tenants", {})
         absent = sorted(expected - set(tenant_stats))
         if absent:
             violations.append(
                 f"admission stats carry no per-tenant entries for {absent}"
             )
-        else:
-            details["admission_tenants"] = tenant_stats
-    return ScenarioVerdict(SCENARIO_MULTI_TENANT, violations, details)
-
-
-def check_rebuild_storm(
-    parity: ReplayParityReport, scenario: ScenarioTrace
-) -> ScenarioVerdict:
-    """Rebuild storm: genuinely write-heavy, still converging exactly.
-
-    The parity bar already proves the hard part (state convergence and
-    probe parity under racing writes — and, in swap mode, across a hot
-    refit); this checker asserts the storm was real: the mutation share
-    of the trace meets the floor and the epoch actually advanced once
-    per mutation batch.
-    """
-    violations = list(parity.violations)
-    total = len(scenario.trace.operations)
-    mutations = scenario.trace.num_mutations
-    fraction = mutations / max(total, 1)
-    details: Dict[str, object] = {
-        "mutation_batches": mutations,
-        "mutation_fraction": round(fraction, 4),
-        "final_epoch": parity.concurrent.final_epoch,
-        "generations_advanced": parity.generations_advanced,
-    }
-    if fraction < MIN_MUTATION_FRACTION:
-        violations.append(
-            f"storm too gentle: {fraction:.1%} mutations "
-            f"(floor {MIN_MUTATION_FRACTION:.0%})"
-        )
-    expected_epoch = (
-        parity.serial.final_epoch + parity.generations_advanced
-    )
-    if mutations and expected_epoch < mutations:
-        violations.append(
-            f"epoch advanced to {expected_epoch} for {mutations} mutation "
-            "batches — writes were lost or folded"
-        )
-    return ScenarioVerdict(SCENARIO_REBUILD_STORM, violations, details)
+    return violations
 
 
 def check_chaos(
     outcome: ChaosOutcome,
     golden_rankings: Tuple[int, List[list]],
     max_recovery_seconds: float = 10.0,
-) -> ScenarioVerdict:
+) -> List[str]:
     """Chaos: typed degradation only, bounded time, exact reconvergence.
 
     Every error the faulted replay surfaced must be a typed degraded
@@ -498,10 +361,9 @@ def check_chaos(
     post-restore recovery are wall-bounded.  After the plan's restores,
     the quiesced pool must rank the trace's evaluation probes identically
     (1e-9) to the golden engine — the revived pool serves exactly what an
-    unfaulted one would.
+    unfaulted one would — and every worker must be ready.
     """
-    report = outcome.report
-    trace = outcome.scenario.trace
+    report, trace = outcome.report, outcome.trace
     mismatched = mismatched_probes(
         outcome.post_rankings[1],
         golden_rankings[1],
@@ -522,61 +384,13 @@ def check_chaos(
             f"chaos run took {outcome.wall_seconds:.1f}s "
             f"(bound {MAX_CHAOS_WALL_SECONDS:g}s) — something hung"
         )
-    workers = outcome.health.get("workers", [])
     unhealthy = [
         worker["shard_id"]
-        for worker in workers
+        for worker in outcome.health.get("workers", [])
         if worker.get("state") != "ready"
     ]
     if unhealthy:
         violations.append(
             f"shard(s) {unhealthy} not ready after the self-restoring plan"
         )
-    details: Dict[str, object] = {
-        "errors": len(report.errors),
-        "degraded_errors": sum(
-            1 for kind in report.error_kinds if kind == "ShardPoolDegraded"
-        ),
-        "recovery_seconds": round(outcome.recovery_seconds, 4),
-        "wall_seconds": round(outcome.wall_seconds, 3),
-        "fault_log": list(outcome.fault_log),
-        "mismatched_probes": mismatched,
-    }
-    return ScenarioVerdict(SCENARIO_CHAOS, violations, details)
-
-
-def check_scenario(
-    scenario: ScenarioTrace,
-    parity: Optional[ReplayParityReport] = None,
-    chaos: Optional[ChaosOutcome] = None,
-    golden_rankings: Optional[Tuple[int, List[list]]] = None,
-) -> ScenarioVerdict:
-    """Dispatch one scenario's outcome to its invariant checker.
-
-    Non-chaos scenarios pass the :class:`ReplayParityReport` from
-    :func:`check_replay_parity`; chaos passes the
-    :class:`~repro.load.scenarios.ChaosOutcome` from
-    :func:`~repro.load.scenarios.run_chaos` plus the golden engine's
-    quiesced probe rankings.
-    """
-    name = scenario.scenario
-    if name == SCENARIO_CHAOS:
-        if chaos is None or golden_rankings is None:
-            raise ConfigurationError(
-                "chaos verdicts need chaos= (a ChaosOutcome) and "
-                "golden_rankings="
-            )
-        return check_chaos(chaos, golden_rankings)
-    if parity is None:
-        raise ConfigurationError(
-            f"scenario {name!r} needs parity= (a ReplayParityReport)"
-        )
-    if name == SCENARIO_FLASH_CROWD:
-        return check_flash_crowd(parity)
-    if name == SCENARIO_DIURNAL:
-        return check_diurnal(parity, scenario)
-    if name == SCENARIO_MULTI_TENANT:
-        return check_multi_tenant(parity, scenario)
-    if name == SCENARIO_REBUILD_STORM:
-        return check_rebuild_storm(parity, scenario)
-    raise ConfigurationError(f"unknown scenario {name!r}")
+    return violations

@@ -12,6 +12,9 @@ against a serving engine (any :class:`~repro.search.vsm.RankEngine`):
   replay's (queries interleave freely in between — that interleaving is
   the stress).
 
+Both replays are closed-loop: an operation is dispatched as soon as a
+worker is free, never held back to a scheduled arrival time.
+
 Every operation is timed into a per-kind :class:`LatencyHistogram`
 (log-spaced buckets, mergeable across workers without locks), every query
 goes through the engine's epoch-consistent ``snapshot_rank_batch`` and
@@ -54,7 +57,7 @@ class WorkloadReport:
     op_counts: Dict[str, int]
     latencies: Dict[str, LatencyHistogram]
     #: One ``(exception class name, message)`` entry per failed operation
-    #: — the typed-failure ledger scenario invariants assert over (e.g. a
+    #: — the typed-failure ledger the incident checks assert over (e.g. a
     #: chaos replay may only ever see ShardPoolDegraded/Overloaded kinds
     #: here, never a bare RuntimeError).
     failures: List[Tuple[str, str]]
@@ -237,12 +240,8 @@ class WorkloadRunner:
         surface.  The caller owns the front-end's lifecycle (it is not
         closed here).
 
-        Workers honour each operation's ``arrival_offset`` stamp (the
-        diurnal load-curve scenario stamps one): a stamped operation is
-        dispatched no earlier than ``offset`` seconds after the replay
-        started, so the trace's arrival *shape* — not just its contents —
-        reaches the engine.  Unstamped operations (``arrival_offset < 0``)
-        dispatch immediately.
+        The replay is closed-loop: a worker dispatches its next operation
+        as soon as the previous one returns, with no arrival pacing.
         """
         if num_workers < 1:
             raise ConfigurationError(
@@ -261,12 +260,6 @@ class WorkloadRunner:
                 op = cursor.next_op()
                 if op is None:
                     return
-                if op.arrival_offset >= 0.0:
-                    # Arrival pacing models *when* traffic shows up, so
-                    # the sleep stays outside the timed region below.
-                    delay = started + op.arrival_offset - time.perf_counter()
-                    if delay > 0.0:
-                        time.sleep(delay)
                 self._execute(
                     op,
                     f"worker-{worker_id}",

@@ -1,36 +1,32 @@
-"""Named workload scenarios: production-shaped traffic from one seed.
+"""Incident traces for the load harness: flash crowd, tenants, chaos.
 
 The base :class:`~repro.load.workload.WorkloadGenerator` emits one world:
-a steady 90/10 Zipf mix.  This module grows it into a scenario engine —
-five named, seeded profiles, each reproducing a production incident
-shape (the pairing the operations runbook documents):
+a steady 90/10 Zipf mix.  This module reshapes it into the traces that
+rehearse three production incidents, each judged by its own check in
+:mod:`repro.load.invariants` on top of the replay parity bar:
 
-* ``flash_crowd`` — a sudden hot-key concentration: mid-trace, queries
-  collapse onto a handful of crowd keys, the access pattern that makes
-  or breaks in-flight dedup and the result cache;
-* ``diurnal`` — the same mix, but arrivals follow a sinusoidal load
-  curve via per-operation ``arrival_offset`` stamps, which the
-  concurrent runner honours;
-* ``multi_tenant`` — queries split across named tenants with skewed
-  traffic shares and *per-tenant* Zipf heads, feeding per-tenant
+* :func:`flash_crowd_trace` — a sudden hot-key concentration: mid-trace,
+  queries collapse onto a handful of crowd keys, the access pattern that
+  makes or breaks in-flight dedup and the result cache;
+* :func:`multi_tenant_trace` — queries split across :data:`TENANTS` with
+  skewed traffic shares and *per-tenant* Zipf heads, feeding per-tenant
   admission quotas and latency books;
-* ``rebuild_storm`` — a write-heavy mutation burst (the shape that
-  races a background refit);
-* ``chaos`` — a query stream plus a deterministic :class:`FaultPlan`
-  that kills and stalls shard-pool workers at trace-scheduled points,
-  then restores them, executed by :func:`run_chaos`.
+* chaos — :func:`query_only_trace` plus a seeded :class:`FaultPlan` that
+  kills and stalls shard-pool workers at trace-scheduled points, then
+  restores them, executed by :func:`run_chaos`.
 
-Everything stays reproducible: one ``(scenario, seed)`` pair yields one
-byte-identical :class:`ScenarioTrace`, fault schedule included, so a
-chaos run is as replayable as a parity probe.  The matching per-scenario
-invariants live in :mod:`repro.load.invariants`.
+Every builder is a plain function of ``(folksonomy, seed,
+num_operations)`` returning a :class:`~repro.load.workload.WorkloadTrace`:
+equal arguments yield byte-identical traces, and equal
+:meth:`FaultPlan.generate` arguments equal schedules, so a chaos run is
+as replayable as a parity probe.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,32 +45,22 @@ from repro.load.workload import (
 from repro.search.shardpool import ShardPoolConfig, ShardProcessPool
 from repro.utils.errors import ConfigurationError
 
-#: The named scenario profiles :func:`build_scenario` understands.
-SCENARIO_FLASH_CROWD = "flash_crowd"
-SCENARIO_DIURNAL = "diurnal"
-SCENARIO_MULTI_TENANT = "multi_tenant"
-SCENARIO_REBUILD_STORM = "rebuild_storm"
-SCENARIO_CHAOS = "chaos"
-SCENARIO_NAMES = (
-    SCENARIO_FLASH_CROWD,
-    SCENARIO_DIURNAL,
-    SCENARIO_MULTI_TENANT,
-    SCENARIO_REBUILD_STORM,
-    SCENARIO_CHAOS,
-)
-
 #: Fault kinds a :class:`FaultAction` can schedule.
 FAULT_KILL = "kill"
 FAULT_STALL = "stall"
 FAULT_RESTART = "restart"
 FAULT_KINDS = (FAULT_KILL, FAULT_STALL, FAULT_RESTART)
 
-#: Default tenants (name, traffic share) for the multi-tenant profile.
-DEFAULT_TENANTS: Tuple[Tuple[str, float], ...] = (
+#: Tenants (name, traffic share) of :func:`multi_tenant_trace`.
+TENANTS: Tuple[Tuple[str, float], ...] = (
     ("tenant-a", 0.6),
     ("tenant-b", 0.3),
     ("tenant-c", 0.1),
 )
+
+#: Flash crowd: the middle half of the trace collapses onto two queries.
+CROWD_KEYS = 2
+CROWD_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -237,196 +223,75 @@ class FaultPlan:
         return cls(actions=tuple(actions), num_shards=num_shards, seed=seed)
 
 
-@dataclass(frozen=True)
-class ScenarioTrace:
-    """One built scenario: the trace plus its scenario-specific payload."""
-
-    scenario: str
-    trace: WorkloadTrace
-    fault_plan: Optional[FaultPlan] = None
-    tenants: Tuple[str, ...] = ()
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIO_NAMES:
-            raise ConfigurationError(
-                f"unknown scenario {self.scenario!r}; "
-                f"expected one of {SCENARIO_NAMES}"
-            )
-
-
-def build_scenario(
-    name: str,
-    folksonomy,
-    seed: int = 0,
-    num_operations: int = 160,
-    num_shards: int = 4,
-    top_k: Optional[int] = 10,
-    crowd_keys: int = 2,
-    crowd_fraction: float = 0.5,
-    duration_seconds: float = 0.8,
-    tenants: Sequence[Tuple[str, float]] = DEFAULT_TENANTS,
-    num_faults: int = 2,
-    stall_seconds: float = 1.5,
-) -> ScenarioTrace:
-    """Build one named scenario trace over ``folksonomy``.
-
-    Deterministic: equal ``(name, seed, knobs)`` yield byte-identical
-    traces (and fault schedules), exactly like the base generator.  The
-    per-scenario knobs are ignored by the profiles that don't use them:
-    ``crowd_keys``/``crowd_fraction`` shape the flash crowd,
-    ``duration_seconds`` spans the diurnal curve, ``tenants`` names the
-    multi-tenant split, and ``num_shards``/``num_faults``/
-    ``stall_seconds`` feed the chaos :class:`FaultPlan`.
-    """
-    builders = {
-        SCENARIO_FLASH_CROWD: _build_flash_crowd,
-        SCENARIO_DIURNAL: _build_diurnal,
-        SCENARIO_MULTI_TENANT: _build_multi_tenant,
-        SCENARIO_REBUILD_STORM: _build_rebuild_storm,
-        SCENARIO_CHAOS: _build_chaos,
-    }
-    if name not in builders:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}"
-        )
-    return builders[name](
-        folksonomy,
-        seed=seed,
-        num_operations=num_operations,
-        num_shards=num_shards,
-        top_k=top_k,
-        crowd_keys=crowd_keys,
-        crowd_fraction=crowd_fraction,
-        duration_seconds=duration_seconds,
-        tenants=tenants,
-        num_faults=num_faults,
-        stall_seconds=stall_seconds,
-    )
-
-
-def _query_only_config(
-    num_operations: int, seed: int, top_k: Optional[int]
-) -> WorkloadConfig:
-    """A mutation-free mix — the shape a read-only pool can replay."""
-    return WorkloadConfig(
+def query_only_trace(
+    folksonomy, seed: int = 0, num_operations: int = 160
+) -> WorkloadTrace:
+    """A mutation-free 98/2 query/refresh mix: the shape a read-only pool
+    can replay, and the chaos trace a :class:`FaultPlan` is laid over."""
+    config = WorkloadConfig(
         num_operations=num_operations,
         query_fraction=0.98,
         refresh_fraction=0.02,
         seed=seed,
-        top_k=top_k,
     )
+    return WorkloadGenerator(config).generate(folksonomy)
 
 
-def _build_flash_crowd(folksonomy, **kw) -> ScenarioTrace:
+def flash_crowd_trace(
+    folksonomy, seed: int = 0, num_operations: int = 160
+) -> WorkloadTrace:
     """Mid-trace, queries collapse onto a handful of crowd keys.
 
-    The trace is mutation-free so the profile also replays against the
-    read-only process pool; the crowd window covers the middle
-    ``crowd_fraction`` of the trace, inside which every query is one of
-    ``crowd_keys`` fixed queries — the dedup/cache stress.
+    The trace is :func:`query_only_trace`, so it also replays against the
+    read-only process pool; inside the middle :data:`CROWD_FRACTION` of it
+    every query is one of :data:`CROWD_KEYS` fixed queries — the
+    dedup/cache stress.
     """
-    config = _query_only_config(kw["num_operations"], kw["seed"], kw["top_k"])
-    base = WorkloadGenerator(config).generate(folksonomy)
-    rng = np.random.default_rng(config.seed + 1)
+    base = query_only_trace(folksonomy, seed, num_operations)
+    rng = np.random.default_rng(seed + 1)
     queries = [op for op in base.operations if op.kind == QUERY]
-    if len(queries) < kw["crowd_keys"]:
+    if len(queries) < CROWD_KEYS:
         raise ConfigurationError(
             f"trace has {len(queries)} queries but the crowd needs "
-            f"{kw['crowd_keys']} keys"
+            f"{CROWD_KEYS} keys"
         )
     keys = [
         queries[int(i)].query_tags
-        for i in rng.choice(len(queries), size=kw["crowd_keys"], replace=False)
+        for i in rng.choice(len(queries), size=CROWD_KEYS, replace=False)
     ]
     total = len(base.operations)
-    span = int(total * kw["crowd_fraction"])
+    span = int(total * CROWD_FRACTION)
     window_lo = (total - span) // 2
     window_hi = window_lo + span
     operations = []
     for op in base.operations:
         if op.kind == QUERY and window_lo <= op.index < window_hi:
-            op = replace(
-                op, query_tags=keys[int(rng.integers(len(keys)))]
-            )
+            op = replace(op, query_tags=keys[int(rng.integers(len(keys)))])
         operations.append(op)
-    trace = WorkloadTrace(
-        operations=tuple(operations),
-        eval_queries=base.eval_queries,
-        config=config,
-    )
-    return ScenarioTrace(
-        scenario=SCENARIO_FLASH_CROWD,
-        trace=trace,
-        description=(
-            f"{kw['crowd_keys']} crowd keys over ops "
-            f"[{window_lo}, {window_hi}) of {total}"
-        ),
-    )
+    return replace(base, operations=tuple(operations))
 
 
-def _build_diurnal(folksonomy, **kw) -> ScenarioTrace:
-    """The steady mix with sinusoidal arrival pacing.
-
-    Inter-arrival gaps follow the inverse of a one-cycle sinusoidal
-    density (peak traffic mid-trace, troughs at the edges), normalised
-    so the last arrival lands at ``duration_seconds`` — short enough
-    for tests, shaped enough that a paced replay's wall time proves the
-    curve was honoured.
-    """
-    config = WorkloadConfig(
-        num_operations=kw["num_operations"], seed=kw["seed"], top_k=kw["top_k"]
-    )
-    base = WorkloadGenerator(config).generate(folksonomy)
-    n = len(base.operations)
-    phases = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    density = 1.0 + 0.8 * np.sin(phases - np.pi / 2.0)  # trough at t=0
-    gaps = 1.0 / np.maximum(density, 0.2)
-    offsets = np.concatenate(([0.0], np.cumsum(gaps)[:-1]))
-    if offsets[-1] > 0.0:
-        offsets = offsets * (kw["duration_seconds"] / offsets[-1])
-    operations = tuple(
-        replace(op, arrival_offset=float(offsets[i]))
-        for i, op in enumerate(base.operations)
-    )
-    trace = WorkloadTrace(
-        operations=operations, eval_queries=base.eval_queries, config=config
-    )
-    return ScenarioTrace(
-        scenario=SCENARIO_DIURNAL,
-        trace=trace,
-        description=(
-            f"sinusoidal arrivals over {kw['duration_seconds']:g}s "
-            f"({n} ops)"
-        ),
-    )
-
-
-def _build_multi_tenant(folksonomy, **kw) -> ScenarioTrace:
-    """Queries attributed to tenants with skewed shares and skews.
+def multi_tenant_trace(
+    folksonomy, seed: int = 0, num_operations: int = 160
+) -> WorkloadTrace:
+    """The steady mix with every query attributed to one of :data:`TENANTS`.
 
     Each tenant draws from its *own* seeded Zipf head over the shared
     vocabulary, so tenants disagree about which tags are hot — the
     shape that makes per-tenant books and quotas meaningful.  Mutations
     and refreshes stay untenanted (they are operator traffic).
     """
-    tenants = tuple(kw["tenants"])
-    if not tenants:
-        raise ConfigurationError("multi_tenant needs >= 1 tenant")
-    shares = np.array([share for _, share in tenants], dtype=np.float64)
-    if shares.min() <= 0.0:
-        raise ConfigurationError("tenant shares must be positive")
+    shares = np.array([share for _, share in TENANTS], dtype=np.float64)
     shares = shares / shares.sum()
-    config = WorkloadConfig(
-        num_operations=kw["num_operations"], seed=kw["seed"], top_k=kw["top_k"]
+    generator = WorkloadGenerator(
+        WorkloadConfig(num_operations=num_operations, seed=seed)
     )
-    generator = WorkloadGenerator(config)
     base = generator.generate(folksonomy)
     tags = sorted(folksonomy.tags)
-    rng = np.random.default_rng(config.seed + 2)
+    rng = np.random.default_rng(seed + 2)
     tenant_rngs = [
-        np.random.default_rng(config.seed * 31 + index + 7)
-        for index in range(len(tenants))
+        np.random.default_rng(seed * 31 + index + 7)
+        for index in range(len(TENANTS))
     ]
     tenant_probs = [
         generator._zipf_probabilities(tenant_rng, len(tags))
@@ -435,65 +300,13 @@ def _build_multi_tenant(folksonomy, **kw) -> ScenarioTrace:
     operations = []
     for op in base.operations:
         if op.kind == QUERY:
-            choice = int(rng.choice(len(tenants), p=shares))
+            choice = int(rng.choice(len(TENANTS), p=shares))
             query = generator._fresh_query(
                 tenant_rngs[choice], tags, tenant_probs[choice]
             )
-            op = replace(op, tenant=tenants[choice][0], query_tags=query)
+            op = replace(op, tenant=TENANTS[choice][0], query_tags=query)
         operations.append(op)
-    trace = WorkloadTrace(
-        operations=tuple(operations),
-        eval_queries=base.eval_queries,
-        config=config,
-    )
-    return ScenarioTrace(
-        scenario=SCENARIO_MULTI_TENANT,
-        trace=trace,
-        tenants=tuple(name for name, _ in tenants),
-        description=(
-            "tenant shares "
-            + ", ".join(f"{name}={share:g}" for name, share in tenants)
-        ),
-    )
-
-
-def _build_rebuild_storm(folksonomy, **kw) -> ScenarioTrace:
-    """A write-heavy burst: ~60% mutations in large batches."""
-    config = WorkloadConfig(
-        num_operations=kw["num_operations"],
-        query_fraction=0.35,
-        refresh_fraction=0.05,
-        max_mutation_batch=5,
-        seed=kw["seed"],
-        top_k=kw["top_k"],
-    )
-    trace = WorkloadGenerator(config).generate(folksonomy)
-    return ScenarioTrace(
-        scenario=SCENARIO_REBUILD_STORM,
-        trace=trace,
-        description=(
-            f"{trace.num_mutations} mutation batches in {len(trace)} ops"
-        ),
-    )
-
-
-def _build_chaos(folksonomy, **kw) -> ScenarioTrace:
-    """A query stream plus the seeded worker-fault schedule."""
-    config = _query_only_config(kw["num_operations"], kw["seed"], kw["top_k"])
-    trace = WorkloadGenerator(config).generate(folksonomy)
-    plan = FaultPlan.generate(
-        seed=kw["seed"],
-        num_shards=kw["num_shards"],
-        num_operations=kw["num_operations"],
-        num_faults=kw["num_faults"],
-        stall_seconds=kw["stall_seconds"],
-    )
-    return ScenarioTrace(
-        scenario=SCENARIO_CHAOS,
-        trace=trace,
-        fault_plan=plan,
-        description="; ".join(plan.describe()),
-    )
+    return replace(base, operations=tuple(operations))
 
 
 # ---------------------------------------------------------------------- #
@@ -501,11 +314,11 @@ def _build_chaos(folksonomy, **kw) -> ScenarioTrace:
 # ---------------------------------------------------------------------- #
 @dataclass
 class ChaosOutcome:
-    """What one chaos run did: the merged replay report, the fault log,
-    recovery timing, the pool's final health and the post-revival
-    quiesced probe rankings (the reconvergence evidence)."""
+    """What one chaos run did: the replayed trace, the merged replay
+    report, the fault log, recovery timing, the pool's final health and
+    the post-revival quiesced probe rankings (the reconvergence evidence)."""
 
-    scenario: ScenarioTrace
+    trace: WorkloadTrace
     report: WorkloadReport
     fault_log: List[str]
     recovery_seconds: float
@@ -516,13 +329,14 @@ class ChaosOutcome:
 
 def run_chaos(
     save_dir,
-    scenario: ScenarioTrace,
+    trace: WorkloadTrace,
+    plan: FaultPlan,
     num_workers: int = 4,
     request_timeout: float = 0.75,
     heartbeat_timeout: float = 0.25,
     recovery_timeout: float = 30.0,
 ) -> ChaosOutcome:
-    """Replay a chaos scenario against a strict-reads process pool.
+    """Replay ``trace`` against a strict-reads process pool under ``plan``.
 
     The trace is split at each :class:`FaultAction`'s ``at_op``; every
     segment replays concurrently, the scheduled fault fires between
@@ -539,14 +353,7 @@ def run_chaos(
     compares them against a golden engine at 1e-9 via
     :func:`~repro.load.invariants.check_chaos`.
     """
-    if scenario.scenario != SCENARIO_CHAOS:
-        raise ConfigurationError(
-            f"run_chaos needs a chaos scenario, got {scenario.scenario!r}"
-        )
-    plan = scenario.fault_plan
-    if plan is None:
-        raise ConfigurationError("chaos scenario carries no fault plan")
-    if scenario.trace.num_mutations:
+    if trace.num_mutations:
         raise ConfigurationError(
             "chaos traces must be mutation-free (the pool is read-only)"
         )
@@ -570,7 +377,7 @@ def run_chaos(
         reports: List[WorkloadReport] = []
         fault_log: List[str] = []
         recovery_started: Optional[float] = None
-        operations = scenario.trace.operations
+        operations = trace.operations
         cut = 0
         schedule = list(plan.actions) + [None]  # trailing segment
         last_restoring_index = max(
@@ -586,11 +393,7 @@ def run_chaos(
             segment = operations[cut:upto]
             cut = upto
             if segment:
-                sub_trace = WorkloadTrace(
-                    operations=tuple(segment),
-                    eval_queries=scenario.trace.eval_queries,
-                    config=scenario.trace.config,
-                )
+                sub_trace = replace(trace, operations=tuple(segment))
                 reports.append(
                     WorkloadRunner(pool, sub_trace).run_concurrent(num_workers)
                 )
@@ -609,13 +412,11 @@ def run_chaos(
         # Recovery: first fully-complete read after the last restore.
         if recovery_started is None:
             recovery_started = time.perf_counter()
-        probe = [list(query) for query in scenario.trace.eval_queries[:1]]
+        probe = [list(query) for query in trace.eval_queries[:1]]
         deadline = recovery_started + recovery_timeout
         while True:
             try:
-                outcome = pool.rank_batch_detailed(
-                    probe, top_k=scenario.trace.config.top_k
-                )
+                outcome = pool.rank_batch_detailed(probe, top_k=trace.config.top_k)
                 if outcome.complete:
                     break
             except Exception:  # noqa: BLE001 - still degraded; keep probing
@@ -626,9 +427,9 @@ def run_chaos(
         recovery_seconds = time.perf_counter() - recovery_started
 
         report = merge_workload_reports(reports, mode="chaos")
-        post_rankings = quiesced_rankings(pool, scenario.trace)
+        post_rankings = quiesced_rankings(pool, trace)
         return ChaosOutcome(
-            scenario=scenario,
+            trace=trace,
             report=report,
             fault_log=fault_log,
             recovery_seconds=recovery_seconds,

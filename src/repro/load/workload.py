@@ -49,13 +49,10 @@ class Operation:
     mutations, which a concurrent replayer uses to apply them in exactly
     the serial order (queries carry no ordering constraint).
 
-    Scenario profiles (:mod:`repro.load.scenarios`) stamp two optional
-    annotations: ``tenant`` attributes the operation to a named client
-    (empty = untenanted), which the replay runner threads through
-    per-tenant admission and latency books; ``arrival_offset`` is the
-    operation's scheduled dispatch time in seconds from replay start
-    (negative = dispatch immediately), honoured by every concurrent
-    replay.
+    ``tenant`` attributes the operation to a named client (empty =
+    untenanted); :func:`repro.load.scenarios.multi_tenant_trace` stamps
+    it, and the replay runner threads it through per-tenant admission
+    and latency books.
     """
 
     index: int
@@ -67,7 +64,6 @@ class Operation:
     removed: Tuple[str, ...] = ()
     mutation_seq: int = -1
     tenant: str = ""
-    arrival_offset: float = -1.0
 
 
 @dataclass(frozen=True)

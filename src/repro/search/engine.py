@@ -146,7 +146,6 @@ class SearchEngine(RankEngine):
             else int(baseline_resources)
         )
         self._mutations = _mutation_counts(mutation_counts)
-        self._pending_batches = 0
         self._rw = ReadWriteLock()
 
     # ------------------------------------------------------------------ #
@@ -394,7 +393,6 @@ class SearchEngine(RankEngine):
             self._mutations["added"] += len(added_bags)
             self._mutations["updated"] += len(updated_bags)
             self._mutations["removed"] += len(removed)
-            self._pending_batches += 1
             return self.staleness()
 
     def add_resources(
@@ -435,10 +433,8 @@ class SearchEngine(RankEngine):
         if not self._needs_refresh():
             return False
         with self._rw.write():
-            if not self.matrix_space.refresh():  # another writer refreshed
-                return False
-            self._pending_batches = 0
-            return True
+            # False when another writer refreshed while we waited.
+            return self.matrix_space.refresh()
 
     def staleness(self) -> StalenessReport:
         """How far the engine has drifted since its last full (re)fit (O(1))."""
@@ -453,7 +449,7 @@ class SearchEngine(RankEngine):
             refit_due=self.refresh_policy.refit_due(
                 sum(counts.values()), baseline
             ),
-            fold_in_due=self.refresh_policy.fold_in_due(self._pending_batches),
+            fold_in_due=self.matrix_space.is_stale,
         )
 
     def health(self) -> Dict[str, object]:

@@ -20,7 +20,7 @@ This module quantifies that drift:
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.utils.errors import ConfigurationError
@@ -28,21 +28,14 @@ from repro.utils.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class RefreshPolicy:
-    """When is maintenance warranted — and *which kind*?
+    """When is a full Tucker refit warranted?
 
-    Two distinct verdicts come out of one policy, because the two costs
-    differ by orders of magnitude:
-
-    * :meth:`fold_in_due` — the cheap lazy statistics refresh (idf/norm
-      recompute over pending fold-in batches).  Milliseconds; safe to run
-      inline on the serving path.
-    * :meth:`refit_due` — the full offline Tucker re-fit.  The latent
-      model itself has drifted too far from the corpus; a
-      :class:`~repro.search.lifecycle.RefitCoordinator` should rebuild it
-      in the background and hot-swap.
-
-    Earlier revisions conflated the two behind one threshold; operators
-    tuning refresh cadence were silently also tuning refit alarms.
+    :meth:`refit_due` says when the latent model itself has drifted too
+    far from the corpus; a :class:`~repro.search.lifecycle.RefitCoordinator`
+    should then rebuild it in the background and hot-swap.  The cheap
+    lazy statistics refresh needs no policy: it is due whenever the
+    engine's space has pending mutations (``StalenessReport.fold_in_due``
+    reads ``MatrixConceptSpace.is_stale``), and any read drives it.
 
     Parameters
     ----------
@@ -53,15 +46,10 @@ class RefreshPolicy:
     max_delta_ops:
         Optional absolute cap on mutated resources regardless of corpus
         size; ``None`` disables it.
-    max_pending_batches:
-        Fold-in refresh is due once this many mutation batches have been
-        applied since the last refresh (default 1: any pending batch makes
-        the lazy statistics stale).
     """
 
     max_delta_fraction: float = 0.1
     max_delta_ops: Optional[int] = None
-    max_pending_batches: int = 1
 
     def __post_init__(self) -> None:
         if self.max_delta_fraction <= 0.0:
@@ -72,10 +60,6 @@ class RefreshPolicy:
             raise ConfigurationError(
                 f"max_delta_ops must be >= 1 when given, got {self.max_delta_ops}"
             )
-        if self.max_pending_batches < 1:
-            raise ConfigurationError(
-                f"max_pending_batches must be >= 1, got {self.max_pending_batches}"
-            )
 
     def refit_due(self, delta_ops: int, baseline_resources: int) -> bool:
         """Whether the accumulated drift warrants a full Tucker refit."""
@@ -85,19 +69,19 @@ class RefreshPolicy:
             return delta_ops > 0
         return delta_ops / baseline_resources >= self.max_delta_fraction
 
-    def fold_in_due(self, pending_batches: int) -> bool:
-        """Whether the cheap lazy statistics refresh is warranted."""
-        return pending_batches >= self.max_pending_batches
-
     def as_dict(self) -> Dict[str, object]:
         """The persisted form (engine and shard-manifest saves)."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Optional[Mapping[str, object]]) -> "RefreshPolicy":
-        """Inverse of :meth:`as_dict`; absent keys take the field defaults,
-        so saves that predate a field (or the whole block) still load."""
-        return cls(**(payload or {}))
+        """Inverse of :meth:`as_dict`; absent keys take the field defaults
+        and unknown keys are ignored, so saves that predate a field (or the
+        whole block), or carry one since removed, still load."""
+        names = {field.name for field in fields(cls)}
+        return cls(
+            **{key: value for key, value in (payload or {}).items() if key in names}
+        )
 
 
 @dataclass(frozen=True)
@@ -118,10 +102,9 @@ class StalenessReport:
     refit_due:
         The attached :class:`RefreshPolicy`'s full-refit verdict.
     fold_in_due:
-        The policy's cheap-refresh verdict: mutation batches are pending
-        past ``max_pending_batches`` and the lazy idf/norm statistics are
-        stale.  Distinct from ``refit_due`` — clearing it costs
-        milliseconds, not a Tucker fit.
+        Mutations are pending and the lazy idf/norm statistics are stale.
+        Distinct from ``refit_due`` — clearing it costs milliseconds, not
+        a Tucker fit.
     """
 
     epoch: int

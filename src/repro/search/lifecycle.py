@@ -269,18 +269,6 @@ def fold_mutations_into_folksonomy(
     return folksonomy.apply_delta(delta)
 
 
-def _replay_and_fold(
-    engine, folksonomy: Folksonomy, entries: Sequence[JournalEntry]
-) -> Folksonomy:
-    """Replay ``entries`` onto ``engine``; return ``folksonomy`` with them folded in."""
-    replay_entries(engine, entries)
-    for entry in entries:
-        folksonomy = fold_mutations_into_folksonomy(
-            folksonomy, entry.added, entry.updated, entry.removed
-        )
-    return folksonomy
-
-
 # ---------------------------------------------------------------------- #
 # The handle
 # ---------------------------------------------------------------------- #
@@ -337,7 +325,8 @@ class EngineHandle(RankEngine):
     which is one ``snapshot_rank_batch`` call — can never mix generations.
     Mutations additionally append to the handle's :class:`DeltaJournal`
     and (when a folksonomy was given) fold into the handle's authoritative
-    folksonomy, the pair the refit pipeline replays and refits from.
+    folksonomy, the pair the refit pipeline replays and refits from.  That
+    fold in :meth:`apply_mutations` is the folksonomy's only writer.
 
     Swap correctness argument, in three lines: the current-generation
     pointer is replaced atomically (one attribute store) while the write
@@ -500,7 +489,7 @@ class EngineHandle(RankEngine):
     def swap(
         self,
         new_engine,
-        prepare: Optional[Callable[[object], Optional[Folksonomy]]] = None,
+        prepare: Optional[Callable[[object], None]] = None,
         drain_timeout: float = DRAIN_TIMEOUT_SECONDS,
     ) -> SwapReport:
         """Atomically install ``new_engine`` as the next generation.
@@ -508,8 +497,8 @@ class EngineHandle(RankEngine):
         ``prepare(new_engine)`` runs inside the write-lock region, after
         mutations are fenced off but before the pointer moves — the spot
         the coordinator replays the journal tail in, so the incoming
-        engine reflects every batch the outgoing one ever applied.  Its
-        return value (if not ``None``) replaces the handle's folksonomy.
+        engine reflects every batch the outgoing one ever applied.  The
+        handle's folksonomy is untouched: it already holds every batch.
 
         The incoming engine is stamped ``old epoch + 1``; engines whose
         epoch is read-only (the process pool derives it from its manifest)
@@ -523,9 +512,8 @@ class EngineHandle(RankEngine):
         swap_started = time.perf_counter()
         with self._write_lock:
             old = self._current
-            new_folksonomy = None
             if prepare is not None:
-                new_folksonomy = prepare(new_engine)
+                prepare(new_engine)
             try:
                 new_engine.epoch = old.engine.epoch + 1
             except AttributeError:
@@ -539,8 +527,6 @@ class EngineHandle(RankEngine):
             self._current = fresh
             with old.cond:
                 old.retired = True
-            if new_folksonomy is not None:
-                self._folksonomy = new_folksonomy
         swap_seconds = time.perf_counter() - swap_started
 
         drain_started = time.perf_counter()
@@ -621,15 +607,14 @@ def _fit_snapshot(snapshot_dir, pipeline_kwargs: Mapping[str, object]):
 def _refit_worker_main(snapshot_dir: str, out_dir: str, pipeline_kwargs: dict) -> None:
     """Background-process entry point: load snapshot, fit, save.
 
-    Module-level (not a closure) so the spawn start method can import it;
-    errors are written next to the output so the parent can surface the
-    real traceback instead of a bare exit code.
+    The save leaves the folksonomy out: the parent publishes the handle's
+    own.  Module-level (not a closure) so the spawn start method can
+    import it; errors are written next to the output so the parent can
+    surface the real traceback instead of a bare exit code.
     """
     out = Path(out_dir)
     try:
-        _fit_snapshot(snapshot_dir, pipeline_kwargs).save(
-            out, include_folksonomy=True
-        )
+        _fit_snapshot(snapshot_dir, pipeline_kwargs).save(out)
     except BaseException:
         out.mkdir(parents=True, exist_ok=True)
         (out / "refit_error.txt").write_text(
@@ -682,11 +667,13 @@ class RefitCoordinator:
     2. **fit** — a background *process* loads the snapshot and runs the
        full :class:`~repro.core.pipeline.CubeLSIPipeline` on it.  Serving
        is untouched: different process, trailing data.
-    3. **catch up** — replay every journal entry since the mark onto the
-       fresh engine (and fold it into the fresh folksonomy), outside any
-       lock.
-    4. **publish** — write the caught-up index into the store as the next
-       generation (``make_current`` deferred until the swap lands).
+    3. **catch up** — under the write lock, take a second journal mark
+       together with the handle's folksonomy (which already holds every
+       batch up to that mark); outside it, replay the entries between the
+       two marks onto the fresh engine.
+    4. **publish** — write the caught-up engine with that folksonomy into
+       the store as the next generation (``make_current`` deferred until
+       the swap lands).
     5. **swap** — :meth:`EngineHandle.swap` with a prepare step that
        replays the last-moment tail and truncates the journal through the
        published mark; then mark the generation current in the store and
@@ -758,17 +745,18 @@ class RefitCoordinator:
         fit_seconds = time.perf_counter() - fit_started
 
         # Catch up: everything serving applied while the fit ran, replayed
-        # through the *new* concept model (fold-in; PR 2's parity invariant
-        # makes this equal a scratch rebuild of the same corpus).
-        catch = self.handle.journal.mark()
+        # through the *new* concept model (fold-in equals a scratch rebuild
+        # of the same corpus).  The mark and the handle's folksonomy are
+        # read under the write lock, so they describe the same batches.
+        with self.handle._write_lock:
+            catch = self.handle.journal.mark()
+            fresh_index.folksonomy = self.handle.folksonomy
         catchup = [
             entry
             for entry in self.handle.journal.entries_since(mark)
             if entry.seq <= catch
         ]
-        folksonomy = fresh_index.folksonomy = _replay_and_fold(
-            fresh_index.engine, fresh_index.folksonomy, catchup
-        )
+        replay_entries(fresh_index.engine, catchup)
 
         # Publish the caught-up index as the next generation.  The epoch is
         # pre-stamped to the swap target so a read-only engine built *from*
@@ -790,8 +778,8 @@ class RefitCoordinator:
 
         tail_count = 0
 
-        def prepare(new_engine) -> Optional[Folksonomy]:
-            nonlocal tail_count, folksonomy
+        def prepare(new_engine) -> None:
+            nonlocal tail_count
             tail = self.handle.journal.entries_since(catch)
             if tail and not new_engine.is_mutable:
                 raise ConfigurationError(
@@ -799,10 +787,8 @@ class RefitCoordinator:
                     f"the factory-built {type(new_engine).__name__} is "
                     "read-only; quiesce writers before refitting"
                 )
-            folksonomy = _replay_and_fold(new_engine, folksonomy, tail)
-            tail_count = len(tail)
+            tail_count = replay_entries(new_engine, tail)
             self.handle.journal.truncate_through(catch)
-            return folksonomy
 
         swap = self.handle.swap(serving_engine, prepare=prepare)
         if swap.generation != generation:

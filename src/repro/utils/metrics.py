@@ -47,10 +47,10 @@ class LatencyHistogram:
     afterwards, which keeps the measurement itself off the hot path's
     lock profile.
 
-    A histogram can carry labelled **sub-histograms** (per-tenant or
-    per-scenario latency books): :meth:`record` with a ``label`` counts
-    the sample once in the aggregate and once in that label's child,
-    and :meth:`merge` folds children recursively.  The aggregate is
+    A histogram can carry labelled **sub-histograms** (per-tenant latency
+    books): :meth:`record` with a ``label`` counts the sample once in the
+    aggregate and once in that label's child, and :meth:`merge` folds
+    children recursively.  The aggregate is
     always the top-level counts alone — children are a *breakdown* of
     it, never an addition to it, so summing a report's aggregate with
     its children would double-count and the accessors keep them apart.
@@ -101,37 +101,21 @@ class LatencyHistogram:
         self.min_seconds = min(self.min_seconds, other.min_seconds)
         self.max_seconds = max(self.max_seconds, other.max_seconds)
 
-    def merge(
-        self, other: "LatencyHistogram", label: Optional[str] = None
-    ) -> None:
+    def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other``'s samples into this histogram.
 
         ``other``'s aggregate goes into our aggregate exactly once; its
         children merge into our same-named children, so per-label counts
         stay a partition of the aggregate across any merge tree (the
-        per-worker → per-run merge in the replay runner).  With
-        ``label``, ``other``'s aggregate is *additionally* recorded
-        under that child — the per-scenario book when whole reports are
-        folded into a cross-scenario one.
+        per-worker → per-run merge in the replay runner).
         """
         self._fold(other)
-        if label is not None:
-            self._ensure_child(label)._fold(other)
         for name, child in other._children.items():
             self._ensure_child(name)._fold(child)
-
-    def child(self, label: str) -> Optional["LatencyHistogram"]:
-        """The sub-histogram recorded under ``label`` (None if unseen)."""
-        return self._children.get(label)
 
     def children(self) -> Dict[str, "LatencyHistogram"]:
         """All labelled sub-histograms (a shallow copy of the mapping)."""
         return dict(self._children)
-
-    @property
-    def labeled_count(self) -> int:
-        """Samples carrying any label — never more than :attr:`count`."""
-        return sum(child.count for child in self._children.values())
 
     @property
     def mean_seconds(self) -> float:

@@ -557,11 +557,8 @@ class TestSnapshotStoreGenerations:
 class TestRefreshPolicySplit:
     def test_validation_and_verdicts(self):
         with pytest.raises(ConfigurationError):
-            RefreshPolicy(max_pending_batches=0)
-        policy = RefreshPolicy(max_delta_fraction=0.5, max_pending_batches=2)
-        assert not policy.fold_in_due(0)
-        assert not policy.fold_in_due(1)
-        assert policy.fold_in_due(2)
+            RefreshPolicy(max_delta_fraction=0.0)
+        policy = RefreshPolicy(max_delta_fraction=0.5)
         assert not policy.refit_due(1, 10)
         assert policy.refit_due(5, 10)
 
@@ -600,14 +597,14 @@ class TestRefreshPolicySplit:
         engine = SearchEngine.build(
             toy_folksonomy,
             identity_concept_model(toy_folksonomy.tags),
-            refresh_policy=RefreshPolicy(max_pending_batches=3),
+            refresh_policy=RefreshPolicy(max_delta_ops=3),
         )
         index = OfflineIndex(
             concept_model=engine.concept_model, engine=engine, timings={}
         )
         index.save(tmp_path / "idx")
         loaded = OfflineIndex.load(tmp_path / "idx")
-        assert loaded.engine.refresh_policy.max_pending_batches == 3
+        assert loaded.engine.refresh_policy.max_delta_ops == 3
 
     def test_frontend_surfaces_engine_health(self, toy_folksonomy):
         handle = EngineHandle(
@@ -710,6 +707,32 @@ class TestRefitCoordinator:
         _, got = quiesced_rankings(handle, trace)
         want = scratch_rankings(handle, trace)
         assert mismatched_probes(got, want, truncated=True) == []
+
+    def test_published_folksonomy_is_the_handles(self, small_cleaned, tmp_path):
+        """Batches applied while the fit runs are published through the
+        handle's own folksonomy: with no write after publish, the store's
+        current generation holds exactly the corpus the handle serves."""
+        handle = self._fitted_handle(small_cleaned)
+        store = IndexSnapshotStore(tmp_path)
+        coordinator = RefitCoordinator(
+            handle, store, pipeline_kwargs=PIPELINE_KWARGS, use_process=False
+        )
+        tag = sorted(small_cleaned.tags)[0]
+        victim = sorted(small_cleaned.resources)[0]
+        fit = coordinator._fit
+
+        def fit_while_serving_writes(snapshot_dir):
+            handle.apply_mutations(added={"doc-mid": {tag: 2.0}})
+            handle.apply_mutations(removed=[victim])
+            return fit(snapshot_dir)
+
+        coordinator._fit = fit_while_serving_writes
+        result = coordinator.refit()
+        assert (result.catchup_entries, result.tail_entries) == (2, 0)
+        published = store.load_current().folksonomy
+        assert set(published.assignments) == set(handle.folksonomy.assignments)
+        assert published.has_resource("doc-mid")
+        assert not published.has_resource(victim)
 
     def test_metrics_exported_in_prometheus_text(self, small_cleaned, tmp_path):
         handle = self._fitted_handle(small_cleaned)

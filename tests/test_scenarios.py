@@ -1,27 +1,26 @@
-"""Scenario + chaos suite: named workload profiles under their invariants.
+"""Incident traces + chaos suite: each trace under its own check.
 
-The acceptance bar (ISSUE 9): every named scenario profile — flash crowd,
-diurnal pacing, multi-tenant skew, rebuild storm, chaos fault injection —
-replays at 1 and N workers over monolithic/sharded (and, where the
-profile allows, pool-backed) engines and passes its *own* invariant on
-top of the PR 4 parity bar; a seeded chaos :class:`FaultPlan` that kills
-and stalls shard-pool workers mid-fan-out produces only *typed* degraded
-results in bounded time and reconverges to 1e-9 probe parity after the
-plan's restores.  Around that bar this file covers fault-plan generation
-and validation (including a hypothesis structural property and a
-hypothesis zero-untyped-errors chaos property), scenario trace shapes
-and determinism, the :class:`LatencyHistogram` per-label sub-books (the
-no-double-counting rule), per-tenant admission quotas, the
-two-profile run at 2 workers, and the chaos × lifecycle regression: a
-worker killed *during* a background refit must not stop the swap from
-landing.
+Three incidents ride on top of the replay parity bar, each built by a
+plain function of :mod:`repro.load.scenarios` and judged by a check of
+:mod:`repro.load.invariants` that returns its violations: a flash crowd
+(front-end dedup and cache absorb the repeats), multi-tenant traffic
+(per-tenant admission and latency books partition the aggregate) and
+chaos (a seeded :class:`FaultPlan` that kills and stalls shard-pool
+workers mid-fan-out yields only *typed* degraded results in bounded time
+and reconverges to 1e-9 probe parity after the plan's restores).  A
+write-heavy storm config (~60% mutations) is replayed at 1 and N workers
+and raced against a hot refit.  Around that bar this file covers
+fault-plan generation and validation (including a hypothesis structural
+property and a hypothesis zero-untyped-errors chaos property), trace
+shapes and determinism, the :class:`LatencyHistogram` per-label books
+(the no-double-counting rule), per-tenant admission quotas, and the
+chaos × lifecycle regression: a worker killed *during* a background
+refit must not stop the swap from landing.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,27 +30,24 @@ from oracle import through_save
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline
 from repro.core.snapshots import IndexSnapshotStore
-from repro.load import runner as runner_module
 from repro.load import (
     MUTATE,
     QUERY,
-    SCENARIO_CHAOS,
-    SCENARIO_DIURNAL,
-    SCENARIO_FLASH_CROWD,
-    SCENARIO_MULTI_TENANT,
-    SCENARIO_NAMES,
-    SCENARIO_REBUILD_STORM,
+    TENANTS,
     FaultAction,
     FaultPlan,
     LatencyHistogram,
-    ScenarioTrace,
+    WorkloadConfig,
+    WorkloadGenerator,
     WorkloadRunner,
-    WorkloadTrace,
-    build_scenario,
     check_chaos,
+    check_flash_crowd,
+    check_multi_tenant,
     check_replay_parity,
-    check_scenario,
+    flash_crowd_trace,
     merge_workload_reports,
+    multi_tenant_trace,
+    query_only_trace,
     quiesced_rankings,
     run_chaos,
 )
@@ -64,8 +60,8 @@ from repro.serve.admission import AdmissionController, Overloaded
 from repro.serve.frontend import FrontendConfig
 from repro.utils.errors import ConfigurationError
 
-#: Worker threads for the concurrent scenario legs (the nightly stress
-#: job raises it via WORKLOAD_WORKERS, matching tests/test_workload.py).
+#: Worker threads for the concurrent legs (the nightly stress job raises
+#: it via WORKLOAD_WORKERS, matching tests/test_workload.py).
 NUM_WORKERS = max(1, int(os.environ.get("WORKLOAD_WORKERS", "4")))
 
 NUM_SHARDS = 4
@@ -85,6 +81,17 @@ CHAOS_EXAMPLES = int(
         "20" if os.environ.get("HYPOTHESIS_PROFILE") == "thorough" else "5",
     )
 )
+
+
+#: A write-heavy storm: ~60% mutations in batches of up to five.
+STORM = dict(query_fraction=0.35, refresh_fraction=0.05, max_mutation_batch=5)
+
+#: The incident traces by name; chaos replays the query-only trace.
+TRACE_BUILDERS = {
+    "flash_crowd": flash_crowd_trace,
+    "multi_tenant": multi_tenant_trace,
+    "chaos": query_only_trace,
+}
 
 
 def build_mono(folksonomy):
@@ -185,36 +192,15 @@ class TestFaultPlan:
 # Scenario trace shapes
 # ---------------------------------------------------------------------- #
 class TestScenarioShapes:
-    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("name", sorted(TRACE_BUILDERS))
     def test_same_seed_same_scenario(self, small_cleaned, name):
-        first = build_scenario(name, small_cleaned, seed=3)
-        second = build_scenario(name, small_cleaned, seed=3)
-        assert first.trace.operations == second.trace.operations
-        assert first.fault_plan == second.fault_plan
-        other = build_scenario(name, small_cleaned, seed=4)
-        assert first.trace.operations != other.trace.operations
-
-    def test_unknown_scenario_raises(self, small_cleaned):
-        with pytest.raises(ConfigurationError):
-            build_scenario("heat_death", small_cleaned)
-        with pytest.raises(ConfigurationError):
-            ScenarioTrace(
-                scenario="heat_death",
-                trace=build_scenario(
-                    SCENARIO_DIURNAL, small_cleaned
-                ).trace,
-            )
+        build = TRACE_BUILDERS[name]
+        first = build(small_cleaned, seed=3)
+        assert first.operations == build(small_cleaned, seed=3).operations
+        assert first.operations != build(small_cleaned, seed=4).operations
 
     def test_flash_crowd_concentrates_the_window(self, small_cleaned):
-        scenario = build_scenario(
-            SCENARIO_FLASH_CROWD,
-            small_cleaned,
-            seed=1,
-            num_operations=200,
-            crowd_keys=2,
-            crowd_fraction=0.5,
-        )
-        trace = scenario.trace
+        trace = flash_crowd_trace(small_cleaned, seed=1, num_operations=200)
         assert trace.num_mutations == 0  # pool-compatible
         total = len(trace.operations)
         window = range(total // 4, total // 4 + total // 2)
@@ -231,48 +217,32 @@ class TestScenarioShapes:
         }
         assert len(outside) > 2  # the shoulders stay diverse
 
-    def test_diurnal_offsets_span_the_duration(self, small_cleaned):
-        scenario = build_scenario(
-            SCENARIO_DIURNAL, small_cleaned, seed=2, duration_seconds=0.5
-        )
-        offsets = [op.arrival_offset for op in scenario.trace.operations]
-        assert all(offset >= 0.0 for offset in offsets)
-        assert offsets == sorted(offsets)
-        assert offsets[0] == 0.0
-        assert offsets[-1] == pytest.approx(0.5)
-
     def test_multi_tenant_attribution(self, small_cleaned):
-        scenario = build_scenario(
-            SCENARIO_MULTI_TENANT, small_cleaned, seed=5, num_operations=300
-        )
-        assert scenario.tenants == ("tenant-a", "tenant-b", "tenant-c")
+        trace = multi_tenant_trace(small_cleaned, seed=5, num_operations=300)
+        tenants = {name for name, _share in TENANTS}
+        assert tenants == {"tenant-a", "tenant-b", "tenant-c"}
         counts: dict = {}
-        for op in scenario.trace.operations:
+        for op in trace.operations:
             if op.kind == QUERY:
-                assert op.tenant in scenario.tenants
+                assert op.tenant in tenants
                 counts[op.tenant] = counts.get(op.tenant, 0) + 1
             else:
                 assert op.tenant == ""  # operator traffic stays untenanted
         # the 60/30/10 split is visibly skewed at this sample size
         assert counts["tenant-a"] > counts["tenant-b"] > counts["tenant-c"]
-        with pytest.raises(ConfigurationError):
-            build_scenario(SCENARIO_MULTI_TENANT, small_cleaned, tenants=())
 
     def test_rebuild_storm_is_write_heavy(self, small_cleaned):
-        scenario = build_scenario(
-            SCENARIO_REBUILD_STORM, small_cleaned, seed=7, num_operations=200
-        )
-        counts = scenario.trace.op_counts()
-        assert counts[MUTATE] / len(scenario.trace) >= 0.4
+        trace = WorkloadGenerator(
+            WorkloadConfig(num_operations=200, seed=7, **STORM)
+        ).generate(small_cleaned)
+        assert trace.op_counts()[MUTATE] / len(trace) >= 0.4
 
     def test_chaos_carries_a_plan(self, small_cleaned):
-        scenario = build_scenario(
-            SCENARIO_CHAOS, small_cleaned, seed=9, num_shards=4
-        )
-        assert scenario.fault_plan is not None
-        assert scenario.fault_plan.num_shards == 4
-        assert scenario.trace.num_mutations == 0
-        assert scenario.description  # the fault schedule, human-readable
+        trace = query_only_trace(small_cleaned, seed=9)
+        plan = FaultPlan.generate(seed=9, num_shards=4, num_operations=len(trace))
+        assert plan.num_shards == 4
+        assert trace.num_mutations == 0
+        assert plan.describe()  # the fault schedule, human-readable
 
 
 # ---------------------------------------------------------------------- #
@@ -280,54 +250,32 @@ class TestScenarioShapes:
 # ---------------------------------------------------------------------- #
 class TestLatencyHistogramChildren:
     def test_labels_partition_the_aggregate(self):
-        histogram = LatencyHistogram()
-        histogram.record(1e-4, label="a")
-        histogram.record(2e-4, label="a")
-        histogram.record(3e-4, label="b")
-        histogram.record(4e-4)  # unlabeled
-        assert histogram.count == 4  # each sample counted exactly once
-        assert histogram.labeled_count == 3
-        assert histogram.child("a").count == 2
-        assert histogram.child("b").count == 1
-        assert histogram.child("zzz") is None
-        assert set(histogram.children()) == {"a", "b"}
-        assert histogram.total_seconds == pytest.approx(1e-3)
-
-    def test_merge_preserves_children_without_double_count(self):
+        """A labelled sample counts once in the aggregate and once in its
+        book, and merging per-worker histograms keeps the books a
+        partition of the labelled share of the aggregate."""
         workers = []
         for offset in range(3):
             worker = LatencyHistogram()
             worker.record(1e-4 * (offset + 1), label="a")
             worker.record(1e-3, label="b")
-            worker.record(1e-2)
+            worker.record(1e-2)  # unlabelled
             workers.append(worker)
+        assert workers[0].count == 3
         merged = LatencyHistogram()
         for worker in workers:
             merged.merge(worker)
+        books = merged.children()
         assert merged.count == 9
-        assert merged.child("a").count == 3
-        assert merged.child("b").count == 3
-        assert merged.labeled_count == 6
-        # sanity: the aggregate is the top-level buckets alone
+        assert {name: book.count for name, book in books.items()} == {
+            "a": 3,
+            "b": 3,
+        }
         assert sum(merged.bucket_counts()) == merged.count
-
-    def test_merge_with_label_files_under_a_scenario_book(self):
-        run = LatencyHistogram()
-        run.record(1e-4, label="tenant-a")
-        run.record(1e-3)
-        combined = LatencyHistogram()
-        combined.merge(run, label="flash_crowd")
-        assert combined.count == 2
-        # the scenario book holds the whole run; the tenant book rides
-        # along untouched — still no double count in the aggregate
-        assert combined.child("flash_crowd").count == 2
-        assert combined.child("tenant-a").count == 1
+        assert merged.total_seconds == pytest.approx(6e-4 + 3e-3 + 3e-2)
+        assert books["a"].total_seconds == pytest.approx(6e-4)
 
     def test_merge_workload_reports(self, small_cleaned):
-        scenario = build_scenario(
-            SCENARIO_MULTI_TENANT, small_cleaned, seed=13, num_operations=60
-        )
-        trace = scenario.trace
+        trace = multi_tenant_trace(small_cleaned, seed=13, num_operations=60)
         half = len(trace.operations) // 2
         engine = build_mono(small_cleaned)
         reports = []
@@ -428,31 +376,24 @@ class TestScenarioAcceptance:
     @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_flash_crowd(self, small_cleaned, engine, num_workers):
-        scenario = build_scenario(
-            SCENARIO_FLASH_CROWD, small_cleaned, seed=1, num_operations=120
-        )
+        trace = flash_crowd_trace(small_cleaned, seed=1, num_operations=120)
         parity = check_replay_parity(
             builder_for(engine, small_cleaned),
-            scenario.trace,
+            trace,
             num_workers=num_workers,
             frontend_config=FrontendConfig(),
             allowed_error_kinds=("Overloaded",),
         )
-        verdict = check_scenario(scenario, parity=parity)
-        assert verdict.ok, verdict.summary()
-        assert verdict.details["amortization"] >= 0.2
+        assert check_flash_crowd(parity) == []
         assert parity.mismatched_probes == []  # zero wrong answers
 
     def test_flash_crowd_over_process_pool(
         self, small_cleaned, scenario_save_dir
     ):
-        """The read-only profile also holds across process boundaries."""
-        scenario = build_scenario(
-            SCENARIO_FLASH_CROWD, small_cleaned, seed=1, num_operations=120
-        )
+        """The read-only trace also holds across process boundaries."""
         parity = check_replay_parity(
             lambda: build_mono(small_cleaned),
-            scenario.trace,
+            flash_crowd_trace(small_cleaned, seed=1, num_operations=120),
             num_workers=NUM_WORKERS,
             concurrent_build_engine=lambda: ShardProcessPool(
                 scenario_save_dir, ShardPoolConfig(request_timeout=60.0)
@@ -460,104 +401,43 @@ class TestScenarioAcceptance:
             frontend_config=FrontendConfig(),
             allowed_error_kinds=("Overloaded",),
         )
-        verdict = check_scenario(scenario, parity=parity)
-        assert verdict.ok, verdict.summary()
-
-    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_diurnal(self, small_cleaned, engine, num_workers):
-        scenario = build_scenario(
-            SCENARIO_DIURNAL,
-            small_cleaned,
-            seed=2,
-            num_operations=80,
-            duration_seconds=0.4,
-        )
-        parity = check_replay_parity(
-            builder_for(engine, small_cleaned),
-            scenario.trace,
-            num_workers=num_workers,
-        )
-        verdict = check_scenario(scenario, parity=parity)
-        assert verdict.ok, verdict.summary()
-        assert parity.concurrent.wall_seconds >= 0.4
-
-    def test_pacing_follows_the_stamps_not_a_flag(
-        self, small_cleaned, monkeypatch
-    ):
-        """The runner sleeps exactly when the trace is stamped: a stamped
-        replay covers its arrival span, an unstamped one never waits."""
-
-        class Clock:
-            perf_counter = staticmethod(time.perf_counter)
-            sleeps: list = []
-
-            def sleep(self, seconds):
-                self.sleeps.append(seconds)
-                time.sleep(seconds)
-
-        monkeypatch.setattr(runner_module, "time", Clock())
-        stamped = build_scenario(
-            SCENARIO_DIURNAL,
-            small_cleaned,
-            seed=2,
-            num_operations=40,
-            duration_seconds=0.2,
-        ).trace
-        unstamped = WorkloadTrace(
-            operations=tuple(
-                replace(op, arrival_offset=-1.0) for op in stamped.operations
-            ),
-            eval_queries=stamped.eval_queries,
-            config=stamped.config,
-        )
-        run = WorkloadRunner(build_mono(small_cleaned), unstamped)
-        assert run.run_concurrent(2).errors == []
-        assert Clock.sleeps == []
-        run = WorkloadRunner(build_mono(small_cleaned), stamped)
-        assert run.run_concurrent(2).wall_seconds >= 0.2
-        assert Clock.sleeps
+        assert check_flash_crowd(parity) == []
 
     @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_multi_tenant(self, small_cleaned, engine, num_workers):
-        scenario = build_scenario(
-            SCENARIO_MULTI_TENANT, small_cleaned, seed=5, num_operations=120
-        )
+        trace = multi_tenant_trace(small_cleaned, seed=5, num_operations=120)
         parity = check_replay_parity(
             builder_for(engine, small_cleaned),
-            scenario.trace,
+            trace,
             num_workers=num_workers,
             frontend_config=FrontendConfig(tenant_max_pending=64),
             allowed_error_kinds=("Overloaded",),
         )
-        verdict = check_scenario(scenario, parity=parity)
-        assert verdict.ok, verdict.summary()
+        assert check_multi_tenant(parity, trace) == []
         books = parity.concurrent.tenant_latencies(QUERY)
-        assert set(books) == set(scenario.tenants)
+        assert set(books) == {name for name, _share in TENANTS}
 
     @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_rebuild_storm(self, small_cleaned, engine, num_workers):
-        scenario = build_scenario(
-            SCENARIO_REBUILD_STORM, small_cleaned, seed=7, num_operations=100
-        )
+        trace = WorkloadGenerator(
+            WorkloadConfig(num_operations=100, seed=7, **STORM)
+        ).generate(small_cleaned)
         parity = check_replay_parity(
             builder_for(engine, small_cleaned),
-            scenario.trace,
+            trace,
             num_workers=num_workers,
         )
-        verdict = check_scenario(scenario, parity=parity)
-        assert verdict.ok, verdict.summary()
-        assert (
-            parity.concurrent.final_epoch == scenario.trace.num_mutations
-        )
+        assert parity.ok, parity.summary()
+        # every batch landed exactly once
+        assert parity.concurrent.final_epoch == trace.num_mutations
 
     def test_rebuild_storm_racing_a_hot_refit(self, small_cleaned, tmp_path):
         """The storm's signature incident: a write burst during a refit."""
-        scenario = build_scenario(
-            SCENARIO_REBUILD_STORM, small_cleaned, seed=7, num_operations=80
-        )
+        trace = WorkloadGenerator(
+            WorkloadConfig(num_operations=80, seed=7, **STORM)
+        ).generate(small_cleaned)
         coordinator_box: dict = {}
 
         def build_concurrent():
@@ -574,40 +454,14 @@ class TestScenarioAcceptance:
 
         parity = check_replay_parity(
             lambda: build_mono(small_cleaned),
-            scenario.trace,
+            trace,
             num_workers=NUM_WORKERS,
             concurrent_build_engine=build_concurrent,
             swap_during_replay=lambda: coordinator_box["coordinator"].refit(),
         )
-        verdict = check_scenario(scenario, parity=parity)
-        assert verdict.ok, verdict.summary()
+        assert parity.ok, parity.summary()
         assert parity.generations_advanced >= 1
         assert parity.mismatched_probes == []
-
-
-# ---------------------------------------------------------------------- #
-# Two profiles back to back at 2 workers
-# ---------------------------------------------------------------------- #
-class TestScenarioSweep:
-    def test_rows_and_verdicts(self, small_cleaned):
-        """Flash crowd then rebuild storm from one seed, 2 workers each;
-        ``Overloaded`` is a legal outcome only on the front-end leg."""
-        for name in (SCENARIO_FLASH_CROWD, SCENARIO_REBUILD_STORM):
-            scenario = build_scenario(
-                name, small_cleaned, seed=0, num_operations=100
-            )
-            through_frontend = name == SCENARIO_FLASH_CROWD
-            parity = check_replay_parity(
-                lambda: build_sharded(small_cleaned, 2),
-                scenario.trace,
-                num_workers=2,
-                frontend_config=FrontendConfig() if through_frontend else None,
-                allowed_error_kinds=("Overloaded",) if through_frontend else (),
-            )
-            verdict = check_scenario(scenario, parity=parity)
-            assert verdict.ok, verdict.summary()
-            assert parity.concurrent.errors == []
-            assert verdict.details.get("degraded_errors", 0) == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -617,48 +471,45 @@ class TestChaosAcceptance:
     def test_typed_degradation_and_reconvergence(
         self, small_cleaned, scenario_save_dir
     ):
-        """The ISSUE 9 chaos bar, enforced end to end."""
-        scenario = build_scenario(
-            SCENARIO_CHAOS,
-            small_cleaned,
+        """The chaos bar, enforced end to end."""
+        trace = query_only_trace(small_cleaned, seed=0, num_operations=160)
+        plan = FaultPlan.generate(
             seed=0,
-            num_operations=160,
             num_shards=NUM_SHARDS,
+            num_operations=len(trace),
             stall_seconds=1.0,
         )
-        golden = build_mono(small_cleaned)
-        golden_rankings = quiesced_rankings(golden, scenario.trace)
-        outcome = run_chaos(
-            scenario_save_dir, scenario, num_workers=NUM_WORKERS
-        )
-        verdict = check_chaos(
-            outcome,
-            golden_rankings,
-            max_recovery_seconds=15.0,
-        )
-        assert verdict.ok, verdict.summary()
-        assert outcome.fault_log == scenario.fault_plan.describe()
+        golden_rankings = quiesced_rankings(build_mono(small_cleaned), trace)
+        outcome = run_chaos(scenario_save_dir, trace, plan, num_workers=NUM_WORKERS)
+        violations = check_chaos(outcome, golden_rankings, max_recovery_seconds=15.0)
+        assert violations == []
+        assert outcome.fault_log == plan.describe()
         # the faults genuinely fired: degraded reads were observed...
         assert outcome.report.errors
         # ...and every single one was typed (never silent, never bare)
         assert len(outcome.report.error_kinds) == len(outcome.report.errors)
         assert set(outcome.report.error_kinds) == {"ShardPoolDegraded"}
-        # post-revival: every worker ready, every probe 1e-9-equal
+        # post-revival: every worker ready (probes are 1e-9-equal above)
         states = [
             worker["state"] for worker in outcome.health["workers"]
         ]
         assert states == ["ready"] * NUM_SHARDS
-        assert verdict.details["mismatched_probes"] == []
 
     def test_run_chaos_validation(self, small_cleaned, scenario_save_dir):
-        diurnal = build_scenario(SCENARIO_DIURNAL, small_cleaned)
-        with pytest.raises(ConfigurationError):
-            run_chaos(scenario_save_dir, diurnal)
-        mismatched = build_scenario(
-            SCENARIO_CHAOS, small_cleaned, num_shards=2
+        trace = query_only_trace(small_cleaned)
+        two_shard_plan = FaultPlan.generate(
+            seed=0, num_shards=2, num_operations=len(trace)
         )
-        with pytest.raises(ConfigurationError):
-            run_chaos(scenario_save_dir, mismatched)
+        with pytest.raises(ConfigurationError):  # the save has 4 shards
+            run_chaos(scenario_save_dir, trace, two_shard_plan)
+        writes = WorkloadGenerator(WorkloadConfig(num_operations=40)).generate(
+            small_cleaned
+        )
+        plan = FaultPlan.generate(
+            seed=0, num_shards=NUM_SHARDS, num_operations=len(writes)
+        )
+        with pytest.raises(ConfigurationError):  # the pool is read-only
+            run_chaos(scenario_save_dir, writes, plan)
 
     @given(seed=st.integers(min_value=0, max_value=10**4))
     @settings(max_examples=CHAOS_EXAMPLES, deadline=None)
@@ -667,28 +518,17 @@ class TestChaosAcceptance:
     ):
         """Hypothesis: whatever the seeded schedule, no untyped failure,
         no hang, and the self-restored pool reconverges exactly."""
-        base = build_scenario(
-            SCENARIO_CHAOS,
-            small_cleaned,
-            seed=0,
-            num_operations=60,
-            num_shards=NUM_SHARDS,
-        )
+        trace = query_only_trace(small_cleaned, seed=0, num_operations=60)
         plan = FaultPlan.generate(
             seed=seed,
             num_shards=NUM_SHARDS,
-            num_operations=len(base.trace.operations),
+            num_operations=len(trace),
             stall_seconds=0.4,
-        )
-        scenario = ScenarioTrace(
-            scenario=SCENARIO_CHAOS,
-            trace=base.trace,
-            fault_plan=plan,
-            description="; ".join(plan.describe()),
         )
         outcome = run_chaos(
             scenario_save_dir,
-            scenario,
+            trace,
+            plan,
             num_workers=2,
             request_timeout=0.3,
             heartbeat_timeout=0.15,
@@ -699,7 +539,7 @@ class TestChaosAcceptance:
         assert set(report.error_kinds) <= {"ShardPoolDegraded"}
         assert outcome.wall_seconds < 60.0
         golden = build_mono(small_cleaned)
-        _, want = quiesced_rankings(golden, scenario.trace)
+        _, want = quiesced_rankings(golden, trace)
         _, got = outcome.post_rankings
         for ours, theirs in zip(got, want):
             assert rankings_match(ours, theirs, tol=1e-9, truncated=True)

@@ -650,14 +650,8 @@ class TestShardedPersistence:
     def test_refresh_policy_round_trips_and_old_saves_get_defaults(
         self, small_cleaned, tmp_path
     ):
-        policy = RefreshPolicy(
-            max_delta_fraction=0.25, max_delta_ops=7, max_pending_batches=3
-        )
-        assert policy.as_dict() == {
-            "max_delta_fraction": 0.25,
-            "max_delta_ops": 7,
-            "max_pending_batches": 3,
-        }
+        policy = RefreshPolicy(max_delta_fraction=0.25, max_delta_ops=7)
+        assert policy.as_dict() == {"max_delta_fraction": 0.25, "max_delta_ops": 7}
         assert RefreshPolicy.from_dict(policy.as_dict()) == policy
         assert RefreshPolicy.from_dict(None) == RefreshPolicy()
         assert RefreshPolicy.from_dict({"max_delta_ops": 5}) == RefreshPolicy(
@@ -684,14 +678,26 @@ class TestShardedPersistence:
             )
 
         assert loaded_policies() == (policy, policy, policy)
-        # A save from before the block existed loads with the defaults.
-        for path in (
+        manifests = (
             mono_dir / SHARD_MANIFEST_FILENAME,
             sharded_dir / SHARD_MANIFEST_FILENAME,
-        ):
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            del payload["refresh_policy"]
-            path.write_text(json.dumps(payload), encoding="utf-8")
+        )
+
+        def rewrite_policy(block):
+            for path in manifests:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                if block is None:
+                    del payload["refresh_policy"]
+                else:
+                    payload["refresh_policy"] = block
+                path.write_text(json.dumps(payload), encoding="utf-8")
+
+        # A save that still names the removed max_pending_batches knob
+        # loads, the unknown key ignored.
+        rewrite_policy(dict(policy.as_dict(), max_pending_batches=3))
+        assert loaded_policies() == (policy, policy, policy)
+        # A save from before the block existed loads with the defaults.
+        rewrite_policy(None)
         assert loaded_policies() == (RefreshPolicy(),) * 3
 
     def test_resave_with_fewer_shards_prunes_stale_dirs(
@@ -826,17 +832,18 @@ def test_eval_is_the_ndcg_harness_not_a_serving_clock():
 
 def test_one_cache_owner_and_one_array_layout():
     """The front-end owns the only result cache (no other module names
-    ``QueryCache``), and every save writes raw ``.npy`` arrays (nothing
-    under ``src/`` writes an ``.npz``)."""
+    ``QueryCache``), every save writes raw ``.npy`` arrays (nothing under
+    ``src/`` writes an ``.npz``), and the load harness has no arrival
+    pacing and no scenario registry."""
     owners = {"repro/serve/frontend.py", "repro/search/cache.py"}
+    gone = ("savez", "arrival_offset", "build_scenario", "check_scenario")
     offenders = []
     for path in sorted(SRC_DIR.rglob("*.py")):
         name = path.relative_to(SRC_DIR).as_posix()
         source = path.read_text(encoding="utf-8")
         if "QueryCache" in source and name not in owners:
             offenders.append((name, "QueryCache"))
-        if "savez" in source:
-            offenders.append((name, "savez"))
+        offenders.extend((name, word) for word in gone if word in source)
     assert offenders == []
 
 
