@@ -44,12 +44,18 @@ class FreqRanker(Ranker):
         self._fractions: Optional[sp.csr_matrix] = None
 
     def _fit(self, folksonomy: Folksonomy) -> None:
-        self._votes = {}
-        self._total_votes = {}
-        for resource in folksonomy.resources:
-            votes = folksonomy.tag_bag(resource)
-            self._votes[resource] = votes
-            self._total_votes[resource] = float(sum(votes.values()))
+        # Read off the folksonomy's count table: no tag_bag lookup per resource.
+        resources = folksonomy.resources
+        rows, tags, counts = folksonomy.tag_counts()
+        bounds = rows.searchsorted(np.arange(len(resources) + 1)).tolist()
+        labels = map(folksonomy.tags.__getitem__, tags.tolist())
+        entries = list(zip(labels, counts.tolist()))
+        totals = np.bincount(rows, counts, minlength=len(resources)).tolist()
+        self._votes = {
+            resource: dict(entries[bounds[row] : bounds[row + 1]])
+            for row, resource in enumerate(resources)
+        }
+        self._total_votes = dict(zip(resources, totals))
         self._compile()
 
     def _rank(self, query_tags: List[str], top_k: Optional[int]) -> RankedList:

@@ -50,7 +50,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Dict,
-    Hashable,
     Iterable,
     Iterator,
     List,
@@ -61,10 +60,16 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.core.concepts import Concept, ConceptModel
 from repro.search.concurrency import ReadWriteLock
 from repro.search.incremental import RefreshPolicy, StalenessReport
-from repro.search.matrix_space import MatrixConceptSpace, validate_top_k
+from repro.search.matrix_space import (
+    MatrixConceptSpace,
+    first_seen,
+    validate_top_k,
+)
 from repro.search.sharding import (
     SHARD_MANIFEST_FILENAME,
     SHARD_MANIFEST_VERSION,
@@ -162,18 +167,36 @@ class SearchEngine(RankEngine):
     ) -> "SearchEngine":
         """Build an engine by indexing every resource of ``folksonomy``.
 
-        Each resource's bag of tags is translated to a bag of concepts with
-        ``concept_model`` and indexed with tf-idf weights.
+        Columnar, with no dict per resource: the folksonomy's resource x
+        tag count table (:meth:`~repro.tagging.folksonomy.Folksonomy.tag_counts`)
+        has its distinct tags mapped to concepts once — ``own-concept``
+        dynamics allocated in first-seen order, ignored tags dropped — and
+        :meth:`MatrixConceptSpace.from_counts` sums the counts per
+        (resource, concept) and folds every resource into an empty space.
+        The arrays equal those of :meth:`MatrixConceptSpace.from_bags` over
+        ``concept_model.concept_bag(folksonomy.tag_bag(r), allocate=True)``
+        per resource, dynamic concept ids included.
         """
-        resource_bags: Dict[str, Dict[int, float]] = {}
-        for resource in folksonomy.resources:
-            tag_bag = folksonomy.tag_bag(resource)
-            resource_bags[resource] = concept_model.concept_bag(
-                tag_bag, allocate=True
-            )
+        rows, tags, counts = folksonomy.tag_counts()
+        concept_of = np.full(folksonomy.num_tags, -1, dtype=np.intp)
+        # In first-seen order, so own-concept dynamics get the loop's ids.
+        for tag in first_seen(tags, folksonomy.num_tags).tolist():
+            concept = concept_model.concept_of(folksonomy.tags[tag], allocate=True)
+            if concept is not None:
+                concept_of[tag] = concept
+        concepts = concept_of[tags]
+        mapped = concepts >= 0
+        space = MatrixConceptSpace.from_counts(
+            folksonomy.resources,
+            rows[mapped],
+            range(concept_model.num_concepts),
+            concepts[mapped],
+            counts[mapped],
+            smooth_idf,
+        )
         return cls(
             concept_model=concept_model,
-            matrix_space=MatrixConceptSpace.from_bags(resource_bags, smooth_idf),
+            matrix_space=space,
             name=name,
             refresh_policy=refresh_policy,
         )
@@ -527,9 +550,9 @@ class SearchEngine(RankEngine):
     def load(cls, directory: Union[str, Path]) -> "SearchEngine":
         """Restore a whole engine saved by :meth:`save`, at any shard count.
 
-        The shards of a partitioned save are folded back into one space:
-        their tf rows go through :meth:`MatrixConceptSpace.from_bags`, the
-        build every space comes from, so the engine ranks like the one that
+        The shards of a partitioned save are folded back into one space by
+        :meth:`MatrixConceptSpace.merge`: their tf postings go through the
+        array fold every build runs, so the engine ranks like the one that
         was saved (to 1e-9) and accepts mutations.
         """
         path = Path(directory)
@@ -538,12 +561,7 @@ class SearchEngine(RankEngine):
             MatrixConceptSpace.load(path / entry["directory"])
             for entry in payload["shards"]
         ]
-        space = shards[0]
-        if len(shards) > 1:
-            rows: Dict[str, Dict[Hashable, float]] = {}
-            for shard in shards:
-                rows.update(shard.tf_bags())
-            space = MatrixConceptSpace.from_bags(rows, space.smooth_idf)
+        space = shards[0] if len(shards) == 1 else MatrixConceptSpace.merge(shards)
         return cls(
             concept_model=concept_model_from_json(payload["concept_model"]),
             matrix_space=space,

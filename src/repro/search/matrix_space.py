@@ -14,8 +14,9 @@ corpus size, which moves every term's idf, rewrites no posting.
 :meth:`MatrixConceptSpace.refresh` folds mutations in at the cost of what
 they touch: the postings of the terms a written or dropped document
 carries, document frequency as a maintained vector, and one vectorized norm
-pass.  A build is that same refresh over a space every document is pending
-in.
+pass.  A build is that same fold of every document into an empty space,
+entered with a count table's arrays (:meth:`from_counts`) or with dict bags
+(:meth:`from_bags`, the refresh's own front).
 
 The space is also the unit of persistence: :meth:`save` writes the
 postings as one raw ``.npy`` file per array (so :meth:`load` can
@@ -37,7 +38,18 @@ import math
 import threading
 from bisect import bisect_left, insort
 from pathlib import Path
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -78,6 +90,14 @@ def validate_top_k(top_k: Optional[int]) -> None:
     """Reject a non-positive ``top_k`` before any scoring work happens."""
     if top_k is not None and top_k < 1:
         raise ConfigurationError(f"top_k must be >= 1 when given, got {top_k}")
+
+
+def first_seen(values: np.ndarray, size: int) -> np.ndarray:
+    """The distinct of ``values`` (ints in ``[0, size)``), first-appearance order."""
+    # np.unique(values, return_index=True) sorts: ~10x slower at 2e5 entries.
+    first = np.full(size, values.size, dtype=np.intp)
+    np.minimum.at(first, values, np.arange(values.size))
+    return np.argsort(first, kind="stable")[: np.count_nonzero(first < values.size)]
 
 
 def boundary_tie_candidates(scores: np.ndarray, top_k: Optional[int]) -> np.ndarray:
@@ -152,7 +172,8 @@ def select_top_k(
 class MatrixConceptSpace:
     """tf-idf concept space: term-major tf postings over stable row slots.
 
-    Instances are produced by :meth:`from_bags` (from raw count bags),
+    Instances are produced by :meth:`from_counts` (from a count table),
+    :meth:`from_bags` (from raw count bags), :meth:`merge` (of row shards),
     :meth:`slice_rows` / :meth:`partition` (row shards) or :meth:`load`
     (from a directory written by :meth:`save`).  The constructor takes the
     saved arrays with slot ``i`` holding the ``i``-th id; later additions
@@ -228,19 +249,97 @@ class MatrixConceptSpace:
     ) -> "MatrixConceptSpace":
         """Build the space from ``resource -> {term -> occurrence count}``.
 
-        Every document is added, in ascending resource-id order, to an
-        empty space that :meth:`refresh` then folds — the pass a
-        post-mutation refresh runs — so a build and a refresh over the same
-        corpus produce the same arrays.  Non-positive counts are dropped.
+        The dict front of the fold :meth:`from_counts` runs on arrays: every
+        document is added, in ascending resource-id order, to an empty space
+        that :meth:`refresh` then folds — the pass a post-mutation refresh
+        runs — so a build and a refresh over the same corpus produce the
+        same arrays.  Non-positive counts are dropped.
         """
         if not resource_bags:
             raise ConfigurationError("cannot build a concept space on zero resources")
-        empty = {name: np.zeros(0) for name in _ARRAY_NAMES}
-        empty["post_indptr"] = np.zeros(1, dtype=np.intp)
-        space = cls(doc_ids=(), terms=(), arrays=empty, smooth_idf=smooth_idf)
+        space = cls._empty(smooth_idf)
         space.add_documents({d: resource_bags[d] for d in sorted(resource_bags)})
         space.refresh()
         return space
+
+    @classmethod
+    def from_counts(
+        cls,
+        doc_ids: Sequence[str],
+        rows: np.ndarray,
+        vocabulary: Sequence[Hashable],
+        terms: np.ndarray,
+        counts: np.ndarray,
+        smooth_idf: bool = False,
+    ) -> "MatrixConceptSpace":
+        """Build the space from a count table, with no dict per document.
+
+        Entry ``i`` says document ``doc_ids[rows[i]]`` carries term
+        ``vocabulary[terms[i]]`` ``counts[i]`` times; entries repeating a
+        (row, term) pair add up and non-positive sums are dropped.  With
+        ``doc_ids`` ascending and the entries grouped by ascending row, the
+        result is the space :meth:`from_bags` builds over the same bags
+        (term columns numbered by first appearance in entry order, Eq. 2 tf
+        as count over the row's total): the same fold of every document
+        into an empty space, entered with arrays.  A document without
+        entries gets a slot and norm 0.
+        """
+        if not len(doc_ids):
+            raise ConfigurationError("cannot build a concept space on zero resources")
+        key = rows.astype(np.int64) * max(len(vocabulary), 1) + terms
+        by_key = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
+        sums = np.zeros_like(counts)  # each pair's sum, on its first entry
+        if starts.size:
+            sums[by_key[starts]] = np.add.reduceat(counts[by_key], starts)
+        kept = np.flatnonzero(sums > 0)
+        rows, terms, sums = rows[kept], terms[kept], sums[kept]
+        seen = first_seen(terms, len(vocabulary))
+        space = cls._empty(smooth_idf)
+        space._add_terms([vocabulary[term] for term in seen.tolist()])
+        column_of = np.zeros(len(vocabulary), dtype=np.intp)
+        column_of[seen] = np.arange(seen.size)  # the space was empty
+        space._fold(list(doc_ids), (), rows, column_of[terms], sums)
+        space._apply_statistics()
+        return space
+
+    @classmethod
+    def merge(cls, shards: Sequence["MatrixConceptSpace"]) -> "MatrixConceptSpace":
+        """One space over the documents of ``shards``, with local statistics.
+
+        ``shards`` are the spaces of one partitioned save (see
+        :meth:`partition`): they share one vocabulary, column for column,
+        and have no freed slots.  Their tf rows go through
+        :meth:`from_counts`, tf where counts go, in ascending id order and
+        ascending column order within a document, so they merge into one
+        space that ranks like the space they were cut from (to 1e-9).
+        """
+        doc_ids = sorted(d for shard in shards for d in shard.doc_ids)
+        position = {doc_id: row for row, doc_id in enumerate(doc_ids)}
+        rows, terms, tf = [], [], []
+        for shard in shards:
+            bounds, slots, values = shard._postings
+            row_of = np.array([position[d] for d in shard._slot_ids], np.intp)
+            rows.append(row_of[slots])
+            terms.append(np.repeat(np.arange(len(shard.terms)), np.diff(bounds)))
+            tf.append(values)
+        rows, terms, tf = (np.concatenate(parts) for parts in (rows, terms, tf))
+        order = np.lexsort((terms, rows))
+        return cls.from_counts(
+            doc_ids,
+            rows[order],
+            shards[0].terms,
+            terms[order],
+            tf[order],
+            shards[0].smooth_idf,
+        )
+
+    @classmethod
+    def _empty(cls, smooth_idf: bool) -> "MatrixConceptSpace":
+        """A space of no documents and no terms: what every build folds into."""
+        empty = {name: np.zeros(0) for name in _ARRAY_NAMES}
+        empty["post_indptr"] = np.zeros(1, dtype=np.intp)
+        return cls(doc_ids=(), terms=(), arrays=empty, smooth_idf=smooth_idf)
 
     @classmethod
     def compile(cls, space: ConceptVectorSpace) -> "MatrixConceptSpace":
@@ -318,23 +417,6 @@ class MatrixConceptSpace:
             for column, weight in zip(columns.tolist(), weights.tolist())
             if weight != 0.0
         }
-
-    def tf_bags(self) -> Dict[str, Dict[Hashable, float]]:
-        """Every document's ``term -> tf`` row (Eq. 2), ascending ids.
-
-        Read off the postings, so a space rebuilt by :meth:`from_bags` over
-        the rows of several shards ranks like the space they were cut from.
-        """
-        self.refresh()
-        bounds, rows, tf = self._postings
-        columns = np.repeat(np.arange(len(self._terms)), np.diff(bounds))
-        bags: Dict[str, Dict[Hashable, float]] = {d: {} for d in self._sorted_ids}
-        order = np.argsort(rows, kind="stable")  # slot-major, columns ascending
-        for slot, column, value in zip(
-            rows[order].tolist(), columns[order].tolist(), tf[order].tolist()
-        ):
-            bags[self._slot_ids[slot]][self._terms[column]] = value
-        return bags
 
     def query_weights(
         self, query_bag: Mapping[Hashable, float]
@@ -462,19 +544,34 @@ class MatrixConceptSpace:
     # The steps of :meth:`refresh` (writer-side, unlocked)
     # ------------------------------------------------------------------ #
     def _fold_pending(self) -> None:
-        """Fold pending mutations into the postings.
+        """Fold pending mutations in: the dict front of :meth:`_fold`.
 
-        The vocabulary grows by the pending bags' unseen terms.  An added
-        document takes a new slot, an updated one keeps its own, a removed
-        one frees its slot, and only the postings of terms a written or
-        dropped document carries are spliced.
+        The vocabulary grows by the pending bags' unseen terms, numbered by
+        first appearance; each bag becomes entries of its counts.
         """
         upsert, removed = self._pending_upsert, self._pending_remove
         self._pending_upsert, self._pending_remove = {}, set()
         pending: Dict[Hashable, float] = {}  # its keys: an insertion-ordered set
         for bag in upsert.values():
             pending.update(bag)
-        new_terms = tuple(term for term in pending if term not in self._term_index)
+        self._add_terms(pending)
+        lengths = [len(bag) for bag in upsert.values()]
+        columns: List[int] = []
+        counts: List[float] = []
+        for bag in upsert.values():
+            columns += map(self._term_index.__getitem__, bag)
+            counts += bag.values()
+        self._fold(
+            list(upsert),
+            removed,
+            np.repeat(np.arange(len(upsert)), lengths),
+            np.array(columns, dtype=np.intp),
+            np.array(counts),
+        )
+
+    def _add_terms(self, terms: Iterable[Hashable]) -> None:
+        """Give the unseen of ``terms`` new (empty) columns, in the order given."""
+        new_terms = tuple(term for term in terms if term not in self._term_index)
         if new_terms:
             first = len(self._terms)
             self._terms += new_terms
@@ -482,29 +579,42 @@ class MatrixConceptSpace:
             self._post_rows.extend([_NO_ROWS] * len(new_terms))
             self._post_tf.extend([_NO_TF] * len(new_terms))
             self._df = np.concatenate((self._df, np.zeros(len(new_terms), np.int64)))
+
+    def _fold(
+        self,
+        upserted: List[str],
+        removed: Collection[str],
+        entry_docs: np.ndarray,
+        columns: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
+        """Fold rows given as arrays into the postings.
+
+        Entry ``i`` gives ``upserted[entry_docs[i]]`` ``counts[i]``
+        occurrences of column ``columns[i]``; a document's Eq. 2 tf divides
+        them by its total, summed in entry order.  An added document takes
+        a new slot, an updated one keeps its own, a removed one frees its
+        slot, and only the postings of terms a written or dropped document
+        carries are spliced.
+        """
         index = self._doc_index
-        added = sorted(doc_id for doc_id in upsert if doc_id not in index)
-        dropped = [index[d] for d in removed] + [index[d] for d in upsert if d in index]
+        added = sorted(doc_id for doc_id in upserted if doc_id not in index)
+        dropped = [index[d] for d in removed] + [
+            index[d] for d in upserted if d in index
+        ]
         _, old_columns = self._entries_of(dropped)
         if added or removed:
             self._reorder(np.array([index[d] for d in removed], np.intp), added)
         for doc_id in removed:
             self._slot_ids[index.pop(doc_id)] = None
-        slots = np.array([index[doc_id] for doc_id in upsert], dtype=np.intp)
-        lengths = [len(bag) for bag in upsert.values()]
-        columns: List[int] = []
-        counts: List[float] = []
-        for bag in upsert.values():
-            columns += map(self._term_index.__getitem__, bag)
-            counts += bag.values()
-        totals = np.repeat([sum(bag.values()) for bag in upsert.values()], lengths)
-        new_columns = np.array(columns, dtype=np.intp)
+        slots = np.array([index[doc_id] for doc_id in upserted], dtype=np.intp)
+        totals = np.bincount(entry_docs, counts, minlength=len(upserted))
         self._splice(
-            np.concatenate((new_columns, old_columns)),
+            np.concatenate((columns, old_columns)),
             np.array(dropped, dtype=np.intp),
-            np.repeat(slots, lengths),
-            new_columns,
-            np.array(counts) / totals,  # Eq. 2
+            slots[entry_docs],
+            columns,
+            counts / totals[entry_docs],  # Eq. 2
         )
 
     def _reorder(self, removed_slots: np.ndarray, added: List[str]) -> None:

@@ -8,8 +8,8 @@ of the library reads is a numpy pass over those columns:
 
 * the third-order binary tensor ``F`` of Eq. 5 (``to_tensor``),
 * the user-aggregated tag-resource count matrix of Fig. 3 (``to_tag_resource_matrix``),
-* per-resource tag bags for the IR layer (``tag_bag``), rows of a
-  resource x tag count CSR derived on first use.
+* the resource x tag count table the IR layer indexes (``tag_counts``),
+  derived on first use, and per-resource tag bags read off it (``tag_bag``).
 
 :class:`~repro.tagging.entities.TagAssignment` objects exist only at the
 edges: :attr:`Folksonomy.assignments` is a lazy sequence that builds one per
@@ -247,7 +247,7 @@ class Folksonomy:
         self._name = name
         self._vocabularies: Tuple[Vocabulary, ...] = tuple(kept_vocabularies)
         self._columns: Columns = tuple(kept_columns)
-        self._bags: Optional[Tuple[List[int], List[str], List[int]]] = None
+        self._tag_counts: Optional[Columns] = None
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -351,15 +351,17 @@ class Folksonomy:
     # ------------------------------------------------------------------ #
     # Relationship queries
     # ------------------------------------------------------------------ #
-    def _bag_rows(self) -> Tuple[List[int], List[str], List[int]]:
-        """The resource x tag count CSR as lists ``(indptr, tags, counts)``.
+    def tag_counts(self) -> Columns:
+        """The resource x tag count table as read-only columns ``(row, tag, count)``.
 
+        One entry per (resource, tag) pair: the resource's id (ascending),
+        the tag's id and the number of distinct users who assigned it.
         Within a row, tags come in the order of their first assignment in
         row order — the order the engine numbers new term columns in, so
-        it must not change.  Lists, not arrays: ``tag_bag`` is called once
-        per resource and slicing lists is what keeps that call cheap.
+        it must not change.  Derived on first use; :meth:`tag_bag` reads
+        it too.
         """
-        if self._bags is None:
+        if self._tag_counts is None:
             _, tags, resources = self._columns
             width = max(self.num_tags, 1)
             pairs = resources.astype(np.int64) * width + tags
@@ -370,12 +372,11 @@ class Folksonomy:
             counts = np.diff(np.append(starts, pairs.size))
             rows = keys // width
             order = np.argsort(rows * max(pairs.size, 1) + first)
-            self._bags = (
-                np.searchsorted(rows, np.arange(self.num_resources + 1)).tolist(),
-                list(map(self.tags.__getitem__, (keys % width)[order].tolist())),
-                counts[order].tolist(),
-            )
-        return self._bags
+            table = (rows, (keys % width)[order], counts[order])
+            for column in table:
+                column.flags.writeable = False
+            self._tag_counts = table
+        return self._tag_counts
 
     def tag_bag(self, resource: str) -> Dict[str, int]:
         """Bag-of-tags of a resource: tag -> number of distinct users who used it.
@@ -385,9 +386,10 @@ class Folksonomy:
         row = _find(self.resources, resource)
         if row < 0:
             return {}
-        indptr, tags, counts = self._bag_rows()
-        start, end = indptr[row], indptr[row + 1]
-        return dict(zip(tags[start:end], counts[start:end]))
+        rows, tags, counts = self.tag_counts()
+        start, end = rows.searchsorted((row, row + 1)).tolist()
+        labels = map(self.tags.__getitem__, tags[start:end].tolist())
+        return dict(zip(labels, counts[start:end].tolist()))
 
     tags_of_resource = tag_bag
 

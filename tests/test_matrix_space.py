@@ -21,7 +21,7 @@ import pytest
 
 from oracle import DictLoopOracle
 from repro.baselines.freq import FreqRanker
-from repro.core.concepts import identity_concept_model
+from repro.core.concepts import Concept, ConceptModel, identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 from repro.search.engine import SearchEngine
 from repro.search.matrix_space import MatrixConceptSpace, select_top_k
@@ -185,6 +185,52 @@ class TestFromBags:
                     tol=1e-9,
                     truncated=top_k is not None,
                 )
+
+    @staticmethod
+    def concept_model(folksonomy, kind):
+        """A fresh model over ``folksonomy``'s tags (own-concept ones allocate)."""
+        tags = list(folksonomy.tags)
+        if kind == "ignored":  # no corpus tag maps to a concept
+            return ConceptModel([Concept(0, ("no-such-tag",))], {"no-such-tag": 0})
+        if kind == "own-concept":  # the model lacks every other tag
+            tags = tags[::2]
+        concepts = [Concept(c, tuple(tags[c::7])) for c in range(7)]
+        return ConceptModel(
+            concepts,
+            {tag: c.concept_id for c in concepts for tag in c.tags},
+            unknown_policy="own-concept" if kind == "own-concept" else "ignore",
+        )
+
+    @pytest.mark.parametrize("smooth_idf", [False, True])
+    @pytest.mark.parametrize("kind", ["generated", "own-concept", "ignored"])
+    def test_columnar_build_saves_the_bytes_of_the_bag_build(
+        self, small_cleaned, tmp_path, kind, smooth_idf
+    ):
+        reference_model = self.concept_model(small_cleaned, kind)
+        bags = {
+            r: reference_model.concept_bag(small_cleaned.tag_bag(r), allocate=True)
+            for r in small_cleaned.resources
+        }
+        MatrixConceptSpace.from_bags(bags, smooth_idf).save(tmp_path / "bags")
+        model = self.concept_model(small_cleaned, kind)
+        engine = SearchEngine.build(small_cleaned, model, smooth_idf=smooth_idf)
+        engine.matrix_space.save(tmp_path / "built")
+
+        saved = sorted(path.name for path in (tmp_path / "bags").iterdir())
+        assert sorted(path.name for path in (tmp_path / "built").iterdir()) == saved
+        for name in saved:
+            reference = (tmp_path / "bags" / name).read_bytes()
+            assert (tmp_path / "built" / name).read_bytes() == reference, name
+        dynamics = list(model._dynamic_concepts.items())
+        assert dynamics == list(reference_model._dynamic_concepts.items())
+        assert model.num_concepts == reference_model.num_concepts
+        assert bool(dynamics) == (kind == "own-concept")
+        if kind == "ignored":
+            space = engine.matrix_space
+            assert space.doc_ids == small_cleaned.resources and space.terms == ()
+            assert all(space.document_norm(r) == 0.0 for r in space.doc_ids)
+            queries = [[tag] for tag in small_cleaned.tags[:5]] + [["no-such-tag"]]
+            assert engine.rank_batch(queries, top_k=3) == [[]] * len(queries)
 
     def test_idf_zero_term_and_all_zero_document(self):
         # Deliberately not in id order; "common" is in every document, so

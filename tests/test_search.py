@@ -167,6 +167,24 @@ class TestSearchEngine:
         )
         return folksonomy, SearchEngine.build(folksonomy, model, name="test")
 
+    def test_build_never_makes_a_bag_per_resource(
+        self, small_cleaned, monkeypatch
+    ):
+        model = identity_concept_model(small_cleaned.tags)
+        queries = [[tag] for tag in small_cleaned.tags[:4]]
+        queries.append(list(small_cleaned.tags[4:7]))
+        expected = SearchEngine.build(small_cleaned, model).rank_batch(queries)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the build must not loop over resources")
+
+        fresh = Folksonomy(small_cleaned.assignments)  # nothing derived yet
+        with monkeypatch.context() as patched:
+            patched.setattr(Folksonomy, "tag_bag", forbidden)
+            patched.setattr(ConceptModel, "concept_bag", forbidden)
+            engine = SearchEngine.build(fresh, model)
+        assert engine.rank_batch(queries) == expected  # queries use concept_bag
+
     def test_concept_expansion_retrieves_synonym_tagged_resources(self):
         _, engine = self.build_engine()
         # "audio" only appears on r1, but concept expansion should also find

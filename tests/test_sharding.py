@@ -92,6 +92,29 @@ def tag_bags_of(folksonomy):
     return {r: dict(folksonomy.tag_bag(r)) for r in folksonomy.resources}
 
 
+def tf_rows_of_save(directory):
+    """``resource -> {term -> tf}`` of every shard saved under ``directory``.
+
+    Read off the files, each document's terms in column order: the dict
+    rows an N-shard load folds, as :meth:`MatrixConceptSpace.from_bags`
+    input.
+    """
+    rows = {}
+    for shard_dir in sorted(Path(directory).glob("shard-*")):
+        metadata = json.loads((shard_dir / "matrix_space.json").read_text())
+        doc_ids, terms = metadata["doc_ids"], metadata["terms"]["values"]
+        bounds, slots, tf = (
+            np.load(shard_dir / f"matrix_space.{name}.npy")
+            for name in ("post_indptr", "post_rows", "post_weights")
+        )
+        columns = np.repeat(np.arange(len(terms)), np.diff(bounds))
+        bags = {doc_id: {} for doc_id in doc_ids}
+        for at in np.lexsort((columns, slots)).tolist():
+            bags[doc_ids[slots[at]]][terms[columns[at]]] = float(tf[at])
+        rows.update(bags)
+    return rows
+
+
 def apply_batch(bags, added=None, updated=None, removed=()):
     """Replay one ``apply_mutations`` batch on plain ``resource -> bag`` dicts."""
     bags.update(added or {})
@@ -577,6 +600,13 @@ class TestShardedPersistence:
         assert loaded.is_mutable and not loaded.matrix_space.has_external_stats
         queries = sample_queries(small_cleaned, rng)
         assert_matches_oracle(loaded, oracle, queries)
+        if num_shards > 1:  # the fold of the shards' tf rows, byte for byte
+            rows = tf_rows_of_save(tmp_path)
+            MatrixConceptSpace.from_bags(rows).save(tmp_path / "bags")
+            loaded.matrix_space.save(tmp_path / "loaded")
+            for path in (tmp_path / "bags").iterdir():
+                saved = (tmp_path / "loaded" / path.name).read_bytes()
+                assert saved == path.read_bytes(), path.name
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_save_load_then_mutate_stays_in_parity(
