@@ -11,7 +11,7 @@ with the lifecycle subsystem:
 2. stream mutation batches through the handle until the refresh policy's
    *refit* verdict (not just the cheap fold-in verdict) fires,
 3. run the full Tucker refit in a **background process** via
-   :class:`RefitCoordinator` while queries keep flowing — checkpoint,
+   :class:`RefitCoordinator` while queries keep flowing — capture,
    fit, journal catch-up, publish as generation N+1, double-buffered
    swap,
 4. show what changed: generation, epoch, store layout, and the swap and

@@ -13,8 +13,8 @@
 * :mod:`repro.core.pipeline` — the full offline component of Figure 1,
   producing a searchable concept-space index (with delta fold-in for
   incremental serving).
-* :mod:`repro.core.snapshots` — epoch-stamped on-disk checkpoints of
-  serving indexes.
+* :mod:`repro.core.snapshots` — numbered, immutable on-disk generations
+  of serving indexes.
 """
 
 from repro.core.distances import (

@@ -1,35 +1,25 @@
-"""Versioned on-disk snapshots of serving indexes.
+"""Versioned on-disk generations of serving indexes.
 
-An :class:`IndexSnapshotStore` manages a directory of epoch-stamped
-:class:`~repro.core.pipeline.OfflineIndex` saves::
-
-    root/
-      epoch-00000000/   <- full offline fit
-      epoch-00000042/   <- checkpoint after 42 mutation batches
-      ...
-
-The store is the persistence half of the incremental serving story: a
-serving process restores the latest snapshot, keeps hot-applying
-:class:`~repro.tagging.delta.FolksonomyDelta` batches via
-``OfflineIndex.apply_delta``, and checkpoints whenever it likes; on restart
-it resumes from the newest epoch instead of replaying the whole stream.
-Snapshots are written with ``include_folksonomy=True`` so a restored index
-can keep folding deltas in.
-
-Alongside the epoch line the store keeps a *generation* line for the
-lifecycle pipeline (:mod:`repro.search.lifecycle`)::
+An :class:`IndexSnapshotStore` manages one line of immutable
+:class:`~repro.core.pipeline.OfflineIndex` publishes::
 
     root/
-      gen-0001/         <- a published refit output
+      gen-0001/         <- a published index (first fit or a refit output)
       gen-0002/         <- the next one
       CURRENT           <- atomic pointer at the serving generation
 
-Epoch snapshots are *checkpoints of one engine's mutation stream*;
-generation publishes are *whole new engines* (fresh Tucker fits).  A
-refit publishes ``gen-N`` first, swaps it into serving, then flips the
-``CURRENT`` pointer — a restart that reads :meth:`load_current` can
-therefore never observe a generation that wasn't fully on disk, and
-:meth:`gc_generations` never deletes the pointed-at generation.
+Every publish is saved with ``include_folksonomy=True``, so a restored
+index can keep folding :class:`~repro.tagging.delta.FolksonomyDelta`
+batches in via ``OfflineIndex.apply_delta`` and the next refit can fit
+from it.  A serving process checkpoints its mutation stream by publishing
+the next generation, restarts from :meth:`load_current`, and bounds disk
+with :meth:`gc_generations`.
+
+The lifecycle pipeline (:mod:`repro.search.lifecycle`) publishes ``gen-N``
+first, swaps it into serving, then flips the ``CURRENT`` pointer — a
+restart that reads :meth:`load_current` can therefore never observe a
+generation that wasn't fully on disk, and :meth:`gc_generations` never
+deletes the pointed-at generation.
 """
 
 from __future__ import annotations
@@ -44,7 +34,6 @@ from typing import List, Optional, Union
 from repro.core.pipeline import OfflineIndex
 from repro.utils.errors import ConfigurationError, NotFittedError
 
-_EPOCH_DIR_PATTERN = re.compile(r"^epoch-(\d{8,})$")
 _GENERATION_DIR_PATTERN = re.compile(r"^gen-(\d{4,})$")
 
 #: File under the store root holding the atomic current-generation pointer.
@@ -52,7 +41,7 @@ CURRENT_POINTER_NAME = "CURRENT"
 
 
 class IndexSnapshotStore:
-    """Saves and restores epoch-stamped serving snapshots under a root dir."""
+    """Publishes and restores numbered index generations under a root dir."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self._root = Path(root)
@@ -62,98 +51,6 @@ class IndexSnapshotStore:
     def root(self) -> Path:
         return self._root
 
-    # ------------------------------------------------------------------ #
-    # Write path
-    # ------------------------------------------------------------------ #
-    def save(self, index: OfflineIndex, num_shards: int = 1) -> Path:
-        """Checkpoint ``index`` under its engine's current epoch.
-
-        Re-checkpointing the current epoch overwrites it in place, so a
-        periodic checkpoint timer over a quiet corpus stays idempotent (no
-        duplicate snapshots, no phantom epoch bumps).  Only when the
-        engine's epoch has fallen *behind* the stored line — a full refit
-        produces a fresh engine whose counter restarts at 0 after newer
-        checkpoints exist — is the engine advanced to ``latest + 1``, so
-        :meth:`load` always restores the newest state.  Checkpoint before
-        refitting if the outgoing generation's snapshot must survive a
-        same-epoch overwrite.
-
-        ``num_shards`` is the checkpoint's save layout; every checkpoint is
-        the one engine layout (per-shard array dirs + manifest), so an
-        N-process deployment can point ``SearchEngine.load_shard`` — or a
-        :class:`~repro.search.shardpool.ShardProcessPool` — at any snapshot
-        directory.
-        """
-        if index.folksonomy is None:
-            raise ConfigurationError(
-                "snapshots persist the folksonomy so restored indexes can "
-                "hot-apply deltas; this index carries none"
-            )
-        latest = self.latest_epoch()
-        if latest is not None and index.engine.epoch < latest:
-            index.engine.epoch = latest + 1
-        directory = self._root / f"epoch-{index.engine.epoch:08d}"
-        # Stage then rename so a crash mid-checkpoint can never leave a
-        # torn directory that epochs() would count as the newest snapshot.
-        staging = self._root / f".staging-epoch-{index.engine.epoch:08d}"
-        if staging.exists():
-            shutil.rmtree(staging)
-        index.save(staging, include_folksonomy=True, num_shards=num_shards)
-        if directory.exists():
-            # Retire the old snapshot with a rename (not an rmtree) so the
-            # unprotected window between losing the old directory and
-            # installing the new one is two metadata operations, not a
-            # content-sized delete.
-            retired = self._root / f".retired-epoch-{index.engine.epoch:08d}"
-            if retired.exists():
-                shutil.rmtree(retired)
-            directory.replace(retired)
-            staging.replace(directory)
-            shutil.rmtree(retired)
-        else:
-            staging.replace(directory)
-        return directory
-
-    def prune(self, keep_last: int = 3) -> List[int]:
-        """Delete all but the newest ``keep_last`` snapshots; returns epochs dropped."""
-        if keep_last < 1:
-            raise ConfigurationError(f"keep_last must be >= 1, got {keep_last}")
-        epochs = self.epochs()
-        doomed = epochs[:-keep_last] if len(epochs) > keep_last else []
-        for epoch in doomed:
-            shutil.rmtree(self._root / f"epoch-{epoch:08d}")
-        return doomed
-
-    # ------------------------------------------------------------------ #
-    # Read path
-    # ------------------------------------------------------------------ #
-    def epochs(self) -> List[int]:
-        """Epochs of all stored snapshots, ascending."""
-        found = []
-        for child in self._root.iterdir():
-            match = _EPOCH_DIR_PATTERN.match(child.name)
-            if match and child.is_dir():
-                found.append(int(match.group(1)))
-        return sorted(found)
-
-    def latest_epoch(self) -> Optional[int]:
-        epochs = self.epochs()
-        return epochs[-1] if epochs else None
-
-    def load(self, epoch: Optional[int] = None) -> OfflineIndex:
-        """Restore a snapshot (the newest one by default)."""
-        if epoch is None:
-            epoch = self.latest_epoch()
-            if epoch is None:
-                raise NotFittedError(f"no snapshots under {self._root}")
-        directory = self._root / f"epoch-{epoch:08d}"
-        if not directory.exists():
-            raise NotFittedError(f"no snapshot for epoch {epoch} under {self._root}")
-        return OfflineIndex.load(directory)
-
-    # ------------------------------------------------------------------ #
-    # Generation line (refit publishes)
-    # ------------------------------------------------------------------ #
     def _generation_dir(self, generation: int) -> Path:
         return self._root / f"gen-{generation:04d}"
 
@@ -166,8 +63,8 @@ class IndexSnapshotStore:
     ) -> Path:
         """Write ``index`` as generation ``generation`` (next free by default).
 
-        Publishing stages then renames, like :meth:`save`, so a torn write
-        never becomes a listed generation.  ``make_current=False`` defers
+        Publishing stages then renames, so a torn write never becomes a
+        listed generation.  ``make_current=False`` defers
         the pointer flip — the lifecycle coordinator publishes first,
         swaps serving, and only then calls :meth:`set_current`, so the
         pointer always names a generation that is actually serving.

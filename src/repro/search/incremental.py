@@ -9,8 +9,7 @@ This module quantifies that drift:
 * every mutation of a :class:`~repro.search.engine.SearchEngine` bumps its
   *epoch* and a set of staleness counters,
 * a :class:`RefreshPolicy` turns those counters into a *refit due* signal,
-* :class:`StalenessReport` is the snapshot handed to operators (and to the
-  versioned snapshot store, which records the epoch it checkpointed),
+* :class:`StalenessReport` is the snapshot handed to operators,
 * :class:`EpochObservationLog` records the epochs concurrent readers
   actually observed (via the engines' ``snapshot_rank_batch``), so the
   workload replay suite can assert that epoch-consistent reads never run

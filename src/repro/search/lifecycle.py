@@ -15,18 +15,18 @@ closes the loop with three pieces:
   generation atomically (double-buffering) and retires the old one only
   after its in-flight readers drain.
 * :class:`DeltaJournal` — an ordered, replayable log of every mutation
-  batch applied since the last published snapshot.  Replaying the journal
+  batch applied since the last published generation.  Replaying the journal
   onto a freshly refitted engine reproduces fold-in state at 1e-9 parity
   (the PR 2 invariant: fold-in equals scratch rebuild under one frozen
-  model), which is what lets a refit run on a *trailing* snapshot while
+  model), which is what lets a refit run on a *trailing* corpus while
   serving keeps mutating.
-* :class:`RefitCoordinator` — the control loop: checkpoint an
-  epoch-stamped trailing snapshot into an
-  :class:`~repro.core.snapshots.IndexSnapshotStore`, run the full
-  Tucker-ALS refit in a **background process** (the fit is CPU-bound
-  Python + BLAS; a process sidesteps the GIL and memory spikes), replay
-  the journal entries that arrived meanwhile onto the fresh engine,
-  publish it as a new generation, and hot-swap it in.
+* :class:`RefitCoordinator` — the control loop: capture the handle's
+  (immutable) folksonomy together with a journal mark, run the full
+  Tucker-ALS refit on it in a **background process** (the fit is
+  CPU-bound Python + BLAS; a process sidesteps the GIL and memory
+  spikes), replay the journal entries that arrived meanwhile onto the
+  fresh engine, publish it as a new generation of an
+  :class:`~repro.core.snapshots.IndexSnapshotStore`, and hot-swap it in.
 
 Generation/epoch model
 ----------------------
@@ -127,10 +127,10 @@ def _freeze_buckets(
 
 
 class DeltaJournal:
-    """A thread-safe ordered log of mutation batches since the last snapshot.
+    """A thread-safe ordered log of mutation batches since the last publish.
 
     The journal is the replay medium of the refit pipeline: a background
-    refit fits on a trailing snapshot, then replays ``entries_since(mark)``
+    refit fits on a captured corpus, then replays ``entries_since(mark)``
     onto the fresh engine to catch up with everything serving applied
     meanwhile.  Sequence numbers are absolute so a mark taken before the
     fit stays meaningful after a concurrent ``truncate_through``.
@@ -168,7 +168,7 @@ class DeltaJournal:
         """The newest appended sequence number (0 before any append).
 
         ``entries_since(mark())`` is empty *now*; entries appended later
-        come after the mark — the capture point the refit checkpoints at.
+        come after the mark — the capture point a refit fits from.
         """
         with self._lock:
             return self._next_seq - 1
@@ -568,7 +568,11 @@ class EngineHandle(RankEngine):
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class RefitResult:
-    """Everything one completed refit cycle produced and measured."""
+    """Everything one completed refit cycle produced and measured.
+
+    ``snapshot_epoch`` is the handle's epoch when the fitted corpus was
+    captured.
+    """
 
     generation: int
     epoch: int
@@ -591,30 +595,23 @@ class RefitResult:
         )
 
 
-def _fit_snapshot(snapshot_dir, pipeline_kwargs: Mapping[str, object]):
-    """The full Tucker-ALS fit on a snapshot's folksonomy."""
-    # Deferred (here and below): core.pipeline and search import each other.
-    from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
+def _refit_worker_main(
+    folksonomy: Folksonomy, out_dir: str, pipeline_kwargs: dict
+) -> None:
+    """Background-process entry point: fit the captured corpus, save.
 
-    base = OfflineIndex.load(snapshot_dir)
-    if base.folksonomy is None:
-        raise ConfigurationError(
-            f"snapshot {snapshot_dir} carries no folksonomy to refit on"
-        )
-    return CubeLSIPipeline(**pipeline_kwargs).fit(base.folksonomy)
-
-
-def _refit_worker_main(snapshot_dir: str, out_dir: str, pipeline_kwargs: dict) -> None:
-    """Background-process entry point: load snapshot, fit, save.
-
-    The save leaves the folksonomy out: the parent publishes the handle's
-    own.  Module-level (not a closure) so the spawn start method can
-    import it; errors are written next to the output so the parent can
-    surface the real traceback instead of a bare exit code.
+    The folksonomy arrives as the process argument (inherited under fork,
+    pickled under spawn).  The save leaves it out: the parent publishes
+    the handle's own.  Module-level (not a closure) so the spawn start
+    method can import it; errors are written next to the output so the
+    parent can surface the real traceback instead of a bare exit code.
     """
+    # Deferred (here and below): core.pipeline and search import each other.
+    from repro.core.pipeline import CubeLSIPipeline
+
     out = Path(out_dir)
     try:
-        _fit_snapshot(snapshot_dir, pipeline_kwargs).save(out)
+        CubeLSIPipeline(**pipeline_kwargs).fit(folksonomy).save(out)
     except BaseException:
         out.mkdir(parents=True, exist_ok=True)
         (out / "refit_error.txt").write_text(
@@ -660,13 +657,14 @@ class RefitCoordinator:
     One cycle (:meth:`refit`, or :meth:`refit_in_background` for the
     non-blocking wrapper):
 
-    1. **checkpoint** — under the handle's write lock, snapshot the
-       current index (engine + folksonomy) into the store, epoch-stamped,
-       and take a journal mark.  Readers keep flowing; only writers wait
-       for the disk write.
-    2. **fit** — a background *process* loads the snapshot and runs the
-       full :class:`~repro.core.pipeline.CubeLSIPipeline` on it.  Serving
-       is untouched: different process, trailing data.
+    1. **capture** — under the handle's write lock, take a journal mark
+       together with the handle's folksonomy and epoch.  The folksonomy
+       is immutable, so this copies and writes nothing; writers wait
+       only for three attribute reads.
+    2. **fit** — run the full :class:`~repro.core.pipeline.CubeLSIPipeline`
+       on the captured folksonomy, in a background *process* (it is the
+       process argument).  Serving is untouched: different process,
+       trailing data.
     3. **catch up** — under the write lock, take a second journal mark
        together with the handle's folksonomy (which already holds every
        batch up to that mark); outside it, replay the entries between the
@@ -677,7 +675,9 @@ class RefitCoordinator:
     5. **swap** — :meth:`EngineHandle.swap` with a prepare step that
        replays the last-moment tail and truncates the journal through the
        published mark; then mark the generation current in the store and
-       GC stale generations.
+       GC stale generations.  If the factory or the swap fails, the
+       unserved generation is retired, so the next cycle can publish
+       under the same number.
 
     ``engine_factory(index, published_dir)`` builds the serving engine
     for the new generation from the published artefact — e.g. a
@@ -738,10 +738,16 @@ class RefitCoordinator:
 
     def _refit_locked(self) -> RefitResult:
         cycle_started = time.perf_counter()
-        mark, snapshot_dir, snapshot_epoch = self._checkpoint()
+        # Capture: the mark and the folksonomy are read under the write
+        # lock, so every entry after the mark is exactly a batch the
+        # captured corpus lacks.
+        with self.handle._write_lock:
+            mark = self.handle.journal.mark()
+            corpus = self.handle.folksonomy
+            snapshot_epoch = self.handle.epoch
 
         fit_started = time.perf_counter()
-        fresh_index = self._fit(snapshot_dir)
+        fresh_index = self._fit(corpus)
         fit_seconds = time.perf_counter() - fit_started
 
         # Catch up: everything serving applied while the fit ran, replayed
@@ -771,11 +777,6 @@ class RefitCoordinator:
             **self.publish_kwargs,
         )
 
-        if self.engine_factory is not None:
-            serving_engine = self.engine_factory(fresh_index, published_dir)
-        else:
-            serving_engine = fresh_index.engine
-
         tail_count = 0
 
         def prepare(new_engine) -> None:
@@ -790,7 +791,17 @@ class RefitCoordinator:
             tail_count = replay_entries(new_engine, tail)
             self.handle.journal.truncate_through(catch)
 
-        swap = self.handle.swap(serving_engine, prepare=prepare)
+        serving_engine = fresh_index.engine
+        try:
+            if self.engine_factory is not None:
+                serving_engine = self.engine_factory(fresh_index, published_dir)
+            swap = self.handle.swap(serving_engine, prepare=prepare)
+        except BaseException:
+            # Nothing serves this generation: unpublish it so the next
+            # cycle can claim the same number.
+            serving_engine.close()
+            self.store.retire_generation(generation)
+            raise
         if swap.generation != generation:
             raise ConfigurationError(
                 f"generation raced during refit: published {generation} but "
@@ -826,54 +837,19 @@ class RefitCoordinator:
     # ------------------------------------------------------------------ #
     # Steps
     # ------------------------------------------------------------------ #
-    def _checkpoint(self) -> Tuple[int, Path, int]:
-        """Epoch-stamped trailing snapshot + the journal mark it captures.
-
-        Runs under the handle's write lock so the snapshot and the mark
-        describe the same instant: every journal entry after the mark is
-        exactly the set of batches missing from the snapshot.
-        """
-        from repro.core.pipeline import OfflineIndex
-
-        with self.handle._write_lock:
-            engine = self.handle.engine
-            mark = self.handle.journal.mark()
-            if engine.concept_model is None:
-                # A factory-built read-only engine (a process pool) cannot
-                # be re-serialized, but it also cannot accept mutations —
-                # so the store's current published generation still equals
-                # the serving state exactly, and is the checkpoint.
-                try:
-                    index = self.store.load_current()
-                except NotFittedError as error:
-                    raise ConfigurationError(
-                        "the serving engine carries no concept model and the "
-                        "store has no current generation to checkpoint from"
-                    ) from error
-                index.engine.epoch = engine.epoch
-            else:
-                index = OfflineIndex(
-                    concept_model=engine.concept_model,
-                    engine=engine,
-                    timings={},
-                    folksonomy=self.handle.folksonomy,
-                )
-            snapshot_dir = self.store.save(index)
-            return mark, snapshot_dir, engine.epoch
-
-    def _fit(self, snapshot_dir: Path):
-        """The full Tucker-ALS refit on the trailing snapshot."""
-        from repro.core.pipeline import OfflineIndex
+    def _fit(self, folksonomy: Folksonomy):
+        """The full Tucker-ALS refit on the captured folksonomy."""
+        from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
 
         if not self.use_process:
-            return _fit_snapshot(snapshot_dir, self.pipeline_kwargs)
+            return CubeLSIPipeline(**self.pipeline_kwargs).fit(folksonomy)
 
         staging = Path(self.store.root) / ".refit-staging"
         if staging.exists():
             shutil.rmtree(staging)
         worker = process_context().Process(
             target=_refit_worker_main,
-            args=(str(snapshot_dir), str(staging), dict(self.pipeline_kwargs)),
+            args=(folksonomy, str(staging), dict(self.pipeline_kwargs)),
             name="refit-worker",
             daemon=True,
         )

@@ -249,6 +249,13 @@ class Folksonomy:
         self._columns: Columns = tuple(kept_columns)
         self._tag_counts: Optional[Columns] = None
 
+    def __setstate__(self, state) -> None:
+        # Unpickled arrays come back writeable; a folksonomy handed to a
+        # spawned worker must stay as immutable as the parent's.
+        self.__dict__.update(state)
+        for column in self._columns + (self._tag_counts or ()):
+            column.flags.writeable = False
+
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #

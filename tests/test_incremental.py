@@ -541,55 +541,31 @@ class TestSnapshotStore:
         )
         index = pipeline.fit(small_cleaned)
         store = IndexSnapshotStore(tmp_path / "snapshots")
-        first = store.save(index)
-        assert first.name == "epoch-00000000"
+        first = store.publish(index)
+        assert first.name == "gen-0001"
 
         delta = build_mixed_delta(index.folksonomy, rng)
         index.apply_delta(delta)
-        store.save(index)
-        assert store.epochs() == [0, index.engine.epoch]
+        store.publish(index)  # checkpoint the mutation stream
+        assert store.generations() == [1, 2]
+        assert store.current_generation() == 2
 
-        serving = store.load()  # newest epoch
+        serving = store.load_current()  # newest generation
         assert serving.engine.epoch == index.engine.epoch
         queries = sample_queries(index.folksonomy, rng)
         assert_engine_parity(serving.engine, index.engine, queries)
 
-        # the restored snapshot keeps accepting deltas
+        # the restored generation keeps accepting deltas
         more = FolksonomyDeltaBuilder().add_resource(
             "post-restore", {"user-z": [index.folksonomy.tags[0]]}
         ).build()
         serving.apply_delta(more)
         assert serving.engine.search([index.folksonomy.tags[0]], top_k=3)
 
-        dropped = store.prune(keep_last=1)
-        assert dropped == [0]
-        assert store.epochs() == [index.engine.epoch]
-        assert store.latest_epoch() == index.engine.epoch
-
-    def test_refit_checkpoint_stays_newest(self, small_cleaned, tmp_path):
-        """Regression: a refit resets the engine epoch to 0, and its
-        checkpoint used to overwrite epoch-00000000 while load() kept
-        restoring the stale pre-refit snapshot."""
-        rng = np.random.default_rng(9)
-        pipeline = CubeLSIPipeline(
-            reduction_ratios=(10.0, 3.0, 10.0), num_concepts=10, seed=0, min_rank=4
-        )
-        index = pipeline.fit(small_cleaned)
-        store = IndexSnapshotStore(tmp_path / "snapshots")
-        store.save(index)  # epoch 0
-        index.apply_delta(build_mixed_delta(index.folksonomy, rng))
-        store.save(index)  # epoch 1
-
-        refit = pipeline.fit(index.folksonomy)  # fresh engine, epoch 0
-        refit_path = store.save(refit)
-        assert refit.engine.epoch == 2  # advanced past the stored line
-        assert refit_path.name == "epoch-00000002"
-        assert store.epochs() == [0, 1, 2]
-        restored = store.load()
-        assert restored.engine.epoch == 2
-        assert (
-            restored.folksonomy.assignments == refit.folksonomy.assignments
-        )
+        dropped = store.gc_generations(keep_last=1)
+        assert dropped == [1]
+        assert store.generations() == [2]
+        assert store.load_current().engine.epoch == index.engine.epoch
 
     def test_replay_deltas_report(self, small_cleaned):
         rng = np.random.default_rng(8)

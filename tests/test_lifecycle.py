@@ -1,7 +1,7 @@
 """Lifecycle suite: journal, handle, generations, refits, hot swaps.
 
 The acceptance bar (ISSUE 7): a full background Tucker refit must
-complete — checkpoint, fit in another process, journal catch-up, publish,
+complete — capture, fit in another process, journal catch-up, publish,
 double-buffered swap — while a concurrent workload replay keeps mutating
 and querying the same :class:`EngineHandle` through the batching
 front-end, with zero errors, strictly monotone epochs, at least one
@@ -17,6 +17,7 @@ blue/green swaps.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -27,6 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.pipeline as pipeline_module
+import repro.search.lifecycle as lifecycle_module
 from oracle import through_save
 from repro.core.concepts import identity_concept_model
 from repro.core.pipeline import CubeLSIPipeline, OfflineIndex
@@ -648,8 +651,8 @@ class TestRefitCoordinator:
         result = coordinator.refit()
         assert result.generation == handle.generation == 1
         assert result.epoch == handle.epoch == epoch_before + 1
-        # Both batches landed *before* the checkpoint, so they are inside
-        # the trailing snapshot — nothing left to replay.
+        # Both batches landed *before* the capture, so they are inside
+        # the fitted corpus — nothing left to replay.
         assert result.catchup_entries == 0
         assert result.tail_entries == 0
         assert len(handle.journal) == 0
@@ -672,6 +675,72 @@ class TestRefitCoordinator:
         third = coordinator.refit()
         assert third.generation == 3
         assert store.generations() == [2, 3]
+
+    def test_cycle_writes_the_corpus_once_and_nothing_under_the_lock(
+        self, small_cleaned, tmp_path, monkeypatch
+    ):
+        """The fit starts from the handle's folksonomy, not a saved copy:
+        no index save runs while writers are fenced off, and the only
+        assignment log written is the publish's."""
+        handle = self._fitted_handle(small_cleaned)
+        coordinator = RefitCoordinator(
+            handle,
+            IndexSnapshotStore(tmp_path),
+            pipeline_kwargs=PIPELINE_KWARGS,
+            use_process=False,
+        )
+        save = OfflineIndex.save
+
+        def save_outside_the_lock(index, *args, **kwargs):
+            assert not handle._write_lock.locked(), "saved under the write lock"
+            return save(index, *args, **kwargs)
+
+        write_tsv = pipeline_module.write_assignments_tsv
+        tsv_writes = []
+
+        def counting_write_tsv(*args, **kwargs):
+            tsv_writes.append(args)
+            return write_tsv(*args, **kwargs)
+
+        monkeypatch.setattr(OfflineIndex, "save", save_outside_the_lock)
+        monkeypatch.setattr(
+            pipeline_module, "write_assignments_tsv", counting_write_tsv
+        )
+        result = coordinator.refit()
+        assert result.generation == 1
+        assert len(tsv_writes) == 1
+        assert sorted(child.name for child in tmp_path.iterdir()) == [
+            "CURRENT",
+            "gen-0001",
+        ]
+
+    def test_spawned_worker_fits_the_pickled_corpus(
+        self, small_cleaned, tmp_path, monkeypatch
+    ):
+        """Under spawn the captured folksonomy reaches the refit process
+        through pickle rather than fork inheritance."""
+        monkeypatch.setattr(
+            lifecycle_module,
+            "process_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        handle = self._fitted_handle(small_cleaned)
+        coordinator = RefitCoordinator(
+            handle,
+            IndexSnapshotStore(tmp_path),
+            pipeline_kwargs=PIPELINE_KWARGS,
+            use_process=True,
+        )
+        tag = sorted(small_cleaned.tags)[0]
+        handle.apply_mutations(added={"doc-spawn": {tag: 2.0}})
+        result = coordinator.refit()
+        assert result.generation == handle.generation == 1
+        assert handle.has_resource("doc-spawn")
+
+        trace = make_trace(small_cleaned)
+        _, got = quiesced_rankings(handle, trace)
+        want = scratch_rankings(handle, trace)
+        assert mismatched_probes(got, want, truncated=True) == []
 
     def test_late_mutations_replayed_as_the_swap_tail(
         self, small_cleaned, tmp_path
@@ -721,10 +790,10 @@ class TestRefitCoordinator:
         victim = sorted(small_cleaned.resources)[0]
         fit = coordinator._fit
 
-        def fit_while_serving_writes(snapshot_dir):
+        def fit_while_serving_writes(corpus):
             handle.apply_mutations(added={"doc-mid": {tag: 2.0}})
             handle.apply_mutations(removed=[victim])
-            return fit(snapshot_dir)
+            return fit(corpus)
 
         coordinator._fit = fit_while_serving_writes
         result = coordinator.refit()
@@ -775,6 +844,51 @@ class TestRefitCoordinator:
         probes = probe_queries(small_cleaned, singles=2)
         _, rankings = handle.snapshot_rank_batch(probes, top_k=5)
         assert len(rankings) == len(probes)
+
+
+    def test_failed_factory_or_swap_retires_its_generation(
+        self, small_cleaned, tmp_path
+    ):
+        """A cycle that fails after publish must not wedge the next one on
+        "generation already published", nor leak the engine it built."""
+        handle = self._fitted_handle(small_cleaned)
+        store = IndexSnapshotStore(tmp_path)
+        tag = sorted(small_cleaned.tags)[0]
+        read_only = _FrozenEpochStub(epoch=10**6)
+
+        def pool_fails_to_start(index, directory):
+            raise RuntimeError("pool failed to start")
+
+        def read_only_after_a_late_write(index, directory):
+            handle.apply_mutations(added={"doc-late": {tag: 1.0}})
+            return read_only
+
+        factories = [pool_fails_to_start, read_only_after_a_late_write]
+
+        def factory(index, directory):
+            if factories:
+                return factories.pop(0)(index, directory)
+            return index.engine
+
+        coordinator = RefitCoordinator(
+            handle,
+            store,
+            pipeline_kwargs=PIPELINE_KWARGS,
+            use_process=False,
+            engine_factory=factory,
+        )
+        with pytest.raises(RuntimeError):
+            coordinator.refit()
+        assert store.generations() == []
+        with pytest.raises(ConfigurationError):
+            coordinator.refit()  # the swap refuses the read-only tail
+        assert read_only.closed
+        assert handle.generation == 0
+        assert store.generations() == []
+        result = coordinator.refit()
+        assert result.generation == handle.generation == 1
+        assert store.generations() == [1]
+        assert handle.has_resource("doc-late")
 
 
 # ---------------------------------------------------------------------- #

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ class TestFolksonomy:
         assert toy_folksonomy.user_id("u2") == 1
         with pytest.raises(KeyError):
             toy_folksonomy.tag_id("nope")
+
+    def test_pickle_round_trip_keeps_the_corpus_immutable(self, toy_folksonomy):
+        """A spawned refit worker receives the folksonomy through pickle."""
+        clone = pickle.loads(pickle.dumps(toy_folksonomy))
+        assert clone.name == toy_folksonomy.name
+        assert (clone.users, clone.tags, clone.resources) == (
+            toy_folksonomy.users,
+            toy_folksonomy.tags,
+            toy_folksonomy.resources,
+        )
+        for got, want in zip(clone.columns, toy_folksonomy.columns):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+        for got, want in zip(clone.tag_counts(), toy_folksonomy.tag_counts()):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
 
     def test_to_tensor_matches_paper_figure2(self, toy_folksonomy):
         tensor = toy_folksonomy.to_tensor()
