@@ -15,10 +15,13 @@ the handful of operations CubeLSI needs:
 ``ttm_chain`` is all the arithmetic Tucker-ALS runs on the sparse tensor.  Per
 skipped mode a plan (built once, cached on the immutable tensor) groups the
 non-zeros into *fibers* that share every index except the mode contracted
-first; one CSR product contracts that mode, a row-wise Kronecker product over
-the fibers applies the remaining factors, and a second CSR product scatters
-the fibers onto the rows of the skipped mode: ``O(nnz · ΠJ_other)`` work and
-memory, nothing of size ``ΠI``.
+first.  One CSR product contracts that mode; one sparse-times-dense product
+then contracts the last remaining mode and scatters the fibers onto the rows
+of the skipped mode in the same pass, so the ``n_fibers x ΠJ_other`` block of
+the fibers' Kronecker rows is never built (the memory-efficient TTM ordering
+of Kolda & Sun, 2008).  For an order-3 tensor that is ``O(nnz · J_first +
+n_fibers · ΠJ_other)`` time in ``O(n_fibers · (J_a + J_b) + I_skip ·
+ΠJ_other)`` memory, nothing of size ``ΠI``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ class _FiberPlan(NamedTuple):
     first: int  # the mode contracted first
     contract: sp.csr_matrix  # (n_fibers, I_first): the values, one row per fiber
     coords: np.ndarray  # (ndim, n_fibers): each fiber's index along the other modes
-    scatter: sp.csr_matrix  # (I_skip, n_fibers): 0/1, fiber -> row of the skipped mode
 
 
 class SparseTensor:
@@ -274,8 +276,16 @@ class SparseTensor:
 
         ``factors[m]`` has shape ``(I_m, J_m)`` (``factors[skip_mode]`` is
         ignored).  The result is the dense ``(I_skip, ΠJ_other)`` matrix in
-        the :func:`repro.tensor.dense.unfold` column convention, computed
-        from the non-zeros alone in ``O(nnz · ΠJ_other)`` time and memory.
+        the :func:`repro.tensor.dense.unfold` column convention.
+
+        Every projected mode yields one row per fiber: the plan's first mode
+        through its CSR product, the others by gathering factor rows.  The
+        rows of all but the last mode form ``block`` (one mode's rows at
+        order 3, their row-wise Kronecker product at order 4, a column of
+        ones at order 2).  Column ``f`` of ``spread`` holds fiber ``f``'s
+        block row at rows ``i_skip(f) · width + j``, so ``spread @ last``
+        contracts the last mode and scatters onto the skipped mode in one
+        product, each output entry summed over the fibers in ascending order.
         """
         order = self.ndim
         if order < 2 or len(factors) != order or not 0 <= skip_mode < order:
@@ -286,7 +296,7 @@ class SparseTensor:
         plan = self._fiber_plans.get(skip_mode)
         if plan is None:
             plan = self._fiber_plans[skip_mode] = self._build_fiber_plan(skip_mode)
-        block = None
+        rows = []
         for mode in (m for m in range(self.ndim) if m != skip_mode):
             factor = np.asarray(factors[mode], dtype=float)
             if factor.ndim != 2 or factor.shape[0] != self._shape[mode]:
@@ -295,16 +305,26 @@ class SparseTensor:
                     f"of size {self._shape[mode]}"
                 )
             if mode == plan.first:
-                rows = plan.contract @ factor
+                rows.append(plan.contract @ factor)
             else:
-                rows = factor[plan.coords[mode]]
-            if block is None:
-                block = rows
-            else:  # row-wise Kronecker product, earlier modes vary slowest
-                block = np.einsum("fi,fj->fij", block, rows).reshape(
-                    rows.shape[0], block.shape[1] * rows.shape[1]
-                )
-        return plan.scatter @ block
+                rows.append(factor[plan.coords[mode]])
+        *head, last = rows
+        n_fibers = last.shape[0]
+        block, *middle = head or [np.ones((n_fibers, 1))]
+        for other in middle:  # row-wise Kronecker product, earlier modes vary slowest
+            block = np.einsum("fi,fj->fij", block, other).reshape(
+                n_fibers, block.shape[1] * other.shape[1]
+            )
+        width = block.shape[1]
+        spread = sp.csc_array(
+            (
+                block.ravel(),
+                (plan.coords[skip_mode][:, None] * width + np.arange(width)).ravel(),
+                np.arange(0, n_fibers * width + 1, width),
+            ),
+            shape=(self._shape[skip_mode] * width, n_fibers),
+        )
+        return (spread @ last).reshape(self._shape[skip_mode], width * last.shape[1])
 
     def _build_fiber_plan(self, skip_mode: int) -> _FiberPlan:
         """Group the non-zeros into fibers along the mode that leaves fewest."""
@@ -324,11 +344,7 @@ class SparseTensor:
             (self._values, (fiber_of, self._coords[first])),
             shape=(n_fibers, self._shape[first]),
         )
-        scatter = sp.csr_matrix(
-            (np.ones(n_fibers), (coords[skip_mode], np.arange(n_fibers))),
-            shape=(self._shape[skip_mode], n_fibers),
-        )
-        return _FiberPlan(first, contract, coords, scatter)
+        return _FiberPlan(first, contract, coords)
 
     def scale(self, factor: float) -> "SparseTensor":
         """Return a new tensor with all values multiplied by ``factor``."""

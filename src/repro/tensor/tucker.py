@@ -13,8 +13,8 @@ Given the sparse tag-assignment tensor ``F`` and target core dimensions
 
 Sparse input is only ever touched through its non-zeros: each mode update
 asks :meth:`SparseTensor.ttm_chain` for the unfolding of ``F`` projected onto
-the other modes' current factors (``O(nnz · ΠJ_other)``, nothing of size
-``ΠI``), takes its leading left singular vectors through the Gram matrix of
+the other modes' current factors (``O(nnz · J_first + n_fibers · ΠJ_other)``,
+nothing of size ``ΠI``), takes its leading left singular vectors through the Gram matrix of
 the smaller side (:func:`repro.tensor.hosvd.truncated_svd`), and reads the
 sweep's fit off the last-updated mode's singular values, which *are* the
 core's norm.  The core itself is projected once, after the last sweep.

@@ -1,10 +1,11 @@
 """Unit and property tests for the COO sparse tensor.
 
 The second half pins the sparse Tucker-ALS arithmetic: the fiber-plan
-``ttm_chain`` kernel against the dense mode-product chain, the sparse and
-dense ``tucker_als`` paths against each other, and the two bounds the
-kernel exists for (no densified unfolding, peak memory set by the
-non-zeros).
+``ttm_chain`` kernel bit for bit against the row-wise Kronecker kernel it
+replaced and against the dense mode-product chain, the sparse and dense
+``tucker_als`` paths against each other, and the bounds the kernel exists
+for (no densified unfolding, no ``n_fibers x ΠJ_other`` block, peak memory
+set by the non-zeros).
 """
 
 from __future__ import annotations
@@ -17,11 +18,35 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import CubeLSIPipeline
+from repro.datasets.profiles import DELICIOUS_PROFILE, generate_profile_dataset
+from repro.tagging.cleaning import CleaningConfig, clean_folksonomy
 from repro.tensor import dense as dense_ops
 from repro.tensor.hosvd import hosvd, project_to_core
 from repro.tensor.sparse import SparseTensor
 from repro.tensor.tucker import _project_except, tucker_als
 from repro.utils.errors import DimensionError
+
+
+def kronecker_ttm_chain(tensor, factors, skip_mode):
+    """The row-wise Kronecker ``ttm_chain`` the library shipped before: every
+    projected mode's fiber rows multiplied out into one ``n_fibers x
+    ΠJ_other`` block, then a 0/1 CSR product scatters the fibers onto the
+    rows of the skipped mode, summing them in ascending order."""
+    plan = tensor._fiber_plans.get(skip_mode) or tensor._build_fiber_plan(skip_mode)
+    n_fibers = plan.coords.shape[1]
+    block = np.ones((n_fibers, 1))
+    for mode in (m for m in range(tensor.ndim) if m != skip_mode):
+        factor = np.asarray(factors[mode], dtype=float)
+        rows = plan.contract @ factor if mode == plan.first else factor[plan.coords[mode]]
+        block = np.einsum("fi,fj->fij", block, rows).reshape(
+            n_fibers, block.shape[1] * rows.shape[1]
+        )
+    scatter = sp.csr_matrix(
+        (np.ones(n_fibers), (plan.coords[skip_mode], np.arange(n_fibers))),
+        shape=(tensor.shape[skip_mode], n_fibers),
+    )
+    return scatter @ block
 
 
 def random_sparse(rng, shape=(4, 5, 6), nnz=20):
@@ -208,6 +233,53 @@ class TestTtmChain:
         assert np.allclose(
             core, project_to_core(tensor.to_dense(), factors), atol=1e-10
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=kernel_case())
+    def test_property_bit_identical_to_kronecker_reference(self, case):
+        tensor, factors = case
+        for mode in range(tensor.ndim):
+            assert np.array_equal(
+                tensor.ttm_chain(factors, mode),
+                kronecker_ttm_chain(tensor, factors, mode),
+            )
+
+    def test_fit_is_bit_identical_to_kronecker_reference(self, monkeypatch):
+        """The spectral step is degenerate on these corpora: a 1e-15 drift in
+        ``lambda2`` can flip the concept partition, so the pin is exact."""
+        dataset = generate_profile_dataset(DELICIOUS_PROFILE, scale=0.5, seed=7)
+        cleaned = clean_folksonomy(
+            dataset.folksonomy, CleaningConfig(min_assignments=5)
+        )[0]
+
+        def fit():
+            index = CubeLSIPipeline(num_concepts=20, seed=0).fit(cleaned)
+            labels = [index.concept_model.concept_of(tag) for tag in cleaned.tags]
+            return labels, index.cubelsi_result.decomposition.lambda2
+
+        labels, lambda2 = fit()
+        monkeypatch.setattr(SparseTensor, "ttm_chain", kronecker_ttm_chain)
+        reference_labels, reference_lambda2 = fit()
+        assert labels == reference_labels
+        assert np.array_equal(lambda2, reference_lambda2)
+
+    def test_peak_memory_stays_below_the_kronecker_block(self):
+        """Clock-free: the block the Kronecker kernel multiplied out would be
+        ``n_fibers · ΠJ_other`` doubles; one call must peak below half of it."""
+        rng = np.random.default_rng(23)
+        tensor = random_sparse(rng, shape=(300, 400, 500), nnz=30_000)
+        factors = [rng.standard_normal((s, 12)) for s in tensor.shape]
+        for mode in range(tensor.ndim):
+            tensor.ttm_chain(factors, mode)  # build the plan outside the trace
+            block_bytes = tensor._fiber_plans[mode].coords.shape[1] * 12 * 12 * 8
+            assert block_bytes >= 16 * 2**20
+            tracemalloc.start()
+            try:
+                tensor.ttm_chain(factors, mode)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < block_bytes / 2, f"mode {mode}: peak {peak / 2**20:.1f} MB"
 
     def test_plan_is_built_once_per_mode(self, rng):
         tensor = random_sparse(rng)
