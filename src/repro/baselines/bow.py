@@ -20,12 +20,6 @@ class BowRanker(EngineBackedRanker):
 
     name = "bow"
 
-    def __init__(self, smooth_idf: bool = False) -> None:
-        super().__init__()
-        self._smooth_idf = smooth_idf
-
     def _fit(self, folksonomy: Folksonomy) -> None:
         concept_model = identity_concept_model(folksonomy.tags)
-        self._engine = SearchEngine.build(
-            folksonomy, concept_model, smooth_idf=self._smooth_idf, name=self.name
-        )
+        self._engine = SearchEngine.build(folksonomy, concept_model, name=self.name)

@@ -9,8 +9,7 @@ vector-space ranking of Section III operates on.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,9 +40,15 @@ class Concept:
         return f"[{shown}{suffix}]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConceptModel:
     """Maps tags to concepts and tag bags to concept bags.
+
+    A closed map: the concepts are the clusters of the tags seen at fit
+    time, and a tag outside them maps to no concept and contributes
+    nothing to a bag — a resource or query of only such tags scores
+    nothing until the next refit.  Lookups never change the model, so one
+    model is shared by every reader and writer without a lock.
 
     Attributes
     ----------
@@ -51,29 +56,12 @@ class ConceptModel:
         The distilled concepts, indexed by ``concept_id`` = list position.
     tag_to_concept:
         Hard assignment of every clustered tag to its concept id.
-    unknown_policy:
-        What to do with tags not seen during distillation: ``"ignore"``
-        (default, they contribute nothing) or ``"own-concept"`` (each unknown
-        tag becomes a singleton concept, allocated only by index-build code
-        paths that pass ``allocate=True`` — useful for BOW style degenerate
-        models).  Query-side lookups never allocate: a read must not change
-        ``num_concepts``, so serving stays deterministic and thread-safe.
     """
 
     concepts: List[Concept]
     tag_to_concept: Dict[str, int]
-    unknown_policy: str = "ignore"
-    _dynamic_concepts: Dict[str, int] = field(default_factory=dict, repr=False)
-    _allocation_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if self.unknown_policy not in ("ignore", "own-concept"):
-            raise ConfigurationError(
-                f"unknown_policy must be 'ignore' or 'own-concept', got "
-                f"{self.unknown_policy!r}"
-            )
         for tag, concept_id in self.tag_to_concept.items():
             if not 0 <= concept_id < len(self.concepts):
                 raise DimensionError(
@@ -83,79 +71,41 @@ class ConceptModel:
 
     @property
     def num_concepts(self) -> int:
-        return len(self.concepts) + len(self._dynamic_concepts)
-
-    @property
-    def num_persisted_concepts(self) -> int:
-        """The static (distilled) concept count, excluding dynamics.
-
-        This is the figure index metadata records and validates: it is
-        stable across the index's lifetime, whereas dynamic concepts come
-        and go with mutations (they do survive an engine save/load — their
-        columns live in the persisted count arrays — but their number is
-        not a property of the distilled model).
-        """
         return len(self.concepts)
 
     @property
     def num_tags(self) -> int:
         return len(self.tag_to_concept)
 
-    def concept_of(self, tag: str, allocate: bool = False) -> Optional[int]:
-        """Concept id of ``tag`` or ``None`` if unknown (and policy ignores it).
+    def concept_of(self, tag: str) -> Optional[int]:
+        """Concept id of ``tag``, or ``None`` if it was not clustered."""
+        return self.tag_to_concept.get(tag)
 
-        Lookups are non-mutating by default: under ``"own-concept"`` an
-        unknown tag only receives a new dynamic concept when ``allocate=True``
-        (index-build time).  A mere query must never allocate — otherwise
-        ``num_concepts`` becomes query-order-dependent and concurrent reads
-        race on the dynamic table.
-        """
-        if tag in self.tag_to_concept:
-            return self.tag_to_concept[tag]
-        if self.unknown_policy == "own-concept":
-            existing = self._dynamic_concepts.get(tag)
-            if existing is not None:
-                return existing
-            if allocate:
-                with self._allocation_lock:
-                    return self._dynamic_concepts.setdefault(
-                        tag, len(self.concepts) + len(self._dynamic_concepts)
-                    )
-        return None
-
-    def concept_bag(
-        self, tag_bag: Mapping[str, float], allocate: bool = False
-    ) -> Dict[int, float]:
+    def concept_bag(self, tag_bag: Mapping[str, float]) -> Dict[int, float]:
         """Transform a bag of tags into a bag of concepts.
 
         Counts of tags mapping to the same concept are summed, exactly as the
         paper's ``c(l_i, r)`` counts concept occurrences in a resource.
-        ``allocate`` is forwarded to :meth:`concept_of` (index-build only).
         """
         bag: Dict[int, float] = {}
         for tag, count in tag_bag.items():
-            concept_id = self.concept_of(tag, allocate=allocate)
+            concept_id = self.tag_to_concept.get(tag)
             if concept_id is None:
                 continue
             bag[concept_id] = bag.get(concept_id, 0.0) + float(count)
         return bag
 
-    def concept_bag_from_tags(
-        self, tags: Iterable[str], allocate: bool = False
-    ) -> Dict[int, float]:
+    def concept_bag_from_tags(self, tags: Iterable[str]) -> Dict[int, float]:
         """Concept bag of a plain tag list (each occurrence counts once)."""
         counts: Dict[str, float] = {}
         for tag in tags:
             counts[tag] = counts.get(tag, 0.0) + 1.0
-        return self.concept_bag(counts, allocate=allocate)
+        return self.concept_bag(counts)
 
     def members(self, concept_id: int) -> Tuple[str, ...]:
         """Tags belonging to a concept."""
         if 0 <= concept_id < len(self.concepts):
             return self.concepts[concept_id].tags
-        for tag, dynamic_id in self._dynamic_concepts.items():
-            if dynamic_id == concept_id:
-                return (tag,)
         raise KeyError(f"no concept with id {concept_id}")
 
     def cluster_sizes(self) -> List[int]:
@@ -173,7 +123,6 @@ def distill_concepts(
     sigma: float = 1.0,
     variance_target: float = 0.95,
     seed: SeedLike = 0,
-    unknown_policy: str = "ignore",
 ) -> ConceptModel:
     """Cluster tags into concepts from their pairwise distance matrix.
 
@@ -191,8 +140,6 @@ def distill_concepts(
         Bandwidth of the Gaussian affinity.
     seed:
         Seed for the k-means stage.
-    unknown_policy:
-        Passed through to :class:`ConceptModel`.
     """
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
@@ -224,11 +171,7 @@ def distill_concepts(
         for tag in member_tags:
             tag_to_concept[tag] = new_id
 
-    return ConceptModel(
-        concepts=concepts,
-        tag_to_concept=tag_to_concept,
-        unknown_policy=unknown_policy,
-    )
+    return ConceptModel(concepts=concepts, tag_to_concept=tag_to_concept)
 
 
 def identity_concept_model(tags: Sequence[str]) -> ConceptModel:

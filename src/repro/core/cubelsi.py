@@ -21,11 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.distances import (
-    sigma_from_core,
-    sigma_from_singular_values,
-    tag_distance_matrix,
-)
+from repro.core.distances import tag_distance_matrix
 from repro.tagging.folksonomy import Folksonomy
 from repro.tensor.sparse import SparseTensor
 from repro.tensor.tucker import TuckerDecomposition, tucker_als
@@ -103,14 +99,6 @@ class CubeLSIResult:
             return [(int(i), float(self.distances[index, i])) for i in neighbours]
         return [(self.tags[i], float(self.distances[index, i])) for i in neighbours]
 
-    def similarity_matrix(self, sigma: float = 1.0) -> np.ndarray:
-        """Gaussian affinity ``exp(-D²/σ²)`` with zero diagonal (Section V step 1)."""
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        affinity = np.exp(-(self.distances**2) / (sigma**2))
-        np.fill_diagonal(affinity, 0.0)
-        return affinity
-
     def memory_report(self) -> dict:
         """Storage accounting behind Table VII (counts of float64 values and bytes)."""
         compressed_values = self.decomposition.compressed_size()
@@ -163,9 +151,6 @@ class CubeLSI:
         ``c = 50`` is used (with a floor so tiny corpora keep a usable rank).
     max_iter / tol:
         ALS stopping parameters.
-    use_theorem2:
-        Build ``Σ`` from the ALS by-product (Theorem 2) rather than from the
-        core unfolding (Theorem 1).
     seed:
         Seed for ALS initialisation.
     min_rank:
@@ -179,7 +164,6 @@ class CubeLSI:
         reduction_ratios: Optional[Union[float, Sequence[float]]] = None,
         max_iter: int = 25,
         tol: float = 1e-6,
-        use_theorem2: bool = True,
         seed: SeedLike = 0,
         min_rank: int = 8,
     ) -> None:
@@ -203,7 +187,6 @@ class CubeLSI:
             self._ratios = ratios
         self._max_iter = max_iter
         self._tol = tol
-        self._use_theorem2 = use_theorem2
         self._seed = seed
         self._min_rank = max(1, int(min_rank))
         self._last_result: Optional[CubeLSIResult] = None
@@ -239,9 +222,7 @@ class CubeLSI:
         watch.add("tucker_init", decomposition.stage_seconds["init"])
         watch.add("tucker_sweeps", decomposition.stage_seconds["sweeps"])
         with watch.section("tag_distances"):
-            distances = tag_distance_matrix(
-                decomposition, use_theorem2=self._use_theorem2
-            )
+            distances = tag_distance_matrix(decomposition)
 
         result = CubeLSIResult(
             distances=distances,
@@ -272,11 +253,3 @@ class CubeLSI:
             rank = max(rank, min(self._min_rank, size))
             resolved.append(min(rank, size))
         return tuple(resolved)
-
-    def sigma(self, decomposition: TuckerDecomposition) -> np.ndarray:
-        """The kernel ``Σ`` this analyser would use for ``decomposition``."""
-        if self._use_theorem2 and decomposition.lambda2.size >= decomposition.ranks[1]:
-            return sigma_from_singular_values(
-                decomposition.lambda2, rank=decomposition.ranks[1]
-            )
-        return sigma_from_core(decomposition.core)

@@ -138,29 +138,19 @@ def pairwise_distances_materialized(decomposition: TuckerDecomposition) -> np.nd
     return distances
 
 
-def tag_distance_matrix(
-    decomposition: TuckerDecomposition,
-    use_theorem2: bool = True,
-) -> np.ndarray:
+def tag_distance_matrix(decomposition: TuckerDecomposition) -> np.ndarray:
     """Pairwise purified tag distances for a fitted Tucker decomposition.
 
-    Parameters
-    ----------
-    decomposition:
-        Result of :func:`repro.tensor.tucker.tucker_als` on the
-        user x tag x resource tensor.
-    use_theorem2:
-        If ``True`` the kernel ``Σ`` is built from the ALS singular-value
-        by-product (Theorem 2, Algorithm 1 line (21)); otherwise it is built
-        from the core tensor (Theorem 1).  The two agree at an ALS fixed
-        point; Theorem 1 is the safer choice when the ALS was stopped early,
-        and is therefore used as a fallback whenever the by-product is
-        unavailable.
+    ``decomposition`` is the result of :func:`repro.tensor.tucker.tucker_als`
+    on the user x tag x resource tensor.  The kernel ``Σ`` is built from the
+    ALS singular-value by-product (Theorem 2, Algorithm 1 line (21)); when
+    that by-product is shorter than the tag rank it is built from the core
+    tensor instead (Theorem 1).  The two agree at an ALS fixed point.
     """
     if decomposition.order != 3:
         raise DimensionError("CubeLSI distances require an order-3 decomposition")
     tag_factor = decomposition.factors[1]
-    if use_theorem2 and decomposition.lambda2.size >= decomposition.ranks[1]:
+    if decomposition.lambda2.size >= decomposition.ranks[1]:
         sigma = sigma_from_singular_values(
             decomposition.lambda2, rank=decomposition.ranks[1]
         )

@@ -135,11 +135,8 @@ class OfflineIndex:
         workers memory-map so one host's worker fleet shares a single
         page-cache copy of the index.
 
-        ``num_concepts`` records the *static* (distilled) concept count, the
-        figure that is stable across the index's lifetime — dynamic
-        (``own-concept``) concepts appear and disappear with mutations, so
-        recording them here made a reloaded index disagree with its own
-        metadata.
+        The metadata records the distilled concept count, which
+        :meth:`load` checks against the engine's concept model.
         """
         if include_folksonomy and self.folksonomy is None:
             raise ConfigurationError(
@@ -151,7 +148,7 @@ class OfflineIndex:
         metadata = {
             "timings": {name: float(value) for name, value in self.timings.items()},
             "dataset_name": self.folksonomy.name if self.folksonomy else None,
-            "num_concepts": self.concept_model.num_persisted_concepts,
+            "num_concepts": self.concept_model.num_concepts,
             "epoch": self.engine.epoch,
             "includes_folksonomy": bool(include_folksonomy and self.folksonomy),
         }
@@ -185,11 +182,11 @@ class OfflineIndex:
         metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
         engine = SearchEngine.load(path)
         recorded = metadata.get("num_concepts")
-        persisted = engine.concept_model.num_persisted_concepts
+        persisted = engine.concept_model.num_concepts
         if recorded is not None and int(recorded) != persisted:
             raise DataFormatError(
                 f"saved index metadata records {recorded} concepts but the "
-                f"persisted engine carries {persisted} static concepts; "
+                f"persisted engine carries {persisted} concepts; "
                 "the artefacts are inconsistent"
             )
         folksonomy = None
@@ -226,8 +223,10 @@ class CubeLSIPipeline:
         ALS stopping parameters.
     seed:
         Single seed driving ALS initialisation and k-means restarts.
-    smooth_idf:
-        Passed to the vector space (the paper uses plain idf).
+
+    Resources are weighted with the paper's plain tf-idf (Eq. 1-2), and tag
+    distances come from Theorem 2 whenever the ALS by-product covers the
+    tag rank.
     """
 
     def __init__(
@@ -239,7 +238,6 @@ class CubeLSIPipeline:
         max_iter: int = 25,
         tol: float = 1e-6,
         seed: SeedLike = 0,
-        smooth_idf: bool = False,
         min_rank: int = 8,
     ) -> None:
         self._cubelsi = CubeLSI(
@@ -255,7 +253,6 @@ class CubeLSIPipeline:
         self._num_concepts = num_concepts
         self._sigma = sigma
         self._seed = seed
-        self._smooth_idf = smooth_idf
         self._last_index: Optional[OfflineIndex] = None
 
     def fit(self, folksonomy: Folksonomy) -> OfflineIndex:
@@ -279,12 +276,7 @@ class CubeLSIPipeline:
         from repro.search.engine import SearchEngine
 
         with watch.section("indexing"):
-            engine = SearchEngine.build(
-                folksonomy,
-                concept_model,
-                smooth_idf=self._smooth_idf,
-                name="cubelsi",
-            )
+            engine = SearchEngine.build(folksonomy, concept_model, name="cubelsi")
 
         index = OfflineIndex(
             folksonomy=folksonomy,

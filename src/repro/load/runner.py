@@ -34,11 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.load.workload import MUTATE, QUERY, REFRESH, Operation, WorkloadTrace
-from repro.search.engine import (
-    SearchEngine,
-    concept_model_from_json,
-    concept_model_to_json,
-)
+from repro.search.engine import SearchEngine
 from repro.search.incremental import EpochObservationLog
 from repro.search.vsm import RankEngine
 from repro.serve.frontend import BatchingFrontend
@@ -420,10 +416,8 @@ def scratch_rankings(engine: RankEngine, trace: WorkloadTrace) -> List[list]:
     The oracle for fold-in and journal replay, and the only one that
     survives a refit: ``engine`` (a folksonomy-tracking
     :class:`~repro.search.lifecycle.EngineHandle`) has its final
-    folksonomy rebuilt under its final concept model — deep-copied
-    through the JSON codec so the scratch build cannot share, or
-    allocate into, the live model — then quiesced and ranked on the
-    trace's evaluation probes.
+    folksonomy rebuilt under its final concept model, then quiesced and
+    ranked on the trace's evaluation probes.
     """
     folksonomy, model = engine.folksonomy, engine.concept_model
     if folksonomy is None or model is None:
@@ -431,9 +425,7 @@ def scratch_rankings(engine: RankEngine, trace: WorkloadTrace) -> List[list]:
             "a scratch rebuild needs a folksonomy-tracking EngineHandle; "
             f"got {type(engine).__name__} without one"
         )
-    scratch = SearchEngine.build(
-        folksonomy, concept_model_from_json(concept_model_to_json(model))
-    )
+    scratch = SearchEngine.build(folksonomy, model)
     return quiesced_rankings(scratch, trace)[1]
 
 

@@ -310,8 +310,8 @@ class WorkloadGenerator:
         chosen = rng.choice(len(tags), size=size, replace=False, p=zipf_probs)
         query = [tags[i] for i in chosen]
         if rng.random() < config.unknown_tag_fraction:
-            # An out-of-vocabulary tag exercises the unknown-term paths
-            # (dropped under plain idf, max-idf mass under smoothing).
+            # An out-of-vocabulary tag exercises the unknown-term path:
+            # it maps to no concept and adds nothing to the query.
             query.append(f"wl-unknown-{int(rng.integers(1000))}")
         return tuple(query)
 

@@ -1,7 +1,8 @@
 """Concept-space information retrieval engine (Section III).
 
-Resources and queries are represented as sparse tf-idf vectors over the set
-of distilled concepts and ranked by cosine similarity.  The engine is
+Resources and queries are represented as sparse tf-idf vectors (the paper's
+plain idf) over the set of distilled concepts and ranked by cosine
+similarity; a tag outside the concepts adds nothing.  The engine is
 deliberately a classical VSM stack — the paper's point is that once concept
 distillation has been done offline, online query processing is just cheap
 dot products (Table VI).

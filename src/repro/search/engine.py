@@ -65,11 +65,7 @@ import numpy as np
 from repro.core.concepts import Concept, ConceptModel
 from repro.search.concurrency import ReadWriteLock
 from repro.search.incremental import RefreshPolicy, StalenessReport
-from repro.search.matrix_space import (
-    MatrixConceptSpace,
-    first_seen,
-    validate_top_k,
-)
+from repro.search.matrix_space import MatrixConceptSpace, validate_top_k
 from repro.search.sharding import (
     SHARD_MANIFEST_FILENAME,
     SHARD_MANIFEST_VERSION,
@@ -161,7 +157,6 @@ class SearchEngine(RankEngine):
         cls,
         folksonomy: Folksonomy,
         concept_model: ConceptModel,
-        smooth_idf: bool = False,
         name: str = "cubelsi",
         refresh_policy: Optional[RefreshPolicy] = None,
     ) -> "SearchEngine":
@@ -169,21 +164,18 @@ class SearchEngine(RankEngine):
 
         Columnar, with no dict per resource: the folksonomy's resource x
         tag count table (:meth:`~repro.tagging.folksonomy.Folksonomy.tag_counts`)
-        has its distinct tags mapped to concepts once — ``own-concept``
-        dynamics allocated in first-seen order, ignored tags dropped — and
+        has its tags mapped to concepts through one lookup array over the
+        tag vocabulary — tags the model did not cluster are dropped — and
         :meth:`MatrixConceptSpace.from_counts` sums the counts per
         (resource, concept) and folds every resource into an empty space.
         The arrays equal those of :meth:`MatrixConceptSpace.from_bags` over
-        ``concept_model.concept_bag(folksonomy.tag_bag(r), allocate=True)``
-        per resource, dynamic concept ids included.
+        ``concept_model.concept_bag(folksonomy.tag_bag(r))`` per resource.
         """
         rows, tags, counts = folksonomy.tag_counts()
-        concept_of = np.full(folksonomy.num_tags, -1, dtype=np.intp)
-        # In first-seen order, so own-concept dynamics get the loop's ids.
-        for tag in first_seen(tags, folksonomy.num_tags).tolist():
-            concept = concept_model.concept_of(folksonomy.tags[tag], allocate=True)
-            if concept is not None:
-                concept_of[tag] = concept
+        concept_of = np.array(
+            [concept_model.tag_to_concept.get(tag, -1) for tag in folksonomy.tags],
+            dtype=np.intp,
+        )
         concepts = concept_of[tags]
         mapped = concepts >= 0
         space = MatrixConceptSpace.from_counts(
@@ -192,7 +184,6 @@ class SearchEngine(RankEngine):
             range(concept_model.num_concepts),
             concepts[mapped],
             counts[mapped],
-            smooth_idf,
         )
         return cls(
             concept_model=concept_model,
@@ -245,10 +236,7 @@ class SearchEngine(RankEngine):
         the batch, so the returned results are guaranteed to reflect
         exactly that index state — no mutation can land in between.  This
         is the read the workload replay subsystem uses to audit epoch
-        monotonicity under concurrent traffic.  The tag -> concept mapping
-        happens inside the lock too: a racing mutation batch may allocate
-        dynamic concepts, and a bag must describe the same index state it
-        is scored against.
+        monotonicity under concurrent traffic.
         """
         validate_top_k(top_k)
         queries = [query_tag_list(tags) for tags in queries]
@@ -337,10 +325,9 @@ class SearchEngine(RankEngine):
         Buckets are normalized (dicts copied, removals deduplicated),
         overlapping buckets and unknown/already-indexed resources are
         rejected, a batch that would empty the corpus is rejected, and only
-        then is every tag bag mapped through the *frozen* concept model
-        with dynamic-concept allocation.  Returns ``(added_bags,
-        updated_bags, removed)`` ready to push into the space, or ``None``
-        for an empty (no-op) batch.
+        then is every tag bag mapped through the *frozen* concept model.
+        Returns ``(added_bags, updated_bags, removed)`` ready to push into
+        the space, or ``None`` for an empty (no-op) batch.
         """
         added = dict(added or {})
         updated = dict(updated or {})
@@ -373,11 +360,11 @@ class SearchEngine(RankEngine):
             return None
 
         added_bags = {
-            resource: self.concept_model.concept_bag(bag, allocate=True)
+            resource: self.concept_model.concept_bag(bag)
             for resource, bag in added.items()
         }
         updated_bags = {
-            resource: self.concept_model.concept_bag(bag, allocate=True)
+            resource: self.concept_model.concept_bag(bag)
             for resource, bag in updated.items()
         }
         return added_bags, updated_bags, removed
@@ -393,10 +380,9 @@ class SearchEngine(RankEngine):
         All tag bags are mapped through the *frozen* concept model
         (LSI-style fold-in) and pushed into the space; idf and norms
         recompute lazily on the next read.  Everything is validated before
-        anything is applied (a read-only shard view refuses before
-        dynamic-concept allocation), so a rejected batch has no side
-        effects, and additions land before removals so a batch that swaps
-        most of the corpus never looks momentarily empty.
+        anything is applied, so a rejected batch has no side effects, and
+        additions land before removals so a batch that swaps most of the
+        corpus never looks momentarily empty.
         """
         self._require_mutable("mutate")
         with self._rw.write():
@@ -493,10 +479,7 @@ class SearchEngine(RankEngine):
         ``ShardRouter(num_shards)``; each shard saves its arrays + JSON
         pair under ``shard-NNNN/`` with the corpus-wide statistics, and
         ``shard_manifest.json`` records the router, the concept model and
-        the serving metadata.  Dynamic (``own-concept``) concepts travel
-        with the manifest: their columns live in the persisted count
-        arrays, so dropping the tag -> id map would let a restored serving
-        process reallocate a live column id to a different tag.
+        the serving metadata.
         """
         self._require_mutable("save")
         router = ShardRouter(num_shards)
@@ -615,17 +598,27 @@ class SearchEngine(RankEngine):
 def concept_model_to_json(model: ConceptModel) -> Dict[str, object]:
     """JSON payload for a concept model (the manifest's ``concept_model``)."""
     return {
-        "unknown_policy": model.unknown_policy,
         "concepts": [
             {"id": concept.concept_id, "tags": list(concept.tags)}
             for concept in model.concepts
-        ],
-        "dynamic_concepts": dict(model._dynamic_concepts),
+        ]
     }
 
 
 def concept_model_from_json(payload: Dict[str, object]) -> ConceptModel:
-    """Inverse of :func:`concept_model_to_json`."""
+    """Inverse of :func:`concept_model_to_json`.
+
+    A manifest written with the retired singleton-concept option is
+    refused: its arrays hold columns this closed model cannot name.
+    """
+    policy = payload.get("unknown_policy", "ignore")
+    dynamic = payload.get("dynamic_concepts") or {}
+    if policy != "ignore" or dynamic:
+        raise ConfigurationError(
+            f"this index was saved with the retired unknown_policy={policy!r} "
+            f"option ({len(dynamic)} own-concept tags); unseen tags now map "
+            "to no concept — refit and re-save the index"
+        )
     concepts = [
         Concept(concept_id=int(entry["id"]), tags=tuple(entry["tags"]))
         for entry in payload["concepts"]  # type: ignore[union-attr]
@@ -633,13 +626,4 @@ def concept_model_from_json(payload: Dict[str, object]) -> ConceptModel:
     tag_to_concept = {
         tag: concept.concept_id for concept in concepts for tag in concept.tags
     }
-    dynamic = {
-        str(tag): int(concept_id)
-        for tag, concept_id in (payload.get("dynamic_concepts") or {}).items()
-    }
-    return ConceptModel(
-        concepts=concepts,
-        tag_to_concept=tag_to_concept,
-        unknown_policy=str(payload["unknown_policy"]),
-        _dynamic_concepts=dynamic,
-    )
+    return ConceptModel(concepts=concepts, tag_to_concept=tag_to_concept)

@@ -192,7 +192,6 @@ class MatrixConceptSpace:
         doc_ids: Sequence[str],
         terms: Sequence[Hashable],
         arrays: Mapping[str, np.ndarray],
-        smooth_idf: bool,
         num_resources: int = 0,
         external_stats: bool = False,
     ) -> None:
@@ -229,7 +228,6 @@ class MatrixConceptSpace:
         self._alive = np.ones(len(self._terms), dtype=bool)
         self._idf, self._doc_norms = idf, arrays["doc_norms"]
         self._num_resources = int(num_resources)
-        self._smooth_idf = bool(smooth_idf)
         self._pending_upsert: Dict[str, Dict[Hashable, float]] = {}
         self._pending_remove: set = set()
         # Shards of a partitioned save carry *global* statistics (idf over
@@ -245,7 +243,6 @@ class MatrixConceptSpace:
     def from_bags(
         cls,
         resource_bags: Mapping[str, Mapping[Hashable, float]],
-        smooth_idf: bool = False,
     ) -> "MatrixConceptSpace":
         """Build the space from ``resource -> {term -> occurrence count}``.
 
@@ -257,7 +254,7 @@ class MatrixConceptSpace:
         """
         if not resource_bags:
             raise ConfigurationError("cannot build a concept space on zero resources")
-        space = cls._empty(smooth_idf)
+        space = cls._empty()
         space.add_documents({d: resource_bags[d] for d in sorted(resource_bags)})
         space.refresh()
         return space
@@ -270,7 +267,6 @@ class MatrixConceptSpace:
         vocabulary: Sequence[Hashable],
         terms: np.ndarray,
         counts: np.ndarray,
-        smooth_idf: bool = False,
     ) -> "MatrixConceptSpace":
         """Build the space from a count table, with no dict per document.
 
@@ -295,7 +291,7 @@ class MatrixConceptSpace:
         kept = np.flatnonzero(sums > 0)
         rows, terms, sums = rows[kept], terms[kept], sums[kept]
         seen = first_seen(terms, len(vocabulary))
-        space = cls._empty(smooth_idf)
+        space = cls._empty()
         space._add_terms([vocabulary[term] for term in seen.tolist()])
         column_of = np.zeros(len(vocabulary), dtype=np.intp)
         column_of[seen] = np.arange(seen.size)  # the space was empty
@@ -326,25 +322,20 @@ class MatrixConceptSpace:
         rows, terms, tf = (np.concatenate(parts) for parts in (rows, terms, tf))
         order = np.lexsort((terms, rows))
         return cls.from_counts(
-            doc_ids,
-            rows[order],
-            shards[0].terms,
-            terms[order],
-            tf[order],
-            shards[0].smooth_idf,
+            doc_ids, rows[order], shards[0].terms, terms[order], tf[order]
         )
 
     @classmethod
-    def _empty(cls, smooth_idf: bool) -> "MatrixConceptSpace":
+    def _empty(cls) -> "MatrixConceptSpace":
         """A space of no documents and no terms: what every build folds into."""
         empty = {name: np.zeros(0) for name in _ARRAY_NAMES}
         empty["post_indptr"] = np.zeros(1, dtype=np.intp)
-        return cls(doc_ids=(), terms=(), arrays=empty, smooth_idf=smooth_idf)
+        return cls(doc_ids=(), terms=(), arrays=empty)
 
     @classmethod
     def compile(cls, space: ConceptVectorSpace) -> "MatrixConceptSpace":
         """:meth:`from_bags` over a fitted dict-loop reference space's bags."""
-        return cls.from_bags(space.resource_bags(), space.smooth_idf)
+        return cls.from_bags(space.resource_bags())
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -364,10 +355,6 @@ class MatrixConceptSpace:
         """Terms some document of the corpus carries."""
         self.refresh()
         return int(self._alive.sum())
-
-    @property
-    def smooth_idf(self) -> bool:
-        return self._smooth_idf
 
     @property
     def doc_ids(self) -> Tuple[str, ...]:
@@ -423,12 +410,10 @@ class MatrixConceptSpace:
     ) -> Dict[Hashable, float]:
         """A query bag's ``term -> weight`` vector over the vocabulary.
 
-        Out-of-vocabulary terms are left out: they can match no document
-        (under idf smoothing they still count towards the query norm that
-        :meth:`cosine` divides by).
+        Out-of-vocabulary terms are left out: their idf is 0.
         """
         self.refresh()
-        weights, _ = self._weight_query(query_bag)
+        weights = self._weight_query(query_bag)
         return {
             self._terms[column]: weight
             for column, weight in weights.items()
@@ -714,11 +699,8 @@ class MatrixConceptSpace:
         """
         num_documents = len(self._doc_index)
         alive = self._df > 0
-        if self._smooth_idf:
-            idf = np.log((num_documents + 1.0) / (self._df + 1.0)) + 1.0
-        else:
-            # A column no document carries has idf 0, as an unseen term does.
-            idf = np.log(num_documents / np.maximum(self._df, 1)) * alive
+        # A column no document carries has idf 0, as an unseen term does.
+        idf = np.log(num_documents / np.maximum(self._df, 1)) * alive
         self._postings = (
             np.concatenate(([0], np.cumsum(self._df))),
             np.concatenate([_NO_ROWS] + self._post_rows),
@@ -788,7 +770,6 @@ class MatrixConceptSpace:
             ordered,
             terms,
             arrays,
-            smooth_idf=self._smooth_idf,
             num_resources=self._num_resources,
             external_stats=True,
         )
@@ -861,10 +842,11 @@ class MatrixConceptSpace:
 
         results: List[List[RankedResult]] = []
         for bag in query_bags:
-            weights, norm_sq = self._weight_query(bag)
+            weights = self._weight_query(bag)
             if not weights:
                 results.append([])
                 continue
+            norm_sq = 0.0
             if len(weights) == 1:
                 ((column, weight),) = weights.items()
                 norm_sq += weight * weight
@@ -905,11 +887,11 @@ class MatrixConceptSpace:
         slot = self._doc_index.get(resource)
         if slot is None:
             return 0.0
-        weights, norm_sq = self._weight_query(query_bag)
+        weights = self._weight_query(query_bag)
         doc_norm = self._doc_norms[slot]
         if not weights or doc_norm == 0.0:
             return 0.0
-        dot = 0.0
+        dot = norm_sq = 0.0
         for column, weight in weights.items():
             norm_sq += weight * weight
             # Slots ascend within a term: bisect for this document's entry.
@@ -944,7 +926,6 @@ class MatrixConceptSpace:
             "format_version": FORMAT_VERSION,
             "doc_ids": self._sorted_ids,
             "terms": _encode_terms(terms),
-            "smooth_idf": self._smooth_idf,
             "num_resources": self._num_resources,
             "external_stats": self._external_stats,
         }
@@ -978,6 +959,12 @@ class MatrixConceptSpace:
                 f"{version!r}; only version {FORMAT_VERSION} can be read — "
                 "re-save from the pipeline"
             )
+        if metadata.get("smooth_idf", False):
+            raise ConfigurationError(
+                f"the matrix space under {path} was saved with the retired "
+                "smooth_idf=True option; only the paper's plain idf is "
+                "served — re-save from the pipeline"
+            )
         try:
             arrays = {
                 # A plain-ndarray view of the map: same pages, none of the
@@ -993,7 +980,6 @@ class MatrixConceptSpace:
             doc_ids=metadata["doc_ids"],
             terms=_decode_terms(metadata["terms"]),
             arrays=arrays,
-            smooth_idf=metadata["smooth_idf"],
             num_resources=int(metadata["num_resources"]),
             external_stats=bool(metadata.get("external_stats", False)),
         )
@@ -1001,39 +987,25 @@ class MatrixConceptSpace:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _weight_query(
-        self, bag: Mapping[Hashable, float]
-    ) -> Tuple[Dict[int, float], float]:
-        """Eq. 1-2 weighting of a query against the vocabulary.
+    def _weight_query(self, bag: Mapping[Hashable, float]) -> Dict[int, float]:
+        """Eq. 1-2 weighting of a query: ``column -> weight``, non-zero only.
 
-        Returns ``(column -> weight, out_of_vocabulary_norm_sq)``; the second
-        value carries the squared weight mass of terms outside the vocabulary
-        (nonzero only under idf smoothing), which must still count towards
-        the query norm for parity with the dict-loop cosine.  A column no
-        document carries any more scores like a term outside the vocabulary:
-        empty postings, and the same idf.
+        A term outside the vocabulary, or in a column no document carries
+        any more, has idf 0 and so no weight: it can match no document and
+        adds nothing to the query norm.
         """
         total = float(sum(count for count in bag.values() if count > 0))
         if total <= 0.0:
-            return {}, 0.0
+            return {}
         weights: Dict[int, float] = {}
-        out_of_vocab_sq = 0.0
         for term, count in bag.items():
-            if count <= 0:
-                continue
-            tf = float(count) / total
             column = self._term_index.get(term)
-            if column is None:
-                if self._smooth_idf:
-                    # idf of a term no document carries, exactly as in the
-                    # dict-loop weighting.
-                    weight = tf * (math.log(self._num_resources + 1.0) + 1.0)
-                    out_of_vocab_sq += weight * weight
+            if count <= 0 or column is None:
                 continue
-            weight = tf * float(self._idf[column])
+            weight = float(count) / total * float(self._idf[column])
             if weight != 0.0:
                 weights[column] = weight
-        return weights, out_of_vocab_sq
+        return weights
 
 
 def _encode_terms(terms: Sequence[Hashable]) -> Dict[str, object]:

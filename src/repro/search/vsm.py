@@ -201,16 +201,11 @@ class RankEngine(ABC):
 class ConceptVectorSpace:
     """tf-idf weighted vector space over concept (or tag) bags.
 
-    Parameters
-    ----------
-    smooth_idf:
-        If ``True`` uses ``log((N + 1) / (n_l + 1)) + 1`` which never
-        becomes zero or negative; if ``False`` (default) uses the paper's
-        plain ``log(N / n_l)``.
+    Weights are the paper's plain idf ``log(N / n_l)`` (Eq. 1) times
+    normalised term frequency (Eq. 2).
     """
 
-    def __init__(self, smooth_idf: bool = False) -> None:
-        self._smooth_idf = smooth_idf
+    def __init__(self) -> None:
         self._index: Optional[InvertedIndex] = None
         self._idf: Dict[Hashable, float] = {}
         self._num_resources = 0
@@ -235,7 +230,8 @@ class ConceptVectorSpace:
                 document_frequency[term] = document_frequency.get(term, 0) + 1
 
         self._idf = {
-            term: self._idf_value(df) for term, df in document_frequency.items()
+            term: math.log(self._num_resources / df)
+            for term, df in document_frequency.items()
         }
 
         index = InvertedIndex()
@@ -255,10 +251,6 @@ class ConceptVectorSpace:
     @property
     def vocabulary_size(self) -> int:
         return len(self._idf)
-
-    @property
-    def smooth_idf(self) -> bool:
-        return self._smooth_idf
 
     def terms(self) -> Tuple[Hashable, ...]:
         """The corpus vocabulary in a stable (fit-time) order."""
@@ -321,13 +313,6 @@ class ConceptVectorSpace:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _idf_value(self, document_frequency: int) -> float:
-        if self._smooth_idf:
-            return math.log((self._num_resources + 1) / (document_frequency + 1)) + 1.0
-        if document_frequency <= 0:
-            return 0.0
-        return math.log(self._num_resources / document_frequency)
-
     def _weight_vector(self, bag: Mapping[Hashable, float]) -> Dict[Hashable, float]:
         """Apply Eq. 1-2: normalised term frequency times idf."""
         total = float(sum(count for count in bag.values() if count > 0))
@@ -338,12 +323,8 @@ class ConceptVectorSpace:
             if count <= 0:
                 continue
             tf = float(count) / total
-            idf = self._idf.get(term)
-            if idf is None:
-                # Terms never seen in the corpus cannot help ranking under
-                # plain idf; with smoothing they get the maximum idf.
-                idf = self._idf_value(0) if self._smooth_idf else 0.0
-            weight = tf * idf
+            # Terms never seen in the corpus cannot help ranking.
+            weight = tf * self._idf.get(term, 0.0)
             if weight != 0.0:
                 weights[term] = weight
         return weights

@@ -34,19 +34,15 @@ PARITY_TOL = 1e-9
 class DictLoopOracle:
     """Reference rankings for tag queries over ``resource -> tag bag``.
 
-    Tags are mapped through ``concept_model`` without allocating dynamic
-    concepts, so fit the oracle *after* the engine under test has folded in
-    its mutations when the corpus carries tags the model has never seen.
+    Tags are mapped through ``concept_model``; a tag it did not cluster
+    contributes nothing, to a resource or to a query.
     """
 
     def __init__(
-        self,
-        concept_model,
-        tag_bags: Mapping[str, Mapping[str, float]],
-        smooth_idf: bool = False,
+        self, concept_model, tag_bags: Mapping[str, Mapping[str, float]]
     ) -> None:
         self._model = concept_model
-        self.space = ConceptVectorSpace(smooth_idf=smooth_idf).fit(
+        self.space = ConceptVectorSpace().fit(
             {
                 resource: concept_model.concept_bag(bag)
                 for resource, bag in tag_bags.items()
@@ -54,13 +50,9 @@ class DictLoopOracle:
         )
 
     @classmethod
-    def of_folksonomy(
-        cls, concept_model, folksonomy, smooth_idf: bool = False
-    ) -> "DictLoopOracle":
+    def of_folksonomy(cls, concept_model, folksonomy) -> "DictLoopOracle":
         return cls(
-            concept_model,
-            {r: folksonomy.tag_bag(r) for r in folksonomy.resources},
-            smooth_idf=smooth_idf,
+            concept_model, {r: folksonomy.tag_bag(r) for r in folksonomy.resources}
         )
 
     def rank(

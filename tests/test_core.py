@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from repro.core.spectral import (
 )
 from repro.datasets.generator import FolksonomyGenerator, GeneratorConfig
 from repro.datasets.vocabulary import build_default_vocabulary
+from repro.search.engine import SearchEngine
+from repro.search.matrix_space import MatrixConceptSpace
 from repro.tagging.cleaning import CleaningConfig, clean_folksonomy
 from repro.utils.errors import ConfigurationError, DimensionError, NotFittedError
 
@@ -225,46 +229,11 @@ class TestConceptModel:
         bag = model.concept_bag({"music": 2, "audio": 1, "travel": 4, "unknown": 9})
         assert bag == {0: 3.0, 1: 4.0}
 
-    def test_unknown_policy_own_concept(self):
-        model = ConceptModel(
-            concepts=[Concept(0, ("music",))],
-            tag_to_concept={"music": 0},
-            unknown_policy="own-concept",
-        )
-        bag = model.concept_bag_from_tags(
-            ["music", "mystery", "mystery"], allocate=True
-        )
-        assert bag[0] == 1.0
-        dynamic_id = model.concept_of("mystery")
-        assert bag[dynamic_id] == 2.0
-        assert model.members(dynamic_id) == ("mystery",)
-
-    def test_query_side_lookups_never_allocate(self):
-        """Regression: a mere read used to allocate dynamic concepts, making
-        num_concepts query-order-dependent and serving thread-unsafe."""
-        model = ConceptModel(
-            concepts=[Concept(0, ("music",))],
-            tag_to_concept={"music": 0},
-            unknown_policy="own-concept",
-        )
-        before = model.num_concepts
-        assert model.concept_of("mystery") is None
-        assert model.concept_bag({"mystery": 3.0}) == {}
-        assert model.concept_bag_from_tags(["mystery", "enigma"]) == {}
-        assert model.num_concepts == before
-
-        # Index-build time allocates explicitly, and later reads see the
-        # allocated id without allocating further.
-        allocated = model.concept_of("mystery", allocate=True)
-        assert allocated == 1
-        assert model.num_concepts == before + 1
-        assert model.concept_of("mystery") == allocated
-        assert model.concept_bag({"mystery": 2.0}) == {allocated: 2.0}
-        assert model.num_concepts == before + 1
-
     def test_invalid_policy_and_mapping(self):
-        with pytest.raises(ConfigurationError):
-            ConceptModel(concepts=[], tag_to_concept={}, unknown_policy="nope")
+        with pytest.raises(TypeError):  # the own-concept option is retired
+            ConceptModel(
+                concepts=[], tag_to_concept={}, unknown_policy="own-concept"
+            )
         with pytest.raises(DimensionError):
             ConceptModel(
                 concepts=[Concept(0, ("a",))], tag_to_concept={"a": 5}
@@ -407,14 +376,6 @@ class TestCubeLSI:
         assert report["core_plus_tag_factor_values"] < report["dense_reconstruction_values"] * 10
         assert report["dense_reconstruction_bytes"] == 27 * 8
 
-    def test_similarity_matrix(self, toy_folksonomy):
-        result = CubeLSI(ranks=(3, 3, 2), seed=0).fit(toy_folksonomy)
-        affinity = result.similarity_matrix(sigma=1.0)
-        assert np.allclose(np.diag(affinity), 0.0)
-        assert affinity[0, 1] > affinity[0, 2]
-        with pytest.raises(ConfigurationError):
-            result.similarity_matrix(sigma=0.0)
-
     def test_timings_recorded(self, toy_folksonomy):
         result = CubeLSI(ranks=(3, 3, 2), seed=0).fit(toy_folksonomy)
         assert set(result.timings) == {
@@ -546,3 +507,36 @@ class TestPipeline:
     def test_last_index_requires_fit(self):
         with pytest.raises(NotFittedError):
             CubeLSIPipeline().last_index
+
+
+def test_settable_values_are_pinned():
+    """The parameters of the fit and the index build, by name and order.
+
+    Adding or removing one is a design change: update this list with it.
+    """
+    pinned = {
+        CubeLSIPipeline: [
+            "reduction_ratios",
+            "ranks",
+            "num_concepts",
+            "sigma",
+            "max_iter",
+            "tol",
+            "seed",
+            "min_rank",
+        ],
+        CubeLSI: ["ranks", "reduction_ratios", "max_iter", "tol", "seed", "min_rank"],
+        distill_concepts: [
+            "distances",
+            "tags",
+            "num_concepts",
+            "sigma",
+            "variance_target",
+            "seed",
+        ],
+        ConceptModel: ["concepts", "tag_to_concept"],
+        SearchEngine.build: ["folksonomy", "concept_model", "name", "refresh_policy"],
+        MatrixConceptSpace.from_counts: ["doc_ids", "rows", "vocabulary", "terms", "counts"],
+    }
+    for target, names in pinned.items():
+        assert list(inspect.signature(target).parameters) == names, target

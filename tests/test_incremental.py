@@ -169,14 +169,9 @@ class TestEngineMutationParity:
     def concept_model(self, small_cleaned):
         return identity_concept_model(small_cleaned.tags)
 
-    @pytest.mark.parametrize("smooth_idf", [False, True])
-    def test_mutations_match_full_rebuild(
-        self, small_cleaned, concept_model, smooth_idf
-    ):
+    def test_mutations_match_full_rebuild(self, small_cleaned, concept_model):
         rng = np.random.default_rng(3)
-        engine = SearchEngine.build(
-            small_cleaned, concept_model, smooth_idf=smooth_idf, name="inc"
-        )
+        engine = SearchEngine.build(small_cleaned, concept_model, name="inc")
         delta = build_mixed_delta(small_cleaned, rng)
         mutated = small_cleaned.apply_delta(delta)
 
@@ -199,12 +194,8 @@ class TestEngineMutationParity:
         assert report.resources_added == len(added)
         assert report.resources_removed == len(removed)
 
-        rebuilt = SearchEngine.build(
-            mutated, concept_model, smooth_idf=smooth_idf, name="rebuild"
-        )
-        oracle = DictLoopOracle.of_folksonomy(
-            concept_model, mutated, smooth_idf=smooth_idf
-        )
+        rebuilt = SearchEngine.build(mutated, concept_model, name="rebuild")
+        oracle = DictLoopOracle.of_folksonomy(concept_model, mutated)
         queries = sample_queries(mutated, rng)
         assert_engine_parity(engine, rebuilt, queries)
         assert_matches_oracle(engine, oracle, queries)
@@ -388,8 +379,8 @@ class TestOfflineIndexDelta:
             serving.apply_delta(FolksonomyDelta(added=[("u", "t", "r")]))
 
     def test_metadata_records_persisted_concepts(self, small_cleaned, tmp_path):
-        """Regression: metadata used to count dynamic concepts that the
-        engine save drops, so reloaded indexes disagreed with it."""
+        """A resource of only unseen tags adds no concept: the metadata and
+        the reloaded model both count the distilled concepts."""
         import json
 
         from repro.core.concepts import ConceptModel, Concept
@@ -404,12 +395,12 @@ class TestOfflineIndexDelta:
                 tag: (0 if position < 5 else 1)
                 for position, tag in enumerate(small_cleaned.tags)
             },
-            unknown_policy="own-concept",
         )
-        engine = SearchEngine.build(small_cleaned, model, name="dyn")
-        # allocate a dynamic concept after fitting (index-build path)
-        engine.add_resources({"dyn-r": {"tag-outside-model": 2}})
-        assert model.num_concepts == 3  # 2 static + 1 dynamic
+        engine = SearchEngine.build(small_cleaned, model, name="unseen")
+        engine.add_resources({"unseen-r": {"tag-outside-model": 2}})
+        assert model.num_concepts == 2
+        assert engine.has_resource("unseen-r")
+        assert engine.search(["tag-outside-model"]) == []
         index = OfflineIndex(
             concept_model=model,
             engine=engine,
@@ -420,39 +411,9 @@ class TestOfflineIndexDelta:
         metadata = json.loads(
             (tmp_path / INDEX_METADATA_FILENAME).read_text(encoding="utf-8")
         )
-        assert metadata["num_concepts"] == 2  # static count only
+        assert metadata["num_concepts"] == 2
         loaded = OfflineIndex.load(tmp_path)
-        assert loaded.concept_model.num_persisted_concepts == 2
-
-    def test_dynamic_concepts_survive_reload_without_id_reuse(
-        self, small_cleaned, tmp_path
-    ):
-        """A restored serving engine must not reallocate a dynamic concept
-        id whose column still holds another tag's persisted counts."""
-        from repro.core.concepts import ConceptModel, Concept
-
-        tags = list(small_cleaned.tags)
-        model = ConceptModel(
-            concepts=[Concept(0, tuple(sorted(tags)))],
-            tag_to_concept={tag: 0 for tag in tags},
-            unknown_policy="own-concept",
-        )
-        engine = SearchEngine.build(small_cleaned, model, name="dyn")
-        engine.add_resources({"dyn-r": {"first-unknown": 2}})
-        engine.save(tmp_path)
-
-        restored = SearchEngine.load(tmp_path)
-        # the dynamic tag -> id mapping travelled with the engine ...
-        assert restored.concept_model.concept_of("first-unknown") == 1
-        assert restored.search(["first-unknown"], top_k=3)[0].resource == "dyn-r"
-        # ... so a new unknown tag gets a fresh id, not a live column's.
-        restored.add_resources({"dyn-r2": {"second-unknown": 1}})
-        assert restored.concept_model.concept_of("second-unknown") == 2
-        results = restored.search(["second-unknown"], top_k=3)
-        assert [r.resource for r in results] == ["dyn-r2"]
-        assert [
-            r.resource for r in restored.search(["first-unknown"], top_k=3)
-        ] == ["dyn-r"]
+        assert loaded.concept_model.num_concepts == 2
 
     def test_resave_without_folksonomy_drops_stale_assignment_log(
         self, fitted_index, tmp_path

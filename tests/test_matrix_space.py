@@ -77,13 +77,12 @@ class TestSelectTopK:
 
 
 class TestRandomParity:
-    @pytest.mark.parametrize("smooth_idf", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rank_parity_on_random_corpora(self, smooth_idf, seed):
+    def test_rank_parity_on_random_corpora(self, seed):
         rng = np.random.default_rng(seed)
         vocabulary = [f"t{i}" for i in range(40)]
         bags = random_bags(rng, num_resources=120, vocabulary=vocabulary)
-        reference = ConceptVectorSpace(smooth_idf=smooth_idf).fit(bags)
+        reference = ConceptVectorSpace().fit(bags)
         compiled = MatrixConceptSpace.compile(reference)
 
         queries = []
@@ -129,7 +128,7 @@ class TestRandomParity:
         rng = np.random.default_rng(3)
         vocabulary = [f"t{i}" for i in range(15)]
         bags = random_bags(rng, num_resources=30, vocabulary=vocabulary)
-        reference = ConceptVectorSpace(smooth_idf=True).fit(bags)
+        reference = ConceptVectorSpace().fit(bags)
         compiled = MatrixConceptSpace.compile(reference)
         query = {"t1": 2, "t5": 1, "unseen": 1}
         for resource in list(bags)[:10]:
@@ -146,14 +145,11 @@ class TestFromBags:
     def tag_bags(folksonomy):
         return {r: dict(folksonomy.tag_bag(r)) for r in folksonomy.resources}
 
-    @pytest.mark.parametrize("smooth_idf", [False, True])
     @pytest.mark.parametrize("corpus", ["toy_folksonomy", "small_cleaned"])
-    def test_statistics_and_rankings_match_reference(
-        self, request, corpus, smooth_idf
-    ):
+    def test_statistics_and_rankings_match_reference(self, request, corpus):
         bags = self.tag_bags(request.getfixturevalue(corpus))
-        reference = ConceptVectorSpace(smooth_idf=smooth_idf).fit(bags)
-        space = MatrixConceptSpace.from_bags(bags, smooth_idf)
+        reference = ConceptVectorSpace().fit(bags)
+        space = MatrixConceptSpace.from_bags(bags)
 
         assert space.doc_ids == tuple(sorted(bags))
         assert set(space.terms) == set(reference.terms())
@@ -188,32 +184,28 @@ class TestFromBags:
 
     @staticmethod
     def concept_model(folksonomy, kind):
-        """A fresh model over ``folksonomy``'s tags (own-concept ones allocate)."""
+        """A model over all of ``folksonomy``'s tags, half of them or none."""
         tags = list(folksonomy.tags)
         if kind == "ignored":  # no corpus tag maps to a concept
             return ConceptModel([Concept(0, ("no-such-tag",))], {"no-such-tag": 0})
-        if kind == "own-concept":  # the model lacks every other tag
+        if kind == "partial":  # the model lacks every other tag
             tags = tags[::2]
         concepts = [Concept(c, tuple(tags[c::7])) for c in range(7)]
         return ConceptModel(
-            concepts,
-            {tag: c.concept_id for c in concepts for tag in c.tags},
-            unknown_policy="own-concept" if kind == "own-concept" else "ignore",
+            concepts, {tag: c.concept_id for c in concepts for tag in c.tags}
         )
 
-    @pytest.mark.parametrize("smooth_idf", [False, True])
-    @pytest.mark.parametrize("kind", ["generated", "own-concept", "ignored"])
+    @pytest.mark.parametrize("kind", ["generated", "partial", "ignored"])
     def test_columnar_build_saves_the_bytes_of_the_bag_build(
-        self, small_cleaned, tmp_path, kind, smooth_idf
+        self, small_cleaned, tmp_path, kind
     ):
-        reference_model = self.concept_model(small_cleaned, kind)
+        model = self.concept_model(small_cleaned, kind)
         bags = {
-            r: reference_model.concept_bag(small_cleaned.tag_bag(r), allocate=True)
+            r: model.concept_bag(small_cleaned.tag_bag(r))
             for r in small_cleaned.resources
         }
-        MatrixConceptSpace.from_bags(bags, smooth_idf).save(tmp_path / "bags")
-        model = self.concept_model(small_cleaned, kind)
-        engine = SearchEngine.build(small_cleaned, model, smooth_idf=smooth_idf)
+        MatrixConceptSpace.from_bags(bags).save(tmp_path / "bags")
+        engine = SearchEngine.build(small_cleaned, model)
         engine.matrix_space.save(tmp_path / "built")
 
         saved = sorted(path.name for path in (tmp_path / "bags").iterdir())
@@ -221,10 +213,6 @@ class TestFromBags:
         for name in saved:
             reference = (tmp_path / "bags" / name).read_bytes()
             assert (tmp_path / "built" / name).read_bytes() == reference, name
-        dynamics = list(model._dynamic_concepts.items())
-        assert dynamics == list(reference_model._dynamic_concepts.items())
-        assert model.num_concepts == reference_model.num_concepts
-        assert bool(dynamics) == (kind == "own-concept")
         if kind == "ignored":
             space = engine.matrix_space
             assert space.doc_ids == small_cleaned.resources and space.terms == ()
@@ -258,10 +246,6 @@ class TestFromBags:
             assert all(np.isfinite(r.score) for results in batch for r in results)
         assert space.cosine({"common": 1, "rare": 1}, "r1") == 0.0
 
-        smoothed = MatrixConceptSpace.from_bags(bags, smooth_idf=True)
-        assert smoothed.document_norm("r1") > 0.0
-        assert [r.resource for r in smoothed.rank({"common": 1})][0] == "r1"
-
     def test_input_checks(self):
         with pytest.raises(ConfigurationError):
             MatrixConceptSpace.from_bags({})
@@ -279,12 +263,12 @@ class TestFromBags:
         after["r0007"] = {"t1": 2, "brand-new": 1}
         after["r9999"] = {"t2": 1, "t5": 3}
 
-        mutated = MatrixConceptSpace.from_bags(before, smooth_idf=True)
+        mutated = MatrixConceptSpace.from_bags(before)
         mutated.remove_documents(["r0003"])
         mutated.update_document("r0007", after["r0007"])
         mutated.add_documents({"r9999": after["r9999"]})
         assert mutated.refresh()
-        scratch = MatrixConceptSpace.from_bags(after, smooth_idf=True)
+        scratch = MatrixConceptSpace.from_bags(after)
 
         assert mutated.doc_ids == scratch.doc_ids
         assert set(mutated.terms) == set(scratch.terms)
@@ -303,7 +287,7 @@ def assert_scores_like_scratch_build(space, bags, queries):
     The caller has ranked on ``space`` *before* changing it, so a kernel
     still reading the postings of the old weights fails here.
     """
-    scratch = MatrixConceptSpace.from_bags(bags, space.smooth_idf)
+    scratch = MatrixConceptSpace.from_bags(bags)
     if space.doc_ids != scratch.doc_ids:  # a shard: its rows, corpus-wide idf
         scratch = scratch.slice_rows(space.doc_ids)
     for top_k in (None, 5):
@@ -339,7 +323,7 @@ class TestPostingsFreshness:
 
     def test_local_mutations_refresh_and_vocabulary_prune(self):
         bags = self.corpus()
-        space = MatrixConceptSpace.from_bags(bags, smooth_idf=True)
+        space = MatrixConceptSpace.from_bags(bags)
         assert_scores_like_scratch_build(space, bags, self.QUERIES)
 
         bags["r9000"] = {"t1": 1, "brand-new": 2}
@@ -356,7 +340,7 @@ class TestPostingsFreshness:
     @pytest.mark.parametrize("mmap", [True, False], ids=["npy-mmap", "npy-eager"])
     def test_a_save_is_what_is_scored(self, tmp_path, mmap):
         bags = self.corpus()
-        MatrixConceptSpace.from_bags(bags, smooth_idf=True).save(tmp_path)
+        MatrixConceptSpace.from_bags(bags).save(tmp_path)
         assert {path.suffix for path in tmp_path.iterdir()} == {".npy", ".json"}
         loaded = MatrixConceptSpace.load(tmp_path, mmap=mmap)
         if mmap:  # zero-copy: nothing nnz-sized is derived, before or after
@@ -409,7 +393,7 @@ class TestRefreshCostsWhatItTouches:
     def test_untouched_postings_and_the_slot_index_survive(self, kind):
         vocabulary = [f"t{i}" for i in range(40)]
         bags = random_bags(np.random.default_rng(41), 5000, vocabulary)
-        space = MatrixConceptSpace.from_bags(bags, smooth_idf=True)
+        space = MatrixConceptSpace.from_bags(bags)
         rows, tf, index = list(space._post_rows), list(space._post_tf), space._doc_index
         if kind == "update":
             touched = set(bags["r0042"]) | {"t1", "t7"}
@@ -442,8 +426,7 @@ class TestConcurrentReaders:
         model = identity_concept_model(vocabulary)
         bags = random_bags(rng, num_resources=1500, vocabulary=vocabulary)
         space = MatrixConceptSpace.from_bags(
-            {doc_id: model.concept_bag(bag) for doc_id, bag in bags.items()},
-            smooth_idf=True,
+            {doc_id: model.concept_bag(bag) for doc_id, bag in bags.items()}
         )
         engine = SearchEngine(model, space)
         # One- and multi-concept queries alternate: the second kind scores

@@ -80,7 +80,6 @@ def corpus_and_bags(draw):
     on_shard = draw(
         st.lists(st.booleans(), min_size=len(documents), max_size=len(documents))
     )
-    smooth_idf = draw(st.booleans())
     top_k = draw(st.integers(1, len(documents)))
     mutations = draw(
         st.lists(
@@ -92,7 +91,7 @@ def corpus_and_bags(draw):
             max_size=4,
         )
     )
-    return documents, queries, on_shard, smooth_idf, top_k, mutations
+    return documents, queries, on_shard, top_k, mutations
 
 
 #: Drain "a" to df 0 (an update, then a removal), query it while dead, then
@@ -147,15 +146,13 @@ def assert_statistics_match(space, scratch, oracle):
 
 
 @given(corpus_and_bags())
-@example(data=(*DRAIN_AND_RESURRECT[:3], False, *DRAIN_AND_RESURRECT[3:]))
-@example(data=(*DRAIN_AND_RESURRECT[:3], True, *DRAIN_AND_RESURRECT[3:]))
-@example(data=(*LONG_DRIFT[:3], False, *LONG_DRIFT[3:]))
-@example(data=(*LONG_DRIFT[:3], True, *LONG_DRIFT[3:]))
+@example(data=DRAIN_AND_RESURRECT)
+@example(data=LONG_DRIFT)
 def test_postings_kernel_matches_dict_loop_oracle(data):
-    documents, queries, on_shard, smooth_idf, k, mutations = data
+    documents, queries, on_shard, k, mutations = data
     tag_bags = {f"r{i:02d}": bag for i, bag in enumerate(documents)}
     model = identity_concept_model(KERNEL_TAGS)
-    reference = DictLoopOracle(model, tag_bags, smooth_idf).space
+    reference = DictLoopOracle(model, tag_bags).space
     queries = queries + [{}, {UNSEEN_CONCEPT: 2}]
     members = {doc for doc, kept in zip(sorted(tag_bags), on_shard) if kept}
 
@@ -214,7 +211,7 @@ def test_postings_kernel_matches_dict_loop_oracle(data):
             batch = {"updated": {victim: bag}}
         engine.apply_mutations(**batch)
         reloaded.apply_mutations(**batch)
-        oracle = DictLoopOracle(model, tag_bags, smooth_idf)
+        oracle = DictLoopOracle(model, tag_bags)
         scratch = MatrixConceptSpace.compile(oracle.space)
         engine.refresh()
         reloaded.refresh()

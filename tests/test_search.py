@@ -100,11 +100,6 @@ class TestConceptVectorSpace:
         assert space.idf("common") == pytest.approx(0.0)
         assert "common" not in space.resource_vector("r1")
 
-    def test_smooth_idf_never_zero(self):
-        bags = {"r1": {"common": 1}, "r2": {"common": 2}}
-        space = ConceptVectorSpace(smooth_idf=True).fit(bags)
-        assert space.idf("common") > 0.0
-
     def test_rank_and_cosine_consistency(self):
         space = self.build_space()
         ranked = space.rank({"music": 1})
@@ -145,7 +140,7 @@ class TestConceptVectorSpace:
             "other": {"zzz": 1, "a": 1},
             "third": {"b": 2, "yyy": 3},
         }
-        space = ConceptVectorSpace(smooth_idf=True).fit(bags)
+        space = ConceptVectorSpace().fit(bags)
         ranked = space.rank(counts)
         assert ranked[0].resource == "target"
 

@@ -336,21 +336,15 @@ class TestStaticParity:
                 engine, reference, [[tag]], num_shards, top_k=None
             )
 
-    @pytest.mark.parametrize("smooth_idf", [False, True])
-    def test_smooth_idf_parity_including_unknown_query_mass(
-        self, small_cleaned, concept_model, smooth_idf, tmp_path
+    def test_parity_with_unknown_query_tags(
+        self, small_cleaned, concept_model, tmp_path
     ):
-        engine = SearchEngine.build(
-            small_cleaned, concept_model, smooth_idf=smooth_idf, name="s"
-        )
-        reference = DictLoopOracle.of_folksonomy(
-            concept_model, small_cleaned, smooth_idf=smooth_idf
-        )
+        engine = SearchEngine.build(small_cleaned, concept_model, name="s")
+        reference = DictLoopOracle.of_folksonomy(concept_model, small_cleaned)
         tags = list(small_cleaned.tags)
         queries = [[tags[0], tags[1]], [tags[2], "tag-unseen-anywhere"]]
         for num_shards in (1, 3):
             reloaded = at_shards(engine, num_shards, tmp_path)
-            assert reloaded.matrix_space.smooth_idf == smooth_idf
             assert_matches_oracle(reloaded, reference, queries, top_k=10)
             assert_fanout_matches_oracle(engine, reference, queries, num_shards)
 
@@ -758,6 +752,75 @@ class TestShardedPersistence:
                 load(tmp_path)
         with pytest.raises(ConfigurationError, match="re-save"):
             SearchEngine.load_shard(tmp_path, 0)
+
+    @staticmethod
+    def rewrite_json(paths, update):
+        for path in paths:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            update(payload)
+            path.write_text(json.dumps(payload), encoding="utf-8")
+
+    @staticmethod
+    def loaders(directory):
+        return (
+            lambda: SearchEngine.load(directory),
+            lambda: SearchEngine.load_shard(directory, 0),
+        )
+
+    @pytest.mark.parametrize(
+        "policy, dynamic, match",
+        [
+            ("own-concept", {}, "unknown_policy='own-concept'"),
+            ("ignore", {"tag-x": 99}, "1 own-concept tags"),
+        ],
+        ids=["unknown_policy", "dynamic_concepts"],
+    )
+    def test_own_concept_save_is_refused(
+        self, mono_engine, tmp_path, policy, dynamic, match
+    ):
+        """A manifest of the retired own-concept option never loads with
+        the option dropped; the default values still load."""
+        dirs = [tmp_path / "mono", tmp_path / "sharded"]
+        mono_engine.save(dirs[0])
+        mono_engine.save(dirs[1], num_shards=2)
+        manifests = [directory / SHARD_MANIFEST_FILENAME for directory in dirs]
+
+        def concept_keys(policy, dynamic):
+            return lambda payload: payload["concept_model"].update(
+                unknown_policy=policy, dynamic_concepts=dynamic
+            )
+
+        self.rewrite_json(manifests, concept_keys("ignore", {}))
+        for directory in dirs:
+            for load in self.loaders(directory):
+                assert load().num_indexed_resources > 0
+        self.rewrite_json(manifests, concept_keys(policy, dynamic))
+        for directory in dirs:
+            for load in self.loaders(directory):
+                with pytest.raises(ConfigurationError, match=match):
+                    load()
+
+    def test_smoothed_space_save_is_refused(self, mono_engine, tmp_path):
+        """A ``matrix_space.json`` of the retired smoothed idf never loads as
+        plain idf; ``smooth_idf: false`` still loads."""
+        dirs = [tmp_path / "mono", tmp_path / "sharded"]
+        mono_engine.save(dirs[0])
+        mono_engine.save(dirs[1], num_shards=2)
+        spaces = sorted(tmp_path.glob("*/shard-*/matrix_space.json"))
+        assert len(spaces) == 3
+
+        self.rewrite_json(spaces, lambda payload: payload.update(smooth_idf=False))
+        for directory in dirs:
+            for load in self.loaders(directory):
+                assert load().num_indexed_resources > 0
+        self.rewrite_json(spaces, lambda payload: payload.update(smooth_idf=True))
+        for directory in dirs:
+            for load in self.loaders(directory):
+                with pytest.raises(ConfigurationError, match="smooth_idf"):
+                    load()
+        for space in spaces:
+            with pytest.raises(ConfigurationError, match="smooth_idf"):
+                MatrixConceptSpace.load(space.parent)
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_round_trip_in_fresh_process(

@@ -207,6 +207,21 @@ class TestDistanceTheorems:
         )
         assert np.allclose(distances_core, distances_lambda, atol=1e-6)
 
+    def test_tag_distance_matrix_falls_back_to_theorem1(self, toy_tensor):
+        """Theorem 2 when ``Λ₂`` covers the tag rank, else the core (Theorem 1)."""
+        decomposition = tucker_als(toy_tensor, ranks=(3, 3, 2), seed=0)
+        tags = decomposition.factors[1]
+        theorem2 = sigma_from_singular_values(decomposition.lambda2, rank=3)
+        assert np.array_equal(
+            tag_distance_matrix(decomposition),
+            pairwise_distances_shortcut(tags, theorem2),
+        )
+        decomposition.mode_singular_values[1] = decomposition.lambda2[:2]
+        assert np.array_equal(
+            tag_distance_matrix(decomposition),
+            pairwise_distances_shortcut(tags, sigma_from_core(decomposition.core)),
+        )
+
     def test_tag_distance_matrix_properties(self, toy_cubelsi_result):
         distances = toy_cubelsi_result.distances
         assert np.allclose(distances, distances.T)
